@@ -21,14 +21,15 @@ U and W factors.
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import processes, selfdecomp
-from .probcore import Sample, empirical_cdf, ks_distance
-from .processes import NormingSequences, ProcessSpec, SamplePath
+from .probcore import Sample, ks_distance
+from .processes import NormingSequences, ProcessSpec, SamplePath, _vectorized
 
 DEFAULT_DELTA_GRID_STEP = 0.05
 DEFAULT_EPSILON = 0.1
@@ -60,16 +61,7 @@ def compute_m_profile(a, c: float, n_values) -> np.ndarray:
 
 
 def _a_values(a, n_max: int) -> np.ndarray:
-    ns = np.arange(1, n_max + 1)
-    if isinstance(a, NormingSequences):
-        vals = a.a_values(ns)
-    else:
-        try:
-            vals = np.asarray(a(ns), dtype=float)
-            if vals.shape != ns.shape:
-                raise ValueError
-        except (TypeError, ValueError):
-            vals = np.array([float(a(int(k))) for k in ns])
+    vals = _vectorized(a.a if isinstance(a, NormingSequences) else a, np.arange(1, n_max + 1))
     if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
         raise ValueError("scaling sequence a must be positive and finite")
     return vals
@@ -192,13 +184,22 @@ class BlockTriple:
         return self.u + self.v + self.w
 
 
-def _block_sums(values: np.ndarray, m: int, q: int, n: int, time_axis: int = -1):
-    """(S_m, S_{m+q} - S_m, S_n - S_{m+q}) summed along the time axis."""
-    v = np.moveaxis(np.asarray(values, dtype=float), time_axis, 0)
-    s_m = v[:m].sum(axis=0)
-    s_mid = v[m : m + q].sum(axis=0)
-    s_tail = v[m + q : n].sum(axis=0)
-    return s_m, s_mid, s_tail
+def _three_blocks(values, norming: NormingSequences, m: int, q: int, n: int, time_axis: int = -1):
+    """(U, V, W, total, identity error) of the first n values along the time axis.
+
+    total = a(n) S_n + b(n) sums the n values directly, so the identity
+    error max |U + V + W - total| / max(1, |total|) compares two
+    independently rounded sides.
+    """
+    x = np.moveaxis(np.asarray(values, dtype=float), time_axis, 0)
+    (a_n, b_n), (a_m, b_m) = norming.at(n), norming.at(m)
+    ratio = a_n / a_m
+    u = ratio * (a_m * x[:m].sum(axis=0) + b_m)
+    v = a_n * x[m : m + q].sum(axis=0)
+    w = a_n * x[m + q : n].sum(axis=0) + b_n - ratio * b_m
+    total = norming.normalized_sum(x[:n], axis=0)
+    relerr = float(np.max(np.abs(u + v + w - total) / np.maximum(1.0, np.abs(total))))
+    return u, v, w, total, relerr
 
 
 def decompose(path: SamplePath, norming: NormingSequences, plan: BlockingPlan, n: int) -> BlockTriple:
@@ -211,20 +212,27 @@ def decompose(path: SamplePath, norming: NormingSequences, plan: BlockingPlan, n
     i = plan.index_of(n)
     if len(path) < n:
         raise ValueError(f"path has {len(path)} points, need {n}")
-    m, q = int(plan.m[i]), int(plan.q[i])
-    a_n = float(norming.a_values(np.array([n]))[0])
-    a_m = float(norming.a_values(np.array([m]))[0])
-    b_n = float(norming.b_values(np.array([n]))[0])
-    b_m = float(norming.b_values(np.array([m]))[0])
-    s_m, s_mid, s_tail = _block_sums(path.values, m, q, n, time_axis=0)
-    ratio = a_n / a_m
-    u = ratio * (a_m * s_m + b_m)
-    v = a_n * s_mid
-    w = a_n * s_tail + b_n - ratio * b_m
-    total_direct = a_n * path.values[:n].sum(axis=0) + b_n
-    relerr = np.max(np.abs(u + v + w - total_direct)) / max(1.0, float(np.max(np.abs(total_direct))))
+    u, v, w, _, relerr = _three_blocks(path.values, norming, int(plan.m[i]), int(plan.q[i]), n,
+                                       time_axis=0)
     return BlockTriple(u=np.asarray(u), v=np.asarray(v), w=np.asarray(w), n=n,
-                       identity_relerr=float(relerr))
+                       identity_relerr=relerr)
+
+
+def write_csv(fh, columns, rows) -> None:
+    """A header line of columns, then one line per row dict, quoted where a cell needs it."""
+    out = csv.writer(fh, lineterminator="\n")
+    out.writerow(columns)
+    out.writerows([_csv_cell(row[c]) for c in columns] for row in rows)
+
+
+def _csv_cell(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return f"{float(v):.17e}"
+    return str(v)
 
 
 @dataclass(frozen=True)
@@ -242,20 +250,7 @@ class BlockingReport:
         return all(r["pass"] for r in self.rows)
 
     def to_csv(self, fh) -> None:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for r in self.rows:
-            cells = []
-            for col in CSV_COLUMNS:
-                val = r[col]
-                if isinstance(val, bool):
-                    cells.append("true" if val else "false")
-                elif isinstance(val, (int, np.integer)):
-                    cells.append(str(int(val)))
-                elif isinstance(val, float):
-                    cells.append(f"{val:.17e}")
-                else:
-                    cells.append(str(val))
-            fh.write(",".join(cells) + "\n")
+        write_csv(fh, CSV_COLUMNS, self.rows)
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
@@ -318,18 +313,9 @@ def verify_blocking(
     for n in usable:
         i = plan.index_of(n)
         m, q, d, ratio = int(plan.m[i]), int(plan.q[i]), float(plan.delta[i]), float(plan.ratio[i])
-        a_n = float(norming.a_values(np.array([n]))[0])
-        a_m = float(norming.a_values(np.array([m]))[0])
-        b_n = float(norming.b_values(np.array([n]))[0])
-        b_m = float(norming.b_values(np.array([m]))[0])
-        s_m, s_mid, s_tail = _block_sums(paths[:, :n], m, q, n)
-        u = (a_n / a_m) * (a_m * s_m + b_m)
-        v = a_n * s_mid
-        w = a_n * s_tail + b_n - (a_n / a_m) * b_m
-        total = a_n * paths[:, :n].sum(axis=1) + b_n
+        u, v, w, total, relerr = _three_blocks(paths, norming, m, q, n)
         base = dict(n=n, m_n=m, q_n=q, delta_n=d, ratio=ratio)
 
-        relerr = float(np.max(np.abs(u + v + w - total) / np.maximum(1.0, np.abs(total))))
         rows.append({**base, "metric_name": "eq8_identity_max_relerr", "value": relerr,
                      "analytic_ceiling": 1e-9, "pass": relerr <= 1e-9})
 

@@ -17,8 +17,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute one experiment config")
     run_p.add_argument("config", help="path to the experiment JSON config")
     run_p.add_argument("--out", default=None, help="output directory for reports")
-    run_p.add_argument("--threads", type=int, default=None,
-                       help="parallelism hint (results are identical to a serial run)")
     list_p = sub.add_parser("list", help="list experiment kinds")
     list_p.add_argument("--json", action="store_true", help="emit a JSON array")
     return p
@@ -33,7 +31,7 @@ def main(argv=None) -> int:
     if args.command == "list":
         print(harness.list_experiments(as_json=args.json))
         return 0
-    return harness.run(args.config, out_dir=args.out, threads=args.threads)
+    return harness.run(args.config, out_dir=args.out)
 
 
 if __name__ == "__main__":

@@ -19,8 +19,6 @@ tolerance issue.
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,14 +73,6 @@ class CouplingProblem:
     def n_net(self) -> int:
         return self.net.shape[0]
 
-    @property
-    def alpha(self) -> float:
-        return alpha_exact(self.joint)
-
-    @property
-    def bound(self) -> float:
-        return self.delta + 4.0 * np.sqrt(self.n_net) * self.alpha
-
 
 @dataclass(frozen=True)
 class CouplingSolution:
@@ -114,41 +104,21 @@ def solve_coupling(problem: CouplingProblem, var_limit: int = DEFAULT_VAR_LIMIT)
     nvar = nx * nz * nx
     if nvar > var_limit:
         raise ValueError(f"LP has {nvar} variables, above the configured limit {var_limit}")
-    px, pz = joint.margin_x, joint.margin_z
-
-    def vid(i, k, j):
-        return (i * nz + k) * nx + j
-
-    miss = (np.linalg.norm(ax[:, None, :] - ax[None, :, :], axis=2) > 2 * problem.epsilon)
-    cost = np.zeros(nvar)
-    rows_a, cols_a, data_a, rhs = [], [], [], []
-    r = 0
-    for i in range(nx):
-        for k in range(nz):
-            for j in range(nx):
-                cols_a.append(vid(i, k, j))
-                rows_a.append(r)
-                data_a.append(1.0)
-                if miss[i, j]:
-                    cost[vid(i, k, j)] = 1.0
-            rhs.append(joint.pmf[i, k])
-            r += 1
-    for k in range(nz):
-        for j in range(nx):
-            for i in range(nx):
-                cols_a.append(vid(i, k, j))
-                rows_a.append(r)
-                data_a.append(1.0)
-            rhs.append(pz[k] * px[j])
-            r += 1
-    A = scipy.sparse.csr_matrix((data_a, (rows_a, cols_a)), shape=(r, nvar))
-    res = scipy.optimize.linprog(
-        cost, A_eq=A, b_eq=np.asarray(rhs), bounds=(0, None), method="highs"
-    )
+    # variable (i, k, j) = P(X = x_i, Z = z_k, Y = x_j) sits at (i * nz + k) * nx + j;
+    # rows 0..nx*nz-1 sum it over j to P(X = x_i, Z = z_k), the next nz*nx rows
+    # sum it over i to P(Z = z_k) P(X = x_j)
+    miss = np.linalg.norm(ax[:, None, :] - ax[None, :, :], axis=2) > 2 * problem.epsilon
+    cost = np.broadcast_to(miss[:, None, :], (nx, nz, nx)).ravel().astype(float)
+    A = scipy.sparse.vstack([
+        scipy.sparse.kron(scipy.sparse.identity(nx * nz), np.ones((1, nx))),
+        scipy.sparse.kron(np.ones((1, nx)), scipy.sparse.identity(nz * nx)),
+    ], format="csr")
+    rhs = np.concatenate([joint.pmf.ravel(), np.outer(joint.margin_z, joint.margin_x).ravel()])
+    res = scipy.optimize.linprog(cost, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
     if not res.success:
         raise RuntimeError(f"LP solver failed: {res.message}")
     t = np.clip(res.x, 0.0, None)
-    resid = A @ t - np.asarray(rhs)
+    resid = A @ t - rhs
     n_marg = nx * nz
     residual_marginal = float(np.max(np.abs(resid[:n_marg])))
     residual_independence = float(np.max(np.abs(resid[n_marg:])))
@@ -158,7 +128,8 @@ def solve_coupling(problem: CouplingProblem, var_limit: int = DEFAULT_VAR_LIMIT)
             f"({residual_marginal:.3e}, {residual_independence:.3e}) above {RESIDUAL_TOL}"
         )
     objective = float(cost @ t)
-    bound = problem.bound
+    alpha = alpha_exact(joint)
+    bound = problem.delta + 4.0 * np.sqrt(problem.n_net) * alpha
     if objective > bound + RESIDUAL_TOL:
         raise CouplingBoundError(
             f"optimal miss probability {objective!r} exceeds the existence bound "
@@ -168,7 +139,7 @@ def solve_coupling(problem: CouplingProblem, var_limit: int = DEFAULT_VAR_LIMIT)
         triple_pmf=t.reshape(nx, nz, nx),
         objective=objective,
         bound=float(bound),
-        alpha=problem.alpha,
+        alpha=alpha,
         n_net=problem.n_net,
         delta=problem.delta,
         residual_marginal=residual_marginal,
@@ -203,10 +174,6 @@ def verify_prop1_suite(cases) -> dict:
             "pass": ok,
         })
     return {"cases": rows, "all_pass": all(r["pass"] for r in rows)}
-
-
-def suite_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
 
 
 # --------------------------------------------------------------------------
@@ -252,8 +219,6 @@ def corollary_sum_experiment(
     elif mode == "lagged_blocks":
         norming = processes.norming_for(spec_x)
         nb = block_length
-        a_nb = float(norming.a_values(np.array([nb]))[0])
-        b_nb = float(norming.b_values(np.array([nb]))[0])
         horizon = 2 * nb + int(max(lags))
         paths = processes.simulate_many(spec_x, horizon, replications, seed, label="corr-lag")
         shuffle = rngstreams.stream(seed, "corr-shuffle").permutation(replications)
@@ -261,10 +226,10 @@ def corollary_sum_experiment(
             alpha_profile = processes.analytic_alpha_profile(
                 spec_x, sorted({int(L) + 1 for L in lags})
             )
+        x = norming.normalized_sum(paths[:, :nb])
         for lag in lags:
             lag = int(lag)
-            x = a_nb * paths[:, :nb].sum(axis=1) + b_nb
-            z = a_nb * paths[:, nb + lag : 2 * nb + lag].sum(axis=1) + b_nb
+            z = norming.normalized_sum(paths[:, nb + lag : 2 * nb + lag])
             resampled = x + z[shuffle]
             ks = _two_sample_ks(x + z, resampled)
             rows.append({"grid": lag, "ks": ks,
@@ -276,11 +241,8 @@ def corollary_sum_experiment(
 
 
 def _normalized_sums(spec, n, reps, seed, label):
-    norming = processes.norming_for(spec)
     paths = processes.simulate_many(spec, n, reps, seed, label=label)
-    a_n = float(norming.a_values(np.array([n]))[0])
-    b_n = float(norming.b_values(np.array([n]))[0])
-    return a_n * paths.sum(axis=1) + b_n
+    return processes.norming_for(spec).normalized_sum(paths)
 
 
 def _normal_cdf(sd):

@@ -125,21 +125,9 @@ _CLOSED_FORM_CFS = {
 }
 
 
-def _float_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17e}"
-    return str(v)
-
-
 def _write_csv(path: Path, columns, rows) -> None:
     with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_float_cell(row[c]) for c in columns) + "\n")
+        blocking.write_csv(fh, columns, rows)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -232,11 +220,8 @@ def _run_selfdecomp_test(cfg: dict, out: Path):
         spec = _parse_process(cfg["process"], "config.process")
         n = int(cfg.get("n", 4096))
         reps = int(cfg.get("replications", 10_000))
-        norming = processes.norming_for(spec)
         paths = processes.simulate_many(spec, n, reps, int(cfg["seed"]), label="selfdecomp")
-        a_n = float(norming.a_values(np.array([n]))[0])
-        b_n = float(norming.b_values(np.array([n]))[0])
-        total = a_n * paths.sum(axis=1) + b_n
+        total = processes.norming_for(spec).normalized_sum(paths)
         report = selfdecomp.selfdecomp_test_sample(
             Sample(total[:, None]), cs,
             grid_radius=float(cfg.get("grid_radius", selfdecomp.DEFAULT_EMPIRICAL_RADIUS)),
@@ -383,12 +368,8 @@ def resolve_out_dir(cfg: dict, out_override: str | None) -> Path:
     return Path(os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR))
 
 
-def run(config_path, out_dir: str | None = None, threads: int | None = None) -> int:
-    """Execute one experiment config; returns the process exit status.
-
-    threads is accepted as a parallelism hint; execution is serial and
-    reductions are order-fixed, so results do not depend on it.
-    """
+def run(config_path, out_dir: str | None = None) -> int:
+    """Execute one experiment config; returns the process exit status."""
     try:
         with open(config_path) as fh:
             cfg = json.load(fh)
@@ -407,8 +388,6 @@ def run(config_path, out_dir: str | None = None, threads: int | None = None) -> 
             raise ConfigError("config is missing required key 'seed' (no implicit entropy)")
         if not isinstance(cfg["seed"], int):
             raise ConfigError("config key 'seed' must be an integer")
-        if threads is not None and threads < 1:
-            raise ConfigError("--threads must be a positive integer")
         kind = cfg["kind"]
         if kind not in _RUNNERS:
             raise ConfigError(f"unknown experiment kind {kind!r}")

@@ -57,9 +57,6 @@ class Sample:
             raise ValueError(f"scalar view requires d=1, sample has d={self.d}")
         return self.points[:, 0]
 
-    def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.points, axis=1)
-
 
 @dataclass(frozen=True)
 class EmpiricalCF:

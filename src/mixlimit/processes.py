@@ -156,33 +156,47 @@ class SamplePath:
         return buf.getvalue()
 
 
+def _vectorized(fn, ns) -> np.ndarray:
+    """fn evaluated elementwise on the integer array ns, as floats.
+
+    fn must be vectorized: it maps an array to an array of the same shape.
+    """
+    ns = np.asarray(ns)
+    try:
+        out = np.asarray(fn(ns), dtype=float)
+    except TypeError as e:
+        raise ValueError(f"sequence {fn!r} must be vectorized over an array of n: {e}") from e
+    if out.shape != ns.shape:
+        raise ValueError(
+            f"sequence {fn!r} must be vectorized: it maps n of shape {ns.shape} "
+            f"to shape {out.shape}"
+        )
+    return out
+
+
 @dataclass(frozen=True)
 class NormingSequences:
     """Scaling a(n) > 0 and centering b(n) with a closed-form provenance."""
 
-    a: object                   # callable n -> positive float (vectorizable)
-    b: object                   # callable n -> float
+    a: object                   # vectorized callable n -> positive float
+    b: object                   # vectorized callable n -> float
     provenance: str
 
     def a_values(self, ns) -> np.ndarray:
-        ns = np.asarray(ns)
-        try:
-            out = np.asarray(self.a(ns), dtype=float)
-            if out.shape == ns.shape:
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.array([float(self.a(int(n))) for n in ns.ravel()]).reshape(ns.shape)
+        return _vectorized(self.a, ns)
 
     def b_values(self, ns) -> np.ndarray:
-        ns = np.asarray(ns)
-        try:
-            out = np.asarray(self.b(ns), dtype=float)
-            if out.shape == ns.shape:
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.array([float(self.b(int(n))) for n in ns.ravel()]).reshape(ns.shape)
+        return _vectorized(self.b, ns)
+
+    def at(self, n: int) -> tuple:
+        """(a(n), b(n)) as floats."""
+        ns = np.array([n])
+        return float(self.a_values(ns)[0]), float(self.b_values(ns)[0])
+
+    def normalized_sum(self, block, axis: int = -1) -> np.ndarray:
+        """a(n) S + b(n), where S sums the n values of block along axis."""
+        a_n, b_n = self.at(np.shape(block)[axis])
+        return a_n * np.sum(block, axis=axis) + b_n
 
 
 @dataclass(frozen=True)
@@ -199,10 +213,6 @@ class Step1Report:
     @property
     def passed(self) -> bool:
         return self.a_vanishes and self.ratio_converges and self.drift_vanishes
-
-
-def _simulate_innovations(spec: ProcessSpec, rng, reps: int, n: int) -> np.ndarray:
-    return spec.innovations.sample(rng, (reps, n))
 
 
 def simulate_many(spec: ProcessSpec, n: int, reps: int, seed: int, label: str = "path") -> np.ndarray:
@@ -222,11 +232,11 @@ def simulate_many(spec: ProcessSpec, n: int, reps: int, seed: int, label: str = 
     if fam == "iid":
         if spec.dimension > 1:
             return spec.innovations.sample(rng, (reps, n, spec.dimension))
-        return _simulate_innovations(spec, rng, reps, n)
+        return spec.innovations.sample(rng, (reps, n))
     if fam == "ar1":
         phi, law = spec.phi, spec.innovations
         if phi == 0.0:
-            return _simulate_innovations(spec, rng, reps, n)
+            return spec.innovations.sample(rng, (reps, n))
         burn = int(np.ceil(np.log(_AR1_INIT_TOL) / np.log(abs(phi))))
         eps = law.sample(rng, (reps, burn + n))
         mean_stat = law.mean / (1.0 - phi)
@@ -242,7 +252,7 @@ def simulate_many(spec: ProcessSpec, n: int, reps: int, seed: int, label: str = 
     if fam == "ma_q":
         w = np.asarray(spec.weights)
         q = len(w) - 1
-        eps = _simulate_innovations(spec, rng, reps, n + q)
+        eps = spec.innovations.sample(rng, (reps, n + q))
         out = np.zeros((reps, n))
         for i, wi in enumerate(w):
             out += wi * eps[:, q - i : q - i + n]
@@ -431,20 +441,8 @@ def marginal_abs_tail(spec: ProcessSpec):
         return tail
     raise ValueError(
         f"no closed-form marginal tail for family {fam!r} with "
-        f"{law.name!r} innovations; use a Monte Carlo tail estimator"
+        f"{law.name!r} innovations"
     )
-
-
-def monte_carlo_abs_tail(spec: ProcessSpec, n_paths: int = 4096, horizon: int = 64, seed: int = 0):
-    """Empirical fallback for marginal_abs_tail, from simulated marginals."""
-    paths = simulate_many(spec, horizon, n_paths, seed, label="tail-probe")
-    flat = np.sort(np.abs(paths).ravel())
-
-    def tail(t):
-        t = np.asarray(t, dtype=float)
-        return 1.0 - np.searchsorted(flat, t, side="left") / flat.size
-
-    return tail
 
 
 def analytic_alpha_profile(spec: ProcessSpec, n_list) -> AlphaProfile:

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from mixlimit.blocking import (
     BlockingPlan,
+    _three_blocks,
     compute_deltas,
     compute_m,
     compute_m_profile,
@@ -18,6 +21,7 @@ from mixlimit.processes import (
     SamplePath,
     marginal_abs_tail,
     norming_for,
+    simulate_many,
 )
 
 A_RECIP = lambda n: 1.0 / np.asarray(n, dtype=float)
@@ -61,6 +65,11 @@ def test_compute_m_rejects_bad_input():
         compute_m(A_SQRT, 0.5, 1)
     with pytest.raises(ValueError):
         compute_m(A_SQRT, 1.5, 10)
+    # a scaling sequence is evaluated on whole arrays of n, never n by n
+    with pytest.raises(ValueError, match="vectorized"):
+        compute_m(lambda n: 1.0 / math.sqrt(n), 0.5, 10)
+    with pytest.raises(ValueError, match="vectorized"):
+        compute_m(lambda n: 0.5, 0.5, 10)
 
 
 def test_sandwich_inequality_sqrt_scaling():
@@ -188,6 +197,21 @@ def test_decompose_zero_middle_block_gives_zero_v():
     assert t.v == 0.0
 
 
+def test_decompose_row_matches_verify_blocking_split():
+    # decompose on one row of a simulate_many matrix and the split that
+    # verify_blocking applies to the whole matrix agree bit for bit
+    spec = ProcessSpec(family="ar1", phi=0.5)
+    nm = norming_for(spec)
+    plan = make_plan(nm, marginal_abs_tail(spec), 0.5, (256, 512))
+    paths = simulate_many(spec, 512, 8, 4, label="blocking")
+    for n in (256, 512):
+        i = plan.index_of(n)
+        u, v, w, _, _ = _three_blocks(paths, nm, int(plan.m[i]), int(plan.q[i]), n)
+        for r in (0, 5):
+            t = decompose(SamplePath(values=paths[r], spec_hash="row", seed=4), nm, plan, n)
+            assert (t.u, t.v, t.w) == (u[r], v[r], w[r])
+
+
 def test_decompose_rejects_pre_asymptotic():
     # at n=4: m+q = 4 is not < n, so the blocks do not separate yet
     plan = BlockingPlan(
@@ -261,6 +285,7 @@ def test_verify_csv_schema(small_iid_report):
     lines = small_iid_report.to_csv_string().strip().split("\n")
     assert lines[0] == "n,m_n,q_n,delta_n,ratio,metric_name,value,analytic_ceiling,pass"
     assert all(len(line.split(",")) == 9 for line in lines[1:])
+    assert {line.split(",")[-1] for line in lines[1:]} <= {"true", "false"}
 
 
 def test_iid_trailing_block_reaches_its_gaussian_limit():
@@ -271,7 +296,6 @@ def test_iid_trailing_block_reaches_its_gaussian_limit():
     plan = make_plan(nm, marginal_abs_tail(spec), 0.5, (256, 4096))
     i = plan.index_of(4096)
     m, q = int(plan.m[i]), int(plan.q[i])
-    from mixlimit.processes import simulate_many
     paths = simulate_many(spec, 4096, 2000, 17, label="wlimit")
     a_n = nm.a_values(np.array([4096]))[0]
     w = a_n * paths[:, m + q:].sum(axis=1)

@@ -7,6 +7,7 @@ import scipy.optimize
 import scipy.sparse
 import scipy.stats
 
+from mixlimit import coupling
 from mixlimit.coupling import (
     CouplingProblem,
     corollary_sum_experiment,
@@ -91,8 +92,8 @@ def exact_vertex_oracle(pmf_fractions, atoms, two_eps):
     return best
 
 
-def duality_certificate(joint, epsilon, triple_objective):
-    """Verify LP optimality by exhibiting a feasible dual with equal value."""
+def loop_lp(joint, epsilon):
+    """(cost, A_eq, b_eq) of the coupling LP, built entry by entry."""
     ax = joint.atoms_x
     nx, nz = joint.pmf.shape
     nvar = nx * nz * nx
@@ -119,12 +120,17 @@ def duality_certificate(joint, epsilon, triple_objective):
             rhs.append(pz[k] * px[j])
             r += 1
     A = scipy.sparse.csr_matrix((np.ones(len(rows_a)), (rows_a, cols_a)), shape=(r, nvar))
-    res = scipy.optimize.linprog(cost, A_eq=A, b_eq=np.asarray(rhs), bounds=(0, None),
-                                 method="highs")
+    return cost, A, np.asarray(rhs)
+
+
+def duality_certificate(joint, epsilon, triple_objective):
+    """Verify LP optimality by exhibiting a feasible dual with equal value."""
+    cost, A, rhs = loop_lp(joint, epsilon)
+    res = scipy.optimize.linprog(cost, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
     y = res.eqlin.marginals
     reduced = cost - A.T @ y
     assert np.all(reduced >= -1e-9), "dual infeasibility"
-    dual_value = float(np.asarray(rhs) @ y)
+    dual_value = float(rhs @ y)
     assert dual_value == pytest.approx(triple_objective, abs=1e-9)
 
 
@@ -153,6 +159,36 @@ def test_fair_bit_fully_dependent():
         [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 2)]], [0.0, 1.0], Fraction(4, 5)
     )
     assert float(oracle) == 0.5
+
+
+def test_lp_matches_loop_reference(monkeypatch):
+    # solve_coupling hands HiGHS the loop-built LP, bit for bit
+    rng = np.random.default_rng(7)
+    pmf = rng.random((5, 4))
+    joint = FiniteJointDistribution(np.arange(5.0), np.arange(4.0), pmf / pmf.sum())
+    seen = {}
+    linprog = scipy.optimize.linprog
+
+    def capture(c, A_eq, b_eq, **kwargs):
+        seen.update(c=c, A=A_eq, b=b_eq)
+        return linprog(c, A_eq=A_eq, b_eq=b_eq, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", capture)
+    solve_coupling(CouplingProblem(joint=joint, epsilon=0.4, net=np.arange(5.0), delta=0.0))
+    cost, A, rhs = loop_lp(joint, 0.4)
+    assert np.array_equal(seen["c"], cost) and np.array_equal(seen["b"], rhs)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(seen["A"], part), getattr(A, part))
+
+
+def test_solve_coupling_evaluates_alpha_once(monkeypatch):
+    calls = []
+    alpha_exact = coupling.alpha_exact
+    monkeypatch.setattr(coupling, "alpha_exact",
+                        lambda joint: calls.append(joint) or alpha_exact(joint))
+    j = joint_2x2([[0.3, 0.2], [0.2, 0.3]])
+    solve_coupling(CouplingProblem(joint=j, epsilon=0.4, net=[0.0, 1.0], delta=0.0))
+    assert calls == [j]
 
 
 def test_weakly_dependent_2x2_vertex_oracle():

@@ -89,6 +89,17 @@ def test_norming_iid_standard_normal():
     assert np.allclose(nm.b_values(ns), 0.0)
 
 
+def test_norming_at_matches_vectorized_values_bitwise():
+    chain = MarkovChainSpec([-1.0, 2.0], [[0.6, 0.4], [0.3, 0.7]], [0.5, 0.5])
+    specs = (ProcessSpec(family="iid", innovations=InnovationLaw(mean=1.0)), AR1, MA11,
+             ProcessSpec(family="markov_function", chain=chain))
+    ns = np.array([1, 7, 256, 4096])
+    for spec in specs:
+        nm = norming_for(spec)
+        a, b = nm.a_values(ns), nm.b_values(ns)
+        assert [nm.at(int(n)) for n in ns] == list(zip(a, b))
+
+
 def test_norming_ar1_closed_form_and_oracle():
     # v_inf = sigma^2/(1-phi)^2 = 4: a(n) = 1/(2 sqrt(n)); empirical oracle
     # Var(S_n)/n at n = 2^14 over 1e4 replications within 3%
@@ -128,7 +139,7 @@ def test_normalized_sums_have_unit_variance():
     nm = norming_for(AR1)
     n = 4096
     paths = simulate_many(AR1, n, 2000, 10, label="unitvar")
-    t = nm.a_values(np.array([n]))[0] * paths.sum(axis=1) + nm.b_values(np.array([n]))[0]
+    t = nm.normalized_sum(paths)
     assert t.var() == pytest.approx(1.0, rel=0.08)
 
 
