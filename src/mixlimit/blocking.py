@@ -40,24 +40,24 @@ CSV_COLUMNS = ("n", "m_n", "q_n", "delta_n", "ratio", "metric_name", "value",
                "analytic_ceiling", "pass")
 
 
-def compute_m(a, c: float, n: int, a_table: np.ndarray | None = None) -> int:
+def compute_m(a, c: float, n: int) -> int:
     """m_n = max{1 <= k <= n-1 : a(n)/a(k) <= c}, or 1 when no k qualifies."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if not 0.0 < c < 1.0:
-        raise ValueError("c must lie strictly inside (0, 1)")
-    if a_table is None:
-        a_table = _a_values(a, n)
-    an = a_table[n - 1]
-    ok = np.nonzero(an <= c * a_table[: n - 1])[0]
-    return int(ok[-1] + 1) if len(ok) else 1
+    return int(compute_m_profile(a, c, [n])[0])
 
 
 def compute_m_profile(a, c: float, n_values) -> np.ndarray:
     """compute_m for every n in n_values, over a shared table of a(1..max n)."""
     n_values = np.asarray(n_values, dtype=int)
+    if np.any(n_values < 2):
+        raise ValueError("n must be at least 2")
+    if not 0.0 < c < 1.0:
+        raise ValueError("c must lie strictly inside (0, 1)")
     table = _a_values(a, int(n_values.max()))
-    return np.array([compute_m(a, c, int(n), a_table=table) for n in n_values])
+    m = []
+    for n in n_values:
+        ok = np.nonzero(table[n - 1] <= c * table[: n - 1])[0]
+        m.append(int(ok[-1] + 1) if len(ok) else 1)
+    return np.array(m)
 
 
 def _a_values(a, n_max: int) -> np.ndarray:
@@ -158,7 +158,7 @@ def make_plan(
         return np.asarray(tail(np.asarray(deltas) / table[n - 1]), dtype=float)
 
     deltas_full = compute_deltas(array_tail, horizon, grid_step)
-    m = np.array([compute_m(norming, c, int(n), a_table=table) for n in n_values])
+    m = compute_m_profile(norming, c, n_values)
     delta = deltas_full[n_values - 1]
     q = np.array([compute_q(d, int(mm), int(n)) for d, mm, n in zip(delta, m, n_values)])
     ratio = table[n_values - 1] / table[m - 1]

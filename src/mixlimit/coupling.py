@@ -27,10 +27,10 @@ import scipy.sparse
 import scipy.stats
 
 from . import processes, rngstreams
-from .probcore import FiniteJointDistribution, Sample, alpha_exact, ks_distance
+from .probcore import FiniteJointDistribution, Sample, alpha_exact, empirical_cdf, ks_distance
 
 RESIDUAL_TOL = 1e-9
-DEFAULT_VAR_LIMIT = 8000
+VAR_LIMIT = 8000               # largest LP (nx * nz * nx variables) solve_coupling accepts
 
 
 class CouplingBoundError(RuntimeError):
@@ -91,7 +91,7 @@ class CouplingSolution:
         object.__setattr__(self, "triple_pmf", t)
 
 
-def solve_coupling(problem: CouplingProblem, var_limit: int = DEFAULT_VAR_LIMIT) -> CouplingSolution:
+def solve_coupling(problem: CouplingProblem) -> CouplingSolution:
     """Exact minimizer of P(|X - Y| > 2 eps) under the coupling constraints.
 
     Solved with the HiGHS simplex backend; the returned solution is
@@ -102,8 +102,8 @@ def solve_coupling(problem: CouplingProblem, var_limit: int = DEFAULT_VAR_LIMIT)
     ax, az = joint.atoms_x, joint.atoms_z
     nx, nz = ax.shape[0], az.shape[0]
     nvar = nx * nz * nx
-    if nvar > var_limit:
-        raise ValueError(f"LP has {nvar} variables, above the configured limit {var_limit}")
+    if nvar > VAR_LIMIT:
+        raise ValueError(f"LP has {nvar} variables, above the limit {VAR_LIMIT}")
     # variable (i, k, j) = P(X = x_i, Z = z_k, Y = x_j) sits at (i * nz + k) * nx + j;
     # rows 0..nx*nz-1 sum it over j to P(X = x_i, Z = z_k), the next nz*nx rows
     # sum it over i to P(Z = z_k) P(X = x_j)
@@ -188,7 +188,6 @@ def corollary_sum_experiment(
     replications: int = 100_000,
     seed: int = 0,
     block_length: int = 4,
-    alpha_profile=None,
 ) -> dict:
     """Check that sums of weakly dependent normalized variables fit the
     convolution of their limit laws.
@@ -222,19 +221,15 @@ def corollary_sum_experiment(
         horizon = 2 * nb + int(max(lags))
         paths = processes.simulate_many(spec_x, horizon, replications, seed, label="corr-lag")
         shuffle = rngstreams.stream(seed, "corr-shuffle").permutation(replications)
-        if alpha_profile is None:
-            alpha_profile = processes.analytic_alpha_profile(
-                spec_x, sorted({int(L) + 1 for L in lags})
-            )
+        alpha_env = processes.analytic_alpha_profile(spec_x, sorted({int(L) + 1 for L in lags}))
         x = norming.normalized_sum(paths[:, :nb])
         for lag in lags:
             lag = int(lag)
             z = norming.normalized_sum(paths[:, nb + lag : 2 * nb + lag])
-            resampled = x + z[shuffle]
-            ks = _two_sample_ks(x + z, resampled)
+            ks = ks_distance(Sample((x + z)[:, None]), empirical_cdf(x + z[shuffle]))
             rows.append({"grid": lag, "ks": ks,
                          "reference": "resampled independent convolution",
-                         "alpha_bound": alpha_profile.alpha_at(lag + 1)})
+                         "alpha_bound": alpha_env.alpha_at(lag + 1)})
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return {"mode": mode, "replications": replications, "rows": rows}
@@ -248,11 +243,3 @@ def _normalized_sums(spec, n, reps, seed, label):
 def _normal_cdf(sd):
     return lambda x: scipy.stats.norm.cdf(np.asarray(x) / sd)
 
-
-def _two_sample_ks(x, y) -> float:
-    xs = np.sort(x)
-    ys = np.sort(y)
-    allv = np.concatenate([xs, ys])
-    fx = np.searchsorted(xs, allv, side="right") / len(xs)
-    fy = np.searchsorted(ys, allv, side="right") / len(ys)
-    return float(np.max(np.abs(fx - fy)))

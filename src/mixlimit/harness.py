@@ -81,7 +81,7 @@ def _parse_chain(obj: dict, where: str) -> mixing.MarkovChainSpec:
 def _parse_process(obj: dict, where: str) -> processes.ProcessSpec:
     _require_keys(
         obj, ("family",),
-        ("phi", "weights", "innovations", "chain", "state_values", "value", "dimension"),
+        ("phi", "weights", "innovations", "chain", "state_values", "value"),
         where,
     )
     fam = obj["family"]
@@ -93,7 +93,7 @@ def _parse_process(obj: dict, where: str) -> processes.ProcessSpec:
         kwargs["innovations"] = processes.InnovationLaw(**obj["innovations"])
     if "chain" in obj:
         kwargs["chain"] = _parse_chain(obj["chain"], f"{where}.chain")
-    for k in ("phi", "value", "dimension"):
+    for k in ("phi", "value"):
         if k in obj:
             kwargs[k] = obj[k]
     if "weights" in obj:
@@ -174,22 +174,19 @@ def _run_blocking_verify(cfg: dict, out: Path):
         "config",
     )
     spec = _parse_process(cfg["process"], "config.process")
-    try:
-        report = blocking.verify_blocking(
-            spec,
-            c=float(cfg["c"]),
-            n_grid=[int(n) for n in cfg["n_grid"]],
-            replications=int(cfg["replications"]),
-            seed=int(cfg["seed"]),
-            epsilon=float(cfg.get("epsilon", blocking.DEFAULT_EPSILON)),
-            grid_step=float(cfg.get("grid_step", blocking.DEFAULT_DELTA_GRID_STEP)),
-            ks_tol=float(cfg.get("ks_tol", blocking.DEFAULT_KS_TOL)),
-            tightness_bound=float(cfg.get("tightness_bound", blocking.DEFAULT_TIGHTNESS_BOUND)),
-            cf_radius=float(cfg.get("cf_radius", selfdecomp.DEFAULT_EMPIRICAL_RADIUS)),
-            selfdecomp_c_values=tuple(cfg.get("selfdecomp_c_values", (0.3, 0.5, 0.8))),
-        )
-    except ValueError as e:
-        raise ConfigError(f"config.process: {e}") from e
+    report = blocking.verify_blocking(
+        spec,
+        c=float(cfg["c"]),
+        n_grid=[int(n) for n in cfg["n_grid"]],
+        replications=int(cfg["replications"]),
+        seed=int(cfg["seed"]),
+        epsilon=float(cfg.get("epsilon", blocking.DEFAULT_EPSILON)),
+        grid_step=float(cfg.get("grid_step", blocking.DEFAULT_DELTA_GRID_STEP)),
+        ks_tol=float(cfg.get("ks_tol", blocking.DEFAULT_KS_TOL)),
+        tightness_bound=float(cfg.get("tightness_bound", blocking.DEFAULT_TIGHTNESS_BOUND)),
+        cf_radius=float(cfg.get("cf_radius", selfdecomp.DEFAULT_EMPIRICAL_RADIUS)),
+        selfdecomp_c_values=tuple(cfg.get("selfdecomp_c_values", (0.3, 0.5, 0.8))),
+    )
     with open(out / "blocking_report.csv", "w") as fh:
         report.to_csv(fh)
     return ["blocking_report.csv"], report.all_pass
@@ -245,19 +242,16 @@ def _run_integral_sample(cfg: dict, out: Path):
     b = cfg["bdlp"]
     _require_keys(b, (), ("drift", "gaussian_sigma", "jump_rate", "jump_law"), "config.bdlp")
     law = _parse_jump_law(b["jump_law"], "config.bdlp.jump_law") if "jump_law" in b else None
-    try:
-        bdlp = selfdecomp.BDLPSpec(
-            drift=float(b.get("drift", 0.0)),
-            gaussian_sigma=float(b.get("gaussian_sigma", 0.0)),
-            jump_rate=float(b.get("jump_rate", 0.0)),
-            jump_law=law,
-        )
-        sample = selfdecomp.sample_random_integral(
-            bdlp, float(cfg["t_max"]), int(cfg["n_steps"]), int(cfg["n_samples"]),
-            seed=int(cfg["seed"]),
-        )
-    except ValueError as e:
-        raise ConfigError(f"config.bdlp: {e}") from e
+    bdlp = selfdecomp.BDLPSpec(
+        drift=float(b.get("drift", 0.0)),
+        gaussian_sigma=float(b.get("gaussian_sigma", 0.0)),
+        jump_rate=float(b.get("jump_rate", 0.0)),
+        jump_law=law,
+    )
+    sample = selfdecomp.sample_random_integral(
+        bdlp, float(cfg["t_max"]), int(cfg["n_steps"]), int(cfg["n_samples"]),
+        seed=int(cfg["seed"]),
+    )
     files = []
     if cfg.get("write_samples", True):
         path = processes.SamplePath(sample.points[:, 0], spec_hash="bdlp", seed=int(cfg["seed"]))
@@ -317,17 +311,14 @@ def _run_corollary_sum(cfg: dict, out: Path):
     mode = cfg["mode"]
     if mode not in ("independent", "duplicate", "lagged_blocks"):
         raise ConfigError(f"config.mode: unknown mode {mode!r}")
-    try:
-        report = coupling.corollary_sum_experiment(
-            spec_x, spec_z, mode=mode,
-            n=int(cfg.get("n", 1024)),
-            lags=[int(v) for v in cfg.get("lags", (0, 2, 4, 8, 16))],
-            replications=int(cfg.get("replications", 100_000)),
-            seed=int(cfg["seed"]),
-            block_length=int(cfg.get("block_length", 4)),
-        )
-    except ValueError as e:
-        raise ConfigError(f"config: {e}") from e
+    report = coupling.corollary_sum_experiment(
+        spec_x, spec_z, mode=mode,
+        n=int(cfg.get("n", 1024)),
+        lags=[int(v) for v in cfg.get("lags", (0, 2, 4, 8, 16))],
+        replications=int(cfg.get("replications", 100_000)),
+        seed=int(cfg["seed"]),
+        block_length=int(cfg.get("block_length", 4)),
+    )
     ks_tol = float(cfg.get("ks_tol", 0.02))
     min_ks = float(cfg.get("negative_control_min_ks", 0.05))
     rows = []
@@ -404,7 +395,8 @@ def run(config_path, out_dir: str | None = None) -> int:
             "all_pass": bool(ok),
         }
         _write_json(out / "manifest.json", manifest)
-    except ConfigError as e:
+    except ValueError as e:
+        # ConfigError, and any value a runner rejects, is a config error
         print(f"config error: {e}")
         return 1
     for f in sorted(files):

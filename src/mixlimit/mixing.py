@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .probcore import FiniteJointDistribution, alpha_exact
+from .probcore import ENUM_LIMIT, FiniteJointDistribution, alpha_exact
 
 STOCHASTIC_TOL = 1e-12
 DOEBLIN_MAX_POWER = 8
@@ -135,27 +135,20 @@ def joint_window_distribution(
     return FiniteJointDistribution(past_atoms, fut_atoms, joint.reshape(len(past_atoms), len(fut_atoms)))
 
 
-def alpha_window(
-    chain: MarkovChainSpec,
-    j: int,
-    n: int,
-    past_window: int,
-    future_window: int,
-    enum_limit: int = 20,
-) -> float:
+def alpha_window(chain: MarkovChainSpec, j: int, n: int, past_window: int, future_window: int) -> float:
     """Exact dependence coefficient between two finite state windows.
 
     A lower bound for the untruncated coefficient (which takes the full
     past and future sigma-fields).
     """
+    # checked before the joint pmf is built: it has k^(p_eff + future_window) entries
     k = chain.n_states
-    if min(k ** min(past_window, j), k ** future_window) > enum_limit:
+    side = min(past_window, j, future_window)      # the enumerated (smaller) side
+    if k ** side > ENUM_LIMIT:
         raise ValueError(
-            f"window atom count {k}^{min(past_window, future_window)} exceeds "
-            f"the enumeration limit {enum_limit}"
+            f"window atom count {k}^{side} = {k ** side} exceeds the enumeration limit {ENUM_LIMIT}"
         )
-    joint = joint_window_distribution(chain, j, n, past_window, future_window)
-    return alpha_exact(joint, enum_limit=enum_limit)
+    return alpha_exact(joint_window_distribution(chain, j, n, past_window, future_window))
 
 
 def alpha_sequence(
@@ -218,14 +211,14 @@ def alpha_plug_in_path(values, lags, bins: int = 2) -> AlphaProfile:
     return AlphaProfile(values=tuple(out), kind="plug-in-estimate", meta=meta)
 
 
-def doeblin_certificate(chain: MarkovChainSpec, max_power: int = DOEBLIN_MAX_POWER):
-    """Smallest power r <= max_power whose transition power has positive
+def doeblin_certificate(chain: MarkovChainSpec):
+    """Smallest power r <= DOEBLIN_MAX_POWER whose transition power has positive
     column mass, with the per-step contraction rate rho = (1 - eps)^(1/r).
 
     Returns (r, eps, rho) or None when no power certifies minorization.
     """
     p = np.eye(chain.n_states)
-    for r in range(1, max_power + 1):
+    for r in range(1, DOEBLIN_MAX_POWER + 1):
         p = p @ chain.transition
         eps = float(p.min(axis=0).sum())
         if eps > 0.0:
@@ -234,7 +227,7 @@ def doeblin_certificate(chain: MarkovChainSpec, max_power: int = DOEBLIN_MAX_POW
     return None
 
 
-def alpha_bound_geometric(chain: MarkovChainSpec, n_list=None) -> AlphaProfile:
+def alpha_bound_geometric(chain: MarkovChainSpec, n_list) -> AlphaProfile:
     """Analytic upper envelope alpha(n) <= min(1/4, C rho^n).
 
     From a Doeblin minorization of power r with mass eps: the Dobrushin
@@ -244,8 +237,6 @@ def alpha_bound_geometric(chain: MarkovChainSpec, n_list=None) -> AlphaProfile:
     rho = (1-eps)^(1/r) and C = (1/4)/rho^r.  Chains without a
     certificate fall back to the trivial envelope 1/4.
     """
-    if n_list is None:
-        n_list = range(1, 21)
     cert = doeblin_certificate(chain)
     if cert is None:
         vals = tuple((int(n), 0.25) for n in n_list)

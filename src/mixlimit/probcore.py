@@ -20,7 +20,9 @@ import numpy as np
 import scipy.linalg
 
 PMF_TOL = 1e-12
-DEFAULT_ENUM_LIMIT = 20
+ENUM_LIMIT = 20                # atoms on the enumerated side of alpha_exact
+GRID_MATCH_TOL = 1e-9          # EmpiricalCF.at: largest distance to a grid point
+HERMITIAN_TOL = 1e-8           # psd_check: largest relative asymmetry accepted
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -88,7 +90,7 @@ class EmpiricalCF:
         if np.any(np.abs(values) > 1.0 + 1e-9):
             raise ValueError("characteristic function values must have modulus <= 1")
 
-    def at(self, freqs: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    def at(self, freqs: np.ndarray) -> np.ndarray:
         """Values at given frequencies, which must be grid points."""
         freqs = np.asarray(freqs, dtype=float)
         idx = np.clip(np.searchsorted(self.grid, freqs.ravel()), 0, len(self.grid) - 1)
@@ -96,7 +98,7 @@ class EmpiricalCF:
         use_left = np.abs(self.grid[left] - freqs.ravel()) < np.abs(self.grid[idx] - freqs.ravel())
         idx = np.where(use_left, left, idx)
         err = np.abs(self.grid[idx] - freqs.ravel())
-        if np.any(err > tol):
+        if np.any(err > GRID_MATCH_TOL):
             bad = freqs.ravel()[np.argmax(err)]
             raise ValueError(f"frequency {bad!r} is not on the stored grid")
         return self.values[idx].reshape(freqs.shape)
@@ -156,9 +158,6 @@ class FiniteJointDistribution:
     def margin_z(self) -> np.ndarray:
         return self.pmf.sum(axis=0)
 
-    def transpose(self) -> "FiniteJointDistribution":
-        return FiniteJointDistribution(self.atoms_z, self.atoms_x, self.pmf.T)
-
 
 def empirical_cf(sample: Sample, grid) -> EmpiricalCF:
     """Empirical characteristic function of a scalar sample on a grid.
@@ -177,12 +176,12 @@ def empirical_cf(sample: Sample, grid) -> EmpiricalCF:
     return EmpiricalCF(grid=grid, values=vals, sample_size=len(x))
 
 
-def psd_check(matrix: np.ndarray, tol: float = 1e-9, herm_tol: float = 1e-8):
+def psd_check(matrix: np.ndarray, tol: float = 1e-9):
     """Check a Hermitian matrix for positive semidefiniteness.
 
     Returns a dict {"is_psd": bool, "worst_violation": float} where
     worst_violation is the smallest eigenvalue of the Hermitian part.
-    Inputs that are non-Hermitian beyond herm_tol are rejected.
+    Inputs that are non-Hermitian beyond HERMITIAN_TOL are rejected.
     """
     M = np.asarray(matrix)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
@@ -191,7 +190,7 @@ def psd_check(matrix: np.ndarray, tol: float = 1e-9, herm_tol: float = 1e-8):
         raise ValueError("tol must be nonnegative")
     asym = np.max(np.abs(M - M.conj().T))
     scale = max(1.0, float(np.max(np.abs(M)))) if M.size else 1.0
-    if asym > herm_tol * scale:
+    if asym > HERMITIAN_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
     H = 0.5 * (M + M.conj().T)
     smallest = float(scipy.linalg.eigvalsh(H, subset_by_index=[0, 0])[0])
@@ -228,7 +227,7 @@ def empirical_cdf(values: np.ndarray):
     return cdf
 
 
-def alpha_exact(joint: FiniteJointDistribution, enum_limit: int = DEFAULT_ENUM_LIMIT) -> float:
+def alpha_exact(joint: FiniteJointDistribution) -> float:
     """Exact dependence coefficient of a finite joint distribution.
 
     Enumerates every event A on the smaller atom side; for fixed A the
@@ -241,10 +240,8 @@ def alpha_exact(joint: FiniteJointDistribution, enum_limit: int = DEFAULT_ENUM_L
     if pmf.shape[0] > pmf.shape[1]:
         pmf = pmf.T
     nx, nz = pmf.shape
-    if nx > enum_limit:
-        raise ValueError(
-            f"enumeration side has {nx} atoms, above the configured limit {enum_limit}"
-        )
+    if nx > ENUM_LIMIT:
+        raise ValueError(f"enumeration side has {nx} atoms, above the limit {ENUM_LIMIT}")
     px = pmf.sum(axis=1)
     pz = pmf.sum(axis=0)
     best = 0.0

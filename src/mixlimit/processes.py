@@ -30,6 +30,11 @@ from .mixing import AlphaProfile, MarkovChainSpec, alpha_bound_geometric
 
 FAMILIES = ("iid", "ar1", "ma_q", "markov_function", "constant")
 _AR1_INIT_TOL = 1e-16
+# validate_norming: a(n_max) must fall below A_DECAY_FACTOR a(1), and the
+# tail ratio gap and drift below RATIO_TOL and DRIFT_TOL
+A_DECAY_FACTOR = 0.1
+RATIO_TOL = 0.01
+DRIFT_TOL = 0.01
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,6 @@ class ProcessSpec:
     chain: MarkovChainSpec | None = None
     state_values: tuple | None = None
     value: float = 0.0
-    dimension: int = 1
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -83,13 +87,11 @@ class ProcessSpec:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if self.family == "markov_function" and self.chain is None:
             raise ValueError("markov_function requires a chain spec")
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.dimension > 1 and self.family not in ("iid", "constant"):
-            raise ValueError(f"family {self.family!r} only supports dimension 1")
 
     def describe(self) -> dict:
-        d = {"family": self.family, "dimension": self.dimension}
+        # paths are scalar; the entry stays because spec_hash, and with it
+        # every RNG stream key, is built from this dict
+        d = {"family": self.family, "dimension": 1}
         if self.family == "ar1":
             d["phi"] = self.phi
         if self.family == "ma_q":
@@ -123,7 +125,7 @@ class ProcessSpec:
 
 @dataclass(frozen=True)
 class SamplePath:
-    """One realization X_1..X_N, values shape (N,) for d=1 else (N, d)."""
+    """One realization X_1..X_N, values shape (N,)."""
 
     values: np.ndarray
     spec_hash: str
@@ -138,17 +140,10 @@ class SamplePath:
         return self.values.shape[0]
 
     def to_csv(self, fh) -> None:
-        """Two-column CSV (index, value); one value column per dimension."""
-        v = self.values
-        if v.ndim == 1:
-            fh.write("index,value\n")
-            for i, x in enumerate(v, start=1):
-                fh.write(f"{i},{float(x)!r}\n")
-        else:
-            cols = ",".join(f"value_{k}" for k in range(v.shape[1]))
-            fh.write(f"index,{cols}\n")
-            for i, row in enumerate(v, start=1):
-                fh.write(f"{i}," + ",".join(repr(float(x)) for x in row) + "\n")
+        """Two-column CSV (index, value), each value as its shortest repr."""
+        fh.write("index,value\n")
+        for i, x in enumerate(self.values, start=1):
+            fh.write(f"{i},{float(x)!r}\n")
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
@@ -226,12 +221,8 @@ def simulate_many(spec: ProcessSpec, n: int, reps: int, seed: int, label: str = 
     rng = rngstreams.stream(seed, label, spec.spec_hash())
     fam = spec.family
     if fam == "constant":
-        if spec.dimension > 1:
-            return np.full((reps, n, spec.dimension), spec.value, dtype=float)
         return np.full((reps, n), spec.value, dtype=float)
     if fam == "iid":
-        if spec.dimension > 1:
-            return spec.innovations.sample(rng, (reps, n, spec.dimension))
         return spec.innovations.sample(rng, (reps, n))
     if fam == "ar1":
         phi, law = spec.phi, spec.innovations
@@ -345,13 +336,7 @@ def norming_for(spec: ProcessSpec) -> NormingSequences:
     return NormingSequences(a=a, b=b, provenance=prov)
 
 
-def validate_norming(
-    norming: NormingSequences,
-    n_max: int,
-    a_decay_factor: float = 0.1,
-    ratio_tol: float = 0.01,
-    drift_tol: float = 0.01,
-) -> Step1Report:
+def validate_norming(norming: NormingSequences, n_max: int) -> Step1Report:
     """Check the norming-sequence regularity needed for scale comparison:
     a(n) -> 0, a(n+1)/a(n) -> 1, b(n+1) - b(n) a(n+1)/a(n) -> 0."""
     if n_max < 10:
@@ -367,9 +352,9 @@ def validate_norming(
         a_tail_ratio=float(a[-1] / a[0]),
         ratio_gap=float(abs(ratio - 1.0)),
         drift_tail=float(drift),
-        a_vanishes=bool(a[-1] < a_decay_factor * a[0]),
-        ratio_converges=bool(abs(ratio - 1.0) < ratio_tol),
-        drift_vanishes=bool(drift < drift_tol),
+        a_vanishes=bool(a[-1] < A_DECAY_FACTOR * a[0]),
+        ratio_converges=bool(abs(ratio - 1.0) < RATIO_TOL),
+        drift_vanishes=bool(drift < DRIFT_TOL),
     )
 
 

@@ -1,4 +1,4 @@
-"""Class-L machinery: scaling operator, CF-ratio test, random integrals.
+"""Class-L machinery: the CF-ratio test and random integrals.
 
 A law mu is selfdecomposable when for every 0 < c < 1 the ratio of
 characteristic functions psi_c(t) = phi(t) / phi(ct) is again a
@@ -13,7 +13,7 @@ e^{-T_max} tail disclosure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,16 +28,7 @@ EMPIRICAL_TOL = 1e-3
 CLOSED_FORM_FLOOR = 1e-100
 EMPIRICAL_FLOOR_BASE = 1e-6
 EMPIRICAL_FLOOR_SCALE = 8.0    # times 1/sqrt(sample_size)
-
-
-# --------------------------------------------------------------------------
-# scaling operator
-
-def scale_sample(sample: Sample, c: float) -> Sample:
-    """Multiply every point by c (the law-of-c-times-xi operator); c != 0."""
-    if c == 0:
-        raise ValueError("scaling by c = 0 is excluded")
-    return Sample(points=sample.points * float(c))
+LOG_MOMENT_GROWTH = 1.5        # log_moment_check: full-sample / tenth-sample estimate ceiling
 
 
 # --------------------------------------------------------------------------
@@ -111,7 +102,6 @@ def selfdecomp_test(
     grid_radius: float = DEFAULT_GRID_RADIUS,
     grid_points: int = DEFAULT_GRID_POINTS,
     tol: float | None = None,
-    floor: float | None = None,
 ) -> SelfdecompReport:
     """Test phi(t)/phi(ct) for positive semidefiniteness per c in (0, 1).
 
@@ -121,8 +111,9 @@ def selfdecomp_test(
     |phi(ct)| falls below the floor make that c inconclusive rather than
     silently passing or failing: nothing can be resolved there.
 
-    Defaults: tol 1e-9 and a tiny floor for closed forms; tol 1e-3 and a
-    sampling-noise floor max(1e-6, 8/sqrt(n)) for empirical CFs.
+    The floor follows from the CF kind: a tiny constant for closed forms,
+    the sampling-noise level max(1e-6, 8/sqrt(n)) for empirical CFs.
+    tol defaults to 1e-9 for closed forms and 1e-3 for empirical CFs.
     """
     cs = tuple(float(c) for c in c_values)
     if any(not (0.0 < c < 1.0) for c in cs):
@@ -130,11 +121,10 @@ def selfdecomp_test(
     evaluate, kind, nsamp = _cf_evaluator(cf)
     if tol is None:
         tol = CLOSED_FORM_TOL if kind == "closed-form" else EMPIRICAL_TOL
-    if floor is None:
-        if kind == "closed-form":
-            floor = CLOSED_FORM_FLOOR
-        else:
-            floor = max(EMPIRICAL_FLOOR_BASE, EMPIRICAL_FLOOR_SCALE / np.sqrt(nsamp))
+    if kind == "closed-form":
+        floor = CLOSED_FORM_FLOOR
+    else:
+        floor = max(EMPIRICAL_FLOOR_BASE, EMPIRICAL_FLOOR_SCALE / np.sqrt(nsamp))
     t = uniform_grid(grid_radius, grid_points)
     diffs = np.round(t[:, None] - t[None, :], 12)
     uniq, inv = np.unique(diffs, return_inverse=True)
@@ -174,7 +164,6 @@ def selfdecomp_test_sample(
     grid_radius: float = DEFAULT_EMPIRICAL_RADIUS,
     grid_points: int = DEFAULT_GRID_POINTS,
     tol: float | None = None,
-    floor: float | None = None,
 ) -> SelfdecompReport:
     """Convenience wrapper: empirical CF of the sample on the needed
     frequency set, then the ratio test.  The default radius is small:
@@ -183,7 +172,7 @@ def selfdecomp_test_sample(
     freqs = selfdecomp_frequencies(c_values, grid_radius, grid_points)
     ecf = empirical_cf(sample, freqs)
     return selfdecomp_test(
-        ecf, c_values, grid_radius=grid_radius, grid_points=grid_points, tol=tol, floor=floor
+        ecf, c_values, grid_radius=grid_radius, grid_points=grid_points, tol=tol
     )
 
 
@@ -309,56 +298,53 @@ def sample_random_integral(
         z = rng.standard_normal((n_samples, n_steps))
         out += bdlp.gaussian_sigma * (z * (np.exp(-mids) * np.sqrt(dt))).sum(axis=1)
     if bdlp.jump_rate > 0:
-        lam = bdlp.jump_rate
-        counts = rng.poisson(lam * t_max, size=n_samples)
-        total = int(counts.sum())
-        if total > 0:
-            times = rng.random(total) * t_max        # uniform order statistics
-            sizes = np.asarray(bdlp.jump_law.sample(rng, total), dtype=float)
-            owner = np.repeat(np.arange(n_samples), counts)
-            with np.errstate(invalid="ignore"):
-                contrib = np.exp(-times) * sizes
-            out = out + np.bincount(owner, weights=contrib, minlength=n_samples)
+        out = _add_jumps(out, bdlp, rng, t_max, discounted=True)
     return Sample(points=out[:, None])
 
 
-def sample_levy_endpoint(bdlp: BDLPSpec, t: float, n_samples: int, rng) -> np.ndarray:
-    """Y(t) itself (not the weighted integral): drift t + sigma W(t) + jumps."""
-    out = np.full(n_samples, bdlp.drift * t)
-    if bdlp.gaussian_sigma > 0:
-        out += bdlp.gaussian_sigma * np.sqrt(t) * rng.standard_normal(n_samples)
-    if bdlp.jump_rate > 0:
-        counts = rng.poisson(bdlp.jump_rate * t, size=n_samples)
-        total = int(counts.sum())
-        if total > 0:
-            sizes = np.asarray(bdlp.jump_law.sample(rng, total), dtype=float)
-            owner = np.repeat(np.arange(n_samples), counts)
-            out = out + np.bincount(owner, weights=sizes, minlength=n_samples)
-    return out
+def _add_jumps(out: np.ndarray, bdlp: BDLPSpec, rng, horizon: float, discounted: bool) -> np.ndarray:
+    """out plus, per sample, the compound-Poisson jumps on [0, horizon],
+    each weighted by e^{-(arrival time)} when discounted.
+
+    Draws Poisson counts, then (discounted only) the conditionally
+    uniform arrival times, then the jump sizes.
+    """
+    counts = rng.poisson(bdlp.jump_rate * horizon, size=len(out))
+    total = int(counts.sum())
+    if total == 0:
+        return out
+    times = rng.random(total) * horizon if discounted else None
+    weights = np.asarray(bdlp.jump_law.sample(rng, total), dtype=float)
+    if discounted:
+        with np.errstate(invalid="ignore"):
+            weights = np.exp(-times) * weights
+    owner = np.repeat(np.arange(len(out)), counts)
+    return out + np.bincount(owner, weights=weights, minlength=len(out))
 
 
-def log_moment_check(
-    bdlp: BDLPSpec,
-    n_samples: int = 100_000,
-    seed: int = 0,
-    growth_factor: float = 1.5,
-) -> dict:
+def log_moment_check(bdlp: BDLPSpec, n_samples: int = 100_000, seed: int = 0) -> dict:
     """Monte Carlo estimate of E[log(1 + |Y(1)|)] with a divergence probe.
 
     The estimate is recomputed at n_samples/10 and n_samples; growth
-    beyond growth_factor (or a non-finite estimate) flags the log-moment
-    as suspect-infinite.  A finite log-moment is the admissibility
-    condition for the background process of the e^{-t} integral.
+    beyond LOG_MOMENT_GROWTH (or a non-finite estimate) flags the
+    log-moment as suspect-infinite.  A finite log-moment is the
+    admissibility condition for the background process of the e^{-t}
+    integral.
     """
     if n_samples < 20:
         raise ValueError("n_samples too small for the growth probe")
     rng = rngstreams.stream(seed, "bdlp-logmoment")
-    y = sample_levy_endpoint(bdlp, 1.0, n_samples, rng)
+    # Y(1) = drift + sigma W(1) + the jumps on [0, 1]
+    y = np.full(n_samples, float(bdlp.drift))
+    if bdlp.gaussian_sigma > 0:
+        y += bdlp.gaussian_sigma * rng.standard_normal(n_samples)
+    if bdlp.jump_rate > 0:
+        y = _add_jumps(y, bdlp, rng, 1.0, discounted=False)
     with np.errstate(invalid="ignore"):
         logs = np.log1p(np.abs(y))
     small = float(np.mean(logs[: n_samples // 10]))
     full = float(np.mean(logs))
     if not np.isfinite(full) or not np.isfinite(small):
         return {"estimate": full, "diagnostic": "suspect-infinite"}
-    grew = small > 0 and full > growth_factor * small
+    grew = small > 0 and full > LOG_MOMENT_GROWTH * small
     return {"estimate": full, "diagnostic": "suspect-infinite" if grew else "finite"}

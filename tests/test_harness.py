@@ -87,6 +87,34 @@ def test_missing_seed_rejected(tmp_path):
     assert harness.run(path, out_dir=str(tmp_path / "o")) == 1
 
 
+TWO_STATE_CHAIN = {"states": [0.0, 1.0], "transition": [[0.75, 0.25], [0.25, 0.75]],
+                   "initial": [0.5, 0.5]}
+THREE_STATE_CHAIN = {"states": [0.0, 1.0, 2.0], "transition": [[1 / 3] * 3] * 3,
+                     "initial": [1 / 3] * 3}
+
+
+@pytest.mark.parametrize("cfg, needle", [
+    ({"kind": "selfdecomp-test", "seed": 1, "c_values": [1.5], "cf_form": "gaussian"},
+     "between 0 and 1"),
+    ({"kind": "selfdecomp-test", "seed": 1, "c_values": ["x"], "cf_form": "gaussian"}, "'x'"),
+    ({"kind": "alpha-profile", "seed": 1, "chain": TWO_STATE_CHAIN, "n_list": [0]}, "positive"),
+    ({"kind": "alpha-profile", "seed": 1, "chain": THREE_STATE_CHAIN, "n_list": [1],
+      "past_window": 3, "future_window": 3}, "enumeration limit"),
+    ({"kind": "integral-sample", "seed": 1, "t_max": 20.0, "n_steps": 4, "n_samples": 4,
+      "bdlp": {"jump_rate": 1.0,
+               "jump_law": {"kind": "discrete", "values": [1, 2], "probs": [0.5]}}},
+     "equal-length"),
+    (dict(BLOCKING_CFG, process={"family": "iid", "dimension": 2}), "unknown key 'dimension'"),
+], ids=["c-above-one", "c-not-a-number", "lag-zero", "window-too-large",
+        "jump-law-mismatch", "dimension-key"])
+def test_runner_value_errors_are_config_errors(tmp_path, capsys, cfg, needle):
+    path = write_cfg(tmp_path, "bad.json", cfg)
+    assert harness.run(path, out_dir=str(tmp_path / "o")) == 1
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert needle in lines[0]
+
+
 def test_unknown_kind_rejected(tmp_path):
     path = write_cfg(tmp_path, "k.json", {"kind": "mystery", "seed": 1})
     assert harness.run(path, out_dir=str(tmp_path / "o")) == 1

@@ -112,6 +112,9 @@ def test_window_too_large_rejected():
     c = iid_chain()
     with pytest.raises(ValueError, match="limit"):
         alpha_window(c, 4, 1, 3, 3)    # 3^3 = 27 atoms a side
+    # the past window is clipped at time 1, so the smaller side is the past one
+    with pytest.raises(ValueError, match=r"3\^3 = 27 exceeds"):
+        alpha_window(c, 3, 1, 5, 4)
 
 
 def test_doeblin_certificate_symmetric():

@@ -213,9 +213,19 @@ def test_limit_cdf_degenerate_raises():
         limit_cdf(ProcessSpec(family="constant", value=1.0))
 
 
-def test_iid_multidimensional():
-    spec = ProcessSpec(family="iid", dimension=3)
-    paths = simulate_many(spec, 10, 5, 0, label="d3")
-    assert paths.shape == (5, 10, 3)
-    with pytest.raises(ValueError, match="dimension"):
-        ProcessSpec(family="ar1", phi=0.3, dimension=2)
+def test_spec_hash_pinned():
+    # every Philox stream is keyed by the spec hash: a change here changes
+    # every Monte Carlo report
+    chain = MarkovChainSpec(
+        [-1.0, 2.0, 0.5], [[0.6, 0.3, 0.1], [0.3, 0.6, 0.1], [0.2, 0.2, 0.6]], [1.0 / 3.0] * 3
+    )
+    pinned = {
+        "35abcd9f21f7eda2": AR1,
+        "1134c5da955b5036": ProcessSpec(family="iid"),
+        "d108eebde9ceef28": ProcessSpec(family="ma_q", weights=(1, 0.5, 0.25)),
+        "bec30666177072a9": ProcessSpec(family="markov_function", chain=chain),
+        "d1c8d1f2102f77cd": ProcessSpec(family="constant", value=2.5),
+    }
+    for want, spec in pinned.items():
+        assert spec.spec_hash() == want
+        assert spec.describe()["dimension"] == 1

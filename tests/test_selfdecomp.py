@@ -11,7 +11,6 @@ from mixlimit.selfdecomp import (
     NormalJumps,
     log_moment_check,
     sample_random_integral,
-    scale_sample,
     selfdecomp_frequencies,
     selfdecomp_test,
     selfdecomp_test_sample,
@@ -25,47 +24,6 @@ UNIF_CF = lambda t: np.sinc(np.asarray(t, dtype=float) / np.pi)
 # exact-formula eigen-oracle values for the uniform(-1,1) CF ratio matrix
 # on the default grid (41 points, radius 8), computed before the build
 UNIFORM_VIOLATION = {0.3: -12.698861, 0.8: -12.542182}
-
-
-# ---------------------------------------------------------------- scaling
-
-def test_scale_identity_and_point():
-    s = Sample(np.array([1.0, 2.0]))
-    assert np.array_equal(scale_sample(s, 1.0).points, s.points)
-    assert scale_sample(Sample(np.array([3.0])), -0.5).points[0, 0] == -1.5
-
-
-def test_scale_zero_rejected():
-    with pytest.raises(ValueError):
-        scale_sample(Sample(np.array([1.0])), 0.0)
-
-
-def test_scale_variance():
-    rng = np.random.default_rng(0)
-    s = Sample(rng.standard_normal(100_000))
-    assert scale_sample(s, 0.5).points.var() == pytest.approx(0.25, rel=0.03)
-
-
-def test_scale_semigroup():
-    rng = np.random.default_rng(1)
-    s = Sample(rng.standard_normal(100))
-    # exact for dyadic factors, where float multiplication is error-free
-    lhs = scale_sample(scale_sample(s, 0.5), 0.25).points
-    assert np.array_equal(lhs, scale_sample(s, 0.125).points)
-    # within one rounding step otherwise
-    lhs = scale_sample(scale_sample(s, 0.3), 0.7).points
-    rhs = scale_sample(s, 0.3 * 0.7).points
-    assert np.max(np.abs(lhs - rhs)) <= 2 * np.spacing(np.abs(rhs)).max()
-
-
-def test_scale_distributes_over_sums():
-    # c (x + y) = c x + c y pointwise: scaled sum-sample equals sum of scaled
-    rng = np.random.default_rng(2)
-    x, y = rng.standard_normal(100), rng.standard_normal(100)
-    c = 0.6
-    lhs = scale_sample(Sample(x + y), c).points
-    rhs = scale_sample(Sample(x), c).points + scale_sample(Sample(y), c).points
-    assert np.allclose(lhs, rhs, atol=0.0)
 
 
 # ---------------------------------------------------------------- CF ratio test
