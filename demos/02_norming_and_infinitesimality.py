@@ -6,16 +6,18 @@
 # (a_n -> 0, consecutive ratio -> 1, vanishing drift) and builds the
 # nonincreasing levels delta_n with P(a_n |X_k| >= delta_n) <= delta_n.
 
+import io
+
 import numpy as np
 
 from mixlimit.blocking import compute_deltas
 from mixlimit.processes import (
     ProcessSpec,
-    generate_path,
     marginal_abs_tail,
     norming_for,
     simulate_many,
     validate_norming,
+    write_path_csv,
 )
 
 ar1 = ProcessSpec(family="ar1", phi=0.5)
@@ -52,6 +54,8 @@ for n in (10, 100, 1000, 4096):
     print(f"  n={n:5d}: delta = {deltas[n - 1]:.2f}, "
           f"tail at that level = {float(tail(deltas[n - 1] / a_tab[n - 1])):.4f}")
 
-path = generate_path(ar1, 8, seed=7)
-print("\na sample path prefix:", np.round(path.values, 3))
-print("export as CSV:\n" + path.to_csv_string()[:120] + "...")
+path = simulate_many(ar1, 8, 1, seed=7)[0]
+print("\na sample path prefix:", np.round(path, 3))
+csv_text = io.StringIO()
+write_path_csv(csv_text, path)
+print("export as CSV:\n" + csv_text.getvalue()[:120] + "...")

@@ -16,7 +16,7 @@ import numpy as np
 
 from mixlimit.blocking import compute_m, decompose, make_plan, verify_blocking
 from mixlimit.processes import (
-    ProcessSpec, generate_path, marginal_abs_tail, norming_for,
+    ProcessSpec, marginal_abs_tail, norming_for, simulate_many,
 )
 
 spec = ProcessSpec(family="ar1", phi=0.5)
@@ -37,7 +37,7 @@ print("\ncompute_m at n=4096:", compute_m(norming, 0.5, 4096),
       "(sqrt scaling: k <= c^2 n = 1024)")
 
 # --- one path, decomposed ----------------------------------------------------
-path = generate_path(spec, 4096, seed=5)
+path = simulate_many(spec, 4096, 1, seed=5)[0]
 triple = decompose(path, norming, plan, 4096)
 print(f"\none path at n=4096: U={float(triple.u):+.4f}  V={float(triple.v):+.4f}  "
       f"W={float(triple.w):+.4f}")

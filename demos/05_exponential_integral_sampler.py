@@ -19,20 +19,20 @@ from mixlimit.selfdecomp import (
 # --- drift only: the integral is deterministic ------------------------------
 drifty = BDLPSpec(drift=2.0)
 s = sample_random_integral(drifty, t_max=20.0, n_steps=13, n_samples=3, seed=0)
-print("drift-only integral, any step count:", s.points.ravel())
+print("drift-only integral, any step count:", s)
 print("closed form 2 (1 - e^-20)          :", 2.0 * (1 - np.exp(-20.0)))
 
 # --- Brownian driver: the isometry fixes the variance ------------------------
 brownian = BDLPSpec(gaussian_sigma=1.0)
 s = sample_random_integral(brownian, 20.0, 400, 100_000, seed=1)
-print(f"\nBrownian driver: sample variance {s.points.var():.4f} "
+print(f"\nBrownian driver: sample variance {s.var():.4f} "
       f"(isometry: integral e^-2t dt = 1/2)")
 
 # --- compound Poisson driver -------------------------------------------------
 cp = BDLPSpec(jump_rate=1.0, jump_law=DiscreteJumps((-1.0, 1.0), (0.5, 0.5)))
 s = sample_random_integral(cp, 20.0, 50, 100_000, seed=2)
-print(f"unit-rate +/-1 jumps: mean {s.points.mean():+.4f} (-> 0), "
-      f"variance {s.points.var():.4f} (-> lambda E[J^2]/2 = 1/2)")
+print(f"unit-rate +/-1 jumps: mean {s.mean():+.4f} (-> 0), "
+      f"variance {s.var():.4f} (-> lambda E[J^2]/2 = 1/2)")
 
 # --- the admissibility condition ---------------------------------------------
 # E log(1 + |Y(1)|) must be finite; a tenfold growth probe flags divergence.

@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .probcore import (  # noqa: F401
     EmpiricalCF,
     FiniteJointDistribution,
-    Sample,
     alpha_exact,
     empirical_cf,
     ks_distance,

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import processes, selfdecomp
-from .probcore import Sample, ks_distance
-from .processes import NormingSequences, ProcessSpec, SamplePath, _vectorized
+from .probcore import _cf_values, ks_distance
+from .processes import NormingSequences, ProcessSpec, _vectorized
 
 DEFAULT_DELTA_GRID_STEP = 0.05
 DEFAULT_EPSILON = 0.1
@@ -149,8 +149,8 @@ def make_plan(
     rescaled internally by a(n).
     """
     n_values = np.asarray(sorted(int(n) for n in n_values))
-    if n_values[0] < 2:
-        raise ValueError("blocking needs n >= 2")
+    if len(n_values) == 0 or n_values[0] < 2:
+        raise ValueError("blocking needs a nonempty grid of n >= 2")
     horizon = int(n_values.max())
     table = _a_values(norming, horizon)
 
@@ -184,14 +184,14 @@ class BlockTriple:
         return self.u + self.v + self.w
 
 
-def _three_blocks(values, norming: NormingSequences, m: int, q: int, n: int, time_axis: int = -1):
-    """(U, V, W, total, identity error) of the first n values along the time axis.
+def _three_blocks(values, norming: NormingSequences, m: int, q: int, n: int):
+    """(U, V, W, total, identity error) of the first n values along the last axis.
 
     total = a(n) S_n + b(n) sums the n values directly, so the identity
     error max |U + V + W - total| / max(1, |total|) compares two
     independently rounded sides.
     """
-    x = np.moveaxis(np.asarray(values, dtype=float), time_axis, 0)
+    x = np.moveaxis(np.asarray(values, dtype=float), -1, 0)
     (a_n, b_n), (a_m, b_m) = norming.at(n), norming.at(m)
     ratio = a_n / a_m
     u = ratio * (a_m * x[:m].sum(axis=0) + b_m)
@@ -202,18 +202,21 @@ def _three_blocks(values, norming: NormingSequences, m: int, q: int, n: int, tim
     return u, v, w, total, relerr
 
 
-def decompose(path: SamplePath, norming: NormingSequences, plan: BlockingPlan, n: int) -> BlockTriple:
-    """Blocks of one path at horizon n (must be past the plan threshold)."""
+def decompose(path, norming: NormingSequences, plan: BlockingPlan, n: int) -> BlockTriple:
+    """Blocks of one path (a 1-D array) at horizon n, which must be past the
+    plan threshold."""
     if plan.is_pre_asymptotic(n):
         raise ValueError(
             f"n={n} is pre-asymptotic for this plan: blocks separate only from "
             f"n={plan.threshold}"
         )
     i = plan.index_of(n)
-    if len(path) < n:
-        raise ValueError(f"path has {len(path)} points, need {n}")
-    u, v, w, _, relerr = _three_blocks(path.values, norming, int(plan.m[i]), int(plan.q[i]), n,
-                                       time_axis=0)
+    path = np.asarray(path, dtype=float)
+    if path.ndim != 1 or len(path) < n:
+        raise ValueError(
+            f"path must be a 1-D array of at least {n} points, got shape {path.shape}"
+        )
+    u, v, w, _, relerr = _three_blocks(path, norming, int(plan.m[i]), int(plan.q[i]), n)
     return BlockTriple(u=np.asarray(u), v=np.asarray(v), w=np.asarray(w), n=n,
                        identity_relerr=relerr)
 
@@ -326,7 +329,7 @@ def verify_blocking(
                      "analytic_ceiling": ceiling, "pass": p_hat <= ceiling + 3 * se})
 
         scaled_limit = lambda x, r=ratio: limit(np.asarray(x) / r)
-        ks_u = ks_distance(Sample(u[:, None]), scaled_limit)
+        ks_u = ks_distance(u, scaled_limit)
         rows.append({**base, "metric_name": "step6_u_ks_to_scaled_limit", "value": ks_u,
                      "analytic_ceiling": ks_tol, "pass": ks_u <= ks_tol})
 
@@ -340,23 +343,19 @@ def verify_blocking(
                      "analytic_ceiling": alpha_bound + 3 * se_alpha,
                      "pass": emp_alpha <= alpha_bound + 3 * se_alpha})
 
-        ks_uw = ks_distance(Sample((u + w)[:, None]), limit)
+        ks_uw = ks_distance(u + w, limit)
         rows.append({**base, "metric_name": "eq10_uw_sum_ks_to_limit", "value": ks_uw,
                      "analytic_ceiling": ks_tol, "pass": ks_uw <= ks_tol})
 
         freqs = selfdecomp.uniform_grid(cf_radius, 21)
-        cf_uw = np.exp(1j * np.multiply.outer(freqs, u + w)).mean(axis=1)
-        cf_u = np.exp(1j * np.multiply.outer(freqs, u)).mean(axis=1)
-        cf_w = np.exp(1j * np.multiply.outer(freqs, w)).mean(axis=1)
-        prod_err = float(np.max(np.abs(cf_uw - cf_u * cf_w)))
+        cf_u, cf_w = _cf_values(freqs, u), _cf_values(freqs, w)
+        prod_err = float(np.max(np.abs(_cf_values(freqs, u + w) - cf_u * cf_w)))
         prod_ceiling = 4.0 * alpha_bound + 6.0 / np.sqrt(replications)
         rows.append({**base, "metric_name": "eq12_cf_factorization_err", "value": prod_err,
                      "analytic_ceiling": prod_ceiling, "pass": prod_err <= prod_ceiling})
 
         if n == n_max:
-            rep = selfdecomp.selfdecomp_test_sample(
-                Sample(total[:, None]), selfdecomp_c_values, grid_radius=cf_radius
-            )
+            rep = selfdecomp.selfdecomp_test_sample(total, selfdecomp_c_values, grid_radius=cf_radius)
             worst = np.nanmin([r["worst_violation"] for r in rep.per_c])
             rows.append({**base, "metric_name": "eq5_selfdecomp_min_eig", "value": float(worst),
                          "analytic_ceiling": -rep.tol, "pass": rep.verdict == "pass"})

@@ -27,7 +27,7 @@ import scipy.sparse
 import scipy.stats
 
 from . import processes, rngstreams
-from .probcore import FiniteJointDistribution, Sample, alpha_exact, empirical_cdf, ks_distance
+from .probcore import FiniteJointDistribution, alpha_exact, empirical_cdf, ks_distance
 
 RESIDUAL_TOL = 1e-9
 VAR_LIMIT = 8000               # largest LP (nx * nz * nx variables) solve_coupling accepts
@@ -204,15 +204,15 @@ def corollary_sum_experiment(
     """
     rows = []
     if mode == "independent":
-        x = _normalized_sums(spec_x, n, replications, seed, "corr-x")
-        z = _normalized_sums(spec_z if spec_z is not None else spec_x,
-                             n, replications, seed + 1, "corr-z")
-        ks = ks_distance(Sample((x + z)[:, None]), _normal_cdf(np.sqrt(2.0)))
+        x = processes.normalized_sums(spec_x, n, replications, seed, "corr-x")
+        z = processes.normalized_sums(spec_z if spec_z is not None else spec_x,
+                                      n, replications, seed + 1, "corr-z")
+        ks = ks_distance(x + z, _normal_cdf(np.sqrt(2.0)))
         rows.append({"grid": n, "ks": ks, "reference": "closed-form N(0,2)",
                      "alpha_bound": 0.0})
     elif mode == "duplicate":
-        x = _normalized_sums(spec_x, n, replications, seed, "corr-x")
-        ks = ks_distance(Sample((2.0 * x)[:, None]), _normal_cdf(np.sqrt(2.0)))
+        x = processes.normalized_sums(spec_x, n, replications, seed, "corr-x")
+        ks = ks_distance(2.0 * x, _normal_cdf(np.sqrt(2.0)))
         rows.append({"grid": n, "ks": ks, "reference": "closed-form N(0,2)",
                      "alpha_bound": 0.25})
     elif mode == "lagged_blocks":
@@ -226,18 +226,13 @@ def corollary_sum_experiment(
         for lag in lags:
             lag = int(lag)
             z = norming.normalized_sum(paths[:, nb + lag : 2 * nb + lag])
-            ks = ks_distance(Sample((x + z)[:, None]), empirical_cdf(x + z[shuffle]))
+            ks = ks_distance(x + z, empirical_cdf(x + z[shuffle]))
             rows.append({"grid": lag, "ks": ks,
                          "reference": "resampled independent convolution",
                          "alpha_bound": alpha_env.alpha_at(lag + 1)})
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return {"mode": mode, "replications": replications, "rows": rows}
-
-
-def _normalized_sums(spec, n, reps, seed, label):
-    paths = processes.simulate_many(spec, n, reps, seed, label=label)
-    return processes.norming_for(spec).normalized_sum(paths)
 
 
 def _normal_cdf(sd):

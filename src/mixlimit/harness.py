@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, blocking, coupling, mixing, processes, selfdecomp
-from .probcore import FiniteJointDistribution, Sample
+from .probcore import FiniteJointDistribution
 
 ENV_OUT_DIR = "MIXLIMIT_OUT"
 DEFAULT_OUT_DIR = "mixlimit-reports"
@@ -66,8 +66,43 @@ def _require_keys(obj: dict, required, optional, where: str) -> None:
             raise ConfigError(f"{where} has unknown key {k!r}")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+# the JSON type a config value must have -> its test
+_JSON_TYPES = {
+    "an integer": _is_int,
+    "an integer or null": lambda v: v is None or _is_int(v),
+    "a number": _is_number,
+    "a number or null": lambda v: v is None or _is_number(v),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a string or null": lambda v: v is None or isinstance(v, str),
+    "an array": lambda v: isinstance(v, list),
+    "an array of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "an array of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+}
+
+
+def _get(obj: dict, key: str, json_type: str, where: str = "config", default=None):
+    """obj[key], or default when the key is absent, after checking its JSON type."""
+    if key not in obj:
+        return default
+    value = obj[key]
+    if not _JSON_TYPES[json_type](value):
+        raise ConfigError(f"{where}.{key} must be {json_type}, got {value!r}")
+    return value
+
+
 def _parse_chain(obj: dict, where: str) -> mixing.MarkovChainSpec:
     _require_keys(obj, ("states", "transition", "initial"), (), where)
+    for k in ("states", "transition", "initial"):
+        _get(obj, k, "an array", where)
     try:
         return mixing.MarkovChainSpec(
             states=np.asarray(obj["states"], dtype=float),
@@ -87,19 +122,23 @@ def _parse_process(obj: dict, where: str) -> processes.ProcessSpec:
     fam = obj["family"]
     if fam not in processes.FAMILIES:
         raise ConfigError(f"{where}: unknown process family {fam!r}")
+    # phi, value and the innovation law go into describe(), and so into the
+    # spec hash, exactly as given: they are checked but not converted
     kwargs = {"family": fam}
     if "innovations" in obj:
-        _require_keys(obj["innovations"], (), ("name", "mean", "std"), f"{where}.innovations")
-        kwargs["innovations"] = processes.InnovationLaw(**obj["innovations"])
+        law = obj["innovations"]
+        _require_keys(law, (), ("name", "mean", "std"), f"{where}.innovations")
+        for k, json_type in (("name", "a string"), ("mean", "a number"), ("std", "a number")):
+            _get(law, k, json_type, f"{where}.innovations")
+        kwargs["innovations"] = processes.InnovationLaw(**law)
     if "chain" in obj:
         kwargs["chain"] = _parse_chain(obj["chain"], f"{where}.chain")
     for k in ("phi", "value"):
         if k in obj:
-            kwargs[k] = obj[k]
-    if "weights" in obj:
-        kwargs["weights"] = tuple(obj["weights"])
-    if "state_values" in obj:
-        kwargs["state_values"] = tuple(obj["state_values"])
+            kwargs[k] = _get(obj, k, "a number", where)
+    for k in ("weights", "state_values"):
+        if k in obj:
+            kwargs[k] = tuple(_get(obj, k, "an array of numbers", where))
     try:
         return processes.ProcessSpec(**kwargs)
     except ValueError as e:
@@ -110,9 +149,13 @@ def _parse_jump_law(obj: dict, where: str) -> selfdecomp.JumpLaw:
     _require_keys(obj, ("kind",), ("values", "probs", "mean", "std"), where)
     kind = obj["kind"]
     if kind == "discrete":
-        return selfdecomp.DiscreteJumps(tuple(obj["values"]), tuple(obj["probs"]))
+        return selfdecomp.DiscreteJumps(
+            tuple(_get(obj, "values", "an array of numbers", where, ())),
+            tuple(_get(obj, "probs", "an array of numbers", where, ())),
+        )
     if kind == "normal":
-        return selfdecomp.NormalJumps(obj.get("mean", 0.0), obj.get("std", 1.0))
+        return selfdecomp.NormalJumps(_get(obj, "mean", "a number", where, 0.0),
+                                      _get(obj, "std", "a number", where, 1.0))
     if kind == "dyadic_tower":
         return selfdecomp.DyadicTowerJumps()
     raise ConfigError(f"{where}: unknown jump law kind {kind!r}")
@@ -146,16 +189,17 @@ def _run_alpha_profile(cfg: dict, out: Path):
         "config",
     )
     chain = _parse_chain(cfg["chain"], "config.chain")
-    n_list = [int(n) for n in cfg["n_list"]]
-    pw = int(cfg.get("past_window", 1))
-    fw = int(cfg.get("future_window", 1))
-    profile = mixing.alpha_sequence(chain, n_list, pw, fw, j_scan=cfg.get("j_scan"))
+    n_list = _get(cfg, "n_list", "an array of integers")
+    pw = _get(cfg, "past_window", "an integer", default=1)
+    fw = _get(cfg, "future_window", "an integer", default=1)
+    j_scan = _get(cfg, "j_scan", "an integer or null")
+    profile = mixing.alpha_sequence(chain, n_list, pw, fw, j_scan=j_scan)
     rows = [
         {"n": n, "alpha": a, "kind": profile.kind, "claim": "eq1_window_alpha"}
         for n, a in profile.values
     ]
     ok = True
-    if cfg.get("include_bound", True):
+    if _get(cfg, "include_bound", "a boolean", default=True):
         bound = mixing.alpha_bound_geometric(chain, n_list)
         for n, a in bound.values:
             rows.append({"n": n, "alpha": a, "kind": bound.kind, "claim": "eq2_analytic_bound"})
@@ -174,18 +218,21 @@ def _run_blocking_verify(cfg: dict, out: Path):
         "config",
     )
     spec = _parse_process(cfg["process"], "config.process")
+    number = lambda key, default=None: float(_get(cfg, key, "a number", default=default))
     report = blocking.verify_blocking(
         spec,
-        c=float(cfg["c"]),
-        n_grid=[int(n) for n in cfg["n_grid"]],
-        replications=int(cfg["replications"]),
-        seed=int(cfg["seed"]),
-        epsilon=float(cfg.get("epsilon", blocking.DEFAULT_EPSILON)),
-        grid_step=float(cfg.get("grid_step", blocking.DEFAULT_DELTA_GRID_STEP)),
-        ks_tol=float(cfg.get("ks_tol", blocking.DEFAULT_KS_TOL)),
-        tightness_bound=float(cfg.get("tightness_bound", blocking.DEFAULT_TIGHTNESS_BOUND)),
-        cf_radius=float(cfg.get("cf_radius", selfdecomp.DEFAULT_EMPIRICAL_RADIUS)),
-        selfdecomp_c_values=tuple(cfg.get("selfdecomp_c_values", (0.3, 0.5, 0.8))),
+        c=number("c"),
+        n_grid=_get(cfg, "n_grid", "an array of integers"),
+        replications=_get(cfg, "replications", "an integer"),
+        seed=cfg["seed"],
+        epsilon=number("epsilon", blocking.DEFAULT_EPSILON),
+        grid_step=number("grid_step", blocking.DEFAULT_DELTA_GRID_STEP),
+        ks_tol=number("ks_tol", blocking.DEFAULT_KS_TOL),
+        tightness_bound=number("tightness_bound", blocking.DEFAULT_TIGHTNESS_BOUND),
+        cf_radius=number("cf_radius", selfdecomp.DEFAULT_EMPIRICAL_RADIUS),
+        selfdecomp_c_values=tuple(
+            _get(cfg, "selfdecomp_c_values", "an array of numbers", default=(0.3, 0.5, 0.8))
+        ),
     )
     with open(out / "blocking_report.csv", "w") as fh:
         report.to_csv(fh)
@@ -199,31 +246,28 @@ def _run_selfdecomp_test(cfg: dict, out: Path):
          "tol", "out_dir"),
         "config",
     )
-    cs = tuple(float(c) for c in cfg["c_values"])
+    cs = tuple(float(c) for c in _get(cfg, "c_values", "an array of numbers"))
+    grid_points = _get(cfg, "grid_points", "an integer", default=selfdecomp.DEFAULT_GRID_POINTS)
+    tol = _get(cfg, "tol", "a number or null")
     if "cf_form" in cfg:
         if "process" in cfg:
             raise ConfigError("config: give either cf_form or process, not both")
-        form = cfg["cf_form"]
+        form = _get(cfg, "cf_form", "a string")
         if form not in _CLOSED_FORM_CFS:
             raise ConfigError(f"config.cf_form: unknown form {form!r}")
-        radius = float(cfg.get("grid_radius", selfdecomp.DEFAULT_GRID_RADIUS))
+        radius = _get(cfg, "grid_radius", "a number", default=selfdecomp.DEFAULT_GRID_RADIUS)
         report = selfdecomp.selfdecomp_test(
             _CLOSED_FORM_CFS[form], cs,
-            grid_radius=radius,
-            grid_points=int(cfg.get("grid_points", selfdecomp.DEFAULT_GRID_POINTS)),
-            tol=cfg.get("tol"),
+            grid_radius=float(radius), grid_points=grid_points, tol=tol,
         )
     elif "process" in cfg:
         spec = _parse_process(cfg["process"], "config.process")
-        n = int(cfg.get("n", 4096))
-        reps = int(cfg.get("replications", 10_000))
-        paths = processes.simulate_many(spec, n, reps, int(cfg["seed"]), label="selfdecomp")
-        total = processes.norming_for(spec).normalized_sum(paths)
+        n = _get(cfg, "n", "an integer", default=4096)
+        reps = _get(cfg, "replications", "an integer", default=10_000)
+        total = processes.normalized_sums(spec, n, reps, cfg["seed"], "selfdecomp")
+        radius = _get(cfg, "grid_radius", "a number", default=selfdecomp.DEFAULT_EMPIRICAL_RADIUS)
         report = selfdecomp.selfdecomp_test_sample(
-            Sample(total[:, None]), cs,
-            grid_radius=float(cfg.get("grid_radius", selfdecomp.DEFAULT_EMPIRICAL_RADIUS)),
-            grid_points=int(cfg.get("grid_points", selfdecomp.DEFAULT_GRID_POINTS)),
-            tol=cfg.get("tol"),
+            total, cs, grid_radius=float(radius), grid_points=grid_points, tol=tol,
         )
     else:
         raise ConfigError("config: selfdecomp-test needs cf_form or process")
@@ -242,30 +286,32 @@ def _run_integral_sample(cfg: dict, out: Path):
     b = cfg["bdlp"]
     _require_keys(b, (), ("drift", "gaussian_sigma", "jump_rate", "jump_law"), "config.bdlp")
     law = _parse_jump_law(b["jump_law"], "config.bdlp.jump_law") if "jump_law" in b else None
+    bdlp_number = lambda key: float(_get(b, key, "a number", "config.bdlp", 0.0))
     bdlp = selfdecomp.BDLPSpec(
-        drift=float(b.get("drift", 0.0)),
-        gaussian_sigma=float(b.get("gaussian_sigma", 0.0)),
-        jump_rate=float(b.get("jump_rate", 0.0)),
+        drift=bdlp_number("drift"),
+        gaussian_sigma=bdlp_number("gaussian_sigma"),
+        jump_rate=bdlp_number("jump_rate"),
         jump_law=law,
     )
+    t_max = float(_get(cfg, "t_max", "a number"))
+    n_samples = _get(cfg, "n_samples", "an integer")
     sample = selfdecomp.sample_random_integral(
-        bdlp, float(cfg["t_max"]), int(cfg["n_steps"]), int(cfg["n_samples"]),
-        seed=int(cfg["seed"]),
+        bdlp, t_max, _get(cfg, "n_steps", "an integer"), n_samples, seed=cfg["seed"],
     )
     files = []
-    if cfg.get("write_samples", True):
-        path = processes.SamplePath(sample.points[:, 0], spec_hash="bdlp", seed=int(cfg["seed"]))
+    if _get(cfg, "write_samples", "a boolean", default=True):
         with open(out / "integral_samples.csv", "w") as fh:
-            path.to_csv(fh)
+            processes.write_path_csv(fh, sample)
         files.append("integral_samples.csv")
     lm = selfdecomp.log_moment_check(
-        bdlp, n_samples=int(cfg.get("log_moment_samples", 100_000)), seed=int(cfg["seed"])
+        bdlp, n_samples=_get(cfg, "log_moment_samples", "an integer", default=100_000),
+        seed=cfg["seed"],
     )
     summary = {
-        "mean": float(sample.points.mean()),
-        "variance": float(sample.points.var()),
-        "n_samples": int(cfg["n_samples"]),
-        "truncation_error_factor": float(np.exp(-float(cfg["t_max"]))),
+        "mean": float(sample.mean()),
+        "variance": float(sample.var()),
+        "n_samples": n_samples,
+        "truncation_error_factor": float(np.exp(-t_max)),
         "log_moment_estimate": lm["estimate"] if np.isfinite(lm["estimate"]) else None,
         "log_moment_diagnostic": lm["diagnostic"],
         "claim": "eq6_bdlp_integral",
@@ -278,17 +324,21 @@ def _run_integral_sample(cfg: dict, out: Path):
 def _run_coupling_suite(cfg: dict, out: Path):
     _require_keys(cfg, ("kind", "seed", "cases"), ("out_dir",), "config")
     problems = []
-    for i, case in enumerate(cfg["cases"]):
+    for i, case in enumerate(_get(cfg, "cases", "an array")):
         where = f"config.cases[{i}]"
         _require_keys(case, ("pmf", "epsilon", "net", "delta"), ("atoms_x", "atoms_z"), where)
-        pmf = np.asarray(case["pmf"], dtype=float)
-        ax = np.asarray(case.get("atoms_x", np.arange(pmf.shape[0])), dtype=float)
-        az = np.asarray(case.get("atoms_z", np.arange(pmf.shape[1])), dtype=float)
+        array = lambda key, default=None: _get(case, key, "an array", where, default)
+        number = lambda key: float(_get(case, key, "a number", where))
         try:
+            pmf = np.asarray(array("pmf"), dtype=float)
+            if pmf.ndim != 2:
+                raise ValueError(f"pmf must be a matrix, got shape {pmf.shape}")
+            ax = np.asarray(array("atoms_x", np.arange(pmf.shape[0])), dtype=float)
+            az = np.asarray(array("atoms_z", np.arange(pmf.shape[1])), dtype=float)
             joint = FiniteJointDistribution(ax, az, pmf)
             problems.append(coupling.CouplingProblem(
-                joint=joint, epsilon=float(case["epsilon"]),
-                net=np.asarray(case["net"], dtype=float), delta=float(case["delta"]),
+                joint=joint, epsilon=number("epsilon"),
+                net=np.asarray(array("net"), dtype=float), delta=number("delta"),
             ))
         except ValueError as e:
             raise ConfigError(f"{where}: {e}") from e
@@ -308,19 +358,19 @@ def _run_corollary_sum(cfg: dict, out: Path):
     )
     spec_x = _parse_process(cfg["process_x"], "config.process_x")
     spec_z = _parse_process(cfg["process_z"], "config.process_z") if "process_z" in cfg else None
-    mode = cfg["mode"]
+    mode = _get(cfg, "mode", "a string")
     if mode not in ("independent", "duplicate", "lagged_blocks"):
         raise ConfigError(f"config.mode: unknown mode {mode!r}")
     report = coupling.corollary_sum_experiment(
         spec_x, spec_z, mode=mode,
-        n=int(cfg.get("n", 1024)),
-        lags=[int(v) for v in cfg.get("lags", (0, 2, 4, 8, 16))],
-        replications=int(cfg.get("replications", 100_000)),
-        seed=int(cfg["seed"]),
-        block_length=int(cfg.get("block_length", 4)),
+        n=_get(cfg, "n", "an integer", default=1024),
+        lags=_get(cfg, "lags", "an array of integers", default=[0, 2, 4, 8, 16]),
+        replications=_get(cfg, "replications", "an integer", default=100_000),
+        seed=cfg["seed"],
+        block_length=_get(cfg, "block_length", "an integer", default=4),
     )
-    ks_tol = float(cfg.get("ks_tol", 0.02))
-    min_ks = float(cfg.get("negative_control_min_ks", 0.05))
+    ks_tol = float(_get(cfg, "ks_tol", "a number", default=0.02))
+    min_ks = float(_get(cfg, "negative_control_min_ks", "a number", default=0.05))
     rows = []
     for r in report["rows"]:
         if mode == "duplicate":
@@ -354,7 +404,7 @@ _RUNNERS = {
 def resolve_out_dir(cfg: dict, out_override: str | None) -> Path:
     if out_override:
         return Path(out_override)
-    if cfg.get("out_dir"):
+    if _get(cfg, "out_dir", "a string or null"):
         return Path(cfg["out_dir"])
     return Path(os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR))
 
@@ -377,9 +427,8 @@ def run(config_path, out_dir: str | None = None) -> int:
             raise ConfigError("config is missing required key 'kind'")
         if "seed" not in cfg:
             raise ConfigError("config is missing required key 'seed' (no implicit entropy)")
-        if not isinstance(cfg["seed"], int):
-            raise ConfigError("config key 'seed' must be an integer")
-        kind = cfg["kind"]
+        _get(cfg, "seed", "an integer")
+        kind = _get(cfg, "kind", "a string")
         if kind not in _RUNNERS:
             raise ConfigError(f"unknown experiment kind {kind!r}")
         out = resolve_out_dir(cfg, out_dir)

@@ -1,9 +1,9 @@
 """Foundational probability primitives.
 
-Samples of real vectors, exact finite joint distributions, empirical
-characteristic functions, a Kolmogorov-Smirnov distance that is exact
-for step references, a positive-semidefiniteness check, and the exact
-dependence coefficient
+Scalar samples (1-D float arrays, one number per draw), exact finite
+joint distributions, empirical characteristic functions, a
+Kolmogorov-Smirnov distance that is exact for step references, a
+positive-semidefiniteness check, and the exact dependence coefficient
 
     alpha(X, Z) = sup_{A, B} |P(A & B) - P(A) P(B)|
 
@@ -14,7 +14,7 @@ of atoms, so subset enumeration computes it exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -31,33 +31,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Sample:
-    """A nonempty collection of d-dimensional real points, shape (n, d)."""
-
-    points: np.ndarray
-    d: int = field(init=False)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValueError("sample must be a nonempty (n, d) array")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("sample contains non-finite points")
-        object.__setattr__(self, "points", _frozen(pts))
-        object.__setattr__(self, "d", pts.shape[1])
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def scalars(self) -> np.ndarray:
-        """The points as a flat vector; only valid for d = 1."""
-        if self.d != 1:
-            raise ValueError(f"scalar view requires d=1, sample has d={self.d}")
-        return self.points[:, 0]
+def as_sample(x) -> np.ndarray:
+    """x as a float vector, rejected unless it is nonempty, 1-D and finite."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.shape[0] == 0:
+        raise ValueError("sample must be a nonempty 1-D array")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sample contains non-finite points")
+    return x
 
 
 @dataclass(frozen=True)
@@ -159,16 +140,21 @@ class FiniteJointDistribution:
         return self.pmf.sum(axis=0)
 
 
-def empirical_cf(sample: Sample, grid) -> EmpiricalCF:
-    """Empirical characteristic function of a scalar sample on a grid.
+def _cf_values(freqs, x) -> np.ndarray:
+    """(1/n) sum_j exp(i t x_j) at each frequency t, with no pinning."""
+    return np.exp(1j * np.multiply.outer(freqs, x)).mean(axis=1)
+
+
+def empirical_cf(sample, grid) -> EmpiricalCF:
+    """Empirical characteristic function of a sample on a grid.
 
     values[t] = (1/n) sum_j exp(i t x_j).  The grid must be strictly
     increasing, symmetric about 0 and contain 0.
     """
+    x = as_sample(sample)
     grid = np.asarray(grid, dtype=float)
     _check_symmetric_grid(grid)
-    x = sample.scalars
-    vals = np.exp(1j * np.multiply.outer(grid, x)).mean(axis=1)
+    vals = _cf_values(grid, x)
     # pin the structural identities exactly; they hold up to rounding anyway
     i0 = int(np.searchsorted(grid, 0.0))
     vals[i0] = 1.0
@@ -197,15 +183,15 @@ def psd_check(matrix: np.ndarray, tol: float = 1e-9):
     return {"is_psd": smallest >= -tol, "worst_violation": smallest}
 
 
-def ks_distance(sample: Sample, reference_cdf) -> float:
-    """sup_x |empirical cdf - reference cdf| for a scalar sample.
+def ks_distance(sample, reference_cdf) -> float:
+    """sup_x |empirical cdf - reference cdf| for a sample.
 
     Both one-sided limits are evaluated at every jump of the empirical
     cdf, so the supremum is exact even when the reference itself is a
     step function (left limits are taken at the nearest representable
     float below each jump).
     """
-    x = np.sort(sample.scalars)
+    x = np.sort(as_sample(sample))
     n = len(x)
     right = np.searchsorted(x, x, side="right") / n
     left = np.searchsorted(x, x, side="left") / n

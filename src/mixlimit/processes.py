@@ -18,7 +18,6 @@ Families:
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -123,32 +122,11 @@ class ProcessSpec:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class SamplePath:
-    """One realization X_1..X_N, values shape (N,)."""
-
-    values: np.ndarray
-    spec_hash: str
-    seed: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    def to_csv(self, fh) -> None:
-        """Two-column CSV (index, value), each value as its shortest repr."""
-        fh.write("index,value\n")
-        for i, x in enumerate(self.values, start=1):
-            fh.write(f"{i},{float(x)!r}\n")
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
+def write_path_csv(fh, values) -> None:
+    """Two-column CSV (index, value) of a path, each value as its shortest repr."""
+    fh.write("index,value\n")
+    for i, x in enumerate(values, start=1):
+        fh.write(f"{i},{float(x)!r}\n")
 
 
 def _vectorized(fn, ns) -> np.ndarray:
@@ -264,10 +242,10 @@ def simulate_many(spec: ProcessSpec, n: int, reps: int, seed: int, label: str = 
     return vals[states]
 
 
-def generate_path(spec: ProcessSpec, n: int, seed: int) -> SamplePath:
-    """One path X_1..X_N; bit-identical for identical (spec, N, seed)."""
-    vals = simulate_many(spec, n, 1, seed)[0]
-    return SamplePath(values=vals, spec_hash=spec.spec_hash(), seed=seed)
+def normalized_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str) -> np.ndarray:
+    """a_n S_n + b_n of each of reps simulated paths of length n."""
+    paths = simulate_many(spec, n, reps, seed, label=label)
+    return norming_for(spec).normalized_sum(paths)
 
 
 def long_run_variance(spec: ProcessSpec) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rngstreams
-from .probcore import EmpiricalCF, Sample, empirical_cf, psd_check
+from .probcore import EmpiricalCF, as_sample, empirical_cf, psd_check
 
 DEFAULT_GRID_RADIUS = 8.0
 DEFAULT_GRID_POINTS = 41
@@ -49,18 +49,9 @@ class SelfdecompReport:
     source: str                 # "closed-form" or "empirical(n=...)"
 
     def to_json(self) -> str:
-        rows = [
-            {
-                "c": r["c"],
-                "psd_pass": r["psd_pass"],
-                "worst_violation": r["worst_violation"],
-                "grid_radius": r["grid_radius"],
-                "inconclusive_at": r["inconclusive_at"],
-            }
-            for r in self.per_c
-        ]
         return json.dumps(
-            {"verdict": self.verdict, "tol": self.tol, "source": self.source, "per_c": rows},
+            {"verdict": self.verdict, "tol": self.tol, "source": self.source,
+             "per_c": self.per_c},
             indent=2,
             sort_keys=True,
         )
@@ -159,13 +150,13 @@ def selfdecomp_test(
 
 
 def selfdecomp_test_sample(
-    sample: Sample,
+    sample,
     c_values=(0.3, 0.5, 0.8),
     grid_radius: float = DEFAULT_EMPIRICAL_RADIUS,
     grid_points: int = DEFAULT_GRID_POINTS,
     tol: float | None = None,
 ) -> SelfdecompReport:
-    """Convenience wrapper: empirical CF of the sample on the needed
+    """Convenience wrapper: empirical CF of the 1-D sample on the needed
     frequency set, then the ratio test.  The default radius is small:
     at radius 0.5 the sampling noise of 10^4-point CFs stays an order of
     magnitude below the 1e-3 tolerance."""
@@ -272,8 +263,8 @@ def sample_random_integral(
     n_steps: int,
     n_samples: int,
     seed: int,
-) -> Sample:
-    """Samples of integral_0^{t_max} e^{-t} dY(t).
+) -> np.ndarray:
+    """Samples of integral_0^{t_max} e^{-t} dY(t), as a 1-D array.
 
     The drift contribution uses the exact per-step integral of e^{-t},
     so with randomness disabled the result is drift (1 - e^{-t_max}) for
@@ -283,7 +274,8 @@ def sample_random_integral(
     counts with conditionally uniform times, equivalent to exponential
     inter-arrivals) and weights each jump by e^{-(arrival time)}, with
     no discretization at all.  Truncating the upper limit at t_max
-    discards an exp(-t_max)-sized tail.
+    discards an exp(-t_max)-sized tail.  A sample that overflows (jump
+    sizes beyond float range) is rejected as non-finite.
     """
     if t_max < 5.0:
         raise ValueError("t_max must be at least 5 (truncation error e^{-t_max})")
@@ -299,7 +291,7 @@ def sample_random_integral(
         out += bdlp.gaussian_sigma * (z * (np.exp(-mids) * np.sqrt(dt))).sum(axis=1)
     if bdlp.jump_rate > 0:
         out = _add_jumps(out, bdlp, rng, t_max, discounted=True)
-    return Sample(points=out[:, None])
+    return as_sample(out)
 
 
 def _add_jumps(out: np.ndarray, bdlp: BDLPSpec, rng, horizon: float, discounted: bool) -> np.ndarray:

@@ -16,7 +16,7 @@ import scipy.optimize
 import scipy.stats
 
 from mixlimit import blocking, coupling, harness, mixing, processes, selfdecomp
-from mixlimit.probcore import FiniteJointDistribution, Sample, alpha_exact, ks_distance
+from mixlimit.probcore import FiniteJointDistribution, alpha_exact, ks_distance
 
 A_SQRT = lambda n: np.asarray(n, dtype=float) ** -0.5
 IID = processes.ProcessSpec(family="iid")
@@ -129,7 +129,7 @@ def test_criterion_4_blocking_identity():
         plan = blocking.make_plan(nm, tailf, 0.5, (64, 256))
         for r in range(per_spec):
             n = int(rng.choice([64, 256]))
-            path = processes.generate_path(spec, 256, seed=1000 * si + r)
+            path = processes.simulate_many(spec, 256, 1, seed=1000 * si + r)[0]
             triple = blocking.decompose(path, nm, plan, n)
             worst = max(worst, triple.identity_relerr)
             paths_done += 1
@@ -174,7 +174,7 @@ def test_criterion_6_theorem_end_to_end():
     paths = processes.simulate_many(AR1, n, reps, seed=2028, label="acceptance6")
     a_n = float(nm.a_values(np.array([n]))[0])
     total = a_n * paths.sum(axis=1)
-    ks_total = ks_distance(Sample(total[:, None]), scipy.stats.norm.cdf)
+    ks_total = ks_distance(total, scipy.stats.norm.cdf)
 
     tailf = processes.marginal_abs_tail(AR1)
     plan = blocking.make_plan(nm, tailf, c, (256, 512, 1024, 2048, 4096))
@@ -182,10 +182,10 @@ def test_criterion_6_theorem_end_to_end():
     m = int(plan.m[i])
     a_m = float(nm.a_values(np.array([m]))[0])
     u = (a_n / a_m) * (a_m * paths[:, :m].sum(axis=1))
-    ks_u = ks_distance(Sample(u[:, None]), lambda x: scipy.stats.norm.cdf(np.asarray(x) / c))
+    ks_u = ks_distance(u, lambda x: scipy.stats.norm.cdf(np.asarray(x) / c))
 
     sd_report = selfdecomp.selfdecomp_test_sample(
-        Sample(total[:, None]), (0.3, 0.5, 0.8),
+        total, (0.3, 0.5, 0.8),
         grid_radius=selfdecomp.DEFAULT_EMPIRICAL_RADIUS,
     )
     min_eig = min(r["worst_violation"] for r in sd_report.per_c)
@@ -225,18 +225,18 @@ def test_criterion_8_random_integral_sampler():
     drift_sample = selfdecomp.sample_random_integral(
         selfdecomp.BDLPSpec(drift=2.0), 20.0, 37, 100, seed=1
     )
-    drift_err = float(np.max(np.abs(drift_sample.points - 2.0 * (1 - np.exp(-20.0)))))
+    drift_err = float(np.max(np.abs(drift_sample - 2.0 * (1 - np.exp(-20.0)))))
 
     gauss_sample = selfdecomp.sample_random_integral(
         selfdecomp.BDLPSpec(gaussian_sigma=1.0), 20.0, 400, 100_000, seed=2
     )
-    gauss_var = float(gauss_sample.points.var())
+    gauss_var = float(gauss_sample.var())
 
     cp_sample = selfdecomp.sample_random_integral(
         selfdecomp.BDLPSpec(jump_rate=1.0, jump_law=selfdecomp.DiscreteJumps((-1.0, 1.0), (0.5, 0.5))),
         20.0, 50, 100_000, seed=3,
     )
-    cp_var = float(cp_sample.points.var())
+    cp_var = float(cp_sample.var())
 
     probe = selfdecomp.log_moment_check(
         selfdecomp.BDLPSpec(jump_rate=1.0, jump_law=selfdecomp.DyadicTowerJumps()),

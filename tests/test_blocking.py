@@ -15,10 +15,10 @@ from mixlimit.blocking import (
     make_plan,
     verify_blocking,
 )
+from mixlimit.probcore import ks_distance
 from mixlimit.processes import (
     NormingSequences,
     ProcessSpec,
-    SamplePath,
     marginal_abs_tail,
     norming_for,
     simulate_many,
@@ -155,8 +155,7 @@ def hand_norming():
 
 
 def test_decompose_hand_example():
-    path = SamplePath(values=np.arange(1.0, 7.0), spec_hash="hand", seed=0)
-    t = decompose(path, hand_norming(), hand_plan(), 6)
+    t = decompose(np.arange(1.0, 7.0), hand_norming(), hand_plan(), 6)
     assert t.u == pytest.approx(1.0)     # (a6/a3)(S3/3) = 0.5 * 2
     assert t.v == pytest.approx(1.5)     # (S5 - S3)/6
     assert t.w == pytest.approx(1.0)     # (S6 - S5)/6
@@ -171,29 +170,25 @@ def test_decompose_identity_random_paths():
     plan = make_plan(nm, tail, 0.5, (64, 128))
     for _ in range(20):
         vals = rng.standard_normal(128) * rng.uniform(0.5, 2)
-        path = SamplePath(values=vals, spec_hash="rnd", seed=0)
         for n in (64, 128):
-            t = decompose(path, nm, plan, n)
+            t = decompose(vals, nm, plan, n)
             direct = nm.a_values(np.array([n]))[0] * vals[:n].sum()
             assert t.total == pytest.approx(direct, rel=1e-12)
             assert t.identity_relerr < 1e-9
 
 
-def test_decompose_vector_valued_path():
-    # d=2: the identity must hold coordinatewise with the time axis first
-    rng = np.random.default_rng(2)
-    vals = rng.standard_normal((6, 2))
-    path = SamplePath(values=vals, spec_hash="d2", seed=0)
-    t = decompose(path, hand_norming(), hand_plan(), 6)
-    direct = vals.sum(axis=0) / 6.0
-    assert np.allclose(t.u + t.v + t.w, direct, rtol=1e-12)
-    assert t.u.shape == (2,)
+def test_decompose_rejects_matrix_and_short_paths():
+    # paths are scalar: a (6, 2) array is not a path, and n may not exceed its length
+    with pytest.raises(ValueError, match=r"1-D array of at least 6 points, got shape \(6, 2\)"):
+        decompose(np.ones((6, 2)), hand_norming(), hand_plan(), 6)
+    with pytest.raises(ValueError, match=r"got shape \(5,\)"):
+        decompose(np.ones(5), hand_norming(), hand_plan(), 6)
 
 
 def test_decompose_zero_middle_block_gives_zero_v():
     plan = hand_plan()
     vals = np.array([1.0, 2.0, 3.0, 0.0, 0.0, 4.0])
-    t = decompose(SamplePath(values=vals, spec_hash="z", seed=0), hand_norming(), plan, 6)
+    t = decompose(vals, hand_norming(), plan, 6)
     assert t.v == 0.0
 
 
@@ -208,7 +203,7 @@ def test_decompose_row_matches_verify_blocking_split():
         i = plan.index_of(n)
         u, v, w, _, _ = _three_blocks(paths, nm, int(plan.m[i]), int(plan.q[i]), n)
         for r in (0, 5):
-            t = decompose(SamplePath(values=paths[r], spec_hash="row", seed=4), nm, plan, n)
+            t = decompose(paths[r], nm, plan, n)
             assert (t.u, t.v, t.w) == (u[r], v[r], w[r])
 
 
@@ -218,9 +213,8 @@ def test_decompose_rejects_pre_asymptotic():
         c=0.5, n_values=np.array([4, 6]), m=np.array([2, 3]), q=np.array([2, 2]),
         delta=np.array([0.25, 0.25]), ratio=np.array([0.5, 0.5]), threshold=6,
     )
-    path = SamplePath(values=np.ones(6), spec_hash="p", seed=0)
     with pytest.raises(ValueError, match="pre-asymptotic"):
-        decompose(path, hand_norming(), plan, 4)
+        decompose(np.ones(6), hand_norming(), plan, 4)
 
 
 # ---------------------------------------------------------------- plans
@@ -300,10 +294,7 @@ def test_iid_trailing_block_reaches_its_gaussian_limit():
     a_n = nm.a_values(np.array([4096]))[0]
     w = a_n * paths[:, m + q:].sum(axis=1)
     sd = np.sqrt(1 - 0.5 ** 2)
-    ks = __import__("mixlimit.probcore", fromlist=["ks_distance"]).ks_distance(
-        __import__("mixlimit.probcore", fromlist=["Sample"]).Sample(w[:, None]),
-        lambda x: scipy.stats.norm.cdf(np.asarray(x) / sd),
-    )
+    ks = ks_distance(w, lambda x: scipy.stats.norm.cdf(np.asarray(x) / sd))
     assert ks < 0.05
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -105,14 +106,60 @@ THREE_STATE_CHAIN = {"states": [0.0, 1.0, 2.0], "transition": [[1 / 3] * 3] * 3,
                "jump_law": {"kind": "discrete", "values": [1, 2], "probs": [0.5]}}},
      "equal-length"),
     (dict(BLOCKING_CFG, process={"family": "iid", "dimension": 2}), "unknown key 'dimension'"),
+    # values of the wrong JSON type: the message names the key and the value
+    ({"kind": "selfdecomp-test", "seed": 1, "c_values": 1.5, "cf_form": "gaussian"},
+     "config.c_values must be an array of numbers, got 1.5"),
+    ({"kind": "alpha-profile", "seed": 1, "chain": TWO_STATE_CHAIN, "n_list": [1],
+      "j_scan": "3"}, "config.j_scan must be an integer or null, got '3'"),
+    (dict(BLOCKING_CFG, process={"family": "iid", "innovations": {"std": "a"}}),
+     "config.process.innovations.std must be a number, got 'a'"),
+    (dict(BLOCKING_CFG, process={"family": "ar1", "phi": "0.5"}),
+     "config.process.phi must be a number, got '0.5'"),
+    ({"kind": "corollary-sum", "seed": 1, "mode": "lagged_blocks",
+      "process_x": {"family": "iid"}, "lags": 3}, "config.lags must be an array of integers, got 3"),
+    ({"kind": "integral-sample", "seed": 1, "t_max": 20.0, "n_steps": 4, "n_samples": 4,
+      "bdlp": {"jump_rate": 1.0, "jump_law": {"kind": "normal", "mean": "x"}}},
+     "config.bdlp.jump_law.mean must be a number, got 'x'"),
+    ({"kind": "integral-sample", "seed": 1, "t_max": 20.0, "n_steps": 4, "n_samples": 4,
+      "bdlp": {"jump_rate": 1.0,
+               "jump_law": {"kind": "discrete", "values": 3, "probs": [1.0]}}},
+     "config.bdlp.jump_law.values must be an array of numbers, got 3"),
+    (dict(BLOCKING_CFG, replications=2.7), "config.replications must be an integer, got 2.7"),
+    ({"kind": "coupling-suite", "seed": 1, "cases": {"pmf": [[1.0]]}},
+     "config.cases must be an array, got {'pmf': [[1.0]]}"),
+    (dict(BLOCKING_CFG, seed=True), "config.seed must be an integer, got True"),
+    (dict(BLOCKING_CFG, n_grid=[256, "512"]), "config.n_grid must be an array of integers"),
+    ({"kind": "alpha-profile", "seed": 1, "chain": TWO_STATE_CHAIN, "n_list": [1],
+      "include_bound": "no"}, "config.include_bound must be a boolean, got 'no'"),
+    ({"kind": "coupling-suite", "seed": 1,
+      "cases": [{"pmf": [0.5, 0.5], "epsilon": 0.1, "net": [0.0], "delta": 0.0}]},
+     "config.cases[0]: pmf must be a matrix, got shape (2,)"),
+    (dict(BLOCKING_CFG, n_grid=[]), "nonempty grid"),
 ], ids=["c-above-one", "c-not-a-number", "lag-zero", "window-too-large",
-        "jump-law-mismatch", "dimension-key"])
+        "jump-law-mismatch", "dimension-key", "c-values-not-array", "j-scan-string",
+        "innovation-std-string", "phi-string", "lags-not-array", "jump-mean-string",
+        "discrete-values-not-array", "replications-float", "cases-object", "seed-bool",
+        "n-grid-string-entry", "flag-string", "pmf-vector", "n-grid-empty"])
 def test_runner_value_errors_are_config_errors(tmp_path, capsys, cfg, needle):
     path = write_cfg(tmp_path, "bad.json", cfg)
     assert harness.run(path, out_dir=str(tmp_path / "o")) == 1
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 1 and lines[0].startswith("config error: ")
     assert needle in lines[0]
+
+
+def test_divergent_jump_law_integral_is_config_error(tmp_path, capsys):
+    # dyadic_tower jump sizes overflow to inf; the sampler's finite check
+    # turns that into a config error instead of an Infinity in the JSON
+    path = write_cfg(tmp_path, "tower.json", {
+        "kind": "integral-sample", "seed": 3, "t_max": 20.0, "n_steps": 8,
+        "n_samples": 2000, "log_moment_samples": 2000,
+        "bdlp": {"jump_rate": 1.0, "jump_law": {"kind": "dyadic_tower"}},
+    })
+    assert harness.run(path, out_dir=str(tmp_path / "o")) == 1
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines == ["config error: sample contains non-finite points"]
+    assert not any((tmp_path / "o").iterdir())
 
 
 def test_unknown_kind_rejected(tmp_path):
@@ -217,3 +264,26 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
     assert harness.run(cfg) == 0
     assert (tmp_path / "envout" / "manifest.json").exists()
 
+
+
+# Report and manifest bytes of small configs of all six kinds, pinned:
+# each golden/NAME.json must write exactly the files in golden/NAME/.
+# Reruns are compared above; these files pin identity across changes.  A
+# change that alters report bytes on purpose regenerates them with
+#   PYTHONPATH=src python -m mixlimit.cli run tests/golden/NAME.json --out tests/golden/NAME
+# and says why in CHANGES.md.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_NAMES = sorted(p.stem for p in GOLDEN.glob("*.json"))
+
+
+def test_every_kind_has_a_golden_config():
+    kinds = {json.loads((GOLDEN / f"{name}.json").read_text())["kind"] for name in GOLDEN_NAMES}
+    assert kinds == {kind for kind, _ in harness.EXPERIMENT_KINDS}
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_reports_match_golden_bytes(tmp_path, name):
+    status = harness.run(str(GOLDEN / f"{name}.json"), out_dir=str(tmp_path))
+    expected = read_tree(GOLDEN / name)
+    assert read_tree(tmp_path) == expected
+    assert status == (0 if json.loads(expected["manifest.json"])["all_pass"] else 2)

@@ -5,8 +5,8 @@ import scipy.stats
 from mixlimit.probcore import (
     EmpiricalCF,
     FiniteJointDistribution,
-    Sample,
     alpha_exact,
+    as_sample,
     empirical_cdf,
     empirical_cf,
     ks_distance,
@@ -39,18 +39,18 @@ def random_pmf(rng, nx, nz):
 # ---------------------------------------------------------------- empirical_cf
 
 def test_cf_point_mass_at_origin():
-    cf = empirical_cf(Sample(np.zeros(3)), [-2.0, -1.0, 0.0, 1.0, 2.0])
+    cf = empirical_cf(np.zeros(3), [-2.0, -1.0, 0.0, 1.0, 2.0])
     assert np.allclose(cf.values, 1.0)
 
 
 def test_cf_single_point():
     b, t = 0.7, 1.3
-    cf = empirical_cf(Sample(np.array([b])), [-t, 0.0, t])
+    cf = empirical_cf(np.array([b]), [-t, 0.0, t])
     assert cf.values[2] == pytest.approx(np.exp(1j * t * b), abs=1e-15)
 
 
 def test_cf_two_point_is_cosine():
-    sample = Sample(np.array([1.0, -1.0]))
+    sample = np.array([1.0, -1.0])
     grid = np.linspace(-3, 3, 13)
     cf = empirical_cf(sample, grid)
     # direct two-term summation oracle
@@ -61,15 +61,34 @@ def test_cf_two_point_is_cosine():
 
 
 def test_cf_rejects_empty_sample():
-    with pytest.raises(ValueError):
-        Sample(np.array([]))
+    with pytest.raises(ValueError, match="nonempty 1-D"):
+        as_sample(np.array([]))
+    with pytest.raises(ValueError, match="nonempty 1-D"):
+        empirical_cf(np.array([]), [-1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="nonempty 1-D"):
+        ks_distance([], scipy.stats.norm.cdf)
+
+
+def test_sample_check_rejects_matrices_and_non_finite_points():
+    assert np.array_equal(as_sample([1, 2]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="nonempty 1-D"):
+        as_sample(np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="nonempty 1-D"):
+        as_sample(0.5)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            as_sample([0.0, bad])
+        with pytest.raises(ValueError, match="non-finite"):
+            empirical_cf([0.0, bad], [-1.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            ks_distance([0.0, bad], scipy.stats.norm.cdf)
 
 
 def test_cf_rejects_asymmetric_grid_naming_frequency():
     with pytest.raises(ValueError, match="0.7"):
-        empirical_cf(Sample(np.array([1.0])), [-1.0, 0.0, 0.7])
+        empirical_cf(np.array([1.0]), [-1.0, 0.0, 0.7])
     with pytest.raises(ValueError, match="0"):
-        empirical_cf(Sample(np.array([1.0])), [-1.0, 1.0])
+        empirical_cf(np.array([1.0]), [-1.0, 1.0])
 
 
 def test_cf_invariants_random_samples():
@@ -78,7 +97,7 @@ def test_cf_invariants_random_samples():
         x = rng.standard_normal(rng.integers(1, 200))
         r = float(rng.uniform(0.5, 4.0))
         grid = np.linspace(-r, r, 2 * int(rng.integers(2, 12)) + 1)
-        cf = empirical_cf(Sample(x), grid)
+        cf = empirical_cf(x, grid)
         i0 = len(grid) // 2
         assert cf.values[i0] == 1.0
         assert np.array_equal(cf.values[::-1], np.conj(cf.values))
@@ -93,14 +112,14 @@ def test_cf_difference_matrix_is_psd():
     t = np.linspace(-2, 2, 21)
     diffs = np.round(t[:, None] - t[None, :], 12)
     freqs = np.unique(diffs)
-    cf = empirical_cf(Sample(x), freqs)
+    cf = empirical_cf(x, freqs)
     M = cf.at(diffs)
     res = psd_check(M, tol=1e-9)
     assert res["is_psd"]
 
 
 def test_cf_lookup_off_grid_rejected():
-    cf = empirical_cf(Sample(np.array([1.0])), [-1.0, 0.0, 1.0])
+    cf = empirical_cf(np.array([1.0]), [-1.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="not on the stored grid"):
         cf.at(np.array([0.5]))
 
@@ -147,21 +166,21 @@ def test_psd_rejects_negative_tol():
 def test_ks_own_ecdf_is_zero():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(50)
-    assert ks_distance(Sample(x), empirical_cdf(x)) == 0.0
+    assert ks_distance(x, empirical_cdf(x)) == 0.0
 
 
 def test_ks_point_mass_vs_normal():
-    assert ks_distance(Sample(np.array([0.0])), scipy.stats.norm.cdf) == pytest.approx(0.5, abs=1e-12)
+    assert ks_distance(np.array([0.0]), scipy.stats.norm.cdf) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_ks_two_points_vs_uniform():
     u = lambda x: np.clip(x, 0.0, 1.0)
-    assert ks_distance(Sample(np.array([0.25, 0.75])), u) == pytest.approx(0.25, abs=1e-12)
+    assert ks_distance(np.array([0.25, 0.75]), u) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_ks_triangle_like_bound():
     rng = np.random.default_rng(2)
-    x = Sample(rng.standard_normal(200))
+    x = rng.standard_normal(200)
     f = scipy.stats.norm.cdf
     g = lambda t: scipy.stats.norm.cdf(t, scale=1.5)
     zs = np.linspace(-10, 10, 4001)
@@ -171,7 +190,7 @@ def test_ks_triangle_like_bound():
 
 def test_ks_rejects_decreasing_reference():
     with pytest.raises(ValueError):
-        ks_distance(Sample(np.array([0.0, 1.0])), lambda t: -np.asarray(t))
+        ks_distance(np.array([0.0, 1.0]), lambda t: -np.asarray(t))
 
 
 # ---------------------------------------------------------------- alpha_exact

@@ -8,13 +8,13 @@ from mixlimit.processes import (
     InnovationLaw,
     ProcessSpec,
     analytic_alpha_profile,
-    generate_path,
     limit_cdf,
     long_run_variance,
     marginal_abs_tail,
     norming_for,
     simulate_many,
     validate_norming,
+    write_path_csv,
 )
 
 AR1 = ProcessSpec(family="ar1", phi=0.5)
@@ -43,23 +43,23 @@ def test_spec_validation():
 
 
 def test_constant_family_all_zero():
-    path = generate_path(ProcessSpec(family="constant", value=0.0), 50, 1)
-    assert np.array_equal(path.values, np.zeros(50))
+    path = simulate_many(ProcessSpec(family="constant", value=0.0), 50, 1, 1)[0]
+    assert np.array_equal(path, np.zeros(50))
 
 
 def test_reproducibility_bit_identical():
     for spec in (AR1, MA11, ProcessSpec(family="iid")):
-        a = generate_path(spec, 200, 42)
-        b = generate_path(spec, 200, 42)
-        assert np.array_equal(a.values, b.values)
-        c = generate_path(spec, 200, 43)
-        assert not np.array_equal(a.values, c.values)
+        a = simulate_many(spec, 200, 1, 42)[0]
+        b = simulate_many(spec, 200, 1, 42)[0]
+        assert np.array_equal(a, b)
+        c = simulate_many(spec, 200, 1, 43)[0]
+        assert not np.array_equal(a, c)
 
 
 def test_ar1_stationary_variance():
     # stationary variance sigma^2/(1 - phi^2) = 4/3, within 3% at 1e5 draws
-    path = generate_path(AR1, 100_000, 7)
-    assert path.values.var() == pytest.approx(4.0 / 3.0, rel=0.03)
+    path = simulate_many(AR1, 100_000, 1, 7)[0]
+    assert path.var() == pytest.approx(4.0 / 3.0, rel=0.03)
 
 
 def test_ar1_first_value_already_stationary():
@@ -69,14 +69,14 @@ def test_ar1_first_value_already_stationary():
 
 
 def test_ma_lag2_autocovariance_vanishes():
-    x = generate_path(MA11, 100_000, 9).values
+    x = simulate_many(MA11, 100_000, 1, 9)[0]
     lag2 = np.mean(x[:-2] * x[2:]) - x.mean() ** 2
     assert abs(lag2) < 0.03         # 1-dependence of MA(1)
 
 
 def test_stationarity_split_halves():
     for spec in (AR1, MA11):
-        x = generate_path(spec, 200_000, 21).values
+        x = simulate_many(spec, 200_000, 1, 21)[0]
         h1, h2 = x[:100_000], x[100_000:]
         assert h1.mean() == pytest.approx(h2.mean(), abs=0.05)
         assert h1.var() == pytest.approx(h2.var(), rel=0.05)
@@ -180,10 +180,10 @@ def test_plug_in_alpha_vanishes_beyond_dependence_range():
     from mixlimit.mixing import alpha_plug_in_path
     n = 100_000
     noise_3sd = 3 * 0.3536 / np.sqrt(n)
-    iid_prof = alpha_plug_in_path(generate_path(ProcessSpec(family="iid"), n, 31).values, [1, 3])
+    iid_prof = alpha_plug_in_path(simulate_many(ProcessSpec(family="iid"), n, 1, 31)[0], [1, 3])
     for _, a in iid_prof.values:
         assert a <= noise_3sd
-    ma_prof = alpha_plug_in_path(generate_path(MA11, n, 32).values, [1, 2, 4])
+    ma_prof = alpha_plug_in_path(simulate_many(MA11, n, 1, 32)[0], [1, 2, 4])
     vals = dict(ma_prof.values)
     assert vals[2] <= noise_3sd and vals[4] <= noise_3sd
     assert vals[1] > 3 * noise_3sd        # within range the dependence is visible
@@ -199,13 +199,16 @@ def test_analytic_alpha_profiles():
 
 
 def test_path_csv_export():
-    path = generate_path(ProcessSpec(family="constant", value=2.5), 3, 0)
+    path = simulate_many(ProcessSpec(family="constant", value=2.5), 3, 1, 0)[0]
     buf = io.StringIO()
-    path.to_csv(buf)
+    write_path_csv(buf, path)
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "index,value"
     assert lines[1] == "1,2.5"
     assert len(lines) == 4
+    buf = io.StringIO()
+    write_path_csv(buf, np.array([0.1, 1.0 / 3.0]))
+    assert buf.getvalue() == "index,value\n1,0.1\n2,0.3333333333333333\n"
 
 
 def test_limit_cdf_degenerate_raises():

@@ -3,7 +3,7 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from mixlimit.probcore import Sample, ks_distance
+from mixlimit.probcore import ks_distance
 from mixlimit.selfdecomp import (
     BDLPSpec,
     DiscreteJumps,
@@ -72,7 +72,7 @@ def test_uniform_cf_fails_with_pinned_magnitude():
 
 def test_empirical_gaussian_sample_passes_small_radius():
     rng = np.random.default_rng(3)
-    s = Sample(rng.standard_normal(10_000))
+    s = rng.standard_normal(10_000)
     rep = selfdecomp_test_sample(s, (0.3, 0.5, 0.8))
     assert rep.verdict == "pass"
     assert all(r["worst_violation"] >= -1e-3 for r in rep.per_c)
@@ -82,7 +82,7 @@ def test_empirical_wide_grid_is_inconclusive_not_pass():
     # on a radius-8 grid the denominators of a gaussian empirical CF sink
     # below the sampling-noise floor; the verdict must refuse to resolve
     rng = np.random.default_rng(4)
-    s = Sample(rng.standard_normal(10_000))
+    s = rng.standard_normal(10_000)
     rep = selfdecomp_test_sample(s, (0.5, 0.8), grid_radius=8.0)
     assert rep.verdict == "inconclusive"
     assert any(r["inconclusive_at"] is not None for r in rep.per_c)
@@ -116,20 +116,20 @@ def test_drift_only_exact_any_step_count():
     expect = 2.0 * (1.0 - np.exp(-20.0))
     for n_steps in (1, 7, 64, 1000):
         s = sample_random_integral(BDLPSpec(drift=2.0), 20.0, n_steps, 4, seed=0)
-        assert np.max(np.abs(s.points - expect)) < 1e-8
+        assert np.max(np.abs(s - expect)) < 1e-8
 
 
 def test_gaussian_bdlp_variance():
     # isometry: Var = sigma^2 integral e^{-2t} dt = 1/2
     s = sample_random_integral(BDLPSpec(gaussian_sigma=1.0), 20.0, 400, 100_000, seed=1)
-    assert s.points.var() == pytest.approx(0.5, rel=0.03)
+    assert s.var() == pytest.approx(0.5, rel=0.03)
 
 
 def test_compound_poisson_bdlp_moments():
     law = DiscreteJumps((-1.0, 1.0), (0.5, 0.5))
     s = sample_random_integral(BDLPSpec(jump_rate=1.0, jump_law=law), 20.0, 50, 100_000, seed=2)
-    assert s.points.mean() == pytest.approx(0.0, abs=0.01)
-    assert s.points.var() == pytest.approx(0.5, rel=0.05)
+    assert s.mean() == pytest.approx(0.0, abs=0.01)
+    assert s.var() == pytest.approx(0.5, rel=0.05)
 
 
 def test_integral_determinism():
@@ -137,15 +137,15 @@ def test_integral_determinism():
                                         jump_law=NormalJumps()), 10.0, 50, 100, seed=5)
     b = sample_random_integral(BDLPSpec(gaussian_sigma=1.0, jump_rate=2.0,
                                         jump_law=NormalJumps()), 10.0, 50, 100, seed=5)
-    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a, b)
 
 
 def test_resolution_doubling_ks_small():
     s1 = sample_random_integral(BDLPSpec(gaussian_sigma=1.0), 20.0, 200, 50_000, seed=6)
     s2 = sample_random_integral(BDLPSpec(gaussian_sigma=1.0), 20.0, 400, 50_000, seed=7)
-    x2 = np.sort(s2.points[:, 0])
+    x2 = np.sort(s2)
     cdf2 = lambda x: np.searchsorted(x2, np.asarray(x), side="right") / len(x2)
-    assert ks_distance(Sample(s1.points[:, 0]), cdf2) < 0.01
+    assert ks_distance(s1, cdf2) < 0.01
 
 
 def test_integral_validation():
