@@ -154,6 +154,8 @@ def verify_prop1_suite(cases) -> dict:
     JSON schema {case_id, objective, bound, alpha, N, delta,
     residual_marginal, residual_independence, pass}.
     """
+    if len(cases) == 0:
+        raise ValueError("a coupling suite needs at least one case")
     rows = []
     for case_id, problem in enumerate(cases):
         sol = solve_coupling(problem)
@@ -216,6 +218,10 @@ def corollary_sum_experiment(
         rows.append({"grid": n, "ks": ks, "reference": "closed-form N(0,2)",
                      "alpha_bound": 0.25})
     elif mode == "lagged_blocks":
+        if block_length < 1:
+            raise ValueError(f"block_length must be at least 1, got {block_length}")
+        if len(lags) == 0 or min(lags) < 0:
+            raise ValueError(f"lags must be a nonempty list of nonnegative integers, got {list(lags)}")
         norming = processes.norming_for(spec_x)
         nb = block_length
         horizon = 2 * nb + int(max(lags))

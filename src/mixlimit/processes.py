@@ -34,6 +34,12 @@ _AR1_INIT_TOL = 1e-16
 A_DECAY_FACTOR = 0.1
 RATIO_TOL = 0.01
 DRIFT_TOL = 0.01
+# markov_function paths: replications per chunk of uniforms, the byte budget
+# of one time block's successor table, and the row length beyond which the
+# table counts thresholds by binary search instead of one pass per threshold
+_MARKOV_ROWS = 1024
+_MARKOV_TABLE_BYTES = 1 << 20
+_MARKOV_COMPARE_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -226,20 +232,69 @@ def simulate_many(spec: ProcessSpec, n: int, reps: int, seed: int, label: str = 
         for i, wi in enumerate(w):
             out += wi * eps[:, q - i : q - i + n]
         return out
-    # markov_function
+    return _markov_paths(spec, n, reps, rng)
+
+
+def _markov_paths(spec: ProcessSpec, n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
+    """markov_function paths, _MARKOV_ROWS replications at a time.
+
+    The uniform u[r, k] picks the state at time k: the initial state is
+    #{j : cum_initial[j] <= u} and the successor of state s is
+    #{j : u > cum[s, j]}, both capped at K - 1.  Drawing the rows in
+    chunks consumes the stream exactly as one (reps, n) draw does.  Each
+    chunk is stepped through time blocks, one flat take per step on the
+    block's successor table.
+    """
     chain = spec.chain
     vals = spec.mapped_values()
     kmax = chain.n_states - 1
-    cum = np.cumsum(chain.transition, axis=1)
-    u = rng.random((reps, n))
-    states = np.empty((reps, n), dtype=np.intp)
-    states[:, 0] = np.minimum(
-        np.searchsorted(np.cumsum(chain.initial), u[:, 0], side="right"), kmax
-    )
-    for k in range(1, n):
-        rows = cum[states[:, k - 1]]
-        states[:, k] = np.minimum((u[:, k, None] > rows).sum(axis=1), kmax)
-    return vals[states]
+    # cum rows are nondecreasing, so capping the count of thresholds below u
+    # at K - 1 is the same as not comparing with the last one
+    thresholds = np.cumsum(chain.transition, axis=1)[:, :kmax]
+    cum_initial = np.cumsum(chain.initial)
+    dtype = np.min_scalar_type(kmax)
+    out = np.empty((reps, n))
+    for r0 in range(0, reps, _MARKOV_ROWS):
+        u = rng.random((min(_MARKOV_ROWS, reps - r0), n))
+        rows = len(u)
+        lanes = np.arange(rows)
+        idx = np.empty(rows, dtype=np.intp)
+        initial = np.minimum(np.searchsorted(cum_initial, u[:, 0], side="right"), kmax)
+        block = max(1, _MARKOV_TABLE_BYTES // (len(thresholds) * rows * dtype.itemsize))
+        for t0 in range(0, n, block):
+            ub = u[:, t0 : t0 + block]
+            steps = ub.shape[1]
+            succ = _successor_table(thresholds, ub, dtype).reshape(-1)
+            stride = steps * rows
+            states = np.empty((steps, rows), dtype=dtype)
+            for t in range(steps):
+                if t0 + t == 0:
+                    states[0] = initial
+                else:
+                    np.multiply(prev, stride, out=idx, dtype=np.intp)
+                    idx += lanes
+                    np.take(succ[t * rows :], idx, out=states[t], mode="clip")
+                prev = states[t]
+            np.take(vals, states.T, out=out[r0 : r0 + rows, t0 : t0 + steps], mode="clip")
+    return out
+
+
+def _successor_table(thresholds: np.ndarray, ub: np.ndarray, dtype) -> np.ndarray:
+    """succ[s, t, r] = #{j : ub[r, t] > thresholds[s, j]}, time-major per state."""
+    rows, steps = ub.shape
+    succ = np.empty((len(thresholds), steps, rows), dtype=dtype)
+    count = np.empty((rows, steps), dtype=dtype)
+    above = np.empty((rows, steps), dtype=bool)
+    for s, row in enumerate(thresholds):
+        if len(row) > _MARKOV_COMPARE_MAX:
+            count[...] = np.searchsorted(row, ub, side="left")
+        else:
+            count.fill(0)
+            for c in row:
+                np.greater(ub, c, out=above)
+                count += above
+        succ[s] = count.T
+    return succ
 
 
 def normalized_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str) -> np.ndarray:
@@ -392,14 +447,15 @@ def marginal_abs_tail(spec: ProcessSpec):
             if np.abs(nxt - dist).sum() < 1e-13:
                 break
             dist = nxt
+        # {s : vals[s] >= t} only changes at the distinct values, so the
+        # masses are summed once per level and t looks its level up
+        levels = np.unique(vals)
+        mass = np.array([envelope[vals >= v].sum() for v in levels] + [0.0])
 
         def tail(t):
             t = np.asarray(t, dtype=float)
-            sup_mass = np.array(
-                [envelope[vals >= ti].sum() if np.any(vals >= ti) else 0.0
-                 for ti in np.atleast_1d(t)]
-            )
-            return sup_mass.reshape(t.shape) if t.shape else float(sup_mass[0])
+            sup_mass = mass[np.searchsorted(levels, t, side="left")]
+            return sup_mass if t.shape else float(sup_mass)
 
         return tail
     raise ValueError(

@@ -135,11 +135,20 @@ THREE_STATE_CHAIN = {"states": [0.0, 1.0, 2.0], "transition": [[1 / 3] * 3] * 3,
       "cases": [{"pmf": [0.5, 0.5], "epsilon": 0.1, "net": [0.0], "delta": 0.0}]},
      "config.cases[0]: pmf must be a matrix, got shape (2,)"),
     (dict(BLOCKING_CFG, n_grid=[]), "nonempty grid"),
+    ({"kind": "corollary-sum", "seed": 1, "mode": "lagged_blocks", "replications": 100,
+      "process_x": {"family": "ar1", "phi": 0.5}, "lags": [-3]},
+     "lags must be a nonempty list of nonnegative integers, got [-3]"),
+    ({"kind": "corollary-sum", "seed": 1, "mode": "lagged_blocks", "replications": 100,
+      "process_x": {"family": "ar1", "phi": 0.5}, "lags": [0, 2], "block_length": 0},
+     "block_length must be at least 1, got 0"),
+    ({"kind": "coupling-suite", "seed": 1, "cases": []},
+     "a coupling suite needs at least one case"),
 ], ids=["c-above-one", "c-not-a-number", "lag-zero", "window-too-large",
         "jump-law-mismatch", "dimension-key", "c-values-not-array", "j-scan-string",
         "innovation-std-string", "phi-string", "lags-not-array", "jump-mean-string",
         "discrete-values-not-array", "replications-float", "cases-object", "seed-bool",
-        "n-grid-string-entry", "flag-string", "pmf-vector", "n-grid-empty"])
+        "n-grid-string-entry", "flag-string", "pmf-vector", "n-grid-empty",
+        "lags-negative", "block-length-zero", "cases-empty"])
 def test_runner_value_errors_are_config_errors(tmp_path, capsys, cfg, needle):
     path = write_cfg(tmp_path, "bad.json", cfg)
     assert harness.run(path, out_dir=str(tmp_path / "o")) == 1

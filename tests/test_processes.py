@@ -1,10 +1,13 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mixlimit import rngstreams
 from mixlimit.mixing import MarkovChainSpec
 from mixlimit.processes import (
+    _markov_paths,
     InnovationLaw,
     ProcessSpec,
     analytic_alpha_profile,
@@ -19,6 +22,75 @@ from mixlimit.processes import (
 
 AR1 = ProcessSpec(family="ar1", phi=0.5)
 MA11 = ProcessSpec(family="ma_q", weights=(1.0, 1.0))
+
+
+def markov_spec(transition, initial=None, states=None):
+    transition = np.asarray(transition, dtype=float)
+    k = len(transition)
+    initial = np.full(k, 1.0 / k) if initial is None else initial
+    states = np.arange(k) * 1.5 - 1.0 if states is None else states
+    return ProcessSpec(family="markov_function",
+                       chain=MarkovChainSpec(states, transition, initial))
+
+
+TWO_STATE = markov_spec([[0.6, 0.4], [0.3, 0.7]], [0.5, 0.5], [-1.0, 2.0])
+FINDING1 = markov_spec([[0.6, 0.3, 0.1], [0.3, 0.6, 0.1], [0.2, 0.2, 0.6]], None,
+                       [-1.0, 2.0, 0.5])
+# zero-probability transitions; the third row's cumsum ends at 1 - 2^-52
+SPARSE4 = markov_spec(
+    [[0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0], [0.7, 0.2, 0.0999999999999999, 0.0],
+     [0.25, 0.25, 0.25, 0.25]],
+    [0.3, 0.0, 0.7, 0.0],
+)
+
+
+def many_state_spec(k=300):
+    p = np.random.default_rng(0).random((k, k)) ** 4
+    return markov_spec(p / p.sum(axis=1, keepdims=True))
+
+
+def loop_markov_paths(spec, u):
+    """markov_function paths from the uniforms u, one time step at a time."""
+    chain = spec.chain
+    kmax = chain.n_states - 1
+    cum = np.cumsum(chain.transition, axis=1)
+    states = np.empty(u.shape, dtype=np.intp)
+    states[:, 0] = np.minimum(
+        np.searchsorted(np.cumsum(chain.initial), u[:, 0], side="right"), kmax
+    )
+    for k in range(1, u.shape[1]):
+        rows = cum[states[:, k - 1]]
+        states[:, k] = np.minimum((u[:, k, None] > rows).sum(axis=1), kmax)
+    return spec.mapped_values()[states]
+
+
+class FixedUniforms:
+    """Generator stand-in whose random(shape) hands out the rows of u in order."""
+
+    def __init__(self, u):
+        self.u, self.row = u, 0
+
+    def random(self, shape):
+        rows = self.u[self.row : self.row + shape[0]]
+        self.row += shape[0]
+        assert rows.shape == shape
+        return rows
+
+
+def loop_markov_tail(spec):
+    """The per-threshold tail of a markov_function, one mask per point."""
+    chain = spec.chain
+    vals = np.abs(spec.mapped_values())
+    dist = chain.initial.copy()
+    envelope = dist.copy()
+    for _ in range(10_000):
+        nxt = dist @ chain.transition
+        envelope = np.maximum(envelope, nxt)
+        if np.abs(nxt - dist).sum() < 1e-13:
+            break
+        dist = nxt
+    return lambda t: np.array([envelope[vals >= ti].sum() if np.any(vals >= ti) else 0.0
+                               for ti in np.atleast_1d(np.asarray(t, dtype=float))])
 
 
 def empirical_long_run_variance(spec, n, reps, seed, chunk=1000):
@@ -54,6 +126,56 @@ def test_reproducibility_bit_identical():
         assert np.array_equal(a, b)
         c = simulate_many(spec, 200, 1, 43)[0]
         assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("spec, n, reps", [
+    (markov_spec([[1.0]]), 50, 30),
+    (TWO_STATE, 300, 777),
+    (FINDING1, 300, 777),
+    (SPARSE4, 300, 777),
+    (many_state_spec(), 40, 30),
+    (FINDING1, 1, 1),
+    (FINDING1, 1, 600),
+    (FINDING1, 300, 1),
+    (TWO_STATE, 20, 2500),
+], ids=["one-state", "two-state", "finding1", "zero-probability", "300-states",
+        "n1-reps1", "n1", "reps1", "reps2500"])
+def test_markov_kernel_matches_loop_reference(spec, n, reps):
+    out = simulate_many(spec, n, reps, 3)
+    u = rngstreams.stream(3, "path", spec.spec_hash()).random((reps, n))
+    assert np.array_equal(out, loop_markov_paths(spec, u))
+    assert out.dtype == np.float64 and out.flags.c_contiguous
+
+
+@pytest.mark.parametrize("spec", [TWO_STATE, FINDING1, SPARSE4, many_state_spec(100)],
+                         ids=["two-state", "finding1", "zero-probability", "100-states"])
+def test_markov_kernel_ties_and_capped_rows(spec):
+    # uniforms drawn from the thresholds themselves, their neighbours, 0 and
+    # the largest double below 1: the initial draw counts cum <= u, a step
+    # counts cum < u, and a row whose cumsum ends below u is capped at K - 1
+    chain = spec.chain
+    cuts = np.concatenate([np.cumsum(chain.transition, axis=1).ravel(),
+                           np.cumsum(chain.initial)])
+    pool = np.concatenate([cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0),
+                           [0.0, np.nextafter(1.0, 0.0)]])
+    pool = pool[(pool >= 0.0) & (pool < 1.0)]
+    u = np.random.default_rng(4).choice(pool, size=(1100, 60))
+    out = _markov_paths(spec, 60, 1100, FixedUniforms(u))
+    assert np.array_equal(out, loop_markov_paths(spec, u))
+
+
+def test_markov_paths_peak_memory_below_twice_the_output():
+    # the step loop held the uniforms, the intp states and the output:
+    # 3.01 times the output
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = simulate_many(FINDING1, 256, 10_000, 3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.nbytes
 
 
 def test_ar1_stationary_variance():
@@ -172,6 +294,20 @@ def test_marginal_tail_gaussian_families():
     tail_ar = marginal_abs_tail(AR1)
     sd = np.sqrt(4.0 / 3.0)
     assert tail_ar(2.0) == pytest.approx(2 * scipy.stats.norm.sf(2.0 / sd), abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    FINDING1, SPARSE4, many_state_spec(12),
+    markov_spec(np.full((9, 9), 1 / 9), None, [-1.0, 0.5, 1.0, -0.5, 0.0, 2.0, 1.0, -2.0, 0.5]),
+], ids=["finding1", "zero-probability", "12-states", "repeated-values"])
+def test_markov_tail_matches_per_threshold_sums(spec):
+    tail, ref = marginal_abs_tail(spec), loop_markov_tail(spec)
+    vals = np.abs(spec.mapped_values())
+    t = np.concatenate([np.linspace(-0.5, 3.0, 71), vals, np.nextafter(vals, np.inf), [np.inf]])
+    assert np.array_equal(tail(t), ref(t))
+    for ti in t:
+        got = tail(ti)
+        assert type(got) is float and got == ref(ti)[0]
 
 
 def test_plug_in_alpha_vanishes_beyond_dependence_range():
