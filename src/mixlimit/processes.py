@@ -34,12 +34,10 @@ _AR1_INIT_TOL = 1e-16
 A_DECAY_FACTOR = 0.1
 RATIO_TOL = 0.01
 DRIFT_TOL = 0.01
-# markov_function paths: replications per chunk of uniforms, the byte budget
-# of one time block's successor table, and the row length beyond which the
-# table counts thresholds by binary search instead of one pass per threshold
+# markov_function paths: replications per chunk of uniforms, and time steps
+# per time-major block of a chunk
 _MARKOV_ROWS = 1024
-_MARKOV_TABLE_BYTES = 1 << 20
-_MARKOV_COMPARE_MAX = 64
+_MARKOV_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -90,8 +88,14 @@ class ProcessSpec:
             if len(self.weights) == 0:
                 raise ValueError("ma_q requires at least one weight")
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if self.family == "markov_function" and self.chain is None:
-            raise ValueError("markov_function requires a chain spec")
+        if self.family == "markov_function":
+            if self.chain is None:
+                raise ValueError("markov_function requires a chain spec")
+            if self.state_values is not None and len(self.state_values) != self.chain.n_states:
+                raise ValueError(
+                    f"state_values has {len(self.state_values)} entries, "
+                    f"the chain has {self.chain.n_states} states"
+                )
 
     def describe(self) -> dict:
         # paths are scalar; the entry stays because spec_hash, and with it
@@ -242,59 +246,40 @@ def _markov_paths(spec: ProcessSpec, n: int, reps: int, rng: np.random.Generator
     #{j : cum_initial[j] <= u} and the successor of state s is
     #{j : u > cum[s, j]}, both capped at K - 1.  Drawing the rows in
     chunks consumes the stream exactly as one (reps, n) draw does.  Each
-    chunk is stepped through time blocks, one flat take per step on the
-    block's successor table.
+    chunk is stepped through time-major blocks of _MARKOV_STEPS steps, so
+    every step reads and writes contiguous rows.
     """
     chain = spec.chain
     vals = spec.mapped_values()
     kmax = chain.n_states - 1
     # cum rows are nondecreasing, so capping the count of thresholds below u
-    # at K - 1 is the same as not comparing with the last one
-    thresholds = np.cumsum(chain.transition, axis=1)[:, :kmax]
+    # at K - 1 is the same as not comparing with the last one; row j of
+    # thresholds holds cum[:, j]
+    thresholds = np.ascontiguousarray(np.cumsum(chain.transition, axis=1)[:, :kmax].T)
     cum_initial = np.cumsum(chain.initial)
     dtype = np.min_scalar_type(kmax)
     out = np.empty((reps, n))
     for r0 in range(0, reps, _MARKOV_ROWS):
         u = rng.random((min(_MARKOV_ROWS, reps - r0), n))
         rows = len(u)
-        lanes = np.arange(rows)
-        idx = np.empty(rows, dtype=np.intp)
-        initial = np.minimum(np.searchsorted(cum_initial, u[:, 0], side="right"), kmax)
-        block = max(1, _MARKOV_TABLE_BYTES // (len(thresholds) * rows * dtype.itemsize))
-        for t0 in range(0, n, block):
-            ub = u[:, t0 : t0 + block]
-            steps = ub.shape[1]
-            succ = _successor_table(thresholds, ub, dtype).reshape(-1)
-            stride = steps * rows
-            states = np.empty((steps, rows), dtype=dtype)
-            for t in range(steps):
+        cut = np.empty((kmax, rows))
+        above = np.empty((kmax, rows), dtype=bool)
+        prev = np.minimum(np.searchsorted(cum_initial, u[:, 0], side="right"), kmax)
+        for t0 in range(0, n, _MARKOV_STEPS):
+            ub = np.ascontiguousarray(u[:, t0 : t0 + _MARKOV_STEPS].T)
+            states = np.empty(ub.shape, dtype=dtype)
+            for t, ut in enumerate(ub):
                 if t0 + t == 0:
-                    states[0] = initial
+                    states[0] = prev
                 else:
-                    np.multiply(prev, stride, out=idx, dtype=np.intp)
-                    idx += lanes
-                    np.take(succ[t * rows :], idx, out=states[t], mode="clip")
+                    # prev holds counts in [0, K - 1], so clipping never
+                    # moves an index; it only spares numpy a buffered copy
+                    np.take(thresholds, prev, axis=1, out=cut, mode="clip")
+                    np.greater(ut, cut, out=above)
+                    np.add.reduce(above, axis=0, out=states[t])
                 prev = states[t]
-            np.take(vals, states.T, out=out[r0 : r0 + rows, t0 : t0 + steps], mode="clip")
+            np.take(vals, states.T, out=out[r0 : r0 + rows, t0 : t0 + _MARKOV_STEPS])
     return out
-
-
-def _successor_table(thresholds: np.ndarray, ub: np.ndarray, dtype) -> np.ndarray:
-    """succ[s, t, r] = #{j : ub[r, t] > thresholds[s, j]}, time-major per state."""
-    rows, steps = ub.shape
-    succ = np.empty((len(thresholds), steps, rows), dtype=dtype)
-    count = np.empty((rows, steps), dtype=dtype)
-    above = np.empty((rows, steps), dtype=bool)
-    for s, row in enumerate(thresholds):
-        if len(row) > _MARKOV_COMPARE_MAX:
-            count[...] = np.searchsorted(row, ub, side="left")
-        else:
-            count.fill(0)
-            for c in row:
-                np.greater(ub, c, out=above)
-                count += above
-        succ[s] = count.T
-    return succ
 
 
 def normalized_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str) -> np.ndarray:

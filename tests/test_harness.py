@@ -143,12 +143,15 @@ THREE_STATE_CHAIN = {"states": [0.0, 1.0, 2.0], "transition": [[1 / 3] * 3] * 3,
      "block_length must be at least 1, got 0"),
     ({"kind": "coupling-suite", "seed": 1, "cases": []},
      "a coupling suite needs at least one case"),
+    (dict(BLOCKING_CFG, process={"family": "markov_function", "chain": THREE_STATE_CHAIN,
+                                 "state_values": [1.0, 2.0]}),
+     "state_values has 2 entries, the chain has 3 states"),
 ], ids=["c-above-one", "c-not-a-number", "lag-zero", "window-too-large",
         "jump-law-mismatch", "dimension-key", "c-values-not-array", "j-scan-string",
         "innovation-std-string", "phi-string", "lags-not-array", "jump-mean-string",
         "discrete-values-not-array", "replications-float", "cases-object", "seed-bool",
         "n-grid-string-entry", "flag-string", "pmf-vector", "n-grid-empty",
-        "lags-negative", "block-length-zero", "cases-empty"])
+        "lags-negative", "block-length-zero", "cases-empty", "state-values-short"])
 def test_runner_value_errors_are_config_errors(tmp_path, capsys, cfg, needle):
     path = write_cfg(tmp_path, "bad.json", cfg)
     assert harness.run(path, out_dir=str(tmp_path / "o")) == 1

@@ -112,6 +112,9 @@ def test_spec_validation():
         ProcessSpec(family="garch")
     with pytest.raises(ValueError, match="std"):
         InnovationLaw(name="normal", std=-1.0)
+    for values in ((1.0, 2.0), (1.0, 2.0, 3.0, 4.0)):
+        with pytest.raises(ValueError, match=f"state_values has {len(values)} entries"):
+            ProcessSpec(family="markov_function", chain=FINDING1.chain, state_values=values)
 
 
 def test_constant_family_all_zero():
