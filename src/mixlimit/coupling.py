@@ -22,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
-import scipy.stats
 
 from . import processes, rngstreams
-from .probcore import FiniteJointDistribution, alpha_exact, empirical_cdf, ks_distance
+from .probcore import (
+    FiniteJointDistribution, alpha_exact, empirical_cdf, ks_distance, normal_cdf,
+)
 
 RESIDUAL_TOL = 1e-9
 VAR_LIMIT = 8000               # largest LP (nx * nz * nx variables) solve_coupling accepts
@@ -98,6 +97,10 @@ def solve_coupling(problem: CouplingProblem) -> CouplingSolution:
     re-certified arithmetically (marginal and independence residuals
     below 1e-9) and checked against the existence bound.
     """
+    # imported here, so that only coupling suites load the LP solver
+    import scipy.optimize
+    import scipy.sparse
+
     joint = problem.joint
     ax, az = joint.atoms_x, joint.atoms_z
     nx, nz = ax.shape[0], az.shape[0]
@@ -205,16 +208,17 @@ def corollary_sum_experiment(
                     fit the convolution.
     """
     rows = []
+    n02_cdf = lambda v: normal_cdf(v / np.sqrt(2.0))    # the closed-form N(0, 2)
     if mode == "independent":
         x = processes.normalized_sums(spec_x, n, replications, seed, "corr-x")
         z = processes.normalized_sums(spec_z if spec_z is not None else spec_x,
                                       n, replications, seed + 1, "corr-z")
-        ks = ks_distance(x + z, _normal_cdf(np.sqrt(2.0)))
+        ks = ks_distance(x + z, n02_cdf)
         rows.append({"grid": n, "ks": ks, "reference": "closed-form N(0,2)",
                      "alpha_bound": 0.0})
     elif mode == "duplicate":
         x = processes.normalized_sums(spec_x, n, replications, seed, "corr-x")
-        ks = ks_distance(2.0 * x, _normal_cdf(np.sqrt(2.0)))
+        ks = ks_distance(2.0 * x, n02_cdf)
         rows.append({"grid": n, "ks": ks, "reference": "closed-form N(0,2)",
                      "alpha_bound": 0.25})
     elif mode == "lagged_blocks":
@@ -239,8 +243,3 @@ def corollary_sum_experiment(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return {"mode": mode, "replications": replications, "rows": rows}
-
-
-def _normal_cdf(sd):
-    return lambda x: scipy.stats.norm.cdf(np.asarray(x) / sd)
-

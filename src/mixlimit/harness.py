@@ -295,30 +295,34 @@ def _run_integral_sample(cfg: dict, out: Path):
     )
     t_max = float(_get(cfg, "t_max", "a number"))
     n_samples = _get(cfg, "n_samples", "an integer")
+    # the probe runs first: it is the diagnosis when the sample overflows
+    # (the two draw from independent streams, so the order changes no value)
+    lm = selfdecomp.log_moment_check(
+        bdlp, n_samples=_get(cfg, "log_moment_samples", "an integer", default=100_000),
+        seed=cfg["seed"],
+    )
     sample = selfdecomp.sample_random_integral(
         bdlp, t_max, _get(cfg, "n_steps", "an integer"), n_samples, seed=cfg["seed"],
     )
+    finite = bool(np.all(np.isfinite(sample)))
     files = []
     if _get(cfg, "write_samples", "a boolean", default=True):
         with open(out / "integral_samples.csv", "w") as fh:
             processes.write_path_csv(fh, sample)
         files.append("integral_samples.csv")
-    lm = selfdecomp.log_moment_check(
-        bdlp, n_samples=_get(cfg, "log_moment_samples", "an integer", default=100_000),
-        seed=cfg["seed"],
-    )
     summary = {
-        "mean": float(sample.mean()),
-        "variance": float(sample.var()),
+        "mean": float(sample.mean()) if finite else None,
+        "variance": float(sample.var()) if finite else None,
         "n_samples": n_samples,
         "truncation_error_factor": float(np.exp(-t_max)),
         "log_moment_estimate": lm["estimate"] if np.isfinite(lm["estimate"]) else None,
-        "log_moment_diagnostic": lm["diagnostic"],
+        # a sample beyond float range is itself a sign of a divergent log-moment
+        "log_moment_diagnostic": lm["diagnostic"] if finite else "suspect-infinite",
         "claim": "eq6_bdlp_integral",
     }
     _write_json(out / "integral_summary.json", summary)
     files.append("integral_summary.json")
-    return files, lm["diagnostic"] == "finite"
+    return files, summary["log_moment_diagnostic"] == "finite"
 
 
 def _run_coupling_suite(cfg: dict, out: Path):

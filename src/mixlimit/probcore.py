@@ -2,8 +2,9 @@
 
 Scalar samples (1-D float arrays, one number per draw), exact finite
 joint distributions, empirical characteristic functions, a
-Kolmogorov-Smirnov distance that is exact for step references, a
-positive-semidefiniteness check, and the exact dependence coefficient
+Kolmogorov-Smirnov distance that is exact for step references, the
+standard normal cdf, a positive-semidefiniteness check, and the exact
+dependence coefficient
 
     alpha(X, Z) = sup_{A, B} |P(A & B) - P(A) P(B)|
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 PMF_TOL = 1e-12
 ENUM_LIMIT = 20                # atoms on the enumerated side of alpha_exact
@@ -179,8 +179,24 @@ def psd_check(matrix: np.ndarray, tol: float = 1e-9):
     if asym > HERMITIAN_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
     H = 0.5 * (M + M.conj().T)
+    # imported here, so that runs without a PSD test never load scipy.linalg
+    import scipy.linalg
+
     smallest = float(scipy.linalg.eigvalsh(H, subset_by_index=[0, 0])[0])
     return {"is_psd": smallest >= -tol, "worst_violation": smallest}
+
+
+def normal_cdf(x):
+    """Standard normal cdf, elementwise; normal_cdf(-x) is the upper tail.
+
+    scipy.special.ndtr is what scipy.stats.norm.cdf and norm.sf evaluate
+    at loc 0 and scale 1, so the values agree with them to the bit.  The
+    import sits here, so that runs that never use the normal law do not
+    load scipy.special.
+    """
+    import scipy.special
+
+    return scipy.special.ndtr(x)
 
 
 def ks_distance(sample, reference_cdf) -> float:

@@ -22,10 +22,10 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
 
 from . import rngstreams
 from .mixing import AlphaProfile, MarkovChainSpec, alpha_bound_geometric
+from .probcore import normal_cdf
 
 FAMILIES = ("iid", "ar1", "ma_q", "markov_function", "constant")
 _AR1_INIT_TOL = 1e-16
@@ -34,10 +34,10 @@ _AR1_INIT_TOL = 1e-16
 A_DECAY_FACTOR = 0.1
 RATIO_TOL = 0.01
 DRIFT_TOL = 0.01
-# markov_function paths: replications per chunk of uniforms, and time steps
-# per time-major block of a chunk
-_MARKOV_ROWS = 1024
-_MARKOV_STEPS = 256
+# ar1 and markov_function paths: replications per chunk, and time steps per
+# time-major block of a chunk
+_CHUNK_ROWS = 1024
+_CHUNK_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -222,12 +222,7 @@ def simulate_many(spec: ProcessSpec, n: int, reps: int, seed: int, label: str = 
         # truncated moving-average start centered at the exact stationary mean
         powers = phi ** np.arange(burn - 1, -1, -1)
         x0 = mean_stat + (eps[:, :burn] - law.mean) @ powers
-        out = np.empty((reps, n))
-        prev = x0
-        for k in range(n):
-            prev = phi * prev + eps[:, burn + k]
-            out[:, k] = prev
-        return out
+        return _ar1_paths(phi, x0, eps[:, burn:])
     if fam == "ma_q":
         w = np.asarray(spec.weights)
         q = len(w) - 1
@@ -239,14 +234,38 @@ def simulate_many(spec: ProcessSpec, n: int, reps: int, seed: int, label: str = 
     return _markov_paths(spec, n, reps, rng)
 
 
+def _ar1_paths(phi: float, x0: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """X_k = phi X_{k-1} + eps[:, k] from X_{-1} = x0, over the columns of eps.
+
+    Rows are taken _CHUNK_ROWS at a time and stepped through time-major
+    blocks of _CHUNK_STEPS steps, so every step reads and writes
+    contiguous rows.  Each value is the same product and sum as in a
+    column-by-column loop over the whole matrix, so paths are bit-identical
+    to it.
+    """
+    reps, n = eps.shape
+    out = np.empty((reps, n))
+    for r0 in range(0, reps, _CHUNK_ROWS):
+        prev = x0[r0 : r0 + _CHUNK_ROWS]
+        step = np.empty(len(prev))
+        for t0 in range(0, n, _CHUNK_STEPS):
+            block = np.ascontiguousarray(eps[r0 : r0 + _CHUNK_ROWS, t0 : t0 + _CHUNK_STEPS].T)
+            for x in block:
+                np.multiply(prev, phi, out=step)
+                np.add(x, step, out=x)
+                prev = x
+            out[r0 : r0 + _CHUNK_ROWS, t0 : t0 + _CHUNK_STEPS] = block.T
+    return out
+
+
 def _markov_paths(spec: ProcessSpec, n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
-    """markov_function paths, _MARKOV_ROWS replications at a time.
+    """markov_function paths, _CHUNK_ROWS replications at a time.
 
     The uniform u[r, k] picks the state at time k: the initial state is
     #{j : cum_initial[j] <= u} and the successor of state s is
     #{j : u > cum[s, j]}, both capped at K - 1.  Drawing the rows in
     chunks consumes the stream exactly as one (reps, n) draw does.  Each
-    chunk is stepped through time-major blocks of _MARKOV_STEPS steps, so
+    chunk is stepped through time-major blocks of _CHUNK_STEPS steps, so
     every step reads and writes contiguous rows.
     """
     chain = spec.chain
@@ -259,14 +278,14 @@ def _markov_paths(spec: ProcessSpec, n: int, reps: int, rng: np.random.Generator
     cum_initial = np.cumsum(chain.initial)
     dtype = np.min_scalar_type(kmax)
     out = np.empty((reps, n))
-    for r0 in range(0, reps, _MARKOV_ROWS):
-        u = rng.random((min(_MARKOV_ROWS, reps - r0), n))
+    for r0 in range(0, reps, _CHUNK_ROWS):
+        u = rng.random((min(_CHUNK_ROWS, reps - r0), n))
         rows = len(u)
         cut = np.empty((kmax, rows))
         above = np.empty((kmax, rows), dtype=bool)
         prev = np.minimum(np.searchsorted(cum_initial, u[:, 0], side="right"), kmax)
-        for t0 in range(0, n, _MARKOV_STEPS):
-            ub = np.ascontiguousarray(u[:, t0 : t0 + _MARKOV_STEPS].T)
+        for t0 in range(0, n, _CHUNK_STEPS):
+            ub = np.ascontiguousarray(u[:, t0 : t0 + _CHUNK_STEPS].T)
             states = np.empty(ub.shape, dtype=dtype)
             for t, ut in enumerate(ub):
                 if t0 + t == 0:
@@ -278,7 +297,7 @@ def _markov_paths(spec: ProcessSpec, n: int, reps: int, rng: np.random.Generator
                     np.greater(ut, cut, out=above)
                     np.add.reduce(above, axis=0, out=states[t])
                 prev = states[t]
-            np.take(vals, states.T, out=out[r0 : r0 + rows, t0 : t0 + _MARKOV_STEPS])
+            np.take(vals, states.T, out=out[r0 : r0 + rows, t0 : t0 + _CHUNK_STEPS])
     return out
 
 
@@ -413,7 +432,7 @@ def marginal_abs_tail(spec: ProcessSpec):
             t = np.asarray(t, dtype=float)
             if sd == 0.0:
                 return np.where(t <= abs(m), 1.0, 0.0)
-            return scipy.stats.norm.sf((t - m) / sd) + scipy.stats.norm.cdf((-t - m) / sd)
+            return normal_cdf(-((t - m) / sd)) + normal_cdf((-t - m) / sd)
 
         return tail
     if fam == "constant":
@@ -482,4 +501,4 @@ def limit_cdf(spec: ProcessSpec):
     """cdf of the weak limit of a_n S_n + b_n under norming_for: N(0, 1)."""
     if long_run_variance(spec) <= 0.0:
         raise ValueError("degenerate spec has no non-degenerate limit")
-    return scipy.stats.norm.cdf
+    return normal_cdf

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rngstreams
-from .probcore import EmpiricalCF, as_sample, empirical_cf, psd_check
+from .probcore import EmpiricalCF, empirical_cf, psd_check
 
 DEFAULT_GRID_RADIUS = 8.0
 DEFAULT_GRID_POINTS = 41
@@ -274,8 +274,9 @@ def sample_random_integral(
     counts with conditionally uniform times, equivalent to exponential
     inter-arrivals) and weights each jump by e^{-(arrival time)}, with
     no discretization at all.  Truncating the upper limit at t_max
-    discards an exp(-t_max)-sized tail.  A sample that overflows (jump
-    sizes beyond float range) is rejected as non-finite.
+    discards an exp(-t_max)-sized tail.  Samples whose jumps overflow
+    (sizes beyond float range) come back non-finite; callers decide what
+    that means, as integral-sample does with the log-moment probe.
     """
     if t_max < 5.0:
         raise ValueError("t_max must be at least 5 (truncation error e^{-t_max})")
@@ -291,7 +292,7 @@ def sample_random_integral(
         out += bdlp.gaussian_sigma * (z * (np.exp(-mids) * np.sqrt(dt))).sum(axis=1)
     if bdlp.jump_rate > 0:
         out = _add_jumps(out, bdlp, rng, t_max, discounted=True)
-    return as_sample(out)
+    return out
 
 
 def _add_jumps(out: np.ndarray, bdlp: BDLPSpec, rng, horizon: float, discounted: bool) -> np.ndarray:

@@ -160,18 +160,24 @@ def test_runner_value_errors_are_config_errors(tmp_path, capsys, cfg, needle):
     assert needle in lines[0]
 
 
-def test_divergent_jump_law_integral_is_config_error(tmp_path, capsys):
-    # dyadic_tower jump sizes overflow to inf; the sampler's finite check
-    # turns that into a config error instead of an Infinity in the JSON
+def test_divergent_jump_law_integral_reports_suspect_infinite(tmp_path, capsys):
+    # dyadic_tower jump sizes overflow to inf: the valid config is a failed
+    # scientific check (exit 2) with the log-moment flagged, and the summary
+    # holds null moments instead of an Infinity in the JSON
     path = write_cfg(tmp_path, "tower.json", {
         "kind": "integral-sample", "seed": 3, "t_max": 20.0, "n_steps": 8,
         "n_samples": 2000, "log_moment_samples": 2000,
         "bdlp": {"jump_rate": 1.0, "jump_law": {"kind": "dyadic_tower"}},
     })
-    assert harness.run(path, out_dir=str(tmp_path / "o")) == 1
-    lines = capsys.readouterr().out.strip().split("\n")
-    assert lines == ["config error: sample contains non-finite points"]
-    assert not any((tmp_path / "o").iterdir())
+    assert harness.run(path, out_dir=str(tmp_path / "o")) == 2
+    assert capsys.readouterr().out.strip().split("\n")[-1] == (
+        "scientific assertion failed (see report pass flags)")
+    summary = json.loads((tmp_path / "o" / "integral_summary.json").read_text())
+    assert summary["log_moment_diagnostic"] == "suspect-infinite"
+    assert summary["mean"] is None and summary["variance"] is None
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["all_pass"] is False
+    assert manifest["reports"] == ["integral_samples.csv", "integral_summary.json"]
 
 
 def test_unknown_kind_rejected(tmp_path):

@@ -10,6 +10,7 @@ from mixlimit.probcore import (
     empirical_cdf,
     empirical_cf,
     ks_distance,
+    normal_cdf,
     psd_check,
 )
 
@@ -263,3 +264,18 @@ def test_joint_distribution_validation():
         FiniteJointDistribution([0, 1], [0, 1], [[0.5, 0.0], [0.0, 0.4]])
     with pytest.raises(ValueError, match="nonnegative"):
         FiniteJointDistribution([0, 1], [0, 1], [[0.6, 0.5], [0.0, -0.1]])
+
+
+def test_normal_cdf_is_bitwise_scipy_norm():
+    # signed zeros, infinities, nan, both tails out to +-40 (where the cdf
+    # underflows and the upper tail rounds to 1) and a dense middle
+    x = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 40.0, -40.0, 38.5, -38.5, 8.3, -8.3],
+        np.linspace(-40.0, 40.0, 8001),
+        np.random.default_rng(5).standard_normal(10_000) * 3.0,
+    ])
+    assert np.array_equal(normal_cdf(x), scipy.stats.norm.cdf(x), equal_nan=True)
+    assert np.array_equal(normal_cdf(-x), scipy.stats.norm.sf(x), equal_nan=True)
+    for v in (0.0, -0.0, 1.25, -37.0):
+        assert normal_cdf(v) == scipy.stats.norm.cdf(v)
+        assert normal_cdf(-v) == scipy.stats.norm.sf(v)

@@ -7,6 +7,7 @@ import pytest
 from mixlimit import rngstreams
 from mixlimit.mixing import MarkovChainSpec
 from mixlimit.processes import (
+    _AR1_INIT_TOL,
     _markov_paths,
     InnovationLaw,
     ProcessSpec,
@@ -62,6 +63,19 @@ def loop_markov_paths(spec, u):
         rows = cum[states[:, k - 1]]
         states[:, k] = np.minimum((u[:, k, None] > rows).sum(axis=1), kmax)
     return spec.mapped_values()[states]
+
+
+def loop_ar1_paths(spec, n, reps, seed):
+    """ar1 paths of simulate_many, one time column at a time."""
+    phi, law = spec.phi, spec.innovations
+    burn = int(np.ceil(np.log(_AR1_INIT_TOL) / np.log(abs(phi))))
+    eps = law.sample(rngstreams.stream(seed, "path", spec.spec_hash()), (reps, burn + n))
+    prev = law.mean / (1.0 - phi) + (eps[:, :burn] - law.mean) @ phi ** np.arange(burn - 1, -1, -1)
+    out = np.empty((reps, n))
+    for k in range(n):
+        prev = phi * prev + eps[:, burn + k]
+        out[:, k] = prev
+    return out
 
 
 class FixedUniforms:
@@ -181,6 +195,19 @@ def test_markov_paths_peak_memory_below_twice_the_output():
     assert peak < 2 * out.nbytes
 
 
+@pytest.mark.parametrize("spec, n, reps", [
+    (AR1, 300, 777),
+    (ProcessSpec(family="ar1", phi=-0.9, innovations=InnovationLaw("uniform", 0.3, 2.0)), 257, 1025),
+    (ProcessSpec(family="ar1", phi=0.99, innovations=InnovationLaw("rademacher", -1.0, 0.5)), 600, 3),
+    (AR1, 1, 1),
+    (AR1, 20, 2500),
+], ids=["phi0.5", "uniform-blocks-plus-one", "rademacher-slow", "n1-reps1", "reps2500"])
+def test_ar1_kernel_matches_loop_reference(spec, n, reps):
+    out = simulate_many(spec, n, reps, 5)
+    assert np.array_equal(out, loop_ar1_paths(spec, n, reps, 5))
+    assert out.dtype == np.float64 and out.flags.c_contiguous
+
+
 def test_ar1_stationary_variance():
     # stationary variance sigma^2/(1 - phi^2) = 4/3, within 3% at 1e5 draws
     path = simulate_many(AR1, 100_000, 1, 7)[0]
@@ -297,6 +324,12 @@ def test_marginal_tail_gaussian_families():
     tail_ar = marginal_abs_tail(AR1)
     sd = np.sqrt(4.0 / 3.0)
     assert tail_ar(2.0) == pytest.approx(2 * scipy.stats.norm.sf(2.0 / sd), abs=1e-12)
+    # bit for bit the scipy.stats form, off-centre too
+    law = InnovationLaw(mean=0.3, std=1.7)
+    t = np.concatenate([[0.0, 0.3, np.inf], np.linspace(0.0, 70.0, 7001)])
+    m, sd = law.mean, law.std
+    ref = scipy.stats.norm.sf((t - m) / sd) + scipy.stats.norm.cdf((-t - m) / sd)
+    assert np.array_equal(marginal_abs_tail(ProcessSpec(family="iid", innovations=law))(t), ref)
 
 
 @pytest.mark.parametrize("spec", [
