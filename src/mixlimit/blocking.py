@@ -140,10 +140,9 @@ def make_plan(
     tail,
     c: float,
     n_values=DEFAULT_N_GRID,
-    grid_step: float = DEFAULT_DELTA_GRID_STEP,
 ) -> BlockingPlan:
     """Assemble (m, delta, q) for each n, with deltas monotonized over the
-    full horizon 1..max(n_values).
+    full horizon 1..max(n_values) on the DEFAULT_DELTA_GRID_STEP grid.
 
     tail(threshold) must return max_k P(|X_k| >= threshold); it is
     rescaled internally by a(n).
@@ -157,7 +156,7 @@ def make_plan(
     def array_tail(n, deltas):
         return np.asarray(tail(np.asarray(deltas) / table[n - 1]), dtype=float)
 
-    deltas_full = compute_deltas(array_tail, horizon, grid_step)
+    deltas_full = compute_deltas(array_tail, horizon)
     m = compute_m_profile(norming, c, n_values)
     delta = deltas_full[n_values - 1]
     q = np.array([compute_q(d, int(mm), int(n)) for d, mm, n in zip(delta, m, n_values)])
@@ -280,12 +279,6 @@ def verify_blocking(
     n_grid=DEFAULT_N_GRID,
     replications: int = 10_000,
     seed: int = 0,
-    epsilon: float = DEFAULT_EPSILON,
-    grid_step: float = DEFAULT_DELTA_GRID_STEP,
-    ks_tol: float = DEFAULT_KS_TOL,
-    tightness_bound: float = DEFAULT_TIGHTNESS_BOUND,
-    cf_radius: float = selfdecomp.DEFAULT_EMPIRICAL_RADIUS,
-    selfdecomp_c_values=(0.3, 0.5, 0.8),
 ) -> BlockingReport:
     """Monte Carlo verification of the blocking decomposition claims.
 
@@ -297,10 +290,12 @@ def verify_blocking(
     lag q+1, the recombined sum against the limit (KS), the
     characteristic-function factorization error, and (at the largest n)
     the CF-ratio positive-definiteness verdict on the normalized sum.
+    The ceilings are fixed: DEFAULT_EPSILON, DEFAULT_KS_TOL and
+    DEFAULT_TIGHTNESS_BOUND here, the CF radius and c-values in selfdecomp.
     """
     norming = processes.norming_for(spec)
     tail = processes.marginal_abs_tail(spec)
-    plan = make_plan(norming, tail, c, n_grid, grid_step=grid_step)
+    plan = make_plan(norming, tail, c, n_grid)
     usable = [int(n) for n in plan.n_values if not plan.is_pre_asymptotic(int(n))]
     if not usable:
         raise ValueError("every n in the grid is pre-asymptotic; enlarge the grid")
@@ -312,6 +307,7 @@ def verify_blocking(
     )
     rows = []
     se_alpha = 0.3536 / np.sqrt(replications)   # sd of the median-split statistic under independence
+    freqs = selfdecomp.uniform_grid(selfdecomp.DEFAULT_EMPIRICAL_RADIUS, 21)
 
     for n in usable:
         i = plan.index_of(n)
@@ -322,7 +318,7 @@ def verify_blocking(
         rows.append({**base, "metric_name": "eq8_identity_max_relerr", "value": relerr,
                      "analytic_ceiling": 1e-9, "pass": relerr <= 1e-9})
 
-        p_hat = float(np.mean(np.abs(v) > epsilon))
+        p_hat = float(np.mean(np.abs(v) > DEFAULT_EPSILON))
         ceiling = min(1.0, q * d)
         se = float(np.sqrt(max(p_hat * (1 - p_hat), 0.0) / replications))
         rows.append({**base, "metric_name": "step5_v_exceed_prob", "value": p_hat,
@@ -331,11 +327,12 @@ def verify_blocking(
         scaled_limit = lambda x, r=ratio: limit(np.asarray(x) / r)
         ks_u = ks_distance(u, scaled_limit)
         rows.append({**base, "metric_name": "step6_u_ks_to_scaled_limit", "value": ks_u,
-                     "analytic_ceiling": ks_tol, "pass": ks_u <= ks_tol})
+                     "analytic_ceiling": DEFAULT_KS_TOL, "pass": ks_u <= DEFAULT_KS_TOL})
 
         q99 = float(np.quantile(np.abs(w), 0.99))
         rows.append({**base, "metric_name": "step7_w_abs_q99", "value": q99,
-                     "analytic_ceiling": tightness_bound, "pass": q99 <= tightness_bound})
+                     "analytic_ceiling": DEFAULT_TIGHTNESS_BOUND,
+                     "pass": q99 <= DEFAULT_TIGHTNESS_BOUND})
 
         alpha_bound = alpha_env.alpha_at(q + 1)
         emp_alpha = _split_alpha(u, w)
@@ -345,9 +342,8 @@ def verify_blocking(
 
         ks_uw = ks_distance(u + w, limit)
         rows.append({**base, "metric_name": "eq10_uw_sum_ks_to_limit", "value": ks_uw,
-                     "analytic_ceiling": ks_tol, "pass": ks_uw <= ks_tol})
+                     "analytic_ceiling": DEFAULT_KS_TOL, "pass": ks_uw <= DEFAULT_KS_TOL})
 
-        freqs = selfdecomp.uniform_grid(cf_radius, 21)
         cf_u, cf_w = _cf_values(freqs, u), _cf_values(freqs, w)
         prod_err = float(np.max(np.abs(_cf_values(freqs, u + w) - cf_u * cf_w)))
         prod_ceiling = 4.0 * alpha_bound + 6.0 / np.sqrt(replications)
@@ -355,7 +351,7 @@ def verify_blocking(
                      "analytic_ceiling": prod_ceiling, "pass": prod_err <= prod_ceiling})
 
         if n == n_max:
-            rep = selfdecomp.selfdecomp_test_sample(total, selfdecomp_c_values, grid_radius=cf_radius)
+            rep = selfdecomp.selfdecomp_test_sample(total)
             worst = np.nanmin([r["worst_violation"] for r in rep.per_c])
             rows.append({**base, "metric_name": "eq5_selfdecomp_min_eig", "value": float(worst),
                          "analytic_ceiling": -rep.tol, "pass": rep.verdict == "pass"})

@@ -1,12 +1,13 @@
 """Configuration-driven experiment runner.
 
 A single JSON document describes one experiment: its kind, a mandatory
-seed, the model/spec parameters and optional tolerance overrides.
-Unknown keys are hard errors (a silent typo would invalidate a
-scientific report).  Each run writes a manifest (resolved config,
-package version, seed, RNG scheme) plus the experiment's CSV/JSON
-reports into the output directory; reruns of the same config and seed
-are byte-identical.
+seed and the model/spec parameters; the report ceilings are library
+constants, and an optional key left out takes the library's default.
+Unknown keys, and keys the chosen mode does not read, are hard errors (a
+silent typo would invalidate a scientific report).  Each run writes a
+manifest (resolved config, package version, seed, RNG scheme) plus the
+experiment's CSV/JSON reports into the output directory; reruns of the
+same config and seed are byte-identical.
 
 Exit status: 0 when every pass-flag is true, 2 when any scientific
 assertion failed, 1 on usage/config errors.
@@ -79,8 +80,6 @@ _JSON_TYPES = {
     "an integer": _is_int,
     "an integer or null": lambda v: v is None or _is_int(v),
     "a number": _is_number,
-    "a number or null": lambda v: v is None or _is_number(v),
-    "a boolean": lambda v: isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
     "a string or null": lambda v: v is None or isinstance(v, str),
     "an array": lambda v: isinstance(v, list),
@@ -97,6 +96,17 @@ def _get(obj: dict, key: str, json_type: str, where: str = "config", default=Non
     if not _JSON_TYPES[json_type](value):
         raise ConfigError(f"{where}.{key} must be {json_type}, got {value!r}")
     return value
+
+
+def _given(obj: dict, keys_types, where: str = "config") -> dict:
+    """The keys of (key, JSON type) pairs that obj sets, checked, as keyword arguments."""
+    return {k: _get(obj, k, json_type, where) for k, json_type in keys_types if k in obj}
+
+
+def _reject_keys(obj: dict, keys, reason: str) -> None:
+    for k in keys:
+        if k in obj:
+            raise ConfigError(f"config.{k} is not used {reason}")
 
 
 def _parse_chain(obj: dict, where: str) -> mixing.MarkovChainSpec:
@@ -185,54 +195,36 @@ def _write_json(path: Path, obj) -> None:
 def _run_alpha_profile(cfg: dict, out: Path):
     _require_keys(
         cfg, ("kind", "seed", "chain", "n_list"),
-        ("past_window", "future_window", "j_scan", "include_bound", "out_dir"),
+        ("past_window", "future_window", "j_scan", "out_dir"),
         "config",
     )
     chain = _parse_chain(cfg["chain"], "config.chain")
     n_list = _get(cfg, "n_list", "an array of integers")
-    pw = _get(cfg, "past_window", "an integer", default=1)
-    fw = _get(cfg, "future_window", "an integer", default=1)
-    j_scan = _get(cfg, "j_scan", "an integer or null")
-    profile = mixing.alpha_sequence(chain, n_list, pw, fw, j_scan=j_scan)
+    profile = mixing.alpha_sequence(chain, n_list, **_given(cfg, (
+        ("past_window", "an integer"), ("future_window", "an integer"),
+        ("j_scan", "an integer or null"),
+    )))
+    bound = mixing.alpha_bound_geometric(chain, n_list)
     rows = [
-        {"n": n, "alpha": a, "kind": profile.kind, "claim": "eq1_window_alpha"}
-        for n, a in profile.values
+        {"n": n, "alpha": a, "kind": p.kind, "claim": claim}
+        for p, claim in ((profile, "eq1_window_alpha"), (bound, "eq2_analytic_bound"))
+        for n, a in p.values
     ]
-    ok = True
-    if _get(cfg, "include_bound", "a boolean", default=True):
-        bound = mixing.alpha_bound_geometric(chain, n_list)
-        for n, a in bound.values:
-            rows.append({"n": n, "alpha": a, "kind": bound.kind, "claim": "eq2_analytic_bound"})
-        for n, a in profile.values:
-            if a > bound.alpha_at(n) + 1e-12:
-                ok = False
+    ok = all(a <= bound.alpha_at(n) + 1e-12 for n, a in profile.values)
     _write_csv(out / "alpha_profile.csv", ("n", "alpha", "kind", "claim"), rows)
     return ["alpha_profile.csv"], ok
 
 
 def _run_blocking_verify(cfg: dict, out: Path):
     _require_keys(
-        cfg, ("kind", "seed", "process", "c", "n_grid", "replications"),
-        ("epsilon", "grid_step", "ks_tol", "tightness_bound", "cf_radius",
-         "selfdecomp_c_values", "out_dir"),
-        "config",
+        cfg, ("kind", "seed", "process", "c", "n_grid", "replications"), ("out_dir",), "config",
     )
-    spec = _parse_process(cfg["process"], "config.process")
-    number = lambda key, default=None: float(_get(cfg, key, "a number", default=default))
     report = blocking.verify_blocking(
-        spec,
-        c=number("c"),
+        _parse_process(cfg["process"], "config.process"),
+        c=float(_get(cfg, "c", "a number")),
         n_grid=_get(cfg, "n_grid", "an array of integers"),
         replications=_get(cfg, "replications", "an integer"),
         seed=cfg["seed"],
-        epsilon=number("epsilon", blocking.DEFAULT_EPSILON),
-        grid_step=number("grid_step", blocking.DEFAULT_DELTA_GRID_STEP),
-        ks_tol=number("ks_tol", blocking.DEFAULT_KS_TOL),
-        tightness_bound=number("tightness_bound", blocking.DEFAULT_TIGHTNESS_BOUND),
-        cf_radius=number("cf_radius", selfdecomp.DEFAULT_EMPIRICAL_RADIUS),
-        selfdecomp_c_values=tuple(
-            _get(cfg, "selfdecomp_c_values", "an array of numbers", default=(0.3, 0.5, 0.8))
-        ),
     )
     with open(out / "blocking_report.csv", "w") as fh:
         report.to_csv(fh)
@@ -242,33 +234,26 @@ def _run_blocking_verify(cfg: dict, out: Path):
 def _run_selfdecomp_test(cfg: dict, out: Path):
     _require_keys(
         cfg, ("kind", "seed", "c_values"),
-        ("cf_form", "process", "n", "replications", "grid_radius", "grid_points",
-         "tol", "out_dir"),
+        ("cf_form", "process", "n", "replications", "grid_points", "out_dir"),
         "config",
     )
-    cs = tuple(float(c) for c in _get(cfg, "c_values", "an array of numbers"))
-    grid_points = _get(cfg, "grid_points", "an integer", default=selfdecomp.DEFAULT_GRID_POINTS)
-    tol = _get(cfg, "tol", "a number or null")
+    # checked before a process is simulated: a bad c is a config error at once
+    cs = selfdecomp._c_tuple(_get(cfg, "c_values", "an array of numbers"))
+    grid = _given(cfg, (("grid_points", "an integer"),))
     if "cf_form" in cfg:
         if "process" in cfg:
             raise ConfigError("config: give either cf_form or process, not both")
+        _reject_keys(cfg, ("n", "replications"), "with cf_form")
         form = _get(cfg, "cf_form", "a string")
         if form not in _CLOSED_FORM_CFS:
             raise ConfigError(f"config.cf_form: unknown form {form!r}")
-        radius = _get(cfg, "grid_radius", "a number", default=selfdecomp.DEFAULT_GRID_RADIUS)
-        report = selfdecomp.selfdecomp_test(
-            _CLOSED_FORM_CFS[form], cs,
-            grid_radius=float(radius), grid_points=grid_points, tol=tol,
-        )
+        report = selfdecomp.selfdecomp_test(_CLOSED_FORM_CFS[form], cs, **grid)
     elif "process" in cfg:
         spec = _parse_process(cfg["process"], "config.process")
         n = _get(cfg, "n", "an integer", default=4096)
         reps = _get(cfg, "replications", "an integer", default=10_000)
         total = processes.normalized_sums(spec, n, reps, cfg["seed"], "selfdecomp")
-        radius = _get(cfg, "grid_radius", "a number", default=selfdecomp.DEFAULT_EMPIRICAL_RADIUS)
-        report = selfdecomp.selfdecomp_test_sample(
-            total, cs, grid_radius=float(radius), grid_points=grid_points, tol=tol,
-        )
+        report = selfdecomp.selfdecomp_test_sample(total, cs, **grid)
     else:
         raise ConfigError("config: selfdecomp-test needs cf_form or process")
     doc = json.loads(report.to_json())
@@ -280,7 +265,7 @@ def _run_selfdecomp_test(cfg: dict, out: Path):
 def _run_integral_sample(cfg: dict, out: Path):
     _require_keys(
         cfg, ("kind", "seed", "bdlp", "t_max", "n_steps", "n_samples"),
-        ("write_samples", "log_moment_samples", "out_dir"),
+        ("log_moment_samples", "out_dir"),
         "config",
     )
     b = cfg["bdlp"]
@@ -297,19 +282,16 @@ def _run_integral_sample(cfg: dict, out: Path):
     n_samples = _get(cfg, "n_samples", "an integer")
     # the probe runs first: it is the diagnosis when the sample overflows
     # (the two draw from independent streams, so the order changes no value)
-    lm = selfdecomp.log_moment_check(
-        bdlp, n_samples=_get(cfg, "log_moment_samples", "an integer", default=100_000),
-        seed=cfg["seed"],
-    )
+    probe = {}
+    if "log_moment_samples" in cfg:
+        probe["n_samples"] = _get(cfg, "log_moment_samples", "an integer")
+    lm = selfdecomp.log_moment_check(bdlp, seed=cfg["seed"], **probe)
     sample = selfdecomp.sample_random_integral(
         bdlp, t_max, _get(cfg, "n_steps", "an integer"), n_samples, seed=cfg["seed"],
     )
     finite = bool(np.all(np.isfinite(sample)))
-    files = []
-    if _get(cfg, "write_samples", "a boolean", default=True):
-        with open(out / "integral_samples.csv", "w") as fh:
-            processes.write_path_csv(fh, sample)
-        files.append("integral_samples.csv")
+    with open(out / "integral_samples.csv", "w") as fh:
+        processes.write_path_csv(fh, sample)
     summary = {
         "mean": float(sample.mean()) if finite else None,
         "variance": float(sample.var()) if finite else None,
@@ -321,8 +303,8 @@ def _run_integral_sample(cfg: dict, out: Path):
         "claim": "eq6_bdlp_integral",
     }
     _write_json(out / "integral_summary.json", summary)
-    files.append("integral_summary.json")
-    return files, summary["log_moment_diagnostic"] == "finite"
+    ok = summary["log_moment_diagnostic"] == "finite"
+    return ["integral_samples.csv", "integral_summary.json"], ok
 
 
 def _run_coupling_suite(cfg: dict, out: Path):
@@ -353,38 +335,47 @@ def _run_coupling_suite(cfg: dict, out: Path):
     return ["coupling_report.json"], report["all_pass"]
 
 
+# the corollary-sum pass rule: a convolution fit is within COROLLARY_KS_TOL,
+# the duplicate negative control is beyond NEGATIVE_CONTROL_MIN_KS
+COROLLARY_KS_TOL = 0.02
+NEGATIVE_CONTROL_MIN_KS = 0.05
+
+# the optional corollary-sum keys each mode does not read
+_COROLLARY_UNUSED = {
+    "independent": ("lags", "block_length"),
+    "duplicate": ("process_z", "lags", "block_length"),
+    "lagged_blocks": ("process_z", "n"),
+}
+
+
 def _run_corollary_sum(cfg: dict, out: Path):
     _require_keys(
         cfg, ("kind", "seed", "mode", "process_x"),
-        ("process_z", "n", "lags", "block_length", "replications", "ks_tol",
-         "negative_control_min_ks", "out_dir"),
+        ("process_z", "n", "lags", "block_length", "replications", "out_dir"),
         "config",
     )
     spec_x = _parse_process(cfg["process_x"], "config.process_x")
     spec_z = _parse_process(cfg["process_z"], "config.process_z") if "process_z" in cfg else None
     mode = _get(cfg, "mode", "a string")
-    if mode not in ("independent", "duplicate", "lagged_blocks"):
+    if mode not in _COROLLARY_UNUSED:
         raise ConfigError(f"config.mode: unknown mode {mode!r}")
+    _reject_keys(cfg, _COROLLARY_UNUSED[mode], f"in mode {mode!r}")
     report = coupling.corollary_sum_experiment(
-        spec_x, spec_z, mode=mode,
-        n=_get(cfg, "n", "an integer", default=1024),
-        lags=_get(cfg, "lags", "an array of integers", default=[0, 2, 4, 8, 16]),
-        replications=_get(cfg, "replications", "an integer", default=100_000),
-        seed=cfg["seed"],
-        block_length=_get(cfg, "block_length", "an integer", default=4),
+        spec_x, spec_z, mode=mode, seed=cfg["seed"], **_given(cfg, (
+            ("n", "an integer"), ("lags", "an array of integers"),
+            ("replications", "an integer"), ("block_length", "an integer"),
+        )),
     )
-    ks_tol = float(_get(cfg, "ks_tol", "a number", default=0.02))
-    min_ks = float(_get(cfg, "negative_control_min_ks", "a number", default=0.05))
     rows = []
     for r in report["rows"]:
         if mode == "duplicate":
-            ok = r["ks"] > min_ks       # the control must NOT fit the convolution
+            ok = r["ks"] > NEGATIVE_CONTROL_MIN_KS   # the control must NOT fit the convolution
             claim = "cor1b_negative_control"
         elif mode == "independent":
-            ok = r["ks"] <= ks_tol
+            ok = r["ks"] <= COROLLARY_KS_TOL
             claim = "cor1b_convolution_fit"
         else:
-            ok = (r["grid"] != max(x["grid"] for x in report["rows"])) or r["ks"] <= ks_tol
+            ok = r["grid"] != max(x["grid"] for x in report["rows"]) or r["ks"] <= COROLLARY_KS_TOL
             claim = "cor1b_lagged_convolution"
         rows.append({**r, "pass": ok, "claim": claim})
     _write_csv(

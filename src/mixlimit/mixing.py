@@ -164,8 +164,12 @@ def alpha_sequence(
     chains started at stationarity (the value is then j-independent) and
     guards moderately non-stationary starts.
     """
+    if len(n_list) == 0:
+        raise ValueError("n_list must hold at least one lag")
     if j_scan is None:
         j_scan = past_window + J_SCAN_EXTRA
+    if j_scan < 1:
+        raise ValueError(f"j_scan must be at least 1, got {j_scan}")
     vals = []
     for n in n_list:
         a = max(

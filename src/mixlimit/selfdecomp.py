@@ -20,6 +20,7 @@ import numpy as np
 from . import rngstreams
 from .probcore import EmpiricalCF, empirical_cf, psd_check
 
+DEFAULT_C_VALUES = (0.3, 0.5, 0.8)
 DEFAULT_GRID_RADIUS = 8.0
 DEFAULT_GRID_POINTS = 41
 DEFAULT_EMPIRICAL_RADIUS = 0.5
@@ -49,9 +50,12 @@ class SelfdecompReport:
     source: str                 # "closed-form" or "empirical(n=...)"
 
     def to_json(self) -> str:
+        # an inconclusive c has no worst violation: NaN in memory, null in JSON
+        per_c = [{**r, "worst_violation": None if np.isnan(r["worst_violation"])
+                  else r["worst_violation"]} for r in self.per_c]
         return json.dumps(
             {"verdict": self.verdict, "tol": self.tol, "source": self.source,
-             "per_c": self.per_c},
+             "per_c": per_c},
             indent=2,
             sort_keys=True,
         )
@@ -87,12 +91,21 @@ def _cf_evaluator(cf):
     raise TypeError("cf must be a callable characteristic function or an EmpiricalCF")
 
 
+def _c_tuple(c_values) -> tuple:
+    """The c-values as floats: at least one, each strictly inside (0, 1)."""
+    cs = tuple(float(c) for c in c_values)
+    if not cs:
+        raise ValueError("c_values must hold at least one c")
+    if any(not (0.0 < c < 1.0) for c in cs):
+        raise ValueError("every c must lie strictly between 0 and 1")
+    return cs
+
+
 def selfdecomp_test(
     cf,
-    c_values=(0.3, 0.5, 0.8),
+    c_values=DEFAULT_C_VALUES,
     grid_radius: float = DEFAULT_GRID_RADIUS,
     grid_points: int = DEFAULT_GRID_POINTS,
-    tol: float | None = None,
 ) -> SelfdecompReport:
     """Test phi(t)/phi(ct) for positive semidefiniteness per c in (0, 1).
 
@@ -102,20 +115,17 @@ def selfdecomp_test(
     |phi(ct)| falls below the floor make that c inconclusive rather than
     silently passing or failing: nothing can be resolved there.
 
-    The floor follows from the CF kind: a tiny constant for closed forms,
-    the sampling-noise level max(1e-6, 8/sqrt(n)) for empirical CFs.
-    tol defaults to 1e-9 for closed forms and 1e-3 for empirical CFs.
+    The floor and the PSD tolerance follow from the CF kind: a tiny floor
+    and tolerance 1e-9 for closed forms, the sampling-noise floor
+    max(1e-6, 8/sqrt(n)) and tolerance 1e-3 for empirical CFs.
     """
-    cs = tuple(float(c) for c in c_values)
-    if any(not (0.0 < c < 1.0) for c in cs):
-        raise ValueError("every c must lie strictly between 0 and 1")
+    cs = _c_tuple(c_values)
     evaluate, kind, nsamp = _cf_evaluator(cf)
-    if tol is None:
-        tol = CLOSED_FORM_TOL if kind == "closed-form" else EMPIRICAL_TOL
     if kind == "closed-form":
-        floor = CLOSED_FORM_FLOOR
+        floor, tol = CLOSED_FORM_FLOOR, CLOSED_FORM_TOL
     else:
         floor = max(EMPIRICAL_FLOOR_BASE, EMPIRICAL_FLOOR_SCALE / np.sqrt(nsamp))
+        tol = EMPIRICAL_TOL
     t = uniform_grid(grid_radius, grid_points)
     diffs = np.round(t[:, None] - t[None, :], 12)
     uniq, inv = np.unique(diffs, return_inverse=True)
@@ -151,10 +161,9 @@ def selfdecomp_test(
 
 def selfdecomp_test_sample(
     sample,
-    c_values=(0.3, 0.5, 0.8),
+    c_values=DEFAULT_C_VALUES,
     grid_radius: float = DEFAULT_EMPIRICAL_RADIUS,
     grid_points: int = DEFAULT_GRID_POINTS,
-    tol: float | None = None,
 ) -> SelfdecompReport:
     """Convenience wrapper: empirical CF of the 1-D sample on the needed
     frequency set, then the ratio test.  The default radius is small:
@@ -162,9 +171,7 @@ def selfdecomp_test_sample(
     magnitude below the 1e-3 tolerance."""
     freqs = selfdecomp_frequencies(c_values, grid_radius, grid_points)
     ecf = empirical_cf(sample, freqs)
-    return selfdecomp_test(
-        ecf, c_values, grid_radius=grid_radius, grid_points=grid_points, tol=tol
-    )
+    return selfdecomp_test(ecf, c_values, grid_radius=grid_radius, grid_points=grid_points)
 
 
 # --------------------------------------------------------------------------

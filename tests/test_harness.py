@@ -92,6 +92,28 @@ TWO_STATE_CHAIN = {"states": [0.0, 1.0], "transition": [[0.75, 0.25], [0.25, 0.7
                    "initial": [0.5, 0.5]}
 THREE_STATE_CHAIN = {"states": [0.0, 1.0, 2.0], "transition": [[1 / 3] * 3] * 3,
                      "initial": [1 / 3] * 3}
+ALPHA_CFG = {"kind": "alpha-profile", "seed": 1, "chain": TWO_STATE_CHAIN, "n_list": [1]}
+CLOSED_FORM_CFG = {"kind": "selfdecomp-test", "seed": 1, "c_values": [0.5], "cf_form": "gaussian"}
+INTEGRAL_CFG = {"kind": "integral-sample", "seed": 1, "t_max": 20.0, "n_steps": 4,
+                "n_samples": 4, "bdlp": {"drift": 1.0}}
+
+
+def corollary_cfg(mode, **keys):
+    return {"kind": "corollary-sum", "seed": 1, "mode": mode, "replications": 100,
+            "process_x": {"family": "iid"}, **keys}
+
+
+# settable ceilings that became library constants: each is now an unknown key
+# (alpha-profile's include_bound is the flag-string case below)
+REMOVED_KEYS = [
+    (BLOCKING_CFG, "epsilon", 0.1), (BLOCKING_CFG, "grid_step", 0.05),
+    (BLOCKING_CFG, "ks_tol", 1), (BLOCKING_CFG, "tightness_bound", 10.0),
+    (BLOCKING_CFG, "cf_radius", 0.5), (BLOCKING_CFG, "selfdecomp_c_values", [0.3, 0.5, 0.8]),
+    (CLOSED_FORM_CFG, "grid_radius", 8.0), (CLOSED_FORM_CFG, "tol", None),
+    (INTEGRAL_CFG, "write_samples", True),
+    (corollary_cfg("independent"), "ks_tol", 0.02),
+    (corollary_cfg("duplicate"), "negative_control_min_ks", 0.05),
+]
 
 
 @pytest.mark.parametrize("cfg, needle", [
@@ -130,7 +152,7 @@ THREE_STATE_CHAIN = {"states": [0.0, 1.0, 2.0], "transition": [[1 / 3] * 3] * 3,
     (dict(BLOCKING_CFG, seed=True), "config.seed must be an integer, got True"),
     (dict(BLOCKING_CFG, n_grid=[256, "512"]), "config.n_grid must be an array of integers"),
     ({"kind": "alpha-profile", "seed": 1, "chain": TWO_STATE_CHAIN, "n_list": [1],
-      "include_bound": "no"}, "config.include_bound must be a boolean, got 'no'"),
+      "include_bound": "no"}, "config has unknown key 'include_bound'"),
     ({"kind": "coupling-suite", "seed": 1,
       "cases": [{"pmf": [0.5, 0.5], "epsilon": 0.1, "net": [0.0], "delta": 0.0}]},
      "config.cases[0]: pmf must be a matrix, got shape (2,)"),
@@ -146,12 +168,33 @@ THREE_STATE_CHAIN = {"states": [0.0, 1.0, 2.0], "transition": [[1 / 3] * 3] * 3,
     (dict(BLOCKING_CFG, process={"family": "markov_function", "chain": THREE_STATE_CHAIN,
                                  "state_values": [1.0, 2.0]}),
      "state_values has 2 entries, the chain has 3 states"),
-], ids=["c-above-one", "c-not-a-number", "lag-zero", "window-too-large",
-        "jump-law-mismatch", "dimension-key", "c-values-not-array", "j-scan-string",
-        "innovation-std-string", "phi-string", "lags-not-array", "jump-mean-string",
-        "discrete-values-not-array", "replications-float", "cases-object", "seed-bool",
-        "n-grid-string-entry", "flag-string", "pmf-vector", "n-grid-empty",
-        "lags-negative", "block-length-zero", "cases-empty", "state-values-short"])
+    # a run that would check nothing
+    (dict(ALPHA_CFG, n_list=[]), "n_list must hold at least one lag"),
+    (dict(ALPHA_CFG, j_scan=0), "j_scan must be at least 1, got 0"),
+    (dict(CLOSED_FORM_CFG, c_values=[]), "c_values must hold at least one c"),
+    # keys the chosen mode would ignore
+    (corollary_cfg("lagged_blocks", process_z={"family": "ar1", "phi": 0.9}, n=7),
+     "config.process_z is not used in mode 'lagged_blocks'"),
+    (corollary_cfg("lagged_blocks", n=7), "config.n is not used in mode 'lagged_blocks'"),
+    (corollary_cfg("duplicate", process_z={"family": "iid"}),
+     "config.process_z is not used in mode 'duplicate'"),
+    (corollary_cfg("independent", lags=[0, 2]), "config.lags is not used in mode 'independent'"),
+    (corollary_cfg("duplicate", block_length=4),
+     "config.block_length is not used in mode 'duplicate'"),
+    (dict(CLOSED_FORM_CFG, n=64), "config.n is not used with cf_form"),
+    (dict(CLOSED_FORM_CFG, replications=100), "config.replications is not used with cf_form"),
+] + [(dict(base, **{key: value}), f"config has unknown key {key!r}")
+     for base, key, value in REMOVED_KEYS],
+    ids=["c-above-one", "c-not-a-number", "lag-zero", "window-too-large",
+         "jump-law-mismatch", "dimension-key", "c-values-not-array", "j-scan-string",
+         "innovation-std-string", "phi-string", "lags-not-array", "jump-mean-string",
+         "discrete-values-not-array", "replications-float", "cases-object", "seed-bool",
+         "n-grid-string-entry", "flag-string", "pmf-vector", "n-grid-empty",
+         "lags-negative", "block-length-zero", "cases-empty", "state-values-short",
+         "n-list-empty", "j-scan-zero", "c-values-empty", "lagged-process-z-and-n",
+         "lagged-n", "duplicate-process-z", "independent-lags", "duplicate-block-length",
+         "cf-form-n", "cf-form-replications"]
+    + [f"removed-{base['kind']}-{key}" for base, key, _ in REMOVED_KEYS])
 def test_runner_value_errors_are_config_errors(tmp_path, capsys, cfg, needle):
     path = write_cfg(tmp_path, "bad.json", cfg)
     assert harness.run(path, out_dir=str(tmp_path / "o")) == 1
@@ -226,6 +269,24 @@ def test_selfdecomp_closed_form_run_and_failure_exit(tmp_path):
     assert doc["verdict"] == "fail"
     row = doc["per_c"][0]
     assert set(row) == {"c", "psd_pass", "worst_violation", "grid_radius", "inconclusive_at"}
+
+
+def test_inconclusive_selfdecomp_report_is_strict_json(tmp_path):
+    # 50 replications put every c under the sampling-noise floor: each
+    # worst_violation is undefined and must be written as null, not NaN
+    path = write_cfg(tmp_path, "s.json", {
+        "kind": "selfdecomp-test", "seed": 1, "c_values": [0.3, 0.5, 0.8],
+        "process": {"family": "iid"}, "n": 16, "replications": 50, "grid_points": 21,
+    })
+    assert harness.run(path, out_dir=str(tmp_path / "o")) == 2
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    text = (tmp_path / "o" / "selfdecomp_report.json").read_text()
+    doc = json.loads(text, parse_constant=reject)
+    assert doc["verdict"] == "inconclusive"
+    assert [r["worst_violation"] for r in doc["per_c"]] == [None, None, None]
 
 
 def test_integral_sample_run(tmp_path):
