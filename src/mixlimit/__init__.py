@@ -12,10 +12,8 @@ random integrals (`selfdecomp`), the three-block decomposition engine
 __version__ = "0.1.0"
 
 from .probcore import (  # noqa: F401
-    EmpiricalCF,
     FiniteJointDistribution,
     alpha_exact,
-    empirical_cf,
     ks_distance,
     psd_check,
 )

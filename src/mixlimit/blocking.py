@@ -220,11 +220,13 @@ def decompose(path, norming: NormingSequences, plan: BlockingPlan, n: int) -> Bl
                        identity_relerr=relerr)
 
 
-def write_csv(fh, columns, rows) -> None:
+def csv_text(columns, rows) -> str:
     """A header line of columns, then one line per row dict, quoted where a cell needs it."""
-    out = csv.writer(fh, lineterminator="\n")
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
     out.writerow(columns)
     out.writerows([_csv_cell(row[c]) for c in columns] for row in rows)
+    return buf.getvalue()
 
 
 def _csv_cell(v) -> str:
@@ -251,13 +253,8 @@ class BlockingReport:
     def all_pass(self) -> bool:
         return all(r["pass"] for r in self.rows)
 
-    def to_csv(self, fh) -> None:
-        write_csv(fh, CSV_COLUMNS, self.rows)
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
+    def to_csv(self) -> str:
+        return csv_text(CSV_COLUMNS, self.rows)
 
     def metric(self, n: int, name: str) -> dict:
         for r in self.rows:

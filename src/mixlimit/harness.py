@@ -7,7 +7,9 @@ Unknown keys, and keys the chosen mode does not read, are hard errors (a
 silent typo would invalidate a scientific report).  Each run writes a
 manifest (resolved config, package version, seed, RNG scheme) plus the
 experiment's CSV/JSON reports into the output directory; reruns of the
-same config and seed are byte-identical.
+same config and seed are byte-identical.  A config error writes nothing:
+the directory is created, and the files written, only once the
+experiment has run.
 
 Exit status: 0 when every pass-flag is true, 2 when any scientific
 assertion failed, 1 on usage/config errors.
@@ -15,6 +17,7 @@ assertion failed, 1 on usage/config errors.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from pathlib import Path
@@ -178,21 +181,15 @@ _CLOSED_FORM_CFS = {
 }
 
 
-def _write_csv(path: Path, columns, rows) -> None:
-    with open(path, "w") as fh:
-        blocking.write_csv(fh, columns, rows)
-
-
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 # --------------------------------------------------------------------------
-# experiment implementations: each returns (files_written, all_pass)
+# experiment implementations: each returns ({file name: text}, all_pass) and
+# writes nothing, so that a config error leaves the output directory alone
 
-def _run_alpha_profile(cfg: dict, out: Path):
+def _run_alpha_profile(cfg: dict):
     _require_keys(
         cfg, ("kind", "seed", "chain", "n_list"),
         ("past_window", "future_window", "j_scan", "out_dir"),
@@ -211,11 +208,10 @@ def _run_alpha_profile(cfg: dict, out: Path):
         for n, a in p.values
     ]
     ok = all(a <= bound.alpha_at(n) + 1e-12 for n, a in profile.values)
-    _write_csv(out / "alpha_profile.csv", ("n", "alpha", "kind", "claim"), rows)
-    return ["alpha_profile.csv"], ok
+    return {"alpha_profile.csv": blocking.csv_text(("n", "alpha", "kind", "claim"), rows)}, ok
 
 
-def _run_blocking_verify(cfg: dict, out: Path):
+def _run_blocking_verify(cfg: dict):
     _require_keys(
         cfg, ("kind", "seed", "process", "c", "n_grid", "replications"), ("out_dir",), "config",
     )
@@ -226,12 +222,10 @@ def _run_blocking_verify(cfg: dict, out: Path):
         replications=_get(cfg, "replications", "an integer"),
         seed=cfg["seed"],
     )
-    with open(out / "blocking_report.csv", "w") as fh:
-        report.to_csv(fh)
-    return ["blocking_report.csv"], report.all_pass
+    return {"blocking_report.csv": report.to_csv()}, report.all_pass
 
 
-def _run_selfdecomp_test(cfg: dict, out: Path):
+def _run_selfdecomp_test(cfg: dict):
     _require_keys(
         cfg, ("kind", "seed", "c_values"),
         ("cf_form", "process", "n", "replications", "grid_points", "out_dir"),
@@ -258,11 +252,10 @@ def _run_selfdecomp_test(cfg: dict, out: Path):
         raise ConfigError("config: selfdecomp-test needs cf_form or process")
     doc = json.loads(report.to_json())
     doc["claim"] = "eq5_convolution_decomposition"
-    _write_json(out / "selfdecomp_report.json", doc)
-    return ["selfdecomp_report.json"], report.verdict == "pass"
+    return {"selfdecomp_report.json": _json_text(doc)}, report.verdict == "pass"
 
 
-def _run_integral_sample(cfg: dict, out: Path):
+def _run_integral_sample(cfg: dict):
     _require_keys(
         cfg, ("kind", "seed", "bdlp", "t_max", "n_steps", "n_samples"),
         ("log_moment_samples", "out_dir"),
@@ -290,8 +283,8 @@ def _run_integral_sample(cfg: dict, out: Path):
         bdlp, t_max, _get(cfg, "n_steps", "an integer"), n_samples, seed=cfg["seed"],
     )
     finite = bool(np.all(np.isfinite(sample)))
-    with open(out / "integral_samples.csv", "w") as fh:
-        processes.write_path_csv(fh, sample)
+    samples_csv = io.StringIO()
+    processes.write_path_csv(samples_csv, sample)
     summary = {
         "mean": float(sample.mean()) if finite else None,
         "variance": float(sample.var()) if finite else None,
@@ -302,12 +295,14 @@ def _run_integral_sample(cfg: dict, out: Path):
         "log_moment_diagnostic": lm["diagnostic"] if finite else "suspect-infinite",
         "claim": "eq6_bdlp_integral",
     }
-    _write_json(out / "integral_summary.json", summary)
-    ok = summary["log_moment_diagnostic"] == "finite"
-    return ["integral_samples.csv", "integral_summary.json"], ok
+    files = {
+        "integral_samples.csv": samples_csv.getvalue(),
+        "integral_summary.json": _json_text(summary),
+    }
+    return files, summary["log_moment_diagnostic"] == "finite"
 
 
-def _run_coupling_suite(cfg: dict, out: Path):
+def _run_coupling_suite(cfg: dict):
     _require_keys(cfg, ("kind", "seed", "cases"), ("out_dir",), "config")
     problems = []
     for i, case in enumerate(_get(cfg, "cases", "an array")):
@@ -331,8 +326,7 @@ def _run_coupling_suite(cfg: dict, out: Path):
     report = coupling.verify_prop1_suite(problems)
     for row in report["cases"]:
         row["claim"] = "prop1_bound"
-    _write_json(out / "coupling_report.json", report)
-    return ["coupling_report.json"], report["all_pass"]
+    return {"coupling_report.json": _json_text(report)}, report["all_pass"]
 
 
 # the corollary-sum pass rule: a convolution fit is within COROLLARY_KS_TOL,
@@ -348,7 +342,7 @@ _COROLLARY_UNUSED = {
 }
 
 
-def _run_corollary_sum(cfg: dict, out: Path):
+def _run_corollary_sum(cfg: dict):
     _require_keys(
         cfg, ("kind", "seed", "mode", "process_x"),
         ("process_z", "n", "lags", "block_length", "replications", "out_dir"),
@@ -378,12 +372,8 @@ def _run_corollary_sum(cfg: dict, out: Path):
             ok = r["grid"] != max(x["grid"] for x in report["rows"]) or r["ks"] <= COROLLARY_KS_TOL
             claim = "cor1b_lagged_convolution"
         rows.append({**r, "pass": ok, "claim": claim})
-    _write_csv(
-        out / "corollary_report.csv",
-        ("grid", "ks", "reference", "alpha_bound", "pass", "claim"),
-        rows,
-    )
-    return ["corollary_report.csv"], all(r["pass"] for r in rows)
+    text = blocking.csv_text(("grid", "ks", "reference", "alpha_bound", "pass", "claim"), rows)
+    return {"corollary_report.csv": text}, all(r["pass"] for r in rows)
 
 
 _RUNNERS = {
@@ -427,25 +417,27 @@ def run(config_path, out_dir: str | None = None) -> int:
         if kind not in _RUNNERS:
             raise ConfigError(f"unknown experiment kind {kind!r}")
         out = resolve_out_dir(cfg, out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        files, ok = _RUNNERS[kind](cfg, out)
-        manifest = {
-            "kind": kind,
-            "config": cfg,
-            "version": __version__,
-            "seed": cfg["seed"],
-            "rng": RNG_NOTE,
-            "reports": sorted(files),
-            "all_pass": bool(ok),
-        }
-        _write_json(out / "manifest.json", manifest)
+        files, ok = _RUNNERS[kind](cfg)
     except ValueError as e:
         # ConfigError, and any value a runner rejects, is a config error
         print(f"config error: {e}")
         return 1
-    for f in sorted(files):
-        print(f"wrote {out / f}")
-    print(f"wrote {out / 'manifest.json'}")
+    reports = sorted(files)
+    files["manifest.json"] = _json_text({
+        "kind": kind,
+        "config": cfg,
+        "version": __version__,
+        "seed": cfg["seed"],
+        "rng": RNG_NOTE,
+        "reports": reports,
+        "all_pass": bool(ok),
+    })
+    # the only place a run touches the output directory: after the runner returned
+    out.mkdir(parents=True, exist_ok=True)
+    for name in (*reports, "manifest.json"):
+        with open(out / name, "w") as fh:
+            fh.write(files[name])
+        print(f"wrote {out / name}")
     if not ok:
         print("scientific assertion failed (see report pass flags)")
         return 2

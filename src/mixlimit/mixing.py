@@ -71,9 +71,8 @@ class MarkovChainSpec:
 class AlphaProfile:
     """Per-lag dependence values with their provenance.
 
-    kind is one of "exact-window" (lower bounds from truncated
-    sigma-fields), "analytic-bound" (upper envelope) or
-    "plug-in-estimate".
+    kind is "exact-window" (lower bounds from truncated sigma-fields)
+    or "analytic-bound" (upper envelope).
     """
 
     values: tuple          # ((n, alpha), ...)
@@ -81,7 +80,7 @@ class AlphaProfile:
     meta: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("exact-window", "analytic-bound", "plug-in-estimate"):
+        if self.kind not in ("exact-window", "analytic-bound"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
         alphas = [a for _, a in self.values]
         if any(a < -1e-12 or a > 0.25 + 1e-12 for a in alphas):
@@ -179,40 +178,6 @@ def alpha_sequence(
         vals.append((int(n), a))
     meta = f"windows=({past_window},{future_window}), j_scan=1..{j_scan}; lower bounds"
     return AlphaProfile(values=tuple(vals), kind="exact-window", meta=meta)
-
-
-def alpha_plug_in_pairs(x, y, bins: int = 2) -> float:
-    """Histogram plug-in estimate of the dependence coefficient of (x, y).
-
-    Both coordinates are discretized into equal-mass quantile bins and
-    the binned joint is handed to the exact coefficient.  Coarsening
-    only loses dependence, and sampling adds noise of order
-    1/sqrt(len(x)), so this is a noisy lower-bound-flavored estimate,
-    kind "plug-in-estimate"."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if len(x) != len(y) or len(x) == 0:
-        raise ValueError("x and y must be equal-length and nonempty")
-    qs = np.linspace(0, 1, bins + 1)[1:-1]
-    bx = np.searchsorted(np.quantile(x, qs), x, side="right")
-    by = np.searchsorted(np.quantile(y, qs), y, side="right")
-    pmf = np.zeros((bins, bins))
-    np.add.at(pmf, (bx, by), 1.0 / len(x))
-    joint = FiniteJointDistribution(np.arange(bins), np.arange(bins), pmf)
-    return alpha_exact(joint)
-
-
-def alpha_plug_in_path(values, lags, bins: int = 2) -> AlphaProfile:
-    """Plug-in profile of a single path: pairs (X_j, X_{j+lag}) per lag."""
-    v = np.asarray(values, dtype=float).ravel()
-    out = []
-    for lag in lags:
-        lag = int(lag)
-        if lag >= len(v):
-            raise ValueError(f"lag {lag} exceeds the path length {len(v)}")
-        out.append((lag, alpha_plug_in_pairs(v[:-lag], v[lag:], bins=bins)))
-    meta = f"histogram plug-in, {bins} quantile bins, noise scale ~len(path)^-1/2"
-    return AlphaProfile(values=tuple(out), kind="plug-in-estimate", meta=meta)
 
 
 def doeblin_certificate(chain: MarkovChainSpec):

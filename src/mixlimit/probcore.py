@@ -1,10 +1,10 @@
 """Foundational probability primitives.
 
 Scalar samples (1-D float arrays, one number per draw), exact finite
-joint distributions, empirical characteristic functions, a
-Kolmogorov-Smirnov distance that is exact for step references, the
-standard normal cdf, a positive-semidefiniteness check, and the exact
-dependence coefficient
+joint distributions, the empirical characteristic function of a sample
+at given frequencies, a Kolmogorov-Smirnov distance that is exact for
+step references, the standard normal cdf, a positive-semidefiniteness
+check, and the exact dependence coefficient
 
     alpha(X, Z) = sup_{A, B} |P(A & B) - P(A) P(B)|
 
@@ -21,7 +21,6 @@ import numpy as np
 
 PMF_TOL = 1e-12
 ENUM_LIMIT = 20                # atoms on the enumerated side of alpha_exact
-GRID_MATCH_TOL = 1e-9          # EmpiricalCF.at: largest distance to a grid point
 HERMITIAN_TOL = 1e-8           # psd_check: largest relative asymmetry accepted
 
 
@@ -39,63 +38,6 @@ def as_sample(x) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("sample contains non-finite points")
     return x
-
-
-@dataclass(frozen=True)
-class EmpiricalCF:
-    """Characteristic function of a sample evaluated on a symmetric grid.
-
-    grid: strictly increasing frequencies, symmetric about 0, containing 0.
-    values: (1/n) sum_j exp(i t x_j) at each grid frequency.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-    sample_size: int
-
-    def __post_init__(self):
-        grid = _frozen(np.asarray(self.grid, dtype=float))
-        values = _frozen(np.asarray(self.values, dtype=complex))
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        if grid.ndim != 1 or grid.shape != values.shape:
-            raise ValueError("grid and values must be 1-d arrays of equal length")
-        if self.sample_size < 1:
-            raise ValueError("sample_size must be positive")
-        _check_symmetric_grid(grid)
-        i0 = int(np.searchsorted(grid, 0.0))
-        if values[i0] != 1.0 + 0.0j:
-            raise ValueError(f"value at frequency 0 must be exactly 1, got {values[i0]}")
-        if not np.allclose(values[::-1], np.conj(values), rtol=0.0, atol=1e-12):
-            raise ValueError("values must be conjugate-symmetric in the frequency")
-        if np.any(np.abs(values) > 1.0 + 1e-9):
-            raise ValueError("characteristic function values must have modulus <= 1")
-
-    def at(self, freqs: np.ndarray) -> np.ndarray:
-        """Values at given frequencies, which must be grid points."""
-        freqs = np.asarray(freqs, dtype=float)
-        idx = np.clip(np.searchsorted(self.grid, freqs.ravel()), 0, len(self.grid) - 1)
-        left = np.clip(idx - 1, 0, len(self.grid) - 1)
-        use_left = np.abs(self.grid[left] - freqs.ravel()) < np.abs(self.grid[idx] - freqs.ravel())
-        idx = np.where(use_left, left, idx)
-        err = np.abs(self.grid[idx] - freqs.ravel())
-        if np.any(err > GRID_MATCH_TOL):
-            bad = freqs.ravel()[np.argmax(err)]
-            raise ValueError(f"frequency {bad!r} is not on the stored grid")
-        return self.values[idx].reshape(freqs.shape)
-
-
-def _check_symmetric_grid(grid: np.ndarray, tol: float = 1e-12) -> None:
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    if not np.any(np.abs(grid) <= tol):
-        raise ValueError("grid must contain the frequency 0")
-    idx = np.clip(np.searchsorted(grid, -grid), 0, len(grid) - 1)
-    left = np.clip(idx - 1, 0, len(grid) - 1)
-    gap = np.minimum(np.abs(grid[idx] + grid), np.abs(grid[left] + grid))
-    if np.any(gap > tol):
-        bad = [float(f) for f in grid[gap > tol][:5]]
-        raise ValueError(f"grid is not symmetric about 0: no mirror for frequencies {bad}")
 
 
 @dataclass(frozen=True)
@@ -141,25 +83,8 @@ class FiniteJointDistribution:
 
 
 def _cf_values(freqs, x) -> np.ndarray:
-    """(1/n) sum_j exp(i t x_j) at each frequency t, with no pinning."""
+    """(1/n) sum_j exp(i t x_j) at each frequency t of the sample x, with no pinning."""
     return np.exp(1j * np.multiply.outer(freqs, x)).mean(axis=1)
-
-
-def empirical_cf(sample, grid) -> EmpiricalCF:
-    """Empirical characteristic function of a sample on a grid.
-
-    values[t] = (1/n) sum_j exp(i t x_j).  The grid must be strictly
-    increasing, symmetric about 0 and contain 0.
-    """
-    x = as_sample(sample)
-    grid = np.asarray(grid, dtype=float)
-    _check_symmetric_grid(grid)
-    vals = _cf_values(grid, x)
-    # pin the structural identities exactly; they hold up to rounding anyway
-    i0 = int(np.searchsorted(grid, 0.0))
-    vals[i0] = 1.0
-    vals = 0.5 * (vals + np.conj(vals[::-1]))
-    return EmpiricalCF(grid=grid, values=vals, sample_size=len(x))
 
 
 def psd_check(matrix: np.ndarray, tol: float = 1e-9):

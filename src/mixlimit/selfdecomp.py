@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rngstreams
-from .probcore import EmpiricalCF, empirical_cf, psd_check
+from .probcore import _cf_values, as_sample, psd_check
 
 DEFAULT_C_VALUES = (0.3, 0.5, 0.8)
 DEFAULT_GRID_RADIUS = 8.0
@@ -69,28 +69,6 @@ def uniform_grid(radius: float, points: int) -> np.ndarray:
     return np.linspace(-radius, radius, points)
 
 
-def selfdecomp_frequencies(c_values, radius: float, points: int) -> np.ndarray:
-    """All frequencies the ratio test will need: the difference lattice of
-    the base grid together with its c-scaled copies.  Use this grid when
-    precomputing an EmpiricalCF for selfdecomp_test."""
-    t = uniform_grid(radius, points)
-    diffs = np.unique(np.round(t[:, None] - t[None, :], 12))
-    freqs = [diffs]
-    for c in c_values:
-        freqs.append(np.round(c * diffs, 12))
-    out = np.unique(np.concatenate(freqs))
-    return out
-
-
-def _cf_evaluator(cf):
-    """Normalize closed-form callables and EmpiricalCF to (eval, kind, n)."""
-    if isinstance(cf, EmpiricalCF):
-        return (lambda f: cf.at(f)), "empirical", cf.sample_size
-    if callable(cf):
-        return (lambda f: np.asarray(cf(f), dtype=complex)), "closed-form", None
-    raise TypeError("cf must be a callable characteristic function or an EmpiricalCF")
-
-
 def _c_tuple(c_values) -> tuple:
     """The c-values as floats: at least one, each strictly inside (0, 1)."""
     cs = tuple(float(c) for c in c_values)
@@ -101,39 +79,23 @@ def _c_tuple(c_values) -> tuple:
     return cs
 
 
-def selfdecomp_test(
-    cf,
-    c_values=DEFAULT_C_VALUES,
-    grid_radius: float = DEFAULT_GRID_RADIUS,
-    grid_points: int = DEFAULT_GRID_POINTS,
-) -> SelfdecompReport:
-    """Test phi(t)/phi(ct) for positive semidefiniteness per c in (0, 1).
+def _ratio_test(evaluate, c_values, grid_radius, grid_points, floor, tol, source):
+    """The CF-ratio PSD test of evaluate, a CF on sorted frequency arrays.
 
-    cf is either a closed-form characteristic function (callable on
-    frequency arrays) or an EmpiricalCF whose grid covers the needed
-    difference lattice (see selfdecomp_frequencies).  Frequencies where
-    |phi(ct)| falls below the floor make that c inconclusive rather than
-    silently passing or failing: nothing can be resolved there.
-
-    The floor and the PSD tolerance follow from the CF kind: a tiny floor
-    and tolerance 1e-9 for closed forms, the sampling-noise floor
-    max(1e-6, 8/sqrt(n)) and tolerance 1e-3 for empirical CFs.
+    evaluate is called once, on the frequencies the ratios need: the
+    difference lattice of the uniform grid together with its c-scaled
+    copies, sorted, without repeats and symmetric about 0.
     """
     cs = _c_tuple(c_values)
-    evaluate, kind, nsamp = _cf_evaluator(cf)
-    if kind == "closed-form":
-        floor, tol = CLOSED_FORM_FLOOR, CLOSED_FORM_TOL
-    else:
-        floor = max(EMPIRICAL_FLOOR_BASE, EMPIRICAL_FLOOR_SCALE / np.sqrt(nsamp))
-        tol = EMPIRICAL_TOL
     t = uniform_grid(grid_radius, grid_points)
     diffs = np.round(t[:, None] - t[None, :], 12)
     uniq, inv = np.unique(diffs, return_inverse=True)
-    num_u = evaluate(uniq)
+    freqs, where = np.unique(
+        np.concatenate([uniq] + [np.round(c * uniq, 12) for c in cs]), return_inverse=True)
+    num_u, *dens = evaluate(freqs)[where].reshape(len(cs) + 1, len(uniq))
     per_c = []
     failed = inconclusive = False
-    for c in cs:
-        den_u = evaluate(np.round(c * uniq, 12))
+    for c, den_u in zip(cs, dens):
         small = np.abs(den_u) < floor
         if np.any(small):
             bad = float(uniq[np.argmax(small)] * c)
@@ -153,9 +115,29 @@ def selfdecomp_test(
         if not res["is_psd"]:
             failed = True
     verdict = "fail" if failed else ("inconclusive" if inconclusive else "pass")
-    source = "closed-form" if kind == "closed-form" else f"empirical(n={nsamp})"
     return SelfdecompReport(
         c_values=cs, per_c=tuple(per_c), verdict=verdict, tol=float(tol), source=source
+    )
+
+
+def selfdecomp_test(
+    cf,
+    c_values=DEFAULT_C_VALUES,
+    grid_radius: float = DEFAULT_GRID_RADIUS,
+    grid_points: int = DEFAULT_GRID_POINTS,
+) -> SelfdecompReport:
+    """Test phi(t)/phi(ct) for positive semidefiniteness per c in (0, 1).
+
+    cf is a closed-form characteristic function, callable on frequency
+    arrays; selfdecomp_test_sample tests a sample.  The ratio matrix is
+    psi_c(t_j - t_k) on the uniform grid.  Frequencies where |phi(ct)|
+    falls below the floor make that c inconclusive rather than silently
+    passing or failing: nothing can be resolved there.  Closed forms use
+    a tiny floor and the PSD tolerance 1e-9.
+    """
+    return _ratio_test(
+        lambda f: np.asarray(cf(f), dtype=complex), c_values, grid_radius, grid_points,
+        CLOSED_FORM_FLOOR, CLOSED_FORM_TOL, "closed-form",
     )
 
 
@@ -165,13 +147,27 @@ def selfdecomp_test_sample(
     grid_radius: float = DEFAULT_EMPIRICAL_RADIUS,
     grid_points: int = DEFAULT_GRID_POINTS,
 ) -> SelfdecompReport:
-    """Convenience wrapper: empirical CF of the 1-D sample on the needed
-    frequency set, then the ratio test.  The default radius is small:
-    at radius 0.5 the sampling noise of 10^4-point CFs stays an order of
-    magnitude below the 1e-3 tolerance."""
-    freqs = selfdecomp_frequencies(c_values, grid_radius, grid_points)
-    ecf = empirical_cf(sample, freqs)
-    return selfdecomp_test(ecf, c_values, grid_radius=grid_radius, grid_points=grid_points)
+    """The ratio test on the empirical CF of a 1-D sample of n points.
+
+    The CF is evaluated at exactly the frequencies the test asks for,
+    with phi(0) = 1 and phi(-t) = conj(phi(t)) pinned.  The floor is the
+    sampling-noise level max(1e-6, 8/sqrt(n)) and the PSD tolerance
+    1e-3.  The default radius is small: at radius 0.5 the sampling noise
+    of 10^4-point CFs stays an order of magnitude below the tolerance.
+    """
+    x = as_sample(sample)
+
+    def cf(freqs):
+        # freqs is sorted and symmetric about 0, so v[::-1] holds the
+        # values at -freqs; the pinned identities hold up to rounding anyway
+        v = _cf_values(freqs, x)
+        v[np.searchsorted(freqs, 0.0)] = 1.0
+        return 0.5 * (v + np.conj(v[::-1]))
+
+    floor = max(EMPIRICAL_FLOOR_BASE, EMPIRICAL_FLOOR_SCALE / np.sqrt(len(x)))
+    return _ratio_test(
+        cf, c_values, grid_radius, grid_points, floor, EMPIRICAL_TOL, f"empirical(n={len(x)})",
+    )
 
 
 # --------------------------------------------------------------------------

@@ -276,7 +276,7 @@ def test_verify_step5_respects_ceiling(small_iid_report):
 
 
 def test_verify_csv_schema(small_iid_report):
-    lines = small_iid_report.to_csv_string().strip().split("\n")
+    lines = small_iid_report.to_csv().strip().split("\n")
     assert lines[0] == "n,m_n,q_n,delta_n,ratio,metric_name,value,analytic_ceiling,pass"
     assert all(len(line.split(",")) == 9 for line in lines[1:])
     assert {line.split(",")[-1] for line in lines[1:]} <= {"true", "false"}

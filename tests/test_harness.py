@@ -201,6 +201,23 @@ def test_runner_value_errors_are_config_errors(tmp_path, capsys, cfg, needle):
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 1 and lines[0].startswith("config error: ")
     assert needle in lines[0]
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_error_writes_nothing(tmp_path, capsys):
+    # the runner rejects the config after the output directory is resolved:
+    # a new directory is not created and an existing one is left as it was
+    cfg = {"kind": "selfdecomp-test", "seed": 1, "c_values": [],
+           "process": {"family": "ar1", "phi": 0.5}}
+    path = write_cfg(tmp_path, "bad.json", cfg)
+    assert cli.main(["run", path, "--out", str(tmp_path / "fo" / "x")]) == 1
+    assert not (tmp_path / "fo").exists()
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    (existing / "manifest.json").write_text("{}")
+    assert cli.main(["run", path, "--out", str(existing)]) == 1
+    assert read_tree(existing) == {"manifest.json": b"{}"}
+    assert capsys.readouterr().out.count("config error: c_values must hold at least one c") == 2
 
 
 def test_divergent_jump_law_integral_reports_suspect_infinite(tmp_path, capsys):

@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from mixlimit import selfdecomp
 from mixlimit.probcore import (
-    EmpiricalCF,
     FiniteJointDistribution,
+    _cf_values,
     alpha_exact,
     as_sample,
     empirical_cdf,
-    empirical_cf,
     ks_distance,
     normal_cdf,
     psd_check,
 )
+from mixlimit.selfdecomp import selfdecomp_test_sample
 
 
 def brute_alpha(pmf):
@@ -37,35 +38,35 @@ def random_pmf(rng, nx, nz):
     return m / m.sum()
 
 
-# ---------------------------------------------------------------- empirical_cf
+# ---------------------------------------------------------------- empirical CF
 
 def test_cf_point_mass_at_origin():
-    cf = empirical_cf(np.zeros(3), [-2.0, -1.0, 0.0, 1.0, 2.0])
-    assert np.allclose(cf.values, 1.0)
+    values = _cf_values(np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), np.zeros(3))
+    assert np.allclose(values, 1.0)
 
 
 def test_cf_single_point():
     b, t = 0.7, 1.3
-    cf = empirical_cf(np.array([b]), [-t, 0.0, t])
-    assert cf.values[2] == pytest.approx(np.exp(1j * t * b), abs=1e-15)
+    values = _cf_values(np.array([-t, 0.0, t]), np.array([b]))
+    assert values[2] == pytest.approx(np.exp(1j * t * b), abs=1e-15)
 
 
 def test_cf_two_point_is_cosine():
     sample = np.array([1.0, -1.0])
     grid = np.linspace(-3, 3, 13)
-    cf = empirical_cf(sample, grid)
+    values = _cf_values(grid, sample)
     # direct two-term summation oracle
     direct = 0.5 * (np.exp(1j * grid * 1.0) + np.exp(1j * grid * -1.0))
-    assert np.allclose(cf.values, direct, atol=1e-15)
-    assert np.allclose(cf.values.imag, 0.0, atol=1e-15)
-    assert np.allclose(cf.values.real, np.cos(grid), atol=1e-15)
+    assert np.allclose(values, direct, atol=1e-15)
+    assert np.allclose(values.imag, 0.0, atol=1e-15)
+    assert np.allclose(values.real, np.cos(grid), atol=1e-15)
 
 
 def test_cf_rejects_empty_sample():
     with pytest.raises(ValueError, match="nonempty 1-D"):
         as_sample(np.array([]))
     with pytest.raises(ValueError, match="nonempty 1-D"):
-        empirical_cf(np.array([]), [-1.0, 0.0, 1.0])
+        selfdecomp_test_sample(np.array([]))
     with pytest.raises(ValueError, match="nonempty 1-D"):
         ks_distance([], scipy.stats.norm.cdf)
 
@@ -80,29 +81,27 @@ def test_sample_check_rejects_matrices_and_non_finite_points():
         with pytest.raises(ValueError, match="non-finite"):
             as_sample([0.0, bad])
         with pytest.raises(ValueError, match="non-finite"):
-            empirical_cf([0.0, bad], [-1.0, 0.0, 1.0])
+            selfdecomp_test_sample([0.0, bad])
         with pytest.raises(ValueError, match="non-finite"):
             ks_distance([0.0, bad], scipy.stats.norm.cdf)
 
 
-def test_cf_rejects_asymmetric_grid_naming_frequency():
-    with pytest.raises(ValueError, match="0.7"):
-        empirical_cf(np.array([1.0]), [-1.0, 0.0, 0.7])
-    with pytest.raises(ValueError, match="0"):
-        empirical_cf(np.array([1.0]), [-1.0, 1.0])
-
-
-def test_cf_invariants_random_samples():
+def test_cf_invariants_random_samples(monkeypatch):
+    # the sample CF the ratio test reads has phi(0) = 1 and
+    # phi(-t) = conj(phi(t)) exactly, and modulus at most 1
+    evaluators = []
+    monkeypatch.setattr(selfdecomp, "_ratio_test", lambda evaluate, *args: evaluators.append(evaluate))
     rng = np.random.default_rng(5)
     for _ in range(10):
         x = rng.standard_normal(rng.integers(1, 200))
         r = float(rng.uniform(0.5, 4.0))
         grid = np.linspace(-r, r, 2 * int(rng.integers(2, 12)) + 1)
-        cf = empirical_cf(x, grid)
+        selfdecomp_test_sample(x)
+        values = evaluators[-1](grid)
         i0 = len(grid) // 2
-        assert cf.values[i0] == 1.0
-        assert np.array_equal(cf.values[::-1], np.conj(cf.values))
-        assert np.all(np.abs(cf.values) <= 1.0 + 1e-9)
+        assert values[i0] == 1.0
+        assert np.array_equal(values[::-1], np.conj(values))
+        assert np.all(np.abs(values) <= 1.0 + 1e-9)
 
 
 def test_cf_difference_matrix_is_psd():
@@ -112,17 +111,9 @@ def test_cf_difference_matrix_is_psd():
     x = rng.standard_normal(500)
     t = np.linspace(-2, 2, 21)
     diffs = np.round(t[:, None] - t[None, :], 12)
-    freqs = np.unique(diffs)
-    cf = empirical_cf(x, freqs)
-    M = cf.at(diffs)
+    M = _cf_values(diffs.ravel(), x).reshape(diffs.shape)
     res = psd_check(M, tol=1e-9)
     assert res["is_psd"]
-
-
-def test_cf_lookup_off_grid_rejected():
-    cf = empirical_cf(np.array([1.0]), [-1.0, 0.0, 1.0])
-    with pytest.raises(ValueError, match="not on the stored grid"):
-        cf.at(np.array([0.5]))
 
 
 # ---------------------------------------------------------------- psd_check

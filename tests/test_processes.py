@@ -348,18 +348,17 @@ def test_markov_tail_matches_per_threshold_sums(spec):
 
 def test_plug_in_alpha_vanishes_beyond_dependence_range():
     # iid at any lag and MA(1) beyond lag 1 are independent pairs: the
-    # histogram plug-in estimate must sit at its sampling-noise floor
-    from mixlimit.mixing import alpha_plug_in_path
+    # median-split plug-in estimate must sit at its sampling-noise floor
+    from mixlimit.blocking import _split_alpha
     n = 100_000
     noise_3sd = 3 * 0.3536 / np.sqrt(n)
-    iid_prof = alpha_plug_in_path(simulate_many(ProcessSpec(family="iid"), n, 1, 31)[0], [1, 3])
-    for _, a in iid_prof.values:
-        assert a <= noise_3sd
-    ma_prof = alpha_plug_in_path(simulate_many(MA11, n, 1, 32)[0], [1, 2, 4])
-    vals = dict(ma_prof.values)
-    assert vals[2] <= noise_3sd and vals[4] <= noise_3sd
-    assert vals[1] > 3 * noise_3sd        # within range the dependence is visible
-    assert ma_prof.kind == "plug-in-estimate"
+    lag_alpha = lambda v, lag: _split_alpha(v[:-lag], v[lag:])
+    iid = simulate_many(ProcessSpec(family="iid"), n, 1, 31)[0]
+    for lag in (1, 3):
+        assert lag_alpha(iid, lag) <= noise_3sd
+    ma = simulate_many(MA11, n, 1, 32)[0]
+    assert lag_alpha(ma, 2) <= noise_3sd and lag_alpha(ma, 4) <= noise_3sd
+    assert lag_alpha(ma, 1) > 3 * noise_3sd        # within range the dependence is visible
 
 
 def test_analytic_alpha_profiles():

@@ -3,15 +3,15 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from mixlimit.probcore import ks_distance
+from mixlimit.probcore import _cf_values, ks_distance, psd_check
 from mixlimit.selfdecomp import (
     BDLPSpec,
     DiscreteJumps,
     DyadicTowerJumps,
     NormalJumps,
+    SelfdecompReport,
     log_moment_check,
     sample_random_integral,
-    selfdecomp_frequencies,
     selfdecomp_test,
     selfdecomp_test_sample,
     uniform_grid,
@@ -102,12 +102,68 @@ def test_c_outside_unit_interval_rejected():
             selfdecomp_test(GAUSS_CF, (bad,))
 
 
-def test_frequency_set_contains_scaled_lattice():
-    freqs = selfdecomp_frequencies((0.5,), 1.0, 5)
-    t = uniform_grid(1.0, 5)
-    for d in (t[:, None] - t[None, :]).ravel():
-        assert np.any(np.abs(freqs - d) < 1e-12)
-        assert np.any(np.abs(freqs - 0.5 * d) < 1e-12)
+def union_grid_test_sample(sample, c_values, radius, points):
+    """selfdecomp_test_sample as it used to run, kept as a reference: pinned
+    CF values on the union of the difference lattice and its c-scaled
+    copies, then per c each frequency of the ratio looked up at its nearest
+    union point, which must lie within 1e-9."""
+    x = np.asarray(sample, dtype=float)
+    t = uniform_grid(radius, points)
+    diffs = np.round(t[:, None] - t[None, :], 12)
+    uniq, inv = np.unique(diffs, return_inverse=True)
+    grid = np.unique(np.concatenate([uniq] + [np.round(c * uniq, 12) for c in c_values]))
+    values = _cf_values(grid, x)
+    values[int(np.searchsorted(grid, 0.0))] = 1.0
+    values = 0.5 * (values + np.conj(values[::-1]))
+
+    def at(freqs):
+        idx = np.clip(np.searchsorted(grid, freqs), 0, len(grid) - 1)
+        left = np.clip(idx - 1, 0, len(grid) - 1)
+        idx = np.where(np.abs(grid[left] - freqs) < np.abs(grid[idx] - freqs), left, idx)
+        assert np.all(np.abs(grid[idx] - freqs) <= 1e-9)
+        return values[idx]
+
+    floor = max(1e-6, 8.0 / np.sqrt(len(x)))
+    per_c, verdicts = [], set()
+    for c in c_values:
+        row = {"c": c, "grid_radius": float(radius), "inconclusive_at": None}
+        den = at(np.round(c * uniq, 12))
+        small = np.abs(den) < floor
+        if np.any(small):
+            row.update(psd_pass=False, worst_violation=float("nan"),
+                       inconclusive_at=float(uniq[np.argmax(small)] * c))
+            verdicts.add("inconclusive")
+        else:
+            res = psd_check((at(uniq) / den)[inv].reshape(diffs.shape), tol=1e-3)
+            row.update(psd_pass=bool(res["is_psd"]), worst_violation=float(res["worst_violation"]))
+            verdicts.add("pass" if res["is_psd"] else "fail")
+        per_c.append(row)
+    verdict = next(v for v in ("fail", "inconclusive", "pass") if v in verdicts)
+    return SelfdecompReport(c_values=tuple(c_values), per_c=tuple(per_c), verdict=verdict,
+                            tol=1e-3, source=f"empirical(n={len(x)})")
+
+
+def test_sample_test_matches_union_grid_reference():
+    # the CF evaluated where the test asks for it gives the same report
+    # bytes as the union grid with its nearest-point lookup, for every verdict
+    rng = np.random.default_rng(11)
+    samples = [
+        ("pass", rng.standard_normal(5000), (0.3, 0.5, 0.8), 0.5, 41),
+        ("pass", rng.standard_normal(30_000), (0.25, 0.7), 0.5, 21),
+        ("pass", rng.standard_normal(1000), (0.3, 0.5, 0.8), 0.5, 41),
+        ("fail", rng.uniform(-1, 1, 20_000), (0.3, 0.5, 0.8), 1.0, 21),
+        ("fail", rng.integers(0, 2, 20_000).astype(float), (0.3, 0.5, 0.8), 0.5, 41),
+        ("fail", rng.choice([-1.0, 1.0], 7001), (0.25, 0.7), 3.0, 21),
+        ("fail", rng.integers(-3, 4, 12_000).astype(float), (0.3, 0.5, 0.8), 1.0, 21),
+        ("inconclusive", rng.standard_normal(10_000), (0.3, 0.5, 0.8), 8.0, 41),
+        ("inconclusive", rng.standard_normal(16), (0.5,), 0.5, 21),
+        ("inconclusive", rng.uniform(-1, 1, 20_000), (0.25, 0.7), 6.0, 21),
+        ("inconclusive", 3.0 + rng.standard_normal(2000), (0.3, 0.5, 0.8), 4.0, 5),
+    ]
+    for verdict, x, cs, radius, points in samples:
+        rep = selfdecomp_test_sample(x, cs, grid_radius=radius, grid_points=points)
+        assert rep.verdict == verdict
+        assert rep.to_json() == union_grid_test_sample(x, cs, radius, points).to_json()
 
 
 # ---------------------------------------------------------------- random integral
