@@ -3,9 +3,10 @@
 # The dependence coefficient between two finite random variables is the
 # largest gap |P(A & B) - P(A) P(B)| over all events A, B built from
 # their atoms.  It is 0 exactly for independence and can never exceed
-# 1/4.  For a finite-state Markov chain we can compute it exactly for
-# finite past/future windows, and certify an upper envelope from a
-# Doeblin minorization.
+# 1/4.  For a finite-state Markov chain the coefficient between the whole
+# past up to time j and the whole future from time j+n is exactly that of
+# the pair (X_j, X_{j+n}), so we can compute it, and certify an upper
+# envelope from a Doeblin minorization.
 
 import numpy as np
 
@@ -36,7 +37,7 @@ chain = MarkovChainSpec(
 print("\ntwo-state chain, flip probability 0.25, stationary start")
 print("exact window coefficients (lag n, one-step windows):")
 for n in (1, 2, 3, 5, 8):
-    print(f"  n={n}: alpha = {alpha_window(chain, j=1, n=n, past_window=1, future_window=1):.6f}"
+    print(f"  n={n}: alpha = {alpha_window(chain, j=1, n=n):.6f}"
           f"   (closed form: 0.25 * 0.5^{n} = {0.25 * 0.5 ** n:.6f})")
 
 # --- lower bounds vs the analytic envelope ---------------------------------
@@ -51,5 +52,5 @@ for (n, lo), (_, hi) in zip(window.values, envelope.values):
 # --- a chain that never mixes ----------------------------------------------
 frozen = MarkovChainSpec([0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
 print("\nidentity-transition chain (X_{j+n} = X_j forever):")
-print("  alpha at any lag =", alpha_window(frozen, 1, 10, 1, 1), "(the maximum 1/4)")
+print("  alpha at any lag =", alpha_window(frozen, 1, 10), "(the maximum 1/4)")
 print("  envelope:", alpha_bound_geometric(frozen, [1, 10]).meta)

@@ -7,9 +7,9 @@ Unknown keys, and keys the chosen mode does not read, are hard errors (a
 silent typo would invalidate a scientific report).  Each run writes a
 manifest (resolved config, package version, seed, RNG scheme) plus the
 experiment's CSV/JSON reports into the output directory; reruns of the
-same config and seed are byte-identical.  A config error writes nothing:
-the directory is created, and the files written, only once the
-experiment has run.
+same config and seed are byte-identical.  A config error, an output path
+under a file among them, writes nothing: the directory is created, and
+the files written, only once the experiment has run.
 
 Exit status: 0 when every pass-flag is true, 2 when any scientific
 assertion failed, 1 on usage/config errors.
@@ -31,7 +31,8 @@ ENV_OUT_DIR = "MIXLIMIT_OUT"
 DEFAULT_OUT_DIR = "mixlimit-reports"
 
 EXPERIMENT_KINDS = (
-    ("alpha-profile", "window-exact and analytic mixing coefficients of a finite chain"),
+    ("alpha-profile", "exact mixing coefficients of a finite chain (max over j <= j_scan, "
+                      "a lower bound) and their analytic envelope"),
     ("blocking-verify", "three-block decomposition diagnostics for a process spec"),
     ("selfdecomp-test", "CF-ratio positive-definiteness verdict for a law or a process limit"),
     ("integral-sample", "samples and moments of the exponential-kernel random integral"),
@@ -82,6 +83,7 @@ def _is_number(v) -> bool:
 _JSON_TYPES = {
     "an integer": _is_int,
     "an integer or null": lambda v: v is None or _is_int(v),
+    "a positive integer": lambda v: _is_int(v) and v >= 1,
     "a number": _is_number,
     "a string": lambda v: isinstance(v, str),
     "a string or null": lambda v: v is None or isinstance(v, str),
@@ -197,10 +199,10 @@ def _run_alpha_profile(cfg: dict):
     )
     chain = _parse_chain(cfg["chain"], "config.chain")
     n_list = _get(cfg, "n_list", "an array of integers")
-    profile = mixing.alpha_sequence(chain, n_list, **_given(cfg, (
-        ("past_window", "an integer"), ("future_window", "an integer"),
-        ("j_scan", "an integer or null"),
-    )))
+    # checked but inert: no window changes a chain's coefficient (mixing.alpha_window)
+    _given(cfg, (("past_window", "a positive integer"), ("future_window", "a positive integer")))
+    j_scan = _get(cfg, "j_scan", "an integer or null")
+    profile = mixing.alpha_sequence(chain, n_list, mixing.J_SCAN if j_scan is None else j_scan)
     bound = mixing.alpha_bound_geometric(chain, n_list)
     rows = [
         {"n": n, "alpha": a, "kind": p.kind, "claim": claim}
@@ -417,6 +419,9 @@ def run(config_path, out_dir: str | None = None) -> int:
         if kind not in _RUNNERS:
             raise ConfigError(f"unknown experiment kind {kind!r}")
         out = resolve_out_dir(cfg, out_dir)
+        nearest = next(p for p in (out, *out.parents) if p.exists())
+        if not nearest.is_dir():
+            raise ConfigError(f"output path {out}: {nearest} is not a directory")
         files, ok = _RUNNERS[kind](cfg)
     except ValueError as e:
         # ConfigError, and any value a runner rejects, is a config error
@@ -433,11 +438,15 @@ def run(config_path, out_dir: str | None = None) -> int:
         "all_pass": bool(ok),
     })
     # the only place a run touches the output directory: after the runner returned
-    out.mkdir(parents=True, exist_ok=True)
-    for name in (*reports, "manifest.json"):
-        with open(out / name, "w") as fh:
-            fh.write(files[name])
-        print(f"wrote {out / name}")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name in (*reports, "manifest.json"):
+            with open(out / name, "w") as fh:
+                fh.write(files[name])
+            print(f"wrote {out / name}")
+    except OSError as e:
+        print(f"config error: cannot write to {out}: {e}")
+        return 1
     if not ok:
         print("scientific assertion failed (see report pass flags)")
         return 2

@@ -1,12 +1,12 @@
 """Dependence coefficients for finite-state Markov chains.
 
-Two complementary routes bracket the (not finitely computable) mixing
-coefficient of a chain:
+Two complementary routes bracket the mixing coefficient
+alpha(n) = sup_j alpha(sigma(X_1..X_j), sigma(X_{j+n}, ...)) of a chain:
 
-* exact window-truncated values: the joint law of a finite block of the
-  past and a finite block of the future is built by matrix propagation
-  and handed to the exact finite-distribution coefficient.  These are
-  LOWER bounds for the full-sigma-field coefficient.
+* exact values at each j: the coefficient between the whole past up to
+  time j and the whole future from time j+n is that of the pair
+  (X_j, X_{j+n}), for any window (see alpha_window).  Only their max over
+  a finite j range is a LOWER bound, for the sup over every j.
 * an analytic geometric envelope from a Doeblin minorization: an UPPER
   bound alpha(n) <= min(1/4, C * rho^n).
 
@@ -16,15 +16,14 @@ Reports always label which side of the true coefficient a number sits on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .probcore import ENUM_LIMIT, FiniteJointDistribution, alpha_exact
+from .probcore import FiniteJointDistribution, alpha_exact
 
 STOCHASTIC_TOL = 1e-12
 DOEBLIN_MAX_POWER = 8
-J_SCAN_EXTRA = 10
+J_SCAN = 11
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,8 @@ class MarkovChainSpec:
 class AlphaProfile:
     """Per-lag dependence values with their provenance.
 
-    kind is "exact-window" (lower bounds from truncated sigma-fields)
-    or "analytic-bound" (upper envelope).
+    kind is "exact-window" (the max over a finite j range of the exact
+    coefficient at j: a lower bound) or "analytic-bound" (upper envelope).
     """
 
     values: tuple          # ((n, alpha), ...)
@@ -82,7 +81,7 @@ class AlphaProfile:
     def __post_init__(self):
         if self.kind not in ("exact-window", "analytic-bound"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        alphas = [a for _, a in self.values]
+        alphas = [a for _, a in sorted(self.values)]    # in order of n
         if any(a < -1e-12 or a > 0.25 + 1e-12 for a in alphas):
             raise ValueError("alpha values must lie in [0, 1/4]")
         if self.kind == "analytic-bound" and np.any(np.diff(alphas) > 1e-12):
@@ -95,88 +94,38 @@ class AlphaProfile:
         raise KeyError(f"no value stored for n={n}")
 
 
-def _block_distribution(chain: MarkovChainSpec, start: int, length: int) -> np.ndarray:
-    """Joint pmf tensor of (X_start, ..., X_{start+length-1}); X_1 ~ initial."""
+def alpha_window(chain: MarkovChainSpec, j: int, n: int) -> float:
+    """Exact coefficient between the past up to time j (X_1 ~ initial) and the
+    future from time j+n: that of the pair (X_j, X_{j+n}), for any window
+    (Bradley 2005, "Basic properties of strong mixing conditions", Thm 7.3).
+
+    Proof: for a past event A and a future event B, write f(s) = P(A | X_j = s)
+    and g(t) = P(B | X_{j+n} = t); both lie in [0,1]^k.  By the Markov property
+    P(AB) - P(A)P(B) = f^T D g, where D is the joint of (X_j, X_{j+n}) minus the
+    product of its margins.  A bilinear sup over the cube is attained at its
+    vertices, which are indicator events of X_j and X_{j+n}.
+    """
+    if j < 1 or n < 1:
+        raise ValueError("j and n must be positive")
     p = chain.transition
-    dist = chain.initial @ np.linalg.matrix_power(p, start - 1)
-    out = dist
-    for _ in range(length - 1):
-        out = out[..., :, None] * p
-    return out
+    mu_j = chain.initial @ np.linalg.matrix_power(p, j - 1)
+    joint = mu_j[:, None] * np.linalg.matrix_power(p, n)
+    return alpha_exact(FiniteJointDistribution(chain.states, chain.states, joint))
 
 
-def joint_window_distribution(
-    chain: MarkovChainSpec, j: int, n: int, past_window: int, future_window: int
-) -> FiniteJointDistribution:
-    """Exact joint law of the past block (X_{j-p+1..j}) and future block
-    (X_{j+n..j+n+f-1}), with the past block clipped at time 1."""
-    if j < 1 or n < 1 or past_window < 1 or future_window < 1:
-        raise ValueError("j, n and window sizes must be positive")
-    p_eff = min(past_window, j)
-    start = j - p_eff + 1
-    past = _block_distribution(chain, start, p_eff)        # tensor over p_eff indices
-    pn = np.linalg.matrix_power(chain.transition, n)       # X_j -> X_{j+n}
-    k = chain.n_states
-    # conditional tensor of the future block given its first state
-    cond = np.eye(k)
-    for _ in range(future_window - 1):
-        cond = cond[..., :, None] * chain.transition
-    past_flat = past.reshape(-1, k) if p_eff > 1 else past.reshape(1, k)
-    # rows of past_flat are joint masses over (prefix, X_j); couple X_j to X_{j+n}
-    coupled = past_flat[:, :, None] * pn[None, :, :]       # (prefix, X_j, X_{j+n})
-    joint = coupled.reshape(-1, k) @ cond.reshape(k, -1)
-    past_atoms = np.array(
-        [[chain.states[i] for i in tup] for tup in product(range(k), repeat=p_eff)]
-    )
-    fut_atoms = np.array(
-        [[chain.states[i] for i in tup] for tup in product(range(k), repeat=future_window)]
-    )
-    return FiniteJointDistribution(past_atoms, fut_atoms, joint.reshape(len(past_atoms), len(fut_atoms)))
-
-
-def alpha_window(chain: MarkovChainSpec, j: int, n: int, past_window: int, future_window: int) -> float:
-    """Exact dependence coefficient between two finite state windows.
-
-    A lower bound for the untruncated coefficient (which takes the full
-    past and future sigma-fields).
-    """
-    # checked before the joint pmf is built: it has k^(p_eff + future_window) entries
-    k = chain.n_states
-    side = min(past_window, j, future_window)      # the enumerated (smaller) side
-    if k ** side > ENUM_LIMIT:
-        raise ValueError(
-            f"window atom count {k}^{side} = {k ** side} exceeds the enumeration limit {ENUM_LIMIT}"
-        )
-    return alpha_exact(joint_window_distribution(chain, j, n, past_window, future_window))
-
-
-def alpha_sequence(
-    chain: MarkovChainSpec,
-    n_list,
-    past_window: int = 1,
-    future_window: int = 1,
-    j_scan: int | None = None,
-) -> AlphaProfile:
-    """Window-truncated profile: per n, the max of alpha_window over a j range.
-
-    The default scan covers j = 1 .. past_window + 10, which is exact for
-    chains started at stationarity (the value is then j-independent) and
-    guards moderately non-stationary starts.
-    """
+def alpha_sequence(chain: MarkovChainSpec, n_list, j_scan: int = J_SCAN) -> AlphaProfile:
+    """Per n, the max of alpha_window over j = 1 .. j_scan: a lower bound for
+    alpha(n), the sup over every j, and exact for chains started at
+    stationarity (alpha_window is then j-independent)."""
     if len(n_list) == 0:
         raise ValueError("n_list must hold at least one lag")
-    if j_scan is None:
-        j_scan = past_window + J_SCAN_EXTRA
     if j_scan < 1:
         raise ValueError(f"j_scan must be at least 1, got {j_scan}")
     vals = []
     for n in n_list:
-        a = max(
-            alpha_window(chain, j, n, past_window, future_window)
-            for j in range(1, j_scan + 1)
-        )
+        a = max(alpha_window(chain, j, n) for j in range(1, j_scan + 1))
         vals.append((int(n), a))
-    meta = f"windows=({past_window},{future_window}), j_scan=1..{j_scan}; lower bounds"
+    meta = f"j_scan=1..{j_scan}; exact at each j, a lower bound over all j"
     return AlphaProfile(values=tuple(vals), kind="exact-window", meta=meta)
 
 

@@ -57,7 +57,7 @@ def test_criterion_1_exact_alpha_oracle_equivalence():
             worst = max(worst, abs(alpha_exact(j) - brute_alpha(pmf)))
     chain = mixing.MarkovChainSpec([0.0, 1.0], [[0.75, 0.25], [0.25, 0.75]], [0.5, 0.5])
     window_err = max(
-        abs(mixing.alpha_window(chain, 1, n, 1, 1) - 0.25 * 0.5 ** n) for n in (1, 2, 3)
+        abs(mixing.alpha_window(chain, 1, n) - 0.25 * 0.5 ** n) for n in (1, 2, 3)
     )
     elapsed = time.perf_counter() - t0
     report(

@@ -92,6 +92,8 @@ TWO_STATE_CHAIN = {"states": [0.0, 1.0], "transition": [[0.75, 0.25], [0.25, 0.7
                    "initial": [0.5, 0.5]}
 THREE_STATE_CHAIN = {"states": [0.0, 1.0, 2.0], "transition": [[1 / 3] * 3] * 3,
                      "initial": [1 / 3] * 3}
+CHAIN_21 = {"states": list(range(21)), "transition": [[1 / 21] * 21] * 21,
+            "initial": [1 / 21] * 21}
 ALPHA_CFG = {"kind": "alpha-profile", "seed": 1, "chain": TWO_STATE_CHAIN, "n_list": [1]}
 CLOSED_FORM_CFG = {"kind": "selfdecomp-test", "seed": 1, "c_values": [0.5], "cf_form": "gaussian"}
 INTEGRAL_CFG = {"kind": "integral-sample", "seed": 1, "t_max": 20.0, "n_steps": 4,
@@ -121,8 +123,7 @@ REMOVED_KEYS = [
      "between 0 and 1"),
     ({"kind": "selfdecomp-test", "seed": 1, "c_values": ["x"], "cf_form": "gaussian"}, "'x'"),
     ({"kind": "alpha-profile", "seed": 1, "chain": TWO_STATE_CHAIN, "n_list": [0]}, "positive"),
-    ({"kind": "alpha-profile", "seed": 1, "chain": THREE_STATE_CHAIN, "n_list": [1],
-      "past_window": 3, "future_window": 3}, "enumeration limit"),
+    ({"kind": "alpha-profile", "seed": 1, "chain": CHAIN_21, "n_list": [1]}, "above the limit"),
     ({"kind": "integral-sample", "seed": 1, "t_max": 20.0, "n_steps": 4, "n_samples": 4,
       "bdlp": {"jump_rate": 1.0,
                "jump_law": {"kind": "discrete", "values": [1, 2], "probs": [0.5]}}},
@@ -183,6 +184,9 @@ REMOVED_KEYS = [
      "config.block_length is not used in mode 'duplicate'"),
     (dict(CLOSED_FORM_CFG, n=64), "config.n is not used with cf_form"),
     (dict(CLOSED_FORM_CFG, replications=100), "config.replications is not used with cf_form"),
+    # the inert window keys are still checked
+    (dict(ALPHA_CFG, past_window=0), "config.past_window must be a positive integer, got 0"),
+    (dict(ALPHA_CFG, future_window="2"), "config.future_window must be a positive integer, got '2'"),
 ] + [(dict(base, **{key: value}), f"config has unknown key {key!r}")
      for base, key, value in REMOVED_KEYS],
     ids=["c-above-one", "c-not-a-number", "lag-zero", "window-too-large",
@@ -193,7 +197,7 @@ REMOVED_KEYS = [
          "lags-negative", "block-length-zero", "cases-empty", "state-values-short",
          "n-list-empty", "j-scan-zero", "c-values-empty", "lagged-process-z-and-n",
          "lagged-n", "duplicate-process-z", "independent-lags", "duplicate-block-length",
-         "cf-form-n", "cf-form-replications"]
+         "cf-form-n", "cf-form-replications", "past-window-zero", "future-window-string"]
     + [f"removed-{base['kind']}-{key}" for base, key, _ in REMOVED_KEYS])
 def test_runner_value_errors_are_config_errors(tmp_path, capsys, cfg, needle):
     path = write_cfg(tmp_path, "bad.json", cfg)
@@ -218,6 +222,29 @@ def test_config_error_writes_nothing(tmp_path, capsys):
     assert cli.main(["run", path, "--out", str(existing)]) == 1
     assert read_tree(existing) == {"manifest.json": b"{}"}
     assert capsys.readouterr().out.count("config error: c_values must hold at least one c") == 2
+
+
+def test_output_path_under_a_file_is_config_error(tmp_path, capsys, monkeypatch):
+    # found before the experiment runs, so the runner must not be reached
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    path = write_cfg(tmp_path, "a.json", ALPHA_CFG)
+    monkeypatch.setitem(harness._RUNNERS, "alpha-profile", lambda cfg: pytest.fail("runner ran"))
+    for out in (afile / "x", afile):
+        assert cli.main(["run", path, "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines == [f"config error: output path {out}: {afile} is not a directory"]
+    assert afile.read_text() == "keep"
+
+
+def test_unwritable_report_is_config_error(tmp_path, capsys):
+    # a directory where a report file should go fails only at the write
+    (tmp_path / "o" / "alpha_profile.csv").mkdir(parents=True)
+    path = write_cfg(tmp_path, "a.json", ALPHA_CFG)
+    assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 1
+    assert lines[0].startswith(f"config error: cannot write to {tmp_path / 'o'}: ")
 
 
 def test_divergent_jump_law_integral_reports_suspect_infinite(tmp_path, capsys):
@@ -267,6 +294,18 @@ def test_alpha_profile_run(tmp_path):
     csv = (tmp_path / "o" / "alpha_profile.csv").read_text().strip().split("\n")
     assert csv[0] == "n,alpha,kind,claim"
     assert len(csv) == 7          # 3 window rows + 3 bound rows
+
+
+def test_alpha_profile_unsorted_lags(tmp_path):
+    # each lag's rows do not depend on the order the lags are listed in
+    rows = {}
+    for name, n_list in (("unsorted", [5, 1, 3]), ("sorted", [1, 3, 5])):
+        path = write_cfg(tmp_path, f"{name}.json", dict(ALPHA_CFG, n_list=n_list))
+        assert harness.run(path, out_dir=str(tmp_path / name)) == 0
+        text = (tmp_path / name / "alpha_profile.csv").read_text()
+        rows[name] = {(r["n"], r["claim"]): r for r in csv.DictReader(io.StringIO(text))}
+    assert len(rows["sorted"]) == 6
+    assert rows["unsorted"] == rows["sorted"]
 
 
 def test_selfdecomp_closed_form_run_and_failure_exit(tmp_path):

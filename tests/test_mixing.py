@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,8 @@ from mixlimit.mixing import (
     alpha_sequence,
     alpha_window,
     doeblin_certificate,
-    joint_window_distribution,
 )
-from mixlimit.probcore import alpha_exact
+from mixlimit.probcore import ENUM_LIMIT, FiniteJointDistribution, alpha_exact
 
 
 def symmetric_chain(p=0.25):
@@ -33,6 +34,28 @@ def random_chain(rng, k):
     return MarkovChainSpec(np.arange(k, dtype=float), t, init)
 
 
+def window_joint_reference(chain, j, n, past_window, future_window):
+    """Joint law of the past block (X_{j-p+1..j}) and the future block
+    (X_{j+n..j+n+f-1}), the past block clipped at time 1, built as whole
+    window tensors: the construction alpha_window reduces to one step."""
+    k = chain.n_states
+    p_eff = min(past_window, j)
+    past = chain.initial @ np.linalg.matrix_power(chain.transition, j - p_eff)
+    for _ in range(p_eff - 1):
+        past = past[..., :, None] * chain.transition
+    pn = np.linalg.matrix_power(chain.transition, n)        # X_j -> X_{j+n}
+    # conditional tensor of the future block given its first state
+    cond = np.eye(k)
+    for _ in range(future_window - 1):
+        cond = cond[..., :, None] * chain.transition
+    coupled = past.reshape(-1, k)[:, :, None] * pn[None, :, :]   # (prefix, X_j, X_{j+n})
+    joint = coupled.reshape(-1, k) @ cond.reshape(k, -1)
+    past_atoms = [[chain.states[i] for i in t] for t in product(range(k), repeat=p_eff)]
+    fut_atoms = [[chain.states[i] for i in t] for t in product(range(k), repeat=future_window)]
+    return FiniteJointDistribution(past_atoms, fut_atoms,
+                                   joint.reshape(len(past_atoms), len(fut_atoms)))
+
+
 def test_chain_validation():
     with pytest.raises(ValueError, match="stochastic"):
         MarkovChainSpec([0.0, 1.0], [[0.9, 0.2], [0.5, 0.5]], [0.5, 0.5])
@@ -44,7 +67,7 @@ def test_alpha_window_iid_chain_is_zero():
     c = iid_chain()
     for j in (1, 2, 5):
         for n in (1, 3):
-            assert alpha_window(c, j, n, 1, 1) <= 1e-14
+            assert alpha_window(c, j, n) <= 1e-14
 
 
 def test_alpha_window_symmetric_chain_exact():
@@ -53,22 +76,23 @@ def test_alpha_window_symmetric_chain_exact():
     c = symmetric_chain(0.25)
     lam = 0.5
     for n in (1, 3):
-        got = alpha_window(c, 1, n, 1, 1)
+        got = alpha_window(c, 1, n)
         joint = np.array([[1 + lam ** n, 1 - lam ** n],
                           [1 - lam ** n, 1 + lam ** n]]) / 4.0
         from test_probcore import brute_alpha
         assert got == pytest.approx(brute_alpha(joint), abs=1e-15)
         assert got == pytest.approx(0.25 * lam ** n, abs=1e-15)
-    assert alpha_window(c, 1, 1, 1, 1) == pytest.approx(0.125, abs=1e-15)
-    assert alpha_window(c, 1, 3, 1, 1) == pytest.approx(0.03125, abs=1e-15)
+    assert alpha_window(c, 1, 1) == pytest.approx(0.125, abs=1e-15)
+    assert alpha_window(c, 1, 3) == pytest.approx(0.03125, abs=1e-15)
 
 
 def test_joint_window_matches_hand_propagation():
     c = symmetric_chain(0.25)
-    j = joint_window_distribution(c, j=1, n=2, past_window=1, future_window=1)
     p2 = c.transition @ c.transition
     hand = 0.5 * p2
-    assert np.allclose(j.pmf, hand, atol=1e-15)
+    assert np.allclose(window_joint_reference(c, 1, 2, 1, 1).pmf, hand, atol=1e-15)
+    hand_joint = FiniteJointDistribution(c.states, c.states, hand)
+    assert alpha_window(c, 1, 2) == pytest.approx(alpha_exact(hand_joint), abs=1e-15)
 
 
 def test_alpha_sequence_examples():
@@ -85,15 +109,24 @@ def test_alpha_sequence_examples():
         assert a == pytest.approx(0.25, abs=1e-15)
 
 
-def test_window_monotone_in_window_sizes():
+def test_alpha_window_equals_every_window_coefficient():
+    # the Markov reduction: no past or future window raises the coefficient
+    # of the pair (X_j, X_{j+n}); larger windows are checked while the
+    # smaller side stays within the enumeration limit (one 4-state chain:
+    # its 16-atom windows take about 4 s)
     rng = np.random.default_rng(11)
-    c = random_chain(rng, 2)
-    for n in (1, 2):
-        a11 = alpha_window(c, 3, n, 1, 1)
-        a21 = alpha_window(c, 3, n, 2, 1)
-        a22 = alpha_window(c, 3, n, 2, 2)
-        assert a21 >= a11 - 1e-13
-        assert a22 >= a21 - 1e-13
+    worst = 0.0
+    for k, chains in ((2, 5), (3, 5), (4, 1)):
+        for _ in range(chains):
+            c = random_chain(rng, k)
+            for pw, fw in product((1, 2, 3), repeat=2):
+                for j in range(1, 6):
+                    if k ** min(pw, j, fw) > ENUM_LIMIT:
+                        continue
+                    for n in range(1, 5):
+                        ref = alpha_exact(window_joint_reference(c, j, n, pw, fw))
+                        worst = max(worst, abs(alpha_window(c, j, n) - ref))
+    assert worst <= 1e-14, worst
 
 
 def test_window_invariant_under_relabeling():
@@ -103,18 +136,16 @@ def test_window_invariant_under_relabeling():
     t = c.transition[np.ix_(perm, perm)]
     relabeled = MarkovChainSpec(c.states, t, c.initial[perm])
     for n in (1, 2):
-        assert alpha_window(c, 2, n, 1, 1) == pytest.approx(
-            alpha_window(relabeled, 2, n, 1, 1), abs=1e-13
+        assert alpha_window(c, 2, n) == pytest.approx(
+            alpha_window(relabeled, 2, n), abs=1e-13
         )
 
 
-def test_window_too_large_rejected():
-    c = iid_chain()
-    with pytest.raises(ValueError, match="limit"):
-        alpha_window(c, 4, 1, 3, 3)    # 3^3 = 27 atoms a side
-    # the past window is clipped at time 1, so the smaller side is the past one
-    with pytest.raises(ValueError, match=r"3\^3 = 27 exceeds"):
-        alpha_window(c, 3, 1, 5, 4)
+def test_chain_above_enumeration_limit_rejected():
+    k = ENUM_LIMIT + 1
+    c = MarkovChainSpec(np.arange(k, dtype=float), np.full((k, k), 1.0 / k), np.full(k, 1.0 / k))
+    with pytest.raises(ValueError, match=f"{k} atoms, above the limit"):
+        alpha_window(c, 1, 1)
 
 
 def test_doeblin_certificate_symmetric():
@@ -148,7 +179,7 @@ def test_geometric_bound_dominates_exact_windows():
             ns = [1, 2, 3, 4, 5, 6]
             bound = dict(alpha_bound_geometric(c, ns).values)
             for n in ns:
-                exact = max(alpha_window(c, j, n, 1, 1) for j in range(1, 6))
+                exact = max(alpha_window(c, j, n) for j in range(1, 6))
                 assert bound[n] >= exact - 1e-12, (k, n, bound[n], exact)
 
 
