@@ -21,8 +21,8 @@ uniform = lambda t: np.sinc(np.asarray(t, dtype=float) / np.pi)   # sin(t)/t
 for name, cf in (("gaussian", gaussian), ("exponential", exponential),
                  ("uniform(-1,1)", uniform)):
     rep = selfdecomp_test(cf, c_values=(0.3, 0.5, 0.8))
-    print(f"{name:14s} verdict: {rep.verdict}")
-    for row in rep.per_c:
+    print(f"{name:14s} verdict: {rep['verdict']}")
+    for row in rep["per_c"]:
         print(f"    c={row['c']}: min eigenvalue {row['worst_violation']:+.3e} "
               f"({'ok' if row['psd_pass'] else 'VIOLATION'})")
 
@@ -42,13 +42,13 @@ print("exponential ratio == mixture c + (1-c)/(1-it):",
 rng = np.random.default_rng(0)
 normal_sample = rng.standard_normal(10_000)
 rep = selfdecomp_test_sample(normal_sample, (0.3, 0.5, 0.8))
-print(f"\nempirical CF of 10^4 normal draws (radius 0.5): {rep.verdict}, "
-      f"min eig {min(r['worst_violation'] for r in rep.per_c):+.2e}")
+print(f"\nempirical CF of 10^4 normal draws (radius 0.5): {rep['verdict']}, "
+      f"min eig {min(r['worst_violation'] for r in rep['per_c']):+.2e}")
 
 wide = selfdecomp_test_sample(normal_sample, (0.5, 0.8), grid_radius=8.0)
-print("same sample on radius 8:", wide.verdict,
+print("same sample on radius 8:", wide["verdict"],
       "(denominators sink below the sampling-noise floor)")
 
 exp_sample = rng.exponential(size=10_000)
 rep = selfdecomp_test_sample(exp_sample, (0.3, 0.5, 0.8))
-print("empirical CF of 10^4 exponential draws:", rep.verdict)
+print("empirical CF of 10^4 exponential draws:", rep["verdict"])

@@ -53,19 +53,19 @@ for row in suite["cases"]:
 
 # --- sums of weakly dependent variables fit the convolution ------------------
 iid = ProcessSpec(family="iid")
-rep = corollary_sum_experiment(iid, iid, mode="independent", n=256,
-                               replications=50_000, seed=4)
-print(f"\nindependent normalized sums: KS to N(0,2) = {rep['rows'][0]['ks']:.4f}")
+rows = corollary_sum_experiment(iid, iid, mode="independent", n=256,
+                                replications=50_000, seed=4)
+print(f"\nindependent normalized sums: KS to N(0,2) = {rows[0]['ks']:.4f}")
 
-rep = corollary_sum_experiment(iid, mode="duplicate", n=256,
-                               replications=50_000, seed=5)
-print(f"negative control (Z = X):    KS to N(0,2) = {rep['rows'][0]['ks']:.4f} "
+rows = corollary_sum_experiment(iid, mode="duplicate", n=256,
+                                replications=50_000, seed=5)
+print(f"negative control (Z = X):    KS to N(0,2) = {rows[0]['ks']:.4f} "
       "(stays near the closed-form gap 0.083)")
 
 ar1 = ProcessSpec(family="ar1", phi=0.5)
-rep = corollary_sum_experiment(ar1, mode="lagged_blocks", lags=(0, 2, 4, 8, 16),
-                               replications=50_000, seed=6, block_length=4)
+rows = corollary_sum_experiment(ar1, mode="lagged_blocks", lags=(0, 2, 4, 8, 16),
+                                replications=50_000, seed=6, block_length=4)
 print("\ntwo blocks of one AR(1) path, growing separation:")
-for row in rep["rows"]:
+for row in rows:
     print(f"  lag {row['grid']:2d}: KS to independent convolution {row['ks']:.4f}   "
           f"(mixing envelope {row['alpha_bound']:.4f})")

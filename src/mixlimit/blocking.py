@@ -21,8 +21,6 @@ U and W factors.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +34,6 @@ DEFAULT_EPSILON = 0.1
 DEFAULT_TIGHTNESS_BOUND = 10.0
 DEFAULT_KS_TOL = 0.05
 DEFAULT_N_GRID = (256, 512, 1024, 2048, 4096)
-CSV_COLUMNS = ("n", "m_n", "q_n", "delta_n", "ratio", "metric_name", "value",
-               "analytic_ceiling", "pass")
 
 
 def compute_m(a, c: float, n: int) -> int:
@@ -220,49 +216,6 @@ def decompose(path, norming: NormingSequences, plan: BlockingPlan, n: int) -> Bl
                        identity_relerr=relerr)
 
 
-def csv_text(columns, rows) -> str:
-    """A header line of columns, then one line per row dict, quoted where a cell needs it."""
-    buf = io.StringIO()
-    out = csv.writer(buf, lineterminator="\n")
-    out.writerow(columns)
-    out.writerows([_csv_cell(row[c]) for c in columns] for row in rows)
-    return buf.getvalue()
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17e}"
-    return str(v)
-
-
-@dataclass(frozen=True)
-class BlockingReport:
-    """Rows of per-(n, metric) diagnostics; schema fixed by CSV_COLUMNS."""
-
-    spec: dict
-    c: float
-    replications: int
-    seed: int
-    rows: tuple                  # dicts keyed by CSV_COLUMNS
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r["pass"] for r in self.rows)
-
-    def to_csv(self) -> str:
-        return csv_text(CSV_COLUMNS, self.rows)
-
-    def metric(self, n: int, name: str) -> dict:
-        for r in self.rows:
-            if r["n"] == n and r["metric_name"] == name:
-                return r
-        raise KeyError(f"no row for n={n}, metric {name!r}")
-
-
 def _split_alpha(x: np.ndarray, y: np.ndarray) -> float:
     """|P(AB) - P(A)P(B)| for the median-split events of two vectors."""
     a = x <= np.median(x)
@@ -276,8 +229,10 @@ def verify_blocking(
     n_grid=DEFAULT_N_GRID,
     replications: int = 10_000,
     seed: int = 0,
-) -> BlockingReport:
-    """Monte Carlo verification of the blocking decomposition claims.
+) -> tuple:
+    """Monte Carlo verification of the blocking decomposition claims, as a
+    tuple of row dicts keyed n, m_n, q_n, delta_n, ratio, metric_name,
+    value, analytic_ceiling and pass.
 
     Per n: the exact three-block identity, the separating-block tail
     probability against its analytic ceiling min(1, q delta) plus three
@@ -349,10 +304,10 @@ def verify_blocking(
 
         if n == n_max:
             rep = selfdecomp.selfdecomp_test_sample(total)
-            worst = np.nanmin([r["worst_violation"] for r in rep.per_c])
-            rows.append({**base, "metric_name": "eq5_selfdecomp_min_eig", "value": float(worst),
-                         "analytic_ceiling": -rep.tol, "pass": rep.verdict == "pass"})
+            # NaN when every c is inconclusive
+            worst = min((r["worst_violation"] for r in rep["per_c"]
+                         if r["worst_violation"] is not None), default=float("nan"))
+            rows.append({**base, "metric_name": "eq5_selfdecomp_min_eig", "value": worst,
+                         "analytic_ceiling": -rep["tol"], "pass": rep["verdict"] == "pass"})
 
-    return BlockingReport(
-        spec=spec.describe(), c=float(c), replications=replications, seed=seed, rows=tuple(rows)
-    )
+    return tuple(rows)

@@ -193,9 +193,10 @@ def corollary_sum_experiment(
     replications: int = 100_000,
     seed: int = 0,
     block_length: int = 4,
-) -> dict:
+) -> list:
     """Check that sums of weakly dependent normalized variables fit the
-    convolution of their limit laws.
+    convolution of their limit laws: one row {grid, ks, reference,
+    alpha_bound} per grid point.
 
     modes:
       independent   X and Z are normalized sums of two independent paths;
@@ -242,4 +243,4 @@ def corollary_sum_experiment(
                          "alpha_bound": alpha_env.alpha_at(lag + 1)})
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return {"mode": mode, "replications": replications, "rows": rows}
+    return rows

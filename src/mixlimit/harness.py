@@ -8,8 +8,10 @@ silent typo would invalidate a scientific report).  Each run writes a
 manifest (resolved config, package version, seed, RNG scheme) plus the
 experiment's CSV/JSON reports into the output directory; reruns of the
 same config and seed are byte-identical.  A config error, an output path
-under a file among them, writes nothing: the directory is created, and
-the files written, only once the experiment has run.
+under a file or a report name taken by anything but a regular file among
+them, writes nothing: the directory is created, and the files written,
+only once the experiment has run, and they replace their old versions
+only once all of them are written.
 
 Exit status: 0 when every pass-flag is true, 2 when any scientific
 assertion failed, 1 on usage/config errors.
@@ -17,6 +19,7 @@ assertion failed, 1 on usage/config errors.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import os
@@ -187,6 +190,30 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+# the columns of blocking_report.csv, one per key of a verify_blocking row
+CSV_COLUMNS = ("n", "m_n", "q_n", "delta_n", "ratio", "metric_name", "value",
+               "analytic_ceiling", "pass")
+
+
+def csv_text(columns, rows) -> str:
+    """A header line of columns, then one line per row dict, quoted where a cell needs it."""
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(columns)
+    out.writerows([_csv_cell(row[c]) for c in columns] for row in rows)
+    return buf.getvalue()
+
+
+def _csv_cell(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return f"{float(v):.17e}"
+    return str(v)
+
+
 # --------------------------------------------------------------------------
 # experiment implementations: each returns ({file name: text}, all_pass) and
 # writes nothing, so that a config error leaves the output directory alone
@@ -210,21 +237,21 @@ def _run_alpha_profile(cfg: dict):
         for n, a in p.values
     ]
     ok = all(a <= bound.alpha_at(n) + 1e-12 for n, a in profile.values)
-    return {"alpha_profile.csv": blocking.csv_text(("n", "alpha", "kind", "claim"), rows)}, ok
+    return {"alpha_profile.csv": csv_text(("n", "alpha", "kind", "claim"), rows)}, ok
 
 
 def _run_blocking_verify(cfg: dict):
     _require_keys(
         cfg, ("kind", "seed", "process", "c", "n_grid", "replications"), ("out_dir",), "config",
     )
-    report = blocking.verify_blocking(
+    rows = blocking.verify_blocking(
         _parse_process(cfg["process"], "config.process"),
         c=float(_get(cfg, "c", "a number")),
         n_grid=_get(cfg, "n_grid", "an array of integers"),
         replications=_get(cfg, "replications", "an integer"),
         seed=cfg["seed"],
     )
-    return {"blocking_report.csv": report.to_csv()}, report.all_pass
+    return {"blocking_report.csv": csv_text(CSV_COLUMNS, rows)}, all(r["pass"] for r in rows)
 
 
 def _run_selfdecomp_test(cfg: dict):
@@ -252,9 +279,8 @@ def _run_selfdecomp_test(cfg: dict):
         report = selfdecomp.selfdecomp_test_sample(total, cs, **grid)
     else:
         raise ConfigError("config: selfdecomp-test needs cf_form or process")
-    doc = json.loads(report.to_json())
-    doc["claim"] = "eq5_convolution_decomposition"
-    return {"selfdecomp_report.json": _json_text(doc)}, report.verdict == "pass"
+    doc = {**report, "claim": "eq5_convolution_decomposition"}
+    return {"selfdecomp_report.json": _json_text(doc)}, report["verdict"] == "pass"
 
 
 def _run_integral_sample(cfg: dict):
@@ -356,14 +382,14 @@ def _run_corollary_sum(cfg: dict):
     if mode not in _COROLLARY_UNUSED:
         raise ConfigError(f"config.mode: unknown mode {mode!r}")
     _reject_keys(cfg, _COROLLARY_UNUSED[mode], f"in mode {mode!r}")
-    report = coupling.corollary_sum_experiment(
+    found = coupling.corollary_sum_experiment(
         spec_x, spec_z, mode=mode, seed=cfg["seed"], **_given(cfg, (
             ("n", "an integer"), ("lags", "an array of integers"),
             ("replications", "an integer"), ("block_length", "an integer"),
         )),
     )
     rows = []
-    for r in report["rows"]:
+    for r in found:
         if mode == "duplicate":
             ok = r["ks"] > NEGATIVE_CONTROL_MIN_KS   # the control must NOT fit the convolution
             claim = "cor1b_negative_control"
@@ -371,10 +397,10 @@ def _run_corollary_sum(cfg: dict):
             ok = r["ks"] <= COROLLARY_KS_TOL
             claim = "cor1b_convolution_fit"
         else:
-            ok = r["grid"] != max(x["grid"] for x in report["rows"]) or r["ks"] <= COROLLARY_KS_TOL
+            ok = r["grid"] != max(x["grid"] for x in found) or r["ks"] <= COROLLARY_KS_TOL
             claim = "cor1b_lagged_convolution"
         rows.append({**r, "pass": ok, "claim": claim})
-    text = blocking.csv_text(("grid", "ks", "reference", "alpha_bound", "pass", "claim"), rows)
+    text = csv_text(("grid", "ks", "reference", "alpha_bound", "pass", "claim"), rows)
     return {"corollary_report.csv": text}, all(r["pass"] for r in rows)
 
 
@@ -423,11 +449,15 @@ def run(config_path, out_dir: str | None = None) -> int:
         if not nearest.is_dir():
             raise ConfigError(f"output path {out}: {nearest} is not a directory")
         files, ok = _RUNNERS[kind](cfg)
+        reports = sorted(files)
+        names = (*reports, "manifest.json")
+        for name in names:
+            if (out / name).exists() and not (out / name).is_file():
+                raise ConfigError(f"cannot write to {out}: {out / name} is not a regular file")
     except ValueError as e:
         # ConfigError, and any value a runner rejects, is a config error
         print(f"config error: {e}")
         return 1
-    reports = sorted(files)
     files["manifest.json"] = _json_text({
         "kind": kind,
         "config": cfg,
@@ -437,14 +467,23 @@ def run(config_path, out_dir: str | None = None) -> int:
         "reports": reports,
         "all_pass": bool(ok),
     })
-    # the only place a run touches the output directory: after the runner returned
+    # the only place a run touches the output directory: after the runner
+    # returned.  Each file is written to a temporary sibling, and the
+    # temporaries replace the files only once every write has succeeded.
+    temps = {}
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name in (*reports, "manifest.json"):
-            with open(out / name, "w") as fh:
+        for name in names:
+            tmp = out / f".{name}.{os.getpid()}.tmp"
+            with open(tmp, "x") as fh:
+                temps[name] = tmp
                 fh.write(files[name])
+        for name in names:
+            os.replace(temps.pop(name), out / name)
             print(f"wrote {out / name}")
     except OSError as e:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
         print(f"config error: cannot write to {out}: {e}")
         return 1
     if not ok:

@@ -12,7 +12,6 @@ e^{-T_max} tail disclosure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,32 +34,6 @@ LOG_MOMENT_GROWTH = 1.5        # log_moment_check: full-sample / tenth-sample es
 # --------------------------------------------------------------------------
 # CF-ratio positive-definiteness test
 
-@dataclass(frozen=True)
-class SelfdecompReport:
-    """Per-c PSD results of the CF-ratio test and an aggregate verdict.
-
-    verdict: "fail" iff some c fails beyond tolerance, otherwise
-    "inconclusive" if any c hit the denominator floor, else "pass".
-    """
-
-    c_values: tuple
-    per_c: tuple                # dicts: c, psd_pass, worst_violation, grid_radius, inconclusive_at
-    verdict: str
-    tol: float
-    source: str                 # "closed-form" or "empirical(n=...)"
-
-    def to_json(self) -> str:
-        # an inconclusive c has no worst violation: NaN in memory, null in JSON
-        per_c = [{**r, "worst_violation": None if np.isnan(r["worst_violation"])
-                  else r["worst_violation"]} for r in self.per_c]
-        return json.dumps(
-            {"verdict": self.verdict, "tol": self.tol, "source": self.source,
-             "per_c": per_c},
-            indent=2,
-            sort_keys=True,
-        )
-
-
 def uniform_grid(radius: float, points: int) -> np.ndarray:
     if points < 3 or points % 2 == 0:
         raise ValueError("grid needs an odd number of points >= 3 to contain 0")
@@ -80,7 +53,13 @@ def _c_tuple(c_values) -> tuple:
 
 
 def _ratio_test(evaluate, c_values, grid_radius, grid_points, floor, tol, source):
-    """The CF-ratio PSD test of evaluate, a CF on sorted frequency arrays.
+    """The CF-ratio PSD test of evaluate, a CF on sorted frequency arrays,
+    as the dict {verdict, tol, source, per_c} that selfdecomp-test writes.
+
+    per_c holds one row {c, psd_pass, worst_violation, grid_radius,
+    inconclusive_at} per c.  verdict is "fail" iff some c fails beyond
+    tol, otherwise "inconclusive" if any c hit the denominator floor (its
+    worst_violation is None), else "pass".
 
     evaluate is called once, on the frequencies the ratios need: the
     difference lattice of the uniform grid together with its c-scaled
@@ -100,7 +79,7 @@ def _ratio_test(evaluate, c_values, grid_radius, grid_points, floor, tol, source
         if np.any(small):
             bad = float(uniq[np.argmax(small)] * c)
             per_c.append({
-                "c": c, "psd_pass": False, "worst_violation": float("nan"),
+                "c": c, "psd_pass": False, "worst_violation": None,
                 "grid_radius": float(grid_radius), "inconclusive_at": bad,
             })
             inconclusive = True
@@ -115,9 +94,7 @@ def _ratio_test(evaluate, c_values, grid_radius, grid_points, floor, tol, source
         if not res["is_psd"]:
             failed = True
     verdict = "fail" if failed else ("inconclusive" if inconclusive else "pass")
-    return SelfdecompReport(
-        c_values=cs, per_c=tuple(per_c), verdict=verdict, tol=float(tol), source=source
-    )
+    return {"verdict": verdict, "tol": float(tol), "source": source, "per_c": per_c}
 
 
 def selfdecomp_test(
@@ -125,7 +102,7 @@ def selfdecomp_test(
     c_values=DEFAULT_C_VALUES,
     grid_radius: float = DEFAULT_GRID_RADIUS,
     grid_points: int = DEFAULT_GRID_POINTS,
-) -> SelfdecompReport:
+) -> dict:
     """Test phi(t)/phi(ct) for positive semidefiniteness per c in (0, 1).
 
     cf is a closed-form characteristic function, callable on frequency
@@ -146,7 +123,7 @@ def selfdecomp_test_sample(
     c_values=DEFAULT_C_VALUES,
     grid_radius: float = DEFAULT_EMPIRICAL_RADIUS,
     grid_points: int = DEFAULT_GRID_POINTS,
-) -> SelfdecompReport:
+) -> dict:
     """The ratio test on the empirical CF of a 1-D sample of n points.
 
     The CF is evaluated at exactly the frequencies the test asks for,
@@ -179,9 +156,6 @@ class JumpLaw:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
 
-    def describe(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class DiscreteJumps(JumpLaw):
@@ -202,9 +176,6 @@ class DiscreteJumps(JumpLaw):
         idx = rng.choice(len(self.values), size=size, p=self.probs)
         return np.asarray(self.values)[idx]
 
-    def describe(self):
-        return {"kind": "discrete", "values": list(self.values), "probs": list(self.probs)}
-
 
 @dataclass(frozen=True)
 class NormalJumps(JumpLaw):
@@ -213,9 +184,6 @@ class NormalJumps(JumpLaw):
 
     def sample(self, rng, size):
         return self.mean + self.std * rng.standard_normal(size)
-
-    def describe(self):
-        return {"kind": "normal", "mean": self.mean, "std": self.std}
 
 
 @dataclass(frozen=True)
@@ -232,9 +200,6 @@ class DyadicTowerJumps(JumpLaw):
         with np.errstate(over="ignore"):
             return np.exp2(np.exp2(k))
 
-    def describe(self):
-        return {"kind": "dyadic_tower"}
-
 
 @dataclass(frozen=True)
 class BDLPSpec:
@@ -250,14 +215,6 @@ class BDLPSpec:
             raise ValueError("gaussian_sigma and jump_rate must be nonnegative")
         if self.jump_rate > 0 and self.jump_law is None:
             raise ValueError("a positive jump_rate requires a jump_law")
-
-    def describe(self) -> dict:
-        return {
-            "drift": self.drift,
-            "gaussian_sigma": self.gaussian_sigma,
-            "jump_rate": self.jump_rate,
-            "jump_law": self.jump_law.describe() if self.jump_law else None,
-        }
 
 
 def sample_random_integral(

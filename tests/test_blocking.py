@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mixlimit.blocking import (
     make_plan,
     verify_blocking,
 )
+from mixlimit.harness import CSV_COLUMNS, csv_text
 from mixlimit.probcore import ks_distance
 from mixlimit.processes import (
     NormingSequences,
@@ -250,12 +252,18 @@ def small_iid_report():
                            replications=2000, seed=3)
 
 
+def metric(rows, n, name):
+    """The row of rows for horizon n and metric name."""
+    (row,) = [r for r in rows if r["n"] == n and r["metric_name"] == name]
+    return row
+
+
 def test_verify_blocking_passes_iid(small_iid_report):
-    assert small_iid_report.all_pass
+    assert all(r["pass"] for r in small_iid_report)
 
 
 def test_verify_report_metrics_present(small_iid_report):
-    names = {r["metric_name"] for r in small_iid_report.rows}
+    names = {r["metric_name"] for r in small_iid_report}
     assert names >= {
         "eq8_identity_max_relerr", "step5_v_exceed_prob", "step6_u_ks_to_scaled_limit",
         "step7_w_abs_q99", "eq11_uw_alpha_split", "eq10_uw_sum_ks_to_limit",
@@ -264,19 +272,32 @@ def test_verify_report_metrics_present(small_iid_report):
 
 
 def test_verify_iid_uw_alpha_statistically_zero(small_iid_report):
-    r = small_iid_report.metric(512, "eq11_uw_alpha_split")
+    r = metric(small_iid_report, 512, "eq11_uw_alpha_split")
     assert r["value"] <= 3 * 0.3536 / np.sqrt(2000)
 
 
 def test_verify_step5_respects_ceiling(small_iid_report):
     for n in (256, 512):
-        r = small_iid_report.metric(n, "step5_v_exceed_prob")
+        r = metric(small_iid_report, n, "step5_v_exceed_prob")
         se = np.sqrt(r["value"] * (1 - r["value"]) / 2000)
         assert r["value"] <= r["analytic_ceiling"] + 3 * se + 1e-12
 
 
+def test_eq5_row_when_every_c_is_inconclusive():
+    # 50 replications lift the empirical CF floor 8/sqrt(50) above 1, so
+    # every c is inconclusive: the row has no eigenvalue and does not pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = verify_blocking(ProcessSpec("iid"), n_grid=(256, 512), replications=50, seed=1)
+    (row,) = [r for r in rows if r["metric_name"] == "eq5_selfdecomp_min_eig"]
+    assert math.isnan(row["value"])
+    assert row["pass"] is False
+    cells = csv_text(CSV_COLUMNS, [row]).split("\n")[1].split(",")
+    assert cells[CSV_COLUMNS.index("value")] == "nan"
+
+
 def test_verify_csv_schema(small_iid_report):
-    lines = small_iid_report.to_csv().strip().split("\n")
+    lines = csv_text(CSV_COLUMNS, small_iid_report).strip().split("\n")
     assert lines[0] == "n,m_n,q_n,delta_n,ratio,metric_name,value,analytic_ceiling,pass"
     assert all(len(line.split(",")) == 9 for line in lines[1:])
     assert {line.split(",")[-1] for line in lines[1:]} <= {"true", "false"}

@@ -301,11 +301,11 @@ def test_suite_randomized_3x3_bound_and_residuals():
 # ---------------------------------------------------------------- corollary
 
 def test_independent_normals_fit_convolution():
-    rep = corollary_sum_experiment(
+    rows = corollary_sum_experiment(
         ProcessSpec(family="iid"), ProcessSpec(family="iid"),
         mode="independent", n=256, replications=100_000, seed=8,
     )
-    assert rep["rows"][0]["ks"] < 0.02
+    assert rows[0]["ks"] < 0.02
 
 
 def test_negative_control_misses_convolution():
@@ -317,22 +317,22 @@ def test_negative_control_misses_convolution():
     )
     oracle = -res.fun
     assert oracle == pytest.approx(0.08303, abs=1e-5)
-    rep = corollary_sum_experiment(
+    rows = corollary_sum_experiment(
         ProcessSpec(family="iid"), mode="duplicate", n=256,
         replications=100_000, seed=9,
     )
-    ks = rep["rows"][0]["ks"]
+    ks = rows[0]["ks"]
     assert ks == pytest.approx(oracle, abs=0.01)
     assert ks > 0.05
 
 
 def test_lagged_blocks_decay_toward_independence():
-    rep = corollary_sum_experiment(
+    rows = corollary_sum_experiment(
         ProcessSpec(family="ar1", phi=0.5), mode="lagged_blocks",
         lags=(0, 2, 4, 8, 16), replications=100_000, seed=10, block_length=4,
     )
-    ks = {r["grid"]: r["ks"] for r in rep["rows"]}
+    ks = {r["grid"]: r["ks"] for r in rows}
     assert ks[16] < 0.012
     assert ks[0] > 2.0 * ks[16]
-    bounds = {r["grid"]: r["alpha_bound"] for r in rep["rows"]}
+    bounds = {r["grid"]: r["alpha_bound"] for r in rows}
     assert bounds[16] < bounds[0]

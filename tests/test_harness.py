@@ -238,13 +238,60 @@ def test_output_path_under_a_file_is_config_error(tmp_path, capsys, monkeypatch)
 
 
 def test_unwritable_report_is_config_error(tmp_path, capsys):
-    # a directory where a report file should go fails only at the write
+    # a directory where a report file should go is found before any write
     (tmp_path / "o" / "alpha_profile.csv").mkdir(parents=True)
     path = write_cfg(tmp_path, "a.json", ALPHA_CFG)
     assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 1
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 1
     assert lines[0].startswith(f"config error: cannot write to {tmp_path / 'o'}: ")
+
+
+def listing(root):
+    """Every entry under root, directories included, with the bytes of each file."""
+    return sorted((os.path.relpath(d, root), sorted(dirs), sorted(files))
+                  for d, dirs, files in os.walk(root)), read_tree(root)
+
+
+def test_manifest_name_taken_by_a_directory_changes_nothing(tmp_path, capsys):
+    # the old report of a reused directory must not be replaced when the
+    # manifest cannot be written next to it
+    out = tmp_path / "o"
+    (out / "manifest.json").mkdir(parents=True)
+    (out / "alpha_profile.csv").write_text("old")
+    before = listing(out)
+    path = write_cfg(tmp_path, "a.json", ALPHA_CFG)
+    assert cli.main(["run", path, "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines == [f"config error: cannot write to {out}: {out / 'manifest.json'} "
+                     "is not a regular file"]
+    assert listing(out) == before
+
+
+def test_failed_write_removes_its_temporaries(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "alpha_profile.csv").write_text("old")
+    before = listing(out)
+    opened = []
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        # the write of the second file fails, after its temporary exists
+        fh = open(file, mode, *args, **kwargs)
+        opened.append(file)
+        if len(opened) == 2:
+            def full(text):
+                raise OSError(28, "No space left on device")
+            fh.write = full
+        return fh
+
+    monkeypatch.setattr(harness, "open", failing_open, raising=False)
+    path = write_cfg(tmp_path, "a.json", ALPHA_CFG)
+    assert cli.main(["run", path, "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines == [f"config error: cannot write to {out}: [Errno 28] No space left on device"]
+    assert len(opened) == 2
+    assert listing(out) == before
 
 
 def test_divergent_jump_law_integral_reports_suspect_infinite(tmp_path, capsys):

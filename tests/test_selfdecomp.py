@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -9,7 +11,6 @@ from mixlimit.selfdecomp import (
     DiscreteJumps,
     DyadicTowerJumps,
     NormalJumps,
-    SelfdecompReport,
     log_moment_check,
     sample_random_integral,
     selfdecomp_test,
@@ -30,8 +31,8 @@ UNIFORM_VIOLATION = {0.3: -12.698861, 0.8: -12.542182}
 
 def test_gaussian_cf_passes_all_c():
     rep = selfdecomp_test(GAUSS_CF, (0.3, 0.5, 0.8))
-    assert rep.verdict == "pass"
-    assert all(r["psd_pass"] for r in rep.per_c)
+    assert rep["verdict"] == "pass"
+    assert all(r["psd_pass"] for r in rep["per_c"])
 
 
 def test_gaussian_ratio_matches_closed_form():
@@ -46,7 +47,7 @@ def test_gaussian_ratio_matches_closed_form():
 
 def test_exponential_cf_passes_with_mixture_identity():
     rep = selfdecomp_test(EXP_CF, (0.3, 0.5, 0.8))
-    assert rep.verdict == "pass"
+    assert rep["verdict"] == "pass"
     # algebraic decomposition: phi(t)/phi(ct) = c + (1-c)/(1-it)
     t = np.linspace(-16, 16, 101)
     for c in (0.3, 0.5, 0.8):
@@ -57,8 +58,8 @@ def test_exponential_cf_passes_with_mixture_identity():
 
 def test_uniform_cf_fails_with_pinned_magnitude():
     rep = selfdecomp_test(UNIF_CF, (0.3, 0.5, 0.8), grid_radius=8.0)
-    assert rep.verdict == "fail"
-    by_c = {r["c"]: r for r in rep.per_c}
+    assert rep["verdict"] == "fail"
+    by_c = {r["c"]: r for r in rep["per_c"]}
     for c, expected in UNIFORM_VIOLATION.items():
         assert not by_c[c]["psd_pass"]
         assert by_c[c]["worst_violation"] == pytest.approx(expected, abs=1e-4)
@@ -74,8 +75,8 @@ def test_empirical_gaussian_sample_passes_small_radius():
     rng = np.random.default_rng(3)
     s = rng.standard_normal(10_000)
     rep = selfdecomp_test_sample(s, (0.3, 0.5, 0.8))
-    assert rep.verdict == "pass"
-    assert all(r["worst_violation"] >= -1e-3 for r in rep.per_c)
+    assert rep["verdict"] == "pass"
+    assert all(r["worst_violation"] >= -1e-3 for r in rep["per_c"])
 
 
 def test_empirical_wide_grid_is_inconclusive_not_pass():
@@ -84,15 +85,14 @@ def test_empirical_wide_grid_is_inconclusive_not_pass():
     rng = np.random.default_rng(4)
     s = rng.standard_normal(10_000)
     rep = selfdecomp_test_sample(s, (0.5, 0.8), grid_radius=8.0)
-    assert rep.verdict == "inconclusive"
-    assert any(r["inconclusive_at"] is not None for r in rep.per_c)
+    assert rep["verdict"] == "inconclusive"
+    assert any(r["inconclusive_at"] is not None for r in rep["per_c"])
 
 
 def test_report_json_schema():
     rep = selfdecomp_test(GAUSS_CF, (0.5,))
-    import json
-    doc = json.loads(rep.to_json())
-    row = doc["per_c"][0]
+    assert set(rep) == {"verdict", "tol", "source", "per_c"}
+    row = rep["per_c"][0]
     assert set(row) == {"c", "psd_pass", "worst_violation", "grid_radius", "inconclusive_at"}
 
 
@@ -130,7 +130,7 @@ def union_grid_test_sample(sample, c_values, radius, points):
         den = at(np.round(c * uniq, 12))
         small = np.abs(den) < floor
         if np.any(small):
-            row.update(psd_pass=False, worst_violation=float("nan"),
+            row.update(psd_pass=False, worst_violation=None,
                        inconclusive_at=float(uniq[np.argmax(small)] * c))
             verdicts.add("inconclusive")
         else:
@@ -139,8 +139,8 @@ def union_grid_test_sample(sample, c_values, radius, points):
             verdicts.add("pass" if res["is_psd"] else "fail")
         per_c.append(row)
     verdict = next(v for v in ("fail", "inconclusive", "pass") if v in verdicts)
-    return SelfdecompReport(c_values=tuple(c_values), per_c=tuple(per_c), verdict=verdict,
-                            tol=1e-3, source=f"empirical(n={len(x)})")
+    return {"verdict": verdict, "tol": 1e-3, "source": f"empirical(n={len(x)})",
+            "per_c": per_c}
 
 
 def test_sample_test_matches_union_grid_reference():
@@ -162,8 +162,9 @@ def test_sample_test_matches_union_grid_reference():
     ]
     for verdict, x, cs, radius, points in samples:
         rep = selfdecomp_test_sample(x, cs, grid_radius=radius, grid_points=points)
-        assert rep.verdict == verdict
-        assert rep.to_json() == union_grid_test_sample(x, cs, radius, points).to_json()
+        assert rep["verdict"] == verdict
+        ref = union_grid_test_sample(x, cs, radius, points)
+        assert json.dumps(rep, sort_keys=True) == json.dumps(ref, sort_keys=True)
 
 
 # ---------------------------------------------------------------- random integral
