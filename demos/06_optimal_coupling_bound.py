@@ -6,8 +6,9 @@
 #
 #     P(|X - Y| > 2 eps) <= delta + 4 sqrt(N) alpha.
 #
-# On finite spaces the OPTIMAL such Y solves a transportation-style
-# linear program, so the bound can be checked against the true minimum.
+# On finite scalar spaces the OPTIMAL such Y comes from one transport
+# problem per atom of Z, each solved exactly by a left-to-right greedy,
+# so the bound can be checked against the true minimum.
 # The same mechanism makes sums of weakly dependent variables converge
 # to the convolution of their limits.
 

@@ -342,13 +342,10 @@ def _run_coupling_suite(cfg: dict):
             pmf = np.asarray(array("pmf"), dtype=float)
             if pmf.ndim != 2:
                 raise ValueError(f"pmf must be a matrix, got shape {pmf.shape}")
-            ax = np.asarray(array("atoms_x", np.arange(pmf.shape[0])), dtype=float)
-            az = np.asarray(array("atoms_z", np.arange(pmf.shape[1])), dtype=float)
-            joint = FiniteJointDistribution(ax, az, pmf)
+            joint = FiniteJointDistribution(array("atoms_x", np.arange(pmf.shape[0])),
+                                            array("atoms_z", np.arange(pmf.shape[1])), pmf)
             problems.append(coupling.CouplingProblem(
-                joint=joint, epsilon=number("epsilon"),
-                net=np.asarray(array("net"), dtype=float), delta=number("delta"),
-            ))
+                joint=joint, epsilon=number("epsilon"), net=array("net"), delta=number("delta")))
         except ValueError as e:
             raise ConfigError(f"{where}: {e}") from e
     report = coupling.verify_prop1_suite(problems)

@@ -44,7 +44,7 @@ def as_sample(x) -> np.ndarray:
 class FiniteJointDistribution:
     """Exact joint pmf over a finite product of labeled atom sets.
 
-    atoms_x, atoms_z: (n, d) arrays of atom locations.
+    atoms_x, atoms_z: vectors of scalar atom locations.
     pmf: (|X|, |Z|) nonnegative matrix summing to 1.
     """
 
@@ -55,10 +55,9 @@ class FiniteJointDistribution:
     def __post_init__(self):
         ax = np.asarray(self.atoms_x, dtype=float)
         az = np.asarray(self.atoms_z, dtype=float)
-        if ax.ndim == 1:
-            ax = ax[:, None]
-        if az.ndim == 1:
-            az = az[:, None]
+        if ax.ndim != 1 or az.ndim != 1:
+            raise ValueError(
+                f"atoms must be vectors of scalars, got shapes {ax.shape} and {az.shape}")
         pmf = np.asarray(self.pmf, dtype=float)
         object.__setattr__(self, "atoms_x", _frozen(ax))
         object.__setattr__(self, "atoms_z", _frozen(az))

@@ -423,6 +423,24 @@ def test_coupling_suite_run(tmp_path):
     assert doc["cases"][1]["objective"] == pytest.approx(0.1, abs=1e-9)
 
 
+COUPLING_CASE = {"pmf": [[0.5, 0.0], [0.0, 0.5]], "epsilon": 0.4, "net": [0.0, 1.0],
+                 "delta": 0.0}
+
+
+@pytest.mark.parametrize("change, needle", [
+    ({"net": []}, "net must be a nonempty vector of points, got shape (0,)"),
+    ({"net": [[0.0], [1.0]]}, "net must be a nonempty vector of points, got shape (2, 1)"),
+    ({"atoms_x": [[0.0], [1.0]]}, "atoms must be vectors of scalars, got shapes (2, 1) and (2,)"),
+], ids=["net-empty", "net-matrix", "atoms-matrix"])
+def test_coupling_atoms_and_net_must_be_scalar(tmp_path, capsys, change, needle):
+    cfg = write_cfg(tmp_path, "c.json", {"kind": "coupling-suite", "seed": 4,
+                                         "cases": [dict(COUPLING_CASE, **change)]})
+    assert harness.run(cfg, out_dir=str(tmp_path / "o")) == 1
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines == [f"config error: config.cases[0]: {needle}"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_corollary_sum_run(tmp_path):
     cfg = write_cfg(tmp_path, "s.json", {
         "kind": "corollary-sum", "seed": 5, "mode": "independent",

@@ -37,7 +37,8 @@ def random_chain(rng, k):
 def window_joint_reference(chain, j, n, past_window, future_window):
     """Joint law of the past block (X_{j-p+1..j}) and the future block
     (X_{j+n..j+n+f-1}), the past block clipped at time 1, built as whole
-    window tensors: the construction alpha_window reduces to one step."""
+    window tensors: the construction alpha_window reduces to one step.
+    Each block is labeled by its index; the coefficient reads only the pmf."""
     k = chain.n_states
     p_eff = min(past_window, j)
     past = chain.initial @ np.linalg.matrix_power(chain.transition, j - p_eff)
@@ -50,10 +51,8 @@ def window_joint_reference(chain, j, n, past_window, future_window):
         cond = cond[..., :, None] * chain.transition
     coupled = past.reshape(-1, k)[:, :, None] * pn[None, :, :]   # (prefix, X_j, X_{j+n})
     joint = coupled.reshape(-1, k) @ cond.reshape(k, -1)
-    past_atoms = [[chain.states[i] for i in t] for t in product(range(k), repeat=p_eff)]
-    fut_atoms = [[chain.states[i] for i in t] for t in product(range(k), repeat=future_window)]
-    return FiniteJointDistribution(past_atoms, fut_atoms,
-                                   joint.reshape(len(past_atoms), len(fut_atoms)))
+    npast, nfut = k ** p_eff, k ** future_window
+    return FiniteJointDistribution(np.arange(npast), np.arange(nfut), joint.reshape(npast, nfut))
 
 
 def test_chain_validation():
