@@ -180,11 +180,10 @@ class BlockTriple:
 
 
 def _three_blocks(values, norming: NormingSequences, m: int, q: int, n: int):
-    """(U, V, W, total, identity error) of the first n values along the last axis.
+    """(U, V, W, total) of the first n values along the last axis.
 
-    total = a(n) S_n + b(n) sums the n values directly, so the identity
-    error max |U + V + W - total| / max(1, |total|) compares two
-    independently rounded sides.
+    total = a(n) S_n + b(n) sums the n values directly, so that
+    _identity_relerr compares two independently rounded sides.
     """
     x = np.moveaxis(np.asarray(values, dtype=float), -1, 0)
     (a_n, b_n), (a_m, b_m) = norming.at(n), norming.at(m)
@@ -193,8 +192,29 @@ def _three_blocks(values, norming: NormingSequences, m: int, q: int, n: int):
     v = a_n * x[m : m + q].sum(axis=0)
     w = a_n * x[m + q : n].sum(axis=0) + b_n - ratio * b_m
     total = norming.normalized_sum(x[:n], axis=0)
-    relerr = float(np.max(np.abs(u + v + w - total) / np.maximum(1.0, np.abs(total))))
-    return u, v, w, total, relerr
+    return u, v, w, total
+
+
+def _identity_relerr(u, v, w, total) -> float:
+    """max |U + V + W - total| / max(1, |total|)."""
+    return float(np.max(np.abs(u + v + w - total) / np.maximum(1.0, np.abs(total))))
+
+
+def _block_sums(spec: ProcessSpec, norming: NormingSequences, plan: BlockingPlan, ns,
+                replications: int, seed: int) -> dict:
+    """{n: (U, V, W, total)} over replications simulated paths of length max(ns).
+
+    The paths are read one row chunk at a time, so no (replications, n)
+    matrix is held.  Every entry is a per-row sum, bitwise equal to the
+    same split of the whole simulate_many matrix.
+    """
+    parts = {n: [] for n in ns}
+    for chunk in processes._path_chunks(spec, max(ns), replications, seed, "blocking"):
+        for n in ns:
+            i = plan.index_of(n)
+            parts[n].append(_three_blocks(chunk, norming, int(plan.m[i]), int(plan.q[i]), n))
+        del chunk                   # freed before the next chunk is drawn
+    return {n: tuple(map(np.concatenate, zip(*parts[n]))) for n in ns}
 
 
 def decompose(path, norming: NormingSequences, plan: BlockingPlan, n: int) -> BlockTriple:
@@ -211,9 +231,9 @@ def decompose(path, norming: NormingSequences, plan: BlockingPlan, n: int) -> Bl
         raise ValueError(
             f"path must be a 1-D array of at least {n} points, got shape {path.shape}"
         )
-    u, v, w, _, relerr = _three_blocks(path, norming, int(plan.m[i]), int(plan.q[i]), n)
+    u, v, w, total = _three_blocks(path, norming, int(plan.m[i]), int(plan.q[i]), n)
     return BlockTriple(u=np.asarray(u), v=np.asarray(v), w=np.asarray(w), n=n,
-                       identity_relerr=relerr)
+                       identity_relerr=_identity_relerr(u, v, w, total))
 
 
 def _split_alpha(x: np.ndarray, y: np.ndarray) -> float:
@@ -252,7 +272,7 @@ def verify_blocking(
     if not usable:
         raise ValueError("every n in the grid is pre-asymptotic; enlarge the grid")
     n_max = max(usable)
-    paths = processes.simulate_many(spec, n_max, replications, seed, label="blocking")
+    blocks = _block_sums(spec, norming, plan, usable, replications, seed)
     limit = processes.limit_cdf(spec)
     alpha_env = processes.analytic_alpha_profile(
         spec, sorted({int(qq) + 1 for qq in plan.q})
@@ -264,7 +284,8 @@ def verify_blocking(
     for n in usable:
         i = plan.index_of(n)
         m, q, d, ratio = int(plan.m[i]), int(plan.q[i]), float(plan.delta[i]), float(plan.ratio[i])
-        u, v, w, total, relerr = _three_blocks(paths, norming, m, q, n)
+        u, v, w, total = blocks[n]
+        relerr = _identity_relerr(u, v, w, total)
         base = dict(n=n, m_n=m, q_n=q, delta_n=d, ratio=ratio)
 
         rows.append({**base, "metric_name": "eq8_identity_max_relerr", "value": relerr,

@@ -233,13 +233,17 @@ def corollary_sum_experiment(
         norming = processes.norming_for(spec_x)
         nb = block_length
         horizon = 2 * nb + int(max(lags))
-        paths = processes.simulate_many(spec_x, horizon, replications, seed, label="corr-lag")
+        # the normalized sums of the first block and of the block after each lag
+        starts = [0] + [nb + int(lag) for lag in lags]
+        parts = []
+        for chunk in processes._path_chunks(spec_x, horizon, replications, seed, "corr-lag"):
+            parts.append([norming.normalized_sum(chunk[:, s : s + nb]) for s in starts])
+            del chunk               # freed before the next chunk is drawn
+        x, *zs = map(np.concatenate, zip(*parts))
         shuffle = rngstreams.stream(seed, "corr-shuffle").permutation(replications)
         alpha_env = processes.analytic_alpha_profile(spec_x, sorted({int(L) + 1 for L in lags}))
-        x = norming.normalized_sum(paths[:, :nb])
-        for lag in lags:
+        for lag, z in zip(lags, zs):
             lag = int(lag)
-            z = norming.normalized_sum(paths[:, nb + lag : 2 * nb + lag])
             ks = ks_distance(x + z, empirical_cdf(x + z[shuffle]))
             rows.append({"grid": lag, "ks": ks,
                          "reference": "resampled independent convolution",

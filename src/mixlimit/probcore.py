@@ -82,8 +82,17 @@ class FiniteJointDistribution:
 
 
 def _cf_values(freqs, x) -> np.ndarray:
-    """(1/n) sum_j exp(i t x_j) at each frequency t of the sample x, with no pinning."""
-    return np.exp(1j * np.multiply.outer(freqs, x)).mean(axis=1)
+    """(1/n) sum_j exp(i t x_j) at each frequency t of the sample x, with no pinning.
+
+    The frequencies are taken 16 at a time, so the (frequencies, n) table
+    of exponentials is never held whole; each mean runs over the same
+    values in the same order, so the result does not depend on the block.
+    """
+    freqs = np.asarray(freqs)
+    out = np.empty(len(freqs), dtype=complex)
+    for k in range(0, len(freqs), 16):
+        out[k : k + 16] = np.exp(1j * np.multiply.outer(freqs[k : k + 16], x)).mean(axis=1)
+    return out
 
 
 def psd_check(matrix: np.ndarray, tol: float = 1e-9):

@@ -34,8 +34,9 @@ _AR1_INIT_TOL = 1e-16
 A_DECAY_FACTOR = 0.1
 RATIO_TOL = 0.01
 DRIFT_TOL = 0.01
-# ar1 and markov_function paths: replications per chunk, and time steps per
-# time-major block of a chunk
+# paths (and the Gaussian increments of sample_random_integral) are drawn and
+# reduced _CHUNK_ROWS replications at a time; ar1 and markov_function chunks
+# are stepped in time-major blocks of _CHUNK_STEPS steps
 _CHUNK_ROWS = 1024
 _CHUNK_STEPS = 256
 
@@ -59,10 +60,17 @@ class InnovationLaw:
         if self.name == "normal":
             z = rng.standard_normal(shape)
         elif self.name == "uniform":
-            z = (rng.random(shape) - 0.5) * np.sqrt(12.0)
+            z = rng.random(shape)
+            z -= 0.5
+            z *= np.sqrt(12.0)
         else:
-            z = rng.integers(0, 2, shape) * 2.0 - 1.0
-        return self.mean + self.std * z
+            z = rng.integers(0, 2, shape) * 2.0
+            z -= 1.0
+        # in place, so no temporary of the draw's size; bitwise equal to
+        # mean + std * z
+        z *= self.std
+        z += self.mean
+        return z
 
     @property
     def variance(self) -> float:
@@ -202,71 +210,107 @@ def simulate_many(spec: ProcessSpec, n: int, reps: int, seed: int, label: str = 
     """(reps, n) matrix of independent paths; deterministic in (spec, n, reps, seed).
 
     Rows are replication streams of a single Philox stream keyed by
-    (seed, label, spec hash); column k within a row is time index k.
+    (seed, label, spec hash); column k within a row is time index k.  The
+    matrix is filled from _path_chunks, so it is the one array of its size
+    a call holds (AR(1) also holds its innovations); consumers that only
+    need per-row reductions read _path_chunks instead.
+    """
+    chunks = _path_chunks(spec, n, reps, seed, label)
+    out = np.empty((reps, n))
+    r0 = 0
+    for chunk in chunks:
+        out[r0 : r0 + len(chunk)] = chunk
+        r0 += len(chunk)
+        del chunk                   # freed before the next chunk is drawn
+    return out
+
+
+def _path_chunks(spec: ProcessSpec, n: int, reps: int, seed: int, label: str):
+    """The rows of simulate_many(spec, n, reps, seed, label), in stream order,
+    as (rows, n) arrays of _CHUNK_ROWS rows (the last one may be shorter).
+
+    The arguments are checked at the call, not at the first chunk.  iid,
+    constant, ma_q and markov_function draw per chunk, which consumes the
+    stream exactly as one (reps, n) draw does.  ar1 draws its innovations
+    and computes its stationary start for all reps at once, because the
+    start is a matrix product whose rounding depends on the row count; it
+    steps the recursion per chunk.  The iterator keeps no reference to a
+    chunk it has yielded.
     """
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be positive")
     rng = rngstreams.stream(seed, label, spec.spec_hash())
-    fam = spec.family
-    if fam == "constant":
-        return np.full((reps, n), spec.value, dtype=float)
-    if fam == "iid":
-        return spec.innovations.sample(rng, (reps, n))
-    if fam == "ar1":
-        phi, law = spec.phi, spec.innovations
-        if phi == 0.0:
-            return spec.innovations.sample(rng, (reps, n))
+    return _chunks(spec, n, reps, rng)
+
+
+def _chunks(spec: ProcessSpec, n: int, reps: int, rng: np.random.Generator):
+    """The generator behind _path_chunks, which checks the arguments first."""
+    fam, law = spec.family, spec.innovations
+    if fam == "ar1" and spec.phi != 0.0:
+        phi = spec.phi
         burn = int(np.ceil(np.log(_AR1_INIT_TOL) / np.log(abs(phi))))
         eps = law.sample(rng, (reps, burn + n))
         mean_stat = law.mean / (1.0 - phi)
         # truncated moving-average start centered at the exact stationary mean
         powers = phi ** np.arange(burn - 1, -1, -1)
         x0 = mean_stat + (eps[:, :burn] - law.mean) @ powers
-        return _ar1_paths(phi, x0, eps[:, burn:])
-    if fam == "ma_q":
-        w = np.asarray(spec.weights)
-        q = len(w) - 1
-        eps = spec.innovations.sample(rng, (reps, n + q))
-        out = np.zeros((reps, n))
-        for i, wi in enumerate(w):
-            out += wi * eps[:, q - i : q - i + n]
-        return out
-    return _markov_paths(spec, n, reps, rng)
+        for r0 in range(0, reps, _CHUNK_ROWS):
+            r1 = r0 + _CHUNK_ROWS
+            yield _ar1_paths(phi, x0[r0:r1], eps[r0:r1, burn:])
+        return
+    for r0 in range(0, reps, _CHUNK_ROWS):
+        rows = min(_CHUNK_ROWS, reps - r0)
+        if fam == "constant":
+            yield np.full((rows, n), spec.value, dtype=float)
+        elif fam in ("iid", "ar1"):             # an ar1 with phi 0 is iid
+            yield law.sample(rng, (rows, n))
+        elif fam == "ma_q":
+            yield _ma_paths(spec.weights, law.sample(rng, (rows, n + len(spec.weights) - 1)))
+        else:
+            yield _markov_paths(spec, rng.random((rows, n)))
+
+
+def _ma_paths(weights, eps: np.ndarray) -> np.ndarray:
+    """X_k = sum_i w_i eps[:, k + q - i] over the last n = cols - q columns of eps."""
+    q = len(weights) - 1
+    n = eps.shape[1] - q
+    out = np.zeros((len(eps), n))
+    for i, wi in enumerate(weights):
+        out += wi * eps[:, q - i : q - i + n]
+    return out
 
 
 def _ar1_paths(phi: float, x0: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """X_k = phi X_{k-1} + eps[:, k] from X_{-1} = x0, over the columns of eps.
 
-    Rows are taken _CHUNK_ROWS at a time and stepped through time-major
-    blocks of _CHUNK_STEPS steps, so every step reads and writes
-    contiguous rows.  Each value is the same product and sum as in a
-    column-by-column loop over the whole matrix, so paths are bit-identical
-    to it.
+    The rows are stepped through time-major blocks of _CHUNK_STEPS steps,
+    so every step reads and writes contiguous rows.  Each value is the same
+    product and sum as in a column-by-column loop over the whole matrix, so
+    paths are bit-identical to it.
     """
-    reps, n = eps.shape
-    out = np.empty((reps, n))
-    for r0 in range(0, reps, _CHUNK_ROWS):
-        prev = x0[r0 : r0 + _CHUNK_ROWS]
-        step = np.empty(len(prev))
-        for t0 in range(0, n, _CHUNK_STEPS):
-            block = np.ascontiguousarray(eps[r0 : r0 + _CHUNK_ROWS, t0 : t0 + _CHUNK_STEPS].T)
-            for x in block:
-                np.multiply(prev, phi, out=step)
-                np.add(x, step, out=x)
-                prev = x
-            out[r0 : r0 + _CHUNK_ROWS, t0 : t0 + _CHUNK_STEPS] = block.T
+    n = eps.shape[1]
+    out = np.empty(eps.shape)
+    prev = x0
+    step = np.empty(len(prev))
+    for t0 in range(0, n, _CHUNK_STEPS):
+        block = np.ascontiguousarray(eps[:, t0 : t0 + _CHUNK_STEPS].T)
+        for x in block:
+            np.multiply(prev, phi, out=step)
+            np.add(x, step, out=x)
+            prev = x
+        out[:, t0 : t0 + _CHUNK_STEPS] = block.T
     return out
 
 
-def _markov_paths(spec: ProcessSpec, n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
-    """markov_function paths, _CHUNK_ROWS replications at a time.
+def _markov_paths(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
+    """markov_function paths from the uniforms u, one row per replication;
+    the paths overwrite u, which is returned.
 
     The uniform u[r, k] picks the state at time k: the initial state is
     #{j : cum_initial[j] <= u} and the successor of state s is
-    #{j : u > cum[s, j]}, both capped at K - 1.  Drawing the rows in
-    chunks consumes the stream exactly as one (reps, n) draw does.  Each
-    chunk is stepped through time-major blocks of _CHUNK_STEPS steps, so
-    every step reads and writes contiguous rows.
+    #{j : u > cum[s, j]}, both capped at K - 1.  The rows are stepped
+    through time-major blocks of _CHUNK_STEPS steps, so every step reads
+    and writes contiguous rows.
     """
     chain = spec.chain
     vals = spec.mapped_values()
@@ -277,34 +321,36 @@ def _markov_paths(spec: ProcessSpec, n: int, reps: int, rng: np.random.Generator
     thresholds = np.ascontiguousarray(np.cumsum(chain.transition, axis=1)[:, :kmax].T)
     cum_initial = np.cumsum(chain.initial)
     dtype = np.min_scalar_type(kmax)
-    out = np.empty((reps, n))
-    for r0 in range(0, reps, _CHUNK_ROWS):
-        u = rng.random((min(_CHUNK_ROWS, reps - r0), n))
-        rows = len(u)
-        cut = np.empty((kmax, rows))
-        above = np.empty((kmax, rows), dtype=bool)
-        prev = np.minimum(np.searchsorted(cum_initial, u[:, 0], side="right"), kmax)
-        for t0 in range(0, n, _CHUNK_STEPS):
-            ub = np.ascontiguousarray(u[:, t0 : t0 + _CHUNK_STEPS].T)
-            states = np.empty(ub.shape, dtype=dtype)
-            for t, ut in enumerate(ub):
-                if t0 + t == 0:
-                    states[0] = prev
-                else:
-                    # prev holds counts in [0, K - 1], so clipping never
-                    # moves an index; it only spares numpy a buffered copy
-                    np.take(thresholds, prev, axis=1, out=cut, mode="clip")
-                    np.greater(ut, cut, out=above)
-                    np.add.reduce(above, axis=0, out=states[t])
-                prev = states[t]
-            np.take(vals, states.T, out=out[r0 : r0 + rows, t0 : t0 + _CHUNK_STEPS])
-    return out
+    rows, n = u.shape
+    cut = np.empty((kmax, rows))
+    above = np.empty((kmax, rows), dtype=bool)
+    prev = np.minimum(np.searchsorted(cum_initial, u[:, 0], side="right"), kmax)
+    for t0 in range(0, n, _CHUNK_STEPS):
+        ub = np.ascontiguousarray(u[:, t0 : t0 + _CHUNK_STEPS].T)
+        states = np.empty(ub.shape, dtype=dtype)
+        for t, ut in enumerate(ub):
+            if t0 + t == 0:
+                states[0] = prev
+            else:
+                # prev holds counts in [0, K - 1], so clipping never
+                # moves an index; it only spares numpy a buffered copy
+                np.take(thresholds, prev, axis=1, out=cut, mode="clip")
+                np.greater(ut, cut, out=above)
+                np.add.reduce(above, axis=0, out=states[t])
+            prev = states[t]
+        # the block's uniforms are spent, so ub takes its values; states lie
+        # in [0, K - 1], so clipping never moves an index
+        np.take(vals, states, out=ub, mode="clip")
+        u[:, t0 : t0 + _CHUNK_STEPS] = ub.T
+    return u
 
 
 def normalized_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str) -> np.ndarray:
-    """a_n S_n + b_n of each of reps simulated paths of length n."""
-    paths = simulate_many(spec, n, reps, seed, label=label)
-    return norming_for(spec).normalized_sum(paths)
+    """a_n S_n + b_n of each of reps simulated paths of length n, reduced
+    one row chunk at a time."""
+    chunks = _path_chunks(spec, n, reps, seed, label)
+    norming = norming_for(spec)
+    return np.concatenate(list(map(norming.normalized_sum, chunks)))
 
 
 def long_run_variance(spec: ProcessSpec) -> float:

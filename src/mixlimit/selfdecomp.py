@@ -18,6 +18,7 @@ import numpy as np
 
 from . import rngstreams
 from .probcore import _cf_values, as_sample, psd_check
+from .processes import _CHUNK_ROWS
 
 DEFAULT_C_VALUES = (0.3, 0.5, 0.8)
 DEFAULT_GRID_RADIUS = 8.0
@@ -229,7 +230,9 @@ def sample_random_integral(
     The drift contribution uses the exact per-step integral of e^{-t},
     so with randomness disabled the result is drift (1 - e^{-t_max}) for
     every step count.  The Gaussian part weights each increment by the
-    step-midpoint value e^{-t_mid} (error <= e^{-t} dt/2 per step).  The
+    step-midpoint value e^{-t_mid} (error <= e^{-t} dt/2 per step); the
+    (n_samples, n_steps) increments are drawn and summed in row chunks,
+    all before the jumps, so the stream is consumed as by one draw.  The
     compound-Poisson part draws the exact arrival-time law (Poisson
     counts with conditionally uniform times, equivalent to exponential
     inter-arrivals) and weights each jump by e^{-(arrival time)}, with
@@ -248,8 +251,11 @@ def sample_random_integral(
     if bdlp.gaussian_sigma > 0:
         mids = 0.5 * (edges[:-1] + edges[1:])
         dt = np.diff(edges)
-        z = rng.standard_normal((n_samples, n_steps))
-        out += bdlp.gaussian_sigma * (z * (np.exp(-mids) * np.sqrt(dt))).sum(axis=1)
+        weights = np.exp(-mids) * np.sqrt(dt)
+        # the (n_samples, n_steps) normals, drawn and reduced in row chunks
+        for r0 in range(0, n_samples, _CHUNK_ROWS):
+            z = rng.standard_normal((min(_CHUNK_ROWS, n_samples - r0), n_steps))
+            out[r0 : r0 + len(z)] += bdlp.gaussian_sigma * (z * weights).sum(axis=1)
     if bdlp.jump_rate > 0:
         out = _add_jumps(out, bdlp, rng, t_max, discounted=True)
     return out

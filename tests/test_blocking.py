@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from mixlimit import processes
 from mixlimit.blocking import (
     BlockingPlan,
+    _block_sums,
     _three_blocks,
     compute_deltas,
     compute_m,
@@ -18,7 +21,10 @@ from mixlimit.blocking import (
 )
 from mixlimit.harness import CSV_COLUMNS, csv_text
 from mixlimit.probcore import ks_distance
+from mixlimit.mixing import MarkovChainSpec
 from mixlimit.processes import (
+    _CHUNK_ROWS,
+    InnovationLaw,
     NormingSequences,
     ProcessSpec,
     marginal_abs_tail,
@@ -203,7 +209,7 @@ def test_decompose_row_matches_verify_blocking_split():
     paths = simulate_many(spec, 512, 8, 4, label="blocking")
     for n in (256, 512):
         i = plan.index_of(n)
-        u, v, w, _, _ = _three_blocks(paths, nm, int(plan.m[i]), int(plan.q[i]), n)
+        u, v, w, _ = _three_blocks(paths, nm, int(plan.m[i]), int(plan.q[i]), n)
         for r in (0, 5):
             t = decompose(paths[r], nm, plan, n)
             assert (t.u, t.v, t.w) == (u[r], v[r], w[r])
@@ -317,6 +323,64 @@ def test_iid_trailing_block_reaches_its_gaussian_limit():
     sd = np.sqrt(1 - 0.5 ** 2)
     ks = ks_distance(w, lambda x: scipy.stats.norm.cdf(np.asarray(x) / sd))
     assert ks < 0.05
+
+
+FINDING1 = ProcessSpec(family="markov_function", chain=MarkovChainSpec(
+    [-1.0, 2.0, 0.5], [[0.6, 0.3, 0.1], [0.3, 0.6, 0.1], [0.2, 0.2, 0.6]], [1 / 3, 1 / 3, 1 / 3]))
+BLOCKING_SPECS = {
+    "iid-normal": ProcessSpec(family="iid"),
+    "iid-uniform": ProcessSpec(family="iid", innovations=InnovationLaw("uniform", 0.0, 1.0)),
+    "iid-rademacher": ProcessSpec(family="iid", innovations=InnovationLaw("rademacher", 0.0, 1.0)),
+    "ar1": ProcessSpec(family="ar1", phi=0.5),
+    "ma_q": ProcessSpec(family="ma_q", weights=(1.0, 0.5, 0.25)),
+    "markov_function": FINDING1,
+}
+CHUNK_BOUNDARY_REPS = (1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 7)
+
+
+@pytest.mark.parametrize("reps", CHUNK_BOUNDARY_REPS)
+@pytest.mark.parametrize("name", sorted(BLOCKING_SPECS))
+def test_chunked_block_sums_equal_the_whole_matrix_split(name, reps):
+    spec = BLOCKING_SPECS[name]
+    nm = norming_for(spec)
+    plan = make_plan(nm, marginal_abs_tail(spec), 0.5, (64, 128))
+    blocks = _block_sums(spec, nm, plan, [64, 128], reps, 8)
+    paths = simulate_many(spec, 128, reps, 8, label="blocking")
+    for n in (64, 128):
+        i = plan.index_of(n)
+        whole = _three_blocks(paths, nm, int(plan.m[i]), int(plan.q[i]), n)
+        assert all(np.array_equal(a, b) for a, b in zip(blocks[n], whole))
+
+
+@pytest.mark.parametrize("reps", CHUNK_BOUNDARY_REPS)
+@pytest.mark.parametrize("name", sorted(BLOCKING_SPECS))
+def test_verify_blocking_rows_equal_the_whole_matrix_rows(monkeypatch, name, reps):
+    # the reference hands verify_blocking the whole simulate_many matrix as
+    # one chunk, so _three_blocks splits it at once
+    spec = BLOCKING_SPECS[name]
+    rows = verify_blocking(spec, n_grid=(64, 128), replications=reps, seed=8)
+    whole = simulate_many(spec, 128, reps, 8, label="blocking")
+    monkeypatch.setattr(processes, "_path_chunks", lambda *args: iter([whole]))
+    reference = verify_blocking(spec, n_grid=(64, 128), replications=reps, seed=8)
+    assert {r["n"] for r in rows} == {64, 128}
+    assert repr(rows) == repr(reference)
+
+
+def test_verify_blocking_peak_memory_below_a_quarter_of_the_paths():
+    # the whole-matrix run held the (reps, n) paths and, in the CF-ratio
+    # test, a (frequencies, reps) table of exponentials
+    reps, n_grid = 16384, (256, 512)
+    verify_blocking(FINDING1, n_grid=n_grid, replications=50, seed=3)   # loads scipy first
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rows = verify_blocking(FINDING1, n_grid=n_grid, replications=reps, seed=3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert {r["n"] for r in rows} == set(n_grid)
+    assert peak < reps * max(n_grid) * 8 / 4
 
 
 def test_verify_blocking_rejects_degenerate():

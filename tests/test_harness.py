@@ -208,6 +208,24 @@ def test_runner_value_errors_are_config_errors(tmp_path, capsys, cfg, needle):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("cfg", [
+    {"kind": "selfdecomp-test", "seed": 1, "c_values": [0.5],
+     "process": {"family": "ma_q", "weights": [1.0, 0.5]}, "n": 64, "replications": 0},
+    corollary_cfg("independent", n=64, replications=0),
+    corollary_cfg("duplicate", n=64, replications=0),
+    corollary_cfg("lagged_blocks", process_x={"family": "ar1", "phi": 0.5}, lags=[0, 2],
+                  replications=0),
+    dict(BLOCKING_CFG, replications=0),
+], ids=["selfdecomp-test", "corollary-independent", "corollary-duplicate",
+        "corollary-lagged", "blocking-verify"])
+def test_zero_replications_is_a_config_error(tmp_path, capsys, cfg):
+    # the row-chunked paths check their arguments before the first chunk
+    path = write_cfg(tmp_path, "zero.json", cfg)
+    assert harness.run(path, out_dir=str(tmp_path / "o")) == 1
+    assert capsys.readouterr().out == "config error: n and reps must be positive\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_error_writes_nothing(tmp_path, capsys):
     # the runner rejects the config after the output directory is resolved:
     # a new directory is not created and an existing one is left as it was

@@ -62,6 +62,15 @@ def test_cf_two_point_is_cosine():
     assert np.allclose(values.real, np.cos(grid), atol=1e-15)
 
 
+@pytest.mark.parametrize("n_freqs", [1, 15, 16, 17, 41])
+@pytest.mark.parametrize("size", [1, 1023, 1024, 1025, 2055])
+def test_cf_blocks_equal_the_one_shot_table(n_freqs, size):
+    rng = np.random.default_rng(n_freqs * size)
+    freqs, x = rng.normal(0.0, 3.0, n_freqs), rng.standard_t(3, size)
+    one_shot = np.exp(1j * np.multiply.outer(freqs, x)).mean(axis=1)
+    assert np.array_equal(_cf_values(freqs, x), one_shot)
+
+
 def test_cf_rejects_empty_sample():
     with pytest.raises(ValueError, match="nonempty 1-D"):
         as_sample(np.array([]))

@@ -8,13 +8,16 @@ from mixlimit import rngstreams
 from mixlimit.mixing import MarkovChainSpec
 from mixlimit.processes import (
     _AR1_INIT_TOL,
+    _CHUNK_ROWS,
     _markov_paths,
+    _path_chunks,
     InnovationLaw,
     ProcessSpec,
     analytic_alpha_profile,
     limit_cdf,
     long_run_variance,
     marginal_abs_tail,
+    normalized_sums,
     norming_for,
     simulate_many,
     validate_norming,
@@ -65,11 +68,23 @@ def loop_markov_paths(spec, u):
     return spec.mapped_values()[states]
 
 
-def loop_ar1_paths(spec, n, reps, seed):
+def one_shot_innovations(law, rng, shape):
+    """law.sample as one draw scaled out of place, as mean + std * z."""
+    if law.name == "normal":
+        z = rng.standard_normal(shape)
+    elif law.name == "uniform":
+        z = (rng.random(shape) - 0.5) * np.sqrt(12.0)
+    else:
+        z = rng.integers(0, 2, shape) * 2.0 - 1.0
+    return law.mean + law.std * z
+
+
+def loop_ar1_paths(spec, n, reps, seed, label="path"):
     """ar1 paths of simulate_many, one time column at a time."""
     phi, law = spec.phi, spec.innovations
     burn = int(np.ceil(np.log(_AR1_INIT_TOL) / np.log(abs(phi))))
-    eps = law.sample(rngstreams.stream(seed, "path", spec.spec_hash()), (reps, burn + n))
+    rng = rngstreams.stream(seed, label, spec.spec_hash())
+    eps = one_shot_innovations(law, rng, (reps, burn + n))
     prev = law.mean / (1.0 - phi) + (eps[:, :burn] - law.mean) @ phi ** np.arange(burn - 1, -1, -1)
     out = np.empty((reps, n))
     for k in range(n):
@@ -78,17 +93,24 @@ def loop_ar1_paths(spec, n, reps, seed):
     return out
 
 
-class FixedUniforms:
-    """Generator stand-in whose random(shape) hands out the rows of u in order."""
-
-    def __init__(self, u):
-        self.u, self.row = u, 0
-
-    def random(self, shape):
-        rows = self.u[self.row : self.row + shape[0]]
-        self.row += shape[0]
-        assert rows.shape == shape
-        return rows
+def one_shot_paths(spec, n, reps, seed, label="path"):
+    """The (reps, n) paths of simulate_many from one whole-matrix draw, with
+    the innovations scaled as mean + std * z."""
+    rng = rngstreams.stream(seed, label, spec.spec_hash())
+    if spec.family == "constant":
+        return np.full((reps, n), spec.value)
+    if spec.family == "iid" or (spec.family == "ar1" and spec.phi == 0.0):
+        return one_shot_innovations(spec.innovations, rng, (reps, n))
+    if spec.family == "ar1":
+        return loop_ar1_paths(spec, n, reps, seed, label)
+    if spec.family == "ma_q":
+        q = len(spec.weights) - 1
+        eps = one_shot_innovations(spec.innovations, rng, (reps, n + q))
+        out = np.zeros((reps, n))
+        for i, wi in enumerate(spec.weights):
+            out += wi * eps[:, q - i : q - i + n]
+        return out
+    return loop_markov_paths(spec, rng.random((reps, n)))
 
 
 def loop_markov_tail(spec):
@@ -177,7 +199,7 @@ def test_markov_kernel_ties_and_capped_rows(spec):
                            [0.0, np.nextafter(1.0, 0.0)]])
     pool = pool[(pool >= 0.0) & (pool < 1.0)]
     u = np.random.default_rng(4).choice(pool, size=(1100, 60))
-    out = _markov_paths(spec, 60, 1100, FixedUniforms(u))
+    out = _markov_paths(spec, u.copy())
     assert np.array_equal(out, loop_markov_paths(spec, u))
 
 
@@ -193,6 +215,72 @@ def test_markov_paths_peak_memory_below_twice_the_output():
     finally:
         tracemalloc.stop()
     assert peak < 2 * out.nbytes
+
+
+CHUNKED_SPECS = {
+    "iid-normal": ProcessSpec(family="iid", innovations=InnovationLaw("normal", 0.7, 1.3)),
+    "iid-uniform": ProcessSpec(family="iid", innovations=InnovationLaw("uniform", -0.2, 2.0)),
+    "iid-rademacher": ProcessSpec(family="iid", innovations=InnovationLaw("rademacher", 0.1, 0.5)),
+    "ar1": ProcessSpec(family="ar1", phi=-0.9, innovations=InnovationLaw("uniform", 0.3, 2.0)),
+    "ar1-phi0": ProcessSpec(family="ar1", phi=0.0),
+    "ma_q": ProcessSpec(family="ma_q", weights=(1.0, 0.5, 0.25),
+                        innovations=InnovationLaw("uniform", 0.2, 1.0)),
+    "markov_function": FINDING1,
+    "constant": ProcessSpec(family="constant", value=2.5),
+}
+# one chunk, a chunk less or more by one row, and two full chunks plus seven rows
+CHUNK_BOUNDARY_REPS = (1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 7)
+
+
+@pytest.mark.parametrize("reps", CHUNK_BOUNDARY_REPS)
+@pytest.mark.parametrize("name", sorted(CHUNKED_SPECS))
+def test_chunks_concatenate_to_the_one_shot_paths(name, reps):
+    # 260 steps cross the time-major block of 256 steps
+    spec = CHUNKED_SPECS[name]
+    chunks = list(_path_chunks(spec, 260, reps, 6, "chunks"))
+    assert all(c.shape == (min(_CHUNK_ROWS, reps - k * _CHUNK_ROWS), 260)
+               for k, c in enumerate(chunks))
+    reference = one_shot_paths(spec, 260, reps, 6, "chunks")
+    assert np.array_equal(np.concatenate(chunks), reference)
+    assert np.array_equal(simulate_many(spec, 260, reps, 6, "chunks"), reference)
+
+
+@pytest.mark.parametrize("reps", CHUNK_BOUNDARY_REPS)
+@pytest.mark.parametrize("name", sorted(set(CHUNKED_SPECS) - {"constant"}))
+def test_normalized_sums_equal_the_whole_matrix_sums(name, reps):
+    spec = CHUNKED_SPECS[name]
+    sums = normalized_sums(spec, 260, reps, 6, "sums")
+    whole = norming_for(spec).normalized_sum(simulate_many(spec, 260, reps, 6, "sums"))
+    assert np.array_equal(sums, whole)
+    assert np.array_equal(sums, norming_for(spec).normalized_sum(
+        one_shot_paths(spec, 260, reps, 6, "sums")))
+
+
+def test_path_arguments_are_checked_at_the_call():
+    for n, reps in ((0, 5), (5, 0), (-1, 5)):
+        with pytest.raises(ValueError, match="n and reps must be positive"):
+            simulate_many(MA11, n, reps, 1)
+        with pytest.raises(ValueError, match="n and reps must be positive"):
+            normalized_sums(MA11, n, reps, 1, "x")
+        with pytest.raises(ValueError, match="n and reps must be positive"):
+            _path_chunks(MA11, n, reps, 1, "x")       # not iterated
+
+
+def test_normalized_sums_peak_memory_below_a_quarter_of_the_paths():
+    # the whole-matrix draw held the innovations, the paths and a product
+    # temporary: about three times the (reps, n) matrix
+    spec = ProcessSpec(family="ma_q", weights=(1.0, 0.5, 0.25))
+    n, reps = 1024, 16384
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        sums = normalized_sums(spec, n, reps, 2, "memory")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sums.shape == (reps,)
+    assert peak < reps * n * 8 / 4
 
 
 @pytest.mark.parametrize("spec, n, reps", [

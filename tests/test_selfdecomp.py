@@ -5,12 +5,15 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
+from mixlimit import rngstreams
 from mixlimit.probcore import _cf_values, ks_distance, psd_check
+from mixlimit.processes import _CHUNK_ROWS
 from mixlimit.selfdecomp import (
     BDLPSpec,
     DiscreteJumps,
     DyadicTowerJumps,
     NormalJumps,
+    _add_jumps,
     log_moment_check,
     sample_random_integral,
     selfdecomp_test,
@@ -203,6 +206,30 @@ def test_resolution_doubling_ks_small():
     x2 = np.sort(s2)
     cdf2 = lambda x: np.searchsorted(x2, np.asarray(x), side="right") / len(x2)
     assert ks_distance(s1, cdf2) < 0.01
+
+
+def one_shot_random_integral(bdlp, t_max, n_steps, n_samples, seed):
+    """sample_random_integral with all the Gaussian increments drawn as one
+    (n_samples, n_steps) matrix."""
+    rng = rngstreams.stream(seed, "bdlp-integral")
+    edges = np.linspace(0.0, t_max, n_steps + 1)
+    out = np.full(n_samples, bdlp.drift * -np.expm1(-t_max))
+    if bdlp.gaussian_sigma > 0:
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        z = rng.standard_normal((n_samples, n_steps))
+        out += bdlp.gaussian_sigma * (z * (np.exp(-mids) * np.sqrt(np.diff(edges)))).sum(axis=1)
+    if bdlp.jump_rate > 0:
+        out = _add_jumps(out, bdlp, rng, t_max, discounted=True)
+    return out
+
+
+@pytest.mark.parametrize("n_samples", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                                       2 * _CHUNK_ROWS + 7])
+def test_chunked_integral_equals_the_one_shot_draw(n_samples):
+    # the jumps come after every Gaussian increment in the stream
+    bdlp = BDLPSpec(drift=0.5, gaussian_sigma=1.5, jump_rate=2.0, jump_law=NormalJumps(0.5, 1.0))
+    chunked = sample_random_integral(bdlp, 12.0, 37, n_samples, seed=9)
+    assert np.array_equal(chunked, one_shot_random_integral(bdlp, 12.0, 37, n_samples, 9))
 
 
 def test_integral_validation():
