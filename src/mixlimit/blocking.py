@@ -204,17 +204,19 @@ def _block_sums(spec: ProcessSpec, norming: NormingSequences, plan: BlockingPlan
                 replications: int, seed: int) -> dict:
     """{n: (U, V, W, total)} over replications simulated paths of length max(ns).
 
-    The paths are read one row chunk at a time, so no (replications, n)
-    matrix is held.  Every entry is a per-row sum, bitwise equal to the
-    same split of the whole simulate_many matrix.
+    Each block of paths is split as it is drawn and then dropped, so no
+    (replications, n) matrix is held.  Every entry is a per-row sum,
+    bitwise equal to the same split of the simulate_many matrix.
     """
-    parts = {n: [] for n in ns}
-    for chunk in processes._path_chunks(spec, max(ns), replications, seed, "blocking"):
+    def split(r0, block):
+        out = []
         for n in ns:
             i = plan.index_of(n)
-            parts[n].append(_three_blocks(chunk, norming, int(plan.m[i]), int(plan.q[i]), n))
-        del chunk                   # freed before the next chunk is drawn
-    return {n: tuple(map(np.concatenate, zip(*parts[n]))) for n in ns}
+            out.append(_three_blocks(block, norming, int(plan.m[i]), int(plan.q[i]), n))
+        return out
+
+    parts = processes._map_blocks(spec, max(ns), replications, seed, "blocking", split)
+    return {n: tuple(map(np.concatenate, zip(*(p[k] for p in parts)))) for k, n in enumerate(ns)}
 
 
 def decompose(path, norming: NormingSequences, plan: BlockingPlan, n: int) -> BlockTriple:

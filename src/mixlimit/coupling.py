@@ -235,10 +235,9 @@ def corollary_sum_experiment(
         horizon = 2 * nb + int(max(lags))
         # the normalized sums of the first block and of the block after each lag
         starts = [0] + [nb + int(lag) for lag in lags]
-        parts = []
-        for chunk in processes._path_chunks(spec_x, horizon, replications, seed, "corr-lag"):
-            parts.append([norming.normalized_sum(chunk[:, s : s + nb]) for s in starts])
-            del chunk               # freed before the next chunk is drawn
+        parts = processes._map_blocks(
+            spec_x, horizon, replications, seed, "corr-lag",
+            lambda r0, block: [norming.normalized_sum(block[:, s : s + nb]) for s in starts])
         x, *zs = map(np.concatenate, zip(*parts))
         shuffle = rngstreams.stream(seed, "corr-shuffle").permutation(replications)
         alpha_env = processes.analytic_alpha_profile(spec_x, sorted({int(L) + 1 for L in lags}))

@@ -45,7 +45,8 @@ EXPERIMENT_KINDS = (
 
 RNG_NOTE = (
     "Philox 64-bit counter RNG; streams keyed by (master seed, experiment label, "
-    "spec hash), replications are rows of a stream's draw matrix"
+    f"spec hash, block index), replication r is row r mod {processes._CHUNK_ROWS} "
+    f"of block r // {processes._CHUNK_ROWS}"
 )
 
 

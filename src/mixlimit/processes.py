@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +35,15 @@ _AR1_INIT_TOL = 1e-16
 A_DECAY_FACTOR = 0.1
 RATIO_TOL = 0.01
 DRIFT_TOL = 0.01
-# paths (and the Gaussian increments of sample_random_integral) are drawn and
-# reduced _CHUNK_ROWS replications at a time; ar1 and markov_function chunks
-# are stepped in time-major blocks of _CHUNK_STEPS steps
-_CHUNK_ROWS = 1024
+# replications (and the samples of sample_random_integral) are drawn and
+# reduced in blocks of _CHUNK_ROWS, one keyed stream per block, on _WORKERS
+# threads that each hold one block: the paths in flight take the memory of
+# _IN_FLIGHT_ROWS rows, the one chunk of the sequential draw, on any host;
+# ar1 and markov_function blocks are stepped in time-major blocks of
+# _CHUNK_STEPS steps
+_CHUNK_ROWS = 512
+_IN_FLIGHT_ROWS = 1024
+_WORKERS = _IN_FLIGHT_ROWS // _CHUNK_ROWS
 _CHUNK_STEPS = 256
 
 
@@ -56,21 +62,22 @@ class InnovationLaw:
         if self.std < 0:
             raise ValueError("innovation std must be nonnegative")
 
-    def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """out, filled with draws of the law in row-major order."""
         if self.name == "normal":
-            z = rng.standard_normal(shape)
+            rng.standard_normal(out=out)
         elif self.name == "uniform":
-            z = rng.random(shape)
-            z -= 0.5
-            z *= np.sqrt(12.0)
+            rng.random(out=out)
+            out -= 0.5
+            out *= np.sqrt(12.0)
         else:
-            z = rng.integers(0, 2, shape) * 2.0
-            z -= 1.0
+            np.multiply(rng.integers(0, 2, out.shape), 2.0, out=out)
+            out -= 1.0
         # in place, so no temporary of the draw's size; bitwise equal to
         # mean + std * z
-        z *= self.std
-        z += self.mean
-        return z
+        out *= self.std
+        out += self.mean
+        return out
 
     @property
     def variance(self) -> float:
@@ -209,65 +216,111 @@ class Step1Report:
 def simulate_many(spec: ProcessSpec, n: int, reps: int, seed: int, label: str = "path") -> np.ndarray:
     """(reps, n) matrix of independent paths; deterministic in (spec, n, reps, seed).
 
-    Rows are replication streams of a single Philox stream keyed by
-    (seed, label, spec hash); column k within a row is time index k.  The
-    matrix is filled from _path_chunks, so it is the one array of its size
-    a call holds (AR(1) also holds its innovations); consumers that only
-    need per-row reductions read _path_chunks instead.
+    Replication r is row r mod _CHUNK_ROWS of block r // _CHUNK_ROWS,
+    whose stream is keyed by (seed, label, spec hash, block index); column
+    k within a row is time index k.  So a row does not depend on reps:
+    simulate_many(spec, n, 1, seed)[0] is row 0 of every larger draw.
+    Each block is written into the matrix as it is drawn, so the matrix is
+    the one array of its size a call holds; consumers that only need
+    per-row reductions pass them to _map_blocks instead.
     """
-    chunks = _path_chunks(spec, n, reps, seed, label)
+    # checked before the allocation, which would raise its own message
+    _check_sizes(n, reps)
     out = np.empty((reps, n))
-    r0 = 0
-    for chunk in chunks:
-        out[r0 : r0 + len(chunk)] = chunk
-        r0 += len(chunk)
-        del chunk                   # freed before the next chunk is drawn
+
+    def write(r0, block):
+        out[r0 : r0 + len(block)] = block
+
+    _map_blocks(spec, n, reps, seed, label, write)
     return out
 
 
-def _path_chunks(spec: ProcessSpec, n: int, reps: int, seed: int, label: str):
-    """The rows of simulate_many(spec, n, reps, seed, label), in stream order,
-    as (rows, n) arrays of _CHUNK_ROWS rows (the last one may be shorter).
-
-    The arguments are checked at the call, not at the first chunk.  iid,
-    constant, ma_q and markov_function draw per chunk, which consumes the
-    stream exactly as one (reps, n) draw does.  ar1 draws its innovations
-    and computes its stationary start for all reps at once, because the
-    start is a matrix product whose rounding depends on the row count; it
-    steps the recursion per chunk.  The iterator keeps no reference to a
-    chunk it has yielded.
-    """
+def _check_sizes(n: int, reps: int) -> None:
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be positive")
-    rng = rngstreams.stream(seed, label, spec.spec_hash())
-    return _chunks(spec, n, reps, rng)
 
 
-def _chunks(spec: ProcessSpec, n: int, reps: int, rng: np.random.Generator):
-    """The generator behind _path_chunks, which checks the arguments first."""
+def _map_blocks(spec: ProcessSpec, n: int, reps: int, seed: int, label: str, reduce) -> list:
+    """[reduce(r0, block)] over the blocks of _CHUNK_ROWS replications, in
+    block order; block b is the (rows, n) paths of replications r0 = b
+    _CHUNK_ROWS onwards (the last block may be shorter).
+
+    Block b draws from the stream keyed by (seed, label, spec hash, b), so
+    it and its reduction depend on b alone, and the result is the same on
+    every number of workers.  The arguments are checked at the call,
+    before any block is drawn.  reduce runs on a worker thread and must
+    not touch state another block writes.  Each worker draws its blocks
+    into one scratch array, so reduce must not keep the block it is given.
+    """
+    _check_sizes(n, reps)
+    key = spec.spec_hash()
+    scratch = threading.local()
+
+    def task(b, r0, rows):
+        rng = rngstreams.stream(seed, label, key, b)
+        return reduce(r0, _block(spec, n, rows, rng, scratch))
+
+    return _run_blocks(task, reps)
+
+
+def _run_blocks(task, total: int) -> list:
+    """[task(b, r0, rows)] over the blocks b of _CHUNK_ROWS of total items,
+    in block order: block b holds the rows items from r0 = b _CHUNK_ROWS on
+    (the last block may be shorter).
+
+    The tasks run on _WORKERS threads.  numpy's generators and ufuncs
+    release the GIL, so blocks drawn from separate streams overlap.  A
+    task's exception, or an interrupt, is raised here once the running
+    tasks end: Executor.map cancels the blocks not yet started.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    starts = range(0, total, _CHUNK_ROWS)
+    rows = [min(_CHUNK_ROWS, total - r0) for r0 in starts]
+    with ThreadPoolExecutor(max_workers=min(_WORKERS, len(starts))) as pool:
+        return list(pool.map(task, range(len(starts)), starts, rows))
+
+
+def _scratch(scratch, shape) -> np.ndarray:
+    """A float array of the given 2-D shape backed by scratch.buf, which is
+    allocated on first use and grown when too small.
+
+    Reusing one array per worker keeps the allocator from handing out and
+    taking back a block-sized array per block; glibc keeps such memory in
+    each thread's arena, which raised the peak RSS of a two-worker
+    markov_function blocking-verify run (10^4 replications, n up to
+    4096) from 77 to 110 MB.
+    """
+    size = shape[0] * shape[1]
+    buf = getattr(scratch, "buf", None)
+    if buf is None or buf.size < size:
+        buf = scratch.buf = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def _block(spec: ProcessSpec, n: int, rows: int, rng: np.random.Generator, scratch) -> np.ndarray:
+    """(rows, n) independent paths drawn from rng.  The draws go into the
+    array of the per-worker object scratch (see _scratch), so the paths
+    may be a view of it.
+
+    ar1 draws (rows, burn + n) innovations, steps the recursion from the
+    stationary mean through the burn-in, and keeps the last n steps, so
+    every row is a function of its own innovations.
+    """
     fam, law = spec.family, spec.innovations
-    if fam == "ar1" and spec.phi != 0.0:
+    if fam == "constant":
+        return np.full((rows, n), spec.value, dtype=float)
+    if fam == "iid" or (fam == "ar1" and spec.phi == 0.0):      # an ar1 with phi 0 is iid
+        return law.sample(rng, _scratch(scratch, (rows, n)))
+    if fam == "ar1":
         phi = spec.phi
         burn = int(np.ceil(np.log(_AR1_INIT_TOL) / np.log(abs(phi))))
-        eps = law.sample(rng, (reps, burn + n))
-        mean_stat = law.mean / (1.0 - phi)
-        # truncated moving-average start centered at the exact stationary mean
-        powers = phi ** np.arange(burn - 1, -1, -1)
-        x0 = mean_stat + (eps[:, :burn] - law.mean) @ powers
-        for r0 in range(0, reps, _CHUNK_ROWS):
-            r1 = r0 + _CHUNK_ROWS
-            yield _ar1_paths(phi, x0[r0:r1], eps[r0:r1, burn:])
-        return
-    for r0 in range(0, reps, _CHUNK_ROWS):
-        rows = min(_CHUNK_ROWS, reps - r0)
-        if fam == "constant":
-            yield np.full((rows, n), spec.value, dtype=float)
-        elif fam in ("iid", "ar1"):             # an ar1 with phi 0 is iid
-            yield law.sample(rng, (rows, n))
-        elif fam == "ma_q":
-            yield _ma_paths(spec.weights, law.sample(rng, (rows, n + len(spec.weights) - 1)))
-        else:
-            yield _markov_paths(spec, rng.random((rows, n)))
+        eps = law.sample(rng, _scratch(scratch, (rows, burn + n)))
+        return _ar1_paths(phi, np.full(rows, law.mean / (1.0 - phi)), eps)[:, burn:]
+    if fam == "ma_q":
+        q = len(spec.weights) - 1
+        return _ma_paths(spec.weights, law.sample(rng, _scratch(scratch, (rows, n + q))))
+    return _markov_paths(spec, rng.random(out=_scratch(scratch, (rows, n))))
 
 
 def _ma_paths(weights, eps: np.ndarray) -> np.ndarray:
@@ -281,25 +334,24 @@ def _ma_paths(weights, eps: np.ndarray) -> np.ndarray:
 
 
 def _ar1_paths(phi: float, x0: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """X_k = phi X_{k-1} + eps[:, k] from X_{-1} = x0, over the columns of eps.
+    """X_k = phi X_{k-1} + eps[:, k] from X_{-1} = x0, over the columns of
+    eps; the paths overwrite eps, which is returned.
 
     The rows are stepped through time-major blocks of _CHUNK_STEPS steps,
     so every step reads and writes contiguous rows.  Each value is the same
     product and sum as in a column-by-column loop over the whole matrix, so
     paths are bit-identical to it.
     """
-    n = eps.shape[1]
-    out = np.empty(eps.shape)
     prev = x0
     step = np.empty(len(prev))
-    for t0 in range(0, n, _CHUNK_STEPS):
+    for t0 in range(0, eps.shape[1], _CHUNK_STEPS):
         block = np.ascontiguousarray(eps[:, t0 : t0 + _CHUNK_STEPS].T)
         for x in block:
             np.multiply(prev, phi, out=step)
             np.add(x, step, out=x)
             prev = x
-        out[:, t0 : t0 + _CHUNK_STEPS] = block.T
-    return out
+        eps[:, t0 : t0 + _CHUNK_STEPS] = block.T
+    return eps
 
 
 def _markov_paths(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
@@ -320,21 +372,23 @@ def _markov_paths(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
     # thresholds holds cum[:, j]
     thresholds = np.ascontiguousarray(np.cumsum(chain.transition, axis=1)[:, :kmax].T)
     cum_initial = np.cumsum(chain.initial)
-    dtype = np.min_scalar_type(kmax)
+    # a step costs a few microseconds of call overhead, so it gathers with
+    # the bound method (no np.take wrapper) and intp states (no index cast)
+    take = thresholds.take
     rows, n = u.shape
     cut = np.empty((kmax, rows))
     above = np.empty((kmax, rows), dtype=bool)
     prev = np.minimum(np.searchsorted(cum_initial, u[:, 0], side="right"), kmax)
     for t0 in range(0, n, _CHUNK_STEPS):
         ub = np.ascontiguousarray(u[:, t0 : t0 + _CHUNK_STEPS].T)
-        states = np.empty(ub.shape, dtype=dtype)
+        states = np.empty(ub.shape, dtype=np.intp)
         for t, ut in enumerate(ub):
             if t0 + t == 0:
                 states[0] = prev
             else:
                 # prev holds counts in [0, K - 1], so clipping never
                 # moves an index; it only spares numpy a buffered copy
-                np.take(thresholds, prev, axis=1, out=cut, mode="clip")
+                take(prev, axis=1, out=cut, mode="clip")
                 np.greater(ut, cut, out=above)
                 np.add.reduce(above, axis=0, out=states[t])
             prev = states[t]
@@ -347,10 +401,10 @@ def _markov_paths(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
 
 def normalized_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str) -> np.ndarray:
     """a_n S_n + b_n of each of reps simulated paths of length n, reduced
-    one row chunk at a time."""
-    chunks = _path_chunks(spec, n, reps, seed, label)
+    one block at a time."""
     norming = norming_for(spec)
-    return np.concatenate(list(map(norming.normalized_sum, chunks)))
+    return np.concatenate(_map_blocks(spec, n, reps, seed, label,
+                                      lambda r0, block: norming.normalized_sum(block)))
 
 
 def long_run_variance(spec: ProcessSpec) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rngstreams
 from .probcore import _cf_values, as_sample, psd_check
-from .processes import _CHUNK_ROWS
+from .processes import _run_blocks
 
 DEFAULT_C_VALUES = (0.3, 0.5, 0.8)
 DEFAULT_GRID_RADIUS = 8.0
@@ -230,9 +230,7 @@ def sample_random_integral(
     The drift contribution uses the exact per-step integral of e^{-t},
     so with randomness disabled the result is drift (1 - e^{-t_max}) for
     every step count.  The Gaussian part weights each increment by the
-    step-midpoint value e^{-t_mid} (error <= e^{-t} dt/2 per step); the
-    (n_samples, n_steps) increments are drawn and summed in row chunks,
-    all before the jumps, so the stream is consumed as by one draw.  The
+    step-midpoint value e^{-t_mid} (error <= e^{-t} dt/2 per step).  The
     compound-Poisson part draws the exact arrival-time law (Poisson
     counts with conditionally uniform times, equivalent to exponential
     inter-arrivals) and weights each jump by e^{-(arrival time)}, with
@@ -240,25 +238,32 @@ def sample_random_integral(
     discards an exp(-t_max)-sized tail.  Samples whose jumps overflow
     (sizes beyond float range) come back non-finite; callers decide what
     that means, as integral-sample does with the log-moment probe.
+
+    The samples are drawn in blocks of processes._CHUNK_ROWS on worker
+    threads (processes._run_blocks).  Block b draws from the stream keyed
+    by (seed, "bdlp-integral", b): its (rows, n_steps) Gaussian increments,
+    then its jumps.  So memory per block is bounded, and the result is the
+    same on every number of workers.
     """
     if t_max < 5.0:
         raise ValueError("t_max must be at least 5 (truncation error e^{-t_max})")
     if n_steps < 1 or n_samples < 1:
         raise ValueError("n_steps and n_samples must be positive")
-    rng = rngstreams.stream(seed, "bdlp-integral")
     edges = np.linspace(0.0, t_max, n_steps + 1)
-    out = np.full(n_samples, bdlp.drift * -np.expm1(-t_max))
-    if bdlp.gaussian_sigma > 0:
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        dt = np.diff(edges)
-        weights = np.exp(-mids) * np.sqrt(dt)
-        # the (n_samples, n_steps) normals, drawn and reduced in row chunks
-        for r0 in range(0, n_samples, _CHUNK_ROWS):
-            z = rng.standard_normal((min(_CHUNK_ROWS, n_samples - r0), n_steps))
-            out[r0 : r0 + len(z)] += bdlp.gaussian_sigma * (z * weights).sum(axis=1)
-    if bdlp.jump_rate > 0:
-        out = _add_jumps(out, bdlp, rng, t_max, discounted=True)
-    return out
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    weights = np.exp(-mids) * np.sqrt(np.diff(edges))
+
+    def block(b, r0, rows):
+        rng = rngstreams.stream(seed, "bdlp-integral", b)
+        out = np.full(rows, bdlp.drift * -np.expm1(-t_max))
+        if bdlp.gaussian_sigma > 0:
+            z = rng.standard_normal((rows, n_steps))
+            out += bdlp.gaussian_sigma * (z * weights).sum(axis=1)
+        if bdlp.jump_rate > 0:
+            out = _add_jumps(out, bdlp, rng, t_max, discounted=True)
+        return out
+
+    return np.concatenate(_run_blocks(block, n_samples))
 
 
 def _add_jumps(out: np.ndarray, bdlp: BDLPSpec, rng, horizon: float, discounted: bool) -> np.ndarray:

@@ -335,10 +335,13 @@ BLOCKING_SPECS = {
     "ma_q": ProcessSpec(family="ma_q", weights=(1.0, 0.5, 0.25)),
     "markov_function": FINDING1,
 }
-CHUNK_BOUNDARY_REPS = (1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 7)
+# one block, a block less or more by one row, two blocks and seven rows, and
+# two and four blocks less or more by at most seven rows
+BLOCK_BOUNDARY_REPS = (1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 7,
+                       1023, 1024, 1025, 2055)
 
 
-@pytest.mark.parametrize("reps", CHUNK_BOUNDARY_REPS)
+@pytest.mark.parametrize("reps", BLOCK_BOUNDARY_REPS)
 @pytest.mark.parametrize("name", sorted(BLOCKING_SPECS))
 def test_chunked_block_sums_equal_the_whole_matrix_split(name, reps):
     spec = BLOCKING_SPECS[name]
@@ -352,35 +355,59 @@ def test_chunked_block_sums_equal_the_whole_matrix_split(name, reps):
         assert all(np.array_equal(a, b) for a, b in zip(blocks[n], whole))
 
 
-@pytest.mark.parametrize("reps", CHUNK_BOUNDARY_REPS)
+@pytest.mark.parametrize("reps", BLOCK_BOUNDARY_REPS)
 @pytest.mark.parametrize("name", sorted(BLOCKING_SPECS))
 def test_verify_blocking_rows_equal_the_whole_matrix_rows(monkeypatch, name, reps):
     # the reference hands verify_blocking the whole simulate_many matrix as
-    # one chunk, so _three_blocks splits it at once
+    # one block, so _three_blocks splits it at once
     spec = BLOCKING_SPECS[name]
     rows = verify_blocking(spec, n_grid=(64, 128), replications=reps, seed=8)
     whole = simulate_many(spec, 128, reps, 8, label="blocking")
-    monkeypatch.setattr(processes, "_path_chunks", lambda *args: iter([whole]))
+    monkeypatch.setattr(processes, "_map_blocks",
+                        lambda spec, n, reps, seed, label, reduce: [reduce(0, whole)])
     reference = verify_blocking(spec, n_grid=(64, 128), replications=reps, seed=8)
     assert {r["n"] for r in rows} == {64, 128}
     assert repr(rows) == repr(reference)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKING_SPECS))
+def test_verify_blocking_rows_do_not_depend_on_the_worker_count(monkeypatch, name):
+    spec = BLOCKING_SPECS[name]
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(processes, "_WORKERS", workers)
+        runs.append(repr(verify_blocking(spec, n_grid=(64, 128), replications=1031, seed=8)))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def verify_blocking_peak(spec, reps, n_grid):
+    """Traced peak of verify_blocking above its baseline."""
+    verify_blocking(spec, n_grid=n_grid, replications=50, seed=3)   # loads scipy first
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rows = verify_blocking(spec, n_grid=n_grid, replications=reps, seed=3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert {r["n"] for r in rows} == set(n_grid)
+    return peak
 
 
 def test_verify_blocking_peak_memory_below_a_quarter_of_the_paths():
     # the whole-matrix run held the (reps, n) paths and, in the CF-ratio
     # test, a (frequencies, reps) table of exponentials
     reps, n_grid = 16384, (256, 512)
-    verify_blocking(FINDING1, n_grid=n_grid, replications=50, seed=3)   # loads scipy first
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        rows = verify_blocking(FINDING1, n_grid=n_grid, replications=reps, seed=3)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert {r["n"] for r in rows} == set(n_grid)
-    assert peak < reps * max(n_grid) * 8 / 4
+    assert verify_blocking_peak(FINDING1, reps, n_grid) < reps * max(n_grid) * 8 / 4
+
+
+def test_ar1_verify_blocking_peak_memory_below_a_quarter_of_the_paths():
+    # AR(1) drew its (reps, burn + n) innovations for every replication at
+    # once: more than the (reps, n) paths
+    reps, n_grid = 16384, (256, 512)
+    spec = ProcessSpec(family="ar1", phi=0.5)
+    assert verify_blocking_peak(spec, reps, n_grid) < reps * max(n_grid) * 8 / 4
 
 
 def test_verify_blocking_rejects_degenerate():

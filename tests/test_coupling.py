@@ -7,7 +7,7 @@ import scipy.optimize
 import scipy.sparse
 import scipy.stats
 
-from mixlimit import coupling
+from mixlimit import coupling, processes
 from mixlimit.coupling import (
     CouplingProblem,
     corollary_sum_experiment,
@@ -369,3 +369,18 @@ def test_lagged_blocks_decay_toward_independence():
     assert ks[0] > 2.0 * ks[16]
     bounds = {r["grid"]: r["alpha_bound"] for r in rows}
     assert bounds[16] < bounds[0]
+
+
+def test_lagged_blocks_are_the_block_sums_of_simulated_paths(monkeypatch):
+    # the reference hands the corollary the whole simulate_many matrix as one
+    # block; the rows must not depend on the worker count either
+    spec = ProcessSpec(family="ar1", phi=0.5)
+    kwargs = dict(mode="lagged_blocks", lags=(0, 3), replications=1031, seed=10, block_length=4)
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(processes, "_WORKERS", workers)
+        runs.append(repr(corollary_sum_experiment(spec, **kwargs)))
+    whole = processes.simulate_many(spec, 11, 1031, 10, label="corr-lag")
+    monkeypatch.setattr(processes, "_map_blocks",
+                        lambda spec, n, reps, seed, label, reduce: [reduce(0, whole)])
+    assert runs == [repr(corollary_sum_experiment(spec, **kwargs))] * 3

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mixlimit import cli, harness
+from mixlimit import cli, harness, processes
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -64,6 +64,22 @@ def test_run_blocking_verify_and_reproducibility(tmp_path):
     assert "version" in manifest and "rng" in manifest
     header = t1["blocking_report.csv"].decode().split("\n")[0]
     assert header == "n,m_n,q_n,delta_n,ratio,metric_name,value,analytic_ceiling,pass"
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(BLOCKING_CFG, process={"family": "ar1", "phi": 0.5}, replications=1100),
+    {"kind": "integral-sample", "seed": 5, "t_max": 20.0, "n_steps": 50, "n_samples": 1100,
+     "log_moment_samples": 2000,
+     "bdlp": {"drift": 1.0, "gaussian_sigma": 1.0, "jump_rate": 2.0,
+              "jump_law": {"kind": "normal", "mean": 0.5, "std": 1.0}}},
+], ids=["blocking-ar1", "integral-sample"])
+def test_reports_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, cfg):
+    # 1100 replications make three blocks
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    for workers in (1, 2):
+        monkeypatch.setattr(processes, "_WORKERS", workers)
+        assert cli.main(["run", path, "--out", str(tmp_path / f"w{workers}")]) == 0
+    assert read_tree(tmp_path / "w1") == read_tree(tmp_path / "w2")
 
 
 def test_unknown_key_rejected(tmp_path):

@@ -1,16 +1,21 @@
 import io
+import sys
+import threading
+import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mixlimit import rngstreams
+from mixlimit import processes, rngstreams
 from mixlimit.mixing import MarkovChainSpec
 from mixlimit.processes import (
     _AR1_INIT_TOL,
     _CHUNK_ROWS,
+    _block,
+    _map_blocks,
     _markov_paths,
-    _path_chunks,
     InnovationLaw,
     ProcessSpec,
     analytic_alpha_profile,
@@ -79,38 +84,52 @@ def one_shot_innovations(law, rng, shape):
     return law.mean + law.std * z
 
 
-def loop_ar1_paths(spec, n, reps, seed, label="path"):
-    """ar1 paths of simulate_many, one time column at a time."""
-    phi, law = spec.phi, spec.innovations
-    burn = int(np.ceil(np.log(_AR1_INIT_TOL) / np.log(abs(phi))))
-    rng = rngstreams.stream(seed, label, spec.spec_hash())
-    eps = one_shot_innovations(law, rng, (reps, burn + n))
-    prev = law.mean / (1.0 - phi) + (eps[:, :burn] - law.mean) @ phi ** np.arange(burn - 1, -1, -1)
-    out = np.empty((reps, n))
-    for k in range(n):
-        prev = phi * prev + eps[:, burn + k]
+def loop_ar1_paths(spec, n, eps):
+    """ar1 paths from the innovations eps, one time column at a time, started
+    at the stationary mean and kept over the last n columns."""
+    phi = spec.phi
+    prev = np.full(len(eps), spec.innovations.mean / (1.0 - phi))
+    out = np.empty(eps.shape)
+    for k in range(eps.shape[1]):
+        prev = phi * prev + eps[:, k]
         out[:, k] = prev
-    return out
+    return out[:, eps.shape[1] - n :]
 
 
-def one_shot_paths(spec, n, reps, seed, label="path"):
-    """The (reps, n) paths of simulate_many from one whole-matrix draw, with
-    the innovations scaled as mean + std * z."""
-    rng = rngstreams.stream(seed, label, spec.spec_hash())
+def one_shot_block(spec, n, rows, rng):
+    """(rows, n) paths drawn from rng in one draw, by the loop references and
+    with the innovations scaled as mean + std * z."""
+    law = spec.innovations
     if spec.family == "constant":
-        return np.full((reps, n), spec.value)
+        return np.full((rows, n), spec.value)
     if spec.family == "iid" or (spec.family == "ar1" and spec.phi == 0.0):
-        return one_shot_innovations(spec.innovations, rng, (reps, n))
+        return one_shot_innovations(law, rng, (rows, n))
     if spec.family == "ar1":
-        return loop_ar1_paths(spec, n, reps, seed, label)
+        burn = int(np.ceil(np.log(_AR1_INIT_TOL) / np.log(abs(spec.phi))))
+        return loop_ar1_paths(spec, n, one_shot_innovations(law, rng, (rows, burn + n)))
     if spec.family == "ma_q":
         q = len(spec.weights) - 1
-        eps = one_shot_innovations(spec.innovations, rng, (reps, n + q))
-        out = np.zeros((reps, n))
+        eps = one_shot_innovations(law, rng, (rows, n + q))
+        out = np.zeros((rows, n))
         for i, wi in enumerate(spec.weights):
             out += wi * eps[:, q - i : q - i + n]
         return out
-    return loop_markov_paths(spec, rng.random((reps, n)))
+    return loop_markov_paths(spec, rng.random((rows, n)))
+
+
+def block_stream(spec, seed, label, b):
+    """The stream of replication block b."""
+    return rngstreams.stream(seed, label, spec.spec_hash(), b)
+
+
+def one_shot_paths(spec, n, reps, seed, label="path"):
+    """The (reps, n) paths of simulate_many by their definition: replication
+    r is row r mod _CHUNK_ROWS of block r // _CHUNK_ROWS, and each block is
+    drawn in one shot from its own stream."""
+    return np.concatenate([
+        one_shot_block(spec, n, min(_CHUNK_ROWS, reps - r0), block_stream(spec, seed, label, b))
+        for b, r0 in enumerate(range(0, reps, _CHUNK_ROWS))
+    ])
 
 
 def loop_markov_tail(spec):
@@ -181,8 +200,7 @@ def test_reproducibility_bit_identical():
         "n1-reps1", "n1", "reps1", "reps2500"])
 def test_markov_kernel_matches_loop_reference(spec, n, reps):
     out = simulate_many(spec, n, reps, 3)
-    u = rngstreams.stream(3, "path", spec.spec_hash()).random((reps, n))
-    assert np.array_equal(out, loop_markov_paths(spec, u))
+    assert np.array_equal(out, one_shot_paths(spec, n, reps, 3))
     assert out.dtype == np.float64 and out.flags.c_contiguous
 
 
@@ -228,24 +246,27 @@ CHUNKED_SPECS = {
     "markov_function": FINDING1,
     "constant": ProcessSpec(family="constant", value=2.5),
 }
-# one chunk, a chunk less or more by one row, and two full chunks plus seven rows
-CHUNK_BOUNDARY_REPS = (1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 7)
+# one block, a block less or more by one row, two blocks and seven rows, and
+# two and four blocks less or more by at most seven rows
+BLOCK_BOUNDARY_REPS = (1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 7,
+                       1023, 1024, 1025, 2055)
 
 
-@pytest.mark.parametrize("reps", CHUNK_BOUNDARY_REPS)
+@pytest.mark.parametrize("reps", BLOCK_BOUNDARY_REPS)
 @pytest.mark.parametrize("name", sorted(CHUNKED_SPECS))
 def test_chunks_concatenate_to_the_one_shot_paths(name, reps):
     # 260 steps cross the time-major block of 256 steps
     spec = CHUNKED_SPECS[name]
-    chunks = list(_path_chunks(spec, 260, reps, 6, "chunks"))
-    assert all(c.shape == (min(_CHUNK_ROWS, reps - k * _CHUNK_ROWS), 260)
-               for k, c in enumerate(chunks))
-    reference = one_shot_paths(spec, 260, reps, 6, "chunks")
-    assert np.array_equal(np.concatenate(chunks), reference)
-    assert np.array_equal(simulate_many(spec, 260, reps, 6, "chunks"), reference)
+    out = simulate_many(spec, 260, reps, 6, "chunks")
+    assert np.array_equal(out, one_shot_paths(spec, 260, reps, 6, "chunks"))
+    # block b, drawn alone from its key, is rows [b B, (b + 1) B) of the run
+    for b, r0 in enumerate(range(0, reps, _CHUNK_ROWS)):
+        rows = min(_CHUNK_ROWS, reps - r0)
+        alone = _block(spec, 260, rows, block_stream(spec, 6, "chunks", b), SimpleNamespace())
+        assert np.array_equal(alone, out[r0 : r0 + rows])
 
 
-@pytest.mark.parametrize("reps", CHUNK_BOUNDARY_REPS)
+@pytest.mark.parametrize("reps", BLOCK_BOUNDARY_REPS)
 @pytest.mark.parametrize("name", sorted(set(CHUNKED_SPECS) - {"constant"}))
 def test_normalized_sums_equal_the_whole_matrix_sums(name, reps):
     spec = CHUNKED_SPECS[name]
@@ -256,14 +277,101 @@ def test_normalized_sums_equal_the_whole_matrix_sums(name, reps):
         one_shot_paths(spec, 260, reps, 6, "sums")))
 
 
+@pytest.mark.parametrize("name", sorted(CHUNKED_SPECS))
+def test_paths_do_not_depend_on_the_worker_count(monkeypatch, name):
+    spec = CHUNKED_SPECS[name]
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(processes, "_WORKERS", workers)
+        sums = None if name == "constant" else normalized_sums(spec, 260, 1031, 6, "sums")
+        runs.append((simulate_many(spec, 260, 1031, 6, "chunks"), sums))
+    for paths, sums in runs[1:]:
+        assert np.array_equal(paths, runs[0][0])
+        assert sums is None or np.array_equal(sums, runs[0][1])
+
+
+def test_blocks_run_on_one_thread_per_worker(monkeypatch):
+    # the barrier breaks after 10 s unless three blocks run at once
+    barrier = threading.Barrier(3, timeout=10)
+    threads = set()
+
+    def task(b, r0, rows):
+        threads.add(threading.get_ident())
+        barrier.wait()
+        return b, r0, rows
+
+    monkeypatch.setattr(processes, "_WORKERS", 3)
+    assert processes._run_blocks(task, 2 * _CHUNK_ROWS + 7) == [
+        (0, 0, _CHUNK_ROWS), (1, _CHUNK_ROWS, _CHUNK_ROWS), (2, 2 * _CHUNK_ROWS, 7)]
+    assert len(threads) == 3
+
+
+def test_more_workers_than_cpus_under_frequent_switches_give_the_same_paths(monkeypatch):
+    # the workers share the output matrix and each reuses its own scratch
+    # array; a block written to the wrong rows or drawn into another
+    # worker's scratch would change the matrix
+    spec = CHUNKED_SPECS["ar1"]
+    monkeypatch.setattr(processes, "_WORKERS", 1)
+    serial = simulate_many(spec, 40, 20 * _CHUNK_ROWS + 3, 4)
+    monkeypatch.setattr(processes, "_WORKERS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = simulate_many(spec, 40, 20 * _CHUNK_ROWS + 3, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(threaded, serial)
+
+
+def test_a_failing_block_raises_at_the_call():
+    def task(b, r0, rows):
+        if b == 1:
+            raise RuntimeError("block 1")
+        return b
+
+    with pytest.raises(RuntimeError, match="block 1"):
+        processes._run_blocks(task, 3 * _CHUNK_ROWS)
+
+
+def test_blocks_after_a_failing_block_are_not_run():
+    # block 0 fails at once while the other worker draws block 1 for 0.2 s;
+    # the blocks still queued then must be dropped, not drawn
+    ran = []
+
+    def task(b, r0, rows):
+        if b == 0:
+            raise RuntimeError("block 0")
+        ran.append(b)
+        time.sleep(0.2)
+        return b
+
+    with pytest.raises(RuntimeError, match="block 0"):
+        processes._run_blocks(task, 40 * _CHUNK_ROWS)
+    assert len(ran) <= processes._WORKERS
+
+
+def test_ar1_row_does_not_depend_on_the_replication_count():
+    # the burn-in runs through the recursion, so no product's rounding
+    # depends on how many rows a block has
+    specs = (ProcessSpec(family="ar1", phi=-0.9, innovations=InnovationLaw("uniform", 0.0, 1.0)),
+             ProcessSpec(family="ar1", phi=0.5), ProcessSpec(family="ar1", phi=0.95))
+    differ = [(seed, spec.phi) for seed in range(200) for spec in specs
+              if not np.array_equal(simulate_many(spec, 16, 1, seed)[0],
+                                    simulate_many(spec, 16, 4, seed)[0])]
+    assert differ == []
+
+
 def test_path_arguments_are_checked_at_the_call():
+    def reduce(r0, block):
+        raise AssertionError("a block was drawn")
+
     for n, reps in ((0, 5), (5, 0), (-1, 5)):
         with pytest.raises(ValueError, match="n and reps must be positive"):
             simulate_many(MA11, n, reps, 1)
         with pytest.raises(ValueError, match="n and reps must be positive"):
             normalized_sums(MA11, n, reps, 1, "x")
         with pytest.raises(ValueError, match="n and reps must be positive"):
-            _path_chunks(MA11, n, reps, 1, "x")       # not iterated
+            _map_blocks(MA11, n, reps, 1, "x", reduce)
 
 
 def test_normalized_sums_peak_memory_below_a_quarter_of_the_paths():
@@ -292,7 +400,7 @@ def test_normalized_sums_peak_memory_below_a_quarter_of_the_paths():
 ], ids=["phi0.5", "uniform-blocks-plus-one", "rademacher-slow", "n1-reps1", "reps2500"])
 def test_ar1_kernel_matches_loop_reference(spec, n, reps):
     out = simulate_many(spec, n, reps, 5)
-    assert np.array_equal(out, loop_ar1_paths(spec, n, reps, 5))
+    assert np.array_equal(out, one_shot_paths(spec, n, reps, 5))
     assert out.dtype == np.float64 and out.flags.c_contiguous
 
 

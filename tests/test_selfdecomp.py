@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
 
-from mixlimit import rngstreams
+from mixlimit import processes, rngstreams
 from mixlimit.probcore import _cf_values, ks_distance, psd_check
 from mixlimit.processes import _CHUNK_ROWS
 from mixlimit.selfdecomp import (
@@ -13,7 +14,6 @@ from mixlimit.selfdecomp import (
     DiscreteJumps,
     DyadicTowerJumps,
     NormalJumps,
-    _add_jumps,
     log_moment_check,
     sample_random_integral,
     selfdecomp_test,
@@ -209,27 +209,67 @@ def test_resolution_doubling_ks_small():
 
 
 def one_shot_random_integral(bdlp, t_max, n_steps, n_samples, seed):
-    """sample_random_integral with all the Gaussian increments drawn as one
-    (n_samples, n_steps) matrix."""
-    rng = rngstreams.stream(seed, "bdlp-integral")
+    """sample_random_integral by its definition: sample r is entry r mod
+    _CHUNK_ROWS of block r // _CHUNK_ROWS, and each block draws its
+    Gaussian increments in one shot from its own stream, then its jumps,
+    which are added one sample at a time."""
     edges = np.linspace(0.0, t_max, n_steps + 1)
-    out = np.full(n_samples, bdlp.drift * -np.expm1(-t_max))
-    if bdlp.gaussian_sigma > 0:
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        z = rng.standard_normal((n_samples, n_steps))
-        out += bdlp.gaussian_sigma * (z * (np.exp(-mids) * np.sqrt(np.diff(edges)))).sum(axis=1)
-    if bdlp.jump_rate > 0:
-        out = _add_jumps(out, bdlp, rng, t_max, discounted=True)
-    return out
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    blocks = []
+    for b, r0 in enumerate(range(0, n_samples, _CHUNK_ROWS)):
+        rng = rngstreams.stream(seed, "bdlp-integral", b)
+        out = np.full(min(_CHUNK_ROWS, n_samples - r0), bdlp.drift * -np.expm1(-t_max))
+        if bdlp.gaussian_sigma > 0:
+            z = rng.standard_normal((len(out), n_steps))
+            out += bdlp.gaussian_sigma * (z * (np.exp(-mids) * np.sqrt(np.diff(edges)))).sum(axis=1)
+        if bdlp.jump_rate > 0:
+            counts = rng.poisson(bdlp.jump_rate * t_max, size=len(out))
+            times = rng.random(counts.sum()) * t_max
+            sizes = bdlp.jump_law.sample(rng, counts.sum())
+            owners = np.repeat(np.arange(len(out)), counts)
+            for i in range(len(out)):
+                acc = 0.0
+                for t, size in zip(times[owners == i], sizes[owners == i]):
+                    acc += np.exp(-t) * size
+                out[i] += acc
+        blocks.append(out)
+    return np.concatenate(blocks)
 
 
 @pytest.mark.parametrize("n_samples", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
-                                       2 * _CHUNK_ROWS + 7])
+                                       2 * _CHUNK_ROWS + 7, 1023, 1024, 1025, 2055])
 def test_chunked_integral_equals_the_one_shot_draw(n_samples):
-    # the jumps come after every Gaussian increment in the stream
+    # each block draws its jumps after its Gaussian increments
     bdlp = BDLPSpec(drift=0.5, gaussian_sigma=1.5, jump_rate=2.0, jump_law=NormalJumps(0.5, 1.0))
     chunked = sample_random_integral(bdlp, 12.0, 37, n_samples, seed=9)
     assert np.array_equal(chunked, one_shot_random_integral(bdlp, 12.0, 37, n_samples, 9))
+
+
+def test_integral_does_not_depend_on_the_worker_count(monkeypatch):
+    bdlp = BDLPSpec(drift=0.5, gaussian_sigma=1.5, jump_rate=2.0, jump_law=NormalJumps(0.5, 1.0))
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(processes, "_WORKERS", workers)
+        runs.append(sample_random_integral(bdlp, 12.0, 37, 1031, seed=9))
+    assert np.array_equal(runs[1], runs[0]) and np.array_equal(runs[2], runs[0])
+
+
+def test_integral_memory_does_not_grow_with_the_samples():
+    # every jump of every sample was drawn at once: the peak grew 7.5 times
+    # from 8 to 64 blocks of samples
+    bdlp = BDLPSpec(drift=1.0, gaussian_sigma=1.0, jump_rate=2.0, jump_law=NormalJumps(0.5, 1.0))
+    sample_random_integral(bdlp, 20.0, 50, 1, seed=5)     # imports the thread pool first
+    peaks = []
+    for blocks in (8, 64):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sample_random_integral(bdlp, 20.0, 50, blocks * _CHUNK_ROWS, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
 
 
 def test_integral_validation():
