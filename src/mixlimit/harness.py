@@ -112,10 +112,18 @@ def _given(obj: dict, keys_types, where: str = "config") -> dict:
     return {k: _get(obj, k, json_type, where) for k, json_type in keys_types if k in obj}
 
 
-def _reject_keys(obj: dict, keys, reason: str) -> None:
+def _finite(text: str) -> float:
+    """A JSON number literal as a float; NaN, Infinity and overflowing literals are rejected."""
+    x = float(text)
+    if not np.isfinite(x):
+        raise ConfigError(f"the number {text} is not finite")
+    return x
+
+
+def _reject_keys(obj: dict, keys, reason: str, where: str = "config") -> None:
     for k in keys:
         if k in obj:
-            raise ConfigError(f"config.{k} is not used {reason}")
+            raise ConfigError(f"{where}.{k} is not used {reason}")
 
 
 def _parse_chain(obj: dict, where: str) -> mixing.MarkovChainSpec:
@@ -133,14 +141,12 @@ def _parse_chain(obj: dict, where: str) -> mixing.MarkovChainSpec:
 
 
 def _parse_process(obj: dict, where: str) -> processes.ProcessSpec:
-    _require_keys(
-        obj, ("family",),
-        ("phi", "weights", "innovations", "chain", "state_values", "value"),
-        where,
-    )
-    fam = obj["family"]
+    _require_keys(obj, ("family",), {k for ks in processes.FAMILIES.values() for k in ks}, where)
+    fam = _get(obj, "family", "a string", where)
     if fam not in processes.FAMILIES:
         raise ConfigError(f"{where}: unknown process family {fam!r}")
+    _reject_keys(obj, [k for k in obj if k not in ("family", *processes.FAMILIES[fam])],
+                 f"by family {fam!r}", where)
     # phi, value and the innovation law go into describe(), and so into the
     # spec hash, exactly as given: they are checked but not converted
     kwargs = {"family": fam}
@@ -424,12 +430,15 @@ def run(config_path, out_dir: str | None = None) -> int:
     """Execute one experiment config; returns the process exit status."""
     try:
         with open(config_path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as e:
         print(f"config error: cannot read {config_path}: {e}")
         return 1
     except json.JSONDecodeError as e:
         print(f"config error: {config_path} is not valid JSON: {e}")
+        return 1
+    except ConfigError as e:
+        print(f"config error: {config_path}: {e}")
         return 1
     try:
         if not isinstance(cfg, dict):

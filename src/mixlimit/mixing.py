@@ -43,6 +43,9 @@ class MarkovChainSpec:
         object.__setattr__(self, "states", s)
         object.__setattr__(self, "transition", p)
         object.__setattr__(self, "initial", pi0)
+        for name, a in (("states", s), ("initial", pi0)):
+            if a.ndim != 1:
+                raise ValueError(f"{name} must be a vector, got shape {a.shape}")
         k = len(s)
         if p.shape != (k, k):
             raise ValueError(f"transition must be {k}x{k}, got {p.shape}")

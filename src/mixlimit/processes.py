@@ -1,4 +1,4 @@
-"""Generators of mixing (and deliberately non-mixing) sequences.
+"""Generators of strongly mixing sequences, and of a degenerate constant one.
 
 Each family has a known long-run variance, so the norming sequences
 a_n = 1/sqrt(n v_inf), b_n = -a_n n mean make the normalized partial
@@ -28,7 +28,15 @@ from . import rngstreams
 from .mixing import AlphaProfile, MarkovChainSpec, alpha_bound_geometric
 from .probcore import normal_cdf
 
-FAMILIES = ("iid", "ar1", "ma_q", "markov_function", "constant")
+# the ProcessSpec fields each family reads: describe() records them, and a
+# process config may set them and no others
+FAMILIES = {
+    "iid": ("innovations",),
+    "ar1": ("phi", "innovations"),
+    "ma_q": ("weights", "innovations"),
+    "markov_function": ("chain", "state_values"),
+    "constant": ("value",),
+}
 _AR1_INIT_TOL = 1e-16
 # validate_norming: a(n_max) must fall below A_DECAY_FACTOR a(1), and the
 # tail ratio gap and drift below RATIO_TOL and DRIFT_TOL
@@ -116,25 +124,16 @@ class ProcessSpec:
         # paths are scalar; the entry stays because spec_hash, and with it
         # every RNG stream key, is built from this dict
         d = {"family": self.family, "dimension": 1}
-        if self.family == "ar1":
-            d["phi"] = self.phi
-        if self.family == "ma_q":
-            d["weights"] = list(self.weights)
-        if self.family in ("iid", "ar1", "ma_q"):
-            d["innovations"] = {
-                "name": self.innovations.name,
-                "mean": self.innovations.mean,
-                "std": self.innovations.std,
-            }
-        if self.family == "markov_function":
-            d["chain"] = {
-                "states": self.chain.states.tolist(),
-                "transition": self.chain.transition.tolist(),
-                "initial": self.chain.initial.tolist(),
-            }
-            d["state_values"] = list(self.mapped_values())
-        if self.family == "constant":
-            d["value"] = self.value
+        for k in FAMILIES[self.family]:
+            v = self.mapped_values() if k == "state_values" else getattr(self, k)
+            if isinstance(v, InnovationLaw):
+                v = {"name": v.name, "mean": v.mean, "std": v.std}
+            elif isinstance(v, MarkovChainSpec):
+                v = {"states": v.states.tolist(), "transition": v.transition.tolist(),
+                     "initial": v.initial.tolist()}
+            elif isinstance(v, (tuple, np.ndarray)):
+                v = list(v)
+            d[k] = v
         return d
 
     def mapped_values(self) -> np.ndarray:
@@ -316,7 +315,7 @@ def _block(spec: ProcessSpec, n: int, rows: int, rng: np.random.Generator, scrat
         phi = spec.phi
         burn = int(np.ceil(np.log(_AR1_INIT_TOL) / np.log(abs(phi))))
         eps = law.sample(rng, _scratch(scratch, (rows, burn + n)))
-        return _ar1_paths(phi, np.full(rows, law.mean / (1.0 - phi)), eps)[:, burn:]
+        return _ar1_paths(phi, np.full(rows, _moments(spec)[0]), eps)[:, burn:]
     if fam == "ma_q":
         q = len(spec.weights) - 1
         return _ma_paths(spec.weights, law.sample(rng, _scratch(scratch, (rows, n + q))))
@@ -409,46 +408,34 @@ def normalized_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str)
 
 def long_run_variance(spec: ProcessSpec) -> float:
     """v_inf = lim Var(S_n)/n, in closed form per family."""
+    return _moments(spec)[1]
+
+
+def _moments(spec: ProcessSpec) -> tuple:
+    """(mean, v_inf): the stationary mean and lim Var(S_n)/n, in closed form per family."""
     law = spec.innovations
     if spec.family == "constant":
-        return 0.0
+        return spec.value, 0.0
     if spec.family == "iid":
-        return law.variance
+        return law.mean, law.variance
     if spec.family == "ar1":
-        return law.variance / (1.0 - spec.phi) ** 2
+        return law.mean / (1.0 - spec.phi), law.variance / (1.0 - spec.phi) ** 2
     if spec.family == "ma_q":
-        return float(np.sum(spec.weights)) ** 2 * law.variance
-    # markov_function: 2 <f_bar, h>_pi - <f_bar, f_bar>_pi with
+        w = float(np.sum(spec.weights))
+        return w * law.mean, w ** 2 * law.variance
+    # markov_function: v_inf = 2 <f_bar, h>_pi - <f_bar, f_bar>_pi with
     # h solving the Poisson equation (I - P + 1 pi) h = f_bar
     chain = spec.chain
-    pi = chain.stationary()
-    lam2 = _second_eigenvalue_modulus(chain)
-    if lam2 >= 1.0 - 1e-9:
+    ev = np.sort(np.abs(np.linalg.eigvals(chain.transition)))
+    if len(ev) > 1 and ev[-2] >= 1.0 - 1e-9:
         raise ValueError("markov_function norming requires an ergodic chain")
+    pi = chain.stationary()
     f = spec.mapped_values()
-    fbar = f - pi @ f
+    mean = pi @ f
+    fbar = f - mean
     k = chain.n_states
     h = np.linalg.solve(np.eye(k) - chain.transition + np.outer(np.ones(k), pi), fbar)
-    return float(pi @ (2.0 * fbar * h - fbar ** 2))
-
-
-def _second_eigenvalue_modulus(chain: MarkovChainSpec) -> float:
-    ev = np.sort(np.abs(np.linalg.eigvals(chain.transition)))
-    return float(ev[-2]) if len(ev) > 1 else 0.0
-
-
-def process_mean(spec: ProcessSpec) -> float:
-    law = spec.innovations
-    if spec.family == "constant":
-        return spec.value
-    if spec.family == "iid":
-        return law.mean
-    if spec.family == "ar1":
-        return law.mean / (1.0 - spec.phi)
-    if spec.family == "ma_q":
-        return float(np.sum(spec.weights)) * law.mean
-    pi = spec.chain.stationary()
-    return float(pi @ spec.mapped_values())
+    return float(mean), float(pi @ (2.0 * fbar * h - fbar ** 2))
 
 
 def norming_for(spec: ProcessSpec) -> NormingSequences:
@@ -457,13 +444,12 @@ def norming_for(spec: ProcessSpec) -> NormingSequences:
     Rejects specs with vanishing long-run variance: those have a
     degenerate limit and no non-degenerate norming exists.
     """
-    v = long_run_variance(spec)
+    mean, v = _moments(spec)
     if v <= 0.0:
         raise ValueError(
             f"degenerate spec: long-run variance {v!r} is not positive, "
             "no non-degenerate norming exists"
         )
-    mean = process_mean(spec)
     a = lambda n: 1.0 / np.sqrt(np.asarray(n, dtype=float) * v)
     b = lambda n: -np.asarray(n, dtype=float) * mean / np.sqrt(np.asarray(n, dtype=float) * v)
     prov = (
@@ -507,37 +493,8 @@ def marginal_abs_tail(spec: ProcessSpec):
     search only ever selects a larger (still valid) delta.
     """
     fam = spec.family
-    law = spec.innovations
-    if fam in ("iid", "ar1", "ma_q") and law.name in ("uniform", "rademacher"):
-        eps_bound = abs(law.mean) + law.std * (np.sqrt(3.0) if law.name == "uniform" else 1.0)
-        if fam == "iid":
-            bound = eps_bound
-        elif fam == "ar1":
-            bound = eps_bound / (1.0 - abs(spec.phi))
-        else:
-            bound = eps_bound * float(np.sum(np.abs(spec.weights)))
-        return lambda t: np.where(np.asarray(t, dtype=float) <= bound, 1.0, 0.0)
-    if fam in ("iid", "ar1", "ma_q") and law.name == "normal":
-        if fam == "iid":
-            m, sd = law.mean, law.std
-        elif fam == "ar1":
-            m = law.mean / (1.0 - spec.phi)
-            sd = law.std / np.sqrt(1.0 - spec.phi ** 2)
-        else:
-            w = np.asarray(spec.weights)
-            m = law.mean * w.sum()
-            sd = law.std * np.sqrt(np.sum(w ** 2))
-
-        def tail(t):
-            t = np.asarray(t, dtype=float)
-            if sd == 0.0:
-                return np.where(t <= abs(m), 1.0, 0.0)
-            return normal_cdf(-((t - m) / sd)) + normal_cdf((-t - m) / sd)
-
-        return tail
     if fam == "constant":
-        v = abs(spec.value)
-        return lambda t: np.where(np.asarray(t, dtype=float) <= v, 1.0, 0.0)
+        return _step_tail(abs(spec.value))
     if fam == "markov_function":
         # per-state mass envelope m(s) = sup_k P(Y_k = s); the induced tail
         # dominates max_k P(|X_k| >= t), which is what the delta search needs
@@ -562,10 +519,32 @@ def marginal_abs_tail(spec: ProcessSpec):
             return sup_mass if t.shape else float(sup_mass)
 
         return tail
-    raise ValueError(
-        f"no closed-form marginal tail for family {fam!r} with "
-        f"{law.name!r} innovations"
-    )
+    # X_k is a linear filter of the innovations: its sd and support bound
+    # are the innovations' times the filter's l2 and l1 norms
+    law = spec.innovations
+    sd = law.std
+    bound = abs(law.mean) + law.std * (np.sqrt(3.0) if law.name == "uniform" else 1.0)
+    if fam == "ar1":
+        sd, bound = sd / np.sqrt(1.0 - spec.phi ** 2), bound / (1.0 - abs(spec.phi))
+    elif fam == "ma_q":
+        w = np.asarray(spec.weights)
+        sd, bound = sd * np.sqrt(np.sum(w ** 2)), bound * float(np.sum(np.abs(w)))
+    if law.name != "normal":
+        return _step_tail(bound)
+    m = _moments(spec)[0]
+    if sd == 0.0:
+        return _step_tail(abs(m))
+
+    def tail(t):
+        t = np.asarray(t, dtype=float)
+        return normal_cdf(-((t - m) / sd)) + normal_cdf((-t - m) / sd)
+
+    return tail
+
+
+def _step_tail(bound: float):
+    """t -> 1 where t <= bound, else 0: the tail of a variable with |X| <= bound."""
+    return lambda t: np.where(np.asarray(t, dtype=float) <= bound, 1.0, 0.0)
 
 
 def analytic_alpha_profile(spec: ProcessSpec, n_list) -> AlphaProfile:

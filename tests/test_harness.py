@@ -114,6 +114,8 @@ ALPHA_CFG = {"kind": "alpha-profile", "seed": 1, "chain": TWO_STATE_CHAIN, "n_li
 CLOSED_FORM_CFG = {"kind": "selfdecomp-test", "seed": 1, "c_values": [0.5], "cf_form": "gaussian"}
 INTEGRAL_CFG = {"kind": "integral-sample", "seed": 1, "t_max": 20.0, "n_steps": 4,
                 "n_samples": 4, "bdlp": {"drift": 1.0}}
+COUPLING_CASE = {"pmf": [[0.5, 0.0], [0.0, 0.5]], "epsilon": 0.4, "net": [0.0, 1.0],
+                 "delta": 0.0}
 
 
 def corollary_cfg(mode, **keys):
@@ -203,6 +205,40 @@ REMOVED_KEYS = [
     # the inert window keys are still checked
     (dict(ALPHA_CFG, past_window=0), "config.past_window must be a positive integer, got 0"),
     (dict(ALPHA_CFG, future_window="2"), "config.future_window must be a positive integer, got '2'"),
+    # process keys the family would ignore
+    (dict(BLOCKING_CFG, process={"family": "iid", "phi": 0.9, "chain": TWO_STATE_CHAIN}),
+     "config.process.phi is not used by family 'iid'"),
+    (dict(BLOCKING_CFG, process={"family": "ar1", "phi": 0.5, "weights": [1.0]}),
+     "config.process.weights is not used by family 'ar1'"),
+    (dict(BLOCKING_CFG, process={"family": "ma_q", "weights": [1.0], "chain": TWO_STATE_CHAIN}),
+     "config.process.chain is not used by family 'ma_q'"),
+    (dict(BLOCKING_CFG, process={"family": "markov_function", "chain": TWO_STATE_CHAIN,
+                                 "innovations": {"name": "uniform"}}),
+     "config.process.innovations is not used by family 'markov_function'"),
+    (dict(BLOCKING_CFG, process={"family": "constant", "value": 1.0, "phi": 0.5}),
+     "config.process.phi is not used by family 'constant'"),
+    (corollary_cfg("independent", process_x={"family": "iid", "value": 2.0}),
+     "config.process_x.value is not used by family 'iid'"),
+    (dict(BLOCKING_CFG, process={"family": ["iid"]}),
+     "config.process.family must be a string, got ['iid']"),
+    # non-finite numbers: json reads NaN and Infinity, and 1e400 overflows
+    (dict(ALPHA_CFG, chain=dict(TWO_STATE_CHAIN, transition=[[float("nan"), 0.25], [0.25, 0.75]])),
+     "the number NaN is not finite"),
+    ({"kind": "coupling-suite", "seed": 1, "cases": [dict(COUPLING_CASE, pmf=[[0.5, float("nan")],
+                                                                            [0.0, 0.5]])]},
+     "the number NaN is not finite"),
+    (dict(BLOCKING_CFG, c=float("-inf")), "the number -Infinity is not finite"),
+    # chain states and initial laws that are not vectors
+    ({"kind": "selfdecomp-test", "seed": 1, "c_values": [0.5], "n": 64, "replications": 100,
+      "process": {"family": "markov_function",
+                  "chain": dict(THREE_STATE_CHAIN, states=[[-1.0], [2.0], [0.5]])}},
+     "config.process.chain: states must be a vector, got shape (3, 1)"),
+    ({"kind": "selfdecomp-test", "seed": 1, "c_values": [0.5], "n": 64, "replications": 100,
+      "process": {"family": "markov_function",
+                  "chain": dict(THREE_STATE_CHAIN, initial=[[0.4], [0.3], [0.3]])}},
+     "config.process.chain: initial must be a vector, got shape (3, 1)"),
+    (dict(ALPHA_CFG, chain=dict(TWO_STATE_CHAIN, states=[[0.0], [1.0]])),
+     "config.chain: states must be a vector, got shape (2, 1)"),
 ] + [(dict(base, **{key: value}), f"config has unknown key {key!r}")
      for base, key, value in REMOVED_KEYS],
     ids=["c-above-one", "c-not-a-number", "lag-zero", "window-too-large",
@@ -213,7 +249,11 @@ REMOVED_KEYS = [
          "lags-negative", "block-length-zero", "cases-empty", "state-values-short",
          "n-list-empty", "j-scan-zero", "c-values-empty", "lagged-process-z-and-n",
          "lagged-n", "duplicate-process-z", "independent-lags", "duplicate-block-length",
-         "cf-form-n", "cf-form-replications", "past-window-zero", "future-window-string"]
+         "cf-form-n", "cf-form-replications", "past-window-zero", "future-window-string",
+         "iid-phi", "ar1-weights", "ma-q-chain", "markov-innovations", "constant-phi",
+         "corollary-process-x-value", "family-array", "alpha-transition-nan",
+         "coupling-pmf-nan", "c-minus-infinity", "states-matrix", "initial-matrix",
+         "alpha-states-matrix"]
     + [f"removed-{base['kind']}-{key}" for base, key, _ in REMOVED_KEYS])
 def test_runner_value_errors_are_config_errors(tmp_path, capsys, cfg, needle):
     path = write_cfg(tmp_path, "bad.json", cfg)
@@ -455,10 +495,6 @@ def test_coupling_suite_run(tmp_path):
     assert doc["all_pass"]
     assert doc["cases"][0]["objective"] == pytest.approx(0.5, abs=1e-9)
     assert doc["cases"][1]["objective"] == pytest.approx(0.1, abs=1e-9)
-
-
-COUPLING_CASE = {"pmf": [[0.5, 0.0], [0.0, 0.5]], "epsilon": 0.4, "net": [0.0, 1.0],
-                 "delta": 0.0}
 
 
 @pytest.mark.parametrize("change, needle", [

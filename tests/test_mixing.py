@@ -60,6 +60,10 @@ def test_chain_validation():
         MarkovChainSpec([0.0, 1.0], [[0.9, 0.2], [0.5, 0.5]], [0.5, 0.5])
     with pytest.raises(ValueError, match="probability"):
         MarkovChainSpec([0.0, 1.0], [[0.5, 0.5], [0.5, 0.5]], [0.7, 0.6])
+    with pytest.raises(ValueError, match=r"states must be a vector, got shape \(2, 1\)"):
+        MarkovChainSpec([[0.0], [1.0]], [[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"initial must be a vector, got shape \(2, 1\)"):
+        MarkovChainSpec([0.0, 1.0], [[0.5, 0.5], [0.5, 0.5]], [[0.5], [0.5]])
 
 
 def test_alpha_window_iid_chain_is_zero():

@@ -10,6 +10,7 @@ import pytest
 
 from mixlimit import processes, rngstreams
 from mixlimit.mixing import MarkovChainSpec
+from mixlimit.probcore import normal_cdf
 from mixlimit.processes import (
     _AR1_INIT_TOL,
     _CHUNK_ROWS,
@@ -528,6 +529,54 @@ def test_marginal_tail_gaussian_families():
     assert np.array_equal(marginal_abs_tail(ProcessSpec(family="iid", innovations=law))(t), ref)
 
 
+LAWS = {
+    "normal": InnovationLaw(mean=0.3, std=1.7),
+    "normal-std0": InnovationLaw(mean=-0.5, std=0.0),
+    "uniform": InnovationLaw("uniform", mean=0.25, std=2.0),
+    "rademacher": InnovationLaw("rademacher", mean=-1.0, std=0.5),
+}
+LINEAR_SPECS = {
+    f"{fam}-{name}": ProcessSpec(family=fam.split("(")[0], innovations=law, **kw)
+    for name, law in LAWS.items()
+    for fam, kw in (("iid", {}), ("ar1(-0.9)", {"phi": -0.9}), ("ar1(1/3)", {"phi": 1 / 3}),
+                    ("ma_q", {"weights": (1.0, -0.5, 0.25)}))
+}
+
+
+def written_out(spec):
+    """(mean, v_inf, sd, support bound) of a linear family, one expression each."""
+    law, phi, w = spec.innovations, spec.phi, np.asarray(spec.weights)
+    eps_bound = abs(law.mean) + law.std * (np.sqrt(3.0) if law.name == "uniform" else 1.0)
+    if spec.family == "iid":
+        return law.mean, law.std ** 2, law.std, eps_bound
+    if spec.family == "ar1":
+        return (law.mean / (1.0 - phi), law.std ** 2 / (1.0 - phi) ** 2,
+                law.std / np.sqrt(1.0 - phi ** 2), eps_bound / (1.0 - abs(phi)))
+    return (law.mean * w.sum(), w.sum() ** 2 * law.std ** 2,
+            law.std * np.sqrt(np.sum(w ** 2)), eps_bound * np.sum(np.abs(w)))
+
+
+@pytest.mark.parametrize("spec", LINEAR_SPECS.values(), ids=LINEAR_SPECS.keys())
+def test_linear_tail_and_norming_are_the_closed_forms(spec):
+    m, v, sd, bound = written_out(spec)
+    t = np.concatenate([[0.0, abs(m), bound, np.nextafter(bound, np.inf), np.inf],
+                        np.linspace(0.0, 12.0, 1201)])
+    if spec.innovations.name != "normal":
+        want = np.where(t <= bound, 1.0, 0.0)
+    elif sd == 0.0:
+        want = np.where(t <= abs(m), 1.0, 0.0)
+    else:
+        want = normal_cdf(-((t - m) / sd)) + normal_cdf((-t - m) / sd)
+    assert np.array_equal(marginal_abs_tail(spec)(t), want)
+    if v == 0.0:
+        with pytest.raises(ValueError, match="degenerate"):
+            norming_for(spec)
+        return
+    for n in (1, 7, 4096):
+        want = (1.0 / np.sqrt(n * v), -float(n) * m / np.sqrt(n * v))
+        assert np.array_equal(norming_for(spec).at(n), want)
+
+
 @pytest.mark.parametrize("spec", [
     FINDING1, SPARSE4, many_state_spec(12),
     markov_spec(np.full((9, 9), 1 / 9), None, [-1.0, 0.5, 1.0, -0.5, 0.0, 2.0, 1.0, -2.0, 0.5]),
@@ -595,6 +644,10 @@ def test_spec_hash_pinned():
         "d108eebde9ceef28": ProcessSpec(family="ma_q", weights=(1, 0.5, 0.25)),
         "bec30666177072a9": ProcessSpec(family="markov_function", chain=chain),
         "d1c8d1f2102f77cd": ProcessSpec(family="constant", value=2.5),
+        "b8f88d974fe9ab59": ProcessSpec(family="markov_function", chain=chain,
+                                        state_values=(1, -2, 0.5)),
+        "6126ef36e301bdb7": ProcessSpec(family="ar1", phi=-0.25,
+                                        innovations=InnovationLaw("rademacher", 1, 2)),
     }
     for want, spec in pinned.items():
         assert spec.spec_hash() == want
