@@ -11,13 +11,13 @@ import io
 import numpy as np
 
 from mixlimit.blocking import compute_deltas
+from mixlimit.harness import write_path_csv
 from mixlimit.processes import (
     ProcessSpec,
     marginal_abs_tail,
     norming_for,
     simulate_many,
     validate_norming,
-    write_path_csv,
 )
 
 ar1 = ProcessSpec(family="ar1", phi=0.5)

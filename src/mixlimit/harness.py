@@ -3,8 +3,10 @@
 A single JSON document describes one experiment: its kind, a mandatory
 seed and the model/spec parameters; the report ceilings are library
 constants, and an optional key left out takes the library's default.
-Unknown keys, and keys the chosen mode does not read, are hard errors (a
-silent typo would invalidate a scientific report).  Each run writes a
+KINDS states each kind's keys and their JSON types, OBJECT_KEYS those of
+the nested objects.  Unknown keys, and keys the chosen mode does not
+read, are hard errors (a silent typo would invalidate a scientific
+report).  Each run writes a
 manifest (resolved config, package version, seed, RNG scheme) plus the
 experiment's CSV/JSON reports into the output directory; reruns of the
 same config and seed are byte-identical.  A config error, an output path
@@ -33,16 +35,6 @@ from .probcore import FiniteJointDistribution
 ENV_OUT_DIR = "MIXLIMIT_OUT"
 DEFAULT_OUT_DIR = "mixlimit-reports"
 
-EXPERIMENT_KINDS = (
-    ("alpha-profile", "exact mixing coefficients of a finite chain (max over j <= j_scan, "
-                      "a lower bound) and their analytic envelope"),
-    ("blocking-verify", "three-block decomposition diagnostics for a process spec"),
-    ("selfdecomp-test", "CF-ratio positive-definiteness verdict for a law or a process limit"),
-    ("integral-sample", "samples and moments of the exponential-kernel random integral"),
-    ("coupling-suite", "optimal-coupling miss probabilities against the existence bound"),
-    ("corollary-sum", "convolution fit for sums of weakly dependent variables"),
-)
-
 RNG_NOTE = (
     "Philox 64-bit counter RNG; streams keyed by (master seed, experiment label, "
     f"spec hash, block index), replication r is row r mod {processes._CHUNK_ROWS} "
@@ -57,22 +49,10 @@ class ConfigError(ValueError):
 def list_experiments(as_json: bool = False) -> str:
     if as_json:
         return json.dumps(
-            [{"kind": k, "description": d} for k, d in EXPERIMENT_KINDS],
+            [{"kind": k, "description": entry[0]} for k, entry in KINDS.items()],
             indent=2, sort_keys=True,
         )
-    return "\n".join(f"{k}: {d}" for k, d in EXPERIMENT_KINDS)
-
-
-def _require_keys(obj: dict, required, optional, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    for k in required:
-        if k not in obj:
-            raise ConfigError(f"{where} is missing required key {k!r}")
-    allowed = set(required) | set(optional)
-    for k in obj:
-        if k not in allowed:
-            raise ConfigError(f"{where} has unknown key {k!r}")
+    return "\n".join(f"{k}: {entry[0]}" for k, entry in KINDS.items())
 
 
 def _is_int(v) -> bool:
@@ -94,22 +74,47 @@ _JSON_TYPES = {
     "an array": lambda v: isinstance(v, list),
     "an array of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
     "an array of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "a JSON object": lambda v: isinstance(v, dict),
+}
+
+# the keys of every config whatever its kind: kind and seed are required
+_COMMON_REQUIRED = {"seed": "an integer", "kind": "a string"}
+_COMMON_OPTIONAL = {"out_dir": "a string or null"}
+
+# each nested config object -> (required keys, optional keys), every key
+# mapped to its JSON type; a process takes the keys its family reads
+# (processes.FAMILIES), a case is one entry of a coupling-suite's cases
+OBJECT_KEYS = {
+    "chain": ({"states": "an array", "transition": "an array", "initial": "an array"}, {}),
+    "process": ({"family": "a string"},
+                {"phi": "a number", "weights": "an array of numbers",
+                 "innovations": "a JSON object", "chain": "a JSON object",
+                 "state_values": "an array of numbers", "value": "a number"}),
+    "innovations": ({}, {"name": "a string", "mean": "a number", "std": "a number"}),
+    "bdlp": ({}, {"drift": "a number", "gaussian_sigma": "a number", "jump_rate": "a number",
+                  "jump_law": "a JSON object"}),
+    "jump_law": ({"kind": "a string"},
+                 {"values": "an array of numbers", "probs": "an array of numbers",
+                  "mean": "a number", "std": "a number"}),
+    "case": ({"pmf": "an array", "epsilon": "a number", "net": "an array", "delta": "a number"},
+             {"atoms_x": "an array", "atoms_z": "an array"}),
 }
 
 
-def _get(obj: dict, key: str, json_type: str, where: str = "config", default=None):
-    """obj[key], or default when the key is absent, after checking its JSON type."""
-    if key not in obj:
-        return default
-    value = obj[key]
-    if not _JSON_TYPES[json_type](value):
-        raise ConfigError(f"{where}.{key} must be {json_type}, got {value!r}")
-    return value
-
-
-def _given(obj: dict, keys_types, where: str = "config") -> dict:
-    """The keys of (key, JSON type) pairs that obj sets, checked, as keyword arguments."""
-    return {k: _get(obj, k, json_type, where) for k, json_type in keys_types if k in obj}
+def _check(obj, required: dict, optional: dict, where: str) -> None:
+    """obj must be an object with every required key, no key outside
+    required and optional, and each value of the JSON type its table gives."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {obj!r}")
+    for k in required:
+        if k not in obj:
+            raise ConfigError(f"{where} is missing required key {k!r}")
+    for k in obj:
+        if k not in required and k not in optional:
+            raise ConfigError(f"{where} has unknown key {k!r}")
+    for k, json_type in (*required.items(), *optional.items()):
+        if k in obj and not _JSON_TYPES[json_type](obj[k]):
+            raise ConfigError(f"{where}.{k} must be {json_type}, got {obj[k]!r}")
 
 
 def _finite(text: str) -> float:
@@ -126,10 +131,8 @@ def _reject_keys(obj: dict, keys, reason: str, where: str = "config") -> None:
             raise ConfigError(f"{where}.{k} is not used {reason}")
 
 
-def _parse_chain(obj: dict, where: str) -> mixing.MarkovChainSpec:
-    _require_keys(obj, ("states", "transition", "initial"), (), where)
-    for k in ("states", "transition", "initial"):
-        _get(obj, k, "an array", where)
+def _parse_chain(obj, where: str) -> mixing.MarkovChainSpec:
+    _check(obj, *OBJECT_KEYS["chain"], where)
     try:
         return mixing.MarkovChainSpec(
             states=np.asarray(obj["states"], dtype=float),
@@ -140,47 +143,34 @@ def _parse_chain(obj: dict, where: str) -> mixing.MarkovChainSpec:
         raise ConfigError(f"{where}: {e}") from e
 
 
-def _parse_process(obj: dict, where: str) -> processes.ProcessSpec:
-    _require_keys(obj, ("family",), {k for ks in processes.FAMILIES.values() for k in ks}, where)
-    fam = _get(obj, "family", "a string", where)
+def _parse_process(obj, where: str) -> processes.ProcessSpec:
+    _check(obj, *OBJECT_KEYS["process"], where)
+    fam = obj["family"]
     if fam not in processes.FAMILIES:
         raise ConfigError(f"{where}: unknown process family {fam!r}")
     _reject_keys(obj, [k for k in obj if k not in ("family", *processes.FAMILIES[fam])],
                  f"by family {fam!r}", where)
     # phi, value and the innovation law go into describe(), and so into the
     # spec hash, exactly as given: they are checked but not converted
-    kwargs = {"family": fam}
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()}
     if "innovations" in obj:
-        law = obj["innovations"]
-        _require_keys(law, (), ("name", "mean", "std"), f"{where}.innovations")
-        for k, json_type in (("name", "a string"), ("mean", "a number"), ("std", "a number")):
-            _get(law, k, json_type, f"{where}.innovations")
-        kwargs["innovations"] = processes.InnovationLaw(**law)
+        _check(obj["innovations"], *OBJECT_KEYS["innovations"], f"{where}.innovations")
+        kwargs["innovations"] = processes.InnovationLaw(**obj["innovations"])
     if "chain" in obj:
         kwargs["chain"] = _parse_chain(obj["chain"], f"{where}.chain")
-    for k in ("phi", "value"):
-        if k in obj:
-            kwargs[k] = _get(obj, k, "a number", where)
-    for k in ("weights", "state_values"):
-        if k in obj:
-            kwargs[k] = tuple(_get(obj, k, "an array of numbers", where))
     try:
         return processes.ProcessSpec(**kwargs)
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from e
 
 
-def _parse_jump_law(obj: dict, where: str) -> selfdecomp.JumpLaw:
-    _require_keys(obj, ("kind",), ("values", "probs", "mean", "std"), where)
+def _parse_jump_law(obj, where: str) -> selfdecomp.JumpLaw:
+    _check(obj, *OBJECT_KEYS["jump_law"], where)
     kind = obj["kind"]
     if kind == "discrete":
-        return selfdecomp.DiscreteJumps(
-            tuple(_get(obj, "values", "an array of numbers", where, ())),
-            tuple(_get(obj, "probs", "an array of numbers", where, ())),
-        )
+        return selfdecomp.DiscreteJumps(tuple(obj.get("values", ())), tuple(obj.get("probs", ())))
     if kind == "normal":
-        return selfdecomp.NormalJumps(_get(obj, "mean", "a number", where, 0.0),
-                                      _get(obj, "std", "a number", where, 1.0))
+        return selfdecomp.NormalJumps(obj.get("mean", 0.0), obj.get("std", 1.0))
     if kind == "dyadic_tower":
         return selfdecomp.DyadicTowerJumps()
     raise ConfigError(f"{where}: unknown jump law kind {kind!r}")
@@ -221,21 +211,22 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def write_path_csv(fh, values) -> None:
+    """Two-column CSV (index, value) of a path, each value as its shortest repr."""
+    fh.write("index,value\n")
+    for i, x in enumerate(values, start=1):
+        fh.write(f"{i},{float(x)!r}\n")
+
+
 # --------------------------------------------------------------------------
-# experiment implementations: each returns ({file name: text}, all_pass) and
-# writes nothing, so that a config error leaves the output directory alone
+# experiment implementations: each takes a config run() has checked against
+# its KINDS entry, returns ({file name: text}, all_pass) and writes nothing,
+# so that a config error leaves the output directory alone
 
 def _run_alpha_profile(cfg: dict):
-    _require_keys(
-        cfg, ("kind", "seed", "chain", "n_list"),
-        ("past_window", "future_window", "j_scan", "out_dir"),
-        "config",
-    )
     chain = _parse_chain(cfg["chain"], "config.chain")
-    n_list = _get(cfg, "n_list", "an array of integers")
-    # checked but inert: no window changes a chain's coefficient (mixing.alpha_window)
-    _given(cfg, (("past_window", "a positive integer"), ("future_window", "a positive integer")))
-    j_scan = _get(cfg, "j_scan", "an integer or null")
+    n_list = cfg["n_list"]
+    j_scan = cfg.get("j_scan")
     profile = mixing.alpha_sequence(chain, n_list, mixing.J_SCAN if j_scan is None else j_scan)
     bound = mixing.alpha_bound_geometric(chain, n_list)
     rows = [
@@ -248,42 +239,30 @@ def _run_alpha_profile(cfg: dict):
 
 
 def _run_blocking_verify(cfg: dict):
-    _require_keys(
-        cfg, ("kind", "seed", "process", "c", "n_grid", "replications"), ("out_dir",), "config",
-    )
     rows = blocking.verify_blocking(
-        _parse_process(cfg["process"], "config.process"),
-        c=float(_get(cfg, "c", "a number")),
-        n_grid=_get(cfg, "n_grid", "an array of integers"),
-        replications=_get(cfg, "replications", "an integer"),
-        seed=cfg["seed"],
+        _parse_process(cfg["process"], "config.process"), c=float(cfg["c"]),
+        n_grid=cfg["n_grid"], replications=cfg["replications"], seed=cfg["seed"],
     )
     return {"blocking_report.csv": csv_text(CSV_COLUMNS, rows)}, all(r["pass"] for r in rows)
 
 
 def _run_selfdecomp_test(cfg: dict):
-    _require_keys(
-        cfg, ("kind", "seed", "c_values"),
-        ("cf_form", "process", "n", "replications", "grid_points", "out_dir"),
-        "config",
-    )
     # checked before a process is simulated: a bad c is a config error at once
-    cs = selfdecomp._c_tuple(_get(cfg, "c_values", "an array of numbers"))
-    grid = _given(cfg, (("grid_points", "an integer"),))
+    cs = selfdecomp._c_tuple(cfg["c_values"])
+    grid_points = cfg.get("grid_points", selfdecomp.DEFAULT_GRID_POINTS)
     if "cf_form" in cfg:
         if "process" in cfg:
             raise ConfigError("config: give either cf_form or process, not both")
         _reject_keys(cfg, ("n", "replications"), "with cf_form")
-        form = _get(cfg, "cf_form", "a string")
+        form = cfg["cf_form"]
         if form not in _CLOSED_FORM_CFS:
             raise ConfigError(f"config.cf_form: unknown form {form!r}")
-        report = selfdecomp.selfdecomp_test(_CLOSED_FORM_CFS[form], cs, **grid)
+        report = selfdecomp.selfdecomp_test(_CLOSED_FORM_CFS[form], cs, grid_points=grid_points)
     elif "process" in cfg:
         spec = _parse_process(cfg["process"], "config.process")
-        n = _get(cfg, "n", "an integer", default=4096)
-        reps = _get(cfg, "replications", "an integer", default=10_000)
+        n, reps = cfg.get("n", 4096), cfg.get("replications", 10_000)
         total = processes.normalized_sums(spec, n, reps, cfg["seed"], "selfdecomp")
-        report = selfdecomp.selfdecomp_test_sample(total, cs, **grid)
+        report = selfdecomp.selfdecomp_test_sample(total, cs, grid_points=grid_points)
     else:
         raise ConfigError("config: selfdecomp-test needs cf_form or process")
     doc = {**report, "claim": "eq5_convolution_decomposition"}
@@ -291,35 +270,27 @@ def _run_selfdecomp_test(cfg: dict):
 
 
 def _run_integral_sample(cfg: dict):
-    _require_keys(
-        cfg, ("kind", "seed", "bdlp", "t_max", "n_steps", "n_samples"),
-        ("log_moment_samples", "out_dir"),
-        "config",
-    )
     b = cfg["bdlp"]
-    _require_keys(b, (), ("drift", "gaussian_sigma", "jump_rate", "jump_law"), "config.bdlp")
+    _check(b, *OBJECT_KEYS["bdlp"], "config.bdlp")
     law = _parse_jump_law(b["jump_law"], "config.bdlp.jump_law") if "jump_law" in b else None
-    bdlp_number = lambda key: float(_get(b, key, "a number", "config.bdlp", 0.0))
     bdlp = selfdecomp.BDLPSpec(
-        drift=bdlp_number("drift"),
-        gaussian_sigma=bdlp_number("gaussian_sigma"),
-        jump_rate=bdlp_number("jump_rate"),
+        drift=float(b.get("drift", 0.0)),
+        gaussian_sigma=float(b.get("gaussian_sigma", 0.0)),
+        jump_rate=float(b.get("jump_rate", 0.0)),
         jump_law=law,
     )
-    t_max = float(_get(cfg, "t_max", "a number"))
-    n_samples = _get(cfg, "n_samples", "an integer")
+    t_max = float(cfg["t_max"])
+    n_samples = cfg["n_samples"]
     # the probe runs first: it is the diagnosis when the sample overflows
     # (the two draw from independent streams, so the order changes no value)
-    probe = {}
-    if "log_moment_samples" in cfg:
-        probe["n_samples"] = _get(cfg, "log_moment_samples", "an integer")
+    probe = {"n_samples": cfg["log_moment_samples"]} if "log_moment_samples" in cfg else {}
     lm = selfdecomp.log_moment_check(bdlp, seed=cfg["seed"], **probe)
     sample = selfdecomp.sample_random_integral(
-        bdlp, t_max, _get(cfg, "n_steps", "an integer"), n_samples, seed=cfg["seed"],
+        bdlp, t_max, cfg["n_steps"], n_samples, seed=cfg["seed"],
     )
     finite = bool(np.all(np.isfinite(sample)))
     samples_csv = io.StringIO()
-    processes.write_path_csv(samples_csv, sample)
+    write_path_csv(samples_csv, sample)
     summary = {
         "mean": float(sample.mean()) if finite else None,
         "variance": float(sample.var()) if finite else None,
@@ -338,21 +309,19 @@ def _run_integral_sample(cfg: dict):
 
 
 def _run_coupling_suite(cfg: dict):
-    _require_keys(cfg, ("kind", "seed", "cases"), ("out_dir",), "config")
     problems = []
-    for i, case in enumerate(_get(cfg, "cases", "an array")):
+    for i, case in enumerate(cfg["cases"]):
         where = f"config.cases[{i}]"
-        _require_keys(case, ("pmf", "epsilon", "net", "delta"), ("atoms_x", "atoms_z"), where)
-        array = lambda key, default=None: _get(case, key, "an array", where, default)
-        number = lambda key: float(_get(case, key, "a number", where))
+        _check(case, *OBJECT_KEYS["case"], where)
         try:
-            pmf = np.asarray(array("pmf"), dtype=float)
+            pmf = np.asarray(case["pmf"], dtype=float)
             if pmf.ndim != 2:
                 raise ValueError(f"pmf must be a matrix, got shape {pmf.shape}")
-            joint = FiniteJointDistribution(array("atoms_x", np.arange(pmf.shape[0])),
-                                            array("atoms_z", np.arange(pmf.shape[1])), pmf)
+            joint = FiniteJointDistribution(case.get("atoms_x", np.arange(pmf.shape[0])),
+                                            case.get("atoms_z", np.arange(pmf.shape[1])), pmf)
             problems.append(coupling.CouplingProblem(
-                joint=joint, epsilon=number("epsilon"), net=array("net"), delta=number("delta")))
+                joint=joint, epsilon=float(case["epsilon"]), net=case["net"],
+                delta=float(case["delta"])))
         except ValueError as e:
             raise ConfigError(f"{where}: {e}") from e
     report = coupling.verify_prop1_suite(problems)
@@ -375,22 +344,15 @@ _COROLLARY_UNUSED = {
 
 
 def _run_corollary_sum(cfg: dict):
-    _require_keys(
-        cfg, ("kind", "seed", "mode", "process_x"),
-        ("process_z", "n", "lags", "block_length", "replications", "out_dir"),
-        "config",
-    )
     spec_x = _parse_process(cfg["process_x"], "config.process_x")
     spec_z = _parse_process(cfg["process_z"], "config.process_z") if "process_z" in cfg else None
-    mode = _get(cfg, "mode", "a string")
+    mode = cfg["mode"]
     if mode not in _COROLLARY_UNUSED:
         raise ConfigError(f"config.mode: unknown mode {mode!r}")
     _reject_keys(cfg, _COROLLARY_UNUSED[mode], f"in mode {mode!r}")
     found = coupling.corollary_sum_experiment(
-        spec_x, spec_z, mode=mode, seed=cfg["seed"], **_given(cfg, (
-            ("n", "an integer"), ("lags", "an array of integers"),
-            ("replications", "an integer"), ("block_length", "an integer"),
-        )),
+        spec_x, spec_z, mode=mode, seed=cfg["seed"],
+        **{k: cfg[k] for k in ("n", "lags", "replications", "block_length") if k in cfg},
     )
     rows = []
     for r in found:
@@ -408,20 +370,61 @@ def _run_corollary_sum(cfg: dict):
     return {"corollary_report.csv": text}, all(r["pass"] for r in rows)
 
 
-_RUNNERS = {
-    "alpha-profile": _run_alpha_profile,
-    "blocking-verify": _run_blocking_verify,
-    "selfdecomp-test": _run_selfdecomp_test,
-    "integral-sample": _run_integral_sample,
-    "coupling-suite": _run_coupling_suite,
-    "corollary-sum": _run_corollary_sum,
+# each experiment kind -> (description, runner, required keys, optional
+# keys), every key besides kind, seed and out_dir mapped to its JSON type
+KINDS = {
+    "alpha-profile": (
+        "exact mixing coefficients of a finite chain (max over j <= j_scan, "
+        "a lower bound) and their analytic envelope", _run_alpha_profile,
+        {"chain": "a JSON object", "n_list": "an array of integers"},
+        # the windows are checked but inert: no window changes a chain's
+        # coefficient (mixing.alpha_window)
+        {"past_window": "a positive integer", "future_window": "a positive integer",
+         "j_scan": "an integer or null"}),
+    "blocking-verify": (
+        "three-block decomposition diagnostics for a process spec", _run_blocking_verify,
+        {"process": "a JSON object", "c": "a number", "n_grid": "an array of integers",
+         "replications": "an integer"}, {}),
+    "selfdecomp-test": (
+        "CF-ratio positive-definiteness verdict for a law or a process limit",
+        _run_selfdecomp_test, {"c_values": "an array of numbers"},
+        {"cf_form": "a string", "process": "a JSON object", "n": "an integer",
+         "replications": "an integer", "grid_points": "an integer"}),
+    "integral-sample": (
+        "samples and moments of the exponential-kernel random integral", _run_integral_sample,
+        {"bdlp": "a JSON object", "t_max": "a number", "n_steps": "an integer",
+         "n_samples": "an integer"}, {"log_moment_samples": "an integer"}),
+    "coupling-suite": (
+        "optimal-coupling miss probabilities against the existence bound", _run_coupling_suite,
+        {"cases": "an array"}, {}),
+    "corollary-sum": (
+        "convolution fit for sums of weakly dependent variables", _run_corollary_sum,
+        {"mode": "a string", "process_x": "a JSON object"},
+        {"process_z": "a JSON object", "n": "an integer", "lags": "an array of integers",
+         "block_length": "an integer", "replications": "an integer"}),
 }
+
+
+def _check_config(cfg) -> tuple:
+    """cfg's KINDS entry, once every top-level key of cfg is checked against it."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {cfg!r}")
+    if "kind" not in cfg:
+        raise ConfigError("config is missing required key 'kind'")
+    if "seed" not in cfg:
+        raise ConfigError("config is missing required key 'seed' (no implicit entropy)")
+    _check({k: cfg[k] for k in _COMMON_REQUIRED}, _COMMON_REQUIRED, {}, "config")
+    if cfg["kind"] not in KINDS:
+        raise ConfigError(f"unknown experiment kind {cfg['kind']!r}")
+    entry = KINDS[cfg["kind"]]
+    _check(cfg, {**_COMMON_REQUIRED, **entry[2]}, {**_COMMON_OPTIONAL, **entry[3]}, "config")
+    return entry
 
 
 def resolve_out_dir(cfg: dict, out_override: str | None) -> Path:
     if out_override:
         return Path(out_override)
-    if _get(cfg, "out_dir", "a string or null"):
+    if cfg.get("out_dir"):
         return Path(cfg["out_dir"])
     return Path(os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR))
 
@@ -441,21 +444,12 @@ def run(config_path, out_dir: str | None = None) -> int:
         print(f"config error: {config_path}: {e}")
         return 1
     try:
-        if not isinstance(cfg, dict):
-            raise ConfigError("config root must be a JSON object")
-        if "kind" not in cfg:
-            raise ConfigError("config is missing required key 'kind'")
-        if "seed" not in cfg:
-            raise ConfigError("config is missing required key 'seed' (no implicit entropy)")
-        _get(cfg, "seed", "an integer")
-        kind = _get(cfg, "kind", "a string")
-        if kind not in _RUNNERS:
-            raise ConfigError(f"unknown experiment kind {kind!r}")
+        runner = _check_config(cfg)[1]
         out = resolve_out_dir(cfg, out_dir)
         nearest = next(p for p in (out, *out.parents) if p.exists())
         if not nearest.is_dir():
             raise ConfigError(f"output path {out}: {nearest} is not a directory")
-        files, ok = _RUNNERS[kind](cfg)
+        files, ok = runner(cfg)
         reports = sorted(files)
         names = (*reports, "manifest.json")
         for name in names:
@@ -466,7 +460,7 @@ def run(config_path, out_dir: str | None = None) -> int:
         print(f"config error: {e}")
         return 1
     files["manifest.json"] = _json_text({
-        "kind": kind,
+        "kind": cfg["kind"],
         "config": cfg,
         "version": __version__,
         "seed": cfg["seed"],

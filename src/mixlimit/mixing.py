@@ -46,6 +46,9 @@ class MarkovChainSpec:
         for name, a in (("states", s), ("initial", pi0)):
             if a.ndim != 1:
                 raise ValueError(f"{name} must be a vector, got shape {a.shape}")
+        for name, a in (("states", s), ("transition", p), ("initial", pi0)):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} has a non-finite entry")
         k = len(s)
         if p.shape != (k, k):
             raise ValueError(f"transition must be {k}x{k}, got {p.shape}")

@@ -67,6 +67,9 @@ class FiniteJointDistribution:
                 f"pmf shape {pmf.shape} does not match atom counts "
                 f"({ax.shape[0]}, {az.shape[0]})"
             )
+        for name, a in (("atoms_x", ax), ("atoms_z", az), ("pmf", pmf)):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} has a non-finite entry")
         if np.any(pmf < 0):
             raise ValueError("pmf entries must be nonnegative")
         if abs(pmf.sum() - 1.0) > PMF_TOL:

@@ -146,13 +146,6 @@ class ProcessSpec:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def write_path_csv(fh, values) -> None:
-    """Two-column CSV (index, value) of a path, each value as its shortest repr."""
-    fh.write("index,value\n")
-    for i, x in enumerate(values, start=1):
-        fh.write(f"{i},{float(x)!r}\n")
-
-
 def _vectorized(fn, ns) -> np.ndarray:
     """fn evaluated elementwise on the integer array ns, as floats.
 

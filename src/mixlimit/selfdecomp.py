@@ -168,6 +168,9 @@ class DiscreteJumps(JumpLaw):
         p = tuple(float(x) for x in self.probs)
         if len(v) != len(p) or not v:
             raise ValueError("values and probs must be equal-length and nonempty")
+        for name, a in (("values", v), ("probs", p)):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} has a non-finite entry")
         if any(x < 0 for x in p) or abs(sum(p) - 1.0) > 1e-12:
             raise ValueError("probs must be a probability vector")
         object.__setattr__(self, "values", v)

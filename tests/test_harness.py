@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -42,7 +43,7 @@ def test_list_plain_and_json(capsys):
     assert lines[0].startswith("alpha-profile:")
     assert cli.main(["list", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert [d["kind"] for d in doc] == [k for k, _ in harness.EXPERIMENT_KINDS]
+    assert [d["kind"] for d in doc] == list(harness.KINDS)
 
 
 def test_unknown_flag_exits_one(tmp_path):
@@ -264,6 +265,102 @@ def test_runner_value_errors_are_config_errors(tmp_path, capsys, cfg, needle):
     assert not (tmp_path / "o").exists()
 
 
+# a config of each kind that passes the key table
+MINIMAL_CFGS = {
+    "alpha-profile": ALPHA_CFG,
+    "blocking-verify": BLOCKING_CFG,
+    "selfdecomp-test": CLOSED_FORM_CFG,
+    "integral-sample": INTEGRAL_CFG,
+    "coupling-suite": {"kind": "coupling-suite", "seed": 1, "cases": [COUPLING_CASE]},
+    "corollary-sum": corollary_cfg("independent"),
+}
+KIND_KEYS = [(kind, key, json_type) for kind, (_, _, required, optional) in harness.KINDS.items()
+             for key, json_type in {**required, **optional}.items()]
+
+
+@pytest.mark.parametrize("kind, key, json_type", KIND_KEYS,
+                         ids=[f"{kind}-{key}" for kind, key, _ in KIND_KEYS])
+def test_every_key_of_the_wrong_json_type_is_a_config_error(tmp_path, capsys, kind, key,
+                                                            json_type):
+    # a number where a string is due, a string where anything else is
+    wrong = 1 if "string" in json_type else "1"
+    path = write_cfg(tmp_path, "bad.json", dict(MINIMAL_CFGS[kind], **{key: wrong}))
+    assert harness.run(path, out_dir=str(tmp_path / "o")) == 1
+    assert capsys.readouterr().out == (
+        f"config error: config.{key} must be {json_type}, got {wrong!r}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_dir_of_the_wrong_type_is_a_config_error_under_out(tmp_path, capsys):
+    path = write_cfg(tmp_path, "a.json", dict(ALPHA_CFG, out_dir=3))
+    assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().out == (
+        "config error: config.out_dir must be a string or null, got 3\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_top_level_type_error_is_reported_before_a_nested_error(tmp_path, capsys):
+    cfg = dict(BLOCKING_CFG, process={"family": "garch"}, replications=2.7)
+    path = write_cfg(tmp_path, "bad.json", cfg)
+    assert harness.run(path, out_dir=str(tmp_path / "o")) == 1
+    assert capsys.readouterr().out == (
+        "config error: config.replications must be an integer, got 2.7\n")
+
+
+@pytest.mark.parametrize("cfg, where, value", [
+    ([1, 2], "config", [1, 2]),
+    (dict(BLOCKING_CFG, process=3), "config.process", 3),
+    (dict(ALPHA_CFG, chain=[0.5]), "config.chain", [0.5]),
+    (dict(BLOCKING_CFG, process={"family": "markov_function", "chain": "c"}),
+     "config.process.chain", "c"),
+    (dict(BLOCKING_CFG, process={"family": "iid", "innovations": 1.5}),
+     "config.process.innovations", 1.5),
+    (dict(INTEGRAL_CFG, bdlp=[]), "config.bdlp", []),
+    (dict(INTEGRAL_CFG, bdlp={"jump_rate": 1.0, "jump_law": "normal"}),
+     "config.bdlp.jump_law", "normal"),
+    ({"kind": "coupling-suite", "seed": 1, "cases": [COUPLING_CASE, 3]}, "config.cases[1]", 3),
+], ids=["root", "process", "chain", "process-chain", "innovations", "bdlp", "jump-law", "case"])
+def test_a_non_object_is_named_with_its_value(tmp_path, capsys, cfg, where, value):
+    path = write_cfg(tmp_path, "bad.json", cfg)
+    assert harness.run(path, out_dir=str(tmp_path / "o")) == 1
+    assert capsys.readouterr().out == f"config error: {where} must be a JSON object, got {value!r}\n"
+
+
+def test_jump_law_kind_must_be_a_string(tmp_path, capsys):
+    cfg = dict(INTEGRAL_CFG, bdlp={"jump_rate": 1.0, "jump_law": {"kind": 3}})
+    path = write_cfg(tmp_path, "bad.json", cfg)
+    assert harness.run(path, out_dir=str(tmp_path / "o")) == 1
+    assert capsys.readouterr().out == (
+        "config error: config.bdlp.jump_law.kind must be a string, got 3\n")
+
+
+def test_process_keys_are_the_family_fields():
+    _, optional = harness.OBJECT_KEYS["process"]
+    assert set(optional) == {k for keys in processes.FAMILIES.values() for k in keys}
+
+
+def readme_key_tables():
+    """{row name: (required, optional)} of the README's key tables, each a {key: JSON type}."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    section = text.split("### Config keys", 1)[1].split("\n### ", 1)[0]
+    rows = {}
+    for line in section.split("\n"):
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("| ") and len(cells) >= 3 and "(" in "".join(cells[-2:]):
+            name = cells[0].strip("`")
+            assert name not in rows, f"README key tables list {name} twice"
+            rows[name] = tuple(dict(re.findall(r"`(\w+)` \(([^)]*)\)", c)) for c in cells[-2:])
+    return rows
+
+
+def test_readme_key_tables_match_the_harness():
+    expected = {"every kind": (harness._COMMON_REQUIRED, harness._COMMON_OPTIONAL),
+                **{kind: (required, optional)
+                   for kind, (_, _, required, optional) in harness.KINDS.items()},
+                **harness.OBJECT_KEYS}
+    assert readme_key_tables() == expected
+
+
 @pytest.mark.parametrize("cfg", [
     {"kind": "selfdecomp-test", "seed": 1, "c_values": [0.5],
      "process": {"family": "ma_q", "weights": [1.0, 0.5]}, "n": 64, "replications": 0},
@@ -303,7 +400,9 @@ def test_output_path_under_a_file_is_config_error(tmp_path, capsys, monkeypatch)
     afile = tmp_path / "afile"
     afile.write_text("keep")
     path = write_cfg(tmp_path, "a.json", ALPHA_CFG)
-    monkeypatch.setitem(harness._RUNNERS, "alpha-profile", lambda cfg: pytest.fail("runner ran"))
+    description, _, required, optional = harness.KINDS["alpha-profile"]
+    monkeypatch.setitem(harness.KINDS, "alpha-profile",
+                        (description, lambda cfg: pytest.fail("runner ran"), required, optional))
     for out in (afile / "x", afile):
         assert cli.main(["run", path, "--out", str(out)]) == 1
         lines = capsys.readouterr().out.strip().split("\n")
@@ -548,7 +647,7 @@ GOLDEN_NAMES = sorted(p.stem for p in GOLDEN.glob("*.json"))
 
 def test_every_kind_has_a_golden_config():
     kinds = {json.loads((GOLDEN / f"{name}.json").read_text())["kind"] for name in GOLDEN_NAMES}
-    assert kinds == {kind for kind, _ in harness.EXPERIMENT_KINDS}
+    assert kinds == set(harness.KINDS)
 
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)

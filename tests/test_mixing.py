@@ -66,6 +66,17 @@ def test_chain_validation():
         MarkovChainSpec([0.0, 1.0], [[0.5, 0.5], [0.5, 0.5]], [[0.5], [0.5]])
 
 
+@pytest.mark.parametrize("states, transition, initial, field", [
+    ([0.0, 1.0], [[np.nan, 0.25], [0.25, 0.75]], [0.5, 0.5], "transition"),
+    ([0.0, 1.0], [[0.75, 0.25], [0.25, 0.75]], [np.nan, 0.5], "initial"),
+    ([0.0, np.inf], [[0.75, 0.25], [0.25, 0.75]], [0.5, 0.5], "states"),
+], ids=["transition-nan", "initial-nan", "states-inf"])
+def test_chain_rejects_non_finite_entries(states, transition, initial, field):
+    # NaN passes both the sign test and the row-sum test
+    with pytest.raises(ValueError, match=f"^{field} has a non-finite entry$"):
+        MarkovChainSpec(states, transition, initial)
+
+
 def test_alpha_window_iid_chain_is_zero():
     c = iid_chain()
     for j in (1, 2, 5):

@@ -266,6 +266,16 @@ def test_joint_distribution_validation():
         FiniteJointDistribution([0, 1], [0, 1], [[0.6, 0.5], [0.0, -0.1]])
 
 
+@pytest.mark.parametrize("atoms_x, atoms_z, pmf, field", [
+    ([0, 1], [0, 1], [[0.5, np.nan], [0.0, 0.5]], "pmf"),
+    ([0, np.nan], [0, 1], [[0.5, 0.0], [0.0, 0.5]], "atoms_x"),
+    ([0, 1], [-np.inf, 1], [[0.5, 0.0], [0.0, 0.5]], "atoms_z"),
+], ids=["pmf-nan", "atoms-x-nan", "atoms-z-inf"])
+def test_joint_distribution_rejects_non_finite_entries(atoms_x, atoms_z, pmf, field):
+    with pytest.raises(ValueError, match=f"^{field} has a non-finite entry$"):
+        FiniteJointDistribution(atoms_x, atoms_z, pmf)
+
+
 def test_normal_cdf_is_bitwise_scipy_norm():
     # signed zeros, infinities, nan, both tails out to +-40 (where the cdf
     # underflows and the upper tail rounds to 1) and a dense middle

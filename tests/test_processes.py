@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mixlimit import processes, rngstreams
+from mixlimit.harness import write_path_csv
 from mixlimit.mixing import MarkovChainSpec
 from mixlimit.probcore import normal_cdf
 from mixlimit.processes import (
@@ -27,7 +28,6 @@ from mixlimit.processes import (
     norming_for,
     simulate_many,
     validate_norming,
-    write_path_csv,
 )
 
 AR1 = ProcessSpec(family="ar1", phi=0.5)

@@ -283,6 +283,15 @@ def test_integral_validation():
         BDLPSpec(gaussian_sigma=-1.0)
 
 
+@pytest.mark.parametrize("values, probs, field", [
+    ((1.0, 2.0), (np.nan, 0.5), "probs"),
+    ((1.0, np.inf), (0.5, 0.5), "values"),
+], ids=["probs-nan", "values-inf"])
+def test_discrete_jumps_reject_non_finite_entries(values, probs, field):
+    with pytest.raises(ValueError, match=f"^{field} has a non-finite entry$"):
+        DiscreteJumps(values, probs)
+
+
 # ---------------------------------------------------------------- log moment
 
 def test_log_moment_drift_only_exact():
