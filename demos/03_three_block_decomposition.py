@@ -6,7 +6,8 @@
 #
 #   U = (a_n / a_m)(a_m S_m + b_m)   -> converges to the c-scaled limit
 #   V = a_n (S_{m+q} - S_m)          -> negligible (at most q_n delta_n)
-#   W = the rest                     -> tight, nearly independent of U
+#   W = a_n (S_n - S_{m+q}) + b_n - (a_n / a_m) b_m
+#                                    -> tight, nearly independent of U
 #
 # Together U + V + W = a_n S_n + b_n exactly, which is what makes the
 # limit law decompose into a c-scaled copy of itself convolved with a
@@ -14,7 +15,7 @@
 
 import numpy as np
 
-from mixlimit.blocking import compute_m, decompose, make_plan, verify_blocking
+from mixlimit.blocking import compute_m, make_plan, verify_blocking
 from mixlimit.processes import (
     ProcessSpec, marginal_abs_tail, norming_for, simulate_many,
 )
@@ -37,11 +38,20 @@ print("\ncompute_m at n=4096:", compute_m(norming, 0.5, 4096),
       "(sqrt scaling: k <= c^2 n = 1024)")
 
 # --- one path, decomposed ----------------------------------------------------
-path = simulate_many(spec, 4096, 1, seed=5)[0]
-triple = decompose(path, norming, plan, 4096)
-print(f"\none path at n=4096: U={float(triple.u):+.4f}  V={float(triple.v):+.4f}  "
-      f"W={float(triple.w):+.4f}")
-print(f"U + V + W = {float(triple.total):+.4f}, identity error {triple.identity_relerr:.1e}")
+n = 4096
+i = plan.index_of(n)
+m, q = int(plan.m[i]), int(plan.q[i])
+(a_n, b_n), (a_m, b_m) = norming.at(n), norming.at(m)
+path = simulate_many(spec, n, 1, seed=5)[0]
+u = a_n / a_m * norming.normalized_sum(path[:m])
+v = a_n * path[m : m + q].sum()
+w = a_n * path[m + q : n].sum() + b_n - a_n / a_m * b_m
+# the right side sums the whole path directly, so the identity is checked
+# between two independently rounded sides
+total = norming.normalized_sum(path[:n])
+print(f"\none path at n={n}: U={u:+.4f}  V={v:+.4f}  W={w:+.4f}")
+print(f"U + V + W = {u + v + w:+.4f}, "
+      f"identity error {abs(u + v + w - total) / max(1.0, abs(total)):.1e}")
 
 # --- Monte Carlo verification of every block claim --------------------------
 rows = verify_blocking(spec, c=0.5, n_grid=(512, 2048), replications=4000, seed=6)

@@ -164,26 +164,13 @@ def make_plan(
     )
 
 
-@dataclass(frozen=True)
-class BlockTriple:
-    """One decomposition U + V + W = a(n) S_n + b(n) at horizon n."""
-
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    n: int
-    identity_relerr: float
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.u + self.v + self.w
-
-
 def _three_blocks(values, norming: NormingSequences, m: int, q: int, n: int):
     """(U, V, W, total) of the first n values along the last axis.
 
     total = a(n) S_n + b(n) sums the n values directly, so that
-    _identity_relerr compares two independently rounded sides.
+    _identity_relerr compares two independently rounded sides.  It stays
+    private: it runs on worker threads, and bench/tracer.py wraps every
+    public function with a span stack that is not thread-safe.
     """
     x = np.moveaxis(np.asarray(values, dtype=float), -1, 0)
     (a_n, b_n), (a_m, b_m) = norming.at(n), norming.at(m)
@@ -217,25 +204,6 @@ def _block_sums(spec: ProcessSpec, norming: NormingSequences, plan: BlockingPlan
 
     parts = processes._map_blocks(spec, max(ns), replications, seed, "blocking", split)
     return {n: tuple(map(np.concatenate, zip(*(p[k] for p in parts)))) for k, n in enumerate(ns)}
-
-
-def decompose(path, norming: NormingSequences, plan: BlockingPlan, n: int) -> BlockTriple:
-    """Blocks of one path (a 1-D array) at horizon n, which must be past the
-    plan threshold."""
-    if plan.is_pre_asymptotic(n):
-        raise ValueError(
-            f"n={n} is pre-asymptotic for this plan: blocks separate only from "
-            f"n={plan.threshold}"
-        )
-    i = plan.index_of(n)
-    path = np.asarray(path, dtype=float)
-    if path.ndim != 1 or len(path) < n:
-        raise ValueError(
-            f"path must be a 1-D array of at least {n} points, got shape {path.shape}"
-        )
-    u, v, w, total = _three_blocks(path, norming, int(plan.m[i]), int(plan.q[i]), n)
-    return BlockTriple(u=np.asarray(u), v=np.asarray(v), w=np.asarray(w), n=n,
-                       identity_relerr=_identity_relerr(u, v, w, total))
 
 
 def _split_alpha(x: np.ndarray, y: np.ndarray) -> float:

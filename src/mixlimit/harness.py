@@ -21,6 +21,7 @@ assertion failed, 1 on usage/config errors.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -89,7 +90,7 @@ OBJECT_KEYS = {
     "process": ({"family": "a string"},
                 {"phi": "a number", "weights": "an array of numbers",
                  "innovations": "a JSON object", "chain": "a JSON object",
-                 "state_values": "an array of numbers", "value": "a number"}),
+                 "state_values": "an array of numbers"}),
     "innovations": ({}, {"name": "a string", "mean": "a number", "std": "a number"}),
     "bdlp": ({}, {"drift": "a number", "gaussian_sigma": "a number", "jump_rate": "a number",
                   "jump_law": "a JSON object"}),
@@ -117,12 +118,11 @@ def _check(obj, required: dict, optional: dict, where: str) -> None:
             raise ConfigError(f"{where}.{k} must be {json_type}, got {obj[k]!r}")
 
 
-def _finite(text: str) -> float:
-    """A JSON number literal as a float; NaN, Infinity and overflowing literals are rejected."""
-    x = float(text)
-    if not np.isfinite(x):
+def _finite(text: str, kind=float):
+    """A JSON number literal as kind; NaN, Infinity and literals beyond float range fail."""
+    if not np.isfinite(float(text)):
         raise ConfigError(f"the number {text} is not finite")
-    return x
+    return kind(text)
 
 
 def _reject_keys(obj: dict, keys, reason: str, where: str = "config") -> None:
@@ -131,16 +131,24 @@ def _reject_keys(obj: dict, keys, reason: str, where: str = "config") -> None:
             raise ConfigError(f"{where}.{k} is not used {reason}")
 
 
+@contextlib.contextmanager
+def _naming(where: str):
+    """Re-raise a ValueError of the library calls in the block as a
+    ConfigError naming where (a ConfigError raised there would be named twice)."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from e
+
+
 def _parse_chain(obj, where: str) -> mixing.MarkovChainSpec:
     _check(obj, *OBJECT_KEYS["chain"], where)
-    try:
+    with _naming(where):
         return mixing.MarkovChainSpec(
             states=np.asarray(obj["states"], dtype=float),
             transition=np.asarray(obj["transition"], dtype=float),
             initial=np.asarray(obj["initial"], dtype=float),
         )
-    except ValueError as e:
-        raise ConfigError(f"{where}: {e}") from e
 
 
 def _parse_process(obj, where: str) -> processes.ProcessSpec:
@@ -150,30 +158,30 @@ def _parse_process(obj, where: str) -> processes.ProcessSpec:
         raise ConfigError(f"{where}: unknown process family {fam!r}")
     _reject_keys(obj, [k for k in obj if k not in ("family", *processes.FAMILIES[fam])],
                  f"by family {fam!r}", where)
-    # phi, value and the innovation law go into describe(), and so into the
-    # spec hash, exactly as given: they are checked but not converted
+    # phi and the innovation law go into describe(), and so into the spec
+    # hash, exactly as given: they are checked but not converted
     kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()}
     if "innovations" in obj:
         _check(obj["innovations"], *OBJECT_KEYS["innovations"], f"{where}.innovations")
-        kwargs["innovations"] = processes.InnovationLaw(**obj["innovations"])
+        with _naming(f"{where}.innovations"):
+            kwargs["innovations"] = processes.InnovationLaw(**obj["innovations"])
     if "chain" in obj:
         kwargs["chain"] = _parse_chain(obj["chain"], f"{where}.chain")
-    try:
+    with _naming(where):
         return processes.ProcessSpec(**kwargs)
-    except ValueError as e:
-        raise ConfigError(f"{where}: {e}") from e
 
 
 def _parse_jump_law(obj, where: str) -> selfdecomp.JumpLaw:
     _check(obj, *OBJECT_KEYS["jump_law"], where)
     kind = obj["kind"]
-    if kind == "discrete":
-        return selfdecomp.DiscreteJumps(tuple(obj.get("values", ())), tuple(obj.get("probs", ())))
-    if kind == "normal":
-        return selfdecomp.NormalJumps(obj.get("mean", 0.0), obj.get("std", 1.0))
-    if kind == "dyadic_tower":
-        return selfdecomp.DyadicTowerJumps()
-    raise ConfigError(f"{where}: unknown jump law kind {kind!r}")
+    with _naming(where):
+        if kind == "discrete":
+            return selfdecomp.DiscreteJumps(obj.get("values", ()), obj.get("probs", ()))
+        if kind == "normal":
+            return selfdecomp.NormalJumps(obj.get("mean", 0.0), obj.get("std", 1.0))
+        if kind == "dyadic_tower":
+            return selfdecomp.DyadicTowerJumps()
+        raise ValueError(f"unknown jump law kind {kind!r}")
 
 
 _CLOSED_FORM_CFS = {
@@ -273,12 +281,10 @@ def _run_integral_sample(cfg: dict):
     b = cfg["bdlp"]
     _check(b, *OBJECT_KEYS["bdlp"], "config.bdlp")
     law = _parse_jump_law(b["jump_law"], "config.bdlp.jump_law") if "jump_law" in b else None
-    bdlp = selfdecomp.BDLPSpec(
-        drift=float(b.get("drift", 0.0)),
-        gaussian_sigma=float(b.get("gaussian_sigma", 0.0)),
-        jump_rate=float(b.get("jump_rate", 0.0)),
-        jump_law=law,
-    )
+    with _naming("config.bdlp"):
+        bdlp = selfdecomp.BDLPSpec(
+            **{k: float(b.get(k, 0.0)) for k in ("drift", "gaussian_sigma", "jump_rate")},
+            jump_law=law)
     t_max = float(cfg["t_max"])
     n_samples = cfg["n_samples"]
     # the probe runs first: it is the diagnosis when the sample overflows
@@ -313,7 +319,7 @@ def _run_coupling_suite(cfg: dict):
     for i, case in enumerate(cfg["cases"]):
         where = f"config.cases[{i}]"
         _check(case, *OBJECT_KEYS["case"], where)
-        try:
+        with _naming(where):
             pmf = np.asarray(case["pmf"], dtype=float)
             if pmf.ndim != 2:
                 raise ValueError(f"pmf must be a matrix, got shape {pmf.shape}")
@@ -322,8 +328,6 @@ def _run_coupling_suite(cfg: dict):
             problems.append(coupling.CouplingProblem(
                 joint=joint, epsilon=float(case["epsilon"]), net=case["net"],
                 delta=float(case["delta"])))
-        except ValueError as e:
-            raise ConfigError(f"{where}: {e}") from e
     report = coupling.verify_prop1_suite(problems)
     for row in report["cases"]:
         row["claim"] = "prop1_bound"
@@ -433,7 +437,8 @@ def run(config_path, out_dir: str | None = None) -> int:
     """Execute one experiment config; returns the process exit status."""
     try:
         with open(config_path) as fh:
-            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            cfg = json.load(fh, parse_float=_finite, parse_int=lambda t: _finite(t, int),
+                            parse_constant=_finite)
     except OSError as e:
         print(f"config error: cannot read {config_path}: {e}")
         return 1

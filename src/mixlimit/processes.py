@@ -1,4 +1,4 @@
-"""Generators of strongly mixing sequences, and of a degenerate constant one.
+"""Generators of strongly mixing sequences.
 
 Each family has a known long-run variance, so the norming sequences
 a_n = 1/sqrt(n v_inf), b_n = -a_n n mean make the normalized partial
@@ -11,8 +11,6 @@ Families:
   ma_q             X_k = sum_i w_i eps_{k-i}, pre-sampled so the path is
                    stationary from index 1
   markov_function  f(Y_k) for a finite-state chain Y
-  constant         a deterministic constant (degenerate; rejected by
-                   norming_for)
 """
 
 from __future__ import annotations
@@ -35,14 +33,8 @@ FAMILIES = {
     "ar1": ("phi", "innovations"),
     "ma_q": ("weights", "innovations"),
     "markov_function": ("chain", "state_values"),
-    "constant": ("value",),
 }
 _AR1_INIT_TOL = 1e-16
-# validate_norming: a(n_max) must fall below A_DECAY_FACTOR a(1), and the
-# tail ratio gap and drift below RATIO_TOL and DRIFT_TOL
-A_DECAY_FACTOR = 0.1
-RATIO_TOL = 0.01
-DRIFT_TOL = 0.01
 # replications (and the samples of sample_random_integral) are drawn and
 # reduced in blocks of _CHUNK_ROWS, one keyed stream per block, on _WORKERS
 # threads that each hold one block: the paths in flight take the memory of
@@ -67,6 +59,8 @@ class InnovationLaw:
     def __post_init__(self):
         if self.name not in ("normal", "uniform", "rademacher"):
             raise ValueError(f"unknown innovation law {self.name!r}")
+        if not (np.isfinite(self.mean) and np.isfinite(self.std)):
+            raise ValueError(f"innovation mean {self.mean!r} and std {self.std!r} must be finite")
         if self.std < 0:
             raise ValueError("innovation std must be nonnegative")
 
@@ -100,7 +94,6 @@ class ProcessSpec:
     innovations: InnovationLaw = field(default_factory=InnovationLaw)
     chain: MarkovChainSpec | None = None
     state_values: tuple | None = None
-    value: float = 0.0
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -187,22 +180,6 @@ class NormingSequences:
         """a(n) S + b(n), where S sums the n values of block along axis."""
         a_n, b_n = self.at(np.shape(block)[axis])
         return a_n * np.sum(block, axis=axis) + b_n
-
-
-@dataclass(frozen=True)
-class Step1Report:
-    """Numeric check of a(n) -> 0, a(n+1)/a(n) -> 1 and vanishing drift."""
-
-    a_tail_ratio: float        # a(n_max) / a(1)
-    ratio_gap: float           # |a(n_max)/a(n_max - 1) - 1|
-    drift_tail: float          # |b(n_max) - b(n_max - 1) a(n_max)/a(n_max - 1)|
-    a_vanishes: bool
-    ratio_converges: bool
-    drift_vanishes: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.a_vanishes and self.ratio_converges and self.drift_vanishes
 
 
 def simulate_many(spec: ProcessSpec, n: int, reps: int, seed: int, label: str = "path") -> np.ndarray:
@@ -300,8 +277,6 @@ def _block(spec: ProcessSpec, n: int, rows: int, rng: np.random.Generator, scrat
     every row is a function of its own innovations.
     """
     fam, law = spec.family, spec.innovations
-    if fam == "constant":
-        return np.full((rows, n), spec.value, dtype=float)
     if fam == "iid" or (fam == "ar1" and spec.phi == 0.0):      # an ar1 with phi 0 is iid
         return law.sample(rng, _scratch(scratch, (rows, n)))
     if fam == "ar1":
@@ -407,8 +382,6 @@ def long_run_variance(spec: ProcessSpec) -> float:
 def _moments(spec: ProcessSpec) -> tuple:
     """(mean, v_inf): the stationary mean and lim Var(S_n)/n, in closed form per family."""
     law = spec.innovations
-    if spec.family == "constant":
-        return spec.value, 0.0
     if spec.family == "iid":
         return law.mean, law.variance
     if spec.family == "ar1":
@@ -452,28 +425,6 @@ def norming_for(spec: ProcessSpec) -> NormingSequences:
     return NormingSequences(a=a, b=b, provenance=prov)
 
 
-def validate_norming(norming: NormingSequences, n_max: int) -> Step1Report:
-    """Check the norming-sequence regularity needed for scale comparison:
-    a(n) -> 0, a(n+1)/a(n) -> 1, b(n+1) - b(n) a(n+1)/a(n) -> 0."""
-    if n_max < 10:
-        raise ValueError("n_max must be at least 10")
-    ns = np.arange(1, n_max + 1)
-    a = norming.a_values(ns)
-    b = norming.b_values(ns)
-    if np.any(a <= 0):
-        raise ValueError("a(n) must be positive")
-    ratio = a[-1] / a[-2]
-    drift = abs(b[-1] - b[-2] * ratio)
-    return Step1Report(
-        a_tail_ratio=float(a[-1] / a[0]),
-        ratio_gap=float(abs(ratio - 1.0)),
-        drift_tail=float(drift),
-        a_vanishes=bool(a[-1] < A_DECAY_FACTOR * a[0]),
-        ratio_converges=bool(abs(ratio - 1.0) < RATIO_TOL),
-        drift_vanishes=bool(drift < DRIFT_TOL),
-    )
-
-
 def marginal_abs_tail(spec: ProcessSpec):
     """t -> an upper envelope of max_k P(|X_k| >= t), for use as the
     infinitesimality tail of the triangular array.
@@ -481,13 +432,11 @@ def marginal_abs_tail(spec: ProcessSpec):
     For the stationary families the marginal is time-invariant, so the
     max over k collapses.  Gaussian innovations give the exact normal
     tail; bounded innovations (uniform, rademacher) give a step envelope
-    at the support bound; markov_function and constant are exact over
-    their finite support.  Any upper envelope is admissible: the level
-    search only ever selects a larger (still valid) delta.
+    at the support bound; markov_function is exact over its finite
+    support.  Any upper envelope is admissible: the level search only
+    ever selects a larger (still valid) delta.
     """
     fam = spec.family
-    if fam == "constant":
-        return _step_tail(abs(spec.value))
     if fam == "markov_function":
         # per-state mass envelope m(s) = sup_k P(Y_k = s); the induced tail
         # dominates max_k P(|X_k| >= t), which is what the delta search needs
@@ -543,17 +492,17 @@ def _step_tail(bound: float):
 def analytic_alpha_profile(spec: ProcessSpec, n_list) -> AlphaProfile:
     """Known mixing-rate metadata per family, as an upper envelope.
 
-    iid and constant sequences have coefficient 0; an MA(q) is
-    q-dependent so the coefficient vanishes beyond lag q; a stationary
-    Gaussian AR(1) has maximal correlation phi^n between past and
-    future, hence alpha(n) <= phi^n / 4; markov_function inherits the
-    Doeblin envelope of its chain.
+    iid sequences have coefficient 0; an MA(q) is q-dependent so the
+    coefficient vanishes beyond lag q; a stationary Gaussian AR(1) has
+    maximal correlation phi^n between past and future, hence
+    alpha(n) <= phi^n / 4; markov_function inherits the Doeblin envelope
+    of its chain.
     """
     n_list = [int(n) for n in n_list]
     fam = spec.family
-    if fam in ("iid", "constant"):
+    if fam == "iid":
         vals = tuple((n, 0.0) for n in n_list)
-        return AlphaProfile(vals, kind="analytic-bound", meta=f"{fam}: independent")
+        return AlphaProfile(vals, kind="analytic-bound", meta="iid: independent")
     if fam == "ma_q":
         q = len(spec.weights) - 1
         vals = tuple((n, 0.0 if n > q else 0.25) for n in n_list)

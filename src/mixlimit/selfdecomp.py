@@ -186,6 +186,12 @@ class NormalJumps(JumpLaw):
     mean: float = 0.0
     std: float = 1.0
 
+    def __post_init__(self):
+        if not (np.isfinite(self.mean) and np.isfinite(self.std)):
+            raise ValueError(f"jump mean {self.mean!r} and std {self.std!r} must be finite")
+        if self.std < 0:
+            raise ValueError("jump std must be nonnegative")
+
     def sample(self, rng, size):
         return self.mean + self.std * rng.standard_normal(size)
 
@@ -215,6 +221,8 @@ class BDLPSpec:
     jump_law: JumpLaw | None = None
 
     def __post_init__(self):
+        if not all(np.isfinite(x) for x in (self.drift, self.gaussian_sigma, self.jump_rate)):
+            raise ValueError("drift, gaussian_sigma and jump_rate must be finite")
         if self.gaussian_sigma < 0 or self.jump_rate < 0:
             raise ValueError("gaussian_sigma and jump_rate must be nonnegative")
         if self.jump_rate > 0 and self.jump_law is None:

@@ -130,8 +130,10 @@ def test_criterion_4_blocking_identity():
         for r in range(per_spec):
             n = int(rng.choice([64, 256]))
             path = processes.simulate_many(spec, 256, 1, seed=1000 * si + r)[0]
-            triple = blocking.decompose(path, nm, plan, n)
-            worst = max(worst, triple.identity_relerr)
+            assert not plan.is_pre_asymptotic(n)
+            i = plan.index_of(n)
+            split = blocking._three_blocks(path, nm, int(plan.m[i]), int(plan.q[i]), n)
+            worst = max(worst, blocking._identity_relerr(*split))
             paths_done += 1
     elapsed = time.perf_counter() - t0
     report(

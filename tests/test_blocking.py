@@ -10,12 +10,12 @@ from mixlimit import processes
 from mixlimit.blocking import (
     BlockingPlan,
     _block_sums,
+    _identity_relerr,
     _three_blocks,
     compute_deltas,
     compute_m,
     compute_m_profile,
     compute_q,
-    decompose,
     make_plan,
     verify_blocking,
 )
@@ -140,7 +140,7 @@ def test_compute_q_examples():
     assert compute_q(0.0001, 49, 100) == 50    # cap n - m - 1 binds
 
 
-# ---------------------------------------------------------------- decompose
+# ---------------------------------------------------------------- the U/V/W split
 
 def hand_plan():
     return BlockingPlan(
@@ -162,13 +162,20 @@ def hand_norming():
     )
 
 
+def hand_split(values, n=6):
+    """(U, V, W, total) of values by the hand plan at n."""
+    i = hand_plan().index_of(n)
+    return _three_blocks(values, hand_norming(), int(hand_plan().m[i]),
+                         int(hand_plan().q[i]), n)
+
+
 def test_decompose_hand_example():
-    t = decompose(np.arange(1.0, 7.0), hand_norming(), hand_plan(), 6)
-    assert t.u == pytest.approx(1.0)     # (a6/a3)(S3/3) = 0.5 * 2
-    assert t.v == pytest.approx(1.5)     # (S5 - S3)/6
-    assert t.w == pytest.approx(1.0)     # (S6 - S5)/6
-    assert t.total == pytest.approx(3.5)
-    assert t.identity_relerr < 1e-15
+    u, v, w, total = hand_split(np.arange(1.0, 7.0))
+    assert u == pytest.approx(1.0)     # (a6/a3)(S3/3) = 0.5 * 2
+    assert v == pytest.approx(1.5)     # (S5 - S3)/6
+    assert w == pytest.approx(1.0)     # (S6 - S5)/6
+    assert total == pytest.approx(3.5)
+    assert _identity_relerr(u, v, w, total) < 1e-15
 
 
 def test_decompose_identity_random_paths():
@@ -179,50 +186,44 @@ def test_decompose_identity_random_paths():
     for _ in range(20):
         vals = rng.standard_normal(128) * rng.uniform(0.5, 2)
         for n in (64, 128):
-            t = decompose(vals, nm, plan, n)
+            i = plan.index_of(n)
+            u, v, w, total = _three_blocks(vals, nm, int(plan.m[i]), int(plan.q[i]), n)
             direct = nm.a_values(np.array([n]))[0] * vals[:n].sum()
-            assert t.total == pytest.approx(direct, rel=1e-12)
-            assert t.identity_relerr < 1e-9
-
-
-def test_decompose_rejects_matrix_and_short_paths():
-    # paths are scalar: a (6, 2) array is not a path, and n may not exceed its length
-    with pytest.raises(ValueError, match=r"1-D array of at least 6 points, got shape \(6, 2\)"):
-        decompose(np.ones((6, 2)), hand_norming(), hand_plan(), 6)
-    with pytest.raises(ValueError, match=r"got shape \(5,\)"):
-        decompose(np.ones(5), hand_norming(), hand_plan(), 6)
+            assert u + v + w == pytest.approx(direct, rel=1e-12)
+            assert _identity_relerr(u, v, w, total) < 1e-9
 
 
 def test_decompose_zero_middle_block_gives_zero_v():
-    plan = hand_plan()
-    vals = np.array([1.0, 2.0, 3.0, 0.0, 0.0, 4.0])
-    t = decompose(vals, hand_norming(), plan, 6)
-    assert t.v == 0.0
+    _, v, _, _ = hand_split(np.array([1.0, 2.0, 3.0, 0.0, 0.0, 4.0]))
+    assert v == 0.0
 
 
 def test_decompose_row_matches_verify_blocking_split():
-    # decompose on one row of a simulate_many matrix and the split that
-    # verify_blocking applies to the whole matrix agree bit for bit
+    # the split of one row of a simulate_many matrix, alone, and the split
+    # that verify_blocking applies to the whole matrix agree bit for bit
     spec = ProcessSpec(family="ar1", phi=0.5)
     nm = norming_for(spec)
     plan = make_plan(nm, marginal_abs_tail(spec), 0.5, (256, 512))
     paths = simulate_many(spec, 512, 8, 4, label="blocking")
     for n in (256, 512):
         i = plan.index_of(n)
-        u, v, w, _ = _three_blocks(paths, nm, int(plan.m[i]), int(plan.q[i]), n)
+        m, q = int(plan.m[i]), int(plan.q[i])
+        whole = _three_blocks(paths, nm, m, q, n)
         for r in (0, 5):
-            t = decompose(paths[r], nm, plan, n)
-            assert (t.u, t.v, t.w) == (u[r], v[r], w[r])
+            row = _three_blocks(paths[r], nm, m, q, n)
+            assert row == tuple(part[r] for part in whole)
 
 
 def test_decompose_rejects_pre_asymptotic():
-    # at n=4: m+q = 4 is not < n, so the blocks do not separate yet
+    # at n=4: m+q = 4 is not < n, so the blocks do not separate yet; from
+    # the threshold n=6 on they do
     plan = BlockingPlan(
         c=0.5, n_values=np.array([4, 6]), m=np.array([2, 3]), q=np.array([2, 2]),
         delta=np.array([0.25, 0.25]), ratio=np.array([0.5, 0.5]), threshold=6,
     )
-    with pytest.raises(ValueError, match="pre-asymptotic"):
-        decompose(np.ones(6), hand_norming(), plan, 4)
+    assert plan.is_pre_asymptotic(4)
+    assert not plan.is_pre_asymptotic(6)
+    assert not hand_plan().is_pre_asymptotic(6)
 
 
 # ---------------------------------------------------------------- plans
@@ -412,5 +413,5 @@ def test_ar1_verify_blocking_peak_memory_below_a_quarter_of_the_paths():
 
 def test_verify_blocking_rejects_degenerate():
     with pytest.raises(ValueError, match="degenerate"):
-        verify_blocking(ProcessSpec(family="constant", value=0.0), n_grid=(64,),
+        verify_blocking(ProcessSpec(family="ma_q", weights=(1.0, -1.0)), n_grid=(64,),
                         replications=10, seed=0)

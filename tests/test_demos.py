@@ -1,4 +1,10 @@
-"""Smoke test: every narrative script in demos/ runs to completion."""
+"""Every narrative script in demos/ runs to completion and prints exactly
+its pinned output.
+
+A change that alters a demo's output on purpose regenerates its file with
+  PYTHONPATH=src python demos/NAME.py > tests/golden/demos/NAME.txt
+and says why in CHANGES.md.
+"""
 
 import os
 import subprocess
@@ -9,10 +15,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).parent / "golden" / "demos"
 
 
 def test_all_six_demos_found():
     assert len(DEMOS) == 6
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == [p.stem for p in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
@@ -22,3 +30,4 @@ def test_demo_runs(demo, tmp_path):
     res = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
+    assert res.stdout == (GOLDEN / f"{demo.stem}.txt").read_text()

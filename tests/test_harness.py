@@ -146,7 +146,7 @@ REMOVED_KEYS = [
     ({"kind": "integral-sample", "seed": 1, "t_max": 20.0, "n_steps": 4, "n_samples": 4,
       "bdlp": {"jump_rate": 1.0,
                "jump_law": {"kind": "discrete", "values": [1, 2], "probs": [0.5]}}},
-     "equal-length"),
+     "config.bdlp.jump_law: values and probs must be equal-length and nonempty"),
     (dict(BLOCKING_CFG, process={"family": "iid", "dimension": 2}), "unknown key 'dimension'"),
     # values of the wrong JSON type: the message names the key and the value
     ({"kind": "selfdecomp-test", "seed": 1, "c_values": 1.5, "cf_form": "gaussian"},
@@ -217,9 +217,9 @@ REMOVED_KEYS = [
                                  "innovations": {"name": "uniform"}}),
      "config.process.innovations is not used by family 'markov_function'"),
     (dict(BLOCKING_CFG, process={"family": "constant", "value": 1.0, "phi": 0.5}),
-     "config.process.phi is not used by family 'constant'"),
+     "config.process has unknown key 'value'"),
     (corollary_cfg("independent", process_x={"family": "iid", "value": 2.0}),
-     "config.process_x.value is not used by family 'iid'"),
+     "config.process_x has unknown key 'value'"),
     (dict(BLOCKING_CFG, process={"family": ["iid"]}),
      "config.process.family must be a string, got ['iid']"),
     # non-finite numbers: json reads NaN and Infinity, and 1e400 overflows
@@ -229,6 +229,8 @@ REMOVED_KEYS = [
                                                                             [0.0, 0.5]])]},
      "the number NaN is not finite"),
     (dict(BLOCKING_CFG, c=float("-inf")), "the number -Infinity is not finite"),
+    (dict(BLOCKING_CFG, process={"family": "iid", "innovations": {"std": 10 ** 400}}),
+     f"the number {10 ** 400} is not finite"),
     # chain states and initial laws that are not vectors
     ({"kind": "selfdecomp-test", "seed": 1, "c_values": [0.5], "n": 64, "replications": 100,
       "process": {"family": "markov_function",
@@ -240,6 +242,20 @@ REMOVED_KEYS = [
      "config.process.chain: initial must be a vector, got shape (3, 1)"),
     (dict(ALPHA_CFG, chain=dict(TWO_STATE_CHAIN, states=[[0.0], [1.0]])),
      "config.chain: states must be a vector, got shape (2, 1)"),
+    # a library ValueError inside a nested object carries the object's name
+    (dict(BLOCKING_CFG, process={"family": "iid", "innovations": {"name": "cauchy"}}),
+     "config.process.innovations: unknown innovation law 'cauchy'"),
+    (dict(BLOCKING_CFG, process={"family": "iid", "innovations": {"std": -1}}),
+     "config.process.innovations: innovation std must be nonnegative"),
+    (dict(INTEGRAL_CFG, bdlp={"jump_rate": 1.0, "jump_law": {"kind": "normal", "std": -1}}),
+     "config.bdlp.jump_law: jump std must be nonnegative"),
+    (dict(INTEGRAL_CFG, bdlp={"gaussian_sigma": -1.0}),
+     "config.bdlp: gaussian_sigma and jump_rate must be nonnegative"),
+    (dict(INTEGRAL_CFG, bdlp={"jump_rate": 1.0}),
+     "config.bdlp: a positive jump_rate requires a jump_law"),
+    # a degenerate sequence has no norming, so the family is gone
+    (dict(BLOCKING_CFG, process={"family": "constant"}),
+     "config.process: unknown process family 'constant'"),
 ] + [(dict(base, **{key: value}), f"config has unknown key {key!r}")
      for base, key, value in REMOVED_KEYS],
     ids=["c-above-one", "c-not-a-number", "lag-zero", "window-too-large",
@@ -253,8 +269,11 @@ REMOVED_KEYS = [
          "cf-form-n", "cf-form-replications", "past-window-zero", "future-window-string",
          "iid-phi", "ar1-weights", "ma-q-chain", "markov-innovations", "constant-phi",
          "corollary-process-x-value", "family-array", "alpha-transition-nan",
-         "coupling-pmf-nan", "c-minus-infinity", "states-matrix", "initial-matrix",
-         "alpha-states-matrix"]
+         "coupling-pmf-nan", "c-minus-infinity", "int-beyond-float-range", "states-matrix",
+         "initial-matrix", "alpha-states-matrix", "innovations-unknown-name",
+         "innovations-std-negative",
+         "jump-normal-std-negative", "bdlp-sigma-negative", "bdlp-rate-without-law",
+         "constant-family"]
     + [f"removed-{base['kind']}-{key}" for base, key, _ in REMOVED_KEYS])
 def test_runner_value_errors_are_config_errors(tmp_path, capsys, cfg, needle):
     path = write_cfg(tmp_path, "bad.json", cfg)
@@ -262,6 +281,42 @@ def test_runner_value_errors_are_config_errors(tmp_path, capsys, cfg, needle):
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 1 and lines[0].startswith("config error: ")
     assert needle in lines[0]
+    assert not (tmp_path / "o").exists()
+
+
+# one minimal process of each family: every family must reach a report
+FAMILY_PROCESSES = {
+    "iid": {"family": "iid"},
+    "ar1": {"family": "ar1", "phi": 0.5},
+    "ma_q": {"family": "ma_q", "weights": [1.0, 0.5]},
+    "markov_function": {"family": "markov_function", "chain": TWO_STATE_CHAIN},
+}
+
+
+@pytest.mark.parametrize("family", sorted(processes.FAMILIES))
+def test_every_family_can_run(tmp_path, family):
+    assert set(FAMILY_PROCESSES) == set(processes.FAMILIES)
+    cfg = dict(BLOCKING_CFG, process=FAMILY_PROCESSES[family], n_grid=[256], replications=200)
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    assert harness.run(path, out_dir=str(tmp_path / "o")) in (0, 2)
+
+
+# MA(1) with weights (1, -1) has long-run variance 0, so no norming exists
+DEGENERATE = {"family": "ma_q", "weights": [1.0, -1.0]}
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(BLOCKING_CFG, process=DEGENERATE),
+    {"kind": "selfdecomp-test", "seed": 1, "c_values": [0.5], "process": DEGENERATE,
+     "n": 64, "replications": 100},
+    corollary_cfg("independent", process_x=DEGENERATE),
+], ids=["blocking-verify", "selfdecomp-test", "corollary-sum"])
+def test_a_degenerate_process_is_a_config_error(tmp_path, capsys, cfg):
+    path = write_cfg(tmp_path, "degenerate.json", cfg)
+    assert harness.run(path, out_dir=str(tmp_path / "o")) == 1
+    assert capsys.readouterr().out == (
+        "config error: degenerate spec: long-run variance 0.0 is not positive, "
+        "no non-degenerate norming exists\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -27,7 +27,6 @@ from mixlimit.processes import (
     normalized_sums,
     norming_for,
     simulate_many,
-    validate_norming,
 )
 
 AR1 = ProcessSpec(family="ar1", phi=0.5)
@@ -101,8 +100,6 @@ def one_shot_block(spec, n, rows, rng):
     """(rows, n) paths drawn from rng in one draw, by the loop references and
     with the innovations scaled as mean + std * z."""
     law = spec.innovations
-    if spec.family == "constant":
-        return np.full((rows, n), spec.value)
     if spec.family == "iid" or (spec.family == "ar1" and spec.phi == 0.0):
         return one_shot_innovations(law, rng, (rows, n))
     if spec.family == "ar1":
@@ -168,14 +165,21 @@ def test_spec_validation():
         ProcessSpec(family="garch")
     with pytest.raises(ValueError, match="std"):
         InnovationLaw(name="normal", std=-1.0)
+    with pytest.raises(ValueError, match="unknown process family 'constant'"):
+        ProcessSpec(family="constant")
     for values in ((1.0, 2.0), (1.0, 2.0, 3.0, 4.0)):
         with pytest.raises(ValueError, match=f"state_values has {len(values)} entries"):
             ProcessSpec(family="markov_function", chain=FINDING1.chain, state_values=values)
 
 
-def test_constant_family_all_zero():
-    path = simulate_many(ProcessSpec(family="constant", value=0.0), 50, 1, 1)[0]
-    assert np.array_equal(path, np.zeros(50))
+@pytest.mark.parametrize("mean, std", [(0.0, np.nan), (0.0, np.inf), (np.nan, 1.0),
+                                       (-np.inf, 1.0)],
+                         ids=["std-nan", "std-inf", "mean-nan", "mean-minus-inf"])
+def test_innovation_law_rejects_non_finite_parameters(mean, std):
+    # a NaN std passed the old std < 0 test, and every path came out NaN
+    needle = f"innovation mean {mean!r} and std {std!r} must be finite"
+    with pytest.raises(ValueError, match=needle):
+        InnovationLaw("normal", mean, std)
 
 
 def test_reproducibility_bit_identical():
@@ -245,7 +249,6 @@ CHUNKED_SPECS = {
     "ma_q": ProcessSpec(family="ma_q", weights=(1.0, 0.5, 0.25),
                         innovations=InnovationLaw("uniform", 0.2, 1.0)),
     "markov_function": FINDING1,
-    "constant": ProcessSpec(family="constant", value=2.5),
 }
 # one block, a block less or more by one row, two blocks and seven rows, and
 # two and four blocks less or more by at most seven rows
@@ -268,7 +271,7 @@ def test_chunks_concatenate_to_the_one_shot_paths(name, reps):
 
 
 @pytest.mark.parametrize("reps", BLOCK_BOUNDARY_REPS)
-@pytest.mark.parametrize("name", sorted(set(CHUNKED_SPECS) - {"constant"}))
+@pytest.mark.parametrize("name", sorted(CHUNKED_SPECS))
 def test_normalized_sums_equal_the_whole_matrix_sums(name, reps):
     spec = CHUNKED_SPECS[name]
     sums = normalized_sums(spec, 260, reps, 6, "sums")
@@ -284,11 +287,11 @@ def test_paths_do_not_depend_on_the_worker_count(monkeypatch, name):
     runs = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(processes, "_WORKERS", workers)
-        sums = None if name == "constant" else normalized_sums(spec, 260, 1031, 6, "sums")
-        runs.append((simulate_many(spec, 260, 1031, 6, "chunks"), sums))
+        runs.append((simulate_many(spec, 260, 1031, 6, "chunks"),
+                     normalized_sums(spec, 260, 1031, 6, "sums")))
     for paths, sums in runs[1:]:
         assert np.array_equal(paths, runs[0][0])
-        assert sums is None or np.array_equal(sums, runs[0][1])
+        assert np.array_equal(sums, runs[0][1])
 
 
 def test_blocks_run_on_one_thread_per_worker(monkeypatch):
@@ -477,8 +480,6 @@ def test_norming_markov_function():
 def test_norming_rejects_degenerate():
     with pytest.raises(ValueError, match="degenerate"):
         norming_for(ProcessSpec(family="ma_q", weights=(1.0, -1.0)))
-    with pytest.raises(ValueError, match="degenerate"):
-        norming_for(ProcessSpec(family="constant", value=3.0))
     with pytest.raises(ValueError, match="ergodic"):
         chain = MarkovChainSpec([0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
         norming_for(ProcessSpec(family="markov_function", chain=chain))
@@ -490,28 +491,6 @@ def test_normalized_sums_have_unit_variance():
     paths = simulate_many(AR1, n, 2000, 10, label="unitvar")
     t = nm.normalized_sum(paths)
     assert t.var() == pytest.approx(1.0, rel=0.08)
-
-
-def test_validate_norming_examples():
-    good = norming_for(ProcessSpec(family="iid"))
-    rep = validate_norming(good, 1000)
-    assert rep.passed
-
-    class FakeNorming:
-        a = staticmethod(lambda n: 2.0 ** -np.asarray(n, dtype=float))
-        b = staticmethod(lambda n: np.zeros_like(np.asarray(n, dtype=float)))
-        a_values = lambda self, ns: self.a(ns)
-        b_values = lambda self, ns: self.b(ns)
-
-    geo = validate_norming(FakeNorming(), 100)
-    assert not geo.ratio_converges and not geo.passed
-    assert geo.ratio_gap == pytest.approx(0.5, abs=1e-12)
-
-    class FlatNorming(FakeNorming):
-        a = staticmethod(lambda n: np.ones_like(np.asarray(n, dtype=float)))
-
-    flat = validate_norming(FlatNorming(), 100)
-    assert not flat.a_vanishes and not flat.passed
 
 
 def test_marginal_tail_gaussian_families():
@@ -615,7 +594,9 @@ def test_analytic_alpha_profiles():
 
 
 def test_path_csv_export():
-    path = simulate_many(ProcessSpec(family="constant", value=2.5), 3, 1, 0)[0]
+    # innovations of std 0 make every value their mean
+    flat = ProcessSpec(family="iid", innovations=InnovationLaw("normal", 2.5, 0.0))
+    path = simulate_many(flat, 3, 1, 0)[0]
     buf = io.StringIO()
     write_path_csv(buf, path)
     lines = buf.getvalue().strip().split("\n")
@@ -628,8 +609,8 @@ def test_path_csv_export():
 
 
 def test_limit_cdf_degenerate_raises():
-    with pytest.raises(ValueError):
-        limit_cdf(ProcessSpec(family="constant", value=1.0))
+    with pytest.raises(ValueError, match="degenerate"):
+        limit_cdf(ProcessSpec(family="ma_q", weights=(1.0, -1.0)))
 
 
 def test_spec_hash_pinned():
@@ -643,7 +624,6 @@ def test_spec_hash_pinned():
         "1134c5da955b5036": ProcessSpec(family="iid"),
         "d108eebde9ceef28": ProcessSpec(family="ma_q", weights=(1, 0.5, 0.25)),
         "bec30666177072a9": ProcessSpec(family="markov_function", chain=chain),
-        "d1c8d1f2102f77cd": ProcessSpec(family="constant", value=2.5),
         "b8f88d974fe9ab59": ProcessSpec(family="markov_function", chain=chain,
                                         state_values=(1, -2, 0.5)),
         "6126ef36e301bdb7": ProcessSpec(family="ar1", phi=-0.25,

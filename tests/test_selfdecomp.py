@@ -283,6 +283,27 @@ def test_integral_validation():
         BDLPSpec(gaussian_sigma=-1.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"gaussian_sigma": np.nan}, {"jump_rate": np.inf, "jump_law": NormalJumps()},
+    {"drift": np.nan},
+], ids=["sigma-nan", "rate-inf", "drift-nan"])
+def test_bdlp_rejects_non_finite_parameters(kwargs):
+    # a NaN sigma passed the old sigma < 0 test
+    with pytest.raises(ValueError, match="drift, gaussian_sigma and jump_rate must be finite"):
+        BDLPSpec(**kwargs)
+
+
+@pytest.mark.parametrize("mean, std, needle", [
+    (0.0, -1.0, "jump std must be nonnegative"),
+    (0.0, np.nan, "jump mean 0.0 and std nan must be finite"),
+    (np.inf, 1.0, "jump mean inf and std 1.0 must be finite"),
+], ids=["std-negative", "std-nan", "mean-inf"])
+def test_normal_jumps_reject_bad_parameters(mean, std, needle):
+    # NormalJumps(std=-1.0) constructed and sampled
+    with pytest.raises(ValueError, match=needle):
+        NormalJumps(mean, std)
+
+
 @pytest.mark.parametrize("values, probs, field", [
     ((1.0, 2.0), (np.nan, 0.5), "probs"),
     ((1.0, np.inf), (0.5, 0.5), "values"),
