@@ -104,6 +104,8 @@ class ProcessSpec:
             if len(self.weights) == 0:
                 raise ValueError("ma_q requires at least one weight")
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+            if not np.all(np.isfinite(self.weights)):
+                raise ValueError(f"ma_q weights {self.weights!r} must be finite")
         if self.family == "markov_function":
             if self.chain is None:
                 raise ValueError("markov_function requires a chain spec")
@@ -112,6 +114,8 @@ class ProcessSpec:
                     f"state_values has {len(self.state_values)} entries, "
                     f"the chain has {self.chain.n_states} states"
                 )
+            if self.state_values is not None and not np.all(np.isfinite(self.mapped_values())):
+                raise ValueError(f"state_values {self.state_values!r} must be finite")
 
     def describe(self) -> dict:
         # paths are scalar; the entry stays because spec_hash, and with it
@@ -411,7 +415,7 @@ def norming_for(spec: ProcessSpec) -> NormingSequences:
     degenerate limit and no non-degenerate norming exists.
     """
     mean, v = _moments(spec)
-    if v <= 0.0:
+    if not v > 0.0:     # NaN too: an overflowing weight sum times a zero variance
         raise ValueError(
             f"degenerate spec: long-run variance {v!r} is not positive, "
             "no non-degenerate norming exists"

@@ -249,6 +249,48 @@ def test_alpha_coarsening_never_increases():
         assert alpha_exact(coarse) <= alpha_exact(fine) + 1e-13
 
 
+def z_side_alpha(pmf):
+    """Independent oracle: enumerate every event B on the Z side; for each B
+    the best A holds the x atoms with P({x} & B) > P({x}) P(B)."""
+    nx, nz = pmf.shape
+    px, pz = pmf.sum(axis=1), pmf.sum(axis=0)
+    best = 0.0
+    for start in range(0, 1 << nz, 1 << 14):
+        masks = np.arange(start, min(start + (1 << 14), 1 << nz))
+        sel = ((masks[:, None] >> np.arange(nz)) & 1).astype(float)      # (M, nz)
+        d = sel @ pmf.T - np.outer(sel @ pz, px)                         # (M, nx)
+        best = max(best, float(np.clip(d, 0.0, None).sum(axis=1).max()))
+    return best
+
+
+# The smaller side is the one enumerated, so a k x n_z pmf with n_z <= 4
+# never reaches the 14-row split; the square cases do, from both sides.
+@pytest.mark.parametrize("k, nz", [(k, nz) for k in (1, 2, 14, 15, 16, 20) for nz in (1, 2, 3, 4)]
+                         + [(15, 15), (16, 16), (20, 20)])
+def test_alpha_matches_z_side_oracle_across_split(k, nz):
+    pmf = random_pmf(np.random.default_rng(1000 * k + nz), k, nz) ** 3
+    pmf /= pmf.sum()
+    want = z_side_alpha(pmf)
+    for p in (pmf, pmf.T):
+        j = FiniteJointDistribution(np.arange(p.shape[0]), np.arange(p.shape[1]), p)
+        assert abs(alpha_exact(j) - want) <= 1e-15
+
+
+@pytest.mark.parametrize("k", [3, 16, 20])
+def test_alpha_optimum_holds_the_last_atom(k):
+    # X's last atom has mass 1/2 and forces Z = 0; the other atoms are
+    # independent of Z.  The only optimal events are A = {last atom} and its
+    # complement, so the enumeration, which keeps the last atom out of A,
+    # must reach the event holding every other atom.
+    pmf = np.full((k, k), 1.0 / (2 * (k - 1) * k))
+    pmf[-1] = 0.0
+    pmf[-1, 0] = 0.5
+    want = 0.25 * (1.0 - 1.0 / k)
+    assert z_side_alpha(pmf) == pytest.approx(want, abs=1e-15)
+    j = FiniteJointDistribution(np.arange(k), np.arange(k), pmf)
+    assert abs(alpha_exact(j) - want) <= 1e-15
+
+
 def test_alpha_enumeration_limit():
     n = 22
     pmf = np.full((n, 2), 1.0 / (2 * n))

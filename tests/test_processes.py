@@ -182,6 +182,15 @@ def test_innovation_law_rejects_non_finite_parameters(mean, std):
         InnovationLaw("normal", mean, std)
 
 
+def test_process_spec_rejects_non_finite_weights_and_state_values():
+    # NaN weights or state values constructed, and norming_for then gave v_inf = nan
+    with pytest.raises(ValueError, match="ma_q weights .* must be finite"):
+        ProcessSpec(family="ma_q", weights=(np.nan, 1.0))
+    with pytest.raises(ValueError, match="state_values .* must be finite"):
+        ProcessSpec(family="markov_function", chain=FINDING1.chain,
+                    state_values=(0.0, np.inf, 1.0))
+
+
 def test_reproducibility_bit_identical():
     for spec in (AR1, MA11, ProcessSpec(family="iid")):
         a = simulate_many(spec, 200, 1, 42)[0]
@@ -483,6 +492,11 @@ def test_norming_rejects_degenerate():
     with pytest.raises(ValueError, match="ergodic"):
         chain = MarkovChainSpec([0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
         norming_for(ProcessSpec(family="markov_function", chain=chain))
+    # finite weights whose sum overflows, times a zero variance: v_inf is NaN,
+    # which the old v <= 0 guard let through
+    zero = InnovationLaw("normal", 0.0, 0.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="long-run variance nan"):
+        norming_for(ProcessSpec(family="ma_q", weights=(1e308, 1e308), innovations=zero))
 
 
 def test_normalized_sums_have_unit_variance():
