@@ -219,11 +219,10 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def write_path_csv(fh, values) -> None:
+def write_path_csv(fh, values: np.ndarray) -> None:
     """Two-column CSV (index, value) of a path, each value as its shortest repr."""
-    fh.write("index,value\n")
-    for i, x in enumerate(values, start=1):
-        fh.write(f"{i},{float(x)!r}\n")
+    fh.write("index,value\n" + "".join(
+        f"{i},{x!r}\n" for i, x in enumerate(values.tolist(), start=1)))
 
 
 # --------------------------------------------------------------------------
@@ -291,9 +290,7 @@ def _run_integral_sample(cfg: dict):
     # (the two draw from independent streams, so the order changes no value)
     probe = {"n_samples": cfg["log_moment_samples"]} if "log_moment_samples" in cfg else {}
     lm = selfdecomp.log_moment_check(bdlp, seed=cfg["seed"], **probe)
-    sample = selfdecomp.sample_random_integral(
-        bdlp, t_max, cfg["n_steps"], n_samples, seed=cfg["seed"],
-    )
+    sample = selfdecomp.sample_random_integral(bdlp, t_max, n_samples, seed=cfg["seed"])
     finite = bool(np.all(np.isfinite(sample)))
     samples_csv = io.StringIO()
     write_path_csv(samples_csv, sample)
@@ -396,8 +393,10 @@ KINDS = {
          "replications": "an integer", "grid_points": "an integer"}),
     "integral-sample": (
         "samples and moments of the exponential-kernel random integral", _run_integral_sample,
-        {"bdlp": "a JSON object", "t_max": "a number", "n_steps": "an integer",
-         "n_samples": "an integer"}, {"log_moment_samples": "an integer"}),
+        {"bdlp": "a JSON object", "t_max": "a number", "n_samples": "an integer"},
+        # n_steps is checked but inert: each part of the integral is drawn
+        # from its exact law, with no time grid (sample_random_integral)
+        {"n_steps": "a positive integer", "log_moment_samples": "an integer"}),
     "coupling-suite": (
         "optimal-coupling miss probabilities against the existence bound", _run_coupling_suite,
         {"cases": "an array"}, {}),

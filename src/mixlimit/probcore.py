@@ -102,7 +102,8 @@ def psd_check(matrix: np.ndarray, tol: float = 1e-9):
     """Check a Hermitian matrix for positive semidefiniteness.
 
     Returns a dict {"is_psd": bool, "worst_violation": float} where
-    worst_violation is the smallest eigenvalue of the Hermitian part.
+    worst_violation is the smallest eigenvalue of the Hermitian part, the
+    first of numpy's ascending eigvalsh (LAPACK), so no scipy is loaded.
     Inputs that are non-Hermitian beyond HERMITIAN_TOL are rejected.
     """
     M = np.asarray(matrix)
@@ -115,10 +116,7 @@ def psd_check(matrix: np.ndarray, tol: float = 1e-9):
     if asym > HERMITIAN_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
     H = 0.5 * (M + M.conj().T)
-    # imported here, so that runs without a PSD test never load scipy.linalg
-    import scipy.linalg
-
-    smallest = float(scipy.linalg.eigvalsh(H, subset_by_index=[0, 0])[0])
+    smallest = float(np.linalg.eigvalsh(H)[0])
     return {"is_psd": smallest >= -tol, "worst_violation": smallest}
 
 

@@ -83,7 +83,7 @@ class InnovationLaw:
 
     @property
     def variance(self) -> float:
-        return self.std ** 2
+        return self.std * self.std
 
 
 @dataclass(frozen=True)
@@ -392,7 +392,7 @@ def _moments(spec: ProcessSpec) -> tuple:
         return law.mean / (1.0 - spec.phi), law.variance / (1.0 - spec.phi) ** 2
     if spec.family == "ma_q":
         w = float(np.sum(spec.weights))
-        return w * law.mean, w ** 2 * law.variance
+        return w * law.mean, w * w * law.variance
     # markov_function: v_inf = 2 <f_bar, h>_pi - <f_bar, f_bar>_pi with
     # h solving the Poisson equation (I - P + 1 pi) h = f_bar
     chain = spec.chain
@@ -411,13 +411,15 @@ def _moments(spec: ProcessSpec) -> tuple:
 def norming_for(spec: ProcessSpec) -> NormingSequences:
     """a(n) = 1/sqrt(n v_inf), b(n) = -a(n) n mean.
 
-    Rejects specs with vanishing long-run variance: those have a
-    degenerate limit and no non-degenerate norming exists.
+    Rejects specs whose long-run variance is not positive and finite: a
+    vanishing one has a degenerate limit, and one that overflows to inf
+    (or to NaN, an overflowing weight sum times a zero variance) gives
+    a(n) = 0.  No non-degenerate norming exists for either.
     """
     mean, v = _moments(spec)
-    if not v > 0.0:     # NaN too: an overflowing weight sum times a zero variance
+    if not 0.0 < v < np.inf:
         raise ValueError(
-            f"degenerate spec: long-run variance {v!r} is not positive, "
+            f"degenerate spec: long-run variance {v!r} is not positive and finite, "
             "no non-degenerate norming exists"
         )
     a = lambda n: 1.0 / np.sqrt(np.asarray(n, dtype=float) * v)

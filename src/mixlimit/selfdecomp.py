@@ -6,8 +6,8 @@ characteristic function.  The finitely checkable surrogate used here is
 positive semidefiniteness of the matrix psi_c(t_j - t_k) on a uniform
 frequency grid.  The companion representation samples
 integral_0^inf e^{-t} dY(t) for a Levy process Y with drift, Gaussian
-part and compound-Poisson jumps, truncated at T_max with an exact
-e^{-T_max} tail disclosure.
+part and compound-Poisson jumps, each part from its exact law, truncated
+at T_max with an exact e^{-T_max} tail disclosure.
 """
 
 from __future__ import annotations
@@ -127,20 +127,23 @@ def selfdecomp_test_sample(
 ) -> dict:
     """The ratio test on the empirical CF of a 1-D sample of n points.
 
-    The CF is evaluated at exactly the frequencies the test asks for,
-    with phi(0) = 1 and phi(-t) = conj(phi(t)) pinned.  The floor is the
-    sampling-noise level max(1e-6, 8/sqrt(n)) and the PSD tolerance
-    1e-3.  The default radius is small: at radius 0.5 the sampling noise
+    The CF is evaluated at exactly the frequencies >= 0 the test asks
+    for, with phi(0) = 1 pinned, and phi(-t) = conj(phi(t)) fills in the
+    negative ones.  The floor is the sampling-noise level
+    max(1e-6, 8/sqrt(n)) and the PSD tolerance 1e-3.  The default radius is small: at radius 0.5 the sampling noise
     of 10^4-point CFs stays an order of magnitude below the tolerance.
     """
     x = as_sample(sample)
 
     def cf(freqs):
-        # freqs is sorted and symmetric about 0, so v[::-1] holds the
-        # values at -freqs; the pinned identities hold up to rounding anyway
-        v = _cf_values(freqs, x)
-        v[np.searchsorted(freqs, 0.0)] = 1.0
-        return 0.5 * (v + np.conj(v[::-1]))
+        # freqs is sorted and exactly symmetric about 0, so its negative
+        # half is the mirror of the positive one
+        zero = np.searchsorted(freqs, 0.0)
+        v = np.empty(len(freqs), dtype=complex)
+        v[zero:] = _cf_values(freqs[zero:], x)
+        v[zero] = 1.0
+        v[:zero] = np.conj(v[: zero : -1])
+        return v
 
     floor = max(EMPIRICAL_FLOOR_BASE, EMPIRICAL_FLOOR_SCALE / np.sqrt(len(x)))
     return _ratio_test(
@@ -232,44 +235,39 @@ class BDLPSpec:
 def sample_random_integral(
     bdlp: BDLPSpec,
     t_max: float,
-    n_steps: int,
     n_samples: int,
     seed: int,
 ) -> np.ndarray:
     """Samples of integral_0^{t_max} e^{-t} dY(t), as a 1-D array.
 
-    The drift contribution uses the exact per-step integral of e^{-t},
-    so with randomness disabled the result is drift (1 - e^{-t_max}) for
-    every step count.  The Gaussian part weights each increment by the
-    step-midpoint value e^{-t_mid} (error <= e^{-t} dt/2 per step).  The
-    compound-Poisson part draws the exact arrival-time law (Poisson
-    counts with conditionally uniform times, equivalent to exponential
-    inter-arrivals) and weights each jump by e^{-(arrival time)}, with
-    no discretization at all.  Truncating the upper limit at t_max
-    discards an exp(-t_max)-sized tail.  Samples whose jumps overflow
-    (sizes beyond float range) come back non-finite; callers decide what
-    that means, as integral-sample does with the log-moment probe.
+    Each part is drawn from its exact law, with no time grid.  The drift
+    contributes drift (1 - e^{-t_max}).  The Gaussian part is
+    N(0, sigma^2 (1 - e^{-2 t_max}) / 2) by the Ito isometry, drawn as one
+    standard normal per sample.  The compound-Poisson part draws the exact
+    arrival-time law (Poisson counts with conditionally uniform times,
+    equivalent to exponential inter-arrivals) and weights each jump by
+    e^{-(arrival time)}.  Truncating the upper limit at t_max discards an
+    exp(-t_max)-sized tail.  Samples whose jumps overflow (sizes beyond
+    float range) come back non-finite; callers decide what that means, as
+    integral-sample does with the log-moment probe.
 
     The samples are drawn in blocks of processes._CHUNK_ROWS on worker
     threads (processes._run_blocks).  Block b draws from the stream keyed
-    by (seed, "bdlp-integral", b): its (rows, n_steps) Gaussian increments,
-    then its jumps.  So memory per block is bounded, and the result is the
-    same on every number of workers.
+    by (seed, "bdlp-integral", b): one standard normal per sample, then
+    its jumps.  So memory per block is bounded, and the result is the same on
+    every number of workers.
     """
     if t_max < 5.0:
         raise ValueError("t_max must be at least 5 (truncation error e^{-t_max})")
-    if n_steps < 1 or n_samples < 1:
-        raise ValueError("n_steps and n_samples must be positive")
-    edges = np.linspace(0.0, t_max, n_steps + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    weights = np.exp(-mids) * np.sqrt(np.diff(edges))
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
+    gauss_sd = bdlp.gaussian_sigma * np.sqrt(-np.expm1(-2.0 * t_max) / 2.0)
 
     def block(b, r0, rows):
         rng = rngstreams.stream(seed, "bdlp-integral", b)
         out = np.full(rows, bdlp.drift * -np.expm1(-t_max))
         if bdlp.gaussian_sigma > 0:
-            z = rng.standard_normal((rows, n_steps))
-            out += bdlp.gaussian_sigma * (z * weights).sum(axis=1)
+            out += gauss_sd * rng.standard_normal(rows)
         if bdlp.jump_rate > 0:
             out = _add_jumps(out, bdlp, rng, t_max, discounted=True)
         return out

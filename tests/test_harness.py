@@ -315,7 +315,22 @@ def test_a_degenerate_process_is_a_config_error(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, "degenerate.json", cfg)
     assert harness.run(path, out_dir=str(tmp_path / "o")) == 1
     assert capsys.readouterr().out == (
-        "config error: degenerate spec: long-run variance 0.0 is not positive, "
+        "config error: degenerate spec: long-run variance 0.0 is not positive and finite, "
+        "no non-degenerate norming exists\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    {"kind": "selfdecomp-test", "seed": 1, "c_values": [0.5], "n": 64, "replications": 100,
+     "process": {"family": "ma_q", "weights": [1e200, 1e200]}},
+    dict(BLOCKING_CFG, process={"family": "ar1", "phi": 0.5, "innovations": {"std": 1e200}}),
+], ids=["ma_q-weights", "ar1-innovation-std"])
+def test_an_overflowing_long_run_variance_is_a_config_error(tmp_path, capsys, cfg):
+    # squaring the weight sum or the std raised OverflowError, a traceback
+    path = write_cfg(tmp_path, "overflow.json", cfg)
+    assert harness.run(path, out_dir=str(tmp_path / "o")) == 1
+    assert capsys.readouterr().out == (
+        "config error: degenerate spec: long-run variance inf is not positive and finite, "
         "no non-degenerate norming exists\n")
     assert not (tmp_path / "o").exists()
 
@@ -632,6 +647,30 @@ def test_integral_sample_run(tmp_path):
     assert summary["log_moment_diagnostic"] == "finite"
     samples = (tmp_path / "o" / "integral_samples.csv").read_text().strip().split("\n")
     assert samples[0] == "index,value" and len(samples) == 9
+
+
+def test_n_steps_is_inert(tmp_path, capsys):
+    # every part of the integral is drawn from its exact law, so no step
+    # count changes a report; a step count that is not positive is still
+    # a config error
+    cfg = {"kind": "integral-sample", "seed": 3, "t_max": 12.0, "n_samples": 700,
+           "bdlp": {"drift": 0.5, "gaussian_sigma": 1.5, "jump_rate": 2.0,
+                    "jump_law": {"kind": "normal", "mean": 0.5, "std": 1.0}},
+           "log_moment_samples": 200}
+    trees = []
+    for i, extra in enumerate(({"n_steps": 1}, {"n_steps": 400}, {})):
+        path = write_cfg(tmp_path, f"i{i}.json", dict(cfg, **extra))
+        assert harness.run(path, out_dir=str(tmp_path / f"o{i}")) == 0
+        tree = read_tree(tmp_path / f"o{i}")
+        assert set(tree) == {"integral_samples.csv", "integral_summary.json", "manifest.json"}
+        del tree["manifest.json"]    # it echoes the config
+        trees.append(tree)
+    assert trees[1] == trees[0] and trees[2] == trees[0]
+    capsys.readouterr()
+    path = write_cfg(tmp_path, "zero.json", dict(cfg, n_steps=0))
+    assert harness.run(path, out_dir=str(tmp_path / "z")) == 1
+    assert capsys.readouterr().out == "config error: config.n_steps must be a positive integer, got 0\n"
+    assert not (tmp_path / "z").exists()
 
 
 def test_coupling_suite_run(tmp_path):

@@ -137,10 +137,16 @@ def test_psd_gaussian_kernel_matches_eig_oracle():
     t = np.array([-1.0, 0.0, 1.0])
     M = np.exp(-((t[:, None] - t[None, :]) ** 2) / 2)
     res = psd_check(M, tol=1e-9)
-    oracle = np.linalg.eigvalsh(M).min()   # independent eigensolver
+    # M = [[1, a, b], [a, 1, a], [b, a, 1]] with a = e^{-1/2}, b = e^{-2}:
+    # (1, 0, -1) has eigenvalue 1 - b, and on the span of (1, 0, 1)/sqrt 2
+    # and (0, 1, 0) M acts as [[1 + b, sqrt(2) a], [sqrt(2) a, 1]], whose
+    # eigenvalues are (2 + b -+ sqrt(b^2 + 8 a^2)) / 2
+    a, b = np.exp(-0.5), np.exp(-2.0)
+    root = np.sqrt(b * b + 8.0 * a * a)
+    oracle = min(1.0 - b, (2.0 + b - root) / 2.0, (2.0 + b + root) / 2.0)
     assert res["is_psd"]
-    assert res["worst_violation"] == pytest.approx(oracle, abs=1e-10)
-    assert oracle > 0
+    assert res["worst_violation"] == pytest.approx(oracle, abs=1e-12)
+    assert oracle == pytest.approx(0.2072, abs=1e-4)
 
 
 def test_psd_detects_indefinite():

@@ -172,56 +172,59 @@ def test_sample_test_matches_union_grid_reference():
 
 # ---------------------------------------------------------------- random integral
 
-def test_drift_only_exact_any_step_count():
-    expect = 2.0 * (1.0 - np.exp(-20.0))
-    for n_steps in (1, 7, 64, 1000):
-        s = sample_random_integral(BDLPSpec(drift=2.0), 20.0, n_steps, 4, seed=0)
-        assert np.max(np.abs(s - expect)) < 1e-8
+def test_drift_only_integral_is_exact():
+    for t_max in (5.0, 12.0, 20.0):
+        s = sample_random_integral(BDLPSpec(drift=2.0), t_max, 4, seed=0)
+        assert np.array_equal(s, np.full(4, 2.0 * -np.expm1(-t_max)))
 
 
 def test_gaussian_bdlp_variance():
     # isometry: Var = sigma^2 integral e^{-2t} dt = 1/2
-    s = sample_random_integral(BDLPSpec(gaussian_sigma=1.0), 20.0, 400, 100_000, seed=1)
+    s = sample_random_integral(BDLPSpec(gaussian_sigma=1.0), 20.0, 100_000, seed=1)
     assert s.var() == pytest.approx(0.5, rel=0.03)
 
 
 def test_compound_poisson_bdlp_moments():
     law = DiscreteJumps((-1.0, 1.0), (0.5, 0.5))
-    s = sample_random_integral(BDLPSpec(jump_rate=1.0, jump_law=law), 20.0, 50, 100_000, seed=2)
+    s = sample_random_integral(BDLPSpec(jump_rate=1.0, jump_law=law), 20.0, 100_000, seed=2)
     assert s.mean() == pytest.approx(0.0, abs=0.01)
     assert s.var() == pytest.approx(0.5, rel=0.05)
 
 
 def test_integral_determinism():
     a = sample_random_integral(BDLPSpec(gaussian_sigma=1.0, jump_rate=2.0,
-                                        jump_law=NormalJumps()), 10.0, 50, 100, seed=5)
+                                        jump_law=NormalJumps()), 10.0, 100, seed=5)
     b = sample_random_integral(BDLPSpec(gaussian_sigma=1.0, jump_rate=2.0,
-                                        jump_law=NormalJumps()), 10.0, 50, 100, seed=5)
+                                        jump_law=NormalJumps()), 10.0, 100, seed=5)
     assert np.array_equal(a, b)
 
 
-def test_resolution_doubling_ks_small():
-    s1 = sample_random_integral(BDLPSpec(gaussian_sigma=1.0), 20.0, 200, 50_000, seed=6)
-    s2 = sample_random_integral(BDLPSpec(gaussian_sigma=1.0), 20.0, 400, 50_000, seed=7)
-    x2 = np.sort(s2)
-    cdf2 = lambda x: np.searchsorted(x2, np.asarray(x), side="right") / len(x2)
-    assert ks_distance(s1, cdf2) < 0.01
+@pytest.mark.parametrize("sigma, t_max", [(1.0, 20.0), (2.5, 5.0)])
+def test_gaussian_part_matches_its_closed_form_law(sigma, t_max):
+    # sigma W integrated against e^{-t} up to t_max is exactly
+    # N(0, sigma^2 (1 - e^{-2 t_max}) / 2); by Massart's DKW inequality the
+    # KS distance of n exact draws exceeds sqrt(log(2/eta) / (2n)) with
+    # probability at most eta = 1e-6
+    n, eta = 50_000, 1e-6
+    s = sample_random_integral(BDLPSpec(gaussian_sigma=sigma), t_max, n, seed=6)
+    sd = sigma * np.sqrt((1.0 - np.exp(-2.0 * t_max)) / 2.0)
+    d = ks_distance(s, lambda x: scipy.stats.norm.cdf(x, scale=sd))
+    assert d < np.sqrt(np.log(2.0 / eta) / (2.0 * n))
 
 
-def one_shot_random_integral(bdlp, t_max, n_steps, n_samples, seed):
+def one_shot_random_integral(bdlp, t_max, n_samples, seed):
     """sample_random_integral by its definition: sample r is entry r mod
-    _CHUNK_ROWS of block r // _CHUNK_ROWS, and each block draws its
-    Gaussian increments in one shot from its own stream, then its jumps,
-    which are added one sample at a time."""
-    edges = np.linspace(0.0, t_max, n_steps + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
+    _CHUNK_ROWS of block r // _CHUNK_ROWS, and each block draws one
+    standard normal per sample from its own stream, scaled to the closed-
+    form standard deviation, then its jumps, which are added one sample at
+    a time."""
+    sd = bdlp.gaussian_sigma * np.sqrt(-np.expm1(-2.0 * t_max) / 2.0)
     blocks = []
     for b, r0 in enumerate(range(0, n_samples, _CHUNK_ROWS)):
         rng = rngstreams.stream(seed, "bdlp-integral", b)
         out = np.full(min(_CHUNK_ROWS, n_samples - r0), bdlp.drift * -np.expm1(-t_max))
         if bdlp.gaussian_sigma > 0:
-            z = rng.standard_normal((len(out), n_steps))
-            out += bdlp.gaussian_sigma * (z * (np.exp(-mids) * np.sqrt(np.diff(edges)))).sum(axis=1)
+            out += sd * rng.standard_normal(len(out))
         if bdlp.jump_rate > 0:
             counts = rng.poisson(bdlp.jump_rate * t_max, size=len(out))
             times = rng.random(counts.sum()) * t_max
@@ -239,10 +242,10 @@ def one_shot_random_integral(bdlp, t_max, n_steps, n_samples, seed):
 @pytest.mark.parametrize("n_samples", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
                                        2 * _CHUNK_ROWS + 7, 1023, 1024, 1025, 2055])
 def test_chunked_integral_equals_the_one_shot_draw(n_samples):
-    # each block draws its jumps after its Gaussian increments
+    # each block draws its jumps after its Gaussian part
     bdlp = BDLPSpec(drift=0.5, gaussian_sigma=1.5, jump_rate=2.0, jump_law=NormalJumps(0.5, 1.0))
-    chunked = sample_random_integral(bdlp, 12.0, 37, n_samples, seed=9)
-    assert np.array_equal(chunked, one_shot_random_integral(bdlp, 12.0, 37, n_samples, 9))
+    chunked = sample_random_integral(bdlp, 12.0, n_samples, seed=9)
+    assert np.array_equal(chunked, one_shot_random_integral(bdlp, 12.0, n_samples, 9))
 
 
 def test_integral_does_not_depend_on_the_worker_count(monkeypatch):
@@ -250,7 +253,7 @@ def test_integral_does_not_depend_on_the_worker_count(monkeypatch):
     runs = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(processes, "_WORKERS", workers)
-        runs.append(sample_random_integral(bdlp, 12.0, 37, 1031, seed=9))
+        runs.append(sample_random_integral(bdlp, 12.0, 1031, seed=9))
     assert np.array_equal(runs[1], runs[0]) and np.array_equal(runs[2], runs[0])
 
 
@@ -258,14 +261,14 @@ def test_integral_memory_does_not_grow_with_the_samples():
     # every jump of every sample was drawn at once: the peak grew 7.5 times
     # from 8 to 64 blocks of samples
     bdlp = BDLPSpec(drift=1.0, gaussian_sigma=1.0, jump_rate=2.0, jump_law=NormalJumps(0.5, 1.0))
-    sample_random_integral(bdlp, 20.0, 50, 1, seed=5)     # imports the thread pool first
+    sample_random_integral(bdlp, 20.0, 1, seed=5)     # imports the thread pool first
     peaks = []
     for blocks in (8, 64):
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            sample_random_integral(bdlp, 20.0, 50, blocks * _CHUNK_ROWS, seed=5)
+            sample_random_integral(bdlp, 20.0, blocks * _CHUNK_ROWS, seed=5)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
@@ -274,9 +277,9 @@ def test_integral_memory_does_not_grow_with_the_samples():
 
 def test_integral_validation():
     with pytest.raises(ValueError, match="t_max"):
-        sample_random_integral(BDLPSpec(drift=1.0), 2.0, 10, 10, seed=0)
-    with pytest.raises(ValueError, match="n_steps"):
-        sample_random_integral(BDLPSpec(drift=1.0), 10.0, 0, 10, seed=0)
+        sample_random_integral(BDLPSpec(drift=1.0), 2.0, 10, seed=0)
+    with pytest.raises(ValueError, match="n_samples"):
+        sample_random_integral(BDLPSpec(drift=1.0), 10.0, 0, seed=0)
     with pytest.raises(ValueError, match="jump_law"):
         BDLPSpec(jump_rate=1.0)
     with pytest.raises(ValueError, match="nonnegative"):
