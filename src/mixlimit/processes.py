@@ -40,11 +40,18 @@ _AR1_INIT_TOL = 1e-16
 # threads that each hold one block: the paths in flight take the memory of
 # _IN_FLIGHT_ROWS rows, the one chunk of the sequential draw, on any host;
 # ar1 and markov_function blocks are stepped in time-major blocks of
-# _CHUNK_STEPS steps
+# _CHUNK_STEPS steps; a markov_function worker also keeps a chunk's
+# time-major uniforms, state codes and bucket counts in (_CHUNK_STEPS,
+# _CHUNK_ROWS) arrays that it reuses from block to block, whatever the
+# number of states
 _CHUNK_ROWS = 512
 _IN_FLIGHT_ROWS = 1024
 _WORKERS = _IN_FLIGHT_ROWS // _CHUNK_ROWS
 _CHUNK_STEPS = 256
+# a markov_function chain with at most this many distinct step thresholds
+# steps through a table of K (_MAX_STEP_EDGES + 1) or fewer entries, and its
+# buckets fit in int8 (see _markov_paths)
+_MAX_STEP_EDGES = 16
 
 
 @dataclass(frozen=True)
@@ -254,9 +261,10 @@ def _run_blocks(task, total: int) -> list:
         return list(pool.map(task, range(len(starts)), starts, rows))
 
 
-def _scratch(scratch, shape) -> np.ndarray:
-    """A float array of the given 2-D shape backed by scratch.buf, which is
-    allocated on first use and grown when too small.
+def _scratch(scratch, shape, name: str = "buf", dtype=np.float64) -> np.ndarray:
+    """An array of the given 2-D shape and dtype backed by the attribute
+    name of scratch, which is allocated on first use and grown when too
+    small.
 
     Reusing one array per worker keeps the allocator from handing out and
     taking back a block-sized array per block; glibc keeps such memory in
@@ -265,9 +273,10 @@ def _scratch(scratch, shape) -> np.ndarray:
     4096) from 77 to 110 MB.
     """
     size = shape[0] * shape[1]
-    buf = getattr(scratch, "buf", None)
+    buf = getattr(scratch, name, None)
     if buf is None or buf.size < size:
-        buf = scratch.buf = np.empty(size)
+        buf = np.empty(size, dtype)
+        setattr(scratch, name, buf)
     return buf[:size].reshape(shape)
 
 
@@ -291,7 +300,7 @@ def _block(spec: ProcessSpec, n: int, rows: int, rng: np.random.Generator, scrat
     if fam == "ma_q":
         q = len(spec.weights) - 1
         return _ma_paths(spec.weights, law.sample(rng, _scratch(scratch, (rows, n + q))))
-    return _markov_paths(spec, rng.random(out=_scratch(scratch, (rows, n))))
+    return _markov_paths(spec, rng.random(out=_scratch(scratch, (rows, n))), scratch)
 
 
 def _ma_paths(weights, eps: np.ndarray) -> np.ndarray:
@@ -325,49 +334,122 @@ def _ar1_paths(phi: float, x0: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return eps
 
 
-def _markov_paths(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
+def _markov_paths(spec: ProcessSpec, u: np.ndarray, scratch) -> np.ndarray:
     """markov_function paths from the uniforms u, one row per replication;
-    the paths overwrite u, which is returned.
+    the paths overwrite u, which is returned.  The per-chunk arrays live in
+    the per-worker object scratch (see _scratch).
 
     The uniform u[r, k] picks the state at time k: the initial state is
     #{j : cum_initial[j] <= u} and the successor of state s is
     #{j : u > cum[s, j]}, both capped at K - 1.  The rows are stepped
     through time-major blocks of _CHUNK_STEPS steps, so every step reads
     and writes contiguous rows.
+
+    A chain with at most _MAX_STEP_EDGES distinct thresholds e_0 < ... <
+    e_{nb-1} among cum[:, :K - 1] steps through a table.  Each block of
+    uniforms is classified once into buckets b(u) = #{i : e_i < u}; if u is
+    in bucket b, then e_{b-1} < u <= e_b, so for a threshold c, u > c holds
+    if and only if c < e_b (with e_nb = inf).  The successor of s is then
+    succ(s, b) = #{j : cum[s, j] < e_b}, the same count as the comparison
+    with u, so the paths are bit-identical to it.  State s is carried as the
+    code s (nb + 1), and a step is table[code + b(u)], with table[s (nb + 1)
+    + b] = succ(s, b) (nb + 1).  Above the cap the table's K (nb + 1)
+    entries could reach K^3, so each step gathers the current states'
+    thresholds, compares and counts instead.
     """
     chain = spec.chain
-    vals = spec.mapped_values()
     kmax = chain.n_states - 1
     # cum rows are nondecreasing, so capping the count of thresholds below u
-    # at K - 1 is the same as not comparing with the last one; row j of
-    # thresholds holds cum[:, j]
-    thresholds = np.ascontiguousarray(np.cumsum(chain.transition, axis=1)[:, :kmax].T)
-    cum_initial = np.cumsum(chain.initial)
+    # at K - 1 is the same as not comparing with the last one
+    cum = np.cumsum(chain.transition, axis=1)[:, :kmax]
+    edges = np.unique(cum)
+    prev = np.minimum(np.searchsorted(np.cumsum(chain.initial), u[:, 0], side="right"), kmax)
+    if len(edges) <= _MAX_STEP_EDGES:
+        prev *= len(edges) + 1
+        fill, code_vals = _table_steps(cum, edges, spec.mapped_values(), len(u), scratch)
+    else:
+        fill, code_vals = _loop_steps(cum, len(u)), spec.mapped_values()
+    rows, n = u.shape
+    for t0 in range(0, n, _CHUNK_STEPS):
+        m = min(_CHUNK_STEPS, n - t0)
+        ub = _scratch(scratch, (m, rows), "steps")
+        np.copyto(ub, u[:, t0 : t0 + m].T)
+        codes = _scratch(scratch, (m, rows), "codes", np.intp)
+        if t0 == 0:
+            codes[0] = prev
+        # prev may be the last row of the codes buffer that this chunk
+        # reuses; it is read in full by the chunk's first step, before any
+        # row is written
+        fill(ub, codes, prev, 1 if t0 == 0 else 0)
+        prev = codes[m - 1]
+        # the block's uniforms are spent, so ub takes its values; codes lie
+        # in [0, len(code_vals)), so clipping never moves an index
+        np.take(code_vals, codes, out=ub, mode="clip")
+        u[:, t0 : t0 + m] = ub.T
+    return u
+
+
+def _table_steps(cum: np.ndarray, edges: np.ndarray, vals: np.ndarray, rows: int, scratch):
+    """(fill, code_vals) for the table steps of _markov_paths: state s has
+    the code s (nb + 1), code_vals maps codes to values, and fill(ub, codes,
+    prev, start) writes the codes of steps start onwards of the chunk of
+    uniforms ub, which it spends, from the codes prev before them."""
+    nb = len(edges)
+    succ = np.empty((len(cum), nb + 1), dtype=np.intp)
+    for b, e in enumerate(edges):
+        succ[:, b] = np.count_nonzero(cum < e, axis=1)
+    succ[:, nb] = cum.shape[1]
+    table = (succ * (nb + 1)).ravel()
+    code_vals = np.zeros(len(table))
+    code_vals[:: nb + 1] = vals
+    take = table.take
+    idx = np.empty(rows, dtype=np.intp)
+
+    def fill(ub, codes, prev, start):
+        # b(u) = #{i : e_i < u} is at most _MAX_STEP_EDGES, so it is counted
+        # in int8 and widened once per chunk, so that a step adds intp to
+        # intp; the chunk's uniforms are spent once counted, so the widened
+        # buckets take their memory
+        count = _scratch(scratch, ub.shape, "count", np.int8)
+        above = _scratch(scratch, ub.shape, "above", np.bool_)
+        count.fill(0)
+        for e in edges:
+            np.greater(ub, e, out=above)
+            np.add(count, above.view(np.int8), out=count)
+        bucket = ub.view(np.intp)
+        np.copyto(bucket, count)
+        for t in range(start, len(ub)):
+            np.add(prev, bucket[t], out=idx)
+            # a code plus a bucket in [0, nb] lies in [0, K (nb + 1)), so
+            # clipping never moves an index
+            take(idx, out=codes[t], mode="clip")
+            prev = codes[t]
+
+    return fill, code_vals
+
+
+def _loop_steps(cum: np.ndarray, rows: int):
+    """fill(ub, codes, prev, start) for the loop steps of _markov_paths:
+    each step gathers the thresholds of the states prev, compares them with
+    the step's uniforms and counts those below."""
+    # row j of thresholds holds cum[:, j]
+    thresholds = np.ascontiguousarray(cum.T)
     # a step costs a few microseconds of call overhead, so it gathers with
     # the bound method (no np.take wrapper) and intp states (no index cast)
     take = thresholds.take
-    rows, n = u.shape
-    cut = np.empty((kmax, rows))
-    above = np.empty((kmax, rows), dtype=bool)
-    prev = np.minimum(np.searchsorted(cum_initial, u[:, 0], side="right"), kmax)
-    for t0 in range(0, n, _CHUNK_STEPS):
-        ub = np.ascontiguousarray(u[:, t0 : t0 + _CHUNK_STEPS].T)
-        states = np.empty(ub.shape, dtype=np.intp)
-        for t, ut in enumerate(ub):
-            if t0 + t == 0:
-                states[0] = prev
-            else:
-                # prev holds counts in [0, K - 1], so clipping never
-                # moves an index; it only spares numpy a buffered copy
-                take(prev, axis=1, out=cut, mode="clip")
-                np.greater(ut, cut, out=above)
-                np.add.reduce(above, axis=0, out=states[t])
-            prev = states[t]
-        # the block's uniforms are spent, so ub takes its values; states lie
-        # in [0, K - 1], so clipping never moves an index
-        np.take(vals, states, out=ub, mode="clip")
-        u[:, t0 : t0 + _CHUNK_STEPS] = ub.T
-    return u
+    cut = np.empty((len(thresholds), rows))
+    above = np.empty((len(thresholds), rows), dtype=bool)
+
+    def fill(ub, codes, prev, start):
+        for t in range(start, len(ub)):
+            # prev holds counts in [0, K - 1], so clipping never moves an
+            # index; it only spares numpy a buffered copy
+            take(prev, axis=1, out=cut, mode="clip")
+            np.greater(ub[t], cut, out=above)
+            np.add.reduce(above, axis=0, out=codes[t])
+            prev = codes[t]
+
+    return fill
 
 
 def normalized_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str) -> np.ndarray:

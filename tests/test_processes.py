@@ -15,6 +15,8 @@ from mixlimit.probcore import normal_cdf
 from mixlimit.processes import (
     _AR1_INIT_TOL,
     _CHUNK_ROWS,
+    _CHUNK_STEPS,
+    _MAX_STEP_EDGES,
     _block,
     _map_blocks,
     _markov_paths,
@@ -218,21 +220,86 @@ def test_markov_kernel_matches_loop_reference(spec, n, reps):
     assert out.dtype == np.float64 and out.flags.c_contiguous
 
 
-@pytest.mark.parametrize("spec", [TWO_STATE, FINDING1, SPARSE4, many_state_spec(100)],
-                         ids=["two-state", "finding1", "zero-probability", "100-states"])
-def test_markov_kernel_ties_and_capped_rows(spec):
-    # uniforms drawn from the thresholds themselves, their neighbours, 0 and
-    # the largest double below 1: the initial draw counts cum <= u, a step
-    # counts cum < u, and a row whose cumsum ends below u is capped at K - 1
+def tie_pool(spec):
+    """The thresholds of spec, their neighbours, 0 and the largest double
+    below 1: the initial draw counts cum <= u, a step counts cum < u, and a
+    row whose cumsum ends below u is capped at K - 1."""
     chain = spec.chain
     cuts = np.concatenate([np.cumsum(chain.transition, axis=1).ravel(),
                            np.cumsum(chain.initial)])
     pool = np.concatenate([cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0),
                            [0.0, np.nextafter(1.0, 0.0)]])
-    pool = pool[(pool >= 0.0) & (pool < 1.0)]
-    u = np.random.default_rng(4).choice(pool, size=(1100, 60))
-    out = _markov_paths(spec, u.copy())
+    return pool[(pool >= 0.0) & (pool < 1.0)]
+
+
+@pytest.mark.parametrize("spec", [TWO_STATE, FINDING1, SPARSE4, many_state_spec(100)],
+                         ids=["two-state", "finding1", "zero-probability", "100-states"])
+def test_markov_kernel_ties_and_capped_rows(spec):
+    u = np.random.default_rng(4).choice(tie_pool(spec), size=(1100, 60))
+    out = _markov_paths(spec, u.copy(), SimpleNamespace())
     assert np.array_equal(out, loop_markov_paths(spec, u))
+
+
+def edge_spec(nb, k=5):
+    """A k-state chain whose step thresholds cum[:, :k - 1] take exactly nb
+    distinct values, the multiples i/32, i = 1..nb, so the cumsums are exact."""
+    cum = np.sort(np.resize(np.arange(1, nb + 1) / 32, (k, k - 1)), axis=1)
+    spec = markov_spec(np.diff(cum, prepend=0.0, append=1.0, axis=1))
+    assert len(np.unique(np.cumsum(spec.chain.transition, axis=1)[:, : k - 1])) == nb
+    return spec
+
+
+# the table path at its cap and the loop path just above it, the benchmark
+# chain (its rows share the threshold 0.9), duplicate thresholds and one state
+STEP_PATH_SPECS = {
+    "cap-edges": edge_spec(_MAX_STEP_EDGES),
+    "cap-plus-one-edges": edge_spec(_MAX_STEP_EDGES + 1),
+    "finding1": FINDING1,
+    "zero-probability": SPARSE4,
+    "one-state": markov_spec([[1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_PATH_SPECS))
+def test_markov_step_paths_match_loop_reference_across_chunks(name):
+    # n at the edges of the _CHUNK_STEPS-step chunks, on one scratch reused
+    # from call to call as a worker reuses it from block to block; half the
+    # uniforms tie with a threshold or sit next to one
+    spec = STEP_PATH_SPECS[name]
+    rng = np.random.default_rng(5)
+    scratch = SimpleNamespace()
+    for n in (1, _CHUNK_STEPS - 1, _CHUNK_STEPS, _CHUNK_STEPS + 1, 2 * _CHUNK_STEPS + 1, 1):
+        u = np.where(rng.random((67, n)) < 0.5, rng.choice(tie_pool(spec), (67, n)),
+                     rng.random((67, n)))
+        out = _markov_paths(spec, u.copy(), scratch)
+        assert np.array_equal(out, loop_markov_paths(spec, u))
+
+
+def two_threshold_spec(k=64):
+    """P[s, 0] = 0.5 plus 0.5 on P[s, s]: the step thresholds are 0.5 and 1."""
+    p = np.zeros((k, k))
+    p[:, 0] = 0.5
+    p[np.arange(k), np.arange(k)] += 0.5
+    return markov_spec(p)
+
+
+@pytest.mark.parametrize("spec", [two_threshold_spec(), many_state_spec(300)],
+                         ids=["64-states-table", "300-states-loop"])
+def test_markov_paths_peak_memory_below_six_chunks(spec):
+    # a block's working arrays are a few (_CHUNK_STEPS, rows) chunks; a table
+    # of successors per step and state (256 K rows intp) or one entry per
+    # state and threshold bucket with no cap (up to K^3) would not fit
+    rows = _CHUNK_ROWS
+    u = np.random.default_rng(6).random((rows, 2 * _CHUNK_STEPS + 88))
+    _markov_paths(spec, u[:2, :2].copy(), SimpleNamespace())    # imports made once
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _markov_paths(spec, u, SimpleNamespace())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * _CHUNK_STEPS * rows * 8
 
 
 def test_markov_paths_peak_memory_below_twice_the_output():
