@@ -6,10 +6,9 @@ sums a_n S_n + b_n converge to a standard normal.  That ground truth is
 what the blocking diagnostics are checked against.
 
 Families:
-  iid              independent draws from the innovation law
-  ar1              X_k = phi X_{k-1} + eps_k, started at stationarity
-  ma_q             X_k = sum_i w_i eps_{k-i}, pre-sampled so the path is
-                   stationary from index 1
+  iid, ar1, ma_q   the linear filter X_k = phi X_{k-1} + sum_i w_i eps_{k-i}
+                   of iid innovations, started at stationarity, with
+                   (phi, w) = (0, (1)), (phi, (1)) and (0, weights)
   markov_function  f(Y_k) for a finite-state chain Y
 """
 
@@ -39,15 +38,16 @@ _AR1_INIT_TOL = 1e-16
 # reduced in blocks of _CHUNK_ROWS, one keyed stream per block, on _WORKERS
 # threads that each hold one block: the paths in flight take the memory of
 # _IN_FLIGHT_ROWS rows, the one chunk of the sequential draw, on any host;
-# ar1 and markov_function blocks are stepped in time-major blocks of
-# _CHUNK_STEPS steps; a markov_function worker also keeps a chunk's
-# time-major uniforms, state codes and bucket counts in (_CHUNK_STEPS,
-# _CHUNK_ROWS) arrays that it reuses from block to block, whatever the
-# number of states
+# ar1 and markov_function blocks are stepped in time-major chunks of
+# _CHUNK_STEPS steps, copied in _COPY_ROWS rows at a time (see _time_major),
+# in a (_CHUNK_STEPS, _CHUNK_ROWS) array that each worker reuses from block
+# to block; a markov_function worker also keeps a chunk's state codes and
+# bucket counts in such arrays, whatever the number of states
 _CHUNK_ROWS = 512
 _IN_FLIGHT_ROWS = 1024
 _WORKERS = _IN_FLIGHT_ROWS // _CHUNK_ROWS
 _CHUNK_STEPS = 256
+_COPY_ROWS = 64
 # a markov_function chain with at most this many distinct step thresholds
 # steps through a table of K (_MAX_STEP_EDGES + 1) or fewer entries, and its
 # buckets fit in int8 (see _markov_paths)
@@ -280,58 +280,79 @@ def _scratch(scratch, shape, name: str = "buf", dtype=np.float64) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
+def _filter(spec: ProcessSpec) -> tuple:
+    """(phi, weights) of the linear filter X_k = phi X_{k-1} + sum_i w_i
+    eps_{k-i} that spec is, from the fields its family reads: iid is
+    (0, (1,)), ar1 (phi, (1,)) and ma_q (0, weights)."""
+    fields = FAMILIES[spec.family]
+    return (spec.phi if "phi" in fields else 0.0,
+            spec.weights if "weights" in fields else (1.0,))
+
+
 def _block(spec: ProcessSpec, n: int, rows: int, rng: np.random.Generator, scratch) -> np.ndarray:
     """(rows, n) independent paths drawn from rng.  The draws go into the
     array of the per-worker object scratch (see _scratch), so the paths
     may be a view of it.
 
-    ar1 draws (rows, burn + n) innovations, steps the recursion from the
-    stationary mean through the burn-in, and keeps the last n steps, so
-    every row is a function of its own innovations.
+    A linear filter draws (rows, burn + q + n) innovations, takes the
+    moving sum unless its weights are (1,), and unless phi is 0 steps the
+    recursion from the stationary mean through a burn-in of burn steps
+    and keeps the last n, so every row is a function of its own
+    innovations, and iid, ar1 with phi 0 and ma_q with weights (1,) draw
+    the same paths.
     """
-    fam, law = spec.family, spec.innovations
-    if fam == "iid" or (fam == "ar1" and spec.phi == 0.0):      # an ar1 with phi 0 is iid
-        return law.sample(rng, _scratch(scratch, (rows, n)))
-    if fam == "ar1":
-        phi = spec.phi
-        burn = int(np.ceil(np.log(_AR1_INIT_TOL) / np.log(abs(phi))))
-        eps = law.sample(rng, _scratch(scratch, (rows, burn + n)))
-        return _ar1_paths(phi, np.full(rows, _moments(spec)[0]), eps)[:, burn:]
-    if fam == "ma_q":
-        q = len(spec.weights) - 1
-        return _ma_paths(spec.weights, law.sample(rng, _scratch(scratch, (rows, n + q))))
-    return _markov_paths(spec, rng.random(out=_scratch(scratch, (rows, n))), scratch)
-
-
-def _ma_paths(weights, eps: np.ndarray) -> np.ndarray:
-    """X_k = sum_i w_i eps[:, k + q - i] over the last n = cols - q columns of eps."""
+    if spec.family == "markov_function":
+        return _markov_paths(spec, rng.random(out=_scratch(scratch, (rows, n))), scratch)
+    phi, weights = _filter(spec)
     q = len(weights) - 1
-    n = eps.shape[1] - q
-    out = np.zeros((len(eps), n))
-    for i, wi in enumerate(weights):
-        out += wi * eps[:, q - i : q - i + n]
-    return out
+    burn = int(np.ceil(np.log(_AR1_INIT_TOL) / np.log(abs(phi)))) if phi else 0
+    x = spec.innovations.sample(rng, _scratch(scratch, (rows, burn + q + n)))
+    if weights != (1.0,):
+        # X_k = sum_i w_i eps_{k-i}, where eps_k is column k + q
+        x, eps = np.zeros((rows, burn + n)), x
+        for i, wi in enumerate(weights):
+            x += wi * eps[:, q - i : q - i + burn + n]
+    if phi:
+        x = _ar1_paths(phi, np.full(rows, _moments(spec)[0]), x, scratch)[:, burn:]
+    return x
 
 
-def _ar1_paths(phi: float, x0: np.ndarray, eps: np.ndarray) -> np.ndarray:
+def _time_major(x: np.ndarray, scratch, step) -> np.ndarray:
+    """x, stepped in place: each chunk of _CHUNK_STEPS columns from t0 on
+    is copied into the per-worker array "steps" of scratch as (steps, rows),
+    so a step reads and writes a contiguous row; step(t0, xt) rewrites that
+    copy xt, and it is copied back.  The copy in goes _COPY_ROWS rows at a
+    time: rows whose length is a power of two alias in cache, and whole
+    chunks of 512 such rows took three times as long to copy in."""
+    rows, n = x.shape
+    tiles = [slice(r0, r0 + _COPY_ROWS) for r0 in range(0, rows, _COPY_ROWS)]
+    for t0 in range(0, n, _CHUNK_STEPS):
+        cols = slice(t0, min(t0 + _CHUNK_STEPS, n))
+        xt = _scratch(scratch, (cols.stop - t0, rows), "steps")
+        for r in tiles:
+            np.copyto(xt[:, r], x[r, cols].T)
+        step(t0, xt)
+        x[:, cols] = xt.T
+    return x
+
+
+def _ar1_paths(phi: float, x0: np.ndarray, eps: np.ndarray, scratch) -> np.ndarray:
     """X_k = phi X_{k-1} + eps[:, k] from X_{-1} = x0, over the columns of
-    eps; the paths overwrite eps, which is returned.
+    eps, stepped through _time_major; the paths overwrite eps, which is
+    returned.  Each value is the same product and sum as in a column loop
+    over the whole matrix, so paths are bit-identical to it."""
+    tmp = np.empty(len(x0))
 
-    The rows are stepped through time-major blocks of _CHUNK_STEPS steps,
-    so every step reads and writes contiguous rows.  Each value is the same
-    product and sum as in a column-by-column loop over the whole matrix, so
-    paths are bit-identical to it.
-    """
-    prev = x0
-    step = np.empty(len(prev))
-    for t0 in range(0, eps.shape[1], _CHUNK_STEPS):
-        block = np.ascontiguousarray(eps[:, t0 : t0 + _CHUNK_STEPS].T)
-        for x in block:
-            np.multiply(prev, phi, out=step)
-            np.add(x, step, out=x)
+    def step(t0, xt):
+        prev = x0
+        for x in xt:
+            np.multiply(prev, phi, out=tmp)
+            np.add(x, tmp, out=x)
             prev = x
-        eps[:, t0 : t0 + _CHUNK_STEPS] = block.T
-    return eps
+        # the next chunk is copied into xt, so its last row is kept in x0
+        np.copyto(x0, prev)
+
+    return _time_major(eps, scratch, step)
 
 
 def _markov_paths(spec: ProcessSpec, u: np.ndarray, scratch) -> np.ndarray:
@@ -341,9 +362,8 @@ def _markov_paths(spec: ProcessSpec, u: np.ndarray, scratch) -> np.ndarray:
 
     The uniform u[r, k] picks the state at time k: the initial state is
     #{j : cum_initial[j] <= u} and the successor of state s is
-    #{j : u > cum[s, j]}, both capped at K - 1.  The rows are stepped
-    through time-major blocks of _CHUNK_STEPS steps, so every step reads
-    and writes contiguous rows.
+    #{j : u > cum[s, j]}, both capped at K - 1.  The steps go through
+    _time_major.
 
     A chain with at most _MAX_STEP_EDGES distinct thresholds e_0 < ... <
     e_{nb-1} among cum[:, :K - 1] steps through a table.  Each block of
@@ -369,24 +389,22 @@ def _markov_paths(spec: ProcessSpec, u: np.ndarray, scratch) -> np.ndarray:
         fill, code_vals = _table_steps(cum, edges, spec.mapped_values(), len(u), scratch)
     else:
         fill, code_vals = _loop_steps(cum, len(u)), spec.mapped_values()
-    rows, n = u.shape
-    for t0 in range(0, n, _CHUNK_STEPS):
-        m = min(_CHUNK_STEPS, n - t0)
-        ub = _scratch(scratch, (m, rows), "steps")
-        np.copyto(ub, u[:, t0 : t0 + m].T)
-        codes = _scratch(scratch, (m, rows), "codes", np.intp)
+
+    def step(t0, ub):
+        nonlocal prev
+        codes = _scratch(scratch, ub.shape, "codes", np.intp)
         if t0 == 0:
             codes[0] = prev
         # prev may be the last row of the codes buffer that this chunk
         # reuses; it is read in full by the chunk's first step, before any
         # row is written
         fill(ub, codes, prev, 1 if t0 == 0 else 0)
-        prev = codes[m - 1]
-        # the block's uniforms are spent, so ub takes its values; codes lie
+        prev = codes[-1]
+        # the chunk's uniforms are spent, so ub takes its values; codes lie
         # in [0, len(code_vals)), so clipping never moves an index
         np.take(code_vals, codes, out=ub, mode="clip")
-        u[:, t0 : t0 + m] = ub.T
-    return u
+
+    return _time_major(u, scratch, step)
 
 
 def _table_steps(cum: np.ndarray, edges: np.ndarray, vals: np.ndarray, rows: int, scratch):
@@ -460,21 +478,14 @@ def normalized_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str)
                                       lambda r0, block: norming.normalized_sum(block)))
 
 
-def long_run_variance(spec: ProcessSpec) -> float:
-    """v_inf = lim Var(S_n)/n, in closed form per family."""
-    return _moments(spec)[1]
-
-
 def _moments(spec: ProcessSpec) -> tuple:
-    """(mean, v_inf): the stationary mean and lim Var(S_n)/n, in closed form per family."""
-    law = spec.innovations
-    if spec.family == "iid":
-        return law.mean, law.variance
-    if spec.family == "ar1":
-        return law.mean / (1.0 - spec.phi), law.variance / (1.0 - spec.phi) ** 2
-    if spec.family == "ma_q":
-        w = float(np.sum(spec.weights))
-        return w * law.mean, w * w * law.variance
+    """(mean, v_inf): the stationary mean and lim Var(S_n)/n, in closed form.
+    A linear filter with weight sum s has mean s E eps / (1 - phi) and
+    v_inf = s^2 Var eps / (1 - phi)^2."""
+    if spec.family != "markov_function":
+        law, (phi, weights) = spec.innovations, _filter(spec)
+        s = float(np.sum(weights))
+        return s * law.mean / (1.0 - phi), s * s * law.variance / (1.0 - phi) ** 2
     # markov_function: v_inf = 2 <f_bar, h>_pi - <f_bar, f_bar>_pi with
     # h solving the Poisson equation (I - P + 1 pi) h = f_bar
     chain = spec.chain
@@ -524,8 +535,7 @@ def marginal_abs_tail(spec: ProcessSpec):
     support.  Any upper envelope is admissible: the level search only
     ever selects a larger (still valid) delta.
     """
-    fam = spec.family
-    if fam == "markov_function":
+    if spec.family == "markov_function":
         # per-state mass envelope m(s) = sup_k P(Y_k = s); the induced tail
         # dominates max_k P(|X_k| >= t), which is what the delta search needs
         chain = spec.chain
@@ -551,14 +561,11 @@ def marginal_abs_tail(spec: ProcessSpec):
         return tail
     # X_k is a linear filter of the innovations: its sd and support bound
     # are the innovations' times the filter's l2 and l1 norms
-    law = spec.innovations
-    sd = law.std
+    law, (phi, weights) = spec.innovations, _filter(spec)
+    w = np.asarray(weights)
+    sd = law.std * np.sqrt(np.sum(w ** 2)) / np.sqrt(1.0 - phi ** 2)
     bound = abs(law.mean) + law.std * (np.sqrt(3.0) if law.name == "uniform" else 1.0)
-    if fam == "ar1":
-        sd, bound = sd / np.sqrt(1.0 - spec.phi ** 2), bound / (1.0 - abs(spec.phi))
-    elif fam == "ma_q":
-        w = np.asarray(spec.weights)
-        sd, bound = sd * np.sqrt(np.sum(w ** 2)), bound * float(np.sum(np.abs(w)))
+    bound = bound * float(np.sum(np.abs(w))) / (1.0 - abs(phi))
     if law.name != "normal":
         return _step_tail(bound)
     m = _moments(spec)[0]
@@ -578,36 +585,27 @@ def _step_tail(bound: float):
 
 
 def analytic_alpha_profile(spec: ProcessSpec, n_list) -> AlphaProfile:
-    """Known mixing-rate metadata per family, as an upper envelope.
+    """Known mixing-rate metadata, as an upper envelope at each lag n >= 1.
 
-    iid sequences have coefficient 0; an MA(q) is q-dependent so the
-    coefficient vanishes beyond lag q; a stationary Gaussian AR(1) has
-    maximal correlation phi^n between past and future, hence
-    alpha(n) <= phi^n / 4; markov_function inherits the Doeblin envelope
-    of its chain.
+    A linear filter with phi = 0 is q-dependent (iid is q = 0), so the
+    coefficient vanishes beyond lag q.  One with phi != 0 is an AR(1) (no
+    family sets both phi and q): with Gaussian innovations its maximal
+    correlation between past and future is |phi|^n, hence alpha(n) <=
+    |phi|^n / 4, and with others no decay is claimed.  markov_function
+    inherits the Doeblin envelope of its chain.
     """
     n_list = [int(n) for n in n_list]
-    fam = spec.family
-    if fam == "iid":
-        vals = tuple((n, 0.0) for n in n_list)
-        return AlphaProfile(vals, kind="analytic-bound", meta="iid: independent")
-    if fam == "ma_q":
-        q = len(spec.weights) - 1
+    if spec.family == "markov_function":
+        return alpha_bound_geometric(spec.chain, n_list)
+    phi, weights = _filter(spec)
+    if phi == 0.0:
+        q = len(weights) - 1
         vals = tuple((n, 0.0 if n > q else 0.25) for n in n_list)
-        return AlphaProfile(vals, kind="analytic-bound", meta=f"ma_q: {q}-dependent")
-    if fam == "ar1":
-        if spec.innovations.name != "normal":
-            # no decay certificate is claimed for non-gaussian AR(1)
-            vals = tuple((n, 0.25) for n in n_list)
-            return AlphaProfile(vals, kind="analytic-bound", meta="ar1 non-gaussian: trivial 1/4")
-        vals = tuple((n, min(0.25, 0.25 * abs(spec.phi) ** n)) for n in n_list)
+        meta = f"{q}-dependent"
+    elif spec.innovations.name == "normal":
+        vals = tuple((n, min(0.25, 0.25 * abs(phi) ** n)) for n in n_list)
         meta = "gaussian ar1: maximal correlation phi^n, alpha(n) <= phi^n/4"
-        return AlphaProfile(vals, kind="analytic-bound", meta=meta)
-    return alpha_bound_geometric(spec.chain, n_list)
-
-
-def limit_cdf(spec: ProcessSpec):
-    """cdf of the weak limit of a_n S_n + b_n under norming_for: N(0, 1)."""
-    if long_run_variance(spec) <= 0.0:
-        raise ValueError("degenerate spec has no non-degenerate limit")
-    return normal_cdf
+    else:
+        vals = tuple((n, 0.25) for n in n_list)
+        meta = "ar1 non-gaussian: trivial 1/4"
+    return AlphaProfile(vals, kind="analytic-bound", meta=meta)

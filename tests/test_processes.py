@@ -20,11 +20,10 @@ from mixlimit.processes import (
     _block,
     _map_blocks,
     _markov_paths,
+    _moments,
     InnovationLaw,
     ProcessSpec,
     analytic_alpha_profile,
-    limit_cdf,
-    long_run_variance,
     marginal_abs_tail,
     normalized_sums,
     norming_for,
@@ -531,14 +530,14 @@ def test_norming_at_matches_vectorized_values_bitwise():
 def test_norming_ar1_closed_form_and_oracle():
     # v_inf = sigma^2/(1-phi)^2 = 4: a(n) = 1/(2 sqrt(n)); empirical oracle
     # Var(S_n)/n at n = 2^14 over 1e4 replications within 3%
-    assert long_run_variance(AR1) == pytest.approx(4.0, abs=1e-12)
+    assert _moments(AR1)[1] == pytest.approx(4.0, abs=1e-12)
     assert norming_for(AR1).a_values(np.array([16]))[0] == pytest.approx(1 / 8)
     v_emp = empirical_long_run_variance(AR1, 2 ** 14, 10_000, 5)
     assert v_emp == pytest.approx(4.0, rel=0.03)
 
 
 def test_norming_ma_closed_form_and_oracle():
-    assert long_run_variance(MA11) == pytest.approx(4.0, abs=1e-12)
+    assert _moments(MA11)[1] == pytest.approx(4.0, abs=1e-12)
     v_emp = empirical_long_run_variance(MA11, 2 ** 14, 10_000, 6)
     assert v_emp == pytest.approx(4.0, rel=0.03)
 
@@ -548,7 +547,7 @@ def test_norming_markov_function():
     # so v_inf = 1 + 2 sum_k 0.5^k = 3
     chain = MarkovChainSpec([-1.0, 1.0], [[0.75, 0.25], [0.25, 0.75]], [0.5, 0.5])
     spec = ProcessSpec(family="markov_function", chain=chain)
-    assert long_run_variance(spec) == pytest.approx(3.0, abs=1e-12)
+    assert _moments(spec)[1] == pytest.approx(3.0, abs=1e-12)
     v_emp = empirical_long_run_variance(spec, 2 ** 12, 4000, 8)
     assert v_emp == pytest.approx(3.0, rel=0.10)
 
@@ -672,6 +671,35 @@ def test_analytic_alpha_profiles():
     assert ma[1] == 0.25 and ma[2] == 0.0 and ma[3] == 0.0
     ar = dict(analytic_alpha_profile(AR1, [1, 4]).values)
     assert ar[1] == pytest.approx(0.125) and ar[4] == pytest.approx(0.25 * 0.5 ** 4)
+    # no decay is claimed for a non-gaussian AR(1)
+    uniform = ProcessSpec(family="ar1", phi=-0.5, innovations=InnovationLaw("uniform"))
+    assert analytic_alpha_profile(uniform, [1, 4]).values == ((1, 0.25), (4, 0.25))
+
+
+@pytest.mark.parametrize("law", [InnovationLaw("normal", 0.3, 1.7), InnovationLaw("uniform", 0.25, 2.0)],
+                         ids=["normal", "uniform"])
+def test_iid_ar1_with_phi_0_and_ma_with_weight_1_are_one_filter(law):
+    # one linear filter X_k = phi X_{k-1} + sum_i w_i eps_{k-i} with phi = 0
+    # and w = (1,): the same paths from one generator, and the same moments,
+    # tail and mixing envelope
+    same = (ProcessSpec(family="iid", innovations=law),
+            ProcessSpec(family="ar1", phi=0.0, innovations=law),
+            ProcessSpec(family="ma_q", weights=(1.0,), innovations=law))
+    draw = lambda spec: _block(spec, 260, 37, np.random.default_rng(8), SimpleNamespace())
+    t = np.concatenate([np.linspace(0.0, 12.0, 1201), [np.inf]])
+    paths, tail = draw(same[0]), marginal_abs_tail(same[0])(t)
+    alpha = analytic_alpha_profile(same[0], [1, 2, 5]).values
+    assert alpha == ((1, 0.0), (2, 0.0), (5, 0.0))
+    for spec in same[1:]:
+        assert np.array_equal(draw(spec), paths)
+        assert _moments(spec) == _moments(same[0]) == (law.mean, law.variance)
+        assert np.array_equal(marginal_abs_tail(spec)(t), tail)
+        assert analytic_alpha_profile(spec, [1, 2, 5]).values == alpha
+    # one weight w scales the innovations: w iid
+    scaled = ProcessSpec(family="ma_q", weights=(-2.5,), innovations=law)
+    assert np.array_equal(draw(scaled), -2.5 * paths)
+    assert _moments(scaled) == (-2.5 * law.mean, 2.5 * 2.5 * law.variance)
+    assert analytic_alpha_profile(scaled, [1, 2, 5]).values == alpha
 
 
 def test_path_csv_export():
@@ -687,11 +715,6 @@ def test_path_csv_export():
     buf = io.StringIO()
     write_path_csv(buf, np.array([0.1, 1.0 / 3.0]))
     assert buf.getvalue() == "index,value\n1,0.1\n2,0.3333333333333333\n"
-
-
-def test_limit_cdf_degenerate_raises():
-    with pytest.raises(ValueError, match="degenerate"):
-        limit_cdf(ProcessSpec(family="ma_q", weights=(1.0, -1.0)))
 
 
 def test_spec_hash_pinned():

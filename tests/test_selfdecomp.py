@@ -257,9 +257,11 @@ def test_integral_does_not_depend_on_the_worker_count(monkeypatch):
     assert np.array_equal(runs[1], runs[0]) and np.array_equal(runs[2], runs[0])
 
 
-def test_integral_memory_does_not_grow_with_the_samples():
+def test_integral_memory_does_not_grow_with_the_samples(monkeypatch):
     # every jump of every sample was drawn at once: the peak grew 7.5 times
-    # from 8 to 64 blocks of samples
+    # from 8 to 64 blocks of samples.  On one worker the ratio is 1.34-1.35;
+    # on two it depended on which blocks overlapped: 0.99-1.56, and up to 2.25
+    monkeypatch.setattr(processes, "_WORKERS", 1)
     bdlp = BDLPSpec(drift=1.0, gaussian_sigma=1.0, jump_rate=2.0, jump_law=NormalJumps(0.5, 1.0))
     sample_random_integral(bdlp, 20.0, 1, seed=5)     # imports the thread pool first
     peaks = []
