@@ -34,6 +34,7 @@ DEFAULT_EPSILON = 0.1
 DEFAULT_TIGHTNESS_BOUND = 10.0
 DEFAULT_KS_TOL = 0.05
 DEFAULT_N_GRID = (256, 512, 1024, 2048, 4096)
+_DELTA_CHUNK_POINTS = 1 << 16      # tail points per call of compute_deltas
 
 
 def compute_m(a, c: float, n: int) -> int:
@@ -66,27 +67,36 @@ def _a_values(a, n_max: int) -> np.ndarray:
 def compute_deltas(tail, horizon: int, grid_step: float = DEFAULT_DELTA_GRID_STEP) -> np.ndarray:
     """Infinitesimality levels delta_1..delta_horizon.
 
-    tail(n, delta) must return max_{k<=n} P(a_n |X_k| >= delta).  Per n
-    the smallest grid multiple of grid_step with tail(n, delta) <= delta
-    is selected; a reverse running maximum then enforces a nonincreasing
-    sequence.  Monotonization only ever raises a level, and tails are
-    nonincreasing in delta, so the defining inequality survives it.
+    tail(n, delta) must return max_{k<=n} P(a_n |X_k| >= delta).  It is
+    called with n an integer column (rows, 1) of consecutive n and delta
+    the grid row (len(grid),), and its result is broadcast to
+    (rows, len(grid)), so a tail that ignores n may return one row.  The
+    rows of a call hold about _DELTA_CHUNK_POINTS points (at least one
+    row), so memory stays bounded whatever the horizon or grid_step.
+    Per n the smallest grid multiple of grid_step with
+    tail(n, delta) <= delta is selected; a reverse running maximum then
+    enforces a nonincreasing sequence.  Monotonization only ever raises a
+    level, and tails are nonincreasing in delta, so the defining
+    inequality survives it.
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
     if not 0.0 < grid_step <= 1.0:
         raise ValueError("grid_step must lie in (0, 1]")
     grid = np.round(np.arange(1, int(np.floor(1.0 / grid_step)) + 1) * grid_step, 12)
+    rows = max(1, _DELTA_CHUNK_POINTS // len(grid))
     raw = np.empty(horizon)
-    for i, n in enumerate(range(1, horizon + 1)):
-        t = np.asarray(tail(n, grid), dtype=float)
-        ok = np.nonzero(t <= grid)[0]
-        if len(ok) == 0:
+    for n0 in range(1, horizon + 1, rows):
+        ns = np.arange(n0, min(n0 + rows, horizon + 1))
+        t = np.broadcast_to(np.asarray(tail(ns[:, None], grid), dtype=float), (len(ns), len(grid)))
+        ok = t <= grid
+        found = ok.any(axis=1)
+        if not found.all():
             raise ValueError(
                 f"no grid level delta <= {grid[-1]} satisfies tail(n, delta) <= delta "
-                f"at n = {n}: the array is not infinitesimal at this horizon"
+                f"at n = {ns[np.argmin(found)]}: the array is not infinitesimal at this horizon"
             )
-        raw[i] = grid[ok[0]]
+        raw[ns - 1] = grid[ok.argmax(axis=1)]
     return np.maximum.accumulate(raw[::-1])[::-1]
 
 
@@ -140,8 +150,8 @@ def make_plan(
     """Assemble (m, delta, q) for each n, with deltas monotonized over the
     full horizon 1..max(n_values) on the DEFAULT_DELTA_GRID_STEP grid.
 
-    tail(threshold) must return max_k P(|X_k| >= threshold); it is
-    rescaled internally by a(n).
+    tail(threshold) must return max_k P(|X_k| >= threshold), elementwise
+    over a 2-D array of thresholds; it is rescaled internally by a(n).
     """
     n_values = np.asarray(sorted(int(n) for n in n_values))
     if len(n_values) == 0 or n_values[0] < 2:

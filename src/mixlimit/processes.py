@@ -290,9 +290,9 @@ def _filter(spec: ProcessSpec) -> tuple:
 
 
 def _block(spec: ProcessSpec, n: int, rows: int, rng: np.random.Generator, scratch) -> np.ndarray:
-    """(rows, n) independent paths drawn from rng.  The draws go into the
-    array of the per-worker object scratch (see _scratch), so the paths
-    may be a view of it.
+    """(rows, n) independent paths drawn from rng.  The draws and the
+    moving sum go into arrays of the per-worker object scratch (see
+    _scratch), so the paths may be a view of one of them.
 
     A linear filter draws (rows, burn + q + n) innovations, takes the
     moving sum unless its weights are (1,), and unless phi is 0 steps the
@@ -308,10 +308,14 @@ def _block(spec: ProcessSpec, n: int, rows: int, rng: np.random.Generator, scrat
     burn = int(np.ceil(np.log(_AR1_INIT_TOL) / np.log(abs(phi)))) if phi else 0
     x = spec.innovations.sample(rng, _scratch(scratch, (rows, burn + q + n)))
     if weights != (1.0,):
-        # X_k = sum_i w_i eps_{k-i}, where eps_k is column k + q
-        x, eps = np.zeros((rows, burn + n)), x
+        # X_k = sum_i w_i eps_{k-i}, where eps_k is column k + q; the sum
+        # starts at +0.0, so a sum of zero terms is +0.0 whatever their signs
+        x, eps = _scratch(scratch, (rows, burn + n), "sum"), x
+        term = _scratch(scratch, x.shape, "term")
+        x.fill(0.0)
         for i, wi in enumerate(weights):
-            x += wi * eps[:, q - i : q - i + burn + n]
+            np.multiply(eps[:, q - i : q - i + burn + n], wi, out=term)
+            np.add(x, term, out=x)
     if phi:
         x = _ar1_paths(phi, np.full(rows, _moments(spec)[0]), x, scratch)[:, burn:]
     return x

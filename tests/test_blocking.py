@@ -132,6 +132,78 @@ def test_deltas_failure_names_n():
         compute_deltas(tail, 5, 0.5)
 
 
+def loop_deltas(tail, horizon, grid_step):
+    """compute_deltas by its definition: one tail call per n."""
+    grid = np.round(np.arange(1, int(np.floor(1.0 / grid_step)) + 1) * grid_step, 12)
+    raw = np.empty(horizon)
+    for i, n in enumerate(range(1, horizon + 1)):
+        t = np.asarray(tail(n, grid), dtype=float)
+        ok = np.nonzero(t <= grid)[0]
+        assert len(ok), n
+        raw[i] = grid[ok[0]]
+    return np.maximum.accumulate(raw[::-1])[::-1]
+
+
+def plan_tail(spec, horizon):
+    """The rescaled tail make_plan hands to compute_deltas."""
+    table = norming_for(spec).a_values(np.arange(1, horizon + 1))
+    tail = marginal_abs_tail(spec)
+    return lambda n, d: tail(np.asarray(d) / table[n - 1])
+
+
+@pytest.mark.parametrize("grid_step", [0.05, 0.003])
+def test_deltas_equal_the_per_n_loop_on_a_gaussian_tail(grid_step):
+    # chunks of 3276 and 196 rows: horizon 10^4 crosses their boundaries,
+    # and the last chunk is short
+    tail = plan_tail(ProcessSpec(family="ar1", phi=0.5), 10_000)
+    assert np.array_equal(compute_deltas(tail, 10_000, grid_step),
+                          loop_deltas(tail, 10_000, grid_step))
+
+
+def test_deltas_equal_the_per_n_loop_on_a_markov_function_tail():
+    tail = plan_tail(FINDING1, 5000)
+    assert np.array_equal(compute_deltas(tail, 5000, 0.01), loop_deltas(tail, 5000, 0.01))
+
+
+def test_deltas_tail_that_ignores_n():
+    # one row of len(grid) values is broadcast over the rows of each chunk;
+    # 0.3 / delta <= delta first holds at delta = 0.55
+    tail = lambda n, d: np.minimum(1.0, 0.3 / np.asarray(d))
+    ds = compute_deltas(tail, 10_000, 0.05)
+    assert np.array_equal(ds, loop_deltas(tail, 10_000, 0.05))
+    assert np.all(ds == 0.55)
+
+
+def test_deltas_failure_names_n_in_a_later_chunk():
+    # 20 grid levels make chunks of 3276 rows, so n = 5000 lies in the second
+    tail = lambda n, d: np.where(np.asarray(n) >= 5000, 1.5, 0.0) + 0.0 * np.asarray(d)
+    with pytest.raises(ValueError, match="at n = 5000: "):
+        compute_deltas(tail, 6000, 0.05)
+
+
+def deltas_peak(horizon, grid_step):
+    """Traced peak of compute_deltas above its baseline, on a Chebyshev tail."""
+    tail = lambda n, d: np.minimum(1.0, 1.0 / (np.asarray(d) ** 2 * n))
+    compute_deltas(tail, 2, grid_step)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        compute_deltas(tail, horizon, grid_step)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_deltas_peak_memory_does_not_grow_with_the_horizon():
+    # 1000 grid levels: one call over every n would hold (horizon, 1000)
+    # tails, 160 MB at horizon 2 * 10^4; a chunk holds 65 rows of them
+    small, large = deltas_peak(2000, 0.001), deltas_peak(20_000, 0.001)
+    assert large < 1.5 * small
+    assert large < 20_000 * 1000 * 8 / 40
+
+
 # ---------------------------------------------------------------- compute_q
 
 def test_compute_q_examples():
@@ -383,7 +455,7 @@ def test_verify_blocking_rows_do_not_depend_on_the_worker_count(monkeypatch, nam
 
 def verify_blocking_peak(spec, reps, n_grid):
     """Traced peak of verify_blocking above its baseline."""
-    verify_blocking(spec, n_grid=n_grid, replications=50, seed=3)   # loads scipy first
+    verify_blocking(spec, n_grid=n_grid, replications=50, seed=3)   # first-call work
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -337,3 +339,15 @@ def test_normal_cdf_is_bitwise_scipy_norm():
     for v in (0.0, -0.0, 1.25, -37.0):
         assert normal_cdf(v) == scipy.stats.norm.cdf(v)
         assert normal_cdf(-v) == scipy.stats.norm.sf(v)
+
+
+def test_normal_cdf_is_bitwise_scipy_at_its_branch_boundaries():
+    # 200 ulps either side of the ends of each branch of the port: z =
+    # |x|/sqrt(2) at sqrt(1/2) (|x| = 1), 1 and 8, and z^2 = MAXLOG, where
+    # exp(-z^2) underflows and the cdf is subnormal
+    edges = np.array([1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 709.782712893384)])
+    x = (edges.view(np.int64)[:, None] + np.arange(-200, 201)).ravel().view(np.float64)
+    x = np.concatenate([x, -x])
+    assert np.array_equal(normal_cdf(x), scipy.stats.norm.cdf(x))
+    assert np.array_equal(normal_cdf(-x), scipy.stats.norm.sf(x))
+    assert np.any((normal_cdf(x) > 0) & (normal_cdf(x) < np.finfo(float).tiny))

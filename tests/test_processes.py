@@ -301,6 +301,22 @@ def test_markov_paths_peak_memory_below_six_chunks(spec):
     assert peak < 6 * _CHUNK_STEPS * rows * 8
 
 
+def test_ma_block_memory_is_all_scratch():
+    # the moving sum and each weighted term go into the scratch arrays "sum"
+    # and "term"; a (rows, n) array for either would exceed the bound
+    spec = ProcessSpec(family="ma_q", weights=(1.0, 0.5))
+    rows, n, scratch = _CHUNK_ROWS, 1024, SimpleNamespace()
+    _block(spec, n, rows, np.random.default_rng(1), scratch)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _block(spec, n, rows, np.random.default_rng(2), scratch)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * n * 8 / 16
+
+
 def test_markov_paths_peak_memory_below_twice_the_output():
     # the step loop held the uniforms, the intp states and the output:
     # 3.01 times the output
