@@ -37,7 +37,7 @@ ENV_OUT_DIR = "MIXLIMIT_OUT"
 DEFAULT_OUT_DIR = "mixlimit-reports"
 
 RNG_NOTE = (
-    "Philox 64-bit counter RNG; streams keyed by (master seed, experiment label, "
+    "SFC64 RNG seeded by SeedSequence; streams keyed by (master seed, experiment label, "
     f"spec hash, block index), replication r is row r mod {processes._CHUNK_ROWS} "
     f"of block r // {processes._CHUNK_ROWS}"
 )

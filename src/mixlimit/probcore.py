@@ -207,8 +207,16 @@ def ks_distance(sample, reference_cdf) -> float:
     """
     x = np.sort(as_sample(sample))
     n = len(x)
-    right = np.searchsorted(x, x, side="right") / n
-    left = np.searchsorted(x, x, side="left") / n
+    # the points equal to x[i] are one run x[lo:hi] of the sorted sample, so
+    # the empirical cdf is hi/n at x[i] and lo/n just below it; the runs'
+    # first indices give both in O(n), as counts equal to searchsorted's
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    run = np.cumsum(first) - 1
+    right = np.append(starts[1:], n)[run] / n
+    left = starts[run] / n
     f_right = np.asarray(reference_cdf(x), dtype=float)
     f_left = np.asarray(reference_cdf(np.nextafter(x, -np.inf)), dtype=float)
     if np.any(np.diff(f_right) < -1e-12):

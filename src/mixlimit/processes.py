@@ -82,10 +82,12 @@ class InnovationLaw:
         else:
             np.multiply(rng.integers(0, 2, out.shape), 2.0, out=out)
             out -= 1.0
-        # in place, so no temporary of the draw's size; bitwise equal to
-        # mean + std * z
-        out *= self.std
-        out += self.mean
+        # in place, so no temporary of the draw's size, and skipped for the
+        # standard law, so the draw is its one pass; equal to mean + std * z
+        # but on a -0.0 draw, which mean + std * z would turn into +0.0
+        if (self.mean, self.std) != (0.0, 1.0):
+            out *= self.std
+            out += self.mean
         return out
 
     @property
@@ -309,11 +311,11 @@ def _block(spec: ProcessSpec, n: int, rows: int, rng: np.random.Generator, scrat
     x = spec.innovations.sample(rng, _scratch(scratch, (rows, burn + q + n)))
     if weights != (1.0,):
         # X_k = sum_i w_i eps_{k-i}, where eps_k is column k + q; the sum
-        # starts at +0.0, so a sum of zero terms is +0.0 whatever their signs
+        # starts from w_0 eps_k, written straight into it
         x, eps = _scratch(scratch, (rows, burn + n), "sum"), x
         term = _scratch(scratch, x.shape, "term")
-        x.fill(0.0)
-        for i, wi in enumerate(weights):
+        np.multiply(eps[:, q : q + burn + n], weights[0], out=x)
+        for i, wi in enumerate(weights[1:], 1):
             np.multiply(eps[:, q - i : q - i + burn + n], wi, out=term)
             np.add(x, term, out=x)
     if phi:

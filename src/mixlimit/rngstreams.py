@@ -1,12 +1,14 @@
 """Reproducible random number streams.
 
-Every stochastic routine in this package draws from a Philox
-counter-based 64-bit generator.  Streams are derived from a master seed
-plus a tuple of integer/string labels (experiment name, replication
-index, ...): the labels are folded into the second word of the 128-bit
-Philox key with a splitmix64 step, so distinct label tuples give
-statistically independent streams and the same tuple always reproduces
-the same stream.
+Every stochastic routine in this package draws from an SFC64 generator.
+Streams are derived from a master seed plus a tuple of integer/string
+labels (experiment name, replication index, ...): the labels are folded
+into one 64-bit word with a splitmix64 step, and the pair (seed, word) is
+the entropy of a numpy SeedSequence, which hashes it into the SFC64
+state.  The same tuple always reproduces the same stream; distinct
+tuples give distinct words, and SeedSequence's hashing makes the streams
+they seed independent in practice (it is not the provable independence
+of a counter-based generator's keys, which the lab does not need).
 """
 
 from __future__ import annotations
@@ -36,14 +38,15 @@ def _fold_label(label) -> int:
     raise TypeError(f"stream label must be int or str, got {type(label).__name__}")
 
 
-def stream_key(seed: int, *labels) -> np.ndarray:
-    """128-bit Philox key for (seed, labels...)."""
+def stream_key(seed: int, *labels) -> tuple:
+    """(seed, word): the two 64-bit words that key the stream of (seed, labels...)."""
     word = 0
     for lab in labels:
         word = _splitmix64(word ^ _fold_label(lab))
-    return np.array([int(seed) & _MASK64, word], dtype=np.uint64)
+    return int(seed) & _MASK64, word
 
 
 def stream(seed: int, *labels) -> np.random.Generator:
     """Independent generator for the given (seed, labels...) tuple."""
-    return np.random.Generator(np.random.Philox(key=stream_key(seed, *labels)))
+    seq = np.random.SeedSequence(entropy=stream_key(seed, *labels))
+    return np.random.Generator(np.random.SFC64(seq))

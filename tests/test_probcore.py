@@ -197,6 +197,35 @@ def test_ks_triangle_like_bound():
     assert ks_distance(x, f) <= ks_distance(x, g) + sup_fg + 1e-12
 
 
+def searchsorted_ks(sample, reference_cdf):
+    """ks_distance with the empirical cdf's one-sided limits at each point
+    counted by binary search, the form the run counts replace."""
+    x = np.sort(np.asarray(sample, dtype=float))
+    n = len(x)
+    right = np.searchsorted(x, x, side="right") / n
+    left = np.searchsorted(x, x, side="left") / n
+    f_right = np.asarray(reference_cdf(x), dtype=float)
+    f_left = np.asarray(reference_cdf(np.nextafter(x, -np.inf)), dtype=float)
+    return float(min(1.0, max(np.max(np.abs(right - f_right)), np.max(np.abs(left - f_left)))))
+
+
+@pytest.mark.parametrize("sample", [
+    np.random.default_rng(8).standard_normal(1000),
+    np.round(np.random.default_rng(9).standard_normal(5000), 1),
+    np.random.default_rng(10).integers(-3, 4, 777).astype(float),
+    np.array([0.25, -0.0, 0.0, 0.25, 0.25, -1.0]),
+    np.array([0.3]),
+    np.full(64, 2.0),
+], ids=["continuous", "ties", "lattice", "signed-zero", "single", "all-equal"])
+def test_ks_run_counts_equal_the_searchsorted_form(sample):
+    # the result is byte-identical to the binary-search counts, against a
+    # continuous reference and against a step reference with jumps at the
+    # lattice points
+    step = lambda t: np.clip(np.floor(np.asarray(t) + 4.0) / 8.0, 0.0, 1.0)
+    for ref in (normal_cdf, step):
+        assert ks_distance(sample, ref) == searchsorted_ks(sample, ref)
+
+
 def test_ks_rejects_decreasing_reference():
     with pytest.raises(ValueError):
         ks_distance(np.array([0.0, 1.0]), lambda t: -np.asarray(t))

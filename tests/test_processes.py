@@ -183,6 +183,17 @@ def test_innovation_law_rejects_non_finite_parameters(mean, std):
         InnovationLaw("normal", mean, std)
 
 
+@pytest.mark.parametrize("name", ["normal", "uniform", "rademacher"])
+def test_non_standard_law_is_mean_plus_std_times_the_standard_block(name):
+    # the standard law skips its scaling pass, so a block of any other
+    # (mean, std) is the standard block of the same stream, scaled; bitwise
+    draw = lambda law: _block(ProcessSpec(family="iid", innovations=law), 300, 41,
+                              rngstreams.stream(3, "law", name), SimpleNamespace()).copy()
+    z = draw(InnovationLaw(name))
+    for mean, std in ((0.3, 1.7), (-2.0, 1.0), (0.0, 0.5), (1.0, 0.0)):
+        assert draw(InnovationLaw(name, mean, std)).tobytes() == (mean + std * z).tobytes()
+
+
 def test_process_spec_rejects_non_finite_weights_and_state_values():
     # NaN weights or state values constructed, and norming_for then gave v_inf = nan
     with pytest.raises(ValueError, match="ma_q weights .* must be finite"):
@@ -552,10 +563,24 @@ def test_norming_ar1_closed_form_and_oracle():
     assert v_emp == pytest.approx(4.0, rel=0.03)
 
 
+def chi2_variance_band(var, reps, eta):
+    """(lo, hi) with P(lo <= s2 <= hi) = 1 - eta, for the ddof-0 sample
+    variance s2 of reps iid N(mu, var) draws: reps s2 / var is chi^2 with
+    reps - 1 degrees of freedom, cut at eta/2 in each tail."""
+    import scipy.stats
+    law = scipy.stats.chi2(reps - 1)
+    return var * law.ppf(eta / 2) / reps, var * law.isf(eta / 2) / reps
+
+
 def test_norming_ma_closed_form_and_oracle():
+    # S_n = eps_0 + 2 (eps_1 + ... + eps_{n-1}) + eps_n is N(0, 4n - 2), so
+    # Var(S_n)/n over 1e4 replications has a chi^2 law: a correct program
+    # leaves the band with probability 1e-6 (about +-6.9% here)
     assert _moments(MA11)[1] == pytest.approx(4.0, abs=1e-12)
-    v_emp = empirical_long_run_variance(MA11, 2 ** 14, 10_000, 6)
-    assert v_emp == pytest.approx(4.0, rel=0.03)
+    n, reps = 2 ** 14, 10_000
+    lo, hi = chi2_variance_band((4.0 * n - 2.0) / n, reps, eta=1e-6)
+    v_emp = empirical_long_run_variance(MA11, n, reps, 6)
+    assert lo <= v_emp <= hi
 
 
 def test_norming_markov_function():
@@ -734,7 +759,7 @@ def test_path_csv_export():
 
 
 def test_spec_hash_pinned():
-    # every Philox stream is keyed by the spec hash: a change here changes
+    # every RNG stream is keyed by the spec hash: a change here changes
     # every Monte Carlo report
     chain = MarkovChainSpec(
         [-1.0, 2.0, 0.5], [[0.6, 0.3, 0.1], [0.3, 0.6, 0.1], [0.2, 0.2, 0.6]], [1.0 / 3.0] * 3
