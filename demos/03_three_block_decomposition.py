@@ -43,12 +43,12 @@ i = plan.index_of(n)
 m, q = int(plan.m[i]), int(plan.q[i])
 (a_n, b_n), (a_m, b_m) = norming.at(n), norming.at(m)
 path = simulate_many(spec, n, 1, seed=5)[0]
-u = a_n / a_m * norming.normalized_sum(path[:m])
+u = a_n / a_m * (a_m * path[:m].sum() + b_m)
 v = a_n * path[m : m + q].sum()
 w = a_n * path[m + q : n].sum() + b_n - a_n / a_m * b_m
 # the right side sums the whole path directly, so the identity is checked
 # between two independently rounded sides
-total = norming.normalized_sum(path[:n])
+total = a_n * path[:n].sum() + b_n
 print(f"\none path at n={n}: U={u:+.4f}  V={v:+.4f}  W={w:+.4f}")
 print(f"U + V + W = {u + v + w:+.4f}, "
       f"identity error {abs(u + v + w - total) / max(1.0, abs(total)):.1e}")

@@ -174,46 +174,30 @@ def make_plan(
     )
 
 
-def _three_blocks(values, norming: NormingSequences, m: int, q: int, n: int):
-    """(U, V, W, total) of the first n values along the last axis.
+def _windows(plan: BlockingPlan, n: int) -> list:
+    """The windows of S_m, S_{m+q} - S_m, S_n - S_{m+q} and S_n at n."""
+    i = plan.index_of(n)
+    m, q = int(plan.m[i]), int(plan.q[i])
+    return [(0, m), (m, m + q), (m + q, n), (0, n)]
 
-    total = a(n) S_n + b(n) sums the n values directly, so that
-    _identity_relerr compares two independently rounded sides.  It stays
-    private: it runs on worker threads, and bench/tracer.py wraps every
-    public function with a span stack that is not thread-safe.
+
+def _three_blocks(norming: NormingSequences, m: int, n: int, s_lead, s_sep, s_trail, s_all):
+    """(U, V, W, total) from the sums over the _windows at n, m = m_n.
+
+    total = a(n) S_n + b(n) is taken from S_n summed directly, so that
+    _identity_relerr compares two independently rounded sides.
     """
-    x = np.moveaxis(np.asarray(values, dtype=float), -1, 0)
     (a_n, b_n), (a_m, b_m) = norming.at(n), norming.at(m)
     ratio = a_n / a_m
-    u = ratio * (a_m * x[:m].sum(axis=0) + b_m)
-    v = a_n * x[m : m + q].sum(axis=0)
-    w = a_n * x[m + q : n].sum(axis=0) + b_n - ratio * b_m
-    total = norming.normalized_sum(x[:n], axis=0)
-    return u, v, w, total
+    u = ratio * (a_m * s_lead + b_m)
+    v = a_n * s_sep
+    w = a_n * s_trail + b_n - ratio * b_m
+    return u, v, w, a_n * s_all + b_n
 
 
 def _identity_relerr(u, v, w, total) -> float:
     """max |U + V + W - total| / max(1, |total|)."""
     return float(np.max(np.abs(u + v + w - total) / np.maximum(1.0, np.abs(total))))
-
-
-def _block_sums(spec: ProcessSpec, norming: NormingSequences, plan: BlockingPlan, ns,
-                replications: int, seed: int) -> dict:
-    """{n: (U, V, W, total)} over replications simulated paths of length max(ns).
-
-    Each block of paths is split as it is drawn and then dropped, so no
-    (replications, n) matrix is held.  Every entry is a per-row sum,
-    bitwise equal to the same split of the simulate_many matrix.
-    """
-    def split(r0, block):
-        out = []
-        for n in ns:
-            i = plan.index_of(n)
-            out.append(_three_blocks(block, norming, int(plan.m[i]), int(plan.q[i]), n))
-        return out
-
-    parts = processes._map_blocks(spec, max(ns), replications, seed, "blocking", split)
-    return {n: tuple(map(np.concatenate, zip(*(p[k] for p in parts)))) for k, n in enumerate(ns)}
 
 
 def _split_alpha(x: np.ndarray, y: np.ndarray) -> float:
@@ -252,7 +236,8 @@ def verify_blocking(
     if not usable:
         raise ValueError("every n in the grid is pre-asymptotic; enlarge the grid")
     n_max = max(usable)
-    blocks = _block_sums(spec, norming, plan, usable, replications, seed)
+    sums = processes.window_sums(spec, n_max, replications, seed, "blocking",
+                                 [w for n in usable for w in _windows(plan, n)])
     alpha_env = processes.analytic_alpha_profile(
         spec, sorted({int(qq) + 1 for qq in plan.q})
     )
@@ -260,10 +245,10 @@ def verify_blocking(
     se_alpha = 0.3536 / np.sqrt(replications)   # sd of the median-split statistic under independence
     freqs = selfdecomp.uniform_grid(selfdecomp.DEFAULT_EMPIRICAL_RADIUS, 21)
 
-    for n in usable:
+    for k, n in enumerate(usable):
         i = plan.index_of(n)
         m, q, d, ratio = int(plan.m[i]), int(plan.q[i]), float(plan.delta[i]), float(plan.ratio[i])
-        u, v, w, total = blocks[n]
+        u, v, w, total = _three_blocks(norming, m, n, *sums[4 * k : 4 * k + 4])
         relerr = _identity_relerr(u, v, w, total)
         base = dict(n=n, m_n=m, q_n=q, delta_n=d, ratio=ratio)
 

@@ -230,15 +230,14 @@ def corollary_sum_experiment(
             raise ValueError(f"block_length must be at least 1, got {block_length}")
         if len(lags) == 0 or min(lags) < 0:
             raise ValueError(f"lags must be a nonempty list of nonnegative integers, got {list(lags)}")
-        norming = processes.norming_for(spec_x)
         nb = block_length
+        a_nb, b_nb = processes.norming_for(spec_x).at(nb)
         horizon = 2 * nb + int(max(lags))
-        # the normalized sums of the first block and of the block after each lag
+        # the sums of the first block and of the block after each lag
         starts = [0] + [nb + int(lag) for lag in lags]
-        parts = processes._map_blocks(
-            spec_x, horizon, replications, seed, "corr-lag",
-            lambda r0, block: [norming.normalized_sum(block[:, s : s + nb]) for s in starts])
-        x, *zs = map(np.concatenate, zip(*parts))
+        sums = processes.window_sums(spec_x, horizon, replications, seed, "corr-lag",
+                                     [(s, s + nb) for s in starts])
+        x, *zs = [a_nb * s + b_nb for s in sums]
         shuffle = rngstreams.stream(seed, "corr-shuffle").permutation(replications)
         alpha_env = processes.analytic_alpha_profile(spec_x, sorted({int(L) + 1 for L in lags}))
         for lag, z in zip(lags, zs):

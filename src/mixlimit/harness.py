@@ -69,6 +69,7 @@ _JSON_TYPES = {
     "an integer": _is_int,
     "an integer or null": lambda v: v is None or _is_int(v),
     "a positive integer": lambda v: _is_int(v) and v >= 1,
+    "an integer from 0 to 2^64 - 1": lambda v: _is_int(v) and 0 <= v < 1 << 64,
     "a number": _is_number,
     "a string": lambda v: isinstance(v, str),
     "a string or null": lambda v: v is None or isinstance(v, str),
@@ -79,7 +80,7 @@ _JSON_TYPES = {
 }
 
 # the keys of every config whatever its kind: kind and seed are required
-_COMMON_REQUIRED = {"seed": "an integer", "kind": "a string"}
+_COMMON_REQUIRED = {"seed": "an integer from 0 to 2^64 - 1", "kind": "a string"}
 _COMMON_OPTIONAL = {"out_dir": "a string or null"}
 
 # each nested config object -> (required keys, optional keys), every key

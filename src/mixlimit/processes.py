@@ -189,11 +189,6 @@ class NormingSequences:
         ns = np.array([n])
         return float(self.a_values(ns)[0]), float(self.b_values(ns)[0])
 
-    def normalized_sum(self, block, axis: int = -1) -> np.ndarray:
-        """a(n) S + b(n), where S sums the n values of block along axis."""
-        a_n, b_n = self.at(np.shape(block)[axis])
-        return a_n * np.sum(block, axis=axis) + b_n
-
 
 def simulate_many(spec: ProcessSpec, n: int, reps: int, seed: int, label: str = "path") -> np.ndarray:
     """(reps, n) matrix of independent paths; deterministic in (spec, n, reps, seed).
@@ -204,7 +199,7 @@ def simulate_many(spec: ProcessSpec, n: int, reps: int, seed: int, label: str = 
     simulate_many(spec, n, 1, seed)[0] is row 0 of every larger draw.
     Each block is written into the matrix as it is drawn, so the matrix is
     the one array of its size a call holds; consumers that only need
-    per-row reductions pass them to _map_blocks instead.
+    sums of paths over windows of time take them from window_sums instead.
     """
     # checked before the allocation, which would raise its own message
     _check_sizes(n, reps)
@@ -476,12 +471,27 @@ def _loop_steps(cum: np.ndarray, rows: int):
     return fill
 
 
+def window_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str, windows) -> list:
+    """[X_s + ... + X_{e-1} for (s, e) in the list windows, 0 <= s <= e <=
+    n]: one array per window, whose entry r is bitwise that window's sum in
+    row r of simulate_many(spec, n, reps, seed, label).  Each block of
+    paths is reduced as it is drawn, so no (reps, n) matrix is held."""
+    _check_sizes(n, reps)
+    for s, e in windows:
+        if not 0 <= s <= e <= n:
+            raise ValueError(f"window ({s}, {e}) must satisfy 0 <= s <= e <= n = {n}")
+    parts = _map_blocks(spec, n, reps, seed, label,
+                        lambda r0, block: [block[:, s:e].sum(axis=1) for s, e in windows])
+    return [np.concatenate(sums) for sums in zip(*parts)]
+
+
 def normalized_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str) -> np.ndarray:
-    """a_n S_n + b_n of each of reps simulated paths of length n, reduced
-    one block at a time."""
+    """a_n S_n + b_n of each of reps simulated paths of length n."""
+    # a(n) divides by n, so it is evaluated once window_sums has checked n
     norming = norming_for(spec)
-    return np.concatenate(_map_blocks(spec, n, reps, seed, label,
-                                      lambda r0, block: norming.normalized_sum(block)))
+    (s_n,) = window_sums(spec, n, reps, seed, label, [(0, n)])
+    a_n, b_n = norming.at(n)
+    return a_n * s_n + b_n
 
 
 def _moments(spec: ProcessSpec) -> tuple:

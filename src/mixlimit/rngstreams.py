@@ -43,6 +43,8 @@ def stream_key(seed: int, *labels) -> tuple:
     word = 0
     for lab in labels:
         word = _splitmix64(word ^ _fold_label(lab))
+    # config seeds lie in [0, 2^64), so the mask wraps only the seed + 1 of
+    # corollary-sum's Z stream at seed 2^64 - 1, to a key no other seed reaches
     return int(seed) & _MASK64, word
 
 

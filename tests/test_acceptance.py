@@ -129,10 +129,11 @@ def test_criterion_4_blocking_identity():
         plan = blocking.make_plan(nm, tailf, 0.5, (64, 256))
         for r in range(per_spec):
             n = int(rng.choice([64, 256]))
-            path = processes.simulate_many(spec, 256, 1, seed=1000 * si + r)[0]
             assert not plan.is_pre_asymptotic(n)
             i = plan.index_of(n)
-            split = blocking._three_blocks(path, nm, int(plan.m[i]), int(plan.q[i]), n)
+            sums = processes.window_sums(spec, 256, 1, 1000 * si + r, "path",
+                                         blocking._windows(plan, n))
+            split = blocking._three_blocks(nm, int(plan.m[i]), n, *sums)
             worst = max(worst, blocking._identity_relerr(*split))
             paths_done += 1
     elapsed = time.perf_counter() - t0

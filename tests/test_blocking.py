@@ -9,9 +9,9 @@ import scipy.stats
 from mixlimit import processes
 from mixlimit.blocking import (
     BlockingPlan,
-    _block_sums,
     _identity_relerr,
     _three_blocks,
+    _windows,
     compute_deltas,
     compute_m,
     compute_m_profile,
@@ -30,6 +30,7 @@ from mixlimit.processes import (
     marginal_abs_tail,
     norming_for,
     simulate_many,
+    window_sums,
 )
 
 A_RECIP = lambda n: 1.0 / np.asarray(n, dtype=float)
@@ -217,11 +218,11 @@ def test_compute_q_examples():
 def hand_plan():
     return BlockingPlan(
         c=0.5,
-        n_values=np.array([6]),
-        m=np.array([3]),
-        q=np.array([2]),
-        delta=np.array([0.25]),
-        ratio=np.array([0.5]),
+        n_values=np.array([4, 6]),
+        m=np.array([2, 3]),
+        q=np.array([2, 2]),
+        delta=np.array([0.25, 0.25]),
+        ratio=np.array([0.5, 0.5]),
         threshold=6,
     )
 
@@ -234,19 +235,35 @@ def hand_norming():
     )
 
 
+def cycle(values):
+    """A markov_function whose every path runs through values from the
+    first one on, cyclically."""
+    k = len(values)
+    return ProcessSpec(family="markov_function", chain=MarkovChainSpec(
+        values, np.roll(np.eye(k), 1, axis=1), np.eye(k)[0]))
+
+
 def hand_split(values, n=6):
-    """(U, V, W, total) of values by the hand plan at n."""
-    i = hand_plan().index_of(n)
-    return _three_blocks(values, hand_norming(), int(hand_plan().m[i]),
-                         int(hand_plan().q[i]), n)
+    """(U, V, W, total) of three paths of cycle(values), split by the hand
+    plan at n."""
+    plan = hand_plan()
+    sums = window_sums(cycle(values), n, 3, 0, "hand", _windows(plan, n))
+    return _three_blocks(hand_norming(), int(plan.m[plan.index_of(n)]), n, *sums)
 
 
 def test_decompose_hand_example():
     u, v, w, total = hand_split(np.arange(1.0, 7.0))
-    assert u == pytest.approx(1.0)     # (a6/a3)(S3/3) = 0.5 * 2
-    assert v == pytest.approx(1.5)     # (S5 - S3)/6
-    assert w == pytest.approx(1.0)     # (S6 - S5)/6
-    assert total == pytest.approx(3.5)
+    assert u == pytest.approx([1.0] * 3)     # (a6/a3)(S3/3) = 0.5 * 2
+    assert v == pytest.approx([1.5] * 3)     # (S5 - S3)/6
+    assert w == pytest.approx([1.0] * 3)     # (S6 - S5)/6
+    assert total == pytest.approx([3.5] * 3)
+    assert _identity_relerr(u, v, w, total) < 1e-15
+    # with m + q = n the trailing window is empty: W = 0 and U + V is the sum
+    u, v, w, total = hand_split(np.arange(1.0, 7.0), n=4)
+    assert w.tolist() == [0.0] * 3
+    assert u == pytest.approx([0.75] * 3)    # (a4/a2)(S2/2) = 0.5 * 1.5
+    assert v == pytest.approx([1.75] * 3)    # (S4 - S2)/4
+    assert total == pytest.approx([2.5] * 3)
     assert _identity_relerr(u, v, w, total) < 1e-15
 
 
@@ -255,46 +272,46 @@ def test_decompose_identity_random_paths():
     nm = norming_for(ProcessSpec(family="iid"))
     tail = marginal_abs_tail(ProcessSpec(family="iid"))
     plan = make_plan(nm, tail, 0.5, (64, 128))
-    for _ in range(20):
-        vals = rng.standard_normal(128) * rng.uniform(0.5, 2)
+    for std in rng.uniform(0.5, 2, 4):
+        spec = ProcessSpec(family="iid", innovations=InnovationLaw(std=float(std)))
+        paths = simulate_many(spec, 128, 20, 1, "identity")
         for n in (64, 128):
             i = plan.index_of(n)
-            u, v, w, total = _three_blocks(vals, nm, int(plan.m[i]), int(plan.q[i]), n)
-            direct = nm.a_values(np.array([n]))[0] * vals[:n].sum()
+            sums = window_sums(spec, 128, 20, 1, "identity", _windows(plan, n))
+            u, v, w, total = _three_blocks(nm, int(plan.m[i]), n, *sums)
+            direct = nm.a_values(np.array([n]))[0] * paths[:, :n].sum(axis=1)
             assert u + v + w == pytest.approx(direct, rel=1e-12)
             assert _identity_relerr(u, v, w, total) < 1e-9
 
 
 def test_decompose_zero_middle_block_gives_zero_v():
     _, v, _, _ = hand_split(np.array([1.0, 2.0, 3.0, 0.0, 0.0, 4.0]))
-    assert v == 0.0
+    assert v.tolist() == [0.0] * 3
 
 
 def test_decompose_row_matches_verify_blocking_split():
     # the split of one row of a simulate_many matrix, alone, and the split
-    # that verify_blocking applies to the whole matrix agree bit for bit
+    # of the window sums that verify_blocking takes agree bit for bit; so
+    # does the split of a run of one replication, which is row 0 of any run
     spec = ProcessSpec(family="ar1", phi=0.5)
     nm = norming_for(spec)
     plan = make_plan(nm, marginal_abs_tail(spec), 0.5, (256, 512))
     paths = simulate_many(spec, 512, 8, 4, label="blocking")
     for n in (256, 512):
         i = plan.index_of(n)
-        m, q = int(plan.m[i]), int(plan.q[i])
-        whole = _three_blocks(paths, nm, m, q, n)
+        m, windows = int(plan.m[i]), _windows(plan, n)
+        whole = _three_blocks(nm, m, n, *window_sums(spec, 512, 8, 4, "blocking", windows))
         for r in (0, 5):
-            row = _three_blocks(paths[r], nm, m, q, n)
+            row = _three_blocks(nm, m, n, *(paths[r, s:e].sum() for s, e in windows))
             assert row == tuple(part[r] for part in whole)
+        first = _three_blocks(nm, m, n, *window_sums(spec, 512, 1, 4, "blocking", windows))
+        assert all(np.array_equal(a, b[:1]) for a, b in zip(first, whole))
 
 
 def test_decompose_rejects_pre_asymptotic():
     # at n=4: m+q = 4 is not < n, so the blocks do not separate yet; from
     # the threshold n=6 on they do
-    plan = BlockingPlan(
-        c=0.5, n_values=np.array([4, 6]), m=np.array([2, 3]), q=np.array([2, 2]),
-        delta=np.array([0.25, 0.25]), ratio=np.array([0.5, 0.5]), threshold=6,
-    )
-    assert plan.is_pre_asymptotic(4)
-    assert not plan.is_pre_asymptotic(6)
+    assert hand_plan().is_pre_asymptotic(4)
     assert not hand_plan().is_pre_asymptotic(6)
 
 
@@ -417,22 +434,26 @@ BLOCK_BOUNDARY_REPS = (1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CH
 @pytest.mark.parametrize("reps", BLOCK_BOUNDARY_REPS)
 @pytest.mark.parametrize("name", sorted(BLOCKING_SPECS))
 def test_chunked_block_sums_equal_the_whole_matrix_split(name, reps):
+    # the split's windows, an empty one at m + q and one from n to the
+    # horizon, which is empty at n = 128
     spec = BLOCKING_SPECS[name]
     nm = norming_for(spec)
     plan = make_plan(nm, marginal_abs_tail(spec), 0.5, (64, 128))
-    blocks = _block_sums(spec, nm, plan, [64, 128], reps, 8)
     paths = simulate_many(spec, 128, reps, 8, label="blocking")
     for n in (64, 128):
         i = plan.index_of(n)
-        whole = _three_blocks(paths, nm, int(plan.m[i]), int(plan.q[i]), n)
-        assert all(np.array_equal(a, b) for a, b in zip(blocks[n], whole))
+        m, q = int(plan.m[i]), int(plan.q[i])
+        windows = _windows(plan, n) + [(m + q, m + q), (n, 128)]
+        sums = window_sums(spec, 128, reps, 8, "blocking", windows)
+        whole = [paths[:, s:e].sum(axis=1) for s, e in windows]
+        assert all(np.array_equal(a, b) for a, b in zip(sums, whole, strict=True))
 
 
 @pytest.mark.parametrize("reps", BLOCK_BOUNDARY_REPS)
 @pytest.mark.parametrize("name", sorted(BLOCKING_SPECS))
 def test_verify_blocking_rows_equal_the_whole_matrix_rows(monkeypatch, name, reps):
     # the reference hands verify_blocking the whole simulate_many matrix as
-    # one block, so _three_blocks splits it at once
+    # one block, so its window sums are taken at once
     spec = BLOCKING_SPECS[name]
     rows = verify_blocking(spec, n_grid=(64, 128), replications=reps, seed=8)
     whole = simulate_many(spec, 128, reps, 8, label="blocking")

@@ -105,6 +105,24 @@ def test_missing_seed_rejected(tmp_path):
     assert harness.run(path, out_dir=str(tmp_path / "o")) == 1
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_64_bits_is_a_config_error(tmp_path, capsys, seed):
+    # stream keys hold the seed as one 64-bit word: -1 would run as 2^64 - 1
+    path = write_cfg(tmp_path, "seed.json", corollary_cfg("independent", seed=seed, n=16))
+    assert harness.run(path, out_dir=str(tmp_path / "o")) == 1
+    assert capsys.readouterr().out == (
+        f"config error: config.seed must be an integer from 0 to 2^64 - 1, got {seed}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_largest_seed_runs(tmp_path):
+    # corollary-sum's Z stream takes seed + 1, which wraps to 0 here
+    path = write_cfg(tmp_path, "seed.json", corollary_cfg("independent", seed=2 ** 64 - 1, n=16))
+    assert harness.run(path, out_dir=str(tmp_path / "o")) in (0, 2)
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["seed"] == 2 ** 64 - 1
+
+
 TWO_STATE_CHAIN = {"states": [0.0, 1.0], "transition": [[0.75, 0.25], [0.25, 0.75]],
                    "initial": [0.5, 0.5]}
 THREE_STATE_CHAIN = {"states": [0.0, 1.0, 2.0], "transition": [[1 / 3] * 3] * 3,
@@ -169,7 +187,7 @@ REMOVED_KEYS = [
     (dict(BLOCKING_CFG, replications=2.7), "config.replications must be an integer, got 2.7"),
     ({"kind": "coupling-suite", "seed": 1, "cases": {"pmf": [[1.0]]}},
      "config.cases must be an array, got {'pmf': [[1.0]]}"),
-    (dict(BLOCKING_CFG, seed=True), "config.seed must be an integer, got True"),
+    (dict(BLOCKING_CFG, seed=True), "config.seed must be an integer from 0 to 2^64 - 1, got True"),
     (dict(BLOCKING_CFG, n_grid=[256, "512"]), "config.n_grid must be an array of integers"),
     ({"kind": "alpha-profile", "seed": 1, "chain": TWO_STATE_CHAIN, "n_list": [1],
       "include_bound": "no"}, "config has unknown key 'include_bound'"),

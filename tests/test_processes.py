@@ -28,6 +28,7 @@ from mixlimit.processes import (
     normalized_sums,
     norming_for,
     simulate_many,
+    window_sums,
 )
 
 AR1 = ProcessSpec(family="ar1", phi=0.5)
@@ -377,10 +378,38 @@ def test_chunks_concatenate_to_the_one_shot_paths(name, reps):
 def test_normalized_sums_equal_the_whole_matrix_sums(name, reps):
     spec = CHUNKED_SPECS[name]
     sums = normalized_sums(spec, 260, reps, 6, "sums")
-    whole = norming_for(spec).normalized_sum(simulate_many(spec, 260, reps, 6, "sums"))
+    a_n, b_n = norming_for(spec).at(260)
+    whole = a_n * simulate_many(spec, 260, reps, 6, "sums").sum(axis=1) + b_n
     assert np.array_equal(sums, whole)
-    assert np.array_equal(sums, norming_for(spec).normalized_sum(
-        one_shot_paths(spec, 260, reps, 6, "sums")))
+    assert np.array_equal(sums, a_n * one_shot_paths(spec, 260, reps, 6, "sums").sum(axis=1) + b_n)
+
+
+# empty windows at both ends and inside, windows that end at n, and one
+# across the time-major block of 256 steps
+WINDOWS = [(0, 0), (0, 1), (3, 3), (3, 260), (0, 260), (259, 260), (260, 260), (100, 257)]
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+@pytest.mark.parametrize("name", sorted(CHUNKED_SPECS))
+def test_window_sums_equal_the_whole_matrix_sums(monkeypatch, name, workers):
+    monkeypatch.setattr(processes, "_WORKERS", workers)
+    spec = CHUNKED_SPECS[name]
+    sums = window_sums(spec, 260, 1031, 6, "sums", WINDOWS)
+    paths = one_shot_paths(spec, 260, 1031, 6, "sums")
+    assert len(sums) == len(WINDOWS)
+    for (s, e), got in zip(WINDOWS, sums):
+        assert np.array_equal(got, paths[:, s:e].sum(axis=1))
+    assert window_sums(spec, 260, 1031, 6, "sums", []) == []
+
+
+def test_windows_outside_the_path_are_rejected(monkeypatch):
+    def block(*args):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(processes, "_block", block)
+    for window in ((-1, 3), (4, 3), (0, 11)):
+        with pytest.raises(ValueError, match=r"must satisfy 0 <= s <= e <= n = 10"):
+            window_sums(MA11, 10, 5, 1, "x", [(0, 10), window])
 
 
 @pytest.mark.parametrize("name", sorted(CHUNKED_SPECS))
@@ -477,6 +506,8 @@ def test_path_arguments_are_checked_at_the_call():
         with pytest.raises(ValueError, match="n and reps must be positive"):
             normalized_sums(MA11, n, reps, 1, "x")
         with pytest.raises(ValueError, match="n and reps must be positive"):
+            window_sums(MA11, n, reps, 1, "x", [(0, 0)])
+        with pytest.raises(ValueError, match="n and reps must be positive"):
             _map_blocks(MA11, n, reps, 1, "x", reduce)
 
 
@@ -554,13 +585,27 @@ def test_norming_at_matches_vectorized_values_bitwise():
         assert [nm.at(int(n)) for n in ns] == list(zip(a, b))
 
 
+def ar1_sum_variance(n):
+    """Var(S_n)/n of the stationary AR(1) with phi = 1/2 and sigma = 1:
+    gamma(k) = (4/3) 2^-k, so n gamma(0) + 2 sum_{k<n} (n - k) gamma(k)
+    = 4n - 16 (1 - 2^-n) / 3."""
+    return 4.0 - 16.0 * (1.0 - 2.0 ** -n) / (3.0 * n)
+
+
 def test_norming_ar1_closed_form_and_oracle():
-    # v_inf = sigma^2/(1-phi)^2 = 4: a(n) = 1/(2 sqrt(n)); empirical oracle
-    # Var(S_n)/n at n = 2^14 over 1e4 replications within 3%
+    # v_inf = sigma^2/(1-phi)^2 = 4: a(n) = 1/(2 sqrt(n)).  S_n is exactly
+    # Gaussian, so Var(S_n)/n over 1e4 replications has a chi^2 law: a
+    # correct program leaves the band with probability 1e-6
     assert _moments(AR1)[1] == pytest.approx(4.0, abs=1e-12)
     assert norming_for(AR1).a_values(np.array([16]))[0] == pytest.approx(1 / 8)
-    v_emp = empirical_long_run_variance(AR1, 2 ** 14, 10_000, 5)
-    assert v_emp == pytest.approx(4.0, rel=0.03)
+    for n in (1, 2, 5, 16):
+        gamma = lambda k: 4.0 / 3.0 * 0.5 ** abs(k)
+        brute = sum(gamma(j - k) for j in range(n) for k in range(n)) / n
+        assert ar1_sum_variance(n) == pytest.approx(brute, rel=1e-14)
+    n, reps = 2 ** 14, 10_000
+    lo, hi = chi2_variance_band(ar1_sum_variance(n), reps, eta=1e-6)
+    v_emp = empirical_long_run_variance(AR1, n, reps, 5)
+    assert lo <= v_emp <= hi
 
 
 def chi2_variance_band(var, reps, eta):
@@ -607,10 +652,8 @@ def test_norming_rejects_degenerate():
 
 
 def test_normalized_sums_have_unit_variance():
-    nm = norming_for(AR1)
     n = 4096
-    paths = simulate_many(AR1, n, 2000, 10, label="unitvar")
-    t = nm.normalized_sum(paths)
+    t = normalized_sums(AR1, n, 2000, 10, "unitvar")
     assert t.var() == pytest.approx(1.0, rel=0.08)
 
 
