@@ -245,55 +245,43 @@ def verify_blocking(
     se_alpha = 0.3536 / np.sqrt(replications)   # sd of the median-split statistic under independence
     freqs = selfdecomp.uniform_grid(selfdecomp.DEFAULT_EMPIRICAL_RADIUS, 21)
 
+    def row(name, value, ceiling, ok=None):
+        """Add row name at the current n; it passes iff value <= ceiling, unless ok is given."""
+        rows.append({**base, "metric_name": name, "value": value, "analytic_ceiling": ceiling,
+                     "pass": value <= ceiling if ok is None else ok})
+
     for k, n in enumerate(usable):
         i = plan.index_of(n)
         m, q, d, ratio = int(plan.m[i]), int(plan.q[i]), float(plan.delta[i]), float(plan.ratio[i])
         u, v, w, total = _three_blocks(norming, m, n, *sums[4 * k : 4 * k + 4])
-        relerr = _identity_relerr(u, v, w, total)
         base = dict(n=n, m_n=m, q_n=q, delta_n=d, ratio=ratio)
 
-        rows.append({**base, "metric_name": "eq8_identity_max_relerr", "value": relerr,
-                     "analytic_ceiling": 1e-9, "pass": relerr <= 1e-9})
+        row("eq8_identity_max_relerr", _identity_relerr(u, v, w, total), 1e-9)
 
         p_hat = float(np.mean(np.abs(v) > DEFAULT_EPSILON))
         ceiling = min(1.0, q * d)
         se = float(np.sqrt(max(p_hat * (1 - p_hat), 0.0) / replications))
-        rows.append({**base, "metric_name": "step5_v_exceed_prob", "value": p_hat,
-                     "analytic_ceiling": ceiling, "pass": p_hat <= ceiling + 3 * se})
+        row("step5_v_exceed_prob", p_hat, ceiling, ok=p_hat <= ceiling + 3 * se)
 
         # the limit of a_n S_n + b_n under norming_for is N(0, 1)
-        scaled_limit = lambda x, r=ratio: normal_cdf(np.asarray(x) / r)
-        ks_u = ks_distance(u, scaled_limit)
-        rows.append({**base, "metric_name": "step6_u_ks_to_scaled_limit", "value": ks_u,
-                     "analytic_ceiling": DEFAULT_KS_TOL, "pass": ks_u <= DEFAULT_KS_TOL})
-
-        q99 = float(np.quantile(np.abs(w), 0.99))
-        rows.append({**base, "metric_name": "step7_w_abs_q99", "value": q99,
-                     "analytic_ceiling": DEFAULT_TIGHTNESS_BOUND,
-                     "pass": q99 <= DEFAULT_TIGHTNESS_BOUND})
+        row("step6_u_ks_to_scaled_limit",
+            ks_distance(u, lambda x: normal_cdf(np.asarray(x) / ratio)), DEFAULT_KS_TOL)
+        row("step7_w_abs_q99", float(np.quantile(np.abs(w), 0.99)), DEFAULT_TIGHTNESS_BOUND)
 
         alpha_bound = alpha_env.alpha_at(q + 1)
-        emp_alpha = _split_alpha(u, w)
-        rows.append({**base, "metric_name": "eq11_uw_alpha_split", "value": emp_alpha,
-                     "analytic_ceiling": alpha_bound + 3 * se_alpha,
-                     "pass": emp_alpha <= alpha_bound + 3 * se_alpha})
-
-        ks_uw = ks_distance(u + w, normal_cdf)
-        rows.append({**base, "metric_name": "eq10_uw_sum_ks_to_limit", "value": ks_uw,
-                     "analytic_ceiling": DEFAULT_KS_TOL, "pass": ks_uw <= DEFAULT_KS_TOL})
+        row("eq11_uw_alpha_split", _split_alpha(u, w), alpha_bound + 3 * se_alpha)
+        row("eq10_uw_sum_ks_to_limit", ks_distance(u + w, normal_cdf), DEFAULT_KS_TOL)
 
         cf_u, cf_w = _cf_values(freqs, u), _cf_values(freqs, w)
-        prod_err = float(np.max(np.abs(_cf_values(freqs, u + w) - cf_u * cf_w)))
-        prod_ceiling = 4.0 * alpha_bound + 6.0 / np.sqrt(replications)
-        rows.append({**base, "metric_name": "eq12_cf_factorization_err", "value": prod_err,
-                     "analytic_ceiling": prod_ceiling, "pass": prod_err <= prod_ceiling})
+        row("eq12_cf_factorization_err",
+            float(np.max(np.abs(_cf_values(freqs, u + w) - cf_u * cf_w))),
+            4.0 * alpha_bound + 6.0 / np.sqrt(replications))
 
         if n == n_max:
             rep = selfdecomp.selfdecomp_test_sample(total)
             # NaN when every c is inconclusive
             worst = min((r["worst_violation"] for r in rep["per_c"]
                          if r["worst_violation"] is not None), default=float("nan"))
-            rows.append({**base, "metric_name": "eq5_selfdecomp_min_eig", "value": worst,
-                         "analytic_ceiling": -rep["tol"], "pass": rep["verdict"] == "pass"})
+            row("eq5_selfdecomp_min_eig", worst, -rep["tol"], ok=rep["verdict"] == "pass")
 
     return tuple(rows)

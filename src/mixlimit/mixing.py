@@ -24,6 +24,7 @@ from .probcore import FiniteJointDistribution, alpha_exact
 STOCHASTIC_TOL = 1e-12
 DOEBLIN_MAX_POWER = 8
 J_SCAN = 11
+ENVELOPE_SLACK = 1e-12         # rounding room of alpha_report's window <= envelope rule
 
 
 @dataclass(frozen=True)
@@ -176,3 +177,16 @@ def alpha_bound_geometric(chain: MarkovChainSpec, n_list) -> AlphaProfile:
         vals.append((n, b))
     meta = f"Doeblin power r={r}, eps={eps:.6g}, rho={rho:.6g}, C=(1/4)/rho^r"
     return AlphaProfile(tuple(vals), kind="analytic-bound", meta=meta)
+
+
+def alpha_report(chain: MarkovChainSpec, n_list, j_scan: int = J_SCAN) -> tuple:
+    """(rows, ok): rows {n, alpha, kind, claim} of the window values (eq1), then
+    of the envelope (eq2); ok iff each window value is <= envelope + ENVELOPE_SLACK."""
+    profile = alpha_sequence(chain, n_list, j_scan)
+    bound = alpha_bound_geometric(chain, n_list)
+    rows = [
+        {"n": n, "alpha": a, "kind": p.kind, "claim": claim}
+        for p, claim in ((profile, "eq1_window_alpha"), (bound, "eq2_analytic_bound"))
+        for n, a in p.values
+    ]
+    return rows, all(a <= bound.alpha_at(n) + ENVELOPE_SLACK for n, a in profile.values)

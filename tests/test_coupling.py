@@ -359,6 +359,43 @@ def test_negative_control_misses_convolution():
     assert ks > 0.05
 
 
+@pytest.mark.parametrize("mode, scale, shift, ok, claim", [
+    ("independent", np.sqrt(0.5), 0.0, True, "cor1b_convolution_fit"),
+    ("independent", np.sqrt(0.5), 0.1, False, "cor1b_convolution_fit"),
+    ("duplicate", 1.0, 0.0, True, "cor1b_negative_control"),
+    ("duplicate", np.sqrt(0.5), 0.0, False, "cor1b_negative_control"),
+])
+def test_corollary_pass_rule_and_claim(monkeypatch, mode, scale, shift, ok, claim):
+    # every normalized sum is the 4000 N(0, scale^2) quantile points, shifted:
+    # X + Z is exactly N(0, 2) at scale sqrt(1/2) with no shift, so the fit
+    # passes and the control (which must miss N(0, 2)) fails; at scale 1 the
+    # control's 2X is N(0, 4), KS 0.083 > NEGATIVE_CONTROL_MIN_KS; a shift of
+    # 0.1 moves X + Z by 0.2, KS 0.056 > COROLLARY_KS_TOL
+    q = scipy.stats.norm.ppf((np.arange(4000) + 0.5) / 4000)
+    calls = []
+    monkeypatch.setattr(processes, "normalized_sums",
+                        lambda *args: calls.append(args[-1]) or scale * q + shift)
+    (row,) = corollary_sum_experiment(ProcessSpec(family="iid"), mode=mode, n=16, seed=1)
+    assert row["pass"] is ok and row["claim"] == claim
+    assert (row["ks"] <= coupling.COROLLARY_KS_TOL if mode == "independent"
+            else row["ks"] > coupling.NEGATIVE_CONTROL_MIN_KS) is ok
+    # the control's Z is X itself: one draw
+    assert calls == (["corr-x"] if mode == "duplicate" else ["corr-x", "corr-z"])
+
+
+def test_lagged_blocks_test_only_their_largest_lag():
+    # ROADMAP item 10, FOUND B: a smaller lag passes whatever its KS; at these
+    # small replications every row's KS is above COROLLARY_KS_TOL
+    rows = corollary_sum_experiment(
+        ProcessSpec(family="ar1", phi=0.5), mode="lagged_blocks",
+        lags=(0, 2, 4), replications=2000, seed=1, block_length=4,
+    )
+    assert [r["grid"] for r in rows] == [0, 2, 4]
+    assert all(r["ks"] > coupling.COROLLARY_KS_TOL for r in rows)
+    assert [r["pass"] for r in rows] == [True, True, False]
+    assert {r["claim"] for r in rows} == {"cor1b_lagged_convolution"}
+
+
 def test_lagged_blocks_decay_toward_independence():
     rows = corollary_sum_experiment(
         ProcessSpec(family="ar1", phi=0.5), mode="lagged_blocks",

@@ -274,6 +274,12 @@ REMOVED_KEYS = [
     # a degenerate sequence has no norming, so the family is gone
     (dict(BLOCKING_CFG, process={"family": "constant"}),
      "config.process: unknown process family 'constant'"),
+    # a repeated grid value would write its report rows twice
+    (dict(BLOCKING_CFG, n_grid=[256, 256, 512]), "config.n_grid repeats the value 256"),
+    (dict(ALPHA_CFG, n_list=[1, 2, 2]), "config.n_list repeats the value 2"),
+    (corollary_cfg("lagged_blocks", process_x={"family": "ar1", "phi": 0.5}, lags=[0, 4, 4]),
+     "config.lags repeats the value 4"),
+    (dict(CLOSED_FORM_CFG, c_values=[0.5, 0.5]), "config.c_values repeats the value 0.5"),
 ] + [(dict(base, **{key: value}), f"config has unknown key {key!r}")
      for base, key, value in REMOVED_KEYS],
     ids=["c-above-one", "c-not-a-number", "lag-zero", "window-too-large",
@@ -291,7 +297,7 @@ REMOVED_KEYS = [
          "initial-matrix", "alpha-states-matrix", "innovations-unknown-name",
          "innovations-std-negative",
          "jump-normal-std-negative", "bdlp-sigma-negative", "bdlp-rate-without-law",
-         "constant-family"]
+         "constant-family", "n-grid-repeat", "n-list-repeat", "lags-repeat", "c-values-repeat"]
     + [f"removed-{base['kind']}-{key}" for base, key, _ in REMOVED_KEYS])
 def test_runner_value_errors_are_config_errors(tmp_path, capsys, cfg, needle):
     path = write_cfg(tmp_path, "bad.json", cfg)

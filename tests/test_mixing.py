@@ -3,7 +3,10 @@ from itertools import product
 import numpy as np
 import pytest
 
+from mixlimit import mixing
 from mixlimit.mixing import (
+    ENVELOPE_SLACK,
+    AlphaProfile,
     MarkovChainSpec,
     alpha_bound_geometric,
     alpha_sequence,
@@ -200,3 +203,18 @@ def test_geometric_bound_dominates_exact_windows():
 def test_geometric_bound_iid_chain_vanishes():
     prof = alpha_bound_geometric(iid_chain(), [1, 2])
     assert all(a == 0.0 for _, a in prof.values)
+
+
+def test_alpha_report_rows_and_envelope_rule(monkeypatch):
+    chain = symmetric_chain()
+    rows, ok = mixing.alpha_report(chain, [1, 3], j_scan=2)
+    assert ok is True
+    assert [(r["n"], r["kind"], r["claim"]) for r in rows] == [
+        (1, "exact-window", "eq1_window_alpha"), (3, "exact-window", "eq1_window_alpha"),
+        (1, "analytic-bound", "eq2_analytic_bound"), (3, "analytic-bound", "eq2_analytic_bound")]
+    # a window value may exceed the envelope by ENVELOPE_SLACK and no more
+    bound = alpha_bound_geometric(chain, [3]).alpha_at(3)
+    for excess, want in ((0.0, True), (ENVELOPE_SLACK, True), (2 * ENVELOPE_SLACK, False)):
+        monkeypatch.setattr(mixing, "alpha_sequence", lambda chain, n_list, j_scan: AlphaProfile(
+            ((3, bound + excess),), kind="exact-window"))
+        assert mixing.alpha_report(chain, [3])[1] is want
