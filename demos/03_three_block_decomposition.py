@@ -15,13 +15,11 @@
 
 import numpy as np
 
-from mixlimit.blocking import compute_m, make_plan, verify_blocking
-from mixlimit.processes import (
-    ProcessSpec, marginal_abs_tail, norming_for, simulate_many,
-)
+from mixlimit.blocking import _three_blocks, _windows, compute_m_profile, make_plan, verify_blocking
+from mixlimit.processes import ProcessSpec, asymptotics, marginal_abs_tail, window_sums
 
 spec = ProcessSpec(family="ar1", phi=0.5)
-norming = norming_for(spec)
+norming, _ = asymptotics(spec)
 tail = marginal_abs_tail(spec)
 
 # --- the plan: m_n, delta_n, q_n per horizon --------------------------------
@@ -34,21 +32,18 @@ for i, n in enumerate(plan.n_values):
 print("the ratio hugs c from below; m_n and n - m_n both grow")
 
 # leading-block length is the maximizer of a simple scale condition
-print("\ncompute_m at n=4096:", compute_m(norming, 0.5, 4096),
+a_table, _ = norming.values(np.arange(1, 4097))
+print("\ncompute_m at n=4096:", compute_m_profile(a_table, 0.5, [4096])[0],
       "(sqrt scaling: k <= c^2 n = 1024)")
 
 # --- one path, decomposed ----------------------------------------------------
 n = 4096
-i = plan.index_of(n)
-m, q = int(plan.m[i]), int(plan.q[i])
-(a_n, b_n), (a_m, b_m) = norming.at(n), norming.at(m)
-path = simulate_many(spec, n, 1, seed=5)[0]
-u = a_n / a_m * (a_m * path[:m].sum() + b_m)
-v = a_n * path[m : m + q].sum()
-w = a_n * path[m + q : n].sum() + b_n - a_n / a_m * b_m
-# the right side sums the whole path directly, so the identity is checked
+m = int(plan.m[plan.index_of(n)])
+# the sums of the path over the leading, separating and trailing blocks and
+# over the whole path, which is summed directly, so the identity is checked
 # between two independently rounded sides
-total = a_n * path[:n].sum() + b_n
+sums = window_sums(spec, n, 1, 5, "path", _windows(plan, n))
+(u,), (v,), (w,), (total,) = _three_blocks(norming, m, n, *sums)
 print(f"\none path at n={n}: U={u:+.4f}  V={v:+.4f}  W={w:+.4f}")
 print(f"U + V + W = {u + v + w:+.4f}, "
       f"identity error {abs(u + v + w - total) / max(1.0, abs(total)):.1e}")

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import processes, selfdecomp
-from .probcore import _cf_values, ks_distance, normal_cdf
-from .processes import NormingSequences, ProcessSpec, _vectorized
+from .probcore import _cf_values, ks_distance
+from .processes import NormingSequences, ProcessSpec
 
 DEFAULT_DELTA_GRID_STEP = 0.05
 DEFAULT_EPSILON = 0.1
@@ -37,31 +37,18 @@ DEFAULT_N_GRID = (256, 512, 1024, 2048, 4096)
 _DELTA_CHUNK_POINTS = 1 << 16      # tail points per call of compute_deltas
 
 
-def compute_m(a, c: float, n: int) -> int:
-    """m_n = max{1 <= k <= n-1 : a(n)/a(k) <= c}, or 1 when no k qualifies."""
-    return int(compute_m_profile(a, c, [n])[0])
-
-
-def compute_m_profile(a, c: float, n_values) -> np.ndarray:
-    """compute_m for every n in n_values, over a shared table of a(1..max n)."""
+def compute_m_profile(table, c: float, n_values) -> np.ndarray:
+    """m_n = max{1 <= k < n : a(n)/a(k) <= c}, or 1 if none, per n in n_values; table[k-1] = a(k)."""
     n_values = np.asarray(n_values, dtype=int)
     if np.any(n_values < 2):
         raise ValueError("n must be at least 2")
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie strictly inside (0, 1)")
-    table = _a_values(a, int(n_values.max()))
     m = []
     for n in n_values:
         ok = np.nonzero(table[n - 1] <= c * table[: n - 1])[0]
         m.append(int(ok[-1] + 1) if len(ok) else 1)
     return np.array(m)
-
-
-def _a_values(a, n_max: int) -> np.ndarray:
-    vals = _vectorized(a.a if isinstance(a, NormingSequences) else a, np.arange(1, n_max + 1))
-    if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
-        raise ValueError("scaling sequence a must be positive and finite")
-    return vals
 
 
 def compute_deltas(tail, horizon: int, grid_step: float = DEFAULT_DELTA_GRID_STEP) -> np.ndarray:
@@ -157,13 +144,13 @@ def make_plan(
     if len(n_values) == 0 or n_values[0] < 2:
         raise ValueError("blocking needs a nonempty grid of n >= 2")
     horizon = int(n_values.max())
-    table = _a_values(norming, horizon)
+    table, _ = norming.values(np.arange(1, horizon + 1))
 
     def array_tail(n, deltas):
         return np.asarray(tail(np.asarray(deltas) / table[n - 1]), dtype=float)
 
     deltas_full = compute_deltas(array_tail, horizon)
-    m = compute_m_profile(norming, c, n_values)
+    m = compute_m_profile(table, c, n_values)
     delta = deltas_full[n_values - 1]
     q = np.array([compute_q(d, int(mm), int(n)) for d, mm, n in zip(delta, m, n_values)])
     ratio = table[n_values - 1] / table[m - 1]
@@ -187,7 +174,7 @@ def _three_blocks(norming: NormingSequences, m: int, n: int, s_lead, s_sep, s_tr
     total = a(n) S_n + b(n) is taken from S_n summed directly, so that
     _identity_relerr compares two independently rounded sides.
     """
-    (a_n, b_n), (a_m, b_m) = norming.at(n), norming.at(m)
+    (a_n, a_m), (b_n, b_m) = norming.values([n, m])
     ratio = a_n / a_m
     u = ratio * (a_m * s_lead + b_m)
     v = a_n * s_sep
@@ -229,7 +216,7 @@ def verify_blocking(
     The ceilings are fixed: DEFAULT_EPSILON, DEFAULT_KS_TOL and
     DEFAULT_TIGHTNESS_BOUND here, the CF radius and c-values in selfdecomp.
     """
-    norming = processes.norming_for(spec)
+    norming, limit = processes.asymptotics(spec)
     tail = processes.marginal_abs_tail(spec)
     plan = make_plan(norming, tail, c, n_grid)
     usable = [int(n) for n in plan.n_values if not plan.is_pre_asymptotic(int(n))]
@@ -263,14 +250,12 @@ def verify_blocking(
         se = float(np.sqrt(max(p_hat * (1 - p_hat), 0.0) / replications))
         row("step5_v_exceed_prob", p_hat, ceiling, ok=p_hat <= ceiling + 3 * se)
 
-        # the limit of a_n S_n + b_n under norming_for is N(0, 1)
-        row("step6_u_ks_to_scaled_limit",
-            ks_distance(u, lambda x: normal_cdf(np.asarray(x) / ratio)), DEFAULT_KS_TOL)
+        row("step6_u_ks_to_scaled_limit", ks_distance(u, limit.scaled(ratio).cdf), DEFAULT_KS_TOL)
         row("step7_w_abs_q99", float(np.quantile(np.abs(w), 0.99)), DEFAULT_TIGHTNESS_BOUND)
 
         alpha_bound = alpha_env.alpha_at(q + 1)
         row("eq11_uw_alpha_split", _split_alpha(u, w), alpha_bound + 3 * se_alpha)
-        row("eq10_uw_sum_ks_to_limit", ks_distance(u + w, normal_cdf), DEFAULT_KS_TOL)
+        row("eq10_uw_sum_ks_to_limit", ks_distance(u + w, limit.cdf), DEFAULT_KS_TOL)
 
         cf_u, cf_w = _cf_values(freqs, u), _cf_values(freqs, w)
         row("eq12_cf_factorization_err",

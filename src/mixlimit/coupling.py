@@ -21,9 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import processes, rngstreams
-from .probcore import (
-    FiniteJointDistribution, alpha_exact, empirical_cdf, ks_distance, normal_cdf,
-)
+from .probcore import FiniteJointDistribution, alpha_exact, empirical_cdf, ks_distance
 
 RESIDUAL_TOL = 1e-9
 VAR_LIMIT = 8000               # entries (nx * nz * nx) of the largest plan solve_coupling holds
@@ -223,9 +221,10 @@ def corollary_sum_experiment(
         # the control's X + X is 2.0 * X bit for bit
         z = x if control else processes.normalized_sums(
             spec_z if spec_z is not None else spec_x, n, replications, seed + 1, "corr-z")
-        n02_cdf = lambda v: normal_cdf(v / np.sqrt(2.0))    # the closed-form N(0, 2)
-        ks = ks_distance(x + z, n02_cdf)
-        return [{"grid": n, "ks": ks, "reference": "closed-form N(0,2)",
+        limit = processes.asymptotics(spec_x)[1]
+        reference = limit.scaled(2 ** (1 / limit.index))
+        ks = ks_distance(x + z, reference.cdf)
+        return [{"grid": n, "ks": ks, "reference": f"closed-form {reference.name}",
                  "alpha_bound": 0.25 if control else 0.0,
                  "pass": ks > NEGATIVE_CONTROL_MIN_KS if control else ks <= COROLLARY_KS_TOL,
                  "claim": "cor1b_negative_control" if control else "cor1b_convolution_fit"}]
@@ -237,7 +236,7 @@ def corollary_sum_experiment(
         raise ValueError(f"lags must be a nonempty list of nonnegative integers, got {list(lags)}")
     lags = [int(lag) for lag in lags]
     nb = block_length
-    a_nb, b_nb = processes.norming_for(spec_x).at(nb)
+    (a_nb,), (b_nb,) = processes.asymptotics(spec_x)[0].values([nb])
     # the sums of the first block and of the block after each lag
     starts = [0] + [nb + lag for lag in lags]
     sums = processes.window_sums(spec_x, 2 * nb + max(lags), replications, seed, "corr-lag",

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, blocking, coupling, mixing, processes, selfdecomp
-from .probcore import FiniteJointDistribution
+from .probcore import STANDARD_NORMAL, FiniteJointDistribution
 
 ENV_OUT_DIR = "MIXLIMIT_OUT"
 DEFAULT_OUT_DIR = "mixlimit-reports"
@@ -186,7 +186,7 @@ def _parse_jump_law(obj, where: str) -> selfdecomp.JumpLaw:
 
 
 _CLOSED_FORM_CFS = {
-    "gaussian": lambda t: np.exp(-np.asarray(t, dtype=float) ** 2 / 2.0),
+    "gaussian": STANDARD_NORMAL.cf,
     "exponential": lambda t: 1.0 / (1.0 - 1j * np.asarray(t, dtype=float)),
     "uniform": lambda t: np.sinc(np.asarray(t, dtype=float) / np.pi),
 }

@@ -175,6 +175,33 @@ def normal_cdf(x):
     return y if y.ndim else y[()]
 
 
+@dataclass(frozen=True)
+class Limit:
+    """The limit law of a_n S_n + b_n: N(0, scale^2), the law of scale Z for
+    Z standard normal, strictly stable of index 2, so that the sum of two
+    independent copies is the copy scaled by 2^(1/index)."""
+
+    scale: float = 1.0
+    index = 2.0
+
+    @property
+    def name(self) -> str:
+        return f"N(0,{self.scale ** 2:g})"
+
+    def cdf(self, x):
+        return normal_cdf(np.asarray(x) / self.scale)
+
+    def cf(self, t):
+        return np.exp(-(self.scale * np.asarray(t, dtype=float)) ** 2 / 2.0)
+
+    def scaled(self, s: float) -> "Limit":
+        """The law of s X for X of this law."""
+        return Limit(self.scale * s)
+
+
+STANDARD_NORMAL = Limit()
+
+
 def _polevl(x, coef):
     """coef[0] x^N + ... + coef[N], by Horner as Cephes polevl."""
     out = coef[0]

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import rngstreams
 from .mixing import AlphaProfile, MarkovChainSpec, alpha_bound_geometric
-from .probcore import normal_cdf
+from .probcore import STANDARD_NORMAL, normal_cdf
 
 # the ProcessSpec fields each family reads: describe() records them, and a
 # process config may set them and no others
@@ -152,24 +152,6 @@ class ProcessSpec:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _vectorized(fn, ns) -> np.ndarray:
-    """fn evaluated elementwise on the integer array ns, as floats.
-
-    fn must be vectorized: it maps an array to an array of the same shape.
-    """
-    ns = np.asarray(ns)
-    try:
-        out = np.asarray(fn(ns), dtype=float)
-    except TypeError as e:
-        raise ValueError(f"sequence {fn!r} must be vectorized over an array of n: {e}") from e
-    if out.shape != ns.shape:
-        raise ValueError(
-            f"sequence {fn!r} must be vectorized: it maps n of shape {ns.shape} "
-            f"to shape {out.shape}"
-        )
-    return out
-
-
 @dataclass(frozen=True)
 class NormingSequences:
     """Scaling a(n) > 0 and centering b(n) with a closed-form provenance."""
@@ -178,16 +160,22 @@ class NormingSequences:
     b: object                   # vectorized callable n -> float
     provenance: str
 
-    def a_values(self, ns) -> np.ndarray:
-        return _vectorized(self.a, ns)
-
-    def b_values(self, ns) -> np.ndarray:
-        return _vectorized(self.b, ns)
-
-    def at(self, n: int) -> tuple:
-        """(a(n), b(n)) as floats."""
-        ns = np.array([n])
-        return float(self.a_values(ns)[0]), float(self.b_values(ns)[0])
+    def values(self, ns) -> tuple:
+        """(a(ns), b(ns)), float arrays of the shape of the integer array ns."""
+        ns = np.asarray(ns)
+        out = []
+        for fn in (self.a, self.b):
+            try:
+                out.append(np.asarray(fn(ns), dtype=float))
+            except TypeError as e:
+                raise ValueError(f"sequence {fn!r} must be vectorized over arrays of n: {e}") from e
+            if out[-1].shape != ns.shape:
+                raise ValueError(f"sequence {fn!r} must be vectorized: it maps n of shape "
+                                 f"{ns.shape} to shape {out[-1].shape}")
+        a, b = out
+        if np.any(a <= 0) or not np.all(np.isfinite(a)):
+            raise ValueError("scaling sequence a must be positive and finite")
+        return a, b
 
 
 def simulate_many(spec: ProcessSpec, n: int, reps: int, seed: int, label: str = "path") -> np.ndarray:
@@ -488,9 +476,9 @@ def window_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str, win
 def normalized_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str) -> np.ndarray:
     """a_n S_n + b_n of each of reps simulated paths of length n."""
     # a(n) divides by n, so it is evaluated once window_sums has checked n
-    norming = norming_for(spec)
+    norming, _ = asymptotics(spec)
     (s_n,) = window_sums(spec, n, reps, seed, label, [(0, n)])
-    a_n, b_n = norming.at(n)
+    (a_n,), (b_n,) = norming.values([n])
     return a_n * s_n + b_n
 
 
@@ -517,8 +505,9 @@ def _moments(spec: ProcessSpec) -> tuple:
     return float(mean), float(pi @ (2.0 * fbar * h - fbar ** 2))
 
 
-def norming_for(spec: ProcessSpec) -> NormingSequences:
-    """a(n) = 1/sqrt(n v_inf), b(n) = -a(n) n mean.
+def asymptotics(spec: ProcessSpec) -> tuple:
+    """(norming, limit): a(n) = 1/sqrt(n v_inf), b(n) = -a(n) n mean, and the
+    limit law of a(n) S_n + b(n), the standard normal.
 
     Rejects specs whose long-run variance is not positive and finite: a
     vanishing one has a degenerate limit, and one that overflows to inf
@@ -537,7 +526,7 @@ def norming_for(spec: ProcessSpec) -> NormingSequences:
         f"a(n) = (n * v_inf)^(-1/2), b(n) = -a(n) n mean "
         f"with v_inf = {v!r}, mean = {mean!r} [{spec.family}]"
     )
-    return NormingSequences(a=a, b=b, provenance=prov)
+    return NormingSequences(a=a, b=b, provenance=prov), STANDARD_NORMAL
 
 
 def marginal_abs_tail(spec: ProcessSpec):

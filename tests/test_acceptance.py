@@ -70,10 +70,10 @@ def test_criterion_1_exact_alpha_oracle_equivalence():
 def test_criterion_2_leading_block_construction():
     t0 = time.perf_counter()
     c = 0.5
-    assert blocking.compute_m(A_SQRT, c, 100) == 25
+    assert blocking.compute_m_profile(A_SQRT(np.arange(1, 101)), c, [100])[0] == 25
     ns = np.arange(4, 10_001)
-    ms = blocking.compute_m_profile(A_SQRT, c, ns)
     a = A_SQRT(np.arange(1, 10_002, dtype=float))
+    ms = blocking.compute_m_profile(a, c, ns)
     an = a[ns - 1]
     am = a[ms - 1]
     nontrivial = ms > 1
@@ -124,7 +124,7 @@ def test_criterion_4_blocking_identity():
     paths_done = 0
     per_spec = 125
     for si, spec in enumerate(specs):
-        nm = processes.norming_for(spec)
+        nm, _ = processes.asymptotics(spec)
         tailf = processes.marginal_abs_tail(spec)
         plan = blocking.make_plan(nm, tailf, 0.5, (64, 256))
         for r in range(per_spec):
@@ -174,9 +174,9 @@ def test_criterion_5_separating_block_ceiling():
 def test_criterion_6_theorem_end_to_end():
     t0 = time.perf_counter()
     n, reps, c = 4096, 10_000, 0.5
-    nm = processes.norming_for(AR1)
+    nm, _ = processes.asymptotics(AR1)
     paths = processes.simulate_many(AR1, n, reps, seed=2028, label="acceptance6")
-    a_n = float(nm.a_values(np.array([n]))[0])
+    a_n = float(nm.values([n])[0][0])
     total = a_n * paths.sum(axis=1)
     ks_total = ks_distance(total, scipy.stats.norm.cdf)
 
@@ -184,7 +184,7 @@ def test_criterion_6_theorem_end_to_end():
     plan = blocking.make_plan(nm, tailf, c, (256, 512, 1024, 2048, 4096))
     i = plan.index_of(n)
     m = int(plan.m[i])
-    a_m = float(nm.a_values(np.array([m]))[0])
+    a_m = float(nm.values([m])[0][0])
     u = (a_n / a_m) * (a_m * paths[:, :m].sum(axis=1))
     ks_u = ks_distance(u, lambda x: scipy.stats.norm.cdf(np.asarray(x) / c))
 

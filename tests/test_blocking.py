@@ -13,7 +13,6 @@ from mixlimit.blocking import (
     _three_blocks,
     _windows,
     compute_deltas,
-    compute_m,
     compute_m_profile,
     compute_q,
     make_plan,
@@ -27,8 +26,8 @@ from mixlimit.processes import (
     InnovationLaw,
     NormingSequences,
     ProcessSpec,
+    asymptotics,
     marginal_abs_tail,
-    norming_for,
     simulate_many,
     window_sums,
 )
@@ -45,16 +44,21 @@ def scan_oracle(a, c, n):
     return best
 
 
-# ---------------------------------------------------------------- compute_m
+def m_at(a, c, n):
+    """m_n from the table of the vectorized sequence a over 1..n."""
+    return int(compute_m_profile(a(np.arange(1, n + 1)), c, [n])[0])
+
+
+# ---------------------------------------------------------------- compute_m_profile
 
 def test_compute_m_examples():
-    assert compute_m(A_RECIP, 0.5, 10) == 5 == scan_oracle(lambda n: 1 / n, 0.5, 10)
-    assert compute_m(A_SQRT, 0.5, 100) == 25 == scan_oracle(lambda n: n ** -0.5, 0.5, 100)
+    assert m_at(A_RECIP, 0.5, 10) == 5 == scan_oracle(lambda n: 1 / n, 0.5, 10)
+    assert m_at(A_SQRT, 0.5, 100) == 25 == scan_oracle(lambda n: n ** -0.5, 0.5, 100)
 
 
 def test_compute_m_empty_set_fallback():
     # a(2)/a(1) = 1/sqrt(2) > 0.5: the qualifying set is empty
-    assert compute_m(A_SQRT, 0.5, 2) == 1
+    assert m_at(A_SQRT, 0.5, 2) == 1
 
 
 def test_compute_m_matches_scan_on_irregular_sequence():
@@ -66,25 +70,20 @@ def test_compute_m_matches_scan_on_irregular_sequence():
         return vals[n - 1]
 
     for n in (5, 17, 42, 60):
-        assert compute_m(a, 0.4, n) == scan_oracle(lambda k: float(vals[k - 1]), 0.4, n)
+        assert m_at(a, 0.4, n) == scan_oracle(lambda k: float(vals[k - 1]), 0.4, n)
 
 
 def test_compute_m_rejects_bad_input():
     with pytest.raises(ValueError):
-        compute_m(A_SQRT, 0.5, 1)
+        m_at(A_SQRT, 0.5, 1)
     with pytest.raises(ValueError):
-        compute_m(A_SQRT, 1.5, 10)
-    # a scaling sequence is evaluated on whole arrays of n, never n by n
-    with pytest.raises(ValueError, match="vectorized"):
-        compute_m(lambda n: 1.0 / math.sqrt(n), 0.5, 10)
-    with pytest.raises(ValueError, match="vectorized"):
-        compute_m(lambda n: 0.5, 0.5, 10)
+        m_at(A_SQRT, 1.5, 10)
 
 
 def test_sandwich_inequality_sqrt_scaling():
     ns = np.arange(4, 2001)
-    ms = compute_m_profile(A_SQRT, 0.5, ns)
     a = A_SQRT(np.arange(1, 2002, dtype=float))
+    ms = compute_m_profile(a, 0.5, ns)
     for n, m in zip(ns, ms):
         if m > 1:
             assert a[n - 1] / a[m - 1] <= 0.5 + 1e-12
@@ -94,7 +93,7 @@ def test_sandwich_inequality_sqrt_scaling():
 
 def test_m_growth_along_grid():
     ns = np.array([64, 128, 256, 512, 1024])
-    ms = compute_m_profile(A_SQRT, 0.5, ns)
+    ms = compute_m_profile(A_SQRT(np.arange(1, 1025)), 0.5, ns)
     assert np.all(np.diff(ms) > 0)
     assert np.all(np.diff(ns - ms) > 0)
 
@@ -147,7 +146,7 @@ def loop_deltas(tail, horizon, grid_step):
 
 def plan_tail(spec, horizon):
     """The rescaled tail make_plan hands to compute_deltas."""
-    table = norming_for(spec).a_values(np.arange(1, horizon + 1))
+    table, _ = asymptotics(spec)[0].values(np.arange(1, horizon + 1))
     tail = marginal_abs_tail(spec)
     return lambda n, d: tail(np.asarray(d) / table[n - 1])
 
@@ -269,7 +268,7 @@ def test_decompose_hand_example():
 
 def test_decompose_identity_random_paths():
     rng = np.random.default_rng(1)
-    nm = norming_for(ProcessSpec(family="iid"))
+    nm, _ = asymptotics(ProcessSpec(family="iid"))
     tail = marginal_abs_tail(ProcessSpec(family="iid"))
     plan = make_plan(nm, tail, 0.5, (64, 128))
     for std in rng.uniform(0.5, 2, 4):
@@ -279,7 +278,7 @@ def test_decompose_identity_random_paths():
             i = plan.index_of(n)
             sums = window_sums(spec, 128, 20, 1, "identity", _windows(plan, n))
             u, v, w, total = _three_blocks(nm, int(plan.m[i]), n, *sums)
-            direct = nm.a_values(np.array([n]))[0] * paths[:, :n].sum(axis=1)
+            direct = nm.values([n])[0] * paths[:, :n].sum(axis=1)
             assert u + v + w == pytest.approx(direct, rel=1e-12)
             assert _identity_relerr(u, v, w, total) < 1e-9
 
@@ -294,7 +293,7 @@ def test_decompose_row_matches_verify_blocking_split():
     # of the window sums that verify_blocking takes agree bit for bit; so
     # does the split of a run of one replication, which is row 0 of any run
     spec = ProcessSpec(family="ar1", phi=0.5)
-    nm = norming_for(spec)
+    nm, _ = asymptotics(spec)
     plan = make_plan(nm, marginal_abs_tail(spec), 0.5, (256, 512))
     paths = simulate_many(spec, 512, 8, 4, label="blocking")
     for n in (256, 512):
@@ -318,7 +317,7 @@ def test_decompose_rejects_pre_asymptotic():
 # ---------------------------------------------------------------- plans
 
 def test_plan_invariants_sqrt_norming():
-    nm = norming_for(ProcessSpec(family="iid"))
+    nm, _ = asymptotics(ProcessSpec(family="iid"))
     tail = marginal_abs_tail(ProcessSpec(family="iid"))
     plan = make_plan(nm, tail, 0.5, (256, 512, 1024, 2048, 4096))
     assert np.all(plan.ratio <= 0.5 + 1e-12)
@@ -403,12 +402,12 @@ def test_iid_trailing_block_reaches_its_gaussian_limit():
     # for iid sequences the remainder block has an explicit limit
     # N(0, 1 - c^2): KS must come in under 0.05 at n = 4096
     spec = ProcessSpec(family="iid")
-    nm = norming_for(spec)
+    nm, _ = asymptotics(spec)
     plan = make_plan(nm, marginal_abs_tail(spec), 0.5, (256, 4096))
     i = plan.index_of(4096)
     m, q = int(plan.m[i]), int(plan.q[i])
     paths = simulate_many(spec, 4096, 2000, 17, label="wlimit")
-    a_n = nm.a_values(np.array([4096]))[0]
+    (a_n,), _ = nm.values([4096])
     w = a_n * paths[:, m + q:].sum(axis=1)
     sd = np.sqrt(1 - 0.5 ** 2)
     ks = ks_distance(w, lambda x: scipy.stats.norm.cdf(np.asarray(x) / sd))
@@ -437,7 +436,7 @@ def test_chunked_block_sums_equal_the_whole_matrix_split(name, reps):
     # the split's windows, an empty one at m + q and one from n to the
     # horizon, which is empty at n = 128
     spec = BLOCKING_SPECS[name]
-    nm = norming_for(spec)
+    nm, _ = asymptotics(spec)
     plan = make_plan(nm, marginal_abs_tail(spec), 0.5, (64, 128))
     paths = simulate_many(spec, 128, reps, 8, label="blocking")
     for n in (64, 128):

@@ -1,4 +1,5 @@
 import io
+import math
 import sys
 import threading
 import time
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 
 from mixlimit import processes, rngstreams
-from mixlimit.harness import write_path_csv
+from mixlimit.harness import _CLOSED_FORM_CFS, write_path_csv
 from mixlimit.mixing import MarkovChainSpec
-from mixlimit.probcore import normal_cdf
+from mixlimit.probcore import STANDARD_NORMAL, normal_cdf
 from mixlimit.processes import (
     _AR1_INIT_TOL,
     _CHUNK_ROWS,
@@ -22,11 +23,12 @@ from mixlimit.processes import (
     _markov_paths,
     _moments,
     InnovationLaw,
+    NormingSequences,
     ProcessSpec,
     analytic_alpha_profile,
+    asymptotics,
     marginal_abs_tail,
     normalized_sums,
-    norming_for,
     simulate_many,
     window_sums,
 )
@@ -196,7 +198,7 @@ def test_non_standard_law_is_mean_plus_std_times_the_standard_block(name):
 
 
 def test_process_spec_rejects_non_finite_weights_and_state_values():
-    # NaN weights or state values constructed, and norming_for then gave v_inf = nan
+    # NaN weights or state values constructed, and asymptotics then gave v_inf = nan
     with pytest.raises(ValueError, match="ma_q weights .* must be finite"):
         ProcessSpec(family="ma_q", weights=(np.nan, 1.0))
     with pytest.raises(ValueError, match="state_values .* must be finite"):
@@ -378,7 +380,7 @@ def test_chunks_concatenate_to_the_one_shot_paths(name, reps):
 def test_normalized_sums_equal_the_whole_matrix_sums(name, reps):
     spec = CHUNKED_SPECS[name]
     sums = normalized_sums(spec, 260, reps, 6, "sums")
-    a_n, b_n = norming_for(spec).at(260)
+    (a_n,), (b_n,) = asymptotics(spec)[0].values([260])
     whole = a_n * simulate_many(spec, 260, reps, 6, "sums").sum(axis=1) + b_n
     assert np.array_equal(sums, whole)
     assert np.array_equal(sums, a_n * one_shot_paths(spec, 260, reps, 6, "sums").sum(axis=1) + b_n)
@@ -568,21 +570,40 @@ def test_stationarity_split_halves():
 
 
 def test_norming_iid_standard_normal():
-    nm = norming_for(ProcessSpec(family="iid"))
+    nm, _ = asymptotics(ProcessSpec(family="iid"))
     ns = np.array([1, 4, 100])
-    assert np.allclose(nm.a_values(ns), ns ** -0.5)
-    assert np.allclose(nm.b_values(ns), 0.0)
+    a, b = nm.values(ns)
+    assert np.allclose(a, ns ** -0.5)
+    assert np.allclose(b, 0.0)
 
 
-def test_norming_at_matches_vectorized_values_bitwise():
-    chain = MarkovChainSpec([-1.0, 2.0], [[0.6, 0.4], [0.3, 0.7]], [0.5, 0.5])
-    specs = (ProcessSpec(family="iid", innovations=InnovationLaw(mean=1.0)), AR1, MA11,
-             ProcessSpec(family="markov_function", chain=chain))
-    ns = np.array([1, 7, 256, 4096])
-    for spec in specs:
-        nm = norming_for(spec)
-        a, b = nm.a_values(ns), nm.b_values(ns)
-        assert [nm.at(int(n)) for n in ns] == list(zip(a, b))
+def test_norming_values_rejects_unvectorized_and_nonpositive_sequences():
+    # a norming is evaluated on whole arrays of n, never n by n
+    ns = np.arange(1, 11)
+    zero = lambda n: np.zeros(np.shape(n))
+    for a in (lambda n: 1.0 / math.sqrt(n), lambda n: 0.5):
+        with pytest.raises(ValueError, match="vectorized"):
+            NormingSequences(a=a, b=zero, provenance="").values(ns)
+    with pytest.raises(ValueError, match="vectorized"):
+        NormingSequences(a=lambda n: n ** -0.5, b=lambda n: 0.0, provenance="").values(ns)
+    for a in (zero, lambda n: -(n ** -0.5), lambda n: np.where(n < 5, np.inf, 1.0)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            NormingSequences(a=a, b=zero, provenance="").values(ns)
+
+
+@pytest.mark.parametrize("spec", [ProcessSpec(family="iid"), AR1, MA11, TWO_STATE, FINDING1],
+                         ids=["iid", "ar1", "ma_q", "two-state", "finding1"])
+def test_asymptotics_limit_is_the_standard_normal_record(spec):
+    # the record is read by every KS reference and by the closed-form
+    # gaussian CF; the corollary's N(0, 2) is its sum of two copies
+    _, limit = asymptotics(spec)
+    assert limit == STANDARD_NORMAL and limit.name == "N(0,1)" and limit.index == 2.0
+    two = limit.scaled(2 ** (1 / limit.index))
+    x = np.concatenate([[0.0, -0.0, np.inf, -np.inf], np.linspace(-12.0, 12.0, 4801)])
+    assert np.array_equal(two.cdf(x), normal_cdf(x / np.sqrt(2.0)))
+    assert np.array_equal(limit.cdf(x), normal_cdf(x))
+    assert two.name == "N(0,2)"
+    assert _CLOSED_FORM_CFS["gaussian"] == limit.cf
 
 
 def ar1_sum_variance(n):
@@ -597,7 +618,7 @@ def test_norming_ar1_closed_form_and_oracle():
     # Gaussian, so Var(S_n)/n over 1e4 replications has a chi^2 law: a
     # correct program leaves the band with probability 1e-6
     assert _moments(AR1)[1] == pytest.approx(4.0, abs=1e-12)
-    assert norming_for(AR1).a_values(np.array([16]))[0] == pytest.approx(1 / 8)
+    assert asymptotics(AR1)[0].values([16])[0][0] == pytest.approx(1 / 8)
     for n in (1, 2, 5, 16):
         gamma = lambda k: 4.0 / 3.0 * 0.5 ** abs(k)
         brute = sum(gamma(j - k) for j in range(n) for k in range(n)) / n
@@ -640,21 +661,25 @@ def test_norming_markov_function():
 
 def test_norming_rejects_degenerate():
     with pytest.raises(ValueError, match="degenerate"):
-        norming_for(ProcessSpec(family="ma_q", weights=(1.0, -1.0)))
+        asymptotics(ProcessSpec(family="ma_q", weights=(1.0, -1.0)))
     with pytest.raises(ValueError, match="ergodic"):
         chain = MarkovChainSpec([0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
-        norming_for(ProcessSpec(family="markov_function", chain=chain))
+        asymptotics(ProcessSpec(family="markov_function", chain=chain))
     # finite weights whose sum overflows, times a zero variance: v_inf is NaN,
     # which the old v <= 0 guard let through
     zero = InnovationLaw("normal", 0.0, 0.0)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="long-run variance nan"):
-        norming_for(ProcessSpec(family="ma_q", weights=(1e308, 1e308), innovations=zero))
+        asymptotics(ProcessSpec(family="ma_q", weights=(1e308, 1e308), innovations=zero))
 
 
 def test_normalized_sums_have_unit_variance():
-    n = 4096
-    t = normalized_sums(AR1, n, 2000, 10, "unitvar")
-    assert t.var() == pytest.approx(1.0, rel=0.08)
+    # a_n S_n is exactly Gaussian with variance Var(S_n)/(4n) = 1 - 4 (1 -
+    # 2^-n)/(3n), 0.99967 at n = 4096, so over 2000 replications a correct
+    # program leaves the chi^2 band [0.8521, 1.1615] with probability 1e-6
+    n, reps = 4096, 2000
+    lo, hi = chi2_variance_band(ar1_sum_variance(n) / 4.0, reps, eta=1e-6)
+    t = normalized_sums(AR1, n, reps, 10, "unitvar")
+    assert lo <= t.var() <= hi
 
 
 def test_marginal_tail_gaussian_families():
@@ -713,11 +738,11 @@ def test_linear_tail_and_norming_are_the_closed_forms(spec):
     assert np.array_equal(marginal_abs_tail(spec)(t), want)
     if v == 0.0:
         with pytest.raises(ValueError, match="degenerate"):
-            norming_for(spec)
+            asymptotics(spec)
         return
     for n in (1, 7, 4096):
         want = (1.0 / np.sqrt(n * v), -float(n) * m / np.sqrt(n * v))
-        assert np.array_equal(norming_for(spec).at(n), want)
+        assert np.array_equal(np.concatenate(asymptotics(spec)[0].values([n])), want)
 
 
 @pytest.mark.parametrize("spec", [
