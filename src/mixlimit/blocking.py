@@ -213,6 +213,11 @@ def verify_blocking(
     lag q+1, the recombined sum against the limit (KS), the
     characteristic-function factorization error, and (at the largest n)
     the CF-ratio positive-definiteness verdict on the normalized sum.
+    The factorization error at t is |Cov(xi, eta)| for xi = e^{itU} and
+    eta = e^{itW}, complex and bounded by 1.  With xi' = e^{i theta} xi it
+    equals max_theta Re Cov(xi', eta) = Cov(Re xi', Re eta) - Cov(Im xi',
+    Im eta) <= 4 alpha + 4 alpha, each part real and bounded by 1; so its
+    ceiling is 8 alpha(q+1) plus the sampling slack 6/sqrt(replications).
     The ceilings are fixed: DEFAULT_EPSILON, DEFAULT_KS_TOL and
     DEFAULT_TIGHTNESS_BOUND here, the CF radius and c-values in selfdecomp.
     """
@@ -260,7 +265,7 @@ def verify_blocking(
         cf_u, cf_w = _cf_values(freqs, u), _cf_values(freqs, w)
         row("eq12_cf_factorization_err",
             float(np.max(np.abs(_cf_values(freqs, u + w) - cf_u * cf_w))),
-            4.0 * alpha_bound + 6.0 / np.sqrt(replications))
+            8.0 * alpha_bound + 6.0 / np.sqrt(replications))
 
         if n == n_max:
             rep = selfdecomp.selfdecomp_test_sample(total)

@@ -172,17 +172,24 @@ def _parse_process(obj, where: str) -> processes.ProcessSpec:
         return processes.ProcessSpec(**kwargs)
 
 
+# each jump law kind -> (its class, the jump_law keys it reads); a jump_law
+# config may set those keys and no others
+_JUMP_LAWS = {
+    "discrete": (selfdecomp.DiscreteJumps, ("values", "probs")),
+    "normal": (selfdecomp.NormalJumps, ("mean", "std")),
+    "dyadic_tower": (selfdecomp.DyadicTowerJumps, ()),
+}
+
+
 def _parse_jump_law(obj, where: str) -> selfdecomp.JumpLaw:
     _check(obj, *OBJECT_KEYS["jump_law"], where)
     kind = obj["kind"]
+    if kind not in _JUMP_LAWS:
+        raise ConfigError(f"{where}: unknown jump law kind {kind!r}")
+    law, keys = _JUMP_LAWS[kind]
+    _reject_keys(obj, [k for k in obj if k not in ("kind", *keys)], f"by kind {kind!r}", where)
     with _naming(where):
-        if kind == "discrete":
-            return selfdecomp.DiscreteJumps(obj.get("values", ()), obj.get("probs", ()))
-        if kind == "normal":
-            return selfdecomp.NormalJumps(obj.get("mean", 0.0), obj.get("std", 1.0))
-        if kind == "dyadic_tower":
-            return selfdecomp.DyadicTowerJumps()
-        raise ValueError(f"unknown jump law kind {kind!r}")
+        return law(**{k: obj[k] for k in keys if k in obj})
 
 
 _CLOSED_FORM_CFS = {
@@ -280,10 +287,6 @@ def _run_integral_sample(cfg: dict):
             jump_law=law)
     t_max = float(cfg["t_max"])
     n_samples = cfg["n_samples"]
-    # the probe runs first: it is the diagnosis when the sample overflows
-    # (the two draw from independent streams, so the order changes no value)
-    probe = {"n_samples": cfg["log_moment_samples"]} if "log_moment_samples" in cfg else {}
-    lm = selfdecomp.log_moment_check(bdlp, seed=cfg["seed"], **probe)
     sample = selfdecomp.sample_random_integral(bdlp, t_max, n_samples, seed=cfg["seed"])
     finite = bool(np.all(np.isfinite(sample)))
     samples_csv = io.StringIO()
@@ -293,16 +296,15 @@ def _run_integral_sample(cfg: dict):
         "variance": float(sample.var()) if finite else None,
         "n_samples": n_samples,
         "truncation_error_factor": float(np.exp(-t_max)),
-        "log_moment_estimate": lm["estimate"] if np.isfinite(lm["estimate"]) else None,
-        # a sample beyond float range is itself a sign of a divergent log-moment
-        "log_moment_diagnostic": lm["diagnostic"] if finite else "suspect-infinite",
+        # admissibility is a fact of the jump law, not an estimate (JumpLaw)
+        "log_moment_diagnostic": "finite" if bdlp.log_moment_finite else "infinite",
         "claim": "eq6_bdlp_integral",
     }
     files = {
         "integral_samples.csv": samples_csv.getvalue(),
         "integral_summary.json": _json_text(summary),
     }
-    return files, summary["log_moment_diagnostic"] == "finite"
+    return files, bdlp.log_moment_finite and finite
 
 
 def _run_coupling_suite(cfg: dict):
@@ -373,7 +375,7 @@ KINDS = {
         {"bdlp": "a JSON object", "t_max": "a number", "n_samples": "an integer"},
         # n_steps is checked but inert: each part of the integral is drawn
         # from its exact law, with no time grid (sample_random_integral)
-        {"n_steps": "a positive integer", "log_moment_samples": "an integer"}),
+        {"n_steps": "a positive integer"}),
     "coupling-suite": (
         "optimal-coupling miss probabilities against the existence bound", _run_coupling_suite,
         {"cases": "an array"}, {}),

@@ -29,7 +29,6 @@ EMPIRICAL_TOL = 1e-3
 CLOSED_FORM_FLOOR = 1e-100
 EMPIRICAL_FLOOR_BASE = 1e-6
 EMPIRICAL_FLOOR_SCALE = 8.0    # times 1/sqrt(sample_size)
-LOG_MOMENT_GROWTH = 1.5        # log_moment_check: full-sample / tenth-sample estimate ceiling
 
 
 # --------------------------------------------------------------------------
@@ -155,7 +154,17 @@ def selfdecomp_test_sample(
 # background-driving Levy process and the random e^{-t} integral
 
 class JumpLaw:
-    """Base for compound-Poisson jump size laws."""
+    """Base for compound-Poisson jump size laws.
+
+    log_moment_finite states whether E log(1 + |J|) < inf for a jump J.
+    A Levy process Y has E log(1 + |Y(1)|) < inf iff its Levy measure
+    has a finite log-moment off [-1, 1] (Sato 1999, Thm 25.3), which for
+    a compound-Poisson part is this fact of its jump law; and exactly
+    then does integral_0^inf e^{-t} dY(t) converge to a selfdecomposable
+    law (Thm 17.5).
+    """
+
+    log_moment_finite: bool
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
@@ -163,8 +172,9 @@ class JumpLaw:
 
 @dataclass(frozen=True)
 class DiscreteJumps(JumpLaw):
-    values: tuple
-    probs: tuple
+    values: tuple = ()
+    probs: tuple = ()
+    log_moment_finite = True       # finite support
 
     def __post_init__(self):
         v = tuple(float(x) for x in self.values)
@@ -188,6 +198,7 @@ class DiscreteJumps(JumpLaw):
 class NormalJumps(JumpLaw):
     mean: float = 0.0
     std: float = 1.0
+    log_moment_finite = True       # every moment is finite
 
     def __post_init__(self):
         if not (np.isfinite(self.mean) and np.isfinite(self.std)):
@@ -203,10 +214,11 @@ class NormalJumps(JumpLaw):
 class DyadicTowerJumps(JumpLaw):
     """Jumps J = 2^(2^K) with P(K = k) = 2^-k, k >= 1.
 
-    The series sum_k 2^-k log(1 + 2^(2^k)) diverges, so the log-moment
-    of any compound-Poisson process with these jumps is infinite; sizes
-    beyond float range overflow to inf, which downstream treats as a
-    divergence signal."""
+    The series sum_k 2^-k log(1 + 2^(2^k)) >= sum_k log 2 diverges, so
+    the log-moment of any compound-Poisson process with these jumps is
+    infinite.  Sizes beyond float range overflow to inf."""
+
+    log_moment_finite = False
 
     def sample(self, rng, size):
         k = rng.geometric(0.5, size=size).astype(float)
@@ -231,6 +243,12 @@ class BDLPSpec:
         if self.jump_rate > 0 and self.jump_law is None:
             raise ValueError("a positive jump_rate requires a jump_law")
 
+    @property
+    def log_moment_finite(self) -> bool:
+        """E log(1 + |Y(1)|) < inf: the drift and the Gaussian part have
+        every moment, so this is the jump law's fact (JumpLaw)."""
+        return self.jump_rate == 0 or self.jump_law.log_moment_finite
+
 
 def sample_random_integral(
     bdlp: BDLPSpec,
@@ -248,8 +266,9 @@ def sample_random_integral(
     equivalent to exponential inter-arrivals) and weights each jump by
     e^{-(arrival time)}.  Truncating the upper limit at t_max discards an
     exp(-t_max)-sized tail.  Samples whose jumps overflow (sizes beyond
-    float range) come back non-finite; callers decide what that means, as
-    integral-sample does with the log-moment probe.
+    float range) come back non-finite; callers decide what that means.
+    Whether the untruncated integral exists at all is the fact
+    bdlp.log_moment_finite, not a property of any sample.
 
     The samples are drawn in blocks of processes._CHUNK_ROWS on worker
     threads (processes._run_blocks).  Block b draws from the stream keyed
@@ -269,55 +288,13 @@ def sample_random_integral(
         if bdlp.gaussian_sigma > 0:
             out += gauss_sd * rng.standard_normal(rows)
         if bdlp.jump_rate > 0:
-            out = _add_jumps(out, bdlp, rng, t_max, discounted=True)
+            counts = rng.poisson(bdlp.jump_rate * t_max, size=rows)
+            times = rng.random(int(counts.sum())) * t_max
+            sizes = np.asarray(bdlp.jump_law.sample(rng, len(times)), dtype=float)
+            with np.errstate(invalid="ignore"):
+                out += np.bincount(np.repeat(np.arange(rows), counts),
+                                   weights=np.exp(-times) * sizes, minlength=rows)
         return out
 
     return np.concatenate(_run_blocks(block, n_samples))
 
-
-def _add_jumps(out: np.ndarray, bdlp: BDLPSpec, rng, horizon: float, discounted: bool) -> np.ndarray:
-    """out plus, per sample, the compound-Poisson jumps on [0, horizon],
-    each weighted by e^{-(arrival time)} when discounted.
-
-    Draws Poisson counts, then (discounted only) the conditionally
-    uniform arrival times, then the jump sizes.
-    """
-    counts = rng.poisson(bdlp.jump_rate * horizon, size=len(out))
-    total = int(counts.sum())
-    if total == 0:
-        return out
-    times = rng.random(total) * horizon if discounted else None
-    weights = np.asarray(bdlp.jump_law.sample(rng, total), dtype=float)
-    if discounted:
-        with np.errstate(invalid="ignore"):
-            weights = np.exp(-times) * weights
-    owner = np.repeat(np.arange(len(out)), counts)
-    return out + np.bincount(owner, weights=weights, minlength=len(out))
-
-
-def log_moment_check(bdlp: BDLPSpec, n_samples: int = 100_000, seed: int = 0) -> dict:
-    """Monte Carlo estimate of E[log(1 + |Y(1)|)] with a divergence probe.
-
-    The estimate is recomputed at n_samples/10 and n_samples; growth
-    beyond LOG_MOMENT_GROWTH (or a non-finite estimate) flags the
-    log-moment as suspect-infinite.  A finite log-moment is the
-    admissibility condition for the background process of the e^{-t}
-    integral.
-    """
-    if n_samples < 20:
-        raise ValueError("n_samples too small for the growth probe")
-    rng = rngstreams.stream(seed, "bdlp-logmoment")
-    # Y(1) = drift + sigma W(1) + the jumps on [0, 1]
-    y = np.full(n_samples, float(bdlp.drift))
-    if bdlp.gaussian_sigma > 0:
-        y += bdlp.gaussian_sigma * rng.standard_normal(n_samples)
-    if bdlp.jump_rate > 0:
-        y = _add_jumps(y, bdlp, rng, 1.0, discounted=False)
-    with np.errstate(invalid="ignore"):
-        logs = np.log1p(np.abs(y))
-    small = float(np.mean(logs[: n_samples // 10]))
-    full = float(np.mean(logs))
-    if not np.isfinite(full) or not np.isfinite(small):
-        return {"estimate": full, "diagnostic": "suspect-infinite"}
-    grew = small > 0 and full > LOG_MOMENT_GROWTH * small
-    return {"estimate": full, "diagnostic": "suspect-infinite" if grew else "finite"}

@@ -19,13 +19,14 @@ from mixlimit.blocking import (
     verify_blocking,
 )
 from mixlimit.harness import CSV_COLUMNS, csv_text
-from mixlimit.probcore import ks_distance
+from mixlimit.probcore import FiniteJointDistribution, alpha_exact, ks_distance
 from mixlimit.mixing import MarkovChainSpec
 from mixlimit.processes import (
     _CHUNK_ROWS,
     InnovationLaw,
     NormingSequences,
     ProcessSpec,
+    analytic_alpha_profile,
     asymptotics,
     marginal_abs_tail,
     simulate_many,
@@ -376,6 +377,32 @@ def test_verify_step5_respects_ceiling(small_iid_report):
         r = metric(small_iid_report, n, "step5_v_exceed_prob")
         se = np.sqrt(r["value"] * (1 - r["value"]) / 2000)
         assert r["value"] <= r["analytic_ceiling"] + 3 * se + 1e-12
+
+
+@pytest.mark.parametrize("t", [0.3, 0.1, 0.01])
+def test_complex_covariance_exceeds_the_real_bound(t):
+    # X, Z on {0, 1, 2} with p(x, z) = (1 + t cos(2 pi (x - z) / 3)) / 9 and
+    # w = e^(2 pi i / 3): |Cov(w^X, w^-Z)| = t/2 = 4.5 alpha, above the real
+    # bound 4 alpha that eq12 once used and within the complex bound 8 alpha
+    atoms = np.arange(3)
+    pmf = (1 + t * np.cos(2 * np.pi * (atoms[:, None] - atoms[None, :]) / 3)) / 9
+    alpha = alpha_exact(FiniteJointDistribution(atoms, atoms, pmf))
+    xi, eta = np.exp(2j * np.pi * atoms / 3), np.exp(-2j * np.pi * atoms / 3)
+    cov = xi @ pmf @ eta - (pmf.sum(axis=1) @ xi) * (pmf.sum(axis=0) @ eta)
+    assert alpha == pytest.approx(t / 9, rel=1e-9)
+    assert abs(cov) == pytest.approx(t / 2, rel=1e-9)
+    assert 4 * alpha < abs(cov) <= 8 * alpha
+
+
+def test_eq12_ceiling_is_the_complex_covariance_bound():
+    spec, reps = ProcessSpec(family="ar1", phi=0.5), 600
+    rows = [r for r in verify_blocking(spec, n_grid=(64, 128), replications=reps, seed=8)
+            if r["metric_name"] == "eq12_cf_factorization_err"]
+    assert len(rows) == 2
+    for r in rows:
+        alpha = analytic_alpha_profile(spec, [r["q_n"] + 1]).alpha_at(r["q_n"] + 1)
+        assert alpha > 0
+        assert r["analytic_ceiling"] == 8.0 * alpha + 6.0 / np.sqrt(reps)
 
 
 def test_eq5_row_when_every_c_is_inconclusive():

@@ -70,7 +70,6 @@ def test_run_blocking_verify_and_reproducibility(tmp_path):
 @pytest.mark.parametrize("cfg", [
     dict(BLOCKING_CFG, process={"family": "ar1", "phi": 0.5}, replications=1100),
     {"kind": "integral-sample", "seed": 5, "t_max": 20.0, "n_steps": 50, "n_samples": 1100,
-     "log_moment_samples": 2000,
      "bdlp": {"drift": 1.0, "gaussian_sigma": 1.0, "jump_rate": 2.0,
               "jump_law": {"kind": "normal", "mean": 0.5, "std": 1.0}}},
 ], ids=["blocking-ar1", "integral-sample"])
@@ -142,14 +141,15 @@ def corollary_cfg(mode, **keys):
             "process_x": {"family": "iid"}, **keys}
 
 
-# settable ceilings that became library constants: each is now an unknown key
-# (alpha-profile's include_bound is the flag-string case below)
+# settable ceilings that became library constants, and the sample count of the
+# Monte Carlo log-moment probe that the jump law's exact fact replaced: each is
+# now an unknown key (alpha-profile's include_bound is the flag-string case below)
 REMOVED_KEYS = [
     (BLOCKING_CFG, "epsilon", 0.1), (BLOCKING_CFG, "grid_step", 0.05),
     (BLOCKING_CFG, "ks_tol", 1), (BLOCKING_CFG, "tightness_bound", 10.0),
     (BLOCKING_CFG, "cf_radius", 0.5), (BLOCKING_CFG, "selfdecomp_c_values", [0.3, 0.5, 0.8]),
     (CLOSED_FORM_CFG, "grid_radius", 8.0), (CLOSED_FORM_CFG, "tol", None),
-    (INTEGRAL_CFG, "write_samples", True),
+    (INTEGRAL_CFG, "write_samples", True), (INTEGRAL_CFG, "log_moment_samples", 2000),
     (corollary_cfg("independent"), "ks_tol", 0.02),
     (corollary_cfg("duplicate"), "negative_control_min_ks", 0.05),
 ]
@@ -433,6 +433,49 @@ def test_process_keys_are_the_family_fields():
     assert set(optional) == {k for keys in processes.FAMILIES.values() for k in keys}
 
 
+def test_jump_law_keys_are_the_kind_fields():
+    _, optional = harness.OBJECT_KEYS["jump_law"]
+    assert set(optional) == {k for _, keys in harness._JUMP_LAWS.values() for k in keys}
+
+
+JUMP_LAWS = {
+    "discrete": {"kind": "discrete", "values": [-1.0, 1.0], "probs": [0.5, 0.5]},
+    "normal": {"kind": "normal", "mean": 0.5, "std": 1.0},
+    "dyadic_tower": {"kind": "dyadic_tower"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(harness._JUMP_LAWS))
+def test_every_jump_law_kind_runs_with_the_keys_it_reads(tmp_path, kind):
+    assert set(JUMP_LAWS) == set(harness._JUMP_LAWS)
+    cfg = dict(INTEGRAL_CFG, bdlp={"jump_rate": 1.0, "jump_law": JUMP_LAWS[kind]})
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    assert harness.run(path, out_dir=str(tmp_path / "o")) == (2 if kind == "dyadic_tower" else 0)
+
+
+@pytest.mark.parametrize("law, needle", [
+    ({"kind": "normal", "mean": 0.5, "values": [7.0], "probs": [1.0]},
+     "config.bdlp.jump_law.values is not used by kind 'normal'"),
+    ({"kind": "discrete", "values": [1.0], "probs": [1.0], "std": 2.0},
+     "config.bdlp.jump_law.std is not used by kind 'discrete'"),
+    ({"kind": "dyadic_tower", "mean": 0.0},
+     "config.bdlp.jump_law.mean is not used by kind 'dyadic_tower'"),
+    ({"kind": "discrete"},
+     "config.bdlp.jump_law: values and probs must be equal-length and nonempty"),
+    ({"kind": "discrete", "probs": [1.0]},
+     "config.bdlp.jump_law: values and probs must be equal-length and nonempty"),
+    ({"kind": "cauchy"}, "config.bdlp.jump_law: unknown jump law kind 'cauchy'"),
+], ids=["normal-values-probs", "discrete-std", "tower-mean", "discrete-bare",
+        "discrete-without-values", "unknown-kind"])
+def test_jump_law_takes_only_the_keys_its_kind_reads(tmp_path, capsys, law, needle):
+    # a normal law with values and probs ran and ignored both
+    cfg = dict(INTEGRAL_CFG, bdlp={"jump_rate": 1.0, "jump_law": law})
+    path = write_cfg(tmp_path, "law.json", cfg)
+    assert harness.run(path, out_dir=str(tmp_path / "o")) == 1
+    assert capsys.readouterr().out == f"config error: {needle}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def readme_key_tables():
     """{row name: (required, optional)} of the README's key tables, each a {key: JSON type}."""
     text = (Path(__file__).parent.parent / "README.md").read_text()
@@ -561,24 +604,39 @@ def test_failed_write_removes_its_temporaries(tmp_path, capsys, monkeypatch):
     assert listing(out) == before
 
 
-def test_divergent_jump_law_integral_reports_suspect_infinite(tmp_path, capsys):
-    # dyadic_tower jump sizes overflow to inf: the valid config is a failed
-    # scientific check (exit 2) with the log-moment flagged, and the summary
-    # holds null moments instead of an Infinity in the JSON
+def test_divergent_jump_law_integral_reports_infinite(tmp_path, capsys):
+    # dyadic_tower jumps have an infinite log-moment, so no integral exists:
+    # the valid config is a failed scientific check (exit 2), and the
+    # summary holds null moments for the overflowed sample, not an Infinity
     path = write_cfg(tmp_path, "tower.json", {
         "kind": "integral-sample", "seed": 3, "t_max": 20.0, "n_steps": 8,
-        "n_samples": 2000, "log_moment_samples": 2000,
-        "bdlp": {"jump_rate": 1.0, "jump_law": {"kind": "dyadic_tower"}},
+        "n_samples": 2000, "bdlp": {"jump_rate": 1.0, "jump_law": {"kind": "dyadic_tower"}},
     })
     assert harness.run(path, out_dir=str(tmp_path / "o")) == 2
     assert capsys.readouterr().out.strip().split("\n")[-1] == (
         "scientific assertion failed (see report pass flags)")
     summary = json.loads((tmp_path / "o" / "integral_summary.json").read_text())
-    assert summary["log_moment_diagnostic"] == "suspect-infinite"
+    assert summary["log_moment_diagnostic"] == "infinite"
     assert summary["mean"] is None and summary["variance"] is None
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["all_pass"] is False
     assert manifest["reports"] == ["integral_samples.csv", "integral_summary.json"]
+
+
+def test_overflowing_sample_of_an_admissible_law_fails(tmp_path):
+    # atoms near 1e308 have a finite log-moment, but two jumps of one sample
+    # overflow their sum to inf: the law is admissible and the run still fails
+    path = write_cfg(tmp_path, "big.json", {
+        "kind": "integral-sample", "seed": 3, "t_max": 20.0, "n_samples": 50,
+        "bdlp": {"jump_rate": 20.0,
+                 "jump_law": {"kind": "discrete", "values": [1.7e308], "probs": [1.0]}},
+    })
+    assert harness.run(path, out_dir=str(tmp_path / "o")) == 2
+    summary = json.loads((tmp_path / "o" / "integral_summary.json").read_text())
+    assert summary["log_moment_diagnostic"] == "finite"
+    assert summary["mean"] is None and summary["variance"] is None
+    samples = (tmp_path / "o" / "integral_samples.csv").read_text()
+    assert ",inf\n" in samples
 
 
 def test_unknown_kind_rejected(tmp_path):
@@ -663,7 +721,6 @@ def test_integral_sample_run(tmp_path):
     cfg = write_cfg(tmp_path, "i.json", {
         "kind": "integral-sample", "seed": 2,
         "bdlp": {"drift": 2.0}, "t_max": 20.0, "n_steps": 16, "n_samples": 8,
-        "log_moment_samples": 1000,
     })
     assert harness.run(cfg, out_dir=str(tmp_path / "o")) == 0
     summary = json.loads((tmp_path / "o" / "integral_summary.json").read_text())
@@ -679,8 +736,7 @@ def test_n_steps_is_inert(tmp_path, capsys):
     # a config error
     cfg = {"kind": "integral-sample", "seed": 3, "t_max": 12.0, "n_samples": 700,
            "bdlp": {"drift": 0.5, "gaussian_sigma": 1.5, "jump_rate": 2.0,
-                    "jump_law": {"kind": "normal", "mean": 0.5, "std": 1.0}},
-           "log_moment_samples": 200}
+                    "jump_law": {"kind": "normal", "mean": 0.5, "std": 1.0}}}
     trees = []
     for i, extra in enumerate(({"n_steps": 1}, {"n_steps": 400}, {})):
         path = write_cfg(tmp_path, f"i{i}.json", dict(cfg, **extra))

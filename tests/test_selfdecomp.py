@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,6 @@ from mixlimit.selfdecomp import (
     DiscreteJumps,
     DyadicTowerJumps,
     NormalJumps,
-    log_moment_check,
     sample_random_integral,
     selfdecomp_test,
     selfdecomp_test_sample,
@@ -320,25 +320,36 @@ def test_discrete_jumps_reject_non_finite_entries(values, probs, field):
 
 # ---------------------------------------------------------------- log moment
 
+def test_each_jump_law_states_its_log_moment_fact():
+    assert DiscreteJumps((-1.0, 1.0), (0.5, 0.5)).log_moment_finite is True
+    assert NormalJumps(0.5, 1.0).log_moment_finite is True
+    assert DyadicTowerJumps().log_moment_finite is False
+
+
 def test_log_moment_drift_only_exact():
-    res = log_moment_check(BDLPSpec(drift=1.0), 1000, seed=0)
-    assert res["estimate"] == pytest.approx(np.log(2.0), abs=1e-15)
-    assert res["diagnostic"] == "finite"
+    # Y(1) = 1, so E log(1 + |Y(1)|) = log 2 exactly; with no jumps the
+    # fact holds whatever jump law is named
+    assert BDLPSpec(drift=1.0).log_moment_finite
+    assert BDLPSpec(jump_rate=0.0, jump_law=DyadicTowerJumps()).log_moment_finite
 
 
 def test_log_moment_gaussian_matches_quadrature():
+    # the Gaussian part has a finite log-moment, here by quadrature
     oracle, err = scipy.integrate.quad(
         lambda z: np.log1p(abs(z)) * scipy.stats.norm.pdf(z), -np.inf, np.inf
     )
     assert err < 1e-6
     assert oracle == pytest.approx(0.5348, abs=5e-4)   # frozen before the build
-    res = log_moment_check(BDLPSpec(gaussian_sigma=1.0), 100_000, seed=1)
-    assert res["diagnostic"] == "finite"
-    assert res["estimate"] == pytest.approx(oracle, abs=0.02)
+    assert BDLPSpec(gaussian_sigma=1.0).log_moment_finite
+    assert BDLPSpec(drift=1.0, gaussian_sigma=1.0, jump_rate=2.0,
+                    jump_law=NormalJumps(0.5, 1.0)).log_moment_finite
 
 
 def test_log_moment_divergent_jump_law_fires():
-    # P(J = 2^(2^k)) = 2^-k: sum 2^-k log(1 + 2^(2^k)) ~ sum log 2 diverges
-    bdlp = BDLPSpec(jump_rate=1.0, jump_law=DyadicTowerJumps())
-    res = log_moment_check(bdlp, 100_000, seed=2)
-    assert res["diagnostic"] == "suspect-infinite"
+    # P(J = 2^(2^k)) = 2^-k: each term 2^-k log(1 + 2^(2^k)) of the series
+    # is at least log 2 (exact integers up to k = 12), so it diverges
+    terms = [math.log(1 + 2 ** 2 ** k) / 2 ** k for k in range(1, 13)]
+    assert all(t >= math.log(2.0) for t in terms)
+    assert not BDLPSpec(jump_rate=1.0, jump_law=DyadicTowerJumps()).log_moment_finite
+    assert not BDLPSpec(drift=1.0, gaussian_sigma=1.0, jump_rate=0.5,
+                        jump_law=DyadicTowerJumps()).log_moment_finite
