@@ -12,11 +12,10 @@
 
 import numpy as np
 
-from mixlimit.selfdecomp import selfdecomp_test, selfdecomp_test_sample
+from mixlimit.selfdecomp import CLOSED_FORM_CFS, selfdecomp_test, selfdecomp_test_sample
 
-gaussian = lambda t: np.exp(-np.asarray(t, dtype=float) ** 2 / 2.0)
-exponential = lambda t: 1.0 / (1.0 - 1j * np.asarray(t, dtype=float))
-uniform = lambda t: np.sinc(np.asarray(t, dtype=float) / np.pi)   # sin(t)/t
+gaussian, exponential, uniform = (CLOSED_FORM_CFS[k]
+                                  for k in ("gaussian", "exponential", "uniform"))
 
 for name, cf in (("gaussian", gaussian), ("exponential", exponential),
                  ("uniform(-1,1)", uniform)):

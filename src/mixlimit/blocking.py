@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import processes, selfdecomp
-from .probcore import _cf_values, ks_distance
+from .probcore import _cf_values, _freeze, ks_distance
 from .processes import NormingSequences, ProcessSpec
 
 DEFAULT_DELTA_GRID_STEP = 0.05
@@ -106,10 +106,7 @@ class BlockingPlan:
     threshold: int               # first n in n_values with m + q < n; earlier ns are pre-asymptotic
 
     def __post_init__(self):
-        for name in ("n_values", "m", "q", "delta", "ratio"):
-            arr = np.asarray(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _freeze(self, "n_values", "m", "q", "delta", "ratio", dtype=None)
         bad = (self.m > 1) & (self.ratio > self.c * (1 + 1e-12))
         if np.any(bad):
             raise ValueError("ratio a(n)/a(m) exceeds c at an n with m > 1")

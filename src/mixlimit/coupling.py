@@ -11,7 +11,7 @@ small.  The existence bound is
 and the artifact realizes the OPTIMAL such Y, by one exact greedy
 transport per Z atom (solve_coupling).  Any variable the existence
 argument produces is feasible for that problem, so the optimum inherits
-the bound; a violation is a correctness error, not a tolerance issue.
+the bound; a violation fails the case's pass flag in the suite report.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import processes, rngstreams
-from .probcore import FiniteJointDistribution, alpha_exact, empirical_cdf, ks_distance
+from .probcore import FiniteJointDistribution, _freeze, alpha_exact, empirical_cdf, ks_distance
 
 RESIDUAL_TOL = 1e-9
 VAR_LIMIT = 8000               # entries (nx * nz * nx) of the largest plan solve_coupling holds
@@ -32,10 +32,6 @@ COROLLARY_KS_TOL = 0.02
 NEGATIVE_CONTROL_MIN_KS = 0.05
 
 
-class CouplingBoundError(RuntimeError):
-    """The optimal miss probability exceeded the existence bound: a build-stopping bug."""
-
-
 @dataclass(frozen=True)
 class CouplingProblem:
     joint: FiniteJointDistribution
@@ -44,11 +40,9 @@ class CouplingProblem:
     delta: float
 
     def __post_init__(self):
-        net = np.asarray(self.net, dtype=float)
+        net, = _freeze(self, "net")
         if net.ndim != 1 or net.shape[0] == 0:
             raise ValueError(f"net must be a nonempty vector of points, got shape {net.shape}")
-        net.flags.writeable = False
-        object.__setattr__(self, "net", net)
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if not 0.0 <= self.delta < 1.0:
@@ -81,9 +75,7 @@ class CouplingSolution:
     residual_independence: float
 
     def __post_init__(self):
-        t = np.asarray(self.triple_pmf, dtype=float)
-        t.flags.writeable = False
-        object.__setattr__(self, "triple_pmf", t)
+        _freeze(self, "triple_pmf")
 
 
 def _fill(plan, supply, demand, lo, hi) -> None:
@@ -113,7 +105,8 @@ def solve_coupling(problem: CouplingProblem) -> CouplingSolution:
     interval whose ends never decrease, and on such a convex bipartite graph
     the left-to-right greedy of _fill is a maximum flow (Glover 1967, Naval
     Res. Logist. Q. 14).  Leftovers are paired in order at cost 1.  The plan
-    is re-certified (residuals below 1e-9) and checked against the bound.
+    is re-certified (residuals below RESIDUAL_TOL), and a failure, a solver
+    fault, raises; verify_prop1_suite judges the bound.
     """
     joint = problem.joint
     nx, nz = joint.pmf.shape
@@ -142,11 +135,6 @@ def solve_coupling(problem: CouplingProblem) -> CouplingSolution:
     objective = float(np.sum(t, where=miss[:, None, :]))
     alpha = alpha_exact(joint)
     bound = problem.delta + 4.0 * np.sqrt(problem.n_net) * alpha
-    if objective > bound + RESIDUAL_TOL:
-        raise CouplingBoundError(
-            f"optimal miss probability {objective!r} exceeds the existence bound "
-            f"{bound!r}; the coupling construction is broken"
-        )
     return CouplingSolution(
         triple_pmf=t,
         objective=objective,
@@ -164,15 +152,14 @@ def verify_prop1_suite(cases) -> dict:
 
     Returns {"cases": [...], "all_pass": bool}; per-case rows follow the
     JSON schema {case_id, objective, bound, alpha, N, delta,
-    residual_marginal, residual_independence, pass}.
+    residual_marginal, residual_independence, pass}; a case passes iff
+    objective <= bound + RESIDUAL_TOL (solve_coupling certified its residuals).
     """
     if len(cases) == 0:
         raise ValueError("a coupling suite needs at least one case")
     rows = []
     for case_id, problem in enumerate(cases):
         sol = solve_coupling(problem)
-        ok = sol.objective <= sol.bound + RESIDUAL_TOL and max(
-            sol.residual_marginal, sol.residual_independence) < RESIDUAL_TOL
         rows.append({
             "case_id": case_id,
             "objective": sol.objective,
@@ -182,7 +169,7 @@ def verify_prop1_suite(cases) -> dict:
             "delta": sol.delta,
             "residual_marginal": sol.residual_marginal,
             "residual_independence": sol.residual_independence,
-            "pass": ok,
+            "pass": sol.objective <= sol.bound + RESIDUAL_TOL,
         })
     return {"cases": rows, "all_pass": all(r["pass"] for r in rows)}
 

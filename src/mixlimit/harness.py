@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, blocking, coupling, mixing, processes, selfdecomp
-from .probcore import STANDARD_NORMAL, FiniteJointDistribution
+from .probcore import FiniteJointDistribution
 
 ENV_OUT_DIR = "MIXLIMIT_OUT"
 DEFAULT_OUT_DIR = "mixlimit-reports"
@@ -145,11 +145,7 @@ def _naming(where: str):
 def _parse_chain(obj, where: str) -> mixing.MarkovChainSpec:
     _check(obj, *OBJECT_KEYS["chain"], where)
     with _naming(where):
-        return mixing.MarkovChainSpec(
-            states=np.asarray(obj["states"], dtype=float),
-            transition=np.asarray(obj["transition"], dtype=float),
-            initial=np.asarray(obj["initial"], dtype=float),
-        )
+        return mixing.MarkovChainSpec(**obj)
 
 
 def _parse_process(obj, where: str) -> processes.ProcessSpec:
@@ -190,13 +186,6 @@ def _parse_jump_law(obj, where: str) -> selfdecomp.JumpLaw:
     _reject_keys(obj, [k for k in obj if k not in ("kind", *keys)], f"by kind {kind!r}", where)
     with _naming(where):
         return law(**{k: obj[k] for k in keys if k in obj})
-
-
-_CLOSED_FORM_CFS = {
-    "gaussian": STANDARD_NORMAL.cf,
-    "exponential": lambda t: 1.0 / (1.0 - 1j * np.asarray(t, dtype=float)),
-    "uniform": lambda t: np.sinc(np.asarray(t, dtype=float) / np.pi),
-}
 
 
 def _json_text(obj) -> str:
@@ -263,9 +252,10 @@ def _run_selfdecomp_test(cfg: dict):
             raise ConfigError("config: give either cf_form or process, not both")
         _reject_keys(cfg, ("n", "replications"), "with cf_form")
         form = cfg["cf_form"]
-        if form not in _CLOSED_FORM_CFS:
+        cf = selfdecomp.CLOSED_FORM_CFS.get(form)
+        if cf is None:
             raise ConfigError(f"config.cf_form: unknown form {form!r}")
-        report = selfdecomp.selfdecomp_test(_CLOSED_FORM_CFS[form], cs, grid_points=grid_points)
+        report = selfdecomp.selfdecomp_test(cf, cs, grid_points=grid_points)
     elif "process" in cfg:
         spec = _parse_process(cfg["process"], "config.process")
         n, reps = cfg.get("n", 4096), cfg.get("replications", 10_000)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probcore import FiniteJointDistribution, alpha_exact
+from .probcore import FiniteJointDistribution, _freeze, alpha_exact
 
 STOCHASTIC_TOL = 1e-12
 DOEBLIN_MAX_POWER = 8
@@ -36,20 +36,10 @@ class MarkovChainSpec:
     initial: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.states, dtype=float)
-        p = np.asarray(self.transition, dtype=float)
-        pi0 = np.asarray(self.initial, dtype=float)
-        for a in (s, p, pi0):
-            a.flags.writeable = False
-        object.__setattr__(self, "states", s)
-        object.__setattr__(self, "transition", p)
-        object.__setattr__(self, "initial", pi0)
+        s, p, pi0 = _freeze(self, "states", "transition", "initial")
         for name, a in (("states", s), ("initial", pi0)):
             if a.ndim != 1:
                 raise ValueError(f"{name} must be a vector, got shape {a.shape}")
-        for name, a in (("states", s), ("transition", p), ("initial", pi0)):
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"{name} has a non-finite entry")
         k = len(s)
         if p.shape != (k, k):
             raise ValueError(f"transition must be {k}x{k}, got {p.shape}")

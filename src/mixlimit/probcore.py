@@ -45,10 +45,18 @@ _ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.204895398080966
            1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    a.flags.writeable = False
-    return a
+def _freeze(record, *names, dtype=float) -> list:
+    """Set each named field of the frozen dataclass record to a read-only copy
+    np.array(value, dtype=dtype), finite in every entry; return the copies."""
+    copies = []
+    for name in names:
+        a = np.array(getattr(record, name), dtype=dtype)
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} has a non-finite entry")
+        a.flags.writeable = False
+        object.__setattr__(record, name, a)
+        copies.append(a)
+    return copies
 
 
 def as_sample(x) -> np.ndarray:
@@ -74,23 +82,15 @@ class FiniteJointDistribution:
     pmf: np.ndarray
 
     def __post_init__(self):
-        ax = np.asarray(self.atoms_x, dtype=float)
-        az = np.asarray(self.atoms_z, dtype=float)
+        ax, az, pmf = _freeze(self, "atoms_x", "atoms_z", "pmf")
         if ax.ndim != 1 or az.ndim != 1:
             raise ValueError(
                 f"atoms must be vectors of scalars, got shapes {ax.shape} and {az.shape}")
-        pmf = np.asarray(self.pmf, dtype=float)
-        object.__setattr__(self, "atoms_x", _frozen(ax))
-        object.__setattr__(self, "atoms_z", _frozen(az))
-        object.__setattr__(self, "pmf", _frozen(pmf))
         if pmf.shape != (ax.shape[0], az.shape[0]):
             raise ValueError(
                 f"pmf shape {pmf.shape} does not match atom counts "
                 f"({ax.shape[0]}, {az.shape[0]})"
             )
-        for name, a in (("atoms_x", ax), ("atoms_z", az), ("pmf", pmf)):
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"{name} has a non-finite entry")
         if np.any(pmf < 0):
             raise ValueError("pmf entries must be nonnegative")
         if abs(pmf.sum() - 1.0) > PMF_TOL:

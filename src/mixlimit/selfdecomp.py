@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rngstreams
-from .probcore import _cf_values, as_sample, psd_check
+from .probcore import STANDARD_NORMAL, _cf_values, as_sample, psd_check
 from .processes import _run_blocks
 
 DEFAULT_C_VALUES = (0.3, 0.5, 0.8)
@@ -95,6 +95,14 @@ def _ratio_test(evaluate, c_values, grid_radius, grid_points, floor, tol, source
             failed = True
     verdict = "fail" if failed else ("inconclusive" if inconclusive else "pass")
     return {"verdict": verdict, "tol": float(tol), "source": source, "per_c": per_c}
+
+
+# the named closed-form CFs that selfdecomp-test's cf_form chooses from
+CLOSED_FORM_CFS = {
+    "gaussian": STANDARD_NORMAL.cf,
+    "exponential": lambda t: 1.0 / (1.0 - 1j * np.asarray(t, dtype=float)),
+    "uniform": lambda t: np.sinc(np.asarray(t, dtype=float) / np.pi),     # sin(t)/t
+}
 
 
 def selfdecomp_test(

@@ -304,6 +304,13 @@ def test_problem_validation():
         CouplingProblem(joint=j, epsilon=0.0, net=[0.0, 1.0], delta=0.0)
 
 
+def test_net_rejects_non_finite_points():
+    # an infinite net point covers no atom, but would count in N and loosen the bound
+    j = joint_2x2([[0.5, 0.0], [0.0, 0.5]])
+    with pytest.raises(ValueError, match="^net has a non-finite entry$"):
+        CouplingProblem(joint=j, epsilon=0.4, net=[0.0, 1.0, np.inf], delta=0.0)
+
+
 def test_size_limit():
     n = 21
     pmf = np.eye(n) / n

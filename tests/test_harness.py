@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mixlimit import cli, harness, processes
+from mixlimit import cli, coupling, harness, processes
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -768,6 +768,21 @@ def test_coupling_suite_run(tmp_path):
     assert doc["all_pass"]
     assert doc["cases"][0]["objective"] == pytest.approx(0.5, abs=1e-9)
     assert doc["cases"][1]["objective"] == pytest.approx(0.1, abs=1e-9)
+
+
+def test_coupling_bound_violation_is_a_failed_report(tmp_path, capsys, monkeypatch):
+    # with alpha forced to 0 the bound is delta = 0, which the fully dependent
+    # fair bit misses by 1/2: the report says so, and the run exits 2
+    monkeypatch.setattr(coupling, "alpha_exact", lambda joint: 0.0)
+    cfg = write_cfg(tmp_path, "c.json", {"kind": "coupling-suite", "seed": 4,
+                                         "cases": [COUPLING_CASE]})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().out.strip().split("\n")[-1] == (
+        "scientific assertion failed (see report pass flags)")
+    doc = json.loads((tmp_path / "o" / "coupling_report.json").read_text())
+    (row,) = doc["cases"]
+    assert row["objective"] == pytest.approx(0.5, abs=1e-9)
+    assert row["bound"] == 0.0 and row["pass"] is False and doc["all_pass"] is False
 
 
 @pytest.mark.parametrize("change, needle", [

@@ -5,6 +5,8 @@ import pytest
 import scipy.stats
 
 from mixlimit import selfdecomp
+from mixlimit.coupling import CouplingProblem
+from mixlimit.mixing import MarkovChainSpec
 from mixlimit.probcore import (
     FiniteJointDistribution,
     _cf_values,
@@ -353,6 +355,26 @@ def test_joint_distribution_validation():
 def test_joint_distribution_rejects_non_finite_entries(atoms_x, atoms_z, pmf, field):
     with pytest.raises(ValueError, match=f"^{field} has a non-finite entry$"):
         FiniteJointDistribution(atoms_x, atoms_z, pmf)
+
+
+@pytest.mark.parametrize("build, fields", [
+    (MarkovChainSpec, {"states": [0.0, 1.0], "transition": [[0.75, 0.25], [0.25, 0.75]],
+                       "initial": [0.5, 0.5]}),
+    (FiniteJointDistribution, {"atoms_x": [0.0, 1.0], "atoms_z": [0.0, 1.0],
+                               "pmf": [[0.5, 0.0], [0.0, 0.5]]}),
+    (lambda net: CouplingProblem(FiniteJointDistribution([0.0, 1.0], [0.0, 1.0], np.eye(2) / 2),
+                                 epsilon=0.4, net=net, delta=0.0), {"net": [0.0, 1.0]}),
+], ids=["chain", "joint", "coupling-net"])
+def test_records_hold_read_only_copies_of_caller_arrays(build, fields):
+    arrays = {name: np.array(v, dtype=float) for name, v in fields.items()}
+    record = build(**arrays)
+    for name, a in arrays.items():
+        held = getattr(record, name)
+        assert a.flags.writeable and not held.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            held[...] = 0.0
+        a[...] = 7.0            # the caller's array is its own: the record does not move
+        assert np.array_equal(held, fields[name])
 
 
 def test_normal_cdf_is_bitwise_scipy_norm():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mixlimit import processes, rngstreams
-from mixlimit.harness import _CLOSED_FORM_CFS, write_path_csv
+from mixlimit.harness import write_path_csv
 from mixlimit.mixing import MarkovChainSpec
 from mixlimit.probcore import STANDARD_NORMAL, normal_cdf
 from mixlimit.processes import (
@@ -32,6 +32,7 @@ from mixlimit.processes import (
     simulate_many,
     window_sums,
 )
+from mixlimit.selfdecomp import CLOSED_FORM_CFS
 
 AR1 = ProcessSpec(family="ar1", phi=0.5)
 MA11 = ProcessSpec(family="ma_q", weights=(1.0, 1.0))
@@ -603,7 +604,7 @@ def test_asymptotics_limit_is_the_standard_normal_record(spec):
     assert np.array_equal(two.cdf(x), normal_cdf(x / np.sqrt(2.0)))
     assert np.array_equal(limit.cdf(x), normal_cdf(x))
     assert two.name == "N(0,2)"
-    assert _CLOSED_FORM_CFS["gaussian"] == limit.cf
+    assert CLOSED_FORM_CFS["gaussian"] == limit.cf
 
 
 def ar1_sum_variance(n):
