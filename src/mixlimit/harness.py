@@ -38,8 +38,8 @@ DEFAULT_OUT_DIR = "mixlimit-reports"
 
 RNG_NOTE = (
     "SFC64 RNG seeded by SeedSequence; streams keyed by (master seed, experiment label, "
-    f"spec hash, block index), replication r is row r mod {processes._CHUNK_ROWS} "
-    f"of block r // {processes._CHUNK_ROWS}"
+    f"spec hash, block index), replication r is column r mod {processes._CHUNK_ROWS} "
+    f"of block r // {processes._CHUNK_ROWS}, drawn time-major"
 )
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,23 +33,19 @@ FAMILIES = {
     "markov_function": ("chain", "state_values"),
 }
 _AR1_INIT_TOL = 1e-16
-# replications (and the samples of sample_random_integral) are drawn and
-# reduced in blocks of _CHUNK_ROWS, one keyed stream per block, on _WORKERS
-# threads that each hold one block: the paths in flight take the memory of
-# _IN_FLIGHT_ROWS rows, the one chunk of the sequential draw, on any host;
-# ar1 and markov_function blocks are stepped in time-major chunks of
-# _CHUNK_STEPS steps, copied in _COPY_ROWS rows at a time (see _time_major),
-# in a (_CHUNK_STEPS, _CHUNK_ROWS) array that each worker reuses from block
-# to block; a markov_function worker also keeps a chunk's state codes and
-# bucket counts in such arrays, whatever the number of states
+# replications are drawn in blocks of _CHUNK_ROWS, one keyed stream per
+# block, drawn time-major in chunks of _CHUNK_STEPS steps by _CHUNK_ROWS
+# replications; a worker task takes a group of up to _GROUP_BLOCKS
+# consecutive blocks, fewer when that leaves a _WORKERS thread idle, and
+# holds a few (_CHUNK_STEPS, group width) arrays whatever n, the burn-in or
+# reps (the samples of sample_random_integral are drawn one block a task)
 _CHUNK_ROWS = 512
-_IN_FLIGHT_ROWS = 1024
-_WORKERS = _IN_FLIGHT_ROWS // _CHUNK_ROWS
-_CHUNK_STEPS = 256
-_COPY_ROWS = 64
+_CHUNK_STEPS = 64
+_GROUP_BLOCKS = 16
+_WORKERS = 2
 # a markov_function chain with at most this many distinct step thresholds
 # steps through a table of K (_MAX_STEP_EDGES + 1) or fewer entries, and its
-# buckets fit in int8 (see _markov_paths)
+# buckets fit in int8 (see _markov_steps)
 _MAX_STEP_EDGES = 16
 
 
@@ -181,20 +176,26 @@ class NormingSequences:
 def simulate_many(spec: ProcessSpec, n: int, reps: int, seed: int, label: str = "path") -> np.ndarray:
     """(reps, n) matrix of independent paths; deterministic in (spec, n, reps, seed).
 
-    Replication r is row r mod _CHUNK_ROWS of block r // _CHUNK_ROWS,
-    whose stream is keyed by (seed, label, spec hash, block index); column
-    k within a row is time index k.  So a row does not depend on reps:
-    simulate_many(spec, n, 1, seed)[0] is row 0 of every larger draw.
-    Each block is written into the matrix as it is drawn, so the matrix is
-    the one array of its size a call holds; consumers that only need
-    sums of paths over windows of time take them from window_sums instead.
+    Replication r is column r mod _CHUNK_ROWS of block r // _CHUNK_ROWS,
+    whose stream is keyed by (seed, label, spec hash, block index) and
+    drawn time-major, as one (lead + n, _CHUNK_ROWS) array would be: row
+    lead + k holds time k (lead is an ma_q's q innovations before time 0,
+    or a non-Gaussian ar1's burn-in).  Every block is drawn the full
+    _CHUNK_ROWS wide and row by row, so a path depends neither on reps nor,
+    in its first k values, on n: simulate_many(spec, n, 1, seed)[0] is row
+    0 of every larger draw and a prefix of every longer one.  The matrix is
+    assembled from the chunks the workers step, and is the one array of its
+    size a call holds; consumers that only need sums of paths over windows
+    of time take them from window_sums instead.
     """
     # checked before the allocation, which would raise its own message
     _check_sizes(n, reps)
     out = np.empty((reps, n))
 
-    def write(r0, block):
-        out[r0 : r0 + len(block)] = block
+    def write(r0, rows, chunks):
+        for t0, c, x in chunks:
+            cols = min(x.shape[1], rows - c)
+            out[r0 + c : r0 + c + cols, t0 : t0 + len(x)] = x[:, :cols].T
 
     _map_blocks(spec, n, reps, seed, label, write)
     return out
@@ -206,63 +207,48 @@ def _check_sizes(n: int, reps: int) -> None:
 
 
 def _map_blocks(spec: ProcessSpec, n: int, reps: int, seed: int, label: str, reduce) -> list:
-    """[reduce(r0, block)] over the blocks of _CHUNK_ROWS replications, in
-    block order; block b is the (rows, n) paths of replications r0 = b
-    _CHUNK_ROWS onwards (the last block may be shorter).
+    """[reduce(r0, rows, chunks)] over the worker tasks, in order.  A task
+    takes the replications r0 .. r0 + rows - 1, a group of min(
+    _GROUP_BLOCKS, ceil(blocks / _WORKERS)) consecutive blocks, and chunks
+    yields (t0, c, x): x is the (steps, width) values at times t0 .. t0 +
+    steps - 1 of the replications r0 + c .. r0 + c + width - 1, each
+    replication's chunks in time order.  Columns from rows on pad the last
+    block and are no replication's.
 
-    Block b draws from the stream keyed by (seed, label, spec hash, b), so
-    it and its reduction depend on b alone, and the result is the same on
-    every number of workers.  The arguments are checked at the call,
-    before any block is drawn.  reduce runs on a worker thread and must
-    not touch state another block writes.  Each worker draws its blocks
-    into one scratch array, so reduce must not keep the block it is given.
+    Block b draws from the stream keyed by (seed, label, spec hash, b), and
+    every value is computed column by column, so the result is the same on
+    every number of workers and every grouping.  The arguments are checked
+    at the call, before any block is drawn.  reduce runs on a worker thread
+    and must not touch state another task writes; x is reused for the next
+    chunk, so reduce must not keep it.
     """
     _check_sizes(n, reps)
     key = spec.spec_hash()
-    scratch = threading.local()
 
-    def task(b, r0, rows):
-        rng = rngstreams.stream(seed, label, key, b)
-        return reduce(r0, _block(spec, n, rows, rng, scratch))
+    def task(b0, r0, rows):
+        rngs = [rngstreams.stream(seed, label, key, b)
+                for b in range(b0, b0 - (-rows // _CHUNK_ROWS))]
+        return reduce(r0, rows, _chunks(spec, n, rngs))
 
-    return _run_blocks(task, reps)
+    return _run_blocks(task, reps, min(_GROUP_BLOCKS, -(-reps // (_CHUNK_ROWS * _WORKERS))))
 
 
-def _run_blocks(task, total: int) -> list:
-    """[task(b, r0, rows)] over the blocks b of _CHUNK_ROWS of total items,
-    in block order: block b holds the rows items from r0 = b _CHUNK_ROWS on
-    (the last block may be shorter).
+def _run_blocks(task, total: int, group: int = 1) -> list:
+    """[task(b, r0, rows)] over the groups of `group` consecutive blocks of
+    _CHUNK_ROWS of total items, in order: a group starts at block b, holds
+    the rows items from r0 = b _CHUNK_ROWS on (the last may hold fewer).
 
     The tasks run on _WORKERS threads.  numpy's generators and ufuncs
     release the GIL, so blocks drawn from separate streams overlap.  A
     task's exception, or an interrupt, is raised here once the running
-    tasks end: Executor.map cancels the blocks not yet started.
+    tasks end: Executor.map cancels the tasks not yet started.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    starts = range(0, total, _CHUNK_ROWS)
-    rows = [min(_CHUNK_ROWS, total - r0) for r0 in starts]
+    starts = range(0, total, group * _CHUNK_ROWS)
+    rows = [min(group * _CHUNK_ROWS, total - r0) for r0 in starts]
     with ThreadPoolExecutor(max_workers=min(_WORKERS, len(starts))) as pool:
-        return list(pool.map(task, range(len(starts)), starts, rows))
-
-
-def _scratch(scratch, shape, name: str = "buf", dtype=np.float64) -> np.ndarray:
-    """An array of the given 2-D shape and dtype backed by the attribute
-    name of scratch, which is allocated on first use and grown when too
-    small.
-
-    Reusing one array per worker keeps the allocator from handing out and
-    taking back a block-sized array per block; glibc keeps such memory in
-    each thread's arena, which raised the peak RSS of a two-worker
-    markov_function blocking-verify run (10^4 replications, n up to
-    4096) from 77 to 110 MB.
-    """
-    size = shape[0] * shape[1]
-    buf = getattr(scratch, name, None)
-    if buf is None or buf.size < size:
-        buf = np.empty(size, dtype)
-        setattr(scratch, name, buf)
-    return buf[:size].reshape(shape)
+        return list(pool.map(task, [r0 // _CHUNK_ROWS for r0 in starts], starts, rows))
 
 
 def _filter(spec: ProcessSpec) -> tuple:
@@ -274,88 +260,110 @@ def _filter(spec: ProcessSpec) -> tuple:
             spec.weights if "weights" in fields else (1.0,))
 
 
-def _block(spec: ProcessSpec, n: int, rows: int, rng: np.random.Generator, scratch) -> np.ndarray:
-    """(rows, n) independent paths drawn from rng.  The draws and the
-    moving sum go into arrays of the per-worker object scratch (see
-    _scratch), so the paths may be a view of one of them.
-
-    A linear filter draws (rows, burn + q + n) innovations, takes the
-    moving sum unless its weights are (1,), and unless phi is 0 steps the
-    recursion from the stationary mean through a burn-in of burn steps
-    and keeps the last n, so every row is a function of its own
-    innovations, and iid, ar1 with phi 0 and ma_q with weights (1,) draw
-    the same paths.
-    """
+def _chunks(spec: ProcessSpec, n: int, rngs: list):
+    """(t0, c, x) over the chunks of the paths drawn from the block streams
+    rngs, as _map_blocks hands them to reduce.  A moving sum is taken block
+    by block, on the chunks as drawn; ar1 and markov_function step all the
+    blocks' replications at once, in one ufunc call per time step."""
     if spec.family == "markov_function":
-        return _markov_paths(spec, rng.random(out=_scratch(scratch, (rows, n))), scratch)
+        step = _markov_steps(spec, len(rngs) * _CHUNK_ROWS)
+        uniforms = _drawn_chunks(lambda rng, out: rng.random(out=out), rngs, 0, n)
+        return ((t0, 0, step(t0, u)) for t0, u in uniforms)
     phi, weights = _filter(spec)
-    q = len(weights) - 1
-    burn = int(np.ceil(np.log(_AR1_INIT_TOL) / np.log(abs(phi)))) if phi else 0
-    x = spec.innovations.sample(rng, _scratch(scratch, (rows, burn + q + n)))
-    if weights != (1.0,):
-        # X_k = sum_i w_i eps_{k-i}, where eps_k is column k + q; the sum
-        # starts from w_0 eps_k, written straight into it
-        x, eps = _scratch(scratch, (rows, burn + n), "sum"), x
-        term = _scratch(scratch, x.shape, "term")
-        np.multiply(eps[:, q : q + burn + n], weights[0], out=x)
-        for i, wi in enumerate(weights[1:], 1):
-            np.multiply(eps[:, q - i : q - i + burn + n], wi, out=term)
-            np.add(x, term, out=x)
     if phi:
-        x = _ar1_paths(phi, np.full(rows, _moments(spec)[0]), x, scratch)[:, burn:]
-    return x
+        return _ar1_chunks(spec, phi, n, rngs)
+    return ((t0, j * _CHUNK_ROWS, x) for j, rng in enumerate(rngs)
+            for t0, x in _moving_sums(spec.innovations, weights, n, rng))
 
 
-def _time_major(x: np.ndarray, scratch, step) -> np.ndarray:
-    """x, stepped in place: each chunk of _CHUNK_STEPS columns from t0 on
-    is copied into the per-worker array "steps" of scratch as (steps, rows),
-    so a step reads and writes a contiguous row; step(t0, xt) rewrites that
-    copy xt, and it is copied back.  The copy in goes _COPY_ROWS rows at a
-    time: rows whose length is a power of two alias in cache, and whole
-    chunks of 512 such rows took three times as long to copy in."""
-    rows, n = x.shape
-    tiles = [slice(r0, r0 + _COPY_ROWS) for r0 in range(0, rows, _COPY_ROWS)]
+def _drawn_chunks(draw, rngs: list, lead: int, n: int):
+    """(t0, u) over the draws of times -lead .. n - 1 of the streams rngs,
+    cut at -lead and at the multiples of _CHUNK_STEPS: u[k, j _CHUNK_ROWS +
+    r] is column r of row lead + t0 + k of stream j's time-major draw, made
+    by draw(rng, out) in row-major order into a (steps, _CHUNK_ROWS) array
+    and copied into its columns.  u is one array reused from chunk to
+    chunk."""
+    u_all = np.empty((_CHUNK_STEPS, len(rngs) * _CHUNK_ROWS))
+    buf = np.empty((_CHUNK_STEPS, _CHUNK_ROWS))
+    t0 = -lead
+    while t0 < n:
+        t1 = min(n, (t0 // _CHUNK_STEPS + 1) * _CHUNK_STEPS)
+        u = u_all[: t1 - t0]
+        for j, rng in enumerate(rngs):
+            u[:, j * _CHUNK_ROWS : (j + 1) * _CHUNK_ROWS] = draw(rng, buf[: t1 - t0])
+        yield t0, u
+        t0 = t1
+
+
+def _moving_sums(law: InnovationLaw, weights: tuple, n: int, rng: np.random.Generator):
+    """(t0, x) over the chunks of one block's paths X_k = sum_i w_i eps_{k-i},
+    k < n, from its innovations eps_{-q}, eps_{1-q}, ... drawn from rng.
+    Each chunk is drawn under the q innovations before it, so with the
+    weights (1,) x is the drawn chunk itself; the sum starts from w_0 eps_k,
+    written straight into x."""
+    q = len(weights) - 1
+    eps = np.empty((q + _CHUNK_STEPS, _CHUNK_ROWS))
+    x, term = (eps[q:], None) if weights == (1.0,) else np.empty((2, _CHUNK_STEPS, _CHUNK_ROWS))
+    law.sample(rng, eps[:q])
     for t0 in range(0, n, _CHUNK_STEPS):
-        cols = slice(t0, min(t0 + _CHUNK_STEPS, n))
-        xt = _scratch(scratch, (cols.stop - t0, rows), "steps")
-        for r in tiles:
-            np.copyto(xt[:, r], x[r, cols].T)
-        step(t0, xt)
-        x[:, cols] = xt.T
-    return x
+        steps = min(_CHUNK_STEPS, n - t0)
+        if t0:
+            # the chunk before was full, so its last q innovations are rows
+            # _CHUNK_STEPS onwards
+            eps[:q] = eps[_CHUNK_STEPS:]
+        law.sample(rng, eps[q : q + steps])
+        if term is not None:
+            np.multiply(eps[q : q + steps], weights[0], out=x[:steps])
+            for i, wi in enumerate(weights[1:], 1):
+                np.multiply(eps[q - i : q - i + steps], wi, out=term[:steps])
+                np.add(x[:steps], term[:steps], out=x[:steps])
+        yield t0, x[:steps]
 
 
-def _ar1_paths(phi: float, x0: np.ndarray, eps: np.ndarray, scratch) -> np.ndarray:
-    """X_k = phi X_{k-1} + eps[:, k] from X_{-1} = x0, over the columns of
-    eps, stepped through _time_major; the paths overwrite eps, which is
-    returned.  Each value is the same product and sum as in a column loop
-    over the whole matrix, so paths are bit-identical to it."""
-    tmp = np.empty(len(x0))
+def _ar1_chunks(spec: ProcessSpec, phi: float, n: int, rngs: list):
+    """(t0, 0, x) over the chunks of the ar1 paths X_k = phi X_{k-1} + eps_k
+    of the streams rngs, side by side as _drawn_chunks lays them out; the
+    paths overwrite the innovations.
 
-    def step(t0, xt):
-        prev = x0
-        for x in xt:
+    A Gaussian ar1 starts in its stationary law, X_0 = m + (eps_0 - mu) /
+    sqrt(1 - phi^2) for the stationary mean m and the innovation mean mu,
+    so it draws exactly n rows.  Any other innovation law has no closed-form
+    stationary law, so its paths start at m at time -burn - 1, burn =
+    ceil(log _AR1_INIT_TOL / log |phi|), and the burn-in rows are stepped
+    and dropped: the start's weight in X_0 is |phi|^(burn + 1).
+    """
+    law, m = spec.innovations, _moments(spec)[0]
+    exact = law.name == "normal"
+    burn = 0 if exact else int(np.ceil(np.log(_AR1_INIT_TOL) / np.log(abs(phi))))
+    last = np.full(len(rngs) * _CHUNK_ROWS, m)
+    tmp = np.empty_like(last)
+    for t0, x in _drawn_chunks(law.sample, rngs, burn, n):
+        rows, prev = iter(x), last
+        if exact and t0 == 0:
+            prev = next(rows)
+            np.copyto(prev, m + (prev - law.mean) / np.sqrt(1.0 - phi * phi))
+        for xt in rows:
             np.multiply(prev, phi, out=tmp)
-            np.add(x, tmp, out=x)
-            prev = x
-        # the next chunk is copied into xt, so its last row is kept in x0
-        np.copyto(x0, prev)
+            np.add(xt, tmp, out=xt)
+            prev = xt
+        # the next chunk is drawn into x, so its last row is kept in last
+        np.copyto(last, prev)
+        if t0 >= 0:
+            yield t0, 0, x
 
-    return _time_major(eps, scratch, step)
 
+def _markov_steps(spec: ProcessSpec, width: int):
+    """step(t0, u): the markov_function values at times t0 .. t0 + steps - 1
+    of width replications from the (steps, width) uniforms u, one column
+    per replication, given the chunks in time order from t0 = 0; the values
+    overwrite u, which is returned.
 
-def _markov_paths(spec: ProcessSpec, u: np.ndarray, scratch) -> np.ndarray:
-    """markov_function paths from the uniforms u, one row per replication;
-    the paths overwrite u, which is returned.  The per-chunk arrays live in
-    the per-worker object scratch (see _scratch).
-
-    The uniform u[r, k] picks the state at time k: the initial state is
-    #{j : cum_initial[j] <= u} and the successor of state s is
-    #{j : u > cum[s, j]}, both capped at K - 1.  The steps go through
-    _time_major.
+    The uniform u[k, r] picks the state at time t0 + k: the initial state
+    is #{j : cum_initial[j] <= u} and the successor of state s is
+    #{j : u > cum[s, j]}, both capped at K - 1.
 
     A chain with at most _MAX_STEP_EDGES distinct thresholds e_0 < ... <
-    e_{nb-1} among cum[:, :K - 1] steps through a table.  Each block of
+    e_{nb-1} among cum[:, :K - 1] steps through a table.  Each chunk of
     uniforms is classified once into buckets b(u) = #{i : e_i < u}; if u is
     in bucket b, then e_{b-1} < u <= e_b, so for a threshold c, u > c holds
     if and only if c < e_b (with e_nb = inf).  The successor of s is then
@@ -372,35 +380,36 @@ def _markov_paths(spec: ProcessSpec, u: np.ndarray, scratch) -> np.ndarray:
     # at K - 1 is the same as not comparing with the last one
     cum = np.cumsum(chain.transition, axis=1)[:, :kmax]
     edges = np.unique(cum)
-    prev = np.minimum(np.searchsorted(np.cumsum(chain.initial), u[:, 0], side="right"), kmax)
     if len(edges) <= _MAX_STEP_EDGES:
-        prev *= len(edges) + 1
-        fill, code_vals = _table_steps(cum, edges, spec.mapped_values(), len(u), scratch)
+        scale = len(edges) + 1
+        fill, code_vals = _table_steps(cum, edges, spec.mapped_values(), width)
     else:
-        fill, code_vals = _loop_steps(cum, len(u)), spec.mapped_values()
+        scale, fill, code_vals = 1, _loop_steps(cum, width), spec.mapped_values()
+    last = np.empty(width, dtype=np.intp)
 
-    def step(t0, ub):
-        nonlocal prev
-        codes = _scratch(scratch, ub.shape, "codes", np.intp)
+    def step(t0, u):
         if t0 == 0:
-            codes[0] = prev
-        # prev may be the last row of the codes buffer that this chunk
-        # reuses; it is read in full by the chunk's first step, before any
-        # row is written
-        fill(ub, codes, prev, 1 if t0 == 0 else 0)
-        prev = codes[-1]
-        # the chunk's uniforms are spent, so ub takes its values; codes lie
-        # in [0, len(code_vals)), so clipping never moves an index
-        np.take(code_vals, codes, out=ub, mode="clip")
+            np.multiply(np.minimum(np.searchsorted(np.cumsum(chain.initial), u[0], side="right"),
+                                   kmax), scale, out=last)
+        # a step spends its row of uniforms before it writes the row's codes
+        # there, so the codes take the uniforms' memory
+        codes = u.view(np.intp)
+        fill(u, codes, last, 1 if t0 == 0 else 0)
+        np.copyto(last, codes[-1])
+        # and so do the values: take reads each index before it writes the
+        # value at the same place, and codes lie in [0, len(code_vals)), so
+        # clipping never moves an index
+        return np.take(code_vals, codes, out=u, mode="clip")
 
-    return _time_major(u, scratch, step)
+    return step
 
 
-def _table_steps(cum: np.ndarray, edges: np.ndarray, vals: np.ndarray, rows: int, scratch):
-    """(fill, code_vals) for the table steps of _markov_paths: state s has
+def _table_steps(cum: np.ndarray, edges: np.ndarray, vals: np.ndarray, width: int):
+    """(fill, code_vals) for the table steps of _markov_steps: state s has
     the code s (nb + 1), code_vals maps codes to values, and fill(ub, codes,
-    prev, start) writes the codes of steps start onwards of the chunk of
-    uniforms ub, which it spends, from the codes prev before them."""
+    prev, start) spends the chunk of uniforms ub and writes into codes the
+    codes prev at step 0 if start is 1, and those of the steps from start
+    on, from the codes prev before them."""
     nb = len(edges)
     succ = np.empty((len(cum), nb + 1), dtype=np.intp)
     for b, e in enumerate(edges):
@@ -410,23 +419,23 @@ def _table_steps(cum: np.ndarray, edges: np.ndarray, vals: np.ndarray, rows: int
     code_vals = np.zeros(len(table))
     code_vals[:: nb + 1] = vals
     take = table.take
-    idx = np.empty(rows, dtype=np.intp)
+    idx = np.empty(width, dtype=np.intp)
+    count_all = np.empty((_CHUNK_STEPS, width), dtype=np.int8)
+    above_all = np.empty((_CHUNK_STEPS, width), dtype=np.bool_)
 
     def fill(ub, codes, prev, start):
         # b(u) = #{i : e_i < u} is at most _MAX_STEP_EDGES, so it is counted
-        # in int8 and widened once per chunk, so that a step adds intp to
-        # intp; the chunk's uniforms are spent once counted, so the widened
-        # buckets take their memory
-        count = _scratch(scratch, ub.shape, "count", np.int8)
-        above = _scratch(scratch, ub.shape, "above", np.bool_)
+        # in int8 and widened once per chunk into codes, so that a step adds
+        # intp to intp and writes its codes over its buckets
+        count, above = count_all[: len(ub)], above_all[: len(ub)]
         count.fill(0)
         for e in edges:
             np.greater(ub, e, out=above)
             np.add(count, above.view(np.int8), out=count)
-        bucket = ub.view(np.intp)
-        np.copyto(bucket, count)
+        np.copyto(codes, count)
+        codes[:start] = prev
         for t in range(start, len(ub)):
-            np.add(prev, bucket[t], out=idx)
+            np.add(prev, codes[t], out=idx)
             # a code plus a bucket in [0, nb] lies in [0, K (nb + 1)), so
             # clipping never moves an index
             take(idx, out=codes[t], mode="clip")
@@ -435,19 +444,20 @@ def _table_steps(cum: np.ndarray, edges: np.ndarray, vals: np.ndarray, rows: int
     return fill, code_vals
 
 
-def _loop_steps(cum: np.ndarray, rows: int):
-    """fill(ub, codes, prev, start) for the loop steps of _markov_paths:
-    each step gathers the thresholds of the states prev, compares them with
-    the step's uniforms and counts those below."""
+def _loop_steps(cum: np.ndarray, width: int):
+    """fill(ub, codes, prev, start) for the loop steps of _markov_steps, as
+    _table_steps fills: each step gathers the thresholds of the states prev,
+    compares them with the step's uniforms and counts those below."""
     # row j of thresholds holds cum[:, j]
     thresholds = np.ascontiguousarray(cum.T)
     # a step costs a few microseconds of call overhead, so it gathers with
     # the bound method (no np.take wrapper) and intp states (no index cast)
     take = thresholds.take
-    cut = np.empty((len(thresholds), rows))
-    above = np.empty((len(thresholds), rows), dtype=bool)
+    cut = np.empty((len(thresholds), width))
+    above = np.empty((len(thresholds), width), dtype=bool)
 
     def fill(ub, codes, prev, start):
+        codes[:start] = prev
         for t in range(start, len(ub)):
             # prev holds counts in [0, K - 1], so clipping never moves an
             # index; it only spares numpy a buffered copy
@@ -461,16 +471,29 @@ def _loop_steps(cum: np.ndarray, rows: int):
 
 def window_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str, windows) -> list:
     """[X_s + ... + X_{e-1} for (s, e) in the list windows, 0 <= s <= e <=
-    n]: one array per window, whose entry r is bitwise that window's sum in
-    row r of simulate_many(spec, n, reps, seed, label).  Each block of
-    paths is reduced as it is drawn, so no (reps, n) matrix is held."""
+    n]: one array per window, whose entry r is that window's sum in row r
+    of simulate_many(spec, n, reps, seed, label).  A sum is rounded in time
+    order, one chunk at a time: 0.0, plus the window's part of each chunk
+    of _CHUNK_STEPS steps [t0, t0 + _CHUNK_STEPS) it meets, in time order,
+    each part summed in time order.  Each chunk is reduced as it is
+    stepped, while it is in cache, so no (reps, n) matrix is held."""
     _check_sizes(n, reps)
     for s, e in windows:
         if not 0 <= s <= e <= n:
             raise ValueError(f"window ({s}, {e}) must satisfy 0 <= s <= e <= n = {n}")
-    parts = _map_blocks(spec, n, reps, seed, label,
-                        lambda r0, block: [block[:, s:e].sum(axis=1) for s, e in windows])
-    return [np.concatenate(sums) for sums in zip(*parts)]
+
+    def sums(r0, rows, chunks):
+        acc = np.zeros((len(windows), -(-rows // _CHUNK_ROWS) * _CHUNK_ROWS))
+        for t0, c, x in chunks:
+            t1 = t0 + len(x)
+            for a, (s, e) in zip(acc, windows):
+                # a sum over the rows of a chunk at least _CHUNK_ROWS wide
+                # adds row by row, in time order
+                if max(s, t0) < min(e, t1):
+                    a[c : c + x.shape[1]] += x[max(s, t0) - t0 : min(e, t1) - t0].sum(axis=0)
+        return acc[:, :rows]
+
+    return list(np.concatenate(_map_blocks(spec, n, reps, seed, label, sums), axis=1))
 
 
 def normalized_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str) -> np.ndarray:

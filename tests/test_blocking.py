@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -23,6 +24,7 @@ from mixlimit.probcore import FiniteJointDistribution, alpha_exact, ks_distance
 from mixlimit.mixing import MarkovChainSpec
 from mixlimit.processes import (
     _CHUNK_ROWS,
+    _CHUNK_STEPS,
     InnovationLaw,
     NormingSequences,
     ProcessSpec,
@@ -35,6 +37,27 @@ from mixlimit.processes import (
 
 A_RECIP = lambda n: 1.0 / np.asarray(n, dtype=float)
 A_SQRT = lambda n: np.asarray(n, dtype=float) ** -0.5
+
+
+def chunk_rule_sums(paths, s, e):
+    """X_s + ... + X_{e-1} of each row of paths by the rounding rule of
+    window_sums: 0.0 plus the window's part of each _CHUNK_STEPS-step
+    chunk, in time order, each part summed in time order."""
+    parts = [range(max(s, c0), min(e, c0 + _CHUNK_STEPS))
+             for c0 in range(s - s % _CHUNK_STEPS, e, _CHUNK_STEPS)]
+    return sum((functools.reduce(np.add, (paths[..., k] for k in ks)) for ks in parts if ks),
+               np.zeros(paths.shape[:-1]))
+
+
+def whole_matrix_blocks(whole):
+    """A stand-in for processes._map_blocks that hands reduce the matrix
+    whole as one task's time-major chunks, padded to whole blocks as the
+    workers' chunks are."""
+    reps, n = whole.shape
+    padded = np.zeros((n, -(-reps // _CHUNK_ROWS) * _CHUNK_ROWS))
+    padded[:, :reps] = whole.T
+    chunks = [(t0, 0, padded[t0 : t0 + _CHUNK_STEPS]) for t0 in range(0, n, _CHUNK_STEPS)]
+    return lambda spec, n, reps, seed, label, reduce: [reduce(0, reps, chunks)]
 
 
 def scan_oracle(a, c, n):
@@ -302,7 +325,7 @@ def test_decompose_row_matches_verify_blocking_split():
         m, windows = int(plan.m[i]), _windows(plan, n)
         whole = _three_blocks(nm, m, n, *window_sums(spec, 512, 8, 4, "blocking", windows))
         for r in (0, 5):
-            row = _three_blocks(nm, m, n, *(paths[r, s:e].sum() for s, e in windows))
+            row = _three_blocks(nm, m, n, *(chunk_rule_sums(paths[r], s, e) for s, e in windows))
             assert row == tuple(part[r] for part in whole)
         first = _three_blocks(nm, m, n, *window_sums(spec, 512, 1, 4, "blocking", windows))
         assert all(np.array_equal(a, b[:1]) for a, b in zip(first, whole))
@@ -471,20 +494,19 @@ def test_chunked_block_sums_equal_the_whole_matrix_split(name, reps):
         m, q = int(plan.m[i]), int(plan.q[i])
         windows = _windows(plan, n) + [(m + q, m + q), (n, 128)]
         sums = window_sums(spec, 128, reps, 8, "blocking", windows)
-        whole = [paths[:, s:e].sum(axis=1) for s, e in windows]
-        assert all(np.array_equal(a, b) for a, b in zip(sums, whole, strict=True))
+        whole = [chunk_rule_sums(paths, s, e) for s, e in windows]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(sums, whole, strict=True))
 
 
 @pytest.mark.parametrize("reps", BLOCK_BOUNDARY_REPS)
 @pytest.mark.parametrize("name", sorted(BLOCKING_SPECS))
 def test_verify_blocking_rows_equal_the_whole_matrix_rows(monkeypatch, name, reps):
     # the reference hands verify_blocking the whole simulate_many matrix as
-    # one block, so its window sums are taken at once
+    # one task's chunks, so its window sums are taken at once
     spec = BLOCKING_SPECS[name]
     rows = verify_blocking(spec, n_grid=(64, 128), replications=reps, seed=8)
     whole = simulate_many(spec, 128, reps, 8, label="blocking")
-    monkeypatch.setattr(processes, "_map_blocks",
-                        lambda spec, n, reps, seed, label, reduce: [reduce(0, whole)])
+    monkeypatch.setattr(processes, "_map_blocks", whole_matrix_blocks(whole))
     reference = verify_blocking(spec, n_grid=(64, 128), replications=reps, seed=8)
     assert {r["n"] for r in rows} == {64, 128}
     assert repr(rows) == repr(reference)

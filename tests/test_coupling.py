@@ -417,7 +417,8 @@ def test_lagged_blocks_decay_toward_independence():
 
 def test_lagged_blocks_are_the_block_sums_of_simulated_paths(monkeypatch):
     # the reference hands the corollary the whole simulate_many matrix as one
-    # block; the rows must not depend on the worker count either
+    # task's chunks, padded to a whole block as the workers' chunks are; the
+    # rows must not depend on the worker count either
     spec = ProcessSpec(family="ar1", phi=0.5)
     kwargs = dict(mode="lagged_blocks", lags=(0, 3), replications=1031, seed=10, block_length=4)
     runs = []
@@ -425,6 +426,8 @@ def test_lagged_blocks_are_the_block_sums_of_simulated_paths(monkeypatch):
         monkeypatch.setattr(processes, "_WORKERS", workers)
         runs.append(repr(corollary_sum_experiment(spec, **kwargs)))
     whole = processes.simulate_many(spec, 11, 1031, 10, label="corr-lag")
+    padded = np.zeros((11, 3 * processes._CHUNK_ROWS))
+    padded[:, :1031] = whole.T
     monkeypatch.setattr(processes, "_map_blocks",
-                        lambda spec, n, reps, seed, label, reduce: [reduce(0, whole)])
+                        lambda spec, n, reps, seed, label, reduce: [reduce(0, reps, [(0, 0, padded)])])
     assert runs == [repr(corollary_sum_experiment(spec, **kwargs))] * 3

@@ -1,10 +1,10 @@
+import functools
 import io
 import math
 import sys
 import threading
 import time
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,9 +18,9 @@ from mixlimit.processes import (
     _CHUNK_ROWS,
     _CHUNK_STEPS,
     _MAX_STEP_EDGES,
-    _block,
+    _chunks,
     _map_blocks,
-    _markov_paths,
+    _markov_steps,
     _moments,
     InnovationLaw,
     NormingSequences,
@@ -89,35 +89,53 @@ def one_shot_innovations(law, rng, shape):
     return law.mean + law.std * z
 
 
+def ar1_lead(spec):
+    """The rows an ar1 draws before time 0: none from the exact Gaussian
+    start, else its burn-in."""
+    if spec.innovations.name == "normal":
+        return 0
+    return int(np.ceil(np.log(_AR1_INIT_TOL) / np.log(abs(spec.phi))))
+
+
 def loop_ar1_paths(spec, n, eps):
-    """ar1 paths from the innovations eps, one time column at a time, started
-    at the stationary mean and kept over the last n columns."""
-    phi = spec.phi
-    prev = np.full(len(eps), spec.innovations.mean / (1.0 - phi))
+    """ar1 paths from the innovations eps, one time column at a time, kept
+    over the last n columns: from the exact start X_0 = m + (eps_0 - mu) /
+    sqrt(1 - phi^2) for Gaussian innovations, else from the stationary mean
+    m before the first column."""
+    phi, law = spec.phi, spec.innovations
+    m = law.mean / (1.0 - phi)
     out = np.empty(eps.shape)
-    for k in range(eps.shape[1]):
+    if law.name == "normal":
+        prev = m + (eps[:, 0] - law.mean) / np.sqrt(1.0 - phi * phi)
+        out[:, 0], start = prev, 1
+    else:
+        prev, start = np.full(len(eps), m), 0
+    for k in range(start, eps.shape[1]):
         prev = phi * prev + eps[:, k]
         out[:, k] = prev
     return out[:, eps.shape[1] - n :]
 
 
-def one_shot_block(spec, n, rows, rng):
-    """(rows, n) paths drawn from rng in one draw, by the loop references and
-    with the innovations scaled as mean + std * z."""
+def one_shot_block(spec, n, rng):
+    """The (_CHUNK_ROWS, n) paths of one block by their definition: one
+    (lead + n, _CHUNK_ROWS) draw from rng, column r replication r, run
+    through the loop references, with the innovations scaled as mean + std
+    * z."""
     law = spec.innovations
+    draw = lambda sample, lead: sample((lead + n, _CHUNK_ROWS)).T
+    if spec.family == "markov_function":
+        return loop_markov_paths(spec, draw(rng.random, 0))
+    innovations = lambda lead: draw(lambda shape: one_shot_innovations(law, rng, shape), lead)
     if spec.family == "iid" or (spec.family == "ar1" and spec.phi == 0.0):
-        return one_shot_innovations(law, rng, (rows, n))
+        return innovations(0)
     if spec.family == "ar1":
-        burn = int(np.ceil(np.log(_AR1_INIT_TOL) / np.log(abs(spec.phi))))
-        return loop_ar1_paths(spec, n, one_shot_innovations(law, rng, (rows, burn + n)))
-    if spec.family == "ma_q":
-        q = len(spec.weights) - 1
-        eps = one_shot_innovations(law, rng, (rows, n + q))
-        out = np.zeros((rows, n))
-        for i, wi in enumerate(spec.weights):
-            out += wi * eps[:, q - i : q - i + n]
-        return out
-    return loop_markov_paths(spec, rng.random((rows, n)))
+        return loop_ar1_paths(spec, n, innovations(ar1_lead(spec)))
+    q = len(spec.weights) - 1
+    eps = innovations(q)
+    out = np.zeros((_CHUNK_ROWS, n))
+    for i, wi in enumerate(spec.weights):
+        out += wi * eps[:, q - i : q - i + n]
+    return out
 
 
 def block_stream(spec, seed, label, b):
@@ -128,11 +146,37 @@ def block_stream(spec, seed, label, b):
 def one_shot_paths(spec, n, reps, seed, label="path"):
     """The (reps, n) paths of simulate_many by their definition: replication
     r is row r mod _CHUNK_ROWS of block r // _CHUNK_ROWS, and each block is
-    drawn in one shot from its own stream."""
-    return np.concatenate([
-        one_shot_block(spec, n, min(_CHUNK_ROWS, reps - r0), block_stream(spec, seed, label, b))
-        for b, r0 in enumerate(range(0, reps, _CHUNK_ROWS))
-    ])
+    drawn in one shot from its own stream, the full _CHUNK_ROWS wide."""
+    blocks = range(-(-reps // _CHUNK_ROWS))
+    return np.concatenate([one_shot_block(spec, n, block_stream(spec, seed, label, b))
+                           for b in blocks])[:reps]
+
+
+def chunked_block(spec, n, rng):
+    """The (_CHUNK_ROWS, n) paths of one block as the workers make them,
+    assembled from its time-major chunks."""
+    out = np.empty((_CHUNK_ROWS, n))
+    for t0, c, x in _chunks(spec, n, [rng]):
+        out[c : c + x.shape[1], t0 : t0 + len(x)] = x.T
+    return out
+
+
+def stepped_markov_paths(spec, u):
+    """markov_function paths from the uniforms u, one row per replication,
+    stepped by _markov_steps in time-major chunks of _CHUNK_STEPS steps."""
+    step = _markov_steps(spec, len(u))
+    return np.concatenate([step(t0, u[:, t0 : t0 + _CHUNK_STEPS].T.copy()).T
+                           for t0 in range(0, u.shape[1], _CHUNK_STEPS)], axis=1)
+
+
+def chunk_rule_sums(paths, s, e):
+    """X_s + ... + X_{e-1} of each row of paths by the rounding rule of
+    window_sums, one value at a time: 0.0 plus the window's part of each
+    _CHUNK_STEPS-step chunk, in time order, each part summed in time order."""
+    parts = [range(max(s, c0), min(e, c0 + _CHUNK_STEPS))
+             for c0 in range(s - s % _CHUNK_STEPS, e, _CHUNK_STEPS)]
+    return sum((functools.reduce(np.add, (paths[..., k] for k in ks)) for ks in parts if ks),
+               np.zeros(paths.shape[:-1]))
 
 
 def loop_markov_tail(spec):
@@ -191,8 +235,8 @@ def test_innovation_law_rejects_non_finite_parameters(mean, std):
 def test_non_standard_law_is_mean_plus_std_times_the_standard_block(name):
     # the standard law skips its scaling pass, so a block of any other
     # (mean, std) is the standard block of the same stream, scaled; bitwise
-    draw = lambda law: _block(ProcessSpec(family="iid", innovations=law), 300, 41,
-                              rngstreams.stream(3, "law", name), SimpleNamespace()).copy()
+    draw = lambda law: chunked_block(ProcessSpec(family="iid", innovations=law), 300,
+                                     rngstreams.stream(3, "law", name))
     z = draw(InnovationLaw(name))
     for mean, std in ((0.3, 1.7), (-2.0, 1.0), (0.0, 0.5), (1.0, 0.0)):
         assert draw(InnovationLaw(name, mean, std)).tobytes() == (mean + std * z).tobytes()
@@ -250,8 +294,7 @@ def tie_pool(spec):
                          ids=["two-state", "finding1", "zero-probability", "100-states"])
 def test_markov_kernel_ties_and_capped_rows(spec):
     u = np.random.default_rng(4).choice(tie_pool(spec), size=(1100, 60))
-    out = _markov_paths(spec, u.copy(), SimpleNamespace())
-    assert np.array_equal(out, loop_markov_paths(spec, u))
+    assert np.array_equal(stepped_markov_paths(spec, u), loop_markov_paths(spec, u))
 
 
 def edge_spec(nb, k=5):
@@ -276,17 +319,14 @@ STEP_PATH_SPECS = {
 
 @pytest.mark.parametrize("name", sorted(STEP_PATH_SPECS))
 def test_markov_step_paths_match_loop_reference_across_chunks(name):
-    # n at the edges of the _CHUNK_STEPS-step chunks, on one scratch reused
-    # from call to call as a worker reuses it from block to block; half the
-    # uniforms tie with a threshold or sit next to one
+    # n at the edges of the _CHUNK_STEPS-step chunks; half the uniforms tie
+    # with a threshold or sit next to one
     spec = STEP_PATH_SPECS[name]
     rng = np.random.default_rng(5)
-    scratch = SimpleNamespace()
     for n in (1, _CHUNK_STEPS - 1, _CHUNK_STEPS, _CHUNK_STEPS + 1, 2 * _CHUNK_STEPS + 1, 1):
         u = np.where(rng.random((67, n)) < 0.5, rng.choice(tie_pool(spec), (67, n)),
                      rng.random((67, n)))
-        out = _markov_paths(spec, u.copy(), scratch)
-        assert np.array_equal(out, loop_markov_paths(spec, u))
+        assert np.array_equal(stepped_markov_paths(spec, u), loop_markov_paths(spec, u))
 
 
 def two_threshold_spec(k=64):
@@ -297,53 +337,74 @@ def two_threshold_spec(k=64):
     return markov_spec(p)
 
 
+def traced_peak(fn):
+    """The tracemalloc peak of fn() above the memory traced when it starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def drain(chunks):
+    for _ in chunks:
+        pass
+
+
 @pytest.mark.parametrize("spec", [two_threshold_spec(), many_state_spec(300)],
                          ids=["64-states-table", "300-states-loop"])
 def test_markov_paths_peak_memory_below_six_chunks(spec):
-    # a block's working arrays are a few (_CHUNK_STEPS, rows) chunks; a table
-    # of successors per step and state (256 K rows intp) or one entry per
-    # state and threshold bucket with no cap (up to K^3) would not fit
-    rows = _CHUNK_ROWS
-    u = np.random.default_rng(6).random((rows, 2 * _CHUNK_STEPS + 88))
-    _markov_paths(spec, u[:2, :2].copy(), SimpleNamespace())    # imports made once
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        _markov_paths(spec, u, SimpleNamespace())
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * _CHUNK_STEPS * rows * 8
+    # a block's working arrays are a few (_CHUNK_STEPS, rows) chunks and the
+    # chain's own K x K tables; a table of successors per step and state or
+    # one entry per state and threshold bucket with no cap (up to K^3) would
+    # not fit.  The bound is six chunks of 256 steps, the chunk of the
+    # row-major layout, in which the loop and table paths peaked at 5.7 and
+    # 2.4 MB; they now peak at 3.5 and 0.6 MB
+    rows, n = _CHUNK_ROWS, 2 * _CHUNK_STEPS + 88
+    drain(_chunks(spec, 2, [np.random.default_rng(6)]))     # imports made once
+    peak = traced_peak(lambda: drain(_chunks(spec, n, [np.random.default_rng(6)])))
+    assert peak < 6 * 256 * rows * 8
 
 
 def test_ma_block_memory_is_all_scratch():
-    # the moving sum and each weighted term go into the scratch arrays "sum"
-    # and "term"; a (rows, n) array for either would exceed the bound
+    # the moving sum and each weighted term go into arrays a block makes
+    # with its first chunk; a later chunk's draw or sum that made an array
+    # of its own, or a (rows, n) array for either, would exceed the bound
     spec = ProcessSpec(family="ma_q", weights=(1.0, 0.5))
-    rows, n, scratch = _CHUNK_ROWS, 1024, SimpleNamespace()
-    _block(spec, n, rows, np.random.default_rng(1), scratch)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        _block(spec, n, rows, np.random.default_rng(2), scratch)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < rows * n * 8 / 16
+    rows, n = _CHUNK_ROWS, 1024
+    chunks = _chunks(spec, n, [np.random.default_rng(2)])
+    next(chunks)
+    assert traced_peak(lambda: drain(chunks)) < rows * n * 8 / 16
 
 
 def test_markov_paths_peak_memory_below_twice_the_output():
     # the step loop held the uniforms, the intp states and the output:
     # 3.01 times the output
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        out = simulate_many(FINDING1, 256, 10_000, 3)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * out.nbytes
+    out = []
+    peak = traced_peak(lambda: out.append(simulate_many(FINDING1, 256, 10_000, 3)))
+    assert peak < 2 * out[0].nbytes
+
+
+@pytest.mark.parametrize("spec", [AR1, MA11, FINDING1], ids=["ar1", "ma_q", "markov_function"])
+def test_window_sums_peak_memory_does_not_grow_with_n_or_the_burn_in(monkeypatch, spec):
+    # a task holds a few (_CHUNK_STEPS, width) arrays, whatever n and the
+    # burn-in: its peak at n = 2^15 and, for an AR(1) with uniform
+    # innovations and phi = 0.999 (a burn-in of 36824 rows), at n = 2^12 is
+    # its peak at n = 2^12 within 16 KiB (0.86 MB for the AR(1)).  Blocks
+    # that held their (rows, burn + n) draws peaked at 18 MB, 136 MB at
+    # n = 2^15 and 169 MB for the burn-in
+    monkeypatch.setattr(processes, "_WORKERS", 1)
+    slow = ProcessSpec(family="ar1", phi=0.999, innovations=InnovationLaw("uniform"))
+    sums = lambda spec, n: window_sums(spec, n, 2 * _CHUNK_ROWS, 1, "memory",
+                                       [(0, n), (n // 4, n), (0, 1)])
+    sums(spec, 2)                                           # imports made once
+    base = traced_peak(lambda: sums(spec, 2 ** 12))
+    peaks = [traced_peak(lambda: sums(spec, 2 ** 15))]
+    if spec == AR1:
+        peaks.append(traced_peak(lambda: sums(slow, 2 ** 12)))
+    assert all(abs(p - base) < 16 * 1024 for p in peaks), (base, peaks)
 
 
 CHUNKED_SPECS = {
@@ -372,7 +433,7 @@ def test_chunks_concatenate_to_the_one_shot_paths(name, reps):
     # block b, drawn alone from its key, is rows [b B, (b + 1) B) of the run
     for b, r0 in enumerate(range(0, reps, _CHUNK_ROWS)):
         rows = min(_CHUNK_ROWS, reps - r0)
-        alone = _block(spec, 260, rows, block_stream(spec, 6, "chunks", b), SimpleNamespace())
+        alone = chunked_block(spec, 260, block_stream(spec, 6, "chunks", b))[:rows]
         assert np.array_equal(alone, out[r0 : r0 + rows])
 
 
@@ -382,34 +443,64 @@ def test_normalized_sums_equal_the_whole_matrix_sums(name, reps):
     spec = CHUNKED_SPECS[name]
     sums = normalized_sums(spec, 260, reps, 6, "sums")
     (a_n,), (b_n,) = asymptotics(spec)[0].values([260])
-    whole = a_n * simulate_many(spec, 260, reps, 6, "sums").sum(axis=1) + b_n
-    assert np.array_equal(sums, whole)
-    assert np.array_equal(sums, a_n * one_shot_paths(spec, 260, reps, 6, "sums").sum(axis=1) + b_n)
+    whole = a_n * chunk_rule_sums(simulate_many(spec, 260, reps, 6, "sums"), 0, 260) + b_n
+    assert sums.tobytes() == whole.tobytes()
 
 
-# empty windows at both ends and inside, windows that end at n, and one
-# across the time-major block of 256 steps
-WINDOWS = [(0, 0), (0, 1), (3, 3), (3, 260), (0, 260), (259, 260), (260, 260), (100, 257)]
+# empty windows at both ends and inside, windows that end at n, one inside
+# a chunk, one that ends on a chunk's edge and one across several chunks
+WINDOWS = [(0, 0), (0, 1), (3, 3), (3, 260), (0, 260), (259, 260), (260, 260), (100, 257),
+           (70, 90), (1, _CHUNK_STEPS), (_CHUNK_STEPS - 1, 3 * _CHUNK_STEPS + 1)]
 
 
 @pytest.mark.parametrize("workers", (1, 2, 3))
 @pytest.mark.parametrize("name", sorted(CHUNKED_SPECS))
 def test_window_sums_equal_the_whole_matrix_sums(monkeypatch, name, workers):
+    # bitwise the rounding rule of window_sums, applied to simulate_many's
+    # matrix one value at a time
     monkeypatch.setattr(processes, "_WORKERS", workers)
     spec = CHUNKED_SPECS[name]
     sums = window_sums(spec, 260, 1031, 6, "sums", WINDOWS)
-    paths = one_shot_paths(spec, 260, 1031, 6, "sums")
+    paths = simulate_many(spec, 260, 1031, 6, "sums")
     assert len(sums) == len(WINDOWS)
     for (s, e), got in zip(WINDOWS, sums):
-        assert np.array_equal(got, paths[:, s:e].sum(axis=1))
+        assert got.tobytes() == chunk_rule_sums(paths, s, e).tobytes()
     assert window_sums(spec, 260, 1031, 6, "sums", []) == []
 
 
+@pytest.mark.parametrize("name", sorted(CHUNKED_SPECS))
+def test_window_sums_do_not_depend_on_the_blocks_per_task(monkeypatch, name):
+    # 17 blocks: tasks of 1, 3 or 16 blocks on one worker, and of 1, 3 or 9
+    # on two
+    spec, reps = CHUNKED_SPECS[name], 16 * _CHUNK_ROWS + 7
+    runs = {}
+    for group in (1, 3, 16):
+        for workers in (1, 2):
+            monkeypatch.setattr(processes, "_GROUP_BLOCKS", group)
+            monkeypatch.setattr(processes, "_WORKERS", workers)
+            runs[group, workers] = np.array(window_sums(spec, 130, reps, 6, "group", WINDOWS[:2]
+                                                        + [(0, 130), (3, 129)])).tobytes()
+    assert len(set(runs.values())) == 1
+
+
+@pytest.mark.parametrize("name", sorted(CHUNKED_SPECS))
+def test_path_prefix_does_not_depend_on_n(name):
+    # a path's first k values are drawn and stepped alike whatever n is, and
+    # so is a window sum inside them
+    spec = CHUNKED_SPECS[name]
+    paths = simulate_many(spec, 260, 515, 6, "prefix")
+    sums = window_sums(spec, 260, 515, 6, "prefix", [(0, 1), (3, 130)])
+    for n in (1, _CHUNK_STEPS - 1, _CHUNK_STEPS, _CHUNK_STEPS + 1, 130):
+        assert simulate_many(spec, n, 515, 6, "prefix").tobytes() == paths[:, :n].copy().tobytes()
+    assert np.array(window_sums(spec, 130, 515, 6, "prefix", [(0, 1), (3, 130)])).tobytes() \
+        == np.array(sums).tobytes()
+
+
 def test_windows_outside_the_path_are_rejected(monkeypatch):
-    def block(*args):
+    def chunks(*args):
         raise AssertionError("a block was drawn")
 
-    monkeypatch.setattr(processes, "_block", block)
+    monkeypatch.setattr(processes, "_chunks", chunks)
     for window in ((-1, 3), (4, 3), (0, 11)):
         with pytest.raises(ValueError, match=r"must satisfy 0 <= s <= e <= n = 10"):
             window_sums(MA11, 10, 5, 1, "x", [(0, 10), window])
@@ -500,7 +591,7 @@ def test_ar1_row_does_not_depend_on_the_replication_count():
 
 
 def test_path_arguments_are_checked_at_the_call():
-    def reduce(r0, block):
+    def reduce(r0, rows, chunks):
         raise AssertionError("a block was drawn")
 
     for n, reps in ((0, 5), (5, 0), (-1, 5)):
@@ -544,30 +635,67 @@ def test_ar1_kernel_matches_loop_reference(spec, n, reps):
     assert out.dtype == np.float64 and out.flags.c_contiguous
 
 
+def normal_band(sd, eta):
+    """The half-width of the band that a normal variable of standard
+    deviation sd leaves with probability eta."""
+    import scipy.stats
+    return sd * scipy.stats.norm.isf(eta / 2)
+
+
 def test_ar1_stationary_variance():
-    # stationary variance sigma^2/(1 - phi^2) = 4/3, within 3% at 1e5 draws
-    path = simulate_many(AR1, 100_000, 1, 7)[0]
-    assert path.var() == pytest.approx(4.0 / 3.0, rel=0.03)
+    # stationary variance sigma^2/(1 - phi^2) = 4/3.  The sample variance of
+    # n values of the Gaussian AR(1) has variance (2/n) gamma_0^2 (1 +
+    # phi^2)/(1 - phi^2) to O(1/n^2), matched by the chi^2 band of n (1 -
+    # phi^2)/(1 + phi^2) = 6e4 degrees of freedom: a correct program leaves
+    # it (about +-2.9%) with probability 1e-6 (the old rel=0.03: 2e-7)
+    n, phi = 100_000, 0.5
+    path = simulate_many(AR1, n, 1, 7)[0]
+    lo, hi = chi2_variance_band(4.0 / 3.0, round(n * (1 - phi ** 2) / (1 + phi ** 2)), eta=1e-6)
+    assert lo <= path.var() <= hi
 
 
 def test_ar1_first_value_already_stationary():
-    many = simulate_many(AR1, 2, 50_000, 3, label="stat")
-    assert many[:, 0].var() == pytest.approx(4.0 / 3.0, rel=0.05)
-    assert many[:, 0].mean() == pytest.approx(0.0, abs=0.02)
+    # X_0 of a Gaussian AR(1) is exactly N(0, 4/3), so over 5e4 replications
+    # the sample variance has a chi^2 law and the mean a normal one: a
+    # correct program leaves each band with probability 1e-6 (the old
+    # rel=0.05 and abs=0.02: 3e-15 and 1e-4)
+    reps = 50_000
+    x0 = simulate_many(AR1, 2, reps, 3, label="stat")[:, 0]
+    lo, hi = chi2_variance_band(4.0 / 3.0, reps, eta=1e-6)
+    assert lo <= x0.var() <= hi
+    assert abs(x0.mean()) <= normal_band(np.sqrt(4.0 / 3.0 / reps), eta=1e-6)
 
 
 def test_ma_lag2_autocovariance_vanishes():
-    x = simulate_many(MA11, 100_000, 1, 9)[0]
+    # 1-dependence of MA(1): the m = n - 2 products x_k x_{k+2} have mean 0,
+    # variance gamma_0^2 = 4 and covariance gamma_1^2 = 1 at lag 1, 0 beyond,
+    # so their mean has variance (4 m + 2 (m - 1))/m^2 and a correct program
+    # leaves its normal band (about +-0.038) with probability 1e-6 (the old
+    # 0.03: 1e-4); x.mean()^2 adds a bias of about 4/n = 4e-5
+    n = 100_000
+    x = simulate_many(MA11, n, 1, 9)[0]
     lag2 = np.mean(x[:-2] * x[2:]) - x.mean() ** 2
-    assert abs(lag2) < 0.03         # 1-dependence of MA(1)
+    m = n - 2
+    assert abs(lag2) <= normal_band(np.sqrt(4 * m + 2 * (m - 1)) / m, eta=1e-6)
 
 
 def test_stationarity_split_halves():
+    # the halves' means are exactly Gaussian; their difference has variance
+    # (4 Var S_m - Var S_2m)/m^2.  Each half's sample variance has variance
+    # (2/m) sum_k gamma(k)^2 to O(1/m^2): 2 (16/9)(5/3)/m for the AR(1),
+    # 2 (4 + 2)/m for the MA(1).  A correct program leaves each normal band
+    # with probability 1e-6 (the old abs=0.05 and rel=0.05: 2e-8 and 9e-10
+    # for the AR(1), 2e-8 and 1e-10 for the MA(1))
+    m = 100_000
+    var_sum = {AR1: lambda n: n * ar1_sum_variance(n), MA11: lambda n: 4.0 * n - 2.0}
+    sum_sq_gamma = {AR1: (16 / 9) * (5 / 3), MA11: 4.0 + 2.0}
     for spec in (AR1, MA11):
-        x = simulate_many(spec, 200_000, 1, 21)[0]
-        h1, h2 = x[:100_000], x[100_000:]
-        assert h1.mean() == pytest.approx(h2.mean(), abs=0.05)
-        assert h1.var() == pytest.approx(h2.var(), rel=0.05)
+        x = simulate_many(spec, 2 * m, 1, 21)[0]
+        h1, h2 = x[:m], x[m:]
+        sd_mean = np.sqrt(4 * var_sum[spec](m) - var_sum[spec](2 * m)) / m
+        assert abs(h1.mean() - h2.mean()) <= normal_band(sd_mean, eta=1e-6)
+        sd_var = np.sqrt(2 * 2 * sum_sq_gamma[spec] / m)
+        assert abs(h1.var() - h2.var()) <= normal_band(sd_var, eta=1e-6)
 
 
 def test_norming_iid_standard_normal():
@@ -651,13 +779,18 @@ def test_norming_ma_closed_form_and_oracle():
 
 
 def test_norming_markov_function():
-    # symmetric two-state chain with values -1/+1: autocovariance 0.5^k,
-    # so v_inf = 1 + 2 sum_k 0.5^k = 3
+    # symmetric two-state chain with values -1/+1, started stationary:
+    # autocovariance 0.5^k, so v_inf = 1 + 2 sum_k 0.5^k = 3 and Var(S_n)/n
+    # = 3 - 4 (1 - 2^-n)/n, three quarters of the AR(1)'s.  S_n is normal
+    # to O(1/n), so over 4000 replications Var(S_n)/n has a chi^2 law: a
+    # correct program leaves the band (about -11%, +11%) with probability
+    # 1e-6 (the old rel=0.10: 8e-6)
     chain = MarkovChainSpec([-1.0, 1.0], [[0.75, 0.25], [0.25, 0.75]], [0.5, 0.5])
     spec = ProcessSpec(family="markov_function", chain=chain)
     assert _moments(spec)[1] == pytest.approx(3.0, abs=1e-12)
-    v_emp = empirical_long_run_variance(spec, 2 ** 12, 4000, 8)
-    assert v_emp == pytest.approx(3.0, rel=0.10)
+    n, reps = 2 ** 12, 4000
+    lo, hi = chi2_variance_band(0.75 * ar1_sum_variance(n), reps, eta=1e-6)
+    assert lo <= empirical_long_run_variance(spec, n, reps, 8) <= hi
 
 
 def test_norming_rejects_degenerate():
@@ -795,7 +928,7 @@ def test_iid_ar1_with_phi_0_and_ma_with_weight_1_are_one_filter(law):
     same = (ProcessSpec(family="iid", innovations=law),
             ProcessSpec(family="ar1", phi=0.0, innovations=law),
             ProcessSpec(family="ma_q", weights=(1.0,), innovations=law))
-    draw = lambda spec: _block(spec, 260, 37, np.random.default_rng(8), SimpleNamespace())
+    draw = lambda spec: chunked_block(spec, 260, np.random.default_rng(8))
     t = np.concatenate([np.linspace(0.0, 12.0, 1201), [np.inf]])
     paths, tail = draw(same[0]), marginal_abs_tail(same[0])(t)
     alpha = analytic_alpha_profile(same[0], [1, 2, 5]).values
