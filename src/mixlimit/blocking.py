@@ -215,6 +215,8 @@ def verify_blocking(
     equals max_theta Re Cov(xi', eta) = Cov(Re xi', Re eta) - Cov(Im xi',
     Im eta) <= 4 alpha + 4 alpha, each part real and bounded by 1; so its
     ceiling is 8 alpha(q+1) plus the sampling slack 6/sqrt(replications).
+    The row is its max over the 10 points t > 0 of the 21-point grid: it is
+    0 at t = 0 and at -t (to 1.1e-16 on the grid) its value at t, conjugated.
     The ceilings are fixed: DEFAULT_EPSILON, DEFAULT_KS_TOL and
     DEFAULT_TIGHTNESS_BOUND here, the CF radius and c-values in selfdecomp.
     """
@@ -232,7 +234,7 @@ def verify_blocking(
     )
     rows = []
     se_alpha = 0.3536 / np.sqrt(replications)   # sd of the median-split statistic under independence
-    freqs = selfdecomp.uniform_grid(selfdecomp.DEFAULT_EMPIRICAL_RADIUS, 21)
+    freqs = selfdecomp.uniform_grid(selfdecomp.DEFAULT_EMPIRICAL_RADIUS, 21)[11:]  # t > 0
 
     def row(name, value, ceiling, ok=None):
         """Add row name at the current n; it passes iff value <= ceiling, unless ok is given."""

@@ -111,11 +111,19 @@ def _cf_values(freqs, x) -> np.ndarray:
     The frequencies are taken 16 at a time, so the (frequencies, n) table
     of exponentials is never held whole; each mean runs over the same
     values in the same order, so the result does not depend on the block.
+    exp(i theta) = (cos theta, sin theta) fills one (16, n, 2) buffer made
+    once per call, theta first in the sin half, and the mean of its complex
+    view is np.exp(1j * theta).mean() bit for bit.
     """
     freqs = np.asarray(freqs)
     out = np.empty(len(freqs), dtype=complex)
+    pairs = np.empty((min(16, len(freqs)), len(x), 2))
     for k in range(0, len(freqs), 16):
-        out[k : k + 16] = np.exp(1j * np.multiply.outer(freqs[k : k + 16], x)).mean(axis=1)
+        p = pairs[: len(freqs) - k]
+        np.multiply.outer(freqs[k : k + 16], x, out=p[..., 1])
+        np.cos(p[..., 1], out=p[..., 0])
+        np.sin(p[..., 1], out=p[..., 1])
+        out[k : k + 16] = p.view(complex)[..., 0].mean(axis=1)
     return out
 
 

@@ -33,6 +33,7 @@ FAMILIES = {
     "markov_function": ("chain", "state_values"),
 }
 _AR1_INIT_TOL = 1e-16
+AR1_BURN_LIMIT = 1 << 16       # burn-in rows of a non-Gaussian ar1: |phi| <= 0.999438
 # replications are drawn in blocks of _CHUNK_ROWS, one keyed stream per
 # block, drawn time-major in chunks of _CHUNK_STEPS steps by _CHUNK_ROWS
 # replications; a worker task takes a group of up to _GROUP_BLOCKS
@@ -104,6 +105,9 @@ class ProcessSpec:
             raise ValueError(f"unknown process family {self.family!r}")
         if self.family == "ar1" and not abs(self.phi) < 1:
             raise ValueError(f"ar1 requires |phi| < 1, got {self.phi}")
+        if self.family == "ar1" and (burn := _ar1_burn(self.phi, self.innovations)) > AR1_BURN_LIMIT:
+            raise ValueError(f"ar1 with {self.innovations.name} innovations and phi = {self.phi} "
+                             f"needs {burn} burn-in rows, above the limit {AR1_BURN_LIMIT}")
         if self.family == "ma_q":
             if len(self.weights) == 0:
                 raise ValueError("ma_q requires at least one weight")
@@ -329,12 +333,11 @@ def _ar1_chunks(spec: ProcessSpec, phi: float, n: int, rngs: list):
     sqrt(1 - phi^2) for the stationary mean m and the innovation mean mu,
     so it draws exactly n rows.  Any other innovation law has no closed-form
     stationary law, so its paths start at m at time -burn - 1, burn =
-    ceil(log _AR1_INIT_TOL / log |phi|), and the burn-in rows are stepped
-    and dropped: the start's weight in X_0 is |phi|^(burn + 1).
+    ceil(log _AR1_INIT_TOL / log |phi|) <= AR1_BURN_LIMIT, and the burn-in
+    rows are stepped and dropped: the start's weight in X_0 is |phi|^(burn + 1).
     """
     law, m = spec.innovations, _moments(spec)[0]
-    exact = law.name == "normal"
-    burn = 0 if exact else int(np.ceil(np.log(_AR1_INIT_TOL) / np.log(abs(phi))))
+    exact, burn = law.name == "normal", _ar1_burn(phi, law)
     last = np.full(len(rngs) * _CHUNK_ROWS, m)
     tmp = np.empty_like(last)
     for t0, x in _drawn_chunks(law.sample, rngs, burn, n):
@@ -350,6 +353,12 @@ def _ar1_chunks(spec: ProcessSpec, phi: float, n: int, rngs: list):
         np.copyto(last, prev)
         if t0 >= 0:
             yield t0, 0, x
+
+
+def _ar1_burn(phi: float, law: InnovationLaw) -> int:
+    """The burn-in rows of an ar1 path, 0 if it starts exactly or phi = 0."""
+    exact = law.name == "normal" or phi == 0.0
+    return 0 if exact else int(np.ceil(np.log(_AR1_INIT_TOL) / np.log(abs(phi))))
 
 
 def _markov_steps(spec: ProcessSpec, width: int):
@@ -475,8 +484,9 @@ def window_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str, win
     of simulate_many(spec, n, reps, seed, label).  A sum is rounded in time
     order, one chunk at a time: 0.0, plus the window's part of each chunk
     of _CHUNK_STEPS steps [t0, t0 + _CHUNK_STEPS) it meets, in time order,
-    each part summed in time order.  Each chunk is reduced as it is
-    stepped, while it is in cache, so no (reps, n) matrix is held."""
+    each part summed in time order, once for all windows that span the same
+    steps of it.  Each chunk is reduced as it is stepped, while it is in
+    cache, so no (reps, n) matrix is held."""
     _check_sizes(n, reps)
     for s, e in windows:
         if not 0 <= s <= e <= n:
@@ -485,12 +495,14 @@ def window_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str, win
     def sums(r0, rows, chunks):
         acc = np.zeros((len(windows), -(-rows // _CHUNK_ROWS) * _CHUNK_ROWS))
         for t0, c, x in chunks:
-            t1 = t0 + len(x)
+            parts = {}
             for a, (s, e) in zip(acc, windows):
-                # a sum over the rows of a chunk at least _CHUNK_ROWS wide
-                # adds row by row, in time order
-                if max(s, t0) < min(e, t1):
-                    a[c : c + x.shape[1]] += x[max(s, t0) - t0 : min(e, t1) - t0].sum(axis=0)
+                lo, hi = max(s, t0) - t0, min(e, t0 + len(x)) - t0
+                if lo < hi:
+                    # rows of a chunk >= _CHUNK_ROWS wide add row by row, in time order
+                    if (lo, hi) not in parts:
+                        parts[lo, hi] = x[lo:hi].sum(axis=0)
+                    a[c : c + x.shape[1]] += parts[lo, hi]
         return acc[:, :rows]
 
     return list(np.concatenate(_map_blocks(spec, n, reps, seed, label, sums), axis=1))

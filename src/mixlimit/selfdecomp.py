@@ -134,23 +134,20 @@ def selfdecomp_test_sample(
 ) -> dict:
     """The ratio test on the empirical CF of a 1-D sample of n points.
 
-    The CF is evaluated at exactly the frequencies >= 0 the test asks
-    for, with phi(0) = 1 pinned, and phi(-t) = conj(phi(t)) fills in the
+    The CF is evaluated at exactly the frequencies > 0 the test asks for,
+    phi(0) = 1 is pinned, and phi(-t) = conj(phi(t)) fills in the
     negative ones.  The floor is the sampling-noise level
-    max(1e-6, 8/sqrt(n)) and the PSD tolerance 1e-3.  The default radius is small: at radius 0.5 the sampling noise
-    of 10^4-point CFs stays an order of magnitude below the tolerance.
+    max(1e-6, 8/sqrt(n)) and the PSD tolerance 1e-3.  The default radius
+    is small: at radius 0.5 the sampling noise of 10^4-point CFs stays an
+    order of magnitude below the tolerance.
     """
     x = as_sample(sample)
 
     def cf(freqs):
         # freqs is sorted and exactly symmetric about 0, so its negative
         # half is the mirror of the positive one
-        zero = np.searchsorted(freqs, 0.0)
-        v = np.empty(len(freqs), dtype=complex)
-        v[zero:] = _cf_values(freqs[zero:], x)
-        v[zero] = 1.0
-        v[:zero] = np.conj(v[: zero : -1])
-        return v
+        pos = _cf_values(freqs[np.searchsorted(freqs, 0.0) + 1 :], x)
+        return np.concatenate([np.conj(pos[::-1]), [1.0], pos])
 
     floor = max(EMPIRICAL_FLOOR_BASE, EMPIRICAL_FLOOR_SCALE / np.sqrt(len(x)))
     return _ratio_test(

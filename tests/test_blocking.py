@@ -1,13 +1,15 @@
 import functools
+import json
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from mixlimit import processes
+from mixlimit import blocking, harness, processes
 from mixlimit.blocking import (
     BlockingPlan,
     _identity_relerr,
@@ -22,6 +24,7 @@ from mixlimit.blocking import (
 from mixlimit.harness import CSV_COLUMNS, csv_text
 from mixlimit.probcore import FiniteJointDistribution, alpha_exact, ks_distance
 from mixlimit.mixing import MarkovChainSpec
+from mixlimit.selfdecomp import DEFAULT_EMPIRICAL_RADIUS, uniform_grid
 from mixlimit.processes import (
     _CHUNK_ROWS,
     _CHUNK_STEPS,
@@ -426,6 +429,26 @@ def test_eq12_ceiling_is_the_complex_covariance_bound():
         alpha = analytic_alpha_profile(spec, [r["q_n"] + 1]).alpha_at(r["q_n"] + 1)
         assert alpha > 0
         assert r["analytic_ceiling"] == 8.0 * alpha + 6.0 / np.sqrt(reps)
+
+
+@pytest.mark.parametrize("name", ["blocking_verify", "blocking_markov"])
+def test_eq12_on_the_positive_half_is_the_max_over_the_whole_grid(monkeypatch, name):
+    # the row is the max over the 10 points t > 0 of the 21-point grid; on
+    # the U and W of both blocking goldens it is the max over all 21 points,
+    # each CF a complex exp, though the grid's mirrored points differ by up
+    # to 1.1e-16
+    cfg = json.loads((Path(__file__).parent / "golden" / f"{name}.json").read_text())
+    blocks = []
+    monkeypatch.setattr(blocking, "_three_blocks",
+                        lambda *args: blocks.append(_three_blocks(*args)) or blocks[-1])
+    rows = verify_blocking(harness._parse_process(cfg["process"], "config.process"),
+                           c=cfg["c"], n_grid=cfg["n_grid"], replications=cfg["replications"],
+                           seed=cfg["seed"])
+    grid = uniform_grid(DEFAULT_EMPIRICAL_RADIUS, 21)
+    cf = lambda x: np.exp(1j * np.multiply.outer(grid, x)).mean(axis=1)
+    whole = [float(np.max(np.abs(cf(u + w) - cf(u) * cf(w)))) for u, _, w, _ in blocks]
+    assert len(whole) == len(cfg["n_grid"])
+    assert whole == [r["value"] for r in rows if r["metric_name"] == "eq12_cf_factorization_err"]
 
 
 def test_eq5_row_when_every_c_is_inconclusive():

@@ -344,6 +344,16 @@ def test_a_degenerate_process_is_a_config_error(tmp_path, capsys, cfg):
     assert not (tmp_path / "o").exists()
 
 
+def test_an_ar1_burn_in_above_the_cap_is_a_config_error(tmp_path, capsys):
+    process = {"family": "ar1", "phi": 0.99943801, "innovations": {"name": "uniform"}}
+    path = write_cfg(tmp_path, "burn.json", dict(BLOCKING_CFG, process=process))
+    assert harness.run(path, out_dir=str(tmp_path / "o")) == 1
+    assert capsys.readouterr().out == (
+        "config error: config.process: ar1 with uniform innovations and phi = 0.99943801 "
+        f"needs 65537 burn-in rows, above the limit {processes.AR1_BURN_LIMIT}\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("cfg", [
     {"kind": "selfdecomp-test", "seed": 1, "c_values": [0.5], "n": 64, "replications": 100,
      "process": {"family": "ma_q", "weights": [1e200, 1e200]}},

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,38 @@ def test_cf_blocks_equal_the_one_shot_table(n_freqs, size):
     freqs, x = rng.normal(0.0, 3.0, n_freqs), rng.standard_t(3, size)
     one_shot = np.exp(1j * np.multiply.outer(freqs, x)).mean(axis=1)
     assert np.array_equal(_cf_values(freqs, x), one_shot)
+
+
+@pytest.mark.parametrize("n_freqs", [1, 10, 17, 121])
+def test_cf_cos_sin_halves_are_the_complex_exp_bit_for_bit(n_freqs):
+    # t = 0, both signs of t and, at 17 and 121 frequencies, a partial last
+    # chunk of 16; on a sample of both signs and on one of negative values,
+    # whose products with t = 0 are all -0.0
+    rng = np.random.default_rng(32 + n_freqs)
+    freqs = rng.normal(0.0, 1.0, n_freqs)
+    freqs[n_freqs // 2] = 0.0
+    x = rng.normal(0.3, 2.0, 10_000)
+    for t, sample in ((freqs, x), (-freqs, x), (freqs, -np.abs(x))):
+        one_shot = np.exp(1j * np.multiply.outer(t, sample)).mean(axis=1)
+        assert _cf_values(t, sample).tobytes() == one_shot.tobytes()
+
+
+def test_cf_peak_memory_is_one_cos_sin_buffer():
+    # the chunks share one (16, n, 2) buffer of cos and sin, which holds the
+    # phases too; each chunk's complex exp held its phases, their complex
+    # copy and the exponentials, two such buffers, made afresh for every chunk
+    x = np.random.default_rng(7).standard_normal(20_000)
+    freqs = np.linspace(-0.5, 0.5, 121)
+    buffer = 16 * len(x) * 2 * 8
+    _cf_values(freqs[:2], x)                                # first-call work
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _cf_values(freqs, x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert buffer <= peak < 1.05 * buffer
 
 
 def test_cf_rejects_empty_sample():

@@ -1,6 +1,7 @@
 import functools
 import io
 import math
+import re
 import sys
 import threading
 import time
@@ -15,9 +16,11 @@ from mixlimit.mixing import MarkovChainSpec
 from mixlimit.probcore import STANDARD_NORMAL, normal_cdf
 from mixlimit.processes import (
     _AR1_INIT_TOL,
+    AR1_BURN_LIMIT,
     _CHUNK_ROWS,
     _CHUNK_STEPS,
     _MAX_STEP_EDGES,
+    _ar1_burn,
     _chunks,
     _map_blocks,
     _markov_steps,
@@ -219,6 +222,35 @@ def test_spec_validation():
     for values in ((1.0, 2.0), (1.0, 2.0, 3.0, 4.0)):
         with pytest.raises(ValueError, match=f"state_values has {len(values)} entries"):
             ProcessSpec(family="markov_function", chain=FINDING1.chain, state_values=values)
+
+
+@pytest.mark.parametrize("law", ["uniform", "rademacher"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_non_gaussian_ar1_burn_in_is_capped(law, sign):
+    # ceil(log 1e-16 / log |phi|) rows: 2^16 at |phi| = 0.999438, the cap,
+    # and one more at 0.99943801
+    at, past = sign * 0.999438, sign * 0.99943801
+    innovations = InnovationLaw(law)
+    assert AR1_BURN_LIMIT == 1 << 16
+    assert _ar1_burn(at, innovations) == AR1_BURN_LIMIT
+    assert _ar1_burn(past, innovations) == AR1_BURN_LIMIT + 1
+    assert ProcessSpec(family="ar1", phi=at, innovations=innovations).phi == at
+    needle = (f"ar1 with {law} innovations and phi = {past} needs 65537 burn-in rows, "
+              "above the limit 65536")
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        ProcessSpec(family="ar1", phi=past, innovations=innovations)
+
+
+def test_ar1_at_the_burn_in_cap_runs_and_exact_starts_have_none():
+    # the cap's one block steps 2^16 + 1 rows before its first value; a
+    # Gaussian ar1 starts in its stationary law and an ar1 with phi = 0 is
+    # iid, so neither has a burn-in, whatever phi
+    at = ProcessSpec(family="ar1", phi=0.999438, innovations=InnovationLaw("uniform"))
+    (s,) = window_sums(at, 1, 1, 1, "cap", [(0, 1)])
+    assert np.all(np.isfinite(s))
+    assert _ar1_burn(0.9999999, InnovationLaw("normal")) == 0
+    assert _ar1_burn(0.0, InnovationLaw("uniform")) == 0
+    ProcessSpec(family="ar1", phi=0.9999999)
 
 
 @pytest.mark.parametrize("mean, std", [(0.0, np.nan), (0.0, np.inf), (np.nan, 1.0),
@@ -448,9 +480,14 @@ def test_normalized_sums_equal_the_whole_matrix_sums(name, reps):
 
 
 # empty windows at both ends and inside, windows that end at n, one inside
-# a chunk, one that ends on a chunk's edge and one across several chunks
+# a chunk, one that ends on a chunk's edge and one across several chunks;
+# then nested windows, which share the parts of the chunks they cover, ones
+# that end inside a chunk, a repeated one and two that span the same steps
+# of the chunk at 64 only
 WINDOWS = [(0, 0), (0, 1), (3, 3), (3, 260), (0, 260), (259, 260), (260, 260), (100, 257),
-           (70, 90), (1, _CHUNK_STEPS), (_CHUNK_STEPS - 1, 3 * _CHUNK_STEPS + 1)]
+           (70, 90), (1, _CHUNK_STEPS), (_CHUNK_STEPS - 1, 3 * _CHUNK_STEPS + 1),
+           (0, 257), (0, 192), (0, 128), (0, 100), (0, 64), (5, 100), (5, 100), (64, 260),
+           (64, 100), (128, 192)]
 
 
 @pytest.mark.parametrize("workers", (1, 2, 3))
