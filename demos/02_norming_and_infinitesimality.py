@@ -12,7 +12,7 @@ import numpy as np
 
 from mixlimit.blocking import compute_deltas
 from mixlimit.harness import write_path_csv
-from mixlimit.processes import ProcessSpec, asymptotics, marginal_abs_tail, simulate_many
+from mixlimit.processes import ProcessSpec, asymptotics, marginal_abs_tail, window_sums
 
 
 def scaling_diagnostics(values, n_max):
@@ -30,8 +30,8 @@ print("AR(1) with phi = 0.5:", norming.provenance)
 
 # empirical check of the closed form: Var(S_n)/n should approach v_inf = 4
 for n in (64, 1024, 16384):
-    paths = simulate_many(ar1, n, 2000, seed=1, label=f"demo{n}")
-    print(f"  empirical Var(S_n)/n at n={n:6d}: {paths.sum(axis=1).var() / n:.3f}")
+    (s_n,) = window_sums(ar1, n, 2000, 1, f"demo{n}", [(0, n)])
+    print(f"  empirical Var(S_n)/n at n={n:6d}: {s_n.var() / n:.3f}")
 
 # scaling regularity
 decay, gap, drift = scaling_diagnostics(norming.values, 10_000)
@@ -52,7 +52,8 @@ for n in (10, 100, 1000, 4096):
     print(f"  n={n:5d}: delta = {deltas[n - 1]:.2f}, "
           f"tail at that level = {float(tail(deltas[n - 1] / a_tab[n - 1])):.4f}")
 
-path = simulate_many(ar1, 8, 1, seed=7)[0]
+# each value of a path is its sum over a window of one step
+path = np.concatenate(window_sums(ar1, 8, 1, 7, "path", [(k, k + 1) for k in range(8)]))
 print("\na sample path prefix:", np.round(path, 3))
 csv_text = io.StringIO()
 write_path_csv(csv_text, path)

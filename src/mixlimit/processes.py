@@ -177,34 +177,6 @@ class NormingSequences:
         return a, b
 
 
-def simulate_many(spec: ProcessSpec, n: int, reps: int, seed: int, label: str = "path") -> np.ndarray:
-    """(reps, n) matrix of independent paths; deterministic in (spec, n, reps, seed).
-
-    Replication r is column r mod _CHUNK_ROWS of block r // _CHUNK_ROWS,
-    whose stream is keyed by (seed, label, spec hash, block index) and
-    drawn time-major, as one (lead + n, _CHUNK_ROWS) array would be: row
-    lead + k holds time k (lead is an ma_q's q innovations before time 0,
-    or a non-Gaussian ar1's burn-in).  Every block is drawn the full
-    _CHUNK_ROWS wide and row by row, so a path depends neither on reps nor,
-    in its first k values, on n: simulate_many(spec, n, 1, seed)[0] is row
-    0 of every larger draw and a prefix of every longer one.  The matrix is
-    assembled from the chunks the workers step, and is the one array of its
-    size a call holds; consumers that only need sums of paths over windows
-    of time take them from window_sums instead.
-    """
-    # checked before the allocation, which would raise its own message
-    _check_sizes(n, reps)
-    out = np.empty((reps, n))
-
-    def write(r0, rows, chunks):
-        for t0, c, x in chunks:
-            cols = min(x.shape[1], rows - c)
-            out[r0 + c : r0 + c + cols, t0 : t0 + len(x)] = x[:, :cols].T
-
-    _map_blocks(spec, n, reps, seed, label, write)
-    return out
-
-
 def _check_sizes(n: int, reps: int) -> None:
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be positive")
@@ -219,12 +191,17 @@ def _map_blocks(spec: ProcessSpec, n: int, reps: int, seed: int, label: str, red
     replication's chunks in time order.  Columns from rows on pad the last
     block and are no replication's.
 
-    Block b draws from the stream keyed by (seed, label, spec hash, b), and
-    every value is computed column by column, so the result is the same on
-    every number of workers and every grouping.  The arguments are checked
-    at the call, before any block is drawn.  reduce runs on a worker thread
-    and must not touch state another task writes; x is reused for the next
-    chunk, so reduce must not keep it.
+    Replication r is column r mod _CHUNK_ROWS of block r // _CHUNK_ROWS,
+    and block b draws from the stream keyed by (seed, label, spec hash, b),
+    time-major, as one (lead + n, _CHUNK_ROWS) array would be: row lead + k
+    holds time k (lead is an ma_q's q innovations before time 0, or a
+    non-Gaussian ar1's burn-in).  Every block is drawn the full _CHUNK_ROWS
+    wide and row by row, and every value is computed column by column, so a
+    path depends neither on reps nor, in its first k values, on n, and the
+    result is the same on every number of workers and every grouping.  The
+    arguments are checked at the call, before any block is drawn.  reduce
+    runs on a worker thread and must not touch state another task writes; x
+    is reused for the next chunk, so reduce must not keep it.
     """
     _check_sizes(n, reps)
     key = spec.spec_hash()
@@ -480,13 +457,13 @@ def _loop_steps(cum: np.ndarray, width: int):
 
 def window_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str, windows) -> list:
     """[X_s + ... + X_{e-1} for (s, e) in the list windows, 0 <= s <= e <=
-    n]: one array per window, whose entry r is that window's sum in row r
-    of simulate_many(spec, n, reps, seed, label).  A sum is rounded in time
-    order, one chunk at a time: 0.0, plus the window's part of each chunk
-    of _CHUNK_STEPS steps [t0, t0 + _CHUNK_STEPS) it meets, in time order,
-    each part summed in time order, once for all windows that span the same
-    steps of it.  Each chunk is reduced as it is stepped, while it is in
-    cache, so no (reps, n) matrix is held."""
+    n]: one array per window, whose entry r is that window's sum over the
+    path of replication r as _map_blocks lays it out.  A sum is rounded in
+    time order, one chunk at a time: 0.0, plus the window's part of each
+    chunk of _CHUNK_STEPS steps [t0, t0 + _CHUNK_STEPS) it meets, in time
+    order, each part summed in time order, once for all windows that span
+    the same steps of it.  Each chunk is reduced as it is stepped, while it
+    is in cache, so no (reps, n) matrix is held."""
     _check_sizes(n, reps)
     for s, e in windows:
         if not 0 <= s <= e <= n:

@@ -17,6 +17,7 @@ import scipy.stats
 
 from mixlimit import blocking, coupling, harness, mixing, processes, selfdecomp
 from mixlimit.probcore import FiniteJointDistribution, alpha_exact, ks_distance
+from pathref import mapped_paths
 
 A_SQRT = lambda n: np.asarray(n, dtype=float) ** -0.5
 IID = processes.ProcessSpec(family="iid")
@@ -175,7 +176,7 @@ def test_criterion_6_theorem_end_to_end():
     t0 = time.perf_counter()
     n, reps, c = 4096, 10_000, 0.5
     nm, _ = processes.asymptotics(AR1)
-    paths = processes.simulate_many(AR1, n, reps, seed=2028, label="acceptance6")
+    paths = mapped_paths(AR1, n, reps, seed=2028, label="acceptance6")
     a_n = float(nm.values([n])[0][0])
     total = a_n * paths.sum(axis=1)
     ks_total = ks_distance(total, scipy.stats.norm.cdf)

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import tracemalloc
@@ -26,41 +25,18 @@ from mixlimit.probcore import FiniteJointDistribution, alpha_exact, ks_distance
 from mixlimit.mixing import MarkovChainSpec
 from mixlimit.selfdecomp import DEFAULT_EMPIRICAL_RADIUS, uniform_grid
 from mixlimit.processes import (
-    _CHUNK_ROWS,
-    _CHUNK_STEPS,
     InnovationLaw,
     NormingSequences,
     ProcessSpec,
     analytic_alpha_profile,
     asymptotics,
     marginal_abs_tail,
-    simulate_many,
     window_sums,
 )
+from pathref import BLOCK_BOUNDARY_REPS, FINDING1, chunk_rule_sums, one_shot_paths, whole_matrix_blocks
 
 A_RECIP = lambda n: 1.0 / np.asarray(n, dtype=float)
 A_SQRT = lambda n: np.asarray(n, dtype=float) ** -0.5
-
-
-def chunk_rule_sums(paths, s, e):
-    """X_s + ... + X_{e-1} of each row of paths by the rounding rule of
-    window_sums: 0.0 plus the window's part of each _CHUNK_STEPS-step
-    chunk, in time order, each part summed in time order."""
-    parts = [range(max(s, c0), min(e, c0 + _CHUNK_STEPS))
-             for c0 in range(s - s % _CHUNK_STEPS, e, _CHUNK_STEPS)]
-    return sum((functools.reduce(np.add, (paths[..., k] for k in ks)) for ks in parts if ks),
-               np.zeros(paths.shape[:-1]))
-
-
-def whole_matrix_blocks(whole):
-    """A stand-in for processes._map_blocks that hands reduce the matrix
-    whole as one task's time-major chunks, padded to whole blocks as the
-    workers' chunks are."""
-    reps, n = whole.shape
-    padded = np.zeros((n, -(-reps // _CHUNK_ROWS) * _CHUNK_ROWS))
-    padded[:, :reps] = whole.T
-    chunks = [(t0, 0, padded[t0 : t0 + _CHUNK_STEPS]) for t0 in range(0, n, _CHUNK_STEPS)]
-    return lambda spec, n, reps, seed, label, reduce: [reduce(0, reps, chunks)]
 
 
 def scan_oracle(a, c, n):
@@ -300,7 +276,7 @@ def test_decompose_identity_random_paths():
     plan = make_plan(nm, tail, 0.5, (64, 128))
     for std in rng.uniform(0.5, 2, 4):
         spec = ProcessSpec(family="iid", innovations=InnovationLaw(std=float(std)))
-        paths = simulate_many(spec, 128, 20, 1, "identity")
+        paths = one_shot_paths(spec, 128, 20, 1, "identity")
         for n in (64, 128):
             i = plan.index_of(n)
             sums = window_sums(spec, 128, 20, 1, "identity", _windows(plan, n))
@@ -316,13 +292,13 @@ def test_decompose_zero_middle_block_gives_zero_v():
 
 
 def test_decompose_row_matches_verify_blocking_split():
-    # the split of one row of a simulate_many matrix, alone, and the split
+    # the split of one row of the one-shot paths, alone, and the split
     # of the window sums that verify_blocking takes agree bit for bit; so
     # does the split of a run of one replication, which is row 0 of any run
     spec = ProcessSpec(family="ar1", phi=0.5)
     nm, _ = asymptotics(spec)
     plan = make_plan(nm, marginal_abs_tail(spec), 0.5, (256, 512))
-    paths = simulate_many(spec, 512, 8, 4, label="blocking")
+    paths = one_shot_paths(spec, 512, 8, 4, label="blocking")
     for n in (256, 512):
         i = plan.index_of(n)
         m, windows = int(plan.m[i]), _windows(plan, n)
@@ -479,7 +455,7 @@ def test_iid_trailing_block_reaches_its_gaussian_limit():
     plan = make_plan(nm, marginal_abs_tail(spec), 0.5, (256, 4096))
     i = plan.index_of(4096)
     m, q = int(plan.m[i]), int(plan.q[i])
-    paths = simulate_many(spec, 4096, 2000, 17, label="wlimit")
+    paths = one_shot_paths(spec, 4096, 2000, 17, label="wlimit")
     (a_n,), _ = nm.values([4096])
     w = a_n * paths[:, m + q:].sum(axis=1)
     sd = np.sqrt(1 - 0.5 ** 2)
@@ -487,8 +463,6 @@ def test_iid_trailing_block_reaches_its_gaussian_limit():
     assert ks < 0.05
 
 
-FINDING1 = ProcessSpec(family="markov_function", chain=MarkovChainSpec(
-    [-1.0, 2.0, 0.5], [[0.6, 0.3, 0.1], [0.3, 0.6, 0.1], [0.2, 0.2, 0.6]], [1 / 3, 1 / 3, 1 / 3]))
 BLOCKING_SPECS = {
     "iid-normal": ProcessSpec(family="iid"),
     "iid-uniform": ProcessSpec(family="iid", innovations=InnovationLaw("uniform", 0.0, 1.0)),
@@ -497,10 +471,6 @@ BLOCKING_SPECS = {
     "ma_q": ProcessSpec(family="ma_q", weights=(1.0, 0.5, 0.25)),
     "markov_function": FINDING1,
 }
-# one block, a block less or more by one row, two blocks and seven rows, and
-# two and four blocks less or more by at most seven rows
-BLOCK_BOUNDARY_REPS = (1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 7,
-                       1023, 1024, 1025, 2055)
 
 
 @pytest.mark.parametrize("reps", BLOCK_BOUNDARY_REPS)
@@ -511,7 +481,7 @@ def test_chunked_block_sums_equal_the_whole_matrix_split(name, reps):
     spec = BLOCKING_SPECS[name]
     nm, _ = asymptotics(spec)
     plan = make_plan(nm, marginal_abs_tail(spec), 0.5, (64, 128))
-    paths = simulate_many(spec, 128, reps, 8, label="blocking")
+    paths = one_shot_paths(spec, 128, reps, 8, label="blocking")
     for n in (64, 128):
         i = plan.index_of(n)
         m, q = int(plan.m[i]), int(plan.q[i])
@@ -524,11 +494,11 @@ def test_chunked_block_sums_equal_the_whole_matrix_split(name, reps):
 @pytest.mark.parametrize("reps", BLOCK_BOUNDARY_REPS)
 @pytest.mark.parametrize("name", sorted(BLOCKING_SPECS))
 def test_verify_blocking_rows_equal_the_whole_matrix_rows(monkeypatch, name, reps):
-    # the reference hands verify_blocking the whole simulate_many matrix as
-    # one task's chunks, so its window sums are taken at once
+    # the reference hands verify_blocking the one-shot paths as one task's
+    # chunks, so its window sums are taken at once
     spec = BLOCKING_SPECS[name]
     rows = verify_blocking(spec, n_grid=(64, 128), replications=reps, seed=8)
-    whole = simulate_many(spec, 128, reps, 8, label="blocking")
+    whole = one_shot_paths(spec, 128, reps, 8, label="blocking")
     monkeypatch.setattr(processes, "_map_blocks", whole_matrix_blocks(whole))
     reference = verify_blocking(spec, n_grid=(64, 128), replications=reps, seed=8)
     assert {r["n"] for r in rows} == {64, 128}

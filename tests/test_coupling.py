@@ -16,6 +16,7 @@ from mixlimit.coupling import (
 )
 from mixlimit.probcore import FiniteJointDistribution
 from mixlimit.processes import ProcessSpec
+from pathref import one_shot_paths, whole_matrix_blocks
 
 
 def exact_vertex_oracle(pmf_fractions, atoms, two_eps):
@@ -416,18 +417,15 @@ def test_lagged_blocks_decay_toward_independence():
 
 
 def test_lagged_blocks_are_the_block_sums_of_simulated_paths(monkeypatch):
-    # the reference hands the corollary the whole simulate_many matrix as one
-    # task's chunks, padded to a whole block as the workers' chunks are; the
-    # rows must not depend on the worker count either
+    # the reference hands the corollary the one-shot paths as one task's
+    # chunks, padded to whole blocks as the workers' chunks are; the rows
+    # must not depend on the worker count either
     spec = ProcessSpec(family="ar1", phi=0.5)
     kwargs = dict(mode="lagged_blocks", lags=(0, 3), replications=1031, seed=10, block_length=4)
     runs = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(processes, "_WORKERS", workers)
         runs.append(repr(corollary_sum_experiment(spec, **kwargs)))
-    whole = processes.simulate_many(spec, 11, 1031, 10, label="corr-lag")
-    padded = np.zeros((11, 3 * processes._CHUNK_ROWS))
-    padded[:, :1031] = whole.T
-    monkeypatch.setattr(processes, "_map_blocks",
-                        lambda spec, n, reps, seed, label, reduce: [reduce(0, reps, [(0, 0, padded)])])
+    whole = one_shot_paths(spec, 11, 1031, 10, label="corr-lag")
+    monkeypatch.setattr(processes, "_map_blocks", whole_matrix_blocks(whole))
     assert runs == [repr(corollary_sum_experiment(spec, **kwargs))] * 3

@@ -1,4 +1,3 @@
-import functools
 import io
 import math
 import re
@@ -15,7 +14,6 @@ from mixlimit.harness import write_path_csv
 from mixlimit.mixing import MarkovChainSpec
 from mixlimit.probcore import STANDARD_NORMAL, normal_cdf
 from mixlimit.processes import (
-    _AR1_INIT_TOL,
     AR1_BURN_LIMIT,
     _CHUNK_ROWS,
     _CHUNK_STEPS,
@@ -32,10 +30,11 @@ from mixlimit.processes import (
     asymptotics,
     marginal_abs_tail,
     normalized_sums,
-    simulate_many,
     window_sums,
 )
 from mixlimit.selfdecomp import CLOSED_FORM_CFS
+from pathref import (BLOCK_BOUNDARY_REPS, FINDING1, block_stream, chunk_rule_sums, chunked_block,
+                     loop_markov_paths, mapped_paths, one_shot_paths)
 
 AR1 = ProcessSpec(family="ar1", phi=0.5)
 MA11 = ProcessSpec(family="ma_q", weights=(1.0, 1.0))
@@ -51,8 +50,6 @@ def markov_spec(transition, initial=None, states=None):
 
 
 TWO_STATE = markov_spec([[0.6, 0.4], [0.3, 0.7]], [0.5, 0.5], [-1.0, 2.0])
-FINDING1 = markov_spec([[0.6, 0.3, 0.1], [0.3, 0.6, 0.1], [0.2, 0.2, 0.6]], None,
-                       [-1.0, 2.0, 0.5])
 # zero-probability transitions; the third row's cumsum ends at 1 - 2^-52
 SPARSE4 = markov_spec(
     [[0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0], [0.7, 0.2, 0.0999999999999999, 0.0],
@@ -66,120 +63,12 @@ def many_state_spec(k=300):
     return markov_spec(p / p.sum(axis=1, keepdims=True))
 
 
-def loop_markov_paths(spec, u):
-    """markov_function paths from the uniforms u, one time step at a time."""
-    chain = spec.chain
-    kmax = chain.n_states - 1
-    cum = np.cumsum(chain.transition, axis=1)
-    states = np.empty(u.shape, dtype=np.intp)
-    states[:, 0] = np.minimum(
-        np.searchsorted(np.cumsum(chain.initial), u[:, 0], side="right"), kmax
-    )
-    for k in range(1, u.shape[1]):
-        rows = cum[states[:, k - 1]]
-        states[:, k] = np.minimum((u[:, k, None] > rows).sum(axis=1), kmax)
-    return spec.mapped_values()[states]
-
-
-def one_shot_innovations(law, rng, shape):
-    """law.sample as one draw scaled out of place, as mean + std * z."""
-    if law.name == "normal":
-        z = rng.standard_normal(shape)
-    elif law.name == "uniform":
-        z = (rng.random(shape) - 0.5) * np.sqrt(12.0)
-    else:
-        z = rng.integers(0, 2, shape) * 2.0 - 1.0
-    return law.mean + law.std * z
-
-
-def ar1_lead(spec):
-    """The rows an ar1 draws before time 0: none from the exact Gaussian
-    start, else its burn-in."""
-    if spec.innovations.name == "normal":
-        return 0
-    return int(np.ceil(np.log(_AR1_INIT_TOL) / np.log(abs(spec.phi))))
-
-
-def loop_ar1_paths(spec, n, eps):
-    """ar1 paths from the innovations eps, one time column at a time, kept
-    over the last n columns: from the exact start X_0 = m + (eps_0 - mu) /
-    sqrt(1 - phi^2) for Gaussian innovations, else from the stationary mean
-    m before the first column."""
-    phi, law = spec.phi, spec.innovations
-    m = law.mean / (1.0 - phi)
-    out = np.empty(eps.shape)
-    if law.name == "normal":
-        prev = m + (eps[:, 0] - law.mean) / np.sqrt(1.0 - phi * phi)
-        out[:, 0], start = prev, 1
-    else:
-        prev, start = np.full(len(eps), m), 0
-    for k in range(start, eps.shape[1]):
-        prev = phi * prev + eps[:, k]
-        out[:, k] = prev
-    return out[:, eps.shape[1] - n :]
-
-
-def one_shot_block(spec, n, rng):
-    """The (_CHUNK_ROWS, n) paths of one block by their definition: one
-    (lead + n, _CHUNK_ROWS) draw from rng, column r replication r, run
-    through the loop references, with the innovations scaled as mean + std
-    * z."""
-    law = spec.innovations
-    draw = lambda sample, lead: sample((lead + n, _CHUNK_ROWS)).T
-    if spec.family == "markov_function":
-        return loop_markov_paths(spec, draw(rng.random, 0))
-    innovations = lambda lead: draw(lambda shape: one_shot_innovations(law, rng, shape), lead)
-    if spec.family == "iid" or (spec.family == "ar1" and spec.phi == 0.0):
-        return innovations(0)
-    if spec.family == "ar1":
-        return loop_ar1_paths(spec, n, innovations(ar1_lead(spec)))
-    q = len(spec.weights) - 1
-    eps = innovations(q)
-    out = np.zeros((_CHUNK_ROWS, n))
-    for i, wi in enumerate(spec.weights):
-        out += wi * eps[:, q - i : q - i + n]
-    return out
-
-
-def block_stream(spec, seed, label, b):
-    """The stream of replication block b."""
-    return rngstreams.stream(seed, label, spec.spec_hash(), b)
-
-
-def one_shot_paths(spec, n, reps, seed, label="path"):
-    """The (reps, n) paths of simulate_many by their definition: replication
-    r is row r mod _CHUNK_ROWS of block r // _CHUNK_ROWS, and each block is
-    drawn in one shot from its own stream, the full _CHUNK_ROWS wide."""
-    blocks = range(-(-reps // _CHUNK_ROWS))
-    return np.concatenate([one_shot_block(spec, n, block_stream(spec, seed, label, b))
-                           for b in blocks])[:reps]
-
-
-def chunked_block(spec, n, rng):
-    """The (_CHUNK_ROWS, n) paths of one block as the workers make them,
-    assembled from its time-major chunks."""
-    out = np.empty((_CHUNK_ROWS, n))
-    for t0, c, x in _chunks(spec, n, [rng]):
-        out[c : c + x.shape[1], t0 : t0 + len(x)] = x.T
-    return out
-
-
 def stepped_markov_paths(spec, u):
     """markov_function paths from the uniforms u, one row per replication,
     stepped by _markov_steps in time-major chunks of _CHUNK_STEPS steps."""
     step = _markov_steps(spec, len(u))
     return np.concatenate([step(t0, u[:, t0 : t0 + _CHUNK_STEPS].T.copy()).T
                            for t0 in range(0, u.shape[1], _CHUNK_STEPS)], axis=1)
-
-
-def chunk_rule_sums(paths, s, e):
-    """X_s + ... + X_{e-1} of each row of paths by the rounding rule of
-    window_sums, one value at a time: 0.0 plus the window's part of each
-    _CHUNK_STEPS-step chunk, in time order, each part summed in time order."""
-    parts = [range(max(s, c0), min(e, c0 + _CHUNK_STEPS))
-             for c0 in range(s - s % _CHUNK_STEPS, e, _CHUNK_STEPS)]
-    return sum((functools.reduce(np.add, (paths[..., k] for k in ks)) for ks in parts if ks),
-               np.zeros(paths.shape[:-1]))
 
 
 def loop_markov_tail(spec):
@@ -202,7 +91,7 @@ def empirical_long_run_variance(spec, n, reps, seed, chunk=1000):
     """Oracle: Var(S_n)/n across replications, accumulated chunkwise."""
     sums = []
     for i in range(0, reps, chunk):
-        paths = simulate_many(spec, n, min(chunk, reps - i), seed, label=f"lrv{i}")
+        paths = mapped_paths(spec, n, min(chunk, reps - i), seed, label=f"lrv{i}")
         sums.append(paths.sum(axis=1))
     s = np.concatenate(sums)
     return s.var() / n
@@ -285,10 +174,10 @@ def test_process_spec_rejects_non_finite_weights_and_state_values():
 
 def test_reproducibility_bit_identical():
     for spec in (AR1, MA11, ProcessSpec(family="iid")):
-        a = simulate_many(spec, 200, 1, 42)[0]
-        b = simulate_many(spec, 200, 1, 42)[0]
+        a = mapped_paths(spec, 200, 1, 42)[0]
+        b = mapped_paths(spec, 200, 1, 42)[0]
         assert np.array_equal(a, b)
-        c = simulate_many(spec, 200, 1, 43)[0]
+        c = mapped_paths(spec, 200, 1, 43)[0]
         assert not np.array_equal(a, c)
 
 
@@ -305,9 +194,7 @@ def test_reproducibility_bit_identical():
 ], ids=["one-state", "two-state", "finding1", "zero-probability", "300-states",
         "n1-reps1", "n1", "reps1", "reps2500"])
 def test_markov_kernel_matches_loop_reference(spec, n, reps):
-    out = simulate_many(spec, n, reps, 3)
-    assert np.array_equal(out, one_shot_paths(spec, n, reps, 3))
-    assert out.dtype == np.float64 and out.flags.c_contiguous
+    assert np.array_equal(mapped_paths(spec, n, reps, 3), one_shot_paths(spec, n, reps, 3))
 
 
 def tie_pool(spec):
@@ -411,14 +298,6 @@ def test_ma_block_memory_is_all_scratch():
     assert traced_peak(lambda: drain(chunks)) < rows * n * 8 / 16
 
 
-def test_markov_paths_peak_memory_below_twice_the_output():
-    # the step loop held the uniforms, the intp states and the output:
-    # 3.01 times the output
-    out = []
-    peak = traced_peak(lambda: out.append(simulate_many(FINDING1, 256, 10_000, 3)))
-    assert peak < 2 * out[0].nbytes
-
-
 @pytest.mark.parametrize("spec", [AR1, MA11, FINDING1], ids=["ar1", "ma_q", "markov_function"])
 def test_window_sums_peak_memory_does_not_grow_with_n_or_the_burn_in(monkeypatch, spec):
     # a task holds a few (_CHUNK_STEPS, width) arrays, whatever n and the
@@ -449,10 +328,6 @@ CHUNKED_SPECS = {
                         innovations=InnovationLaw("uniform", 0.2, 1.0)),
     "markov_function": FINDING1,
 }
-# one block, a block less or more by one row, two blocks and seven rows, and
-# two and four blocks less or more by at most seven rows
-BLOCK_BOUNDARY_REPS = (1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 7,
-                       1023, 1024, 1025, 2055)
 
 
 @pytest.mark.parametrize("reps", BLOCK_BOUNDARY_REPS)
@@ -460,7 +335,7 @@ BLOCK_BOUNDARY_REPS = (1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CH
 def test_chunks_concatenate_to_the_one_shot_paths(name, reps):
     # 260 steps cross the time-major block of 256 steps
     spec = CHUNKED_SPECS[name]
-    out = simulate_many(spec, 260, reps, 6, "chunks")
+    out = mapped_paths(spec, 260, reps, 6, "chunks")
     assert np.array_equal(out, one_shot_paths(spec, 260, reps, 6, "chunks"))
     # block b, drawn alone from its key, is rows [b B, (b + 1) B) of the run
     for b, r0 in enumerate(range(0, reps, _CHUNK_ROWS)):
@@ -475,7 +350,7 @@ def test_normalized_sums_equal_the_whole_matrix_sums(name, reps):
     spec = CHUNKED_SPECS[name]
     sums = normalized_sums(spec, 260, reps, 6, "sums")
     (a_n,), (b_n,) = asymptotics(spec)[0].values([260])
-    whole = a_n * chunk_rule_sums(simulate_many(spec, 260, reps, 6, "sums"), 0, 260) + b_n
+    whole = a_n * chunk_rule_sums(one_shot_paths(spec, 260, reps, 6, "sums"), 0, 260) + b_n
     assert sums.tobytes() == whole.tobytes()
 
 
@@ -493,12 +368,12 @@ WINDOWS = [(0, 0), (0, 1), (3, 3), (3, 260), (0, 260), (259, 260), (260, 260), (
 @pytest.mark.parametrize("workers", (1, 2, 3))
 @pytest.mark.parametrize("name", sorted(CHUNKED_SPECS))
 def test_window_sums_equal_the_whole_matrix_sums(monkeypatch, name, workers):
-    # bitwise the rounding rule of window_sums, applied to simulate_many's
-    # matrix one value at a time
+    # bitwise the rounding rule of window_sums, applied to the one-shot
+    # paths one value at a time
     monkeypatch.setattr(processes, "_WORKERS", workers)
     spec = CHUNKED_SPECS[name]
     sums = window_sums(spec, 260, 1031, 6, "sums", WINDOWS)
-    paths = simulate_many(spec, 260, 1031, 6, "sums")
+    paths = one_shot_paths(spec, 260, 1031, 6, "sums")
     assert len(sums) == len(WINDOWS)
     for (s, e), got in zip(WINDOWS, sums):
         assert got.tobytes() == chunk_rule_sums(paths, s, e).tobytes()
@@ -525,10 +400,10 @@ def test_path_prefix_does_not_depend_on_n(name):
     # a path's first k values are drawn and stepped alike whatever n is, and
     # so is a window sum inside them
     spec = CHUNKED_SPECS[name]
-    paths = simulate_many(spec, 260, 515, 6, "prefix")
+    paths = mapped_paths(spec, 260, 515, 6, "prefix")
     sums = window_sums(spec, 260, 515, 6, "prefix", [(0, 1), (3, 130)])
     for n in (1, _CHUNK_STEPS - 1, _CHUNK_STEPS, _CHUNK_STEPS + 1, 130):
-        assert simulate_many(spec, n, 515, 6, "prefix").tobytes() == paths[:, :n].copy().tobytes()
+        assert mapped_paths(spec, n, 515, 6, "prefix").tobytes() == paths[:, :n].copy().tobytes()
     assert np.array(window_sums(spec, 130, 515, 6, "prefix", [(0, 1), (3, 130)])).tobytes() \
         == np.array(sums).tobytes()
 
@@ -549,7 +424,7 @@ def test_paths_do_not_depend_on_the_worker_count(monkeypatch, name):
     runs = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(processes, "_WORKERS", workers)
-        runs.append((simulate_many(spec, 260, 1031, 6, "chunks"),
+        runs.append((mapped_paths(spec, 260, 1031, 6, "chunks"),
                      normalized_sums(spec, 260, 1031, 6, "sums")))
     for paths, sums in runs[1:]:
         assert np.array_equal(paths, runs[0][0])
@@ -578,12 +453,12 @@ def test_more_workers_than_cpus_under_frequent_switches_give_the_same_paths(monk
     # worker's scratch would change the matrix
     spec = CHUNKED_SPECS["ar1"]
     monkeypatch.setattr(processes, "_WORKERS", 1)
-    serial = simulate_many(spec, 40, 20 * _CHUNK_ROWS + 3, 4)
+    serial = mapped_paths(spec, 40, 20 * _CHUNK_ROWS + 3, 4)
     monkeypatch.setattr(processes, "_WORKERS", 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = simulate_many(spec, 40, 20 * _CHUNK_ROWS + 3, 4)
+        threaded = mapped_paths(spec, 40, 20 * _CHUNK_ROWS + 3, 4)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(threaded, serial)
@@ -618,12 +493,14 @@ def test_blocks_after_a_failing_block_are_not_run():
 
 def test_ar1_row_does_not_depend_on_the_replication_count():
     # the burn-in runs through the recursion, so no product's rounding
-    # depends on how many rows a block has
+    # depends on how many rows a block has; a row's values are its sums over
+    # windows of one step
     specs = (ProcessSpec(family="ar1", phi=-0.9, innovations=InnovationLaw("uniform", 0.0, 1.0)),
              ProcessSpec(family="ar1", phi=0.5), ProcessSpec(family="ar1", phi=0.95))
+    steps = [(k, k + 1) for k in range(16)]
+    row = lambda spec, reps, seed: np.array(window_sums(spec, 16, reps, seed, "path", steps))[:, 0]
     differ = [(seed, spec.phi) for seed in range(200) for spec in specs
-              if not np.array_equal(simulate_many(spec, 16, 1, seed)[0],
-                                    simulate_many(spec, 16, 4, seed)[0])]
+              if not np.array_equal(row(spec, 1, seed), row(spec, 4, seed))]
     assert differ == []
 
 
@@ -632,8 +509,6 @@ def test_path_arguments_are_checked_at_the_call():
         raise AssertionError("a block was drawn")
 
     for n, reps in ((0, 5), (5, 0), (-1, 5)):
-        with pytest.raises(ValueError, match="n and reps must be positive"):
-            simulate_many(MA11, n, reps, 1)
         with pytest.raises(ValueError, match="n and reps must be positive"):
             normalized_sums(MA11, n, reps, 1, "x")
         with pytest.raises(ValueError, match="n and reps must be positive"):
@@ -647,15 +522,9 @@ def test_normalized_sums_peak_memory_below_a_quarter_of_the_paths():
     # temporary: about three times the (reps, n) matrix
     spec = ProcessSpec(family="ma_q", weights=(1.0, 0.5, 0.25))
     n, reps = 1024, 16384
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        sums = normalized_sums(spec, n, reps, 2, "memory")
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert sums.shape == (reps,)
+    out = []
+    peak = traced_peak(lambda: out.append(normalized_sums(spec, n, reps, 2, "memory")))
+    assert out[0].shape == (reps,)
     assert peak < reps * n * 8 / 4
 
 
@@ -667,9 +536,7 @@ def test_normalized_sums_peak_memory_below_a_quarter_of_the_paths():
     (AR1, 20, 2500),
 ], ids=["phi0.5", "uniform-blocks-plus-one", "rademacher-slow", "n1-reps1", "reps2500"])
 def test_ar1_kernel_matches_loop_reference(spec, n, reps):
-    out = simulate_many(spec, n, reps, 5)
-    assert np.array_equal(out, one_shot_paths(spec, n, reps, 5))
-    assert out.dtype == np.float64 and out.flags.c_contiguous
+    assert np.array_equal(mapped_paths(spec, n, reps, 5), one_shot_paths(spec, n, reps, 5))
 
 
 def normal_band(sd, eta):
@@ -686,7 +553,7 @@ def test_ar1_stationary_variance():
     # phi^2)/(1 + phi^2) = 6e4 degrees of freedom: a correct program leaves
     # it (about +-2.9%) with probability 1e-6 (the old rel=0.03: 2e-7)
     n, phi = 100_000, 0.5
-    path = simulate_many(AR1, n, 1, 7)[0]
+    path = mapped_paths(AR1, n, 1, 7)[0]
     lo, hi = chi2_variance_band(4.0 / 3.0, round(n * (1 - phi ** 2) / (1 + phi ** 2)), eta=1e-6)
     assert lo <= path.var() <= hi
 
@@ -697,7 +564,7 @@ def test_ar1_first_value_already_stationary():
     # correct program leaves each band with probability 1e-6 (the old
     # rel=0.05 and abs=0.02: 3e-15 and 1e-4)
     reps = 50_000
-    x0 = simulate_many(AR1, 2, reps, 3, label="stat")[:, 0]
+    x0 = mapped_paths(AR1, 2, reps, 3, label="stat")[:, 0]
     lo, hi = chi2_variance_band(4.0 / 3.0, reps, eta=1e-6)
     assert lo <= x0.var() <= hi
     assert abs(x0.mean()) <= normal_band(np.sqrt(4.0 / 3.0 / reps), eta=1e-6)
@@ -710,7 +577,7 @@ def test_ma_lag2_autocovariance_vanishes():
     # leaves its normal band (about +-0.038) with probability 1e-6 (the old
     # 0.03: 1e-4); x.mean()^2 adds a bias of about 4/n = 4e-5
     n = 100_000
-    x = simulate_many(MA11, n, 1, 9)[0]
+    x = mapped_paths(MA11, n, 1, 9)[0]
     lag2 = np.mean(x[:-2] * x[2:]) - x.mean() ** 2
     m = n - 2
     assert abs(lag2) <= normal_band(np.sqrt(4 * m + 2 * (m - 1)) / m, eta=1e-6)
@@ -727,7 +594,7 @@ def test_stationarity_split_halves():
     var_sum = {AR1: lambda n: n * ar1_sum_variance(n), MA11: lambda n: 4.0 * n - 2.0}
     sum_sq_gamma = {AR1: (16 / 9) * (5 / 3), MA11: 4.0 + 2.0}
     for spec in (AR1, MA11):
-        x = simulate_many(spec, 2 * m, 1, 21)[0]
+        x = mapped_paths(spec, 2 * m, 1, 21)[0]
         h1, h2 = x[:m], x[m:]
         sd_mean = np.sqrt(4 * var_sum[spec](m) - var_sum[spec](2 * m)) / m
         assert abs(h1.mean() - h2.mean()) <= normal_band(sd_mean, eta=1e-6)
@@ -937,10 +804,10 @@ def test_plug_in_alpha_vanishes_beyond_dependence_range():
     n = 100_000
     noise_3sd = 3 * 0.3536 / np.sqrt(n)
     lag_alpha = lambda v, lag: _split_alpha(v[:-lag], v[lag:])
-    iid = simulate_many(ProcessSpec(family="iid"), n, 1, 31)[0]
+    iid = mapped_paths(ProcessSpec(family="iid"), n, 1, 31)[0]
     for lag in (1, 3):
         assert lag_alpha(iid, lag) <= noise_3sd
-    ma = simulate_many(MA11, n, 1, 32)[0]
+    ma = mapped_paths(MA11, n, 1, 32)[0]
     assert lag_alpha(ma, 2) <= noise_3sd and lag_alpha(ma, 4) <= noise_3sd
     assert lag_alpha(ma, 1) > 3 * noise_3sd        # within range the dependence is visible
 
@@ -985,7 +852,7 @@ def test_iid_ar1_with_phi_0_and_ma_with_weight_1_are_one_filter(law):
 def test_path_csv_export():
     # innovations of std 0 make every value their mean
     flat = ProcessSpec(family="iid", innovations=InnovationLaw("normal", 2.5, 0.0))
-    path = simulate_many(flat, 3, 1, 0)[0]
+    path = mapped_paths(flat, 3, 1, 0)[0]
     buf = io.StringIO()
     write_path_csv(buf, path)
     lines = buf.getvalue().strip().split("\n")
