@@ -37,9 +37,10 @@ AR1_BURN_LIMIT = 1 << 16       # burn-in rows of a non-Gaussian ar1: |phi| <= 0.
 # replications are drawn in blocks of _CHUNK_ROWS, one keyed stream per
 # block, drawn time-major in chunks of _CHUNK_STEPS steps by _CHUNK_ROWS
 # replications; a worker task takes a group of up to _GROUP_BLOCKS
-# consecutive blocks, fewer when that leaves a _WORKERS thread idle, and
-# holds a few (_CHUNK_STEPS, group width) arrays whatever n, the burn-in or
-# reps (the samples of sample_random_integral are drawn one block a task)
+# consecutive blocks, the task count a multiple of _WORKERS so that no
+# thread idles while another runs a last task, and holds a few
+# (_CHUNK_STEPS, group width) arrays whatever n, the burn-in or reps (the
+# samples of sample_random_integral are drawn one block a task)
 _CHUNK_ROWS = 512
 _CHUNK_STEPS = 64
 _GROUP_BLOCKS = 16
@@ -184,8 +185,9 @@ def _check_sizes(n: int, reps: int) -> None:
 
 def _map_blocks(spec: ProcessSpec, n: int, reps: int, seed: int, label: str, reduce) -> list:
     """[reduce(r0, rows, chunks)] over the worker tasks, in order.  A task
-    takes the replications r0 .. r0 + rows - 1, a group of min(
-    _GROUP_BLOCKS, ceil(blocks / _WORKERS)) consecutive blocks, and chunks
+    takes the replications r0 .. r0 + rows - 1, a group of ceil(blocks /
+    tasks) consecutive blocks, where tasks = _WORKERS ceil(blocks /
+    (_WORKERS _GROUP_BLOCKS)) is a multiple of _WORKERS, and chunks
     yields (t0, c, x): x is the (steps, width) values at times t0 .. t0 +
     steps - 1 of the replications r0 + c .. r0 + c + width - 1, each
     replication's chunks in time order.  Columns from rows on pad the last
@@ -211,7 +213,9 @@ def _map_blocks(spec: ProcessSpec, n: int, reps: int, seed: int, label: str, red
                 for b in range(b0, b0 - (-rows // _CHUNK_ROWS))]
         return reduce(r0, rows, _chunks(spec, n, rngs))
 
-    return _run_blocks(task, reps, min(_GROUP_BLOCKS, -(-reps // (_CHUNK_ROWS * _WORKERS))))
+    blocks = -(-reps // _CHUNK_ROWS)
+    tasks = _WORKERS * -(-blocks // (_WORKERS * _GROUP_BLOCKS))
+    return _run_blocks(task, reps, -(-blocks // tasks))
 
 
 def _run_blocks(task, total: int, group: int = 1) -> list:

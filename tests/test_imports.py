@@ -1,7 +1,7 @@
 """No run loads scipy, each checked in a fresh interpreter.
 
-scipy is a test-only dependency: the normal cdf is a numpy port of the
-Cephes ndtr, the PSD check uses numpy's eigensolver and the coupling
+scipy is a test-only dependency: the normal cdf is the C library's erfc
+through math.erfc, the PSD check uses numpy's eigensolver and the coupling
 solver needs none.  Importing scipy.special cost about 0.3 s of each run
 that drew a normal cdf, and scipy.stats about 0.7 s.
 """

@@ -410,7 +410,29 @@ def test_records_hold_read_only_copies_of_caller_arrays(build, fields):
         assert np.array_equal(held, fields[name])
 
 
-def test_normal_cdf_is_bitwise_scipy_norm():
+def assert_within_cdf_bound(x, got, ref):
+    """|got - ref| <= 8 (z^2 + 1) eps ref with z = |x|/sqrt(2) wherever scipy's
+    ref is a normal float, and below the smallest normal float elsewhere.
+
+    normal_cdf is erfc(-x/sqrt(2))/2 with the C library's erfc; scipy's
+    Cephes ndtr forms the same z = |x|/sqrt(2), so that rounding is common,
+    and then evaluates erf or erfc(z) = exp(-z^2) P(z)/Q(z).  It rounds z^2
+    before the exp, a relative error of at most eps/2 in z^2 and so of
+    z^2 eps/2 in exp(-z^2).  The rest is a few eps on each side: the exp,
+    the rational approximations, the division and the C library's erfc,
+    and on 1 <= |x| < sqrt(2) the cancellation in 1 - erf(z), which
+    multiplies erf's error by erf(z)/erfc(z) < 6.  8 (z^2 + 1) eps covers
+    both terms with room.
+    """
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    z = np.abs(x) / math.sqrt(2.0)
+    normal = ref >= tiny
+    assert np.all(np.abs(got - ref)[normal] <= 8.0 * (z * z + 1.0)[normal] * eps * ref[normal])
+    assert np.all(np.abs(got - ref)[~normal & ~np.isnan(x)] < tiny)
+    assert np.array_equal(np.isnan(got), np.isnan(x))
+
+
+def test_normal_cdf_is_within_its_bound_of_scipy_norm():
     # signed zeros, infinities, nan, both tails out to +-40 (where the cdf
     # underflows and the upper tail rounds to 1) and a dense middle
     x = np.concatenate([
@@ -418,20 +440,21 @@ def test_normal_cdf_is_bitwise_scipy_norm():
         np.linspace(-40.0, 40.0, 8001),
         np.random.default_rng(5).standard_normal(10_000) * 3.0,
     ])
-    assert np.array_equal(normal_cdf(x), scipy.stats.norm.cdf(x), equal_nan=True)
-    assert np.array_equal(normal_cdf(-x), scipy.stats.norm.sf(x), equal_nan=True)
-    for v in (0.0, -0.0, 1.25, -37.0):
-        assert normal_cdf(v) == scipy.stats.norm.cdf(v)
-        assert normal_cdf(-v) == scipy.stats.norm.sf(v)
+    assert_within_cdf_bound(x, normal_cdf(x), scipy.stats.norm.cdf(x))
+    assert_within_cdf_bound(x, normal_cdf(-x), scipy.stats.norm.sf(x))
+    assert normal_cdf(0.0) == normal_cdf(-0.0) == 0.5
+    assert normal_cdf(-np.inf) == 0.0 and normal_cdf(np.inf) == 1.0
+    assert math.isnan(normal_cdf(np.nan))
+    assert np.ndim(normal_cdf(1.25)) == 0 and normal_cdf(np.zeros((2, 3))).shape == (2, 3)
 
 
-def test_normal_cdf_is_bitwise_scipy_at_its_branch_boundaries():
-    # 200 ulps either side of the ends of each branch of the port: z =
+def test_normal_cdf_is_within_its_bound_of_scipy_at_the_cephes_branch_ends():
+    # 200 ulps either side of the ends of each branch of Cephes ndtr: z =
     # |x|/sqrt(2) at sqrt(1/2) (|x| = 1), 1 and 8, and z^2 = MAXLOG, where
-    # exp(-z^2) underflows and the cdf is subnormal
+    # Cephes' exp(-z^2) underflows; the cdf stays subnormal beyond
     edges = np.array([1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 709.782712893384)])
     x = (edges.view(np.int64)[:, None] + np.arange(-200, 201)).ravel().view(np.float64)
     x = np.concatenate([x, -x])
-    assert np.array_equal(normal_cdf(x), scipy.stats.norm.cdf(x))
-    assert np.array_equal(normal_cdf(-x), scipy.stats.norm.sf(x))
+    assert_within_cdf_bound(x, normal_cdf(x), scipy.stats.norm.cdf(x))
+    assert_within_cdf_bound(x, normal_cdf(-x), scipy.stats.norm.sf(x))
     assert np.any((normal_cdf(x) > 0) & (normal_cdf(x) < np.finfo(float).tiny))

@@ -382,17 +382,33 @@ def test_window_sums_equal_the_whole_matrix_sums(monkeypatch, name, workers):
 
 @pytest.mark.parametrize("name", sorted(CHUNKED_SPECS))
 def test_window_sums_do_not_depend_on_the_blocks_per_task(monkeypatch, name):
-    # 17 blocks: tasks of 1, 3 or 16 blocks on one worker, and of 1, 3 or 9
-    # on two
+    # 17 blocks: tasks of 1, 3, 9 or 17 blocks on one worker, and of 1, 3
+    # or 9 on two
     spec, reps = CHUNKED_SPECS[name], 16 * _CHUNK_ROWS + 7
     runs = {}
-    for group in (1, 3, 16):
+    for group in (1, 3, 16, 17):
         for workers in (1, 2):
             monkeypatch.setattr(processes, "_GROUP_BLOCKS", group)
             monkeypatch.setattr(processes, "_WORKERS", workers)
             runs[group, workers] = np.array(window_sums(spec, 130, reps, 6, "group", WINDOWS[:2]
                                                         + [(0, 130), (3, 129)])).tobytes()
     assert len(set(runs.values())) == 1
+
+
+@pytest.mark.parametrize("workers, blocks, sizes", [
+    (2, 40, [10] * 4), (2, 196, [14] * 14), (2, 20, [10] * 2), (2, 33, [9, 9, 9, 6]),
+    (2, 5, [3, 2]), (2, 1, [1]), (1, 40, [14, 14, 12]), (1, 4, [4]), (3, 50, [9] * 5 + [5]),
+])
+def test_tasks_come_in_multiples_of_the_worker_count(monkeypatch, workers, blocks, sizes):
+    # tasks = workers ceil(blocks / (workers 16)) of ceil(blocks / tasks)
+    # blocks each, the last short: the 40 blocks of selfdecomp-ma2 run as
+    # four tasks of 10, not 16 + 16 + 8 with one worker idle for the last
+    # third, and the 196 of corollary-independent as 14 tasks of 14
+    monkeypatch.setattr(processes, "_WORKERS", workers)
+    reps = (blocks - 1) * _CHUNK_ROWS + 3
+    got = processes._map_blocks(MA11, 1, reps, 1, "tasks", lambda r0, rows, chunks: (r0, rows))
+    assert [-(-rows // _CHUNK_ROWS) for _, rows in got] == sizes
+    assert [r0 for r0, _ in got] == list(np.cumsum([0] + sizes[:-1]) * _CHUNK_ROWS)
 
 
 @pytest.mark.parametrize("name", sorted(CHUNKED_SPECS))
@@ -727,12 +743,24 @@ def test_marginal_tail_gaussian_families():
     tail_ar = marginal_abs_tail(AR1)
     sd = np.sqrt(4.0 / 3.0)
     assert tail_ar(2.0) == pytest.approx(2 * scipy.stats.norm.sf(2.0 / sd), abs=1e-12)
-    # bit for bit the scipy.stats form, off-centre too
+    # the scipy.stats form off-centre too, within the sum of its two terms'
+    # bounds (tests/test_probcore.py: 8 (z^2 + 1) eps relative where scipy's
+    # term is a normal float, below the smallest normal float elsewhere) and
+    # eps relative for rounding the two sums
     law = InnovationLaw(mean=0.3, std=1.7)
     t = np.concatenate([[0.0, 0.3, np.inf], np.linspace(0.0, 70.0, 7001)])
     m, sd = law.mean, law.std
-    ref = scipy.stats.norm.sf((t - m) / sd) + scipy.stats.norm.cdf((-t - m) / sd)
-    assert np.array_equal(marginal_abs_tail(ProcessSpec(family="iid", innovations=law))(t), ref)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    terms = scipy.stats.norm.sf((t - m) / sd), scipy.stats.norm.cdf((-t - m) / sd)
+    zs = np.abs(t - m) / sd / np.sqrt(2.0), np.abs(t + m) / sd / np.sqrt(2.0)
+    ref = terms[0] + terms[1]
+    bound = eps * ref
+    for r, z in zip(terms, zs):
+        normal = r >= tiny
+        bound[normal] += 8.0 * (z[normal] ** 2 + 1.0) * eps * r[normal]
+        bound[~normal] += tiny
+    got = marginal_abs_tail(ProcessSpec(family="iid", innovations=law))(t)
+    assert np.all(np.abs(got - ref) <= bound)
 
 
 LAWS = {
