@@ -10,10 +10,3 @@ random integrals (`selfdecomp`), the three-block decomposition engine
 """
 
 __version__ = "0.1.0"
-
-from .probcore import (  # noqa: F401
-    FiniteJointDistribution,
-    alpha_exact,
-    ks_distance,
-    psd_check,
-)

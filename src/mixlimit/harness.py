@@ -25,22 +25,20 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import __version__
 
-from . import __version__, blocking, coupling, mixing, processes, selfdecomp
-from .probcore import FiniteJointDistribution
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import mixing, processes, selfdecomp
 
 ENV_OUT_DIR = "MIXLIMIT_OUT"
 DEFAULT_OUT_DIR = "mixlimit-reports"
-
-RNG_NOTE = (
-    "SFC64 RNG seeded by SeedSequence; streams keyed by (master seed, experiment label, "
-    f"spec hash, block index), replication r is column r mod {processes._CHUNK_ROWS} "
-    f"of block r // {processes._CHUNK_ROWS}, drawn time-major"
-)
 
 
 class ConfigError(ValueError):
@@ -121,7 +119,7 @@ def _check(obj, required: dict, optional: dict, where: str) -> None:
 
 def _finite(text: str, kind=float):
     """A JSON number literal as kind; NaN, Infinity and literals beyond float range fail."""
-    if not np.isfinite(float(text)):
+    if not math.isfinite(float(text)):
         raise ConfigError(f"the number {text} is not finite")
     return kind(text)
 
@@ -142,13 +140,21 @@ def _naming(where: str):
         raise ConfigError(f"{where}: {e}") from e
 
 
+# the parsers and runners below import the library modules they use when
+# they are called, so that `list`, `--help` and a config rejected before its
+# runner starts load no numpy, and each run loads only its kind's modules
+
 def _parse_chain(obj, where: str) -> mixing.MarkovChainSpec:
+    from . import mixing
+
     _check(obj, *OBJECT_KEYS["chain"], where)
     with _naming(where):
         return mixing.MarkovChainSpec(**obj)
 
 
 def _parse_process(obj, where: str) -> processes.ProcessSpec:
+    from . import processes
+
     _check(obj, *OBJECT_KEYS["process"], where)
     fam = obj["family"]
     if fam not in processes.FAMILIES:
@@ -168,16 +174,18 @@ def _parse_process(obj, where: str) -> processes.ProcessSpec:
         return processes.ProcessSpec(**kwargs)
 
 
-# each jump law kind -> (its class, the jump_law keys it reads); a jump_law
-# config may set those keys and no others
+# each jump law kind -> (its class in selfdecomp, the jump_law keys it
+# reads); a jump_law config may set those keys and no others
 _JUMP_LAWS = {
-    "discrete": (selfdecomp.DiscreteJumps, ("values", "probs")),
-    "normal": (selfdecomp.NormalJumps, ("mean", "std")),
-    "dyadic_tower": (selfdecomp.DyadicTowerJumps, ()),
+    "discrete": ("DiscreteJumps", ("values", "probs")),
+    "normal": ("NormalJumps", ("mean", "std")),
+    "dyadic_tower": ("DyadicTowerJumps", ()),
 }
 
 
 def _parse_jump_law(obj, where: str) -> selfdecomp.JumpLaw:
+    from . import selfdecomp
+
     _check(obj, *OBJECT_KEYS["jump_law"], where)
     kind = obj["kind"]
     if kind not in _JUMP_LAWS:
@@ -185,7 +193,7 @@ def _parse_jump_law(obj, where: str) -> selfdecomp.JumpLaw:
     law, keys = _JUMP_LAWS[kind]
     _reject_keys(obj, [k for k in obj if k not in ("kind", *keys)], f"by kind {kind!r}", where)
     with _naming(where):
-        return law(**{k: obj[k] for k in keys if k in obj})
+        return getattr(selfdecomp, law)(**{k: obj[k] for k in keys if k in obj})
 
 
 def _json_text(obj) -> str:
@@ -207,6 +215,8 @@ def csv_text(columns, rows) -> str:
 
 
 def _csv_cell(v) -> str:
+    import numpy as np
+
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
@@ -229,6 +239,8 @@ def write_path_csv(fh, values: np.ndarray) -> None:
 # and the tolerance behind it, comes from the library call.
 
 def _run_alpha_profile(cfg: dict):
+    from . import mixing
+
     j_scan = cfg.get("j_scan")
     rows, ok = mixing.alpha_report(_parse_chain(cfg["chain"], "config.chain"), cfg["n_list"],
                                    mixing.J_SCAN if j_scan is None else j_scan)
@@ -236,6 +248,8 @@ def _run_alpha_profile(cfg: dict):
 
 
 def _run_blocking_verify(cfg: dict):
+    from . import blocking
+
     rows = blocking.verify_blocking(
         _parse_process(cfg["process"], "config.process"), c=float(cfg["c"]),
         n_grid=cfg["n_grid"], replications=cfg["replications"], seed=cfg["seed"],
@@ -244,9 +258,11 @@ def _run_blocking_verify(cfg: dict):
 
 
 def _run_selfdecomp_test(cfg: dict):
-    # checked before a process is simulated: a bad c is a config error at once
+    from . import processes, selfdecomp
+
+    # checked before a process is simulated: a bad c or grid is a config error at once
     cs = selfdecomp._c_tuple(cfg["c_values"])
-    grid_points = cfg.get("grid_points", selfdecomp.DEFAULT_GRID_POINTS)
+    grid_points = selfdecomp._grid_points(cfg.get("grid_points", selfdecomp.DEFAULT_GRID_POINTS))
     if "cf_form" in cfg:
         if "process" in cfg:
             raise ConfigError("config: give either cf_form or process, not both")
@@ -268,6 +284,10 @@ def _run_selfdecomp_test(cfg: dict):
 
 
 def _run_integral_sample(cfg: dict):
+    import numpy as np
+
+    from . import selfdecomp
+
     b = cfg["bdlp"]
     _check(b, *OBJECT_KEYS["bdlp"], "config.bdlp")
     law = _parse_jump_law(b["jump_law"], "config.bdlp.jump_law") if "jump_law" in b else None
@@ -298,6 +318,11 @@ def _run_integral_sample(cfg: dict):
 
 
 def _run_coupling_suite(cfg: dict):
+    import numpy as np
+
+    from . import coupling
+    from .probcore import FiniteJointDistribution
+
     problems = []
     for i, case in enumerate(cfg["cases"]):
         where = f"config.cases[{i}]"
@@ -326,6 +351,8 @@ _COROLLARY_UNUSED = {
 
 
 def _run_corollary_sum(cfg: dict):
+    from . import coupling
+
     spec_x = _parse_process(cfg["process_x"], "config.process_x")
     spec_z = _parse_process(cfg["process_z"], "config.process_z") if "process_z" in cfg else None
     mode = cfg["mode"]
@@ -437,12 +464,16 @@ def run(config_path, out_dir: str | None = None) -> int:
         # ConfigError, and any value a runner rejects, is a config error
         print(f"config error: {e}")
         return 1
+    from .rngstreams import BLOCK_ROWS
+
     files["manifest.json"] = _json_text({
         "kind": cfg["kind"],
         "config": cfg,
         "version": __version__,
         "seed": cfg["seed"],
-        "rng": RNG_NOTE,
+        "rng": "SFC64 RNG seeded by SeedSequence; streams keyed by (master seed, experiment "
+               f"label, spec hash, block index), replication r is column r mod {BLOCK_ROWS} "
+               f"of block r // {BLOCK_ROWS}, drawn time-major",
         "reports": reports,
         "all_pass": bool(ok),
     })

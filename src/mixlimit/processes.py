@@ -41,7 +41,7 @@ AR1_BURN_LIMIT = 1 << 16       # burn-in rows of a non-Gaussian ar1: |phi| <= 0.
 # thread idles while another runs a last task, and holds a few
 # (_CHUNK_STEPS, group width) arrays whatever n, the burn-in or reps (the
 # samples of sample_random_integral are drawn one block a task)
-_CHUNK_ROWS = 512
+_CHUNK_ROWS = rngstreams.BLOCK_ROWS
 _CHUNK_STEPS = 64
 _GROUP_BLOCKS = 16
 _WORKERS = 2

@@ -16,6 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+# the replications of a Monte Carlo run are drawn in blocks of BLOCK_ROWS,
+# one keyed stream per block: replication r is column r mod BLOCK_ROWS of
+# block r // BLOCK_ROWS (processes._map_blocks)
+BLOCK_ROWS = 512
 
 
 def _splitmix64(x: int) -> int:

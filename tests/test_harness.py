@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from mixlimit import cli, coupling, harness, processes
+from mixlimit.selfdecomp import MAX_GRID_POINTS
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -725,6 +726,27 @@ def test_inconclusive_selfdecomp_report_is_strict_json(tmp_path):
     doc = json.loads(text, parse_constant=reject)
     assert doc["verdict"] == "inconclusive"
     assert [r["worst_violation"] for r in doc["per_c"]] == [None, None, None]
+
+
+@pytest.mark.parametrize("grid_points, needle", [
+    (40, "grid needs an odd number of points >= 3 to contain 0"),
+    (1, "grid needs an odd number of points >= 3 to contain 0"),
+    (MAX_GRID_POINTS + 2,
+     f"grid_points {MAX_GRID_POINTS + 2} is above the cap MAX_GRID_POINTS = {MAX_GRID_POINTS}"),
+], ids=["even", "one", "above-the-cap"])
+def test_grid_points_are_checked_before_a_process_is_simulated(tmp_path, capsys, monkeypatch,
+                                                                grid_points, needle):
+    def normalized_sums(*args):
+        raise AssertionError("a process was simulated")
+
+    monkeypatch.setattr(processes, "normalized_sums", normalized_sums)
+    path = write_cfg(tmp_path, "s.json", {
+        "kind": "selfdecomp-test", "seed": 1, "c_values": [0.3, 0.5, 0.8],
+        "process": {"family": "iid"}, "n": 16, "replications": 50, "grid_points": grid_points,
+    })
+    assert harness.run(path, out_dir=str(tmp_path / "o")) == 1
+    assert capsys.readouterr().out == f"config error: {needle}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_integral_sample_run(tmp_path):

@@ -11,10 +11,12 @@ from mixlimit import processes, rngstreams
 from mixlimit.probcore import _cf_values, ks_distance, psd_check
 from mixlimit.processes import _CHUNK_ROWS
 from mixlimit.selfdecomp import (
+    MAX_GRID_POINTS,
     BDLPSpec,
     DiscreteJumps,
     DyadicTowerJumps,
     NormalJumps,
+    _grid_points,
     sample_random_integral,
     selfdecomp_test,
     selfdecomp_test_sample,
@@ -103,6 +105,20 @@ def test_c_outside_unit_interval_rejected():
     for bad in (0.0, 1.0, -0.2, 1.4):
         with pytest.raises(ValueError):
             selfdecomp_test(GAUSS_CF, (bad,))
+
+
+def test_grid_points_cap():
+    # the cap is pinned, and the grid above it is rejected before any
+    # array is made or any CF evaluated
+    def cf(t):
+        raise AssertionError("the CF was evaluated")
+
+    assert MAX_GRID_POINTS == 1001
+    assert _grid_points(MAX_GRID_POINTS) == MAX_GRID_POINTS
+    for test in (lambda g: selfdecomp_test(cf, grid_points=g),
+                 lambda g: selfdecomp_test_sample(np.zeros(3), grid_points=g), _grid_points):
+        with pytest.raises(ValueError, match=r"grid_points 1003 is above the cap MAX_GRID_POINTS = 1001"):
+            test(MAX_GRID_POINTS + 2)
 
 
 def union_grid_test_sample(sample, c_values, radius, points):
