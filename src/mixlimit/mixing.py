@@ -7,14 +7,15 @@ alpha(n) = sup_j alpha(sigma(X_1..X_j), sigma(X_{j+n}, ...)) of a chain:
   time j and the whole future from time j+n is that of the pair
   (X_j, X_{j+n}), for any window (see alpha_window).  Only their max over
   a finite j range is a LOWER bound, for the sup over every j.
-* an analytic geometric envelope from a Doeblin minorization: an UPPER
-  bound alpha(n) <= min(1/4, C * rho^n).
+* Dobrushin's envelope alpha(n) <= delta(P^n)/4 (see alpha_bound_geometric):
+  an UPPER bound for every start and every j.
 
 Reports always label which side of the true coefficient a number sits on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,6 @@ import numpy as np
 from .probcore import FiniteJointDistribution, _freeze, alpha_exact
 
 STOCHASTIC_TOL = 1e-12
-DOEBLIN_MAX_POWER = 8
 J_SCAN = 11
 ENVELOPE_SLACK = 1e-12         # rounding room of alpha_report's window <= envelope rule
 
@@ -126,47 +126,45 @@ def alpha_sequence(chain: MarkovChainSpec, n_list, j_scan: int = J_SCAN) -> Alph
     return AlphaProfile(values=tuple(vals), kind="exact-window", meta=meta)
 
 
-def doeblin_certificate(chain: MarkovChainSpec):
-    """Smallest power r <= DOEBLIN_MAX_POWER whose transition power has positive
-    column mass, with the per-step contraction rate rho = (1 - eps)^(1/r).
-
-    Returns (r, eps, rho) or None when no power certifies minorization.
+def _rounding_margin(k: int, n: int) -> float:
+    """Rounding room of alpha_bound_geometric's delta(P^n)/4, for a k-state P
+    whose rows sum to 1 within STOCHASTIC_TOL.  A float product of nonnegative
+    k x k matrices is entrywise within relative g = k u / (1 - k u), u = 2^-53,
+    of the exact product of its factors; however matrix_power groups them,
+    P^n is a tree of n - 1 products, so each computed row is within
+    e = ((1 + g)^(n-1) - 1)(1 + STOCHASTIC_TOL)^n of the exact one in l1, and
+    summing k rounded differences loses relative g more: below the cap, delta/4
+    is within g/2 + e/4 of the value computed.  The margin g + e doubles that,
+    which covers the last addition, this formula and underflow (2^-1074 units).
     """
-    p = np.eye(chain.n_states)
-    for r in range(1, DOEBLIN_MAX_POWER + 1):
-        p = p @ chain.transition
-        eps = float(p.min(axis=0).sum())
-        if eps > 0.0:
-            rho = (1.0 - eps) ** (1.0 / r)
-            return r, eps, rho
-    return None
+    g = k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+    return g + math.expm1((n - 1) * math.log1p(g)) * math.exp(n * STOCHASTIC_TOL)
 
 
 def alpha_bound_geometric(chain: MarkovChainSpec, n_list) -> AlphaProfile:
-    """Analytic upper envelope alpha(n) <= min(1/4, C rho^n).
-
-    From a Doeblin minorization of power r with mass eps: the Dobrushin
-    contraction gives total-variation distance (1-eps)^floor(n/r) between
-    n-step laws, and the covariance bound |P(A&B) - P(A)P(B)| <= osc/4
-    turns it into alpha(n) <= (1/4)(1-eps)^(n/r - 1) = C rho^n with
-    rho = (1-eps)^(1/r) and C = (1/4)/rho^r.  Chains without a
-    certificate fall back to the trivial envelope 1/4.
+    """Dobrushin's upper envelope alpha(n) <= min(1/4, delta(P^n)/4 plus the
+    _rounding_margin), delta(Q) = max over x, x' of TV(Q(x, .), Q(x', .))
+    (Dobrushin 1956; Bradley 2007, Vol. 1).  Proof, in the notation of
+    alpha_window: P(AB) - P(A)P(B) = sum_x mu_j(x) f(x) h(x), with mu_j the
+    law of X_j and h = P^n g - mu_{j+n} g.  Under mu_j, h has mean 0, and as g
+    lies in [0, 1], h(x) - h(x') = sum_y (P^n(x, y) - P^n(x', y)) g(y) <= delta(P^n).
+    With f in [0, 1] the sum lies in [-E[h-], E[h+]], and E[h-] = E[h+].  Between
+    m = min h <= 0 <= M = max h the chord gives h+ <= M (h - m)/(M - m), so
+    E[h+] <= M (-m)/(M - m) <= (M - m)/4 <= delta/4.  This holds for every j,
+    so it bounds alpha(n), the sup over j, from any initial law, and so any
+    function of the chain, whose sigma-fields are smaller.  delta is
+    submultiplicative, so the profile is nonincreasing; each value is the
+    least bound at a listed lag up to n, which keeps it so as the margin grows
+    with n.  A periodic or reducible chain has delta = 1 and gets 1/4.
     """
-    cert = doeblin_certificate(chain)
-    if cert is None:
-        vals = tuple((int(n), 0.25) for n in n_list)
-        return AlphaProfile(vals, kind="analytic-bound", meta="no Doeblin certificate; trivial 1/4")
-    r, eps, rho = cert
-    vals = []
-    for n in n_list:
-        n = int(n)
-        if eps >= 1.0:
-            b = 0.25 if n < r else 0.0
-        else:
-            b = min(0.25, 0.25 * rho ** (n - r))
-        vals.append((n, b))
-    meta = f"Doeblin power r={r}, eps={eps:.6g}, rho={rho:.6g}, C=(1/4)/rho^r"
-    return AlphaProfile(tuple(vals), kind="analytic-bound", meta=meta)
+    k, at, bound = chain.n_states, {}, 0.25
+    for n in sorted({int(n) for n in n_list}):
+        q = np.linalg.matrix_power(chain.transition, n)
+        # 2 delta(q), one row against the rows below it at a time: O(K^2) memory
+        l1 = max((np.abs(q[x] - q[x + 1:]).sum(axis=1).max() for x in range(k - 1)), default=0.0)
+        bound = at[n] = min(bound, float(l1) / 8.0 + _rounding_margin(k, n))
+    meta = "Dobrushin: alpha(n) <= delta(P^n)/4 + rounding margin, delta = max row TV of P^n"
+    return AlphaProfile(tuple((int(n), at[int(n)]) for n in n_list), kind="analytic-bound", meta=meta)
 
 
 def alpha_report(chain: MarkovChainSpec, n_list, j_scan: int = J_SCAN) -> tuple:

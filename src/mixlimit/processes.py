@@ -613,7 +613,7 @@ def analytic_alpha_profile(spec: ProcessSpec, n_list) -> AlphaProfile:
     family sets both phi and q): with Gaussian innovations its maximal
     correlation between past and future is |phi|^n, hence alpha(n) <=
     |phi|^n / 4, and with others no decay is claimed.  markov_function
-    inherits the Doeblin envelope of its chain.
+    takes its chain's Dobrushin envelope delta(P^n)/4, from any initial law.
     """
     n_list = [int(n) for n in n_list]
     if spec.family == "markov_function":

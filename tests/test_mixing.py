@@ -1,3 +1,5 @@
+import tracemalloc
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -10,8 +12,8 @@ from mixlimit.mixing import (
     MarkovChainSpec,
     alpha_bound_geometric,
     alpha_sequence,
+    _rounding_margin,
     alpha_window,
-    doeblin_certificate,
 )
 from mixlimit.probcore import ENUM_LIMIT, FiniteJointDistribution, alpha_exact
 
@@ -165,22 +167,22 @@ def test_chain_above_enumeration_limit_rejected():
         alpha_window(c, 1, 1)
 
 
-def test_doeblin_certificate_symmetric():
-    r, eps, rho = doeblin_certificate(symmetric_chain(0.25))
-    assert r == 1
-    assert eps == pytest.approx(0.5, abs=1e-15)
-    assert rho == pytest.approx(0.5, abs=1e-15)
-
-
 def test_geometric_bound_symmetric_chain():
-    prof = alpha_bound_geometric(symmetric_chain(0.25), [1, 2, 3, 10])
-    assert prof.kind == "analytic-bound"
-    vals = dict(prof.values)
-    # C rho^n with rho = 0.5, C = 1/2: capped at 1/4
-    assert vals[1] == pytest.approx(0.25)
-    assert vals[2] == pytest.approx(0.125)
-    assert vals[3] == pytest.approx(0.0625)
-    assert vals[10] == pytest.approx(0.25 * 0.5 ** 9)
+    # delta(P^n) = |1 - 2p|^n, so the envelope is 1/4 |1 - 2p|^n plus the
+    # margin, which alpha_window meets at the uniform start
+    ns = [1, 2, 3, 10]
+    for p in (0.25, 0.1, 0.7):
+        c = symmetric_chain(p)
+        prof = alpha_bound_geometric(c, ns)
+        assert prof.kind == "analytic-bound"
+        for n, a in prof.values:
+            exact = 0.25 * abs(1 - 2 * p) ** n
+            assert exact - 1e-15 <= a <= exact + _rounding_margin(2, n) + 1e-15, (p, n)
+            assert alpha_window(c, 1, n) <= a
+            if p == 0.25:       # P^n has dyadic entries, so delta is computed exactly
+                assert a == exact + _rounding_margin(2, n)
+        # lags keep their order, and no value depends on it
+        assert alpha_bound_geometric(c, ns[::-1]).values == prof.values[::-1]
 
 
 def test_geometric_bound_identity_chain_trivial():
@@ -188,21 +190,74 @@ def test_geometric_bound_identity_chain_trivial():
     assert all(a == 0.25 for _, a in prof.values)
 
 
+def test_geometric_bound_periodic_and_reducible_chains_trivial():
+    # delta(P^n) = 1 at every n: the formula itself gives 1/4
+    cycle = MarkovChainSpec([0.0, 1.0, 2.0], [[0, 1, 0], [0, 0, 1], [1, 0, 0]], [1, 0, 0])
+    blocks = MarkovChainSpec([0.0, 1.0, 2.0, 3.0],
+                             [[0.5, 0.5, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 0.3, 0.7], [0, 0, 0.6, 0.4]],
+                             [0.25] * 4)
+    for c in (cycle, blocks):
+        assert alpha_bound_geometric(c, [1, 2, 3, 5, 8]).values == tuple(
+            (n, 0.25) for n in (1, 2, 3, 5, 8))
+
+
 def test_geometric_bound_dominates_exact_windows():
-    rng = np.random.default_rng(13)
-    for k in (2, 3):
-        for _ in range(5):
-            c = random_chain(rng, k)
-            ns = [1, 2, 3, 4, 5, 6]
-            bound = dict(alpha_bound_geometric(c, ns).values)
-            for n in ns:
-                exact = max(alpha_window(c, j, n) for j in range(1, 6))
-                assert bound[n] >= exact - 1e-12, (k, n, bound[n], exact)
+    # 250 chains with 2..6 states, Dirichlet rows and random starts, so most
+    # start away from stationarity: no window value at j <= 6 may exceed the
+    # envelope, with no slack
+    rng = np.random.default_rng(26)
+    lags, ratios = [1, 2, 3, 5, 8], []
+    for i in range(250):
+        k = 2 + i % 5
+        c = MarkovChainSpec(np.arange(k, dtype=float), rng.dirichlet(np.ones(k), size=k),
+                            rng.dirichlet(np.ones(k)))
+        bound = dict(alpha_bound_geometric(c, lags).values)
+        for n, exact in alpha_sequence(c, lags, 6).values:
+            assert exact <= bound[n], (i, n, exact, bound[n])
+            if exact > 1e-9:
+                ratios.append(bound[n] / exact)
+    # the envelope is near the exact values, not merely above them
+    assert np.median(ratios) < 2.0
 
 
 def test_geometric_bound_iid_chain_vanishes():
-    prof = alpha_bound_geometric(iid_chain(), [1, 2])
-    assert all(a == 0.0 for _, a in prof.values)
+    # delta(P^n) = 0 at every n: only the rounding margin at lag 1 is left
+    prof = alpha_bound_geometric(iid_chain(), [1, 2, 8, 1000])
+    assert all(0.0 <= a <= _rounding_margin(3, 1) for _, a in prof.values)
+
+
+def test_envelope_is_above_the_exact_delta_of_the_stored_matrix():
+    # delta(P^n)/4 in exact rational arithmetic on the float entries; the
+    # margin must cover matrix_power's rounding, and rows that sum to 1
+    # only within STOCHASTIC_TOL.  Without it, the chain of the alpha_profile
+    # and blocking_markov goldens read 0.01562499999999999 at lag 4
+    golden = [[0.6, 0.3, 0.1], [0.3, 0.6, 0.1], [0.2, 0.2, 0.6]]
+    off_by_tol = [[0.5 + 9e-13, 0.25, 0.25], [0.25, 0.5 - 9e-13, 0.25], [0.1, 0.1, 0.8 + 9e-13]]
+    for t in (golden, off_by_tol):
+        c = MarkovChainSpec([0.0, 1.0, 2.0], t, [1.0, 0.0, 0.0])
+        ns = list(range(1, 9))
+        bound = dict(alpha_bound_geometric(c, ns).values)
+        p = [[Fraction(x) for x in row] for row in c.transition]
+        q = p
+        for n in ns:
+            delta = max(sum(abs(a - b) for a, b in zip(qx, qy)) for qx in q for qy in q) / 2
+            assert Fraction(bound[n]) >= delta / 4, (n, bound[n], float(delta / 4))
+            q = [[sum(qx[i] * p[i][y] for i in range(3)) for y in range(3)] for qx in q]
+
+
+def test_envelope_memory_is_a_few_k_squared_floats():
+    # the row distances are taken one row at a time: a (K, K, K) array
+    # would need 512 MB at K = 400, and the envelope peaks near 3 K^2 floats
+    k, rng = 400, np.random.default_rng(27)
+    c = MarkovChainSpec(np.arange(k, dtype=float), rng.dirichlet(np.ones(k), size=k),
+                        np.full(k, 1.0 / k))
+    tracemalloc.start()
+    try:
+        alpha_bound_geometric(c, [1, 2, 5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * k * k, peak / (8 * k * k)
 
 
 def test_alpha_report_rows_and_envelope_rule(monkeypatch):
