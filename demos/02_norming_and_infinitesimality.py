@@ -42,15 +42,15 @@ geo_gap = scaling_diagnostics(lambda ns: (2.0 ** -ns, np.zeros_like(ns)), 100)[1
 print("a(n) = 2^-n would fail the ratio test: gap =", round(geo_gap, 3))
 
 # --- infinitesimality levels ------------------------------------------------
-# delta_n is the smallest grid level with P(a_n |X_k| >= delta) <= delta,
-# monotonized so the sequence never increases.
+# delta_n is the smallest grid level with P(a_n |X_k| >= delta) <= delta;
+# a_n and the tail both decrease, so the levels never increase in n.
 tail = marginal_abs_tail(ar1)
-a_tab, _ = norming.values(np.arange(1, 4097))
-deltas = compute_deltas(lambda n, d: tail(np.asarray(d) / a_tab[n - 1]), 4096, 0.05)
+ns = np.array([10, 100, 1000, 4096])
+a_ns, _ = norming.values(ns)
+deltas = compute_deltas(lambda n, d: tail(d / norming.values(n)[0]), ns, 0.05)
 print("\ndelta levels (AR(1), grid step 0.05):")
-for n in (10, 100, 1000, 4096):
-    print(f"  n={n:5d}: delta = {deltas[n - 1]:.2f}, "
-          f"tail at that level = {float(tail(deltas[n - 1] / a_tab[n - 1])):.4f}")
+for n, d, a_n in zip(ns, deltas, a_ns):
+    print(f"  n={n:5d}: delta = {d:.2f}, tail at that level = {float(tail(d / a_n)):.4f}")
 
 # each value of a path is its sum over a window of one step
 path = np.concatenate(window_sums(ar1, 8, 1, 7, "path", [(k, k + 1) for k in range(8)]))

@@ -13,8 +13,6 @@
 # limit law decompose into a c-scaled copy of itself convolved with a
 # remainder: the defining property of class-L laws.
 
-import numpy as np
-
 from mixlimit.blocking import _three_blocks, _windows, compute_m_profile, make_plan, verify_blocking
 from mixlimit.processes import ProcessSpec, asymptotics, marginal_abs_tail, window_sums
 
@@ -32,8 +30,7 @@ for i, n in enumerate(plan.n_values):
 print("the ratio hugs c from below; m_n and n - m_n both grow")
 
 # leading-block length is the maximizer of a simple scale condition
-a_table, _ = norming.values(np.arange(1, 4097))
-print("\ncompute_m at n=4096:", compute_m_profile(a_table, 0.5, [4096])[0],
+print("\ncompute_m at n=4096:", compute_m_profile(norming.a, 0.5, [4096])[0],
       "(sqrt scaling: k <= c^2 n = 1024)")
 
 # --- one path, decomposed ----------------------------------------------------

@@ -1,11 +1,11 @@
 """Bernstein blocking: split a normalized partial sum into three blocks.
 
-For a scaling sequence a and a fixed c in (0, 1), each horizon n gets a
-leading-block length m_n (the largest k < n with a(n)/a(k) <= c), an
-infinitesimality level delta_n (smallest grid value with
-tail(n, delta) <= delta, monotonized downward), and a separating-block
-length q_n <= delta_n^{-1/2} capped at n - m_n - 1.  The normalized sum
-then decomposes exactly as
+For a scaling sequence a and a fixed c in (0, 1), each horizon n of a
+grid gets a leading-block length m_n (the largest k < n with a(n) <=
+c a(k)), an infinitesimality level delta_n (smallest grid value with
+tail(n, delta) <= delta), and a separating-block length q_n <=
+delta_n^{-1/2} capped at n - m_n - 1.  The normalized sum then
+decomposes exactly as
 
     U + V + W = a(n) S_n + b(n)
     U = (a(n)/a(m)) (a(m) S_m + b(m))         leading block, rescaled
@@ -34,57 +34,61 @@ DEFAULT_EPSILON = 0.1
 DEFAULT_TIGHTNESS_BOUND = 10.0
 DEFAULT_KS_TOL = 0.05
 DEFAULT_N_GRID = (256, 512, 1024, 2048, 4096)
-_DELTA_CHUNK_POINTS = 1 << 16      # tail points per call of compute_deltas
 
 
-def compute_m_profile(table, c: float, n_values) -> np.ndarray:
-    """m_n = max{1 <= k < n : a(n)/a(k) <= c}, or 1 if none, per n in n_values; table[k-1] = a(k)."""
+def compute_m_profile(a, c: float, n_values) -> np.ndarray:
+    """m_n = max{1 <= k < n : a(n) <= c a(k)}, or 1 if none, per n in n_values.
+
+    For a nonincreasing vectorized a these k are 1..m_n, found by bisection
+    from about log2 n values of a, each checked against the values that
+    bracket it: an increase raises ValueError."""
     n_values = np.asarray(n_values, dtype=int)
     if np.any(n_values < 2):
         raise ValueError("n must be at least 2")
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie strictly inside (0, 1)")
-    m = []
-    for n in n_values:
-        ok = np.nonzero(table[n - 1] <= c * table[: n - 1])[0]
-        m.append(int(ok[-1] + 1) if len(ok) else 1)
-    return np.array(m)
+    a_n = np.asarray(a(n_values), dtype=float)
+    # k = lo qualifies (or is 0) and k = hi does not (or is n)
+    lo, hi = np.zeros_like(n_values), n_values.copy()
+    a_lo, a_hi = np.full(len(n_values), np.inf), a_n.copy()
+    increase = np.any(np.diff(a_n[np.argsort(n_values)]) > 0)
+    while not increase and len(live := np.nonzero(hi - lo > 1)[0]):
+        mid = (lo[live] + hi[live]) // 2
+        a_mid = np.asarray(a(mid), dtype=float)
+        increase = np.any((a_mid > a_lo[live]) | (a_mid < a_hi[live]))
+        ok = a_n[live] <= c * a_mid
+        lo[live[ok]], a_lo[live[ok]] = mid[ok], a_mid[ok]
+        hi[live[~ok]], a_hi[live[~ok]] = mid[~ok], a_mid[~ok]
+    if increase:
+        raise ValueError("the scaling a must not increase in n")
+    return np.maximum(lo, 1)
 
 
-def compute_deltas(tail, horizon: int, grid_step: float = DEFAULT_DELTA_GRID_STEP) -> np.ndarray:
-    """Infinitesimality levels delta_1..delta_horizon.
-
-    tail(n, delta) must return max_{k<=n} P(a_n |X_k| >= delta).  It is
-    called with n an integer column (rows, 1) of consecutive n and delta
-    the grid row (len(grid),), and its result is broadcast to
-    (rows, len(grid)), so a tail that ignores n may return one row.  The
-    rows of a call hold about _DELTA_CHUNK_POINTS points (at least one
-    row), so memory stays bounded whatever the horizon or grid_step.
-    Per n the smallest grid multiple of grid_step with
-    tail(n, delta) <= delta is selected; a reverse running maximum then
-    enforces a nonincreasing sequence.  Monotonization only ever raises a
-    level, and tails are nonincreasing in delta, so the defining
-    inequality survives it.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
+def compute_deltas(tail, n_values, grid_step: float = DEFAULT_DELTA_GRID_STEP) -> np.ndarray:
+    """delta_n per n in n_values: the smallest grid multiple of grid_step
+    with tail(n, delta) <= delta, where tail(n, delta) is
+    max_{k<=n} P(a_n |X_k| >= delta).  Every larger level must satisfy it
+    too, so an increase of the tail in delta raises ValueError.  tail is
+    called once, with n the column n_values[:, None] and delta the grid
+    row, and its result is broadcast to (len(n_values), len(grid)), so a
+    tail that ignores n may return one row."""
+    n_values = np.asarray(n_values, dtype=int)
+    if np.any(n_values < 1):
+        raise ValueError("n must be positive")
     if not 0.0 < grid_step <= 1.0:
         raise ValueError("grid_step must lie in (0, 1]")
     grid = np.round(np.arange(1, int(np.floor(1.0 / grid_step)) + 1) * grid_step, 12)
-    rows = max(1, _DELTA_CHUNK_POINTS // len(grid))
-    raw = np.empty(horizon)
-    for n0 in range(1, horizon + 1, rows):
-        ns = np.arange(n0, min(n0 + rows, horizon + 1))
-        t = np.broadcast_to(np.asarray(tail(ns[:, None], grid), dtype=float), (len(ns), len(grid)))
-        ok = t <= grid
-        found = ok.any(axis=1)
-        if not found.all():
-            raise ValueError(
-                f"no grid level delta <= {grid[-1]} satisfies tail(n, delta) <= delta "
-                f"at n = {ns[np.argmin(found)]}: the array is not infinitesimal at this horizon"
-            )
-        raw[ns - 1] = grid[ok.argmax(axis=1)]
-    return np.maximum.accumulate(raw[::-1])[::-1]
+    t = np.broadcast_to(np.asarray(tail(n_values[:, None], grid), dtype=float),
+                        (len(n_values), len(grid)))
+    if np.any(np.diff(t, axis=1) > 0):
+        raise ValueError("the tail must not increase in its threshold")
+    ok = t <= grid
+    found = ok.any(axis=1)
+    if not found.all():
+        n = n_values[np.argmin(found)]
+        raise ValueError(f"no grid level delta <= {grid[-1]} satisfies tail(n, delta) <= delta "
+                         f"at n = {n}: the array is not infinitesimal at this horizon")
+    return grid[ok.argmax(axis=1)]
 
 
 def compute_q(delta_n: float, m_n: int, n: int) -> int:
@@ -125,37 +129,30 @@ class BlockingPlan:
         return n < self.threshold
 
 
-def make_plan(
-    norming: NormingSequences,
-    tail,
-    c: float,
-    n_values=DEFAULT_N_GRID,
-) -> BlockingPlan:
-    """Assemble (m, delta, q) for each n, with deltas monotonized over the
-    full horizon 1..max(n_values) on the DEFAULT_DELTA_GRID_STEP grid.
+def make_plan(norming: NormingSequences, tail, c: float, n_values=DEFAULT_N_GRID) -> BlockingPlan:
+    """(m, delta, q) at each n of n_values, delta on the DEFAULT_DELTA_GRID_STEP grid.
 
-    tail(threshold) must return max_k P(|X_k| >= threshold), elementwise
-    over a 2-D array of thresholds; it is rescaled internally by a(n).
+    tail(threshold) must return (an upper envelope of) max_k P(|X_k| >=
+    threshold), elementwise over a 2-D array of thresholds.  The plan
+    assumes a nonincreasing and the tail nonincreasing in its threshold,
+    and checks both on every value it computes (ValueError otherwise).
+    Then delta_n is nonincreasing in n at every n, not only on the grid,
+    and m_n is found by bisection: a plan takes one tail call and about
+    log2 n values of a per n.
     """
     n_values = np.asarray(sorted(int(n) for n in n_values))
     if len(n_values) == 0 or n_values[0] < 2:
         raise ValueError("blocking needs a nonempty grid of n >= 2")
-    horizon = int(n_values.max())
-    table, _ = norming.values(np.arange(1, horizon + 1))
 
-    def array_tail(n, deltas):
-        return np.asarray(tail(np.asarray(deltas) / table[n - 1]), dtype=float)
-
-    deltas_full = compute_deltas(array_tail, horizon)
-    m = compute_m_profile(table, c, n_values)
-    delta = deltas_full[n_values - 1]
+    a = lambda ns: norming.values(ns)[0]
+    delta = compute_deltas(lambda n, deltas: tail(deltas / a(n)), n_values)
+    m = compute_m_profile(a, c, n_values)
     q = np.array([compute_q(d, int(mm), int(n)) for d, mm, n in zip(delta, m, n_values)])
-    ratio = table[n_values - 1] / table[m - 1]
+    ratio = a(n_values) / a(m)
     past_threshold = n_values[(m + q) < n_values]
     threshold = int(past_threshold[0]) if len(past_threshold) else int(n_values[-1] + 1)
-    return BlockingPlan(
-        c=float(c), n_values=n_values, m=m, q=q, delta=delta, ratio=ratio, threshold=threshold
-    )
+    return BlockingPlan(c=float(c), n_values=n_values, m=m, q=q, delta=delta, ratio=ratio,
+                        threshold=threshold)
 
 
 def _windows(plan: BlockingPlan, n: int) -> list:

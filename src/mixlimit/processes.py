@@ -154,7 +154,8 @@ class ProcessSpec:
 
 @dataclass(frozen=True)
 class NormingSequences:
-    """Scaling a(n) > 0 and centering b(n) with a closed-form provenance."""
+    """Scaling a(n) > 0 and centering b(n) with a closed-form provenance.
+    blocking.make_plan assumes a nonincreasing, as every shipped a is."""
 
     a: object                   # vectorized callable n -> positive float
     b: object                   # vectorized callable n -> float
@@ -552,23 +553,24 @@ def marginal_abs_tail(spec: ProcessSpec):
     For the stationary families the marginal is time-invariant, so the
     max over k collapses.  Gaussian innovations give the exact normal
     tail; bounded innovations (uniform, rademacher) give a step envelope
-    at the support bound; markov_function is exact over its finite
-    support.  Any upper envelope is admissible: the level search only
-    ever selects a larger (still valid) delta.
+    at the support bound; markov_function sums a per-state mass envelope.
+    Any upper envelope is admissible: the level search only ever selects
+    a larger (still valid) delta.
     """
     if spec.family == "markov_function":
-        # per-state mass envelope m(s) = sup_k P(Y_k = s); the induced tail
-        # dominates max_k P(|X_k| >= t), which is what the delta search needs
+        # mass envelope m(s) >= sup_k P(Y_k = s): max_k mu_k(s) up to the first
+        # K with TV(mu_K, pi) < 1e-13 (or K = 10^4), and pi(s) + TV(mu_K, pi)
+        # beyond K, as TV(mu_k, pi) does not increase in k
         chain = spec.chain
         vals = np.abs(spec.mapped_values())
-        dist = chain.initial.copy()
-        envelope = dist.copy()
+        pi = chain.stationary()
+        dist = envelope = chain.initial
         for _ in range(10_000):
-            nxt = dist @ chain.transition
-            envelope = np.maximum(envelope, nxt)
-            if np.abs(nxt - dist).sum() < 1e-13:
+            if 0.5 * np.abs(dist - pi).sum() < 1e-13:
                 break
-            dist = nxt
+            dist = dist @ chain.transition
+            envelope = np.maximum(envelope, dist)
+        envelope = np.maximum(envelope, np.minimum(1.0, pi + 0.5 * np.abs(dist - pi).sum()))
         # {s : vals[s] >= t} only changes at the distinct values, so the
         # masses are summed once per level and t looks its level up
         levels = np.unique(vals)

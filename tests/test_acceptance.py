@@ -71,10 +71,10 @@ def test_criterion_1_exact_alpha_oracle_equivalence():
 def test_criterion_2_leading_block_construction():
     t0 = time.perf_counter()
     c = 0.5
-    assert blocking.compute_m_profile(A_SQRT(np.arange(1, 101)), c, [100])[0] == 25
+    assert blocking.compute_m_profile(A_SQRT, c, [100])[0] == 25
     ns = np.arange(4, 10_001)
     a = A_SQRT(np.arange(1, 10_002, dtype=float))
-    ms = blocking.compute_m_profile(a, c, ns)
+    ms = blocking.compute_m_profile(A_SQRT, c, ns)
     an = a[ns - 1]
     am = a[ms - 1]
     nontrivial = ms > 1
@@ -95,7 +95,7 @@ def test_criterion_2_leading_block_construction():
 
 def test_criterion_3_infinitesimality_levels():
     tail = lambda n, d: 2 * scipy.stats.norm.sf(np.asarray(d) * np.sqrt(n))
-    deltas = blocking.compute_deltas(tail, 10_000, grid_step=0.01)
+    deltas = blocking.compute_deltas(tail, np.arange(1, 10_001), grid_step=0.01)
     d100 = deltas[99]
     monotone = bool(np.all(np.diff(deltas[9:]) <= 1e-15))
     ns = np.arange(10, 10_001)

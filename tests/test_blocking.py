@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tracemalloc
@@ -10,6 +11,8 @@ import scipy.stats
 
 from mixlimit import blocking, harness, processes
 from mixlimit.blocking import (
+    DEFAULT_DELTA_GRID_STEP,
+    DEFAULT_N_GRID,
     BlockingPlan,
     _identity_relerr,
     _three_blocks,
@@ -38,18 +41,33 @@ from pathref import BLOCK_BOUNDARY_REPS, FINDING1, chunk_rule_sums, one_shot_pat
 A_RECIP = lambda n: 1.0 / np.asarray(n, dtype=float)
 A_SQRT = lambda n: np.asarray(n, dtype=float) ** -0.5
 
+BLOCKING_SPECS = {
+    "iid-normal": ProcessSpec(family="iid"),
+    "iid-uniform": ProcessSpec(family="iid", innovations=InnovationLaw("uniform", 0.0, 1.0)),
+    "iid-rademacher": ProcessSpec(family="iid", innovations=InnovationLaw("rademacher", 0.0, 1.0)),
+    "ar1": ProcessSpec(family="ar1", phi=0.5),
+    "ma_q": ProcessSpec(family="ma_q", weights=(1.0, 0.5, 0.25)),
+    "markov_function": FINDING1,
+}
+PLAN_SPECS = {
+    **BLOCKING_SPECS,
+    "ar1-negative": ProcessSpec(family="ar1", phi=-0.4),
+    "ma_q-mixed": ProcessSpec(family="ma_q", weights=(0.5, -0.2, 1.1)),
+}
+
 
 def scan_oracle(a, c, n):
+    """m_n by its definition: the largest k < n with a(n) <= c a(k), or 1."""
     best = 1
     for k in range(1, n):
-        if a(n) / a(k) <= c:
+        if a(n) <= c * a(k):
             best = k
     return best
 
 
 def m_at(a, c, n):
-    """m_n from the table of the vectorized sequence a over 1..n."""
-    return int(compute_m_profile(a(np.arange(1, n + 1)), c, [n])[0])
+    """m_n of the vectorized sequence a at n."""
+    return int(compute_m_profile(a, c, [n])[0])
 
 
 # ---------------------------------------------------------------- compute_m_profile
@@ -65,8 +83,9 @@ def test_compute_m_empty_set_fallback():
 
 
 def test_compute_m_matches_scan_on_irregular_sequence():
+    # nonincreasing in steps of random size, a third of them flat
     rng = np.random.default_rng(0)
-    vals = np.exp(rng.normal(0, 0.5, 60)) / np.arange(1, 61)
+    vals = np.cumprod(np.where(rng.random(60) < 0.3, 1.0, rng.uniform(0.3, 1.0, 60)))
 
     def a(n):
         n = np.asarray(n)
@@ -81,12 +100,14 @@ def test_compute_m_rejects_bad_input():
         m_at(A_SQRT, 0.5, 1)
     with pytest.raises(ValueError):
         m_at(A_SQRT, 1.5, 10)
+    with pytest.raises(ValueError, match="must not increase"):
+        m_at(lambda n: np.asarray(n, dtype=float), 0.5, 10)
 
 
 def test_sandwich_inequality_sqrt_scaling():
     ns = np.arange(4, 2001)
     a = A_SQRT(np.arange(1, 2002, dtype=float))
-    ms = compute_m_profile(a, 0.5, ns)
+    ms = compute_m_profile(A_SQRT, 0.5, ns)
     for n, m in zip(ns, ms):
         if m > 1:
             assert a[n - 1] / a[m - 1] <= 0.5 + 1e-12
@@ -96,7 +117,7 @@ def test_sandwich_inequality_sqrt_scaling():
 
 def test_m_growth_along_grid():
     ns = np.array([64, 128, 256, 512, 1024])
-    ms = compute_m_profile(A_SQRT(np.arange(1, 1025)), 0.5, ns)
+    ms = compute_m_profile(A_SQRT, 0.5, ns)
     assert np.all(np.diff(ms) > 0)
     assert np.all(np.diff(ns - ms) > 0)
 
@@ -105,7 +126,7 @@ def test_m_growth_along_grid():
 
 def test_deltas_zero_process():
     tail = lambda n, d: np.zeros_like(np.asarray(d, dtype=float))
-    ds = compute_deltas(tail, 20, 0.01)
+    ds = compute_deltas(tail, np.arange(1, 21), 0.01)
     assert np.allclose(ds, 0.01)
 
 
@@ -113,15 +134,15 @@ def test_deltas_gaussian_oracle_value():
     # iid standard normal, a(n) = n^{-1/2}: P(|Z| >= 1.5) = 0.1336 <= 0.15
     # while P(|Z| >= 1.4) = 0.1615 > 0.14, so delta_100 = 0.15 on a 0.01 grid
     tail = lambda n, d: 2 * scipy.stats.norm.sf(np.asarray(d) * np.sqrt(n))
-    ds = compute_deltas(tail, 100, 0.01)
-    assert ds[99] == pytest.approx(0.15, abs=1e-12)
+    (d100,) = compute_deltas(tail, [100], 0.01)
+    assert d100 == pytest.approx(0.15, abs=1e-12)
     assert 2 * scipy.stats.norm.sf(1.5) <= 0.15
     assert 2 * scipy.stats.norm.sf(1.4) > 0.14
 
 
 def test_deltas_monotone_and_inequality_reverified():
     tail = lambda n, d: 2 * scipy.stats.norm.sf(np.asarray(d) * np.sqrt(n))
-    ds = compute_deltas(tail, 10_000, 0.01)
+    ds = compute_deltas(tail, np.arange(1, 10_001), 0.01)
     assert np.all(np.diff(ds) <= 1e-15)
     ns = np.array([10, 100, 1000, 10_000])
     for n in ns:
@@ -132,11 +153,12 @@ def test_deltas_monotone_and_inequality_reverified():
 def test_deltas_failure_names_n():
     tail = lambda n, d: np.ones_like(np.asarray(d, dtype=float)) * 1.5  # impossible tail
     with pytest.raises(ValueError, match="n = 1"):
-        compute_deltas(tail, 5, 0.5)
+        compute_deltas(tail, np.arange(1, 6), 0.5)
 
 
 def loop_deltas(tail, horizon, grid_step):
-    """compute_deltas by its definition: one tail call per n."""
+    """The levels delta_1..delta_horizon by their definition over the whole
+    horizon: one tail call per n, then the reverse running maximum."""
     grid = np.round(np.arange(1, int(np.floor(1.0 / grid_step)) + 1) * grid_step, 12)
     raw = np.empty(horizon)
     for i, n in enumerate(range(1, horizon + 1)):
@@ -154,57 +176,38 @@ def plan_tail(spec, horizon):
     return lambda n, d: tail(np.asarray(d) / table[n - 1])
 
 
+def spread_n(horizon, count=200):
+    """About count n from 1 to horizon, spread geometrically."""
+    return np.unique(np.geomspace(1, horizon, count).astype(int))
+
+
 @pytest.mark.parametrize("grid_step", [0.05, 0.003])
 def test_deltas_equal_the_per_n_loop_on_a_gaussian_tail(grid_step):
-    # chunks of 3276 and 196 rows: horizon 10^4 crosses their boundaries,
-    # and the last chunk is short
     tail = plan_tail(ProcessSpec(family="ar1", phi=0.5), 10_000)
-    assert np.array_equal(compute_deltas(tail, 10_000, grid_step),
-                          loop_deltas(tail, 10_000, grid_step))
+    ns = spread_n(10_000)
+    assert np.array_equal(compute_deltas(tail, ns, grid_step),
+                          loop_deltas(tail, 10_000, grid_step)[ns - 1])
 
 
 def test_deltas_equal_the_per_n_loop_on_a_markov_function_tail():
     tail = plan_tail(FINDING1, 5000)
-    assert np.array_equal(compute_deltas(tail, 5000, 0.01), loop_deltas(tail, 5000, 0.01))
+    ns = spread_n(5000)
+    assert np.array_equal(compute_deltas(tail, ns, 0.01), loop_deltas(tail, 5000, 0.01)[ns - 1])
 
 
 def test_deltas_tail_that_ignores_n():
-    # one row of len(grid) values is broadcast over the rows of each chunk;
+    # one row of len(grid) values is broadcast over the rows of n;
     # 0.3 / delta <= delta first holds at delta = 0.55
     tail = lambda n, d: np.minimum(1.0, 0.3 / np.asarray(d))
-    ds = compute_deltas(tail, 10_000, 0.05)
+    ds = compute_deltas(tail, np.arange(1, 10_001), 0.05)
     assert np.array_equal(ds, loop_deltas(tail, 10_000, 0.05))
     assert np.all(ds == 0.55)
 
 
-def test_deltas_failure_names_n_in_a_later_chunk():
-    # 20 grid levels make chunks of 3276 rows, so n = 5000 lies in the second
+def test_deltas_failure_names_the_first_failing_n():
     tail = lambda n, d: np.where(np.asarray(n) >= 5000, 1.5, 0.0) + 0.0 * np.asarray(d)
     with pytest.raises(ValueError, match="at n = 5000: "):
-        compute_deltas(tail, 6000, 0.05)
-
-
-def deltas_peak(horizon, grid_step):
-    """Traced peak of compute_deltas above its baseline, on a Chebyshev tail."""
-    tail = lambda n, d: np.minimum(1.0, 1.0 / (np.asarray(d) ** 2 * n))
-    compute_deltas(tail, 2, grid_step)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        compute_deltas(tail, horizon, grid_step)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
-def test_deltas_peak_memory_does_not_grow_with_the_horizon():
-    # 1000 grid levels: one call over every n would hold (horizon, 1000)
-    # tails, 160 MB at horizon 2 * 10^4; a chunk holds 65 rows of them
-    small, large = deltas_peak(2000, 0.001), deltas_peak(20_000, 0.001)
-    assert large < 1.5 * small
-    assert large < 20_000 * 1000 * 8 / 40
+        compute_deltas(tail, [10, 4999, 5000, 6000], 0.05)
 
 
 # ---------------------------------------------------------------- compute_q
@@ -318,6 +321,93 @@ def test_decompose_rejects_pre_asymptotic():
 
 
 # ---------------------------------------------------------------- plans
+
+@functools.lru_cache(maxsize=None)
+def horizon_deltas(name, horizon):
+    """The levels delta_1..delta_horizon of PLAN_SPECS[name], as the
+    plan once built them over its whole horizon."""
+    spec = PLAN_SPECS[name]
+    return loop_deltas(plan_tail(spec, horizon), horizon, DEFAULT_DELTA_GRID_STEP)
+
+
+def horizon_plan(name, c, n_values):
+    """(delta, m, ratio) at n_values by their definition over the whole
+    horizon N = max(n_values): the levels' reverse running maximum over
+    1..N, and m_n by a scan of the table a(1..N)."""
+    n_values = np.array(sorted(n_values))
+    table, _ = asymptotics(PLAN_SPECS[name])[0].values(np.arange(1, n_values[-1] + 1))
+    m = np.array([scan_oracle(lambda k: table[k - 1], c, int(n)) for n in n_values])
+    return horizon_deltas(name, int(n_values[-1]))[n_values - 1], m, table[n_values - 1] / table[m - 1]
+
+
+PLAN_GRIDS = [
+    DEFAULT_N_GRID,
+    (64, 256),
+    (2, 3, 4, 5, 8),
+    (1023, 1024, 1025, 4999),
+    tuple(np.random.default_rng(12).choice(np.arange(2, 5000), 12, replace=False).tolist()),
+]
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_SPECS))
+def test_plan_equals_the_horizon_wide_definition(name):
+    # 5 grids and 3 values of c for each of 8 specs: 120 plans in all
+    nm, tail = asymptotics(PLAN_SPECS[name])[0], marginal_abs_tail(PLAN_SPECS[name])
+    for n_values in PLAN_GRIDS:
+        for c in (0.3, 0.5, 0.8):
+            plan = make_plan(nm, tail, c, n_values)
+            delta, m, ratio = horizon_plan(name, c, n_values)
+            assert np.array_equal(plan.delta, delta), (n_values, c)
+            assert np.array_equal(plan.m, m), (n_values, c)
+            assert np.array_equal(plan.ratio, ratio), (n_values, c)
+
+
+def test_plan_rejects_an_increasing_norming():
+    tail = marginal_abs_tail(ProcessSpec(family="iid"))
+    zero = lambda n: np.zeros_like(np.asarray(n, dtype=float))
+    rising = NormingSequences(a=lambda n: np.sqrt(np.asarray(n, dtype=float)), b=zero,
+                              provenance="a(n) = sqrt(n)")
+    with pytest.raises(ValueError, match="scaling a must not increase"):
+        make_plan(rising, tail, 0.5, (64, 256))
+    # decreasing on the grid, with a(33) above a(32): at n = 64 and c = 0.5
+    # the bisection tests k = 32, 48, 40, 36, 34 and then 33, next to 32
+    bump = NormingSequences(a=lambda n: np.where(np.asarray(n) == 33, 0.0625, A_RECIP(n)),
+                            b=zero, provenance="1/n with a bump at 33")
+    with pytest.raises(ValueError, match="scaling a must not increase"):
+        make_plan(bump, tail, 0.5, (64, 256))
+
+
+def test_plan_rejects_a_tail_that_increases_along_the_delta_grid():
+    nm, _ = asymptotics(ProcessSpec(family="iid"))
+    with pytest.raises(ValueError, match="tail must not increase in its threshold"):
+        make_plan(nm, lambda t: np.minimum(1.0, 0.001 * np.asarray(t)), 0.5, (64, 256))
+
+
+def plan_peak(n_values):
+    """(traced peak of make_plan above its baseline, the plan) for AR(1)."""
+    spec = ProcessSpec(family="ar1", phi=0.5)
+    nm, tail = asymptotics(spec)[0], marginal_abs_tail(spec)
+    make_plan(nm, tail, 0.5, n_values)                  # first-call work
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        plan = make_plan(nm, tail, 0.5, n_values)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak, plan
+
+
+def test_plan_peak_memory_does_not_grow_with_n():
+    # a table of a(1..n) alone would take 8 n bytes: 8 TB at n = 2^40, and
+    # 128 MB at n = 2^24
+    _, plan = plan_peak((256, 2 ** 40))
+    assert plan.m.tolist() == [64, 2 ** 38] and plan.delta.tolist() == [0.1, 0.05]
+    small, _ = plan_peak((256, 2 ** 12))
+    large, _ = plan_peak((256, 2 ** 24))
+    assert large < 1.5 * small
+
 
 def test_plan_invariants_sqrt_norming():
     nm, _ = asymptotics(ProcessSpec(family="iid"))
@@ -461,16 +551,6 @@ def test_iid_trailing_block_reaches_its_gaussian_limit():
     sd = np.sqrt(1 - 0.5 ** 2)
     ks = ks_distance(w, lambda x: scipy.stats.norm.cdf(np.asarray(x) / sd))
     assert ks < 0.05
-
-
-BLOCKING_SPECS = {
-    "iid-normal": ProcessSpec(family="iid"),
-    "iid-uniform": ProcessSpec(family="iid", innovations=InnovationLaw("uniform", 0.0, 1.0)),
-    "iid-rademacher": ProcessSpec(family="iid", innovations=InnovationLaw("rademacher", 0.0, 1.0)),
-    "ar1": ProcessSpec(family="ar1", phi=0.5),
-    "ma_q": ProcessSpec(family="ma_q", weights=(1.0, 0.5, 0.25)),
-    "markov_function": FINDING1,
-}
 
 
 @pytest.mark.parametrize("reps", BLOCK_BOUNDARY_REPS)

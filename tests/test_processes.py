@@ -72,17 +72,17 @@ def stepped_markov_paths(spec, u):
 
 
 def loop_markov_tail(spec):
-    """The per-threshold tail of a markov_function, one mask per point."""
+    """The per-threshold tail of a markov_function, one mask per point, of
+    the mass envelope max(max_{k<=K} mu_k, min(1, pi + TV(mu_K, pi))), K
+    the first k with TV(mu_k, pi) < 1e-13, or 10^4."""
     chain = spec.chain
     vals = np.abs(spec.mapped_values())
-    dist = chain.initial.copy()
-    envelope = dist.copy()
-    for _ in range(10_000):
-        nxt = dist @ chain.transition
-        envelope = np.maximum(envelope, nxt)
-        if np.abs(nxt - dist).sum() < 1e-13:
-            break
-        dist = nxt
+    pi = chain.stationary()
+    laws = [chain.initial]
+    while len(laws) <= 10_000 and 0.5 * np.abs(laws[-1] - pi).sum() >= 1e-13:
+        laws.append(laws[-1] @ chain.transition)
+    tv = 0.5 * np.abs(laws[-1] - pi).sum()
+    envelope = np.max(laws + [np.minimum(1.0, pi + tv)], axis=0)
     return lambda t: np.array([envelope[vals >= ti].sum() if np.any(vals >= ti) else 0.0
                                for ti in np.atleast_1d(np.asarray(t, dtype=float))])
 
@@ -823,6 +823,21 @@ def test_markov_tail_matches_per_threshold_sums(spec):
     for ti in t:
         got = tail(ti)
         assert type(got) is float and got == ref(ti)[0]
+
+
+def test_markov_tail_bounds_a_slowly_mixing_chain():
+    # the chain leaves each state with probability 1e-7 per step, so from
+    # state 0 its law nears P(Y_k = 1) = 1/2 only after about 10^7 steps;
+    # the laws of its first 10^4 steps alone put P(|X_k| >= 5) at 0.001
+    e = 1e-7
+    spec = markov_spec([[1 - e, e], [e, 1 - e]], [1.0, 0.0], [1.0, 10.0])
+    pi = spec.chain.stationary()
+    assert pi == pytest.approx([0.5, 0.5])
+    sup_mass = 0.5 - 0.5 * (1 - 2 * e) ** 10 ** 8       # P(Y_k = 1) at k = 10^8
+    assert sup_mass > 0.49
+    assert marginal_abs_tail(spec)(5.0) >= sup_mass
+    assert np.array_equal(marginal_abs_tail(spec)(np.array([5.0, 20.0])),
+                          loop_markov_tail(spec)(np.array([5.0, 20.0])))
 
 
 def test_plug_in_alpha_vanishes_beyond_dependence_range():
