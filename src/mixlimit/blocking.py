@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import processes, selfdecomp
-from .probcore import _cf_values, _freeze, ks_distance
+from .probcore import PASSING, _cf_values, _freeze, judge, ks_distance
 from .processes import NormingSequences, ProcessSpec
 
 DEFAULT_DELTA_GRID_STEP = 0.05
@@ -233,10 +233,10 @@ def verify_blocking(
     se_alpha = 0.3536 / np.sqrt(replications)   # sd of the median-split statistic under independence
     freqs = selfdecomp.uniform_grid(selfdecomp.DEFAULT_EMPIRICAL_RADIUS, 21)[11:]  # t > 0
 
-    def row(name, value, ceiling, ok=None):
-        """Add row name at the current n; it passes iff value <= ceiling, unless ok is given."""
+    def row(name, value, ceiling, band=0.0, status=None):
+        """Add row name at the current n, judged value <= ceiling + band unless status is given."""
         rows.append({**base, "metric_name": name, "value": value, "analytic_ceiling": ceiling,
-                     "pass": value <= ceiling if ok is None else ok})
+                     "pass": (status or judge(value, ceiling, band)) in PASSING})
 
     for k, n in enumerate(usable):
         i = plan.index_of(n)
@@ -249,7 +249,7 @@ def verify_blocking(
         p_hat = float(np.mean(np.abs(v) > DEFAULT_EPSILON))
         ceiling = min(1.0, q * d)
         se = float(np.sqrt(max(p_hat * (1 - p_hat), 0.0) / replications))
-        row("step5_v_exceed_prob", p_hat, ceiling, ok=p_hat <= ceiling + 3 * se)
+        row("step5_v_exceed_prob", p_hat, ceiling, band=3 * se)
 
         row("step6_u_ks_to_scaled_limit", ks_distance(u, limit.scaled(ratio).cdf), DEFAULT_KS_TOL)
         row("step7_w_abs_q99", float(np.quantile(np.abs(w), 0.99)), DEFAULT_TIGHTNESS_BOUND)
@@ -268,6 +268,6 @@ def verify_blocking(
             # NaN when every c is inconclusive
             worst = min((r["worst_violation"] for r in rep["per_c"]
                          if r["worst_violation"] is not None), default=float("nan"))
-            row("eq5_selfdecomp_min_eig", worst, -rep["tol"], ok=rep["verdict"] == "pass")
+            row("eq5_selfdecomp_min_eig", worst, -rep["tol"], status=rep["verdict"])
 
     return tuple(rows)

@@ -15,8 +15,9 @@ them, writes nothing: the directory is created, and the files written,
 only once the experiment has run, and they replace their old versions
 only once all of them are written.
 
-Exit status: 0 when every pass-flag is true, 2 when any scientific
-assertion failed, 1 on usage/config errors.
+Exit status: 1 on usage/config errors, else 0 iff every pass flag is true, and
+2 otherwise.  A judged claim's flag is true iff its probcore.judge status is
+"pass" or "pre_asymptotic", and false if it is "fail" or "inconclusive".
 """
 
 from __future__ import annotations
@@ -234,17 +235,18 @@ def write_path_csv(fh, values: np.ndarray) -> None:
 
 # --------------------------------------------------------------------------
 # experiment implementations: each takes a config run() has checked against
-# its KINDS entry, returns ({file name: text}, all_pass) and writes nothing,
-# so that a config error leaves the output directory alone.  Every pass flag,
-# and the tolerance behind it, comes from the library call.
+# its KINDS entry, returns ({file name: text}, pass flags) and writes nothing,
+# so that a config error leaves the output directory alone.  Every pass flag
+# and claim code, and the tolerance behind a flag, comes from the library call.
 
 def _run_alpha_profile(cfg: dict):
     from . import mixing
 
     j_scan = cfg.get("j_scan")
-    rows, ok = mixing.alpha_report(_parse_chain(cfg["chain"], "config.chain"), cfg["n_list"],
-                                   mixing.J_SCAN if j_scan is None else j_scan)
-    return {"alpha_profile.csv": csv_text(("n", "alpha", "kind", "claim"), rows)}, ok
+    rows = mixing.alpha_report(_parse_chain(cfg["chain"], "config.chain"), cfg["n_list"],
+                               mixing.J_SCAN if j_scan is None else j_scan)
+    text = csv_text(("n", "alpha", "kind", "claim"), rows)
+    return {"alpha_profile.csv": text}, [r["pass"] for r in rows]
 
 
 def _run_blocking_verify(cfg: dict):
@@ -254,7 +256,7 @@ def _run_blocking_verify(cfg: dict):
         _parse_process(cfg["process"], "config.process"), c=float(cfg["c"]),
         n_grid=cfg["n_grid"], replications=cfg["replications"], seed=cfg["seed"],
     )
-    return {"blocking_report.csv": csv_text(CSV_COLUMNS, rows)}, all(r["pass"] for r in rows)
+    return {"blocking_report.csv": csv_text(CSV_COLUMNS, rows)}, [r["pass"] for r in rows]
 
 
 def _run_selfdecomp_test(cfg: dict):
@@ -279,8 +281,7 @@ def _run_selfdecomp_test(cfg: dict):
         report = selfdecomp.selfdecomp_test_sample(total, cs, grid_points=grid_points)
     else:
         raise ConfigError("config: selfdecomp-test needs cf_form or process")
-    doc = {**report, "claim": "eq5_convolution_decomposition"}
-    return {"selfdecomp_report.json": _json_text(doc)}, report["verdict"] == "pass"
+    return {"selfdecomp_report.json": _json_text(report)}, [r["psd_pass"] for r in report["per_c"]]
 
 
 def _run_integral_sample(cfg: dict):
@@ -314,7 +315,8 @@ def _run_integral_sample(cfg: dict):
         "integral_samples.csv": samples_csv.getvalue(),
         "integral_summary.json": _json_text(summary),
     }
-    return files, bdlp.log_moment_finite and finite
+    # a fact of the jump law and of the sample, not a statistic judged against a ceiling
+    return files, [bdlp.log_moment_finite and finite]
 
 
 def _run_coupling_suite(cfg: dict):
@@ -337,9 +339,7 @@ def _run_coupling_suite(cfg: dict):
                 joint=joint, epsilon=float(case["epsilon"]), net=case["net"],
                 delta=float(case["delta"])))
     report = coupling.verify_prop1_suite(problems)
-    for row in report["cases"]:
-        row["claim"] = "prop1_bound"
-    return {"coupling_report.json": _json_text(report)}, report["all_pass"]
+    return {"coupling_report.json": _json_text(report)}, [r["pass"] for r in report["cases"]]
 
 
 # the optional corollary-sum keys each mode does not read
@@ -364,7 +364,7 @@ def _run_corollary_sum(cfg: dict):
         **{k: cfg[k] for k in ("n", "lags", "replications", "block_length") if k in cfg},
     )
     text = csv_text(("grid", "ks", "reference", "alpha_bound", "pass", "claim"), rows)
-    return {"corollary_report.csv": text}, all(r["pass"] for r in rows)
+    return {"corollary_report.csv": text}, [r["pass"] for r in rows]
 
 
 # each experiment kind -> (description, runner, required keys, optional
@@ -454,7 +454,7 @@ def run(config_path, out_dir: str | None = None) -> int:
         nearest = next(p for p in (out, *out.parents) if p.exists())
         if not nearest.is_dir():
             raise ConfigError(f"output path {out}: {nearest} is not a directory")
-        files, ok = runner(cfg)
+        files, flags = runner(cfg)
         reports = sorted(files)
         names = (*reports, "manifest.json")
         for name in names:
@@ -466,6 +466,7 @@ def run(config_path, out_dir: str | None = None) -> int:
         return 1
     from .rngstreams import BLOCK_ROWS
 
+    all_pass = all(flags)
     files["manifest.json"] = _json_text({
         "kind": cfg["kind"],
         "config": cfg,
@@ -475,7 +476,7 @@ def run(config_path, out_dir: str | None = None) -> int:
                f"label, spec hash, block index), replication r is column r mod {BLOCK_ROWS} "
                f"of block r // {BLOCK_ROWS}, drawn time-major",
         "reports": reports,
-        "all_pass": bool(ok),
+        "all_pass": all_pass,
     })
     # the only place a run touches the output directory: after the runner
     # returned.  Each file is written to a temporary sibling, and the
@@ -496,7 +497,7 @@ def run(config_path, out_dir: str | None = None) -> int:
             tmp.unlink(missing_ok=True)
         print(f"config error: cannot write to {out}: {e}")
         return 1
-    if not ok:
+    if not all_pass:
         print("scientific assertion failed (see report pass flags)")
         return 2
     return 0

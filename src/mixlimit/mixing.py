@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probcore import FiniteJointDistribution, _freeze, alpha_exact
+from .probcore import PASSING, FiniteJointDistribution, _freeze, alpha_exact, judge
 
 STOCHASTIC_TOL = 1e-12
 J_SCAN = 11
@@ -167,14 +167,14 @@ def alpha_bound_geometric(chain: MarkovChainSpec, n_list) -> AlphaProfile:
     return AlphaProfile(tuple((int(n), at[int(n)]) for n in n_list), kind="analytic-bound", meta=meta)
 
 
-def alpha_report(chain: MarkovChainSpec, n_list, j_scan: int = J_SCAN) -> tuple:
-    """(rows, ok): rows {n, alpha, kind, claim} of the window values (eq1), then
-    of the envelope (eq2); ok iff each window value is <= envelope + ENVELOPE_SLACK."""
+def alpha_report(chain: MarkovChainSpec, n_list, j_scan: int = J_SCAN) -> list:
+    """Rows {n, alpha, kind, claim, pass} of the window values (eq1), then of the
+    envelope (eq2); both rows at n pass iff the window is <= envelope + ENVELOPE_SLACK."""
     profile = alpha_sequence(chain, n_list, j_scan)
     bound = alpha_bound_geometric(chain, n_list)
-    rows = [
-        {"n": n, "alpha": a, "kind": p.kind, "claim": claim}
+    ok = {n: judge(a, bound.alpha_at(n), ENVELOPE_SLACK) in PASSING for n, a in profile.values}
+    return [
+        {"n": n, "alpha": a, "kind": p.kind, "claim": claim, "pass": ok[n]}
         for p, claim in ((profile, "eq1_window_alpha"), (bound, "eq2_analytic_bound"))
         for n, a in p.values
     ]
-    return rows, all(a <= bound.alpha_at(n) + ENVELOPE_SLACK for n, a in profile.values)

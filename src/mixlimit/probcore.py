@@ -4,7 +4,7 @@ Scalar samples (1-D float arrays, one number per draw), exact finite
 joint distributions, the empirical characteristic function of a sample
 at given frequencies, a Kolmogorov-Smirnov distance that is exact for
 step references, the standard normal cdf, a positive-semidefiniteness
-check, and the exact dependence coefficient
+check, the judge of a report's claims, and the exact dependence coefficient
 
     alpha(X, Z) = sup_{A, B} |P(A & B) - P(A) P(B)|
 
@@ -23,6 +23,7 @@ import numpy as np
 PMF_TOL = 1e-12
 ENUM_LIMIT = 20                # atoms on the enumerated side of alpha_exact
 HERMITIAN_TOL = 1e-8           # psd_check: largest relative asymmetry accepted
+PASSING = ("pass", "pre_asymptotic")   # the statuses of judge that render as a true pass flag
 
 _SQRTH = 7.07106781186547524401e-1
 
@@ -109,26 +110,31 @@ def _cf_values(freqs, x) -> np.ndarray:
     return out
 
 
-def psd_check(matrix: np.ndarray, tol: float = 1e-9):
-    """Check a Hermitian matrix for positive semidefiniteness.
-
-    Returns a dict {"is_psd": bool, "worst_violation": float} where
-    worst_violation is the smallest eigenvalue of the Hermitian part, the
-    first of numpy's ascending eigvalsh (LAPACK), so no scipy is loaded.
-    Inputs that are non-Hermitian beyond HERMITIAN_TOL are rejected.
+def psd_check(matrix: np.ndarray) -> float:
+    """The smallest eigenvalue of the Hermitian part of a Hermitian matrix,
+    the first of numpy's ascending eigvalsh (LAPACK), so no scipy is loaded;
+    the matrix is positive semidefinite iff it is >= 0.  Inputs that are
+    non-Hermitian beyond HERMITIAN_TOL are rejected.
     """
     M = np.asarray(matrix)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
         raise ValueError("matrix must be square and nonempty")
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
     asym = np.max(np.abs(M - M.conj().T))
     scale = max(1.0, float(np.max(np.abs(M)))) if M.size else 1.0
     if asym > HERMITIAN_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
     H = 0.5 * (M + M.conj().T)
-    smallest = float(np.linalg.eigvalsh(H)[0])
-    return {"is_psd": smallest >= -tol, "worst_violation": smallest}
+    return float(np.linalg.eigvalsh(H)[0])
+
+
+def judge(value, ceiling, band=0.0, negative=False, applies=True) -> str:
+    """The status of the claim value <= ceiling + band (value > ceiling if negative):
+    pre_asymptotic unless it applies, inconclusive for a None value, else pass or fail."""
+    if not applies:
+        return "pre_asymptotic"
+    if value is None:
+        return "inconclusive"
+    return "pass" if (value > ceiling if negative else value <= ceiling + band) else "fail"
 
 
 def normal_cdf(x):

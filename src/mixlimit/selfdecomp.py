@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rngstreams
-from .probcore import STANDARD_NORMAL, _cf_values, as_sample, psd_check
+from .probcore import PASSING, STANDARD_NORMAL, _cf_values, as_sample, judge, psd_check
 from .processes import _run_blocks
 
 DEFAULT_C_VALUES = (0.3, 0.5, 0.8)
@@ -67,12 +67,12 @@ def _c_tuple(c_values) -> tuple:
 
 def _ratio_test(evaluate, c_values, grid_radius, grid_points, floor, tol, source):
     """The CF-ratio PSD test of evaluate, a CF on sorted frequency arrays,
-    as the dict {verdict, tol, source, per_c} that selfdecomp-test writes.
+    as the dict {verdict, tol, source, per_c, claim} that selfdecomp-test writes.
 
     per_c holds one row {c, psd_pass, worst_violation, grid_radius,
-    inconclusive_at} per c.  verdict is "fail" iff some c fails beyond
-    tol, otherwise "inconclusive" if any c hit the denominator floor (its
-    worst_violation is None), else "pass".
+    inconclusive_at} per c, judged on the smallest eigenvalue worst_violation
+    >= -tol, or inconclusive where it hit the denominator floor (worst_violation
+    None).  verdict is "fail" if any c fails, else "inconclusive" if any is.
 
     evaluate is called once, on the frequencies the ratios need: the
     difference lattice of the uniform grid together with its c-scaled
@@ -85,29 +85,19 @@ def _ratio_test(evaluate, c_values, grid_radius, grid_points, floor, tol, source
     freqs, where = np.unique(
         np.concatenate([uniq] + [np.round(c * uniq, 12) for c in cs]), return_inverse=True)
     num_u, *dens = evaluate(freqs)[where].reshape(len(cs) + 1, len(uniq))
-    per_c = []
-    failed = inconclusive = False
+    per_c, statuses = [], []
     for c, den_u in zip(cs, dens):
         small = np.abs(den_u) < floor
-        if np.any(small):
-            bad = float(uniq[np.argmax(small)] * c)
-            per_c.append({
-                "c": c, "psd_pass": False, "worst_violation": None,
-                "grid_radius": float(grid_radius), "inconclusive_at": bad,
-            })
-            inconclusive = True
-            continue
-        ratio = (num_u / den_u)[inv].reshape(diffs.shape)
-        res = psd_check(ratio, tol=tol)
+        worst = None if np.any(small) else psd_check((num_u / den_u)[inv].reshape(diffs.shape))
+        statuses.append(judge(None if worst is None else -worst, tol))
         per_c.append({
-            "c": c, "psd_pass": bool(res["is_psd"]),
-            "worst_violation": float(res["worst_violation"]),
-            "grid_radius": float(grid_radius), "inconclusive_at": None,
+            "c": c, "psd_pass": statuses[-1] in PASSING, "worst_violation": worst,
+            "grid_radius": float(grid_radius),
+            "inconclusive_at": float(uniq[np.argmax(small)] * c) if worst is None else None,
         })
-        if not res["is_psd"]:
-            failed = True
-    verdict = "fail" if failed else ("inconclusive" if inconclusive else "pass")
-    return {"verdict": verdict, "tol": float(tol), "source": source, "per_c": per_c}
+    verdict = next((s for s in ("fail", "inconclusive") if s in statuses), "pass")
+    return {"verdict": verdict, "tol": float(tol), "source": source, "per_c": per_c,
+            "claim": "eq5_convolution_decomposition"}
 
 
 # the named closed-form CFs that selfdecomp-test's cf_form chooses from

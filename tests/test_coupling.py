@@ -336,7 +336,8 @@ def test_suite_randomized_3x3_bound_and_residuals():
         assert row["residual_marginal"] < 1e-9
         assert row["residual_independence"] < 1e-9
         assert set(row) == {"case_id", "objective", "bound", "alpha", "N", "delta",
-                            "residual_marginal", "residual_independence", "pass"}
+                            "residual_marginal", "residual_independence", "pass", "claim"}
+        assert row["claim"] == "prop1_bound" and row["pass"] is True
 
 
 # ---------------------------------------------------------------- corollary

@@ -877,3 +877,33 @@ def test_reports_match_golden_bytes(tmp_path, name):
     expected = read_tree(GOLDEN / name)
     assert read_tree(tmp_path) == expected
     assert status == (0 if json.loads(expected["manifest.json"])["all_pass"] else 2)
+
+
+def json_claims(node):
+    """The values of every claim key at any depth of a parsed JSON document."""
+    if isinstance(node, dict):
+        own = {node["claim"]} if "claim" in node else set()
+        return own.union(*map(json_claims, node.values()))
+    if isinstance(node, list):
+        return set().union(*map(json_claims, node))
+    return set()
+
+
+def test_readme_claim_codes_are_the_golden_claims():
+    # every claim code a golden report writes, in the CSV claim and
+    # metric_name columns and in the JSON claim keys, is listed in README's
+    # "Claim codes" table, and the table lists no other code
+    written = set()
+    for name in GOLDEN_NAMES:
+        for path in (GOLDEN / name).iterdir():
+            if path.suffix == ".csv":
+                for row in csv.DictReader(io.StringIO(path.read_text())):
+                    written |= {row[k] for k in ("claim", "metric_name") if k in row}
+            else:
+                written |= json_claims(json.loads(path.read_text()))
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    section = text.split("### Claim codes", 1)[1].split("\n### ", 1)[0]
+    table = next(block for block in section.split("\n\n") if block.startswith("| code |"))
+    listed = {code for line in table.split("\n") if line.startswith("| `")
+              for code in re.findall(r"`(\w+)`", line.split("|")[1])}
+    assert listed == written

@@ -262,14 +262,15 @@ def test_envelope_memory_is_a_few_k_squared_floats():
 
 def test_alpha_report_rows_and_envelope_rule(monkeypatch):
     chain = symmetric_chain()
-    rows, ok = mixing.alpha_report(chain, [1, 3], j_scan=2)
-    assert ok is True
-    assert [(r["n"], r["kind"], r["claim"]) for r in rows] == [
-        (1, "exact-window", "eq1_window_alpha"), (3, "exact-window", "eq1_window_alpha"),
-        (1, "analytic-bound", "eq2_analytic_bound"), (3, "analytic-bound", "eq2_analytic_bound")]
-    # a window value may exceed the envelope by ENVELOPE_SLACK and no more
+    rows = mixing.alpha_report(chain, [1, 3], j_scan=2)
+    assert [(r["n"], r["kind"], r["claim"], r["pass"]) for r in rows] == [
+        (1, "exact-window", "eq1_window_alpha", True), (3, "exact-window", "eq1_window_alpha", True),
+        (1, "analytic-bound", "eq2_analytic_bound", True),
+        (3, "analytic-bound", "eq2_analytic_bound", True)]
+    # a window value may exceed the envelope by ENVELOPE_SLACK and no more;
+    # both rows at n carry the flag of that one claim
     bound = alpha_bound_geometric(chain, [3]).alpha_at(3)
     for excess, want in ((0.0, True), (ENVELOPE_SLACK, True), (2 * ENVELOPE_SLACK, False)):
         monkeypatch.setattr(mixing, "alpha_sequence", lambda chain, n_list, j_scan: AlphaProfile(
             ((3, bound + excess),), kind="exact-window"))
-        assert mixing.alpha_report(chain, [3])[1] is want
+        assert [r["pass"] for r in mixing.alpha_report(chain, [3])] == [want, want]

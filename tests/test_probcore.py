@@ -9,11 +9,13 @@ from mixlimit import selfdecomp
 from mixlimit.coupling import CouplingProblem
 from mixlimit.mixing import MarkovChainSpec
 from mixlimit.probcore import (
+    PASSING,
     FiniteJointDistribution,
     _cf_values,
     alpha_exact,
     as_sample,
     empirical_cdf,
+    judge,
     ks_distance,
     normal_cdf,
     psd_check,
@@ -158,22 +160,20 @@ def test_cf_difference_matrix_is_psd():
     t = np.linspace(-2, 2, 21)
     diffs = np.round(t[:, None] - t[None, :], 12)
     M = _cf_values(diffs.ravel(), x).reshape(diffs.shape)
-    res = psd_check(M, tol=1e-9)
-    assert res["is_psd"]
+    assert psd_check(M) >= -1e-9
 
 
 # ---------------------------------------------------------------- psd_check
 
 def test_psd_constant_one_rank_one():
     M = np.ones((3, 3))
-    res = psd_check(M, tol=1e-9)
-    assert res["is_psd"] and res["worst_violation"] >= -1e-12
+    assert psd_check(M) >= -1e-12
 
 
 def test_psd_gaussian_kernel_matches_eig_oracle():
     t = np.array([-1.0, 0.0, 1.0])
     M = np.exp(-((t[:, None] - t[None, :]) ** 2) / 2)
-    res = psd_check(M, tol=1e-9)
+    smallest = psd_check(M)
     # M = [[1, a, b], [a, 1, a], [b, a, 1]] with a = e^{-1/2}, b = e^{-2}:
     # (1, 0, -1) has eigenvalue 1 - b, and on the span of (1, 0, 1)/sqrt 2
     # and (0, 1, 0) M acts as [[1 + b, sqrt(2) a], [sqrt(2) a, 1]], whose
@@ -181,8 +181,8 @@ def test_psd_gaussian_kernel_matches_eig_oracle():
     a, b = np.exp(-0.5), np.exp(-2.0)
     root = np.sqrt(b * b + 8.0 * a * a)
     oracle = min(1.0 - b, (2.0 + b - root) / 2.0, (2.0 + b + root) / 2.0)
-    assert res["is_psd"]
-    assert res["worst_violation"] == pytest.approx(oracle, abs=1e-12)
+    assert smallest >= -1e-9
+    assert smallest == pytest.approx(oracle, abs=1e-12)
     assert oracle == pytest.approx(0.2072, abs=1e-4)
 
 
@@ -190,9 +190,7 @@ def test_psd_detects_indefinite():
     # psi(t) = 1 + t^2 on {-1, 0, 1}: leading 2x2 minor [[1,2],[2,1]] has det -3
     t = np.array([-1.0, 0.0, 1.0])
     M = 1.0 + (t[:, None] - t[None, :]) ** 2
-    res = psd_check(M, tol=1e-9)
-    assert not res["is_psd"]
-    assert res["worst_violation"] < -0.5
+    assert psd_check(M) < -0.5
 
 
 def test_psd_rejects_non_hermitian():
@@ -200,9 +198,31 @@ def test_psd_rejects_non_hermitian():
         psd_check(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-def test_psd_rejects_negative_tol():
-    with pytest.raises(ValueError):
-        psd_check(np.eye(2), tol=-1.0)
+# ---------------------------------------------------------------- judge
+
+def test_judge_truth_table():
+    # a ceiling claim passes at value = ceiling + band and fails above it
+    assert judge(0.5, 0.4, band=0.1) == "pass"
+    assert judge(0.5 + 1e-9, 0.4, band=0.1) == "fail"
+    assert judge(0.4, 0.4) == "pass" and judge(0.41, 0.4) == "fail"
+    # a negative control must exceed its ceiling: equal to it fails, and it takes no band
+    assert judge(0.05, 0.05, negative=True) == "fail"
+    assert judge(0.0500001, 0.05, negative=True) == "pass"
+    assert judge(0.04, 0.05, band=0.1, negative=True) == "fail"
+    # no value: inconclusive, in either direction
+    assert judge(None, 1.0) == "inconclusive"
+    assert judge(None, 1.0, negative=True) == "inconclusive"
+    # a claim that does not apply is pre_asymptotic whatever its value
+    for value in (0.0, 2.0, None, float("nan")):
+        assert judge(value, 1.0, applies=False) == "pre_asymptotic"
+        assert judge(value, 1.0, negative=True, applies=False) == "pre_asymptotic"
+    # NaN fails, as a <= or > comparison with it is false
+    assert judge(float("nan"), 1.0) == "fail"
+    assert judge(float("nan"), 1.0, band=1.0) == "fail"
+    assert judge(float("nan"), 1.0, negative=True) == "fail"
+    # only pass and pre_asymptotic render as a true flag
+    assert PASSING == ("pass", "pre_asymptotic")
+    assert "fail" not in PASSING and "inconclusive" not in PASSING
 
 
 # ---------------------------------------------------------------- ks_distance
