@@ -285,8 +285,6 @@ def _run_selfdecomp_test(cfg: dict):
 
 
 def _run_integral_sample(cfg: dict):
-    import numpy as np
-
     from . import selfdecomp
 
     b = cfg["bdlp"]
@@ -297,26 +295,12 @@ def _run_integral_sample(cfg: dict):
             **{k: float(b.get(k, 0.0)) for k in ("drift", "gaussian_sigma", "jump_rate")},
             jump_law=law)
     t_max = float(cfg["t_max"])
-    n_samples = cfg["n_samples"]
-    sample = selfdecomp.sample_random_integral(bdlp, t_max, n_samples, seed=cfg["seed"])
-    finite = bool(np.all(np.isfinite(sample)))
+    sample = selfdecomp.sample_random_integral(bdlp, t_max, cfg["n_samples"], seed=cfg["seed"])
+    summary, flag = selfdecomp.integral_summary(bdlp, t_max, sample)
     samples_csv = io.StringIO()
     write_path_csv(samples_csv, sample)
-    summary = {
-        "mean": float(sample.mean()) if finite else None,
-        "variance": float(sample.var()) if finite else None,
-        "n_samples": n_samples,
-        "truncation_error_factor": float(np.exp(-t_max)),
-        # admissibility is a fact of the jump law, not an estimate (JumpLaw)
-        "log_moment_diagnostic": "finite" if bdlp.log_moment_finite else "infinite",
-        "claim": "eq6_bdlp_integral",
-    }
-    files = {
-        "integral_samples.csv": samples_csv.getvalue(),
-        "integral_summary.json": _json_text(summary),
-    }
-    # a fact of the jump law and of the sample, not a statistic judged against a ceiling
-    return files, [bdlp.log_moment_finite and finite]
+    return {"integral_samples.csv": samples_csv.getvalue(),
+            "integral_summary.json": _json_text(summary)}, [flag]
 
 
 def _run_coupling_suite(cfg: dict):

@@ -34,13 +34,9 @@ FAMILIES = {
 }
 _AR1_INIT_TOL = 1e-16
 AR1_BURN_LIMIT = 1 << 16       # burn-in rows of a non-Gaussian ar1: |phi| <= 0.999438
-# replications are drawn in blocks of _CHUNK_ROWS, one keyed stream per
-# block, drawn time-major in chunks of _CHUNK_STEPS steps by _CHUNK_ROWS
-# replications; a worker task takes a group of up to _GROUP_BLOCKS
-# consecutive blocks, the task count a multiple of _WORKERS so that no
-# thread idles while another runs a last task, and holds a few
-# (_CHUNK_STEPS, group width) arrays whatever n, the burn-in or reps (the
-# samples of sample_random_integral are drawn one block a task)
+# window_sums draws blocks of _CHUNK_ROWS replications in chunks of
+# _CHUNK_STEPS steps, up to _GROUP_BLOCKS blocks a task on _WORKERS
+# threads (the samples of sample_random_integral are drawn one block a task)
 _CHUNK_ROWS = rngstreams.BLOCK_ROWS
 _CHUNK_STEPS = 64
 _GROUP_BLOCKS = 16
@@ -179,46 +175,6 @@ class NormingSequences:
         return a, b
 
 
-def _check_sizes(n: int, reps: int) -> None:
-    if n < 1 or reps < 1:
-        raise ValueError("n and reps must be positive")
-
-
-def _map_blocks(spec: ProcessSpec, n: int, reps: int, seed: int, label: str, reduce) -> list:
-    """[reduce(r0, rows, chunks)] over the worker tasks, in order.  A task
-    takes the replications r0 .. r0 + rows - 1, a group of ceil(blocks /
-    tasks) consecutive blocks, where tasks = _WORKERS ceil(blocks /
-    (_WORKERS _GROUP_BLOCKS)) is a multiple of _WORKERS, and chunks
-    yields (t0, c, x): x is the (steps, width) values at times t0 .. t0 +
-    steps - 1 of the replications r0 + c .. r0 + c + width - 1, each
-    replication's chunks in time order.  Columns from rows on pad the last
-    block and are no replication's.
-
-    Replication r is column r mod _CHUNK_ROWS of block r // _CHUNK_ROWS,
-    and block b draws from the stream keyed by (seed, label, spec hash, b),
-    time-major, as one (lead + n, _CHUNK_ROWS) array would be: row lead + k
-    holds time k (lead is an ma_q's q innovations before time 0, or a
-    non-Gaussian ar1's burn-in).  Every block is drawn the full _CHUNK_ROWS
-    wide and row by row, and every value is computed column by column, so a
-    path depends neither on reps nor, in its first k values, on n, and the
-    result is the same on every number of workers and every grouping.  The
-    arguments are checked at the call, before any block is drawn.  reduce
-    runs on a worker thread and must not touch state another task writes; x
-    is reused for the next chunk, so reduce must not keep it.
-    """
-    _check_sizes(n, reps)
-    key = spec.spec_hash()
-
-    def task(b0, r0, rows):
-        rngs = [rngstreams.stream(seed, label, key, b)
-                for b in range(b0, b0 - (-rows // _CHUNK_ROWS))]
-        return reduce(r0, rows, _chunks(spec, n, rngs))
-
-    blocks = -(-reps // _CHUNK_ROWS)
-    tasks = _WORKERS * -(-blocks // (_WORKERS * _GROUP_BLOCKS))
-    return _run_blocks(task, reps, -(-blocks // tasks))
-
-
 def _run_blocks(task, total: int, group: int = 1) -> list:
     """[task(b, r0, rows)] over the groups of `group` consecutive blocks of
     _CHUNK_ROWS of total items, in order: a group starts at block b, holds
@@ -248,9 +204,12 @@ def _filter(spec: ProcessSpec) -> tuple:
 
 def _chunks(spec: ProcessSpec, n: int, rngs: list):
     """(t0, c, x) over the chunks of the paths drawn from the block streams
-    rngs, as _map_blocks hands them to reduce.  A moving sum is taken block
-    by block, on the chunks as drawn; ar1 and markov_function step all the
-    blocks' replications at once, in one ufunc call per time step."""
+    rngs, laid out as window_sums describes: x, reused for the next chunk,
+    is the (steps, width) values at times t0 .. t0 + steps - 1 of columns
+    c .. c + width - 1, each column's chunks in time order.  A moving sum
+    is taken block by block, on the chunks as drawn; ar1 and
+    markov_function step all the blocks' replications at once, in one ufunc
+    call per time step."""
     if spec.family == "markov_function":
         step = _markov_steps(spec, len(rngs) * _CHUNK_ROWS)
         uniforms = _drawn_chunks(lambda rng, out: rng.random(out=out), rngs, 0, n)
@@ -463,20 +422,41 @@ def _loop_steps(cum: np.ndarray, width: int):
 def window_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str, windows) -> list:
     """[X_s + ... + X_{e-1} for (s, e) in the list windows, 0 <= s <= e <=
     n]: one array per window, whose entry r is that window's sum over the
-    path of replication r as _map_blocks lays it out.  A sum is rounded in
-    time order, one chunk at a time: 0.0, plus the window's part of each
-    chunk of _CHUNK_STEPS steps [t0, t0 + _CHUNK_STEPS) it meets, in time
-    order, each part summed in time order, once for all windows that span
-    the same steps of it.  Each chunk is reduced as it is stepped, while it
-    is in cache, so no (reps, n) matrix is held."""
-    _check_sizes(n, reps)
+    path of replication r.  The arguments are checked at the call, before
+    any block is drawn.
+
+    Replication r is column r mod _CHUNK_ROWS of block r // _CHUNK_ROWS,
+    and block b draws from the stream keyed by (seed, label, spec hash, b),
+    time-major, as one (lead + n, _CHUNK_ROWS) array would be: row lead + k
+    holds time k (lead is an ma_q's q innovations before time 0, or a
+    non-Gaussian ar1's burn-in).  Every block is drawn the full _CHUNK_ROWS
+    wide and row by row, and every value is computed column by column, so a
+    path depends neither on reps nor, in its first k values, on n, and the
+    sums are the same on every number of workers and every grouping.  A
+    worker task takes a group of ceil(blocks / tasks) consecutive blocks,
+    where tasks = _WORKERS ceil(blocks / (_WORKERS _GROUP_BLOCKS)) is a
+    multiple of _WORKERS, so that no thread idles while another runs a
+    last task; columns from reps on pad the last block.  A task holds a
+    few (_CHUNK_STEPS, group width) arrays whatever n, the burn-in or reps.
+
+    A sum is rounded in time order, one chunk at a time: 0.0, plus the
+    window's part of each chunk of _CHUNK_STEPS steps [t0, t0 +
+    _CHUNK_STEPS) it meets, in time order, each part summed in time order,
+    once for all windows that span the same steps of it.  Each chunk is
+    reduced as it is stepped, while it is in cache, so no (reps, n) matrix
+    is held."""
+    if n < 1 or reps < 1:
+        raise ValueError("n and reps must be positive")
     for s, e in windows:
         if not 0 <= s <= e <= n:
             raise ValueError(f"window ({s}, {e}) must satisfy 0 <= s <= e <= n = {n}")
+    key = spec.spec_hash()
 
-    def sums(r0, rows, chunks):
-        acc = np.zeros((len(windows), -(-rows // _CHUNK_ROWS) * _CHUNK_ROWS))
-        for t0, c, x in chunks:
+    def task(b0, r0, rows):
+        rngs = [rngstreams.stream(seed, label, key, b)
+                for b in range(b0, b0 - (-rows // _CHUNK_ROWS))]
+        acc = np.zeros((len(windows), len(rngs) * _CHUNK_ROWS))
+        for t0, c, x in _chunks(spec, n, rngs):
             parts = {}
             for a, (s, e) in zip(acc, windows):
                 lo, hi = max(s, t0) - t0, min(e, t0 + len(x)) - t0
@@ -487,7 +467,9 @@ def window_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str, win
                     a[c : c + x.shape[1]] += parts[lo, hi]
         return acc[:, :rows]
 
-    return list(np.concatenate(_map_blocks(spec, n, reps, seed, label, sums), axis=1))
+    blocks = -(-reps // _CHUNK_ROWS)
+    tasks = _WORKERS * -(-blocks // (_WORKERS * _GROUP_BLOCKS))
+    return list(np.concatenate(_run_blocks(task, reps, -(-blocks // tasks)), axis=1))
 
 
 def normalized_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str) -> np.ndarray:

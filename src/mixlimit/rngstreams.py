@@ -18,7 +18,7 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 # the replications of a Monte Carlo run are drawn in blocks of BLOCK_ROWS,
 # one keyed stream per block: replication r is column r mod BLOCK_ROWS of
-# block r // BLOCK_ROWS (processes._map_blocks)
+# block r // BLOCK_ROWS (processes.window_sums)
 BLOCK_ROWS = 512
 
 

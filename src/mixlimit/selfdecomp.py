@@ -306,3 +306,20 @@ def sample_random_integral(
 
     return np.concatenate(_run_blocks(block, n_samples))
 
+
+def integral_summary(bdlp: BDLPSpec, t_max: float, sample: np.ndarray) -> tuple:
+    """(summary, flag) of the samples of sample_random_integral(bdlp,
+    t_max, ...): the document integral-sample writes, and whether the
+    log-moment is finite and every sample finite.  The flag is a fact of
+    the jump law and of the sample, not a statistic judged against a
+    ceiling."""
+    finite = bool(np.all(np.isfinite(sample)))
+    return {
+        "mean": float(sample.mean()) if finite else None,
+        "variance": float(sample.var()) if finite else None,
+        "n_samples": len(sample),
+        "truncation_error_factor": float(np.exp(-t_max)),
+        # admissibility is a fact of the jump law, not an estimate (JumpLaw)
+        "log_moment_diagnostic": "finite" if bdlp.log_moment_finite else "infinite",
+        "claim": "eq6_bdlp_integral",
+    }, bdlp.log_moment_finite and finite

@@ -1,4 +1,4 @@
-"""The path oracle the tests share: the layout that processes._map_blocks
+"""The path oracle the tests share: the layout that processes.window_sums
 documents, by its definition and with loop references for each family's
 recursion, and the library's own chunks assembled into (reps, n) paths."""
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from mixlimit import rngstreams
 from mixlimit.mixing import MarkovChainSpec
-from mixlimit.processes import (_AR1_INIT_TOL, _CHUNK_ROWS, _CHUNK_STEPS, _chunks, _map_blocks,
+from mixlimit.processes import (_AR1_INIT_TOL, _CHUNK_ROWS, _CHUNK_STEPS, _chunks, _run_blocks,
                                 ProcessSpec)
 
 # the benchmark's 3-state chain, whose step5 rows fail by finding 1
@@ -118,18 +118,21 @@ def chunked_block(spec, n, rng):
     return out
 
 
-def mapped_paths(spec, n, reps, seed, label="path"):
+def mapped_paths(spec, n, reps, seed, label="path", group=3):
     """The (reps, n) paths as the library's workers make them: the chunks
-    of every task of _map_blocks, on the current workers and grouping,
-    written into one matrix."""
+    of tasks of `group` consecutive blocks, run by processes._run_blocks on
+    the current workers, written into one matrix.  The default of three
+    blocks a task steps several blocks side by side, as the library's
+    tasks do."""
     out = np.empty((reps, n))
 
-    def write(r0, rows, chunks):
-        for t0, c, x in chunks:
+    def task(b0, r0, rows):
+        rngs = [block_stream(spec, seed, label, b) for b in range(b0, b0 - (-rows // _CHUNK_ROWS))]
+        for t0, c, x in _chunks(spec, n, rngs):
             cols = min(x.shape[1], rows - c)
             out[r0 + c : r0 + c + cols, t0 : t0 + len(x)] = x[:, :cols].T
 
-    _map_blocks(spec, n, reps, seed, label, write)
+    _run_blocks(task, reps, group)
     return out
 
 
@@ -143,12 +146,11 @@ def chunk_rule_sums(paths, s, e):
                np.zeros(paths.shape[:-1]))
 
 
-def whole_matrix_blocks(whole):
-    """A stand-in for processes._map_blocks that hands reduce the matrix
-    whole as one task's time-major chunks, padded to whole blocks as the
-    workers' chunks are."""
-    reps, n = whole.shape
-    padded = np.zeros((n, -(-reps // _CHUNK_ROWS) * _CHUNK_ROWS))
-    padded[:, :reps] = whole.T
-    chunks = [(t0, 0, padded[t0 : t0 + _CHUNK_STEPS]) for t0 in range(0, n, _CHUNK_STEPS)]
-    return lambda spec, n, reps, seed, label, reduce: [reduce(0, reps, chunks)]
+def whole_matrix_sums(whole):
+    """A stand-in for processes.window_sums that sums the (reps, n) matrix
+    whole by its rounding rule, one value at a time."""
+    def window_sums(spec, n, reps, seed, label, windows):
+        assert whole.shape == (reps, n)
+        return [chunk_rule_sums(whole, s, e) for s, e in windows]
+
+    return window_sums

@@ -36,7 +36,7 @@ from mixlimit.processes import (
     marginal_abs_tail,
     window_sums,
 )
-from pathref import BLOCK_BOUNDARY_REPS, FINDING1, chunk_rule_sums, one_shot_paths, whole_matrix_blocks
+from pathref import BLOCK_BOUNDARY_REPS, FINDING1, chunk_rule_sums, one_shot_paths, whole_matrix_sums
 
 A_RECIP = lambda n: 1.0 / np.asarray(n, dtype=float)
 A_SQRT = lambda n: np.asarray(n, dtype=float) ** -0.5
@@ -574,12 +574,12 @@ def test_chunked_block_sums_equal_the_whole_matrix_split(name, reps):
 @pytest.mark.parametrize("reps", BLOCK_BOUNDARY_REPS)
 @pytest.mark.parametrize("name", sorted(BLOCKING_SPECS))
 def test_verify_blocking_rows_equal_the_whole_matrix_rows(monkeypatch, name, reps):
-    # the reference hands verify_blocking the one-shot paths as one task's
-    # chunks, so its window sums are taken at once
+    # the reference hands verify_blocking the window sums of the one-shot
+    # paths, taken one value at a time by the rounding rule of window_sums
     spec = BLOCKING_SPECS[name]
     rows = verify_blocking(spec, n_grid=(64, 128), replications=reps, seed=8)
     whole = one_shot_paths(spec, 128, reps, 8, label="blocking")
-    monkeypatch.setattr(processes, "_map_blocks", whole_matrix_blocks(whole))
+    monkeypatch.setattr(processes, "window_sums", whole_matrix_sums(whole))
     reference = verify_blocking(spec, n_grid=(64, 128), replications=reps, seed=8)
     assert {r["n"] for r in rows} == {64, 128}
     assert repr(rows) == repr(reference)

@@ -16,7 +16,7 @@ from mixlimit.coupling import (
 )
 from mixlimit.probcore import FiniteJointDistribution
 from mixlimit.processes import ProcessSpec
-from pathref import one_shot_paths, whole_matrix_blocks
+from pathref import one_shot_paths, whole_matrix_sums
 
 
 def exact_vertex_oracle(pmf_fractions, atoms, two_eps):
@@ -418,9 +418,9 @@ def test_lagged_blocks_decay_toward_independence():
 
 
 def test_lagged_blocks_are_the_block_sums_of_simulated_paths(monkeypatch):
-    # the reference hands the corollary the one-shot paths as one task's
-    # chunks, padded to whole blocks as the workers' chunks are; the rows
-    # must not depend on the worker count either
+    # the reference hands the corollary the block sums of the one-shot
+    # paths, taken one value at a time by the rounding rule of window_sums;
+    # the rows must not depend on the worker count either
     spec = ProcessSpec(family="ar1", phi=0.5)
     kwargs = dict(mode="lagged_blocks", lags=(0, 3), replications=1031, seed=10, block_length=4)
     runs = []
@@ -428,5 +428,5 @@ def test_lagged_blocks_are_the_block_sums_of_simulated_paths(monkeypatch):
         monkeypatch.setattr(processes, "_WORKERS", workers)
         runs.append(repr(corollary_sum_experiment(spec, **kwargs)))
     whole = one_shot_paths(spec, 11, 1031, 10, label="corr-lag")
-    monkeypatch.setattr(processes, "_map_blocks", whole_matrix_blocks(whole))
+    monkeypatch.setattr(processes, "window_sums", whole_matrix_sums(whole))
     assert runs == [repr(corollary_sum_experiment(spec, **kwargs))] * 3

@@ -889,6 +889,15 @@ def json_claims(node):
     return set()
 
 
+def readme_claim_codes():
+    """The codes of README's "Claim codes" table."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    section = text.split("### Claim codes", 1)[1].split("\n### ", 1)[0]
+    table = next(block for block in section.split("\n\n") if block.startswith("| code |"))
+    return {code for line in table.split("\n") if line.startswith("| `")
+            for code in re.findall(r"`(\w+)`", line.split("|")[1])}
+
+
 def test_readme_claim_codes_are_the_golden_claims():
     # every claim code a golden report writes, in the CSV claim and
     # metric_name columns and in the JSON claim keys, is listed in README's
@@ -901,9 +910,14 @@ def test_readme_claim_codes_are_the_golden_claims():
                     written |= {row[k] for k in ("claim", "metric_name") if k in row}
             else:
                 written |= json_claims(json.loads(path.read_text()))
-    text = (Path(__file__).parent.parent / "README.md").read_text()
-    section = text.split("### Claim codes", 1)[1].split("\n### ", 1)[0]
-    table = next(block for block in section.split("\n\n") if block.startswith("| code |"))
-    listed = {code for line in table.split("\n") if line.startswith("| `")
-              for code in re.findall(r"`(\w+)`", line.split("|")[1])}
-    assert listed == written
+    assert readme_claim_codes() == written
+
+
+def test_the_library_writes_every_claim_code():
+    # the harness renders reports and names no claim: each code is written
+    # by the library module that judges it
+    texts = {path.name: path.read_text() for path in Path(harness.__file__).parent.glob("*.py")}
+    rendering = texts.pop("harness.py")
+    for code in readme_claim_codes():
+        assert code not in rendering, code
+        assert any(code in text for text in texts.values()), code

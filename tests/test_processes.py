@@ -20,7 +20,6 @@ from mixlimit.processes import (
     _MAX_STEP_EDGES,
     _ar1_burn,
     _chunks,
-    _map_blocks,
     _markov_steps,
     _moments,
     InnovationLaw,
@@ -405,10 +404,18 @@ def test_tasks_come_in_multiples_of_the_worker_count(monkeypatch, workers, block
     # four tasks of 10, not 16 + 16 + 8 with one worker idle for the last
     # third, and the 196 of corollary-independent as 14 tasks of 14
     monkeypatch.setattr(processes, "_WORKERS", workers)
+    run_blocks, groups = processes._run_blocks, []
+
+    def recorded(task, total, group):
+        groups.append(group)
+        return run_blocks(task, total, group)
+
+    monkeypatch.setattr(processes, "_run_blocks", recorded)
     reps = (blocks - 1) * _CHUNK_ROWS + 3
-    got = processes._map_blocks(MA11, 1, reps, 1, "tasks", lambda r0, rows, chunks: (r0, rows))
-    assert [-(-rows // _CHUNK_ROWS) for _, rows in got] == sizes
-    assert [r0 for r0, _ in got] == list(np.cumsum([0] + sizes[:-1]) * _CHUNK_ROWS)
+    (sums,) = window_sums(MA11, 1, reps, 1, "tasks", [(0, 1)])
+    (group,) = groups
+    assert [min(group, blocks - b) for b in range(0, blocks, group)] == sizes
+    assert len(sums) == reps
 
 
 @pytest.mark.parametrize("name", sorted(CHUNKED_SPECS))
@@ -520,17 +527,16 @@ def test_ar1_row_does_not_depend_on_the_replication_count():
     assert differ == []
 
 
-def test_path_arguments_are_checked_at_the_call():
-    def reduce(r0, rows, chunks):
+def test_path_arguments_are_checked_at_the_call(monkeypatch):
+    def chunks(*args):
         raise AssertionError("a block was drawn")
 
+    monkeypatch.setattr(processes, "_chunks", chunks)
     for n, reps in ((0, 5), (5, 0), (-1, 5)):
         with pytest.raises(ValueError, match="n and reps must be positive"):
             normalized_sums(MA11, n, reps, 1, "x")
         with pytest.raises(ValueError, match="n and reps must be positive"):
             window_sums(MA11, n, reps, 1, "x", [(0, 0)])
-        with pytest.raises(ValueError, match="n and reps must be positive"):
-            _map_blocks(MA11, n, reps, 1, "x", reduce)
 
 
 def test_normalized_sums_peak_memory_below_a_quarter_of_the_paths():
