@@ -1,5 +1,6 @@
 """mixlimit: a desk-scale numerical laboratory for limits of normalized
-partial sums of strongly mixing sequences.
+partial sums of strongly mixing sequences.  Not every sequence it
+generates is strongly mixing: see `processes` for which are.
 
 Subpackages follow the pipeline: exact probability primitives
 (`probcore`), mixing coefficients for concrete chains (`mixing`),

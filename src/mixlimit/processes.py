@@ -1,4 +1,9 @@
-"""Generators of strongly mixing sequences.
+"""Generators of stationary sequences, strongly mixing where the lab can
+prove it: q-dependent filters, a Gaussian ar1 and an ergodic chain's
+markov_function.  An ar1 with other innovations is given no decay, and
+one with rademacher innovations and 0 < |phi| <= 1/2 is not strongly
+mixing: X_0 is a function of X_n, so alpha(n) = 1/4 at every n (Andrews
+1984, "Non-strong mixing autoregressive processes").
 
 Each family has a known long-run variance, so the norming sequences
 a_n = 1/sqrt(n v_inf), b_n = -a_n n mean make the normalized partial
@@ -47,17 +52,40 @@ _WORKERS = 2
 _MAX_STEP_EDGES = 16
 
 
+def _uniform(rng: np.random.Generator, out: np.ndarray):
+    rng.random(out=out)
+    out -= 0.5
+    out *= np.sqrt(12.0)
+
+
+def _rademacher(rng: np.random.Generator, out: np.ndarray):
+    np.multiply(rng.integers(0, 2, out.shape), 2.0, out=out)
+    out -= 1.0
+
+
+# each innovation law's facts, of the law standardized to mean 0 and std 1:
+# draw(rng, out) fills out with its draws, in place and in row-major order;
+# its support is [-half_width, half_width]; and a normal law alone has the
+# exact stationary ar1 start, the normal tail and the |phi|^n/4 envelope
+_LAWS = {
+    "normal": dict(draw=lambda rng, out: rng.standard_normal(out=out), half_width=np.inf,
+                   normal=True),
+    "uniform": dict(draw=_uniform, half_width=np.sqrt(3.0), normal=False),
+    "rademacher": dict(draw=_rademacher, half_width=1.0, normal=False),
+}
+
+
 @dataclass(frozen=True)
 class InnovationLaw:
-    """Innovation distribution for iid/ar1/ma_q: "normal", "uniform" or
-    "rademacher", parametrized by mean and standard deviation."""
+    """Innovation distribution for iid/ar1/ma_q: a law of _LAWS by name,
+    parametrized by mean and standard deviation."""
 
     name: str = "normal"
     mean: float = 0.0
     std: float = 1.0
 
     def __post_init__(self):
-        if self.name not in ("normal", "uniform", "rademacher"):
+        if self.name not in _LAWS:
             raise ValueError(f"unknown innovation law {self.name!r}")
         if not (np.isfinite(self.mean) and np.isfinite(self.std)):
             raise ValueError(f"innovation mean {self.mean!r} and std {self.std!r} must be finite")
@@ -66,15 +94,7 @@ class InnovationLaw:
 
     def sample(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         """out, filled with draws of the law in row-major order."""
-        if self.name == "normal":
-            rng.standard_normal(out=out)
-        elif self.name == "uniform":
-            rng.random(out=out)
-            out -= 0.5
-            out *= np.sqrt(12.0)
-        else:
-            np.multiply(rng.integers(0, 2, out.shape), 2.0, out=out)
-            out -= 1.0
+        _LAWS[self.name]["draw"](rng, out)
         # in place, so no temporary of the draw's size, and skipped for the
         # standard law, so the draw is its one pass; equal to mean + std * z
         # but on a -0.0 draw, which mean + std * z would turn into +0.0
@@ -82,10 +102,6 @@ class InnovationLaw:
             out *= self.std
             out += self.mean
         return out
-
-    @property
-    def variance(self) -> float:
-        return self.std * self.std
 
 
 @dataclass(frozen=True)
@@ -278,12 +294,12 @@ def _ar1_chunks(spec: ProcessSpec, phi: float, n: int, rngs: list):
     rows are stepped and dropped: the start's weight in X_0 is |phi|^(burn + 1).
     """
     law, m = spec.innovations, _moments(spec)[0]
-    exact, burn = law.name == "normal", _ar1_burn(phi, law)
+    burn = _ar1_burn(phi, law)
     last = np.full(len(rngs) * _CHUNK_ROWS, m)
     tmp = np.empty_like(last)
     for t0, x in _drawn_chunks(law.sample, rngs, burn, n):
         rows, prev = iter(x), last
-        if exact and t0 == 0:
+        if not burn and t0 == 0:
             prev = next(rows)
             np.copyto(prev, m + (prev - law.mean) / np.sqrt(1.0 - phi * phi))
         for xt in rows:
@@ -298,7 +314,7 @@ def _ar1_chunks(spec: ProcessSpec, phi: float, n: int, rngs: list):
 
 def _ar1_burn(phi: float, law: InnovationLaw) -> int:
     """The burn-in rows of an ar1 path, 0 if it starts exactly or phi = 0."""
-    exact = law.name == "normal" or phi == 0.0
+    exact = _LAWS[law.name]["normal"] or phi == 0.0
     return 0 if exact else int(np.ceil(np.log(_AR1_INIT_TOL) / np.log(abs(phi))))
 
 
@@ -488,7 +504,7 @@ def _moments(spec: ProcessSpec) -> tuple:
     if spec.family != "markov_function":
         law, (phi, weights) = spec.innovations, _filter(spec)
         s = float(np.sum(weights))
-        return s * law.mean / (1.0 - phi), s * s * law.variance / (1.0 - phi) ** 2
+        return s * law.mean / (1.0 - phi), s * s * (law.std * law.std) / (1.0 - phi) ** 2
     # markov_function: v_inf = 2 <f_bar, h>_pi - <f_bar, f_bar>_pi with
     # h solving the Poisson equation (I - P + 1 pi) h = f_bar
     chain = spec.chain
@@ -568,11 +584,10 @@ def marginal_abs_tail(spec: ProcessSpec):
     # are the innovations' times the filter's l2 and l1 norms
     law, (phi, weights) = spec.innovations, _filter(spec)
     w = np.asarray(weights)
+    if not _LAWS[law.name]["normal"]:
+        bound = abs(law.mean) + law.std * _LAWS[law.name]["half_width"]
+        return _step_tail(bound * float(np.sum(np.abs(w))) / (1.0 - abs(phi)))
     sd = law.std * np.sqrt(np.sum(w ** 2)) / np.sqrt(1.0 - phi ** 2)
-    bound = abs(law.mean) + law.std * (np.sqrt(3.0) if law.name == "uniform" else 1.0)
-    bound = bound * float(np.sum(np.abs(w))) / (1.0 - abs(phi))
-    if law.name != "normal":
-        return _step_tail(bound)
     m = _moments(spec)[0]
     if sd == 0.0:
         return _step_tail(abs(m))
@@ -596,7 +611,9 @@ def analytic_alpha_profile(spec: ProcessSpec, n_list) -> AlphaProfile:
     coefficient vanishes beyond lag q.  One with phi != 0 is an AR(1) (no
     family sets both phi and q): with Gaussian innovations its maximal
     correlation between past and future is |phi|^n, hence alpha(n) <=
-    |phi|^n / 4, and with others no decay is claimed.  markov_function
+    |phi|^n / 4, and with others no decay is claimed: with rademacher
+    innovations and |phi| <= 1/2, alpha(n) = 1/4 at every n (Andrews 1984;
+    see the module docstring).  markov_function
     takes its chain's Dobrushin envelope delta(P^n)/4, from any initial law.
     """
     n_list = [int(n) for n in n_list]
@@ -607,10 +624,11 @@ def analytic_alpha_profile(spec: ProcessSpec, n_list) -> AlphaProfile:
         q = len(weights) - 1
         vals = tuple((n, 0.0 if n > q else 0.25) for n in n_list)
         meta = f"{q}-dependent"
-    elif spec.innovations.name == "normal":
+    elif _LAWS[spec.innovations.name]["normal"]:
         vals = tuple((n, min(0.25, 0.25 * abs(phi) ** n)) for n in n_list)
         meta = "gaussian ar1: maximal correlation phi^n, alpha(n) <= phi^n/4"
     else:
         vals = tuple((n, 0.25) for n in n_list)
-        meta = "ar1 non-gaussian: trivial 1/4"
+        meta = ("ar1 non-gaussian: no decay claimed, alpha(n) <= 1/4, and alpha(n) = 1/4 "
+                "with rademacher innovations and |phi| <= 1/2 (Andrews 1984)")
     return AlphaProfile(vals, kind="analytic-bound", meta=meta)

@@ -913,6 +913,15 @@ def test_readme_claim_codes_are_the_golden_claims():
     assert readme_claim_codes() == written
 
 
+def test_readme_lists_the_innovation_laws():
+    # README's table of innovation laws lists every law of processes._LAWS,
+    # in its order, and no other
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    table = text.split("| innovation law |", 1)[1].split("\n\n", 1)[0]
+    names = [line.split("|")[1].strip().strip("`") for line in table.split("\n")[2:]]
+    assert names == list(processes._LAWS)
+
+
 def test_the_library_writes_every_claim_code():
     # the harness renders reports and names no claim: each code is written
     # by the library module that judges it

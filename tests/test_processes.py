@@ -151,7 +151,7 @@ def test_innovation_law_rejects_non_finite_parameters(mean, std):
         InnovationLaw("normal", mean, std)
 
 
-@pytest.mark.parametrize("name", ["normal", "uniform", "rademacher"])
+@pytest.mark.parametrize("name", list(processes._LAWS))
 def test_non_standard_law_is_mean_plus_std_times_the_standard_block(name):
     # the standard law skips its scaling pass, so a block of any other
     # (mean, std) is the standard block of the same stream, scaled; bitwise
@@ -160,6 +160,21 @@ def test_non_standard_law_is_mean_plus_std_times_the_standard_block(name):
     z = draw(InnovationLaw(name))
     for mean, std in ((0.3, 1.7), (-2.0, 1.0), (0.0, 0.5), (1.0, 0.0)):
         assert draw(InnovationLaw(name, mean, std)).tobytes() == (mean + std * z).tobytes()
+
+
+@pytest.mark.parametrize("name", list(processes._LAWS))
+def test_law_draws_fill_their_half_width_with_mean_0_and_variance_1(name):
+    # 10^5 standardized draws lie within the record's half-width, those of a
+    # bounded law reach 0.99 of it, and their mean and second moment are 0 and 1
+    # within 5 standard errors (a rademacher draw's square is exactly 1)
+    law = processes._LAWS[name]
+    z = np.empty(100_000)
+    law["draw"](rngstreams.stream(41, "law-draws", name), z)
+    half_width, se = law["half_width"], 5.0 / np.sqrt(len(z))
+    assert np.all(np.abs(z) <= half_width)
+    assert np.isinf(half_width) or np.abs(z).max() >= 0.99 * half_width
+    assert abs(z.mean()) <= se * z.std()
+    assert abs(np.mean(z * z) - 1.0) <= se * np.std(z * z)
 
 
 def test_process_spec_rejects_non_finite_weights_and_state_values():
@@ -872,6 +887,19 @@ def test_analytic_alpha_profiles():
     assert analytic_alpha_profile(uniform, [1, 4]).values == ((1, 0.25), (4, 0.25))
 
 
+@pytest.mark.parametrize("n", [1, 4, 16, 32])
+def test_rademacher_ar1_with_phi_half_keeps_x0_in_every_later_value(n):
+    # Andrews (1984): X_n = 2^-n X_0 + sum_{i<n} 2^-i eps_{n-i} with eps = +-1,
+    # and the sum plus 2 - 2^(1-n) lies on the lattice 2^(2-n) Z, while
+    # 2^-n X_0 lies in an open interval of that length (|X_0| < 2).  So X_0
+    # is a function of X_n, and alpha(n) = 1/4 at every n: the 1/4 of
+    # analytic_alpha_profile is the coefficient itself
+    spec = ProcessSpec(family="ar1", phi=0.5, innovations=InnovationLaw("rademacher"))
+    x0, xn = window_sums(spec, n + 1, 20_000, 0, "andrews", [(0, 1), (n, n + 1)])
+    r = (xn + 2.0 - 2.0 ** (1 - n)) / 2.0 ** (2 - n)
+    assert np.max(np.abs(4.0 * (r - np.round(r)) - x0)) < 1e-5
+
+
 @pytest.mark.parametrize("law", [InnovationLaw("normal", 0.3, 1.7), InnovationLaw("uniform", 0.25, 2.0)],
                          ids=["normal", "uniform"])
 def test_iid_ar1_with_phi_0_and_ma_with_weight_1_are_one_filter(law):
@@ -888,13 +916,13 @@ def test_iid_ar1_with_phi_0_and_ma_with_weight_1_are_one_filter(law):
     assert alpha == ((1, 0.0), (2, 0.0), (5, 0.0))
     for spec in same[1:]:
         assert np.array_equal(draw(spec), paths)
-        assert _moments(spec) == _moments(same[0]) == (law.mean, law.variance)
+        assert _moments(spec) == _moments(same[0]) == (law.mean, law.std * law.std)
         assert np.array_equal(marginal_abs_tail(spec)(t), tail)
         assert analytic_alpha_profile(spec, [1, 2, 5]).values == alpha
     # one weight w scales the innovations: w iid
     scaled = ProcessSpec(family="ma_q", weights=(-2.5,), innovations=law)
     assert np.array_equal(draw(scaled), -2.5 * paths)
-    assert _moments(scaled) == (-2.5 * law.mean, 2.5 * 2.5 * law.variance)
+    assert _moments(scaled) == (-2.5 * law.mean, 2.5 * 2.5 * (law.std * law.std))
     assert analytic_alpha_profile(scaled, [1, 2, 5]).values == alpha
 
 

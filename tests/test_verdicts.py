@@ -24,6 +24,7 @@ GOLDEN = Path(__file__).parent / "golden"
 REPORT_VERDICTS = {
     "alpha_profile": (True, None, ""),
     "blocking_markov": (False, None, "tfttttttfttttttttttttt"),
+    "blocking_rademacher": (True, None, "ttttttttttttttt"),
     "blocking_verify": (True, None, "ttttttttttttttt"),
     "corollary_duplicate": (True, None, "t"),
     "corollary_independent": (True, None, "t"),
