@@ -1,9 +1,9 @@
 """Generators of stationary sequences, strongly mixing where the lab can
-prove it: q-dependent filters, a Gaussian ar1 and an ergodic chain's
-markov_function.  An ar1 with other innovations is given no decay, and
-one with rademacher innovations and 0 < |phi| <= 1/2 is not strongly
-mixing: X_0 is a function of X_n, so alpha(n) = 1/4 at every n (Andrews
-1984, "Non-strong mixing autoregressive processes").
+prove it: q-dependent filters, a Gaussian or uniform ar1 and an ergodic
+chain's markov_function.  An ar1 with rademacher innovations is given no
+decay, and with 0 < |phi| <= 1/2 it is not strongly mixing: X_0 is a
+function of X_n, so alpha(n) = 1/4 at every n (Andrews 1984, "Non-strong
+mixing autoregressive processes").
 
 Each family has a known long-run variance, so the norming sequences
 a_n = 1/sqrt(n v_inf), b_n = -a_n n mean make the normalized partial
@@ -65,13 +65,16 @@ def _rademacher(rng: np.random.Generator, out: np.ndarray):
 
 # each innovation law's facts, of the law standardized to mean 0 and std 1:
 # draw(rng, out) fills out with its draws, in place and in row-major order;
-# its support is [-half_width, half_width]; and a normal law alone has the
-# exact stationary ar1 start, the normal tail and the |phi|^n/4 envelope
+# its support is [-half_width, half_width]; a bounded law's shift_tv(s)
+# bounds the total variation distance between the law and its shift by s >= 0;
+# and a normal law alone has the exact stationary ar1 start, the normal tail
+# and the |phi|^n/4 envelope
 _LAWS = {
     "normal": dict(draw=lambda rng, out: rng.standard_normal(out=out), half_width=np.inf,
                    normal=True),
-    "uniform": dict(draw=_uniform, half_width=np.sqrt(3.0), normal=False),
-    "rademacher": dict(draw=_rademacher, half_width=1.0, normal=False),
+    "uniform": dict(draw=_uniform, half_width=np.sqrt(3.0),
+                    shift_tv=lambda s: min(1.0, s / (2.0 * np.sqrt(3.0))), normal=False),
+    "rademacher": dict(draw=_rademacher, half_width=1.0, shift_tv=lambda s: 1.0, normal=False),
 }
 
 
@@ -219,72 +222,49 @@ def _filter(spec: ProcessSpec) -> tuple:
 
 
 def _chunks(spec: ProcessSpec, n: int, rngs: list):
-    """(t0, c, x) over the chunks of the paths drawn from the block streams
+    """(t0, x) over the chunks of the paths drawn from the block streams
     rngs, laid out as window_sums describes: x, reused for the next chunk,
-    is the (steps, width) values at times t0 .. t0 + steps - 1 of columns
-    c .. c + width - 1, each column's chunks in time order.  A moving sum
-    is taken block by block, on the chunks as drawn; ar1 and
-    markov_function step all the blocks' replications at once, in one ufunc
-    call per time step."""
-    if spec.family == "markov_function":
-        step = _markov_steps(spec, len(rngs) * _CHUNK_ROWS)
-        uniforms = _drawn_chunks(lambda rng, out: rng.random(out=out), rngs, 0, n)
-        return ((t0, 0, step(t0, u)) for t0, u in uniforms)
-    phi, weights = _filter(spec)
-    if phi:
-        return _ar1_chunks(spec, phi, n, rngs)
-    return ((t0, j * _CHUNK_ROWS, x) for j, rng in enumerate(rngs)
-            for t0, x in _moving_sums(spec.innovations, weights, n, rng))
+    is the (steps, width) values at times t0 .. t0 + steps - 1, column
+    j _CHUNK_ROWS + r holding replication r of stream j, each column's
+    chunks in time order.  Every family steps all the blocks' replications
+    at once, in one ufunc call per time step or per weight."""
+    if spec.family != "markov_function":
+        return _filter_chunks(spec, n, rngs)
+    step = _markov_steps(spec, len(rngs) * _CHUNK_ROWS)
+    uniforms = _drawn_chunks(lambda rng, out: rng.random(out=out), rngs, 0, n)
+    return ((t0, step(t0, u)) for t0, u in uniforms)
 
 
-def _drawn_chunks(draw, rngs: list, lead: int, n: int):
+def _drawn_chunks(draw, rngs: list, lead: int, n: int, keep: int = 0):
     """(t0, u) over the draws of times -lead .. n - 1 of the streams rngs,
-    cut at -lead and at the multiples of _CHUNK_STEPS: u[k, j _CHUNK_ROWS +
-    r] is column r of row lead + t0 + k of stream j's time-major draw, made
-    by draw(rng, out) in row-major order into a (steps, _CHUNK_ROWS) array
-    and copied into its columns.  u is one array reused from chunk to
-    chunk."""
-    u_all = np.empty((_CHUNK_STEPS, len(rngs) * _CHUNK_ROWS))
+    cut at -lead and at the multiples of _CHUNK_STEPS: u[keep + k, j
+    _CHUNK_ROWS + r] is column r of row lead + t0 + k of stream j's
+    time-major draw, made by draw(rng, out) in row-major order into a
+    (steps, _CHUNK_ROWS) array and copied into its columns, and the keep
+    rows above it are the draws of the keep times before t0, once that
+    many are drawn.  u is one array reused from chunk to chunk."""
+    u_all = np.empty((keep + _CHUNK_STEPS, len(rngs) * _CHUNK_ROWS))
     buf = np.empty((_CHUNK_STEPS, _CHUNK_ROWS))
     t0 = -lead
     while t0 < n:
         t1 = min(n, (t0 // _CHUNK_STEPS + 1) * _CHUNK_STEPS)
-        u = u_all[: t1 - t0]
+        u = u_all[: keep + t1 - t0]
         for j, rng in enumerate(rngs):
-            u[:, j * _CHUNK_ROWS : (j + 1) * _CHUNK_ROWS] = draw(rng, buf[: t1 - t0])
+            u[keep:, j * _CHUNK_ROWS : (j + 1) * _CHUNK_ROWS] = draw(rng, buf[: t1 - t0])
         yield t0, u
+        # the last keep rows go above the next chunk (numpy copies overlaps safely)
+        u_all[:keep] = u[len(u) - keep :]
         t0 = t1
 
 
-def _moving_sums(law: InnovationLaw, weights: tuple, n: int, rng: np.random.Generator):
-    """(t0, x) over the chunks of one block's paths X_k = sum_i w_i eps_{k-i},
-    k < n, from its innovations eps_{-q}, eps_{1-q}, ... drawn from rng.
-    Each chunk is drawn under the q innovations before it, so with the
-    weights (1,) x is the drawn chunk itself; the sum starts from w_0 eps_k,
-    written straight into x."""
-    q = len(weights) - 1
-    eps = np.empty((q + _CHUNK_STEPS, _CHUNK_ROWS))
-    x, term = (eps[q:], None) if weights == (1.0,) else np.empty((2, _CHUNK_STEPS, _CHUNK_ROWS))
-    law.sample(rng, eps[:q])
-    for t0 in range(0, n, _CHUNK_STEPS):
-        steps = min(_CHUNK_STEPS, n - t0)
-        if t0:
-            # the chunk before was full, so its last q innovations are rows
-            # _CHUNK_STEPS onwards
-            eps[:q] = eps[_CHUNK_STEPS:]
-        law.sample(rng, eps[q : q + steps])
-        if term is not None:
-            np.multiply(eps[q : q + steps], weights[0], out=x[:steps])
-            for i, wi in enumerate(weights[1:], 1):
-                np.multiply(eps[q - i : q - i + steps], wi, out=term[:steps])
-                np.add(x[:steps], term[:steps], out=x[:steps])
-        yield t0, x[:steps]
-
-
-def _ar1_chunks(spec: ProcessSpec, phi: float, n: int, rngs: list):
-    """(t0, 0, x) over the chunks of the ar1 paths X_k = phi X_{k-1} + eps_k
-    of the streams rngs, side by side as _drawn_chunks lays them out; the
-    paths overwrite the innovations.
+def _filter_chunks(spec: ProcessSpec, n: int, rngs: list):
+    """(t0, x) over the chunks of the linear filter X_k = phi X_{k-1} +
+    sum_i w_i eps_{k-i}, k < n, of the streams rngs, side by side as
+    _drawn_chunks lays them out, from the innovations drawn from time
+    -lead on, lead = q + burn (no family sets both).  With the weights (1,)
+    x is the drawn chunk itself, else the weighted sum of the chunk and the
+    q innovations kept above it, started from w_0 eps_k; with phi != 0 the
+    recursion then overwrites x.
 
     A Gaussian ar1 starts in its stationary law, X_0 = m + (eps_0 - mu) /
     sqrt(1 - phi^2) for the stationary mean m and the innovation mean mu,
@@ -293,23 +273,33 @@ def _ar1_chunks(spec: ProcessSpec, phi: float, n: int, rngs: list):
     ceil(log _AR1_INIT_TOL / log |phi|) <= AR1_BURN_LIMIT, and the burn-in
     rows are stepped and dropped: the start's weight in X_0 is |phi|^(burn + 1).
     """
-    law, m = spec.innovations, _moments(spec)[0]
-    burn = _ar1_burn(phi, law)
+    law, (phi, weights) = spec.innovations, _filter(spec)
+    q, burn, m = len(weights) - 1, _ar1_burn(phi, law), _moments(spec)[0]
     last = np.full(len(rngs) * _CHUNK_ROWS, m)
     tmp = np.empty_like(last)
-    for t0, x in _drawn_chunks(law.sample, rngs, burn, n):
-        rows, prev = iter(x), last
-        if not burn and t0 == 0:
-            prev = next(rows)
-            np.copyto(prev, m + (prev - law.mean) / np.sqrt(1.0 - phi * phi))
-        for xt in rows:
-            np.multiply(prev, phi, out=tmp)
-            np.add(xt, tmp, out=xt)
-            prev = xt
-        # the next chunk is drawn into x, so its last row is kept in last
-        np.copyto(last, prev)
+    sums, term = (None, None) if weights == (1.0,) else np.empty((2, _CHUNK_STEPS, len(last)))
+    for t0, u in _drawn_chunks(law.sample, rngs, q + burn, n, keep=q):
+        if t0 < -burn:      # the q innovations before time 0, kept for the first chunk
+            continue
+        x = u[q:]
+        if sums is not None:
+            x = np.multiply(x, weights[0], out=sums[: len(x)])
+            for i, wi in enumerate(weights[1:], 1):
+                np.multiply(u[q - i : len(u) - i], wi, out=term[: len(x)])
+                np.add(x, term[: len(x)], out=x)
+        if phi:
+            rows, prev = iter(x), last
+            if not burn and t0 == 0:
+                prev = next(rows)
+                np.copyto(prev, m + (prev - law.mean) / np.sqrt(1.0 - phi * phi))
+            for xt in rows:
+                np.multiply(prev, phi, out=tmp)
+                np.add(xt, tmp, out=xt)
+                prev = xt
+            # the next chunk overwrites x, so its last row is kept in last
+            np.copyto(last, prev)
         if t0 >= 0:
-            yield t0, 0, x
+            yield t0, x
 
 
 def _ar1_burn(phi: float, law: InnovationLaw) -> int:
@@ -452,8 +442,10 @@ def window_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str, win
     worker task takes a group of ceil(blocks / tasks) consecutive blocks,
     where tasks = _WORKERS ceil(blocks / (_WORKERS _GROUP_BLOCKS)) is a
     multiple of _WORKERS, so that no thread idles while another runs a
-    last task; columns from reps on pad the last block.  A task holds a
-    few (_CHUNK_STEPS, group width) arrays whatever n, the burn-in or reps.
+    last task; columns from reps on pad the last block.  A task steps its
+    blocks side by side, column j _CHUNK_ROWS + r of its chunks holding
+    replication r0 + j _CHUNK_ROWS + r, and holds a few (_CHUNK_STEPS + q,
+    group width) arrays whatever n, the burn-in or reps.
 
     A sum is rounded in time order, one chunk at a time: 0.0, plus the
     window's part of each chunk of _CHUNK_STEPS steps [t0, t0 +
@@ -472,7 +464,7 @@ def window_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str, win
         rngs = [rngstreams.stream(seed, label, key, b)
                 for b in range(b0, b0 - (-rows // _CHUNK_ROWS))]
         acc = np.zeros((len(windows), len(rngs) * _CHUNK_ROWS))
-        for t0, c, x in _chunks(spec, n, rngs):
+        for t0, x in _chunks(spec, n, rngs):
             parts = {}
             for a, (s, e) in zip(acc, windows):
                 lo, hi = max(s, t0) - t0, min(e, t0 + len(x)) - t0
@@ -480,7 +472,7 @@ def window_sums(spec: ProcessSpec, n: int, reps: int, seed: int, label: str, win
                     # rows of a chunk >= _CHUNK_ROWS wide add row by row, in time order
                     if (lo, hi) not in parts:
                         parts[lo, hi] = x[lo:hi].sum(axis=0)
-                    a[c : c + x.shape[1]] += parts[lo, hi]
+                    a += parts[lo, hi]
         return acc[:, :rows]
 
     blocks = -(-reps // _CHUNK_ROWS)
@@ -609,12 +601,22 @@ def analytic_alpha_profile(spec: ProcessSpec, n_list) -> AlphaProfile:
 
     A linear filter with phi = 0 is q-dependent (iid is q = 0), so the
     coefficient vanishes beyond lag q.  One with phi != 0 is an AR(1) (no
-    family sets both phi and q): with Gaussian innovations its maximal
+    family sets both phi and q).  With Gaussian innovations its maximal
     correlation between past and future is |phi|^n, hence alpha(n) <=
-    |phi|^n / 4, and with others no decay is claimed: with rademacher
-    innovations and |phi| <= 1/2, alpha(n) = 1/4 at every n (Andrews 1984;
-    see the module docstring).  markov_function
-    takes its chain's Dobrushin envelope delta(P^n)/4, from any initial law.
+    |phi|^n / 4.  Other innovations, of half-width b = h std for the
+    standardized half-width h, start at the stationary mean m, so every
+    state lies in [m - B, m + B], B = b / (1 - |phi|).  Given X_j = x,
+    X_{j+n} is phi^n x + eps_{j+n} plus an independent rest, and adding an
+    independent variable cannot raise a total-variation distance, so
+    delta(P^n) <= sup TV(eps + phi^n x, eps + phi^n x') <= shift_tv(2 h
+    |phi|^n / (1 - |phi|)), the law's shift bound at the standardized
+    shift |phi|^n 2B / std.  Dobrushin's argument (see
+    alpha_bound_geometric) uses the kernel alone, so it holds on this state
+    space too: alpha(n) <= delta(P^n)/4.  For uniform innovations that is
+    min(1/4, |phi|^n / (4 (1 - |phi|))); rademacher innovations keep 1/4,
+    which is alpha(n) itself when |phi| <= 1/2 (Andrews 1984; see the
+    module docstring).  markov_function takes its chain's Dobrushin
+    envelope delta(P^n)/4, from any initial law.
     """
     n_list = [int(n) for n in n_list]
     if spec.family == "markov_function":
@@ -624,11 +626,13 @@ def analytic_alpha_profile(spec: ProcessSpec, n_list) -> AlphaProfile:
         q = len(weights) - 1
         vals = tuple((n, 0.0 if n > q else 0.25) for n in n_list)
         meta = f"{q}-dependent"
-    elif _LAWS[spec.innovations.name]["normal"]:
+    elif (law := _LAWS[spec.innovations.name])["normal"]:
         vals = tuple((n, min(0.25, 0.25 * abs(phi) ** n)) for n in n_list)
         meta = "gaussian ar1: maximal correlation phi^n, alpha(n) <= phi^n/4"
     else:
-        vals = tuple((n, 0.25) for n in n_list)
-        meta = ("ar1 non-gaussian: no decay claimed, alpha(n) <= 1/4, and alpha(n) = 1/4 "
+        shift = lambda n: 2.0 * law["half_width"] * abs(phi) ** n / (1.0 - abs(phi))
+        vals = tuple((n, 0.25 * float(law["shift_tv"](shift(n)))) for n in n_list)
+        meta = ("ar1 non-gaussian: bounded states, alpha(n) <= delta(P^n)/4 <= shift_tv(2 h "
+                "|phi|^n/(1 - |phi|))/4 for the innovations' half-width h, and alpha(n) = 1/4 "
                 "with rademacher innovations and |phi| <= 1/2 (Andrews 1984)")
     return AlphaProfile(vals, kind="analytic-bound", meta=meta)

@@ -113,8 +113,8 @@ def chunked_block(spec, n, rng):
     """The (_CHUNK_ROWS, n) paths of one block as the workers make them,
     assembled from its time-major chunks."""
     out = np.empty((_CHUNK_ROWS, n))
-    for t0, c, x in _chunks(spec, n, [rng]):
-        out[c : c + x.shape[1], t0 : t0 + len(x)] = x.T
+    for t0, x in _chunks(spec, n, [rng]):
+        out[:, t0 : t0 + len(x)] = x.T
     return out
 
 
@@ -128,9 +128,8 @@ def mapped_paths(spec, n, reps, seed, label="path", group=3):
 
     def task(b0, r0, rows):
         rngs = [block_stream(spec, seed, label, b) for b in range(b0, b0 - (-rows // _CHUNK_ROWS))]
-        for t0, c, x in _chunks(spec, n, rngs):
-            cols = min(x.shape[1], rows - c)
-            out[r0 + c : r0 + c + cols, t0 : t0 + len(x)] = x[:, :cols].T
+        for t0, x in _chunks(spec, n, rngs):
+            out[r0 : r0 + rows, t0 : t0 + len(x)] = x[:, :rows].T
 
     _run_blocks(task, reps, group)
     return out

@@ -301,15 +301,17 @@ def test_markov_paths_peak_memory_below_six_chunks(spec):
     assert peak < 6 * 256 * rows * 8
 
 
-def test_ma_block_memory_is_all_scratch():
-    # the moving sum and each weighted term go into arrays a block makes
-    # with its first chunk; a later chunk's draw or sum that made an array
-    # of its own, or a (rows, n) array for either, would exceed the bound
+@pytest.mark.parametrize("streams", [1, 16])
+def test_ma_block_memory_is_all_scratch(streams):
+    # the moving sum and each weighted term go into arrays a task makes
+    # with its first chunk; a later chunk's draw or sum that made a
+    # (_CHUNK_STEPS, width) array of its own, or a (width, n) array for
+    # either, would exceed the bound
     spec = ProcessSpec(family="ma_q", weights=(1.0, 0.5))
-    rows, n = _CHUNK_ROWS, 1024
-    chunks = _chunks(spec, n, [np.random.default_rng(2)])
+    width, n = streams * _CHUNK_ROWS, 1024
+    chunks = _chunks(spec, n, [np.random.default_rng(2 + j) for j in range(streams)])
     next(chunks)
-    assert traced_peak(lambda: drain(chunks)) < rows * n * 8 / 16
+    assert traced_peak(lambda: drain(chunks)) < width * n * 8 / 16
 
 
 @pytest.mark.parametrize("spec", [AR1, MA11, FINDING1], ids=["ar1", "ma_q", "markov_function"])
@@ -340,6 +342,10 @@ CHUNKED_SPECS = {
     "ar1-phi0": ProcessSpec(family="ar1", phi=0.0),
     "ma_q": ProcessSpec(family="ma_q", weights=(1.0, 0.5, 0.25),
                         innovations=InnovationLaw("uniform", 0.2, 1.0)),
+    # more weights than _CHUNK_STEPS: the q innovations before time 0 span
+    # two draws, and each chunk's history reaches back over the chunk before
+    "ma_q-long": ProcessSpec(family="ma_q", weights=tuple(0.9 ** k for k in range(70)),
+                             innovations=InnovationLaw("rademacher")),
     "markov_function": FINDING1,
 }
 
@@ -882,9 +888,35 @@ def test_analytic_alpha_profiles():
     assert ma[1] == 0.25 and ma[2] == 0.0 and ma[3] == 0.0
     ar = dict(analytic_alpha_profile(AR1, [1, 4]).values)
     assert ar[1] == pytest.approx(0.125) and ar[4] == pytest.approx(0.25 * 0.5 ** 4)
-    # no decay is claimed for a non-gaussian AR(1)
-    uniform = ProcessSpec(family="ar1", phi=-0.5, innovations=InnovationLaw("uniform"))
-    assert analytic_alpha_profile(uniform, [1, 4]).values == ((1, 0.25), (4, 0.25))
+    # a uniform AR(1) has bounded states: min(1/4, |phi|^n / (4 (1 - |phi|)));
+    # a rademacher one keeps 1/4, its coefficient when |phi| <= 1/2
+    uniform = ProcessSpec(family="ar1", phi=-0.5, innovations=InnovationLaw("uniform", 0.3, 2.0))
+    un = dict(analytic_alpha_profile(uniform, [1, 2, 4]).values)
+    assert un[1] == 0.25 and un[2] == pytest.approx(0.125) and un[4] == pytest.approx(0.03125)
+    rademacher = ProcessSpec(family="ar1", phi=0.5, innovations=InnovationLaw("rademacher"))
+    assert analytic_alpha_profile(rademacher, [1, 4]).values == ((1, 0.25), (4, 0.25))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_uniform_ar1_envelope_bounds_quantile_split_alpha(n):
+    # the largest |P(AB) - P(A)P(B)| over 25 events A = {X_0 <= x}, B =
+    # {X_n <= y} at the 1/6 .. 5/6 quantiles is a lower bound on alpha(n);
+    # it reads 0.069, 0.035, 0.017 and 0.0049 at n = 1, 2, 3 and 5, under
+    # the envelope's 0.25, 0.125, 0.0625 and 0.0156, and above the noise of
+    # 2 10^5 paths, about 0.001, at n <= 3
+    spec = ProcessSpec(family="ar1", phi=0.5, innovations=InnovationLaw("uniform"))
+    reps = 200_000
+    x0, xn = window_sums(spec, n + 1, reps, 3, "envelope", [(0, 1), (n, n + 1)])
+    qs = np.arange(1, 6) / 6
+    a = x0[None, :] <= np.quantile(x0, qs)[:, None]
+    b = xn[None, :] <= np.quantile(xn, qs)[:, None]
+    lower = np.max(np.abs(a.astype(float) @ b.T.astype(float) / reps
+                          - np.outer(a.mean(axis=1), b.mean(axis=1))))
+    (_, envelope), = analytic_alpha_profile(spec, [n]).values
+    assert envelope == pytest.approx(min(0.25, 0.5 ** n / 2))
+    assert lower < envelope
+    if n <= 3:
+        assert lower > 0.005
 
 
 @pytest.mark.parametrize("n", [1, 4, 16, 32])
