@@ -107,7 +107,9 @@ class BlockingPlan:
     q: np.ndarray
     delta: np.ndarray
     ratio: np.ndarray            # a(n) / a(m_n)
-    threshold: int               # first n in n_values with m + q < n; earlier ns are pre-asymptotic
+    # first n in n_values with a k < n of a(n) <= c a(k) and with m + q < n;
+    # earlier ns are pre-asymptotic
+    threshold: int
 
     def __post_init__(self):
         _freeze(self, "n_values", "m", "q", "delta", "ratio", dtype=None)
@@ -138,7 +140,9 @@ def make_plan(norming: NormingSequences, tail, c: float, n_values=DEFAULT_N_GRID
     and checks both on every value it computes (ValueError otherwise).
     Then delta_n is nonincreasing in n at every n, not only on the grid,
     and m_n is found by bisection: a plan takes one tail call and about
-    log2 n values of a per n.
+    log2 n values of a per n.  An n with no k < n of a(n) <= c a(k), where
+    m_n = 1 and U is no c-scaled leading block, is pre-asymptotic, as is
+    one with m + q >= n: the threshold is the first n that is neither.
     """
     n_values = np.asarray(sorted(int(n) for n in n_values))
     if len(n_values) == 0 or n_values[0] < 2:
@@ -148,8 +152,10 @@ def make_plan(norming: NormingSequences, tail, c: float, n_values=DEFAULT_N_GRID
     delta = compute_deltas(lambda n, deltas: tail(deltas / a(n)), n_values)
     m = compute_m_profile(a, c, n_values)
     q = np.array([compute_q(d, int(mm), int(n)) for d, mm, n in zip(delta, m, n_values)])
-    ratio = a(n_values) / a(m)
-    past_threshold = n_values[(m + q) < n_values]
+    a_n, a_m = a(n_values), a(m)
+    ratio = a_n / a_m
+    # compute_m_profile's own test of k = m, false at m = 1 when no k qualifies
+    past_threshold = n_values[(a_n <= c * a_m) & (m + q < n_values)]
     threshold = int(past_threshold[0]) if len(past_threshold) else int(n_values[-1] + 1)
     return BlockingPlan(c=float(c), n_values=n_values, m=m, q=q, delta=delta, ratio=ratio,
                         threshold=threshold)

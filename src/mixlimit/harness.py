@@ -89,8 +89,7 @@ OBJECT_KEYS = {
     "chain": ({"states": "an array", "transition": "an array", "initial": "an array"}, {}),
     "process": ({"family": "a string"},
                 {"phi": "a number", "weights": "an array of numbers",
-                 "innovations": "a JSON object", "chain": "a JSON object",
-                 "state_values": "an array of numbers"}),
+                 "innovations": "a JSON object", "chain": "a JSON object"}),
     "innovations": ({}, {"name": "a string", "mean": "a number", "std": "a number"}),
     "bdlp": ({}, {"drift": "a number", "gaussian_sigma": "a number", "jump_rate": "a number",
                   "jump_law": "a JSON object"}),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probcore import PASSING, FiniteJointDistribution, _freeze, alpha_exact, judge
+from .probcore import PASSING, PMF_TOL, FiniteJointDistribution, _freeze, alpha_exact, judge
 
 STOCHASTIC_TOL = 1e-12
 J_SCAN = 11
@@ -107,7 +107,11 @@ def alpha_window(chain: MarkovChainSpec, j: int, n: int) -> float:
     p = chain.transition
     mu_j = chain.initial @ np.linalg.matrix_power(p, j - 1)
     joint = mu_j[:, None] * np.linalg.matrix_power(p, n)
-    return alpha_exact(FiniteJointDistribution(chain.states, chain.states, joint))
+    # joint takes j + n - 1 float products of nonnegative matrices, so its sum
+    # drifts from 1 by rounding within _rounding_margin(K, j + n), which
+    # passes PMF_TOL near lag 2^15; it is checked as computed, not renormalized
+    tol = max(PMF_TOL, _rounding_margin(chain.n_states, j + n))
+    return alpha_exact(FiniteJointDistribution(chain.states, chain.states, joint, tol=tol))
 
 
 def alpha_sequence(chain: MarkovChainSpec, n_list, j_scan: int = J_SCAN) -> AlphaProfile:

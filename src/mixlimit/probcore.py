@@ -16,7 +16,7 @@ of atoms, so subset enumeration computes it exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,12 +57,14 @@ class FiniteJointDistribution:
     """Exact joint pmf over a finite product of labeled atom sets.
 
     atoms_x, atoms_z: vectors of scalar atom locations.
-    pmf: (|X|, |Z|) nonnegative matrix summing to 1.
+    pmf: (|X|, |Z|) nonnegative matrix summing to 1 within tol, PMF_TOL for
+    a pmf given as input; a computed one may take its rounding bound.
     """
 
     atoms_x: np.ndarray
     atoms_z: np.ndarray
     pmf: np.ndarray
+    tol: float = field(default=PMF_TOL, repr=False, compare=False)
 
     def __post_init__(self):
         ax, az, pmf = _freeze(self, "atoms_x", "atoms_z", "pmf")
@@ -76,8 +78,8 @@ class FiniteJointDistribution:
             )
         if np.any(pmf < 0):
             raise ValueError("pmf entries must be nonnegative")
-        if abs(pmf.sum() - 1.0) > PMF_TOL:
-            raise ValueError(f"pmf entries sum to {pmf.sum()!r}, not 1 within {PMF_TOL}")
+        if abs(pmf.sum() - 1.0) > self.tol:
+            raise ValueError(f"pmf entries sum to {float(pmf.sum())!r}, not 1 within {self.tol}")
 
     @property
     def margin_x(self) -> np.ndarray:

@@ -14,7 +14,7 @@ Families:
   iid, ar1, ma_q   the linear filter X_k = phi X_{k-1} + sum_i w_i eps_{k-i}
                    of iid innovations, started at stationarity, with
                    (phi, w) = (0, (1)), (phi, (1)) and (0, weights)
-  markov_function  f(Y_k) for a finite-state chain Y
+  markov_function  Y_k for a finite-state chain Y, whose states are reals
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ FAMILIES = {
     "iid": ("innovations",),
     "ar1": ("phi", "innovations"),
     "ma_q": ("weights", "innovations"),
-    "markov_function": ("chain", "state_values"),
+    "markov_function": ("chain",),
 }
 _AR1_INIT_TOL = 1e-16
 AR1_BURN_LIMIT = 1 << 16       # burn-in rows of a non-Gaussian ar1: |phi| <= 0.999438
@@ -109,16 +109,21 @@ class InnovationLaw:
 
 @dataclass(frozen=True)
 class ProcessSpec:
+    """A process of one of the FAMILIES; (phi, weights) of a linear family
+    are set to the filter it is, as the module docstring lists."""
+
     family: str
     phi: float = 0.0
     weights: tuple = ()
     innovations: InnovationLaw = field(default_factory=InnovationLaw)
     chain: MarkovChainSpec | None = None
-    state_values: tuple | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown process family {self.family!r}")
+        for k, identity in (("phi", 0.0), ("weights", (1.0,))):
+            if k not in FAMILIES[self.family]:
+                object.__setattr__(self, k, identity)
         if self.family == "ar1" and not abs(self.phi) < 1:
             raise ValueError(f"ar1 requires |phi| < 1, got {self.phi}")
         if self.family == "ar1" and (burn := _ar1_burn(self.phi, self.innovations)) > AR1_BURN_LIMIT:
@@ -130,37 +135,27 @@ class ProcessSpec:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
             if not np.all(np.isfinite(self.weights)):
                 raise ValueError(f"ma_q weights {self.weights!r} must be finite")
-        if self.family == "markov_function":
-            if self.chain is None:
-                raise ValueError("markov_function requires a chain spec")
-            if self.state_values is not None and len(self.state_values) != self.chain.n_states:
-                raise ValueError(
-                    f"state_values has {len(self.state_values)} entries, "
-                    f"the chain has {self.chain.n_states} states"
-                )
-            if self.state_values is not None and not np.all(np.isfinite(self.mapped_values())):
-                raise ValueError(f"state_values {self.state_values!r} must be finite")
+        if self.family == "markov_function" and self.chain is None:
+            raise ValueError("markov_function requires a chain spec")
 
     def describe(self) -> dict:
-        # paths are scalar; the entry stays because spec_hash, and with it
-        # every RNG stream key, is built from this dict
+        # paths are scalar, and a markov_function's values are its chain's
+        # states; both entries stay because spec_hash, and with it every RNG
+        # stream key, is built from this dict
         d = {"family": self.family, "dimension": 1}
         for k in FAMILIES[self.family]:
-            v = self.mapped_values() if k == "state_values" else getattr(self, k)
+            v = getattr(self, k)
             if isinstance(v, InnovationLaw):
                 v = {"name": v.name, "mean": v.mean, "std": v.std}
             elif isinstance(v, MarkovChainSpec):
                 v = {"states": v.states.tolist(), "transition": v.transition.tolist(),
                      "initial": v.initial.tolist()}
-            elif isinstance(v, (tuple, np.ndarray)):
+            elif isinstance(v, tuple):
                 v = list(v)
             d[k] = v
+        if self.family == "markov_function":
+            d["state_values"] = self.chain.states.tolist()
         return d
-
-    def mapped_values(self) -> np.ndarray:
-        if self.state_values is not None:
-            return np.asarray(self.state_values, dtype=float)
-        return self.chain.states
 
     def spec_hash(self) -> str:
         blob = json.dumps(self.describe(), sort_keys=True).encode()
@@ -210,15 +205,6 @@ def _run_blocks(task, total: int, group: int = 1) -> list:
     rows = [min(group * _CHUNK_ROWS, total - r0) for r0 in starts]
     with ThreadPoolExecutor(max_workers=min(_WORKERS, len(starts))) as pool:
         return list(pool.map(task, [r0 // _CHUNK_ROWS for r0 in starts], starts, rows))
-
-
-def _filter(spec: ProcessSpec) -> tuple:
-    """(phi, weights) of the linear filter X_k = phi X_{k-1} + sum_i w_i
-    eps_{k-i} that spec is, from the fields its family reads: iid is
-    (0, (1,)), ar1 (phi, (1,)) and ma_q (0, weights)."""
-    fields = FAMILIES[spec.family]
-    return (spec.phi if "phi" in fields else 0.0,
-            spec.weights if "weights" in fields else (1.0,))
 
 
 def _chunks(spec: ProcessSpec, n: int, rngs: list):
@@ -273,7 +259,7 @@ def _filter_chunks(spec: ProcessSpec, n: int, rngs: list):
     ceil(log _AR1_INIT_TOL / log |phi|) <= AR1_BURN_LIMIT, and the burn-in
     rows are stepped and dropped: the start's weight in X_0 is |phi|^(burn + 1).
     """
-    law, (phi, weights) = spec.innovations, _filter(spec)
+    law, phi, weights = spec.innovations, spec.phi, spec.weights
     q, burn, m = len(weights) - 1, _ar1_burn(phi, law), _moments(spec)[0]
     last = np.full(len(rngs) * _CHUNK_ROWS, m)
     tmp = np.empty_like(last)
@@ -338,9 +324,9 @@ def _markov_steps(spec: ProcessSpec, width: int):
     edges = np.unique(cum)
     if len(edges) <= _MAX_STEP_EDGES:
         scale = len(edges) + 1
-        fill, code_vals = _table_steps(cum, edges, spec.mapped_values(), width)
+        fill, code_vals = _table_steps(cum, edges, chain.states, width)
     else:
-        scale, fill, code_vals = 1, _loop_steps(cum, width), spec.mapped_values()
+        scale, fill, code_vals = 1, _loop_steps(cum, width), chain.states
     last = np.empty(width, dtype=np.intp)
 
     def step(t0, u):
@@ -494,8 +480,8 @@ def _moments(spec: ProcessSpec) -> tuple:
     A linear filter with weight sum s has mean s E eps / (1 - phi) and
     v_inf = s^2 Var eps / (1 - phi)^2."""
     if spec.family != "markov_function":
-        law, (phi, weights) = spec.innovations, _filter(spec)
-        s = float(np.sum(weights))
+        law, phi = spec.innovations, spec.phi
+        s = float(np.sum(spec.weights))
         return s * law.mean / (1.0 - phi), s * s * (law.std * law.std) / (1.0 - phi) ** 2
     # markov_function: v_inf = 2 <f_bar, h>_pi - <f_bar, f_bar>_pi with
     # h solving the Poisson equation (I - P + 1 pi) h = f_bar
@@ -504,9 +490,8 @@ def _moments(spec: ProcessSpec) -> tuple:
     if len(ev) > 1 and ev[-2] >= 1.0 - 1e-9:
         raise ValueError("markov_function norming requires an ergodic chain")
     pi = chain.stationary()
-    f = spec.mapped_values()
-    mean = pi @ f
-    fbar = f - mean
+    mean = pi @ chain.states
+    fbar = chain.states - mean
     k = chain.n_states
     h = np.linalg.solve(np.eye(k) - chain.transition + np.outer(np.ones(k), pi), fbar)
     return float(mean), float(pi @ (2.0 * fbar * h - fbar ** 2))
@@ -552,7 +537,7 @@ def marginal_abs_tail(spec: ProcessSpec):
         # K with TV(mu_K, pi) < 1e-13 (or K = 10^4), and pi(s) + TV(mu_K, pi)
         # beyond K, as TV(mu_k, pi) does not increase in k
         chain = spec.chain
-        vals = np.abs(spec.mapped_values())
+        vals = np.abs(chain.states)
         pi = chain.stationary()
         dist = envelope = chain.initial
         for _ in range(10_000):
@@ -574,8 +559,7 @@ def marginal_abs_tail(spec: ProcessSpec):
         return tail
     # X_k is a linear filter of the innovations: its sd and support bound
     # are the innovations' times the filter's l2 and l1 norms
-    law, (phi, weights) = spec.innovations, _filter(spec)
-    w = np.asarray(weights)
+    law, phi, w = spec.innovations, spec.phi, np.asarray(spec.weights)
     if not _LAWS[law.name]["normal"]:
         bound = abs(law.mean) + law.std * _LAWS[law.name]["half_width"]
         return _step_tail(bound * float(np.sum(np.abs(w))) / (1.0 - abs(phi)))
@@ -621,9 +605,9 @@ def analytic_alpha_profile(spec: ProcessSpec, n_list) -> AlphaProfile:
     n_list = [int(n) for n in n_list]
     if spec.family == "markov_function":
         return alpha_bound_geometric(spec.chain, n_list)
-    phi, weights = _filter(spec)
+    phi = spec.phi
     if phi == 0.0:
-        q = len(weights) - 1
+        q = len(spec.weights) - 1
         vals = tuple((n, 0.0 if n > q else 0.25) for n in n_list)
         meta = f"{q}-dependent"
     elif (law := _LAWS[spec.innovations.name])["normal"]:

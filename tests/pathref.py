@@ -32,7 +32,7 @@ def loop_markov_paths(spec, u):
     for k in range(1, u.shape[1]):
         rows = cum[states[:, k - 1]]
         states[:, k] = np.minimum((u[:, k, None] > rows).sum(axis=1), kmax)
-    return spec.mapped_values()[states]
+    return chain.states[states]
 
 
 def one_shot_innovations(law, rng, shape):

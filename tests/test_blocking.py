@@ -625,6 +625,25 @@ def test_ar1_verify_blocking_peak_memory_below_a_quarter_of_the_paths():
     assert verify_blocking_peak(spec, reps, n_grid) < reps * max(n_grid) * 8 / 4
 
 
+def test_an_n_with_no_c_scaled_leading_block_is_pre_asymptotic(tmp_path):
+    # a(n) = (n v)^(-1/2) <= c a(k) for some k < n only from n = c^-2 on; below
+    # it m_n = 1 and U is a single summand, so the c-scaled limit does not apply
+    spec = ProcessSpec(family="ar1", phi=0.5)
+    plan = make_plan(asymptotics(spec)[0], marginal_abs_tail(spec), 0.5, (3, 256))
+    assert plan.m[0] == 1 and plan.ratio[0] > 0.5
+    assert plan.is_pre_asymptotic(3) and not plan.is_pre_asymptotic(256)
+    reports = []
+    for n_grid in ([3, 256], [256]):
+        cfg = {"kind": "blocking-verify", "seed": 5, "process": {"family": "ar1", "phi": 0.5},
+               "c": 0.5, "n_grid": n_grid, "replications": 2000}
+        path = tmp_path / f"{len(n_grid)}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / f"out{len(n_grid)}"
+        assert harness.run(str(path), out_dir=str(out)) == 0
+        reports.append((out / "blocking_report.csv").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_verify_blocking_rejects_degenerate():
     with pytest.raises(ValueError, match="degenerate"):
         verify_blocking(ProcessSpec(family="ma_q", weights=(1.0, -1.0)), n_grid=(64,),

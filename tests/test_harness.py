@@ -196,6 +196,9 @@ REMOVED_KEYS = [
       "cases": [{"pmf": [0.5, 0.5], "epsilon": 0.1, "net": [0.0], "delta": 0.0}]},
      "config.cases[0]: pmf must be a matrix, got shape (2,)"),
     (dict(BLOCKING_CFG, n_grid=[]), "nonempty grid"),
+    # with c = 0.01 a k < n of a(n) <= c a(k) first exists at n = 10^4
+    (dict(BLOCKING_CFG, process={"family": "ar1", "phi": 0.5}, c=0.01, n_grid=[256, 4096]),
+     "every n in the grid is pre-asymptotic; enlarge the grid"),
     ({"kind": "corollary-sum", "seed": 1, "mode": "lagged_blocks", "replications": 100,
       "process_x": {"family": "ar1", "phi": 0.5}, "lags": [-3]},
      "lags must be a nonempty list of nonnegative integers, got [-3]"),
@@ -204,9 +207,10 @@ REMOVED_KEYS = [
      "block_length must be at least 1, got 0"),
     ({"kind": "coupling-suite", "seed": 1, "cases": []},
      "a coupling suite needs at least one case"),
+    # a markov_function's values are its chain's states
     (dict(BLOCKING_CFG, process={"family": "markov_function", "chain": THREE_STATE_CHAIN,
-                                 "state_values": [1.0, 2.0]}),
-     "state_values has 2 entries, the chain has 3 states"),
+                                 "state_values": [1.0, 2.0, 0.5]}),
+     "config.process has unknown key 'state_values'"),
     # a run that would check nothing
     (dict(ALPHA_CFG, n_list=[]), "n_list must hold at least one lag"),
     (dict(ALPHA_CFG, j_scan=0), "j_scan must be at least 1, got 0"),
@@ -287,8 +291,8 @@ REMOVED_KEYS = [
          "jump-law-mismatch", "dimension-key", "c-values-not-array", "j-scan-string",
          "innovation-std-string", "phi-string", "lags-not-array", "jump-mean-string",
          "discrete-values-not-array", "replications-float", "cases-object", "seed-bool",
-         "n-grid-string-entry", "flag-string", "pmf-vector", "n-grid-empty",
-         "lags-negative", "block-length-zero", "cases-empty", "state-values-short",
+         "n-grid-string-entry", "flag-string", "pmf-vector", "n-grid-empty", "no-c-scaled-block",
+         "lags-negative", "block-length-zero", "cases-empty", "state-values-key",
          "n-list-empty", "j-scan-zero", "c-values-empty", "lagged-process-z-and-n",
          "lagged-n", "duplicate-process-z", "independent-lags", "duplicate-block-length",
          "cf-form-n", "cf-form-replications", "past-window-zero", "future-window-string",
@@ -677,6 +681,16 @@ def test_alpha_profile_run(tmp_path):
     csv = (tmp_path / "o" / "alpha_profile.csv").read_text().strip().split("\n")
     assert csv[0] == "n,alpha,kind,claim"
     assert len(csv) == 7          # 3 window rows + 3 bound rows
+
+
+def test_alpha_profile_at_a_long_lag_runs(tmp_path, capsys):
+    # the joint of (X_j, X_{j+n}) sums to 1 + 2.1e-12 here, beyond the 1e-12
+    # a pmf read from a config gets, and within the rounding margin of P^n
+    cfg = dict(ALPHA_CFG, chain={"states": [0.0, 1.0], "transition": [[0.9, 0.1], [0.2, 0.8]],
+                                 "initial": [0.5, 0.5]}, n_list=[100000])
+    path = write_cfg(tmp_path, "a.json", cfg)
+    assert harness.run(path, out_dir=str(tmp_path / "o")) == 0
+    assert "config error" not in capsys.readouterr().out
 
 
 def test_alpha_profile_unsorted_lags(tmp_path):

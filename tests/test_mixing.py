@@ -15,7 +15,7 @@ from mixlimit.mixing import (
     _rounding_margin,
     alpha_window,
 )
-from mixlimit.probcore import ENUM_LIMIT, FiniteJointDistribution, alpha_exact
+from mixlimit.probcore import ENUM_LIMIT, PMF_TOL, FiniteJointDistribution, alpha_exact
 
 
 def symmetric_chain(p=0.25):
@@ -112,6 +112,24 @@ def test_joint_window_matches_hand_propagation():
     assert np.allclose(window_joint_reference(c, 1, 2, 1, 1).pmf, hand, atol=1e-15)
     hand_joint = FiniteJointDistribution(c.states, c.states, hand)
     assert alpha_window(c, 1, 2) == pytest.approx(alpha_exact(hand_joint), abs=1e-15)
+
+
+@pytest.mark.parametrize("chain, lag", [
+    (MarkovChainSpec([0.0, 1.0, 2.0, 3.0], [[0.5, 0.2, 0.2, 0.1], [0.2, 0.5, 0.1, 0.2],
+                                           [0.1, 0.2, 0.5, 0.2], [0.2, 0.1, 0.2, 0.5]],
+                     [1.0, 0.0, 0.0, 0.0]), 2 ** 15),
+    (MarkovChainSpec([0.0, 1.0], [[0.9, 0.1], [0.2, 0.8]], [0.5, 0.5]), 2 ** 16),
+    (MarkovChainSpec([-1.0, 2.0, 0.5], [[0.6, 0.3, 0.1], [0.3, 0.6, 0.1], [0.2, 0.2, 0.6]],
+                     [1 / 3] * 3), 2 ** 17),
+], ids=["four-state", "two-state", "finding-1"])
+def test_alpha_window_accepts_its_joint_at_long_lags(chain, lag):
+    # at the first such power of 2 the joint's sum drifts from 1 by rounding
+    # beyond PMF_TOL, within the margin alpha_window checks it against
+    drift = abs((chain.initial[:, None] * np.linalg.matrix_power(chain.transition, lag)).sum() - 1)
+    assert PMF_TOL < drift <= _rounding_margin(chain.n_states, lag + 1)
+    bound = alpha_bound_geometric(chain, [lag]).alpha_at(lag)
+    for j in (1, 2, mixing.J_SCAN):
+        assert 0.0 <= alpha_window(chain, j, lag) <= bound
 
 
 def test_alpha_sequence_examples():

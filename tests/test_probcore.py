@@ -400,6 +400,15 @@ def test_joint_distribution_validation():
         FiniteJointDistribution([0, 1], [0, 1], [[0.6, 0.5], [0.0, -0.1]])
 
 
+def test_joint_distribution_sum_tolerance():
+    # a pmf given as input sums to 1 within PMF_TOL, a computed one within
+    # the tol it is given, and the message prints the sum as a Python float
+    with pytest.raises(ValueError, match=r"^pmf entries sum to 1\.000000000002, not 1 within 1e-12$"):
+        FiniteJointDistribution([0, 1], [0, 1], [[0.5, 0.0], [0.0, 0.500000000002]])
+    assert FiniteJointDistribution([0, 1], [0, 1], [[0.5, 0.0], [0.0, 0.500000000002]],
+                                   tol=1e-11).tol == 1e-11
+
+
 @pytest.mark.parametrize("atoms_x, atoms_z, pmf, field", [
     ([0, 1], [0, 1], [[0.5, np.nan], [0.0, 0.5]], "pmf"),
     ([0, np.nan], [0, 1], [[0.5, 0.0], [0.0, 0.5]], "atoms_x"),

@@ -75,7 +75,7 @@ def loop_markov_tail(spec):
     the mass envelope max(max_{k<=K} mu_k, min(1, pi + TV(mu_K, pi))), K
     the first k with TV(mu_k, pi) < 1e-13, or 10^4."""
     chain = spec.chain
-    vals = np.abs(spec.mapped_values())
+    vals = np.abs(chain.states)
     pi = chain.stationary()
     laws = [chain.initial]
     while len(laws) <= 10_000 and 0.5 * np.abs(laws[-1] - pi).sum() >= 1e-13:
@@ -107,9 +107,6 @@ def test_spec_validation():
         InnovationLaw(name="normal", std=-1.0)
     with pytest.raises(ValueError, match="unknown process family 'constant'"):
         ProcessSpec(family="constant")
-    for values in ((1.0, 2.0), (1.0, 2.0, 3.0, 4.0)):
-        with pytest.raises(ValueError, match=f"state_values has {len(values)} entries"):
-            ProcessSpec(family="markov_function", chain=FINDING1.chain, state_values=values)
 
 
 @pytest.mark.parametrize("law", ["uniform", "rademacher"])
@@ -177,13 +174,10 @@ def test_law_draws_fill_their_half_width_with_mean_0_and_variance_1(name):
     assert abs(np.mean(z * z) - 1.0) <= se * np.std(z * z)
 
 
-def test_process_spec_rejects_non_finite_weights_and_state_values():
-    # NaN weights or state values constructed, and asymptotics then gave v_inf = nan
+def test_process_spec_rejects_non_finite_weights():
+    # NaN weights constructed, and asymptotics then gave v_inf = nan
     with pytest.raises(ValueError, match="ma_q weights .* must be finite"):
         ProcessSpec(family="ma_q", weights=(np.nan, 1.0))
-    with pytest.raises(ValueError, match="state_values .* must be finite"):
-        ProcessSpec(family="markov_function", chain=FINDING1.chain,
-                    state_values=(0.0, np.inf, 1.0))
 
 
 def test_reproducibility_bit_identical():
@@ -844,7 +838,7 @@ def test_linear_tail_and_norming_are_the_closed_forms(spec):
 ], ids=["finding1", "zero-probability", "12-states", "repeated-values"])
 def test_markov_tail_matches_per_threshold_sums(spec):
     tail, ref = marginal_abs_tail(spec), loop_markov_tail(spec)
-    vals = np.abs(spec.mapped_values())
+    vals = np.abs(spec.chain.states)
     t = np.concatenate([np.linspace(-0.5, 3.0, 71), vals, np.nextafter(vals, np.inf), [np.inf]])
     assert np.array_equal(tail(t), ref(t))
     for ti in t:
@@ -984,8 +978,6 @@ def test_spec_hash_pinned():
         "1134c5da955b5036": ProcessSpec(family="iid"),
         "d108eebde9ceef28": ProcessSpec(family="ma_q", weights=(1, 0.5, 0.25)),
         "bec30666177072a9": ProcessSpec(family="markov_function", chain=chain),
-        "b8f88d974fe9ab59": ProcessSpec(family="markov_function", chain=chain,
-                                        state_values=(1, -2, 0.5)),
         "6126ef36e301bdb7": ProcessSpec(family="ar1", phi=-0.25,
                                         innovations=InnovationLaw("rademacher", 1, 2)),
     }
